@@ -15,7 +15,7 @@ import json
 import sys
 from decimal import Decimal
 
-from . import dual, lp, sim, theta
+from . import dp, dual, sim, theta
 from .exact import format_rational
 from .piecewise import QuadratureError, RootBracketError
 
@@ -142,10 +142,10 @@ def cmd_dual_check(args) -> int:
 
 
 def cmd_finite_lp(args) -> int:
-    n_list = args.n if args.n else list(lp.DEFAULT_N_LIST)
+    n_list = args.n if args.n else list(dp.DEFAULT_N_LIST)
     cert = dual.construct_dual(args.J, args.K)
     cp_star = dual.payoff_jk(cert.tau)
-    rows = lp.convergence_experiment(args.J, args.K, n_list, cp_star, mode=args.mode)
+    rows = dp.convergence_experiment(args.J, args.K, n_list, cp_star, mode=args.mode)
     if args.format == "json":
         _write_output(
             json.dumps(
@@ -306,8 +306,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, RootBracketError, QuadratureError, dual.ConvergenceError,
-            lp.LPSizeError, lp.SolverError) as exc:
+    except sim.ThreadSettingError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, RootBracketError, QuadratureError, dual.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -44,10 +44,13 @@ def as_rational(value: RationalLike) -> Rational:
 
 
 def format_rational(q: Rational) -> str:
-    """Serialize as 'p/q' (or plain 'p' for integers), the JSON wire form."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Serialize as 'p/q' (or plain 'p' for integers), the JSON wire form.
+
+    Digits go through Decimal, which is not bound by the interpreter's
+    limit on int-to-str conversion (4300 digits by default; theta_16 has more).
+    """
+    p = str(Decimal(q.numerator))
+    return p if q.denominator == 1 else f"{p}/{Decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)

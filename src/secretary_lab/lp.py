@@ -1,4 +1,4 @@
-"""The finite n-item selection LP and two simplex backends.
+"""The finite n-item selection LP and its exact simplex.
 
 One variable z_{j|k}(i) per (quota j, potential rank k, arrival position i)
 gives the probability that position i is taken by quota j given it is a
@@ -6,10 +6,9 @@ k-potential.  Feasible points correspond exactly to selection algorithms on
 n items, so the LP optimum P*_n is the best achievable expected payoff; as
 n grows it approaches the continuous optimum from above.
 
-Backends: an exact Fraction tableau with Bland's rule (bit-exact answers on
-small instances, the oracle of record) and a dense double-precision tableau
-with windowed pricing and a Bland fallback for the convergence runs.
-Binomial ratios are always formed exactly and converted at most once.
+The solver is an exact Fraction tableau with Bland's rule: the LP of
+record, bit-exact on small instances.  P*_n itself is computed by the
+backward induction in `dp`, which this LP cross-checks.
 """
 
 from __future__ import annotations
@@ -17,14 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Union
 
-import numpy as np
-
-DEFAULT_VAR_CAP = 50_000
-EXACT_SIZE_CAP = 2_000
-
-Number = Union[Fraction, float]
+# Largest J*K*n the exact simplex accepts: (1,1) n=100 takes about 8 s and
+# (2,2) n=25 about 5 s, and the time grows with the cube of the size.
+EXACT_SIZE_CAP = 100
 
 
 class LPSizeError(ValueError):
@@ -104,38 +99,12 @@ class FiniteLPInstance:
                 for i in range(1, self.n + 1):
                     yield (j, k, i)
 
-    def rhs_vector(self) -> np.ndarray:
-        out = np.zeros(self.num_rows)
-        for r, (j, _k, _i) in enumerate(self.iter_rows()):
-            out[r] = 1.0 if j == self.J else 0.0
-        return out
 
-    def dense_float(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, b, c) for max c.z subject to A z <= b, z >= 0."""
-        nv = self.num_vars
-        a = np.zeros((self.num_rows, nv))
-        b = np.zeros(self.num_rows)
-        inv_m = 1.0 / np.arange(1, self.n + 1)
-        r = 0
-        for j, k, i in self.iter_rows():
-            a[r, self.var_index(j, k, i)] += 1.0
-            for el in range(1, self.K + 1):
-                base = self.var_index(j, el, 1)
-                a[r, base : base + i - 1] += inv_m[: i - 1]
-                if j < self.J:
-                    base2 = self.var_index(j + 1, el, 1)
-                    a[r, base2 : base2 + i - 1] -= inv_m[: i - 1]
-            b[r] = 1.0 if j == self.J else 0.0
-            r += 1
-        c = np.array([float(v) for v in self.objective])
-        return a, b, c
-
-
-def build_lp(n: int, J: int, K: int, var_cap: int = DEFAULT_VAR_CAP) -> FiniteLPInstance:
+def build_lp(n: int, J: int, K: int) -> FiniteLPInstance:
     if n < 1 or J < 1 or K < 1:
         raise ValueError("n, J, K must be positive")
-    if J * K * n > var_cap:
-        raise LPSizeError(f"{J * K * n} variables exceeds the cap {var_cap}")
+    if J * K * n > EXACT_SIZE_CAP:
+        raise LPSizeError(f"{J * K * n} variables exceeds the cap {EXACT_SIZE_CAP}")
     obj = []
     per_k = {
         (k, i): objective_coefficient(n, K, k, i)
@@ -149,30 +118,18 @@ def build_lp(n: int, J: int, K: int, var_cap: int = DEFAULT_VAR_CAP) -> FiniteLP
     return FiniteLPInstance(n=n, J=J, K=K, objective=tuple(obj))
 
 
-def evaluate_objective(inst: FiniteLPInstance, z: Sequence[Number]) -> Number:
-    """Plain weighted sum of a candidate point; no feasibility checking."""
-    if len(z) != inst.num_vars:
-        raise ValueError(f"expected {inst.num_vars} values, got {len(z)}")
-    if any(isinstance(v, Fraction) for v in z):
-        return sum(o * v for o, v in zip(inst.objective, z))
-    cf = np.array([float(o) for o in inst.objective])
-    return float(cf @ np.asarray(z, dtype=float))
-
-
 @dataclass(frozen=True)
 class LPSolution:
-    values: tuple[Number, ...]
-    objective: Number
-    status: str  # "optimal" | "infeasible" | "iteration-limit"
-    dual_objective: Number | None
+    values: tuple[Fraction, ...]
+    objective: Fraction
+    status: str  # "optimal" | "iteration-limit"
+    dual_objective: Fraction | None
     iterations: int
 
 
-# -- exact backend ----------------------------------------------------------
-
-
-def _solve_exact(inst: FiniteLPInstance, max_iter: int | None) -> LPSolution:
-    nv = inst.num_rows  # == num_vars
+def solve_lp(inst: FiniteLPInstance, max_iter: int | None = None) -> LPSolution:
+    """Optimal basic solution in exact arithmetic, or the basis reached after
+    max_iter pivots (status "iteration-limit")."""
     rows = []
     rhs = []
     for j, k, i in inst.iter_rows():
@@ -201,7 +158,7 @@ def _solve_exact(inst: FiniteLPInstance, max_iter: int | None) -> LPSolution:
             break
         if it >= limit:
             return LPSolution(
-                values=_exact_values(tab, b, basis, inst.num_vars),
+                values=_basic_values(b, basis, inst.num_vars),
                 objective=obj_val,
                 status="iteration-limit",
                 dual_objective=None,
@@ -233,7 +190,7 @@ def _solve_exact(inst: FiniteLPInstance, max_iter: int | None) -> LPSolution:
         it += 1
     dual_obj = sum(-red[inst.num_vars + r] * rhs[r] for r in range(m))
     return LPSolution(
-        values=_exact_values(tab, b, basis, inst.num_vars),
+        values=_basic_values(b, basis, inst.num_vars),
         objective=obj_val,
         status="optimal",
         dual_objective=dual_obj,
@@ -241,204 +198,9 @@ def _solve_exact(inst: FiniteLPInstance, max_iter: int | None) -> LPSolution:
     )
 
 
-def _exact_values(tab, b, basis, nv) -> tuple[Fraction, ...]:
+def _basic_values(b, basis, nv) -> tuple[Fraction, ...]:
     z = [Fraction(0)] * nv
     for r, col in enumerate(basis):
         if col < nv:
             z[col] = b[r]
     return tuple(z)
-
-
-# -- float backend ----------------------------------------------------------
-
-_RED_TOL = 1e-9
-_PIV_TOL = 1e-10
-
-
-def _solve_float(inst: FiniteLPInstance, max_iter: int | None) -> LPSolution:
-    a, b, c = inst.dense_float()
-    m, nv = a.shape
-    width = nv + m
-    tab = np.hstack([a, np.eye(m)])
-    b = b.copy()
-    red = np.concatenate([c, np.zeros(m)])
-    basis = list(range(nv, nv + m))
-    obj_val = 0.0
-    limit = max_iter if max_iter is not None else 200 * (m + width)
-    window = max(64, width // 8)
-    cursor = 0
-    bland = False
-    degenerate_streak = 0
-    it = 0
-    while True:
-        if np.any(~np.isfinite(tab)) or not np.isfinite(obj_val):
-            raise SolverError("numerical stall: tableau lost finiteness")
-        enter = -1
-        if bland:
-            cand = np.nonzero(red > _RED_TOL)[0]
-            if cand.size:
-                enter = int(cand[0])
-        else:
-            # windowed (partial) pricing with a rotating cursor
-            for _ in range(0, width, window):
-                hi = min(cursor + window, width)
-                block = red[cursor:hi]
-                pos = int(np.argmax(block))
-                if block[pos] > _RED_TOL:
-                    enter = cursor + pos
-                    break
-                cursor = hi % width
-            if enter < 0:
-                full = int(np.argmax(red))
-                if red[full] > _RED_TOL:
-                    enter = full
-        if enter < 0:
-            break
-        if it >= limit:
-            return LPSolution(
-                values=tuple(_float_values(b, basis, nv)),
-                objective=obj_val,
-                status="iteration-limit",
-                dual_objective=None,
-                iterations=it,
-            )
-        col = tab[:, enter]
-        eligible = np.nonzero(col > _PIV_TOL)[0]
-        if eligible.size == 0:
-            raise SolverError("unbounded float LP (instance is malformed)")
-        ratios = b[eligible] / col[eligible]
-        best = ratios.min()
-        ties = eligible[ratios <= best + 1e-15]
-        r = int(min(ties, key=lambda rr: basis[rr]))
-        if best <= 1e-13:
-            degenerate_streak += 1
-            if degenerate_streak > 2 * (m + width):
-                bland = True
-        else:
-            degenerate_streak = 0
-        piv = tab[r, enter]
-        tab[r] /= piv
-        b[r] /= piv
-        factors = tab[:, enter].copy()
-        factors[r] = 0.0
-        tab -= np.outer(factors, tab[r])
-        b -= factors * b[r]
-        delta = red[enter]
-        red = red - delta * tab[r]
-        obj_val += delta * b[r]
-        basis[r] = enter
-        it += 1
-    duals = -red[nv:]
-    dual_obj = float(duals @ inst.rhs_vector())
-    return LPSolution(
-        values=tuple(_float_values(b, basis, nv)),
-        objective=float(obj_val),
-        status="optimal",
-        dual_objective=dual_obj,
-        iterations=it,
-    )
-
-
-def _float_values(b, basis, nv) -> list[float]:
-    z = [0.0] * nv
-    for r, col in enumerate(basis):
-        if col < nv:
-            z[col] = float(b[r])
-    return z
-
-
-def solve_lp(
-    inst: FiniteLPInstance, mode: str = "float", max_iter: int | None = None
-) -> LPSolution:
-    """Optimal basic solution; exact mode returns Fraction values/objective."""
-    if mode == "exact":
-        if inst.num_vars > EXACT_SIZE_CAP:
-            raise LPSizeError(
-                f"exact mode capped at {EXACT_SIZE_CAP} variables, "
-                f"instance has {inst.num_vars}"
-            )
-        return _solve_exact(inst, max_iter)
-    if mode == "float":
-        return _solve_float(inst, max_iter)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def check_feasibility(inst: FiniteLPInstance, z: Sequence[Number]) -> Number:
-    """Largest constraint violation of z (0 means feasible); exact when z is."""
-    exact = any(isinstance(v, Fraction) for v in z)
-    worst: Number = Fraction(0) if exact else 0.0
-    for j, k, i in inst.iter_rows():
-        row, rhs = inst.row_exact(j, k, i)
-        acc = sum((v * z[col] for col, v in row.items()), Fraction(0) if exact else 0.0)
-        viol = acc - (rhs if exact else float(rhs))
-        if viol > worst:
-            worst = viol
-    for v in z:
-        if -v > worst:
-            worst = -v
-    return worst
-
-
-# -- convergence experiment --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    p_star: float
-    gap: float  # P*_n - CP*
-
-
-DEFAULT_N_LIST = (10, 25, 50, 100, 200)
-
-
-def convergence_experiment(
-    J: int,
-    K: int,
-    n_list: Sequence[int],
-    cp_star: float,
-    mode: str = "float",
-) -> list[ConvergenceRow]:
-    """P*_n for each n, with the gap to the continuous optimum cp_star.
-
-    The gap stays nonnegative (up to solver tolerance) and shrinks as n
-    grows; cp_star comes from the threshold construction.
-    """
-    out = []
-    for n in n_list:
-        sol = solve_lp(build_lp(n, J, K), mode=mode)
-        if sol.status != "optimal":
-            raise SolverError(f"LP at n={n} ended with status {sol.status}")
-        p = float(sol.objective)
-        out.append(ConvergenceRow(n=n, p_star=p, gap=p - cp_star))
-    return out
-
-
-def export_lp_text(inst: FiniteLPInstance) -> str:
-    """Instance in LP interchange format for third-party cross-checks."""
-
-    def name(j, k, i):
-        return f"z_{j}_{k}_{i}"
-
-    lines = ["Maximize", " obj:"]
-    terms = []
-    for j, k, i in inst.iter_rows():
-        coeff = inst.objective[inst.var_index(j, k, i)]
-        terms.append(f" + {float(coeff):.17g} {name(j, k, i)}")
-    lines[-1] += "".join(terms)
-    lines.append("Subject To")
-    names = {}
-    for j, k, i in inst.iter_rows():
-        names[inst.var_index(j, k, i)] = name(j, k, i)
-    for j, k, i in inst.iter_rows():
-        row, rhs = inst.row_exact(j, k, i)
-        parts = []
-        for col in sorted(row):
-            v = float(row[col])
-            sign = "+" if v >= 0 else "-"
-            parts.append(f" {sign} {abs(v):.17g} {names[col]}")
-        lines.append(f" c_{j}_{k}_{i}:{''.join(parts)} <= {float(rhs):g}")
-    lines.append("Bounds")
-    lines.append(" 0 <= z")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -261,12 +261,21 @@ def _chunk_stats(args: tuple) -> tuple[int, int]:
     return s, s2
 
 
+class ThreadSettingError(ValueError):
+    """SECRETARY_LAB_THREADS is set but is not an integer."""
+
+
 def worker_cap() -> int:
     """Worker limit from SECRETARY_LAB_THREADS (default: unlimited)."""
     raw = os.environ.get("SECRETARY_LAB_THREADS")
     if not raw:
         return os.cpu_count() or 1
-    return max(1, int(raw))
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ThreadSettingError(
+            f"SECRETARY_LAB_THREADS must be an integer, got {raw!r}"
+        ) from None
 
 
 def monte_carlo(

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 The verdict lines bypass pytest's capture, so any invocation shows them as
-the criteria complete.  Criteria 5 and 6 are the heavy ones (finite LPs at
-n = 200 and four 100k-trial simulations) and together take about a minute.
+the criteria complete.  Criterion 6 is the heavy one (four 100k-trial simulations).
 """
 
 import os
@@ -27,6 +26,7 @@ from secretary_lab.exact import (
     definite_integral_over_x,
     eval_at_theta,
 )
+from secretary_lab.dp import p_star
 from secretary_lab.lp import build_lp, coefficient_row_sum, solve_lp
 from secretary_lab.sim import monte_carlo, run_threshold_algorithm, sample_arrivals, trial_rng
 from secretary_lab.theta import ThetaSequence, generate_thetas, payoff_k1_decimal, thresholds
@@ -144,14 +144,12 @@ def test_criterion_5_finite_lp(capfd):
         cp_star = payoff_jk(construct_dual(J, K).tau)
         gaps = {}
         for n in (10, 50, 200):
-            sol = solve_lp(build_lp(n, J, K), mode="float")
-            ok &= sol.status == "optimal"
-            gaps[n] = sol.objective - cp_star
+            gaps[n] = p_star(n, J, K) - cp_star
             ok &= gaps[n] >= -1e-9
         ok &= gaps[200] < 0.012
         details.append(f"({J},{K}) gap@200={gaps[200]:.4f}")
     for n in (2, 3):
-        sol = solve_lp(build_lp(n, 1, 1), mode="exact")
+        sol = solve_lp(build_lp(n, 1, 1))
         ok &= sol.objective == Fraction(1, 2)
     elapsed = time.monotonic() - t0
     _verdict(

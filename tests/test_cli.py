@@ -3,9 +3,12 @@
 import json
 import math
 import os
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from secretary_lab import dp
 from secretary_lab.cli import (
     EXIT_CERTIFICATE,
     EXIT_IO,
@@ -14,6 +17,7 @@ from secretary_lab.cli import (
     EXIT_USAGE,
     main,
 )
+from secretary_lab.theta import generate_thetas
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "cli_schema.json")
 
@@ -126,6 +130,22 @@ def test_finite_lp_json_schema(capsys):
     assert all(r["gap"] > 0 for r in payload["rows"])
 
 
+def test_finite_lp_size_caps(capsys):
+    for mode, cap in (("float", dp.FLOAT_SIZE_CAP), ("exact", dp.EXACT_SIZE_CAP)):
+        code = main(["finite-lp", "--J", "1", "--K", "1", "--n", str(cap + 1),
+                     "--mode", mode])
+        assert code == EXIT_NUMERIC
+        assert "cap" in capsys.readouterr().err
+
+
+def test_finite_lp_large_n(capsys):
+    code, out = run(capsys, "finite-lp", "--J", "4", "--K", "4", "--n", "100000",
+                    "--format", "json")
+    assert code == EXIT_OK
+    (row,) = json.loads(out)["rows"]
+    assert 0 < row["gap"] < 1e-3
+
+
 def test_simulate_json_schema_and_determinism(capsys):
     args = ("simulate", "--J", "1", "--K", "1", "--n", "200", "--trials", "500",
             "--seed", "7", "--format", "json")
@@ -182,6 +202,24 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["finite-lp", "--J", "1", "--n", "2,x"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_thread_setting_must_be_integer(monkeypatch, capsys):
+    monkeypatch.setenv("SECRETARY_LAB_THREADS", "two")
+    code = main(["simulate", "--J", "1", "--n", "20", "--trials", "10"])
+    assert code == EXIT_USAGE
+    assert "SECRETARY_LAB_THREADS" in capsys.readouterr().err
+
+
+def test_thresholds_beyond_int_str_limit(capsys):
+    """theta_16's numerator has over 4300 digits, the default int-to-str limit."""
+    for fmt in ("text", "json", "csv"):
+        code, out = run(capsys, "thresholds", "--J", "16", "--K", "1", "--exact",
+                        "--format", fmt)
+        assert code == EXIT_OK, fmt
+        if fmt == "json":
+            p, q = json.loads(out)["thetas"][-1].split("/")
+    assert Fraction(Decimal(p)) / Fraction(Decimal(q)) == generate_thetas(16).thetas[-1]
 
 
 def test_numeric_failure_exit_code(capsys):

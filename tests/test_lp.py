@@ -1,4 +1,5 @@
-"""Finite LP: builder structure, both simplex backends, convergence."""
+"""Finite LP: builder structure, the exact simplex, and P*_n from the DP
+checked against it, against HiGHS and along its convergence."""
 
 from fractions import Fraction
 
@@ -8,20 +9,46 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secretary_lab.dp import convergence_experiment, p_star
 from secretary_lab.lp import (
     EXACT_SIZE_CAP,
+    FiniteLPInstance,
     LPSizeError,
     build_lp,
-    check_feasibility,
     coefficient_row_sum,
-    convergence_experiment,
-    evaluate_objective,
-    export_lp_text,
     objective_coefficient,
     solve_lp,
 )
 
 import reference_values as ref
+
+
+def evaluate_objective(inst: FiniteLPInstance, z):
+    """Plain weighted sum of a candidate point; no feasibility checking."""
+    if len(z) != inst.num_vars:
+        raise ValueError(f"expected {inst.num_vars} values, got {len(z)}")
+    return sum(o * v for o, v in zip(inst.objective, z))
+
+
+def check_feasibility(inst: FiniteLPInstance, z):
+    """Largest constraint violation of z (0 means feasible); exact when z is."""
+    worst = 0
+    for j, k, i in inst.iter_rows():
+        row, rhs = inst.row_exact(j, k, i)
+        worst = max(worst, sum(v * z[col] for col, v in row.items()) - rhs)
+    return max(worst, *(-v for v in z))
+
+
+def dense_lp(inst: FiniteLPInstance):
+    """(A, b, c) for max c.z subject to A z <= b, z >= 0, from the exact rows."""
+    a = np.zeros((inst.num_rows, inst.num_vars))
+    b = np.zeros(inst.num_rows)
+    for r, (j, k, i) in enumerate(inst.iter_rows()):
+        row, rhs = inst.row_exact(j, k, i)
+        for col, v in row.items():
+            a[r, col] = float(v)
+        b[r] = float(rhs)
+    return a, b, np.array([float(v) for v in inst.objective])
 
 
 def skip_policy_value(n: int, r: int) -> Fraction:
@@ -91,23 +118,8 @@ def test_objective_independent_of_quota():
 
 def test_build_size_cap():
     with pytest.raises(LPSizeError):
-        build_lp(1000, 10, 10, var_cap=50_000)
-    build_lp(1000, 10, 5, var_cap=50_000)
-
-
-def test_dense_float_matches_exact_rows():
-    inst = build_lp(5, 2, 2)
-    a, b, c = inst.dense_float()
-    r = 0
-    for j, k, i in inst.iter_rows():
-        row, rhs = inst.row_exact(j, k, i)
-        dense = np.zeros(inst.num_vars)
-        for col, v in row.items():
-            dense[col] = float(v)
-        assert np.allclose(a[r], dense, atol=1e-15)
-        assert b[r] == float(rhs)
-        r += 1
-    assert np.allclose(c, [float(v) for v in inst.objective])
+        build_lp(EXACT_SIZE_CAP // 4 + 1, 2, 2)
+    assert build_lp(EXACT_SIZE_CAP // 4, 2, 2).num_vars == EXACT_SIZE_CAP
 
 
 # -- objective evaluation -----------------------------------------------------
@@ -127,12 +139,8 @@ def test_evaluate_objective_dimension_mismatch():
 
 def test_solution_objective_consistent_with_reevaluation():
     inst = build_lp(8, 1, 2)
-    sol_f = solve_lp(inst, mode="float")
-    assert evaluate_objective(inst, sol_f.values) == pytest.approx(
-        sol_f.objective, abs=1e-10
-    )
-    sol_e = solve_lp(inst, mode="exact")
-    assert evaluate_objective(inst, sol_e.values) == sol_e.objective
+    sol = solve_lp(inst)
+    assert evaluate_objective(inst, sol.values) == sol.objective
 
 
 # -- exact backend ------------------------------------------------------------
@@ -140,75 +148,70 @@ def test_solution_objective_consistent_with_reevaluation():
 
 def test_exact_small_optima():
     for n, want in ((2, Fraction(1, 2)), (3, Fraction(1, 2))):
-        sol = solve_lp(build_lp(n, 1, 1), mode="exact")
+        sol = solve_lp(build_lp(n, 1, 1))
         assert sol.status == "optimal"
         assert sol.objective == want
 
 
 def test_exact_p10_matches_policy_enumeration():
-    sol = solve_lp(build_lp(10, 1, 1), mode="exact")
+    sol = solve_lp(build_lp(10, 1, 1))
     assert sol.objective == best_skip_policy(10) == ref.P_STAR_1_1[10]
     assert float(sol.objective) > 1.0 / np.e  # finite n beats the limit
 
 
 def test_exact_feasibility_and_duality():
     inst = build_lp(10, 1, 1)
-    sol = solve_lp(inst, mode="exact")
+    sol = solve_lp(inst)
     assert check_feasibility(inst, sol.values) == 0
     assert sol.dual_objective == sol.objective
 
 
 def test_exact_matches_policy_oracle_across_n():
     for n in range(2, 14):
-        sol = solve_lp(build_lp(n, 1, 1), mode="exact")
+        sol = solve_lp(build_lp(n, 1, 1))
         assert sol.objective == best_skip_policy(n)
 
 
 def test_exact_size_cap():
-    inst = build_lp(EXACT_SIZE_CAP + 1, 1, 1)
     with pytest.raises(LPSizeError):
-        solve_lp(inst, mode="exact")
+        solve_lp(build_lp(EXACT_SIZE_CAP + 1, 1, 1))
 
 
-# -- float backend ------------------------------------------------------------
+# -- the DP's P*_n against the LP -------------------------------------------
+
+
+def test_dp_equals_exact_simplex():
+    """Bit-exact on every n <= 6, J, K <= 3, covering n < K and J > n."""
+    for n in range(1, 7):
+        for J in range(1, 4):
+            for K in range(1, 4):
+                sol = solve_lp(build_lp(n, J, K))
+                assert sol.status == "optimal"
+                assert p_star(n, J, K, "exact") == sol.objective, (n, J, K)
 
 
 def test_float_agrees_with_exact():
     for n, J, K in ((10, 1, 1), (8, 2, 1), (7, 1, 2), (5, 2, 2)):
-        inst = build_lp(n, J, K)
-        se = solve_lp(inst, mode="exact")
-        sf = solve_lp(inst, mode="float")
-        assert sf.status == "optimal"
-        assert sf.objective == pytest.approx(float(se.objective), abs=1e-10)
-
-
-def test_float_feasibility_and_duality_gap():
-    inst = build_lp(30, 1, 2)
-    sol = solve_lp(inst, mode="float")
-    assert check_feasibility(inst, [float(v) for v in sol.values]) < 1e-9
-    assert abs(sol.objective - sol.dual_objective) < 1e-9
+        se = solve_lp(build_lp(n, J, K))
+        assert p_star(n, J, K) == pytest.approx(float(se.objective), abs=1e-14)
 
 
 def test_float_against_scipy_highs():
     for n, J, K in ((30, 1, 2), (25, 2, 1)):
-        inst = build_lp(n, J, K)
-        a, b, c = inst.dense_float()
+        a, b, c = dense_lp(build_lp(n, J, K))
         res = scipy.optimize.linprog(-c, A_ub=a, b_ub=b, method="highs")
         assert res.status == 0
-        sol = solve_lp(inst, mode="float")
-        assert sol.objective == pytest.approx(-res.fun, abs=1e-8)
+        assert p_star(n, J, K) == pytest.approx(-res.fun, abs=1e-8)
 
 
 def test_iteration_limit_status():
-    sol = solve_lp(build_lp(12, 1, 1), mode="float", max_iter=1)
-    assert sol.status == "iteration-limit"
-    sol = solve_lp(build_lp(6, 1, 1), mode="exact", max_iter=1)
+    sol = solve_lp(build_lp(6, 1, 1), max_iter=1)
     assert sol.status == "iteration-limit"
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        solve_lp(build_lp(2, 1, 1), mode="rational")
+        p_star(2, 1, 1, mode="rational")
 
 
 # -- convergence ---------------------------------------------------------------
@@ -234,31 +237,3 @@ def test_convergence_2_1_approaches_quoted_value():
     rows = convergence_experiment(2, 1, [10, 60], 0.591010)
     assert all(r.gap > 0 for r in rows)
     assert rows[-1].gap < rows[0].gap
-
-
-def test_rhs_vector():
-    inst = build_lp(3, 2, 1)
-    assert inst.rhs_vector().tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
-
-
-# -- export ---------------------------------------------------------------------
-
-
-def test_export_lp_text_structure():
-    inst = build_lp(2, 1, 1)
-    text = export_lp_text(inst)
-    lines = text.splitlines()
-    assert lines[0] == "Maximize"
-    assert "Subject To" in lines
-    assert lines[-1] == "End"
-    assert " c_1_1_2: + 1 z_1_1_1 + 1 z_1_1_2 <= 1" in text
-    assert "0.5 z_1_1_1" in text
-
-
-def test_export_parses_back_through_scipy_values():
-    """The exported text mirrors the dense data used by the solvers."""
-    inst = build_lp(4, 1, 2)
-    text = export_lp_text(inst)
-    assert text.count("z_1_1_") >= 4 and text.count("z_1_2_") >= 4
-    # one <= per constraint row plus the bounds line
-    assert text.count("<=") == inst.num_rows + 1
