@@ -16,7 +16,6 @@ import sys
 from decimal import Decimal
 
 from . import dp, dual, sim, theta
-from .exact import format_rational
 from .piecewise import QuadratureError, RootBracketError
 
 EXIT_OK = 0
@@ -51,7 +50,7 @@ def cmd_thresholds(args) -> int:
         ts = theta.generate_thetas(J)
         tvals = theta.thresholds(ts, args.precision)
         payoff = theta.payoff_k1(ts, args.precision)
-        thetas = [format_rational(t) for t in ts.thetas]
+        thetas = [theta.format_rational(t) for t in ts.thetas]
         if args.format == "json":
             _write_output(
                 json.dumps(
@@ -143,9 +142,14 @@ def cmd_dual_check(args) -> int:
 
 def cmd_finite_lp(args) -> int:
     n_list = args.n if args.n else list(dp.DEFAULT_N_LIST)
-    cert = dual.construct_dual(args.J, args.K)
-    cp_star = dual.payoff_jk(cert.tau)
-    rows = dp.convergence_experiment(args.J, args.K, n_list, cp_star, mode=args.mode)
+    # The DP runs first, so its size caps refuse a request before the much
+    # slower continuous construction starts.
+    p_stars = [float(dp.p_star(n, args.J, args.K, args.mode)) for n in n_list]
+    cp_star = dual.payoff_jk(dual.construct_dual(args.J, args.K).tau)
+    rows = [
+        dp.ConvergenceRow(n=n, p_star=p, gap=p - cp_star)
+        for n, p in zip(n_list, p_stars)
+    ]
     if args.format == "json":
         _write_output(
             json.dumps(
@@ -213,7 +217,7 @@ def cmd_report(args) -> int:
         payoff = theta.payoff_k1_decimal(prefix, bits=96)
         rows.append(
             [J, str(payoff.quantize(Decimal("0.000001"))),
-             format_rational(ts.thetas[J - 1])]
+             theta.format_rational(ts.thetas[J - 1])]
         )
     cf12 = dual.closed_form_12()
     cf22 = dual.closed_form_22()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Union
+from typing import Union
 
 Number = Union[Fraction, float]
 
@@ -86,7 +86,7 @@ def p_star(n: int, J: int, K: int, mode: str = "float") -> Number:
     return v[J]
 
 
-# -- convergence experiment --------------------------------------------------
+# -- convergence table -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -97,22 +97,3 @@ class ConvergenceRow:
 
 
 DEFAULT_N_LIST = (10, 25, 50, 100, 200)
-
-
-def convergence_experiment(
-    J: int,
-    K: int,
-    n_list: Sequence[int],
-    cp_star: float,
-    mode: str = "float",
-) -> list[ConvergenceRow]:
-    """P*_n for each n, with the gap to the continuous optimum cp_star.
-
-    The gap stays nonnegative and shrinks as n grows; cp_star comes from the
-    threshold construction.  Exact mode reports the exact P*_n rounded once.
-    """
-    out = []
-    for n in n_list:
-        p = float(p_star(n, J, K, mode))
-        out.append(ConvergenceRow(n=n, p_star=p, gap=p - cp_star))
-    return out

@@ -40,6 +40,9 @@ BRANCH_POINT = -math.exp(-1.0)
 # Floor for piecewise supports; far below any reachable threshold (the
 # smallest thresholds for J <= 16 sit above 1e-4).
 X_FLOOR = 1e-9
+# Downward scan step and bisection tolerance of the threshold root search.
+SCAN_STEP = 1e-3
+ROOT_TOL = 1e-13
 
 
 class ConvergenceError(RuntimeError):
@@ -170,26 +173,25 @@ def solve_integral_equation(
     N: int,
     g: PiecewiseFunction,
     gamma_fn: LogLinComb,
-    x_floor: float = X_FLOOR,
 ) -> PiecewiseFunction:
-    """Continuous f on (x_floor, b] solving
+    """Continuous f on (X_FLOOR, b] solving
     f(x) + (N/x) int_x^b [f(y) - g(y)] dy + c/x = gamma(x).
 
     The solution is
         f(x) = x^(N-1) [ (b g(b) - c)/b^N - int_x^b ((y gamma)' - N g(y)) / y^N dy ]
     evaluated segment by segment with exact antiderivatives; g's breakpoints
-    inside (x_floor, b) become breakpoints of f.
+    inside (X_FLOOR, b) become breakpoints of f.
     """
     if not 0.0 < b <= 1.0:
         raise ValueError(f"b={b} outside (0, 1]")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    if x_floor >= b:
-        raise ValueError("x_floor must lie below b")
+    if X_FLOOR >= b:
+        raise ValueError("b must lie above X_FLOOR")
     a_const = (b * gamma_fn(b) - c) / b**N
     dpoly = gamma_fn.shift_xpow(1).derivative()  # (y*gamma(y))'
     cuts = sorted(
-        {x_floor, b} | {p for p in g.breakpoints if x_floor < p < b}
+        {X_FLOOR, b} | {p for p in g.breakpoints if X_FLOOR < p < b}
     )
     antis: list[LogLinComb] = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -250,8 +252,9 @@ def _certificate_k1(J: int) -> DualCertificateJK:
     for j in range(1, J + 1):
         # ascending x: pieces k = j (lowest interval) down to k = 1
         bps = [tvals[k - 1] for k in range(j, 0, -1)] + [1.0]
+        # ascending powers of ln x: the float evaluation sums terms in this order
         segs = [
-            LogLinComb.from_ln_poly([float(c) for c in piece.poly.coeffs])
+            LogLinComb({t: float(c) for t, c in sorted(piece.poly.terms.items())})
             for piece in reversed(cert.pieces[j - 1])
         ]
         fn = PiecewiseFunction(bps, segs)
@@ -263,9 +266,6 @@ def construct_dual(
     J: int,
     K: int,
     *,
-    scan_step: float = 1e-3,
-    root_tol: float = 1e-13,
-    x_floor: float = X_FLOOR,
     use_exact_k1: bool = True,
 ) -> DualCertificateJK:
     """Build thresholds and dual functions for the (J,K) problem.
@@ -298,14 +298,14 @@ def construct_dual(
         for k in range(K, 0, -1):
             gpoly = gamma_poly(k, K)
             cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
-            r_cand = solve_integral_equation(b, cval, k, r_prev, gpoly, x_floor)
+            r_cand = solve_integral_equation(b, cval, k, r_prev, gpoly)
             shift_k = alpha_poly(k, K) - gpoly.scale(1.0 / k)
             q_cand = r_cand.map_segments(
                 lambda s, sh=shift_k: s.scale(1.0 / k) + sh
             )
             hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
             root = find_largest_root(
-                q_cand.value, hat, lo=x_floor, scan_step=scan_step, tol=root_tol
+                q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
             )
             taus[k - 1] = root
             for el in range(1, k + 1):

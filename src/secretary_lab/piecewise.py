@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable, Iterable, Mapping, Sequence
+from fractions import Fraction
+from typing import Callable, Mapping, Sequence, Union
 
 TermKey = tuple[int, int]  # (power of x, power of ln x)
+Coef = Union[float, Fraction]
 
 
 class QuadratureError(RuntimeError):
@@ -32,18 +34,21 @@ class RootBracketError(RuntimeError):
 
 
 class LogLinComb:
-    """Finite sum of c * x^m * (ln x)^p with float coefficients.
+    """Finite sum of c * x^m * (ln x)^p.
 
     m may be negative (the construction divides by powers of y); p >= 0.
+    Coefficients keep the type they are given: floats for the general
+    construction, Fractions for the exact K = 1 recursion, where every
+    operation except evaluation at a float x stays exact.
     Immutable by convention: all operations return new objects.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[TermKey, float] | None = None):
+    def __init__(self, terms: Mapping[TermKey, Coef] | None = None):
         # prune exact zeros only; coefficients are never rounded
-        self.terms: dict[TermKey, float] = {
-            k: float(v) for k, v in (terms or {}).items() if v != 0.0
+        self.terms: dict[TermKey, Coef] = {
+            k: v for k, v in (terms or {}).items() if v != 0
         }
 
     @staticmethod
@@ -51,16 +56,16 @@ class LogLinComb:
         return LogLinComb()
 
     @staticmethod
-    def const(c: float) -> "LogLinComb":
+    def const(c: Coef) -> "LogLinComb":
         return LogLinComb({(0, 0): c})
 
     @staticmethod
-    def from_x_poly(coeffs: Sequence[float]) -> "LogLinComb":
+    def from_x_poly(coeffs: Sequence[Coef]) -> "LogLinComb":
         """Polynomial in x: coeffs[m] multiplies x^m."""
         return LogLinComb({(m, 0): c for m, c in enumerate(coeffs)})
 
     @staticmethod
-    def from_ln_poly(coeffs: Sequence[float]) -> "LogLinComb":
+    def from_ln_poly(coeffs: Sequence[Coef]) -> "LogLinComb":
         """Polynomial in ln x: coeffs[p] multiplies (ln x)^p."""
         return LogLinComb({(0, p): c for p, c in enumerate(coeffs)})
 
@@ -73,19 +78,32 @@ class LogLinComb:
             total += c * x**m * ln**p
         return total
 
+    def at_ln(self, ln_x: Coef) -> Coef:
+        """Value of a pure polynomial in ln x (every m == 0) at ln x = ln_x.
+
+        Horner's rule, so Fraction coefficients and a Fraction ln_x give
+        an exact result; used at x = exp(-theta) with rational theta.
+        """
+        if any(m for m, _ in self.terms):
+            raise ValueError("at_ln needs a polynomial in ln x alone")
+        acc = 0
+        for p in range(max((p for _, p in self.terms), default=-1), -1, -1):
+            acc = acc * ln_x + self.terms.get((0, p), 0)
+        return acc
+
     def __add__(self, other: "LogLinComb") -> "LogLinComb":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
+            out[k] = out.get(k, 0) + v
         return LogLinComb(out)
 
     def __sub__(self, other: "LogLinComb") -> "LogLinComb":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) - v
+            out[k] = out.get(k, 0) - v
         return LogLinComb(out)
 
-    def scale(self, f: float) -> "LogLinComb":
+    def scale(self, f: Coef) -> "LogLinComb":
         return LogLinComb({k: v * f for k, v in self.terms.items()})
 
     def shift_xpow(self, s: int) -> "LogLinComb":
@@ -93,14 +111,14 @@ class LogLinComb:
         return LogLinComb({(m + s, p): c for (m, p), c in self.terms.items()})
 
     def derivative(self) -> "LogLinComb":
-        out: dict[TermKey, float] = {}
+        out: dict[TermKey, Coef] = {}
         for (m, p), c in self.terms.items():
             if m:
                 k = (m - 1, p)
-                out[k] = out.get(k, 0.0) + c * m
+                out[k] = out.get(k, 0) + c * m
             if p:
                 k = (m - 1, p - 1)
-                out[k] = out.get(k, 0.0) + c * p
+                out[k] = out.get(k, 0) + c * p
         return LogLinComb(out)
 
     def antiderivative(self) -> "LogLinComb":
@@ -109,18 +127,18 @@ class LogLinComb:
         m == -1:  (ln x)^(p+1) / (p+1)
         m != -1:  x^(m+1) * sum_t (-1)^t p!/(p-t)! / (m+1)^(t+1) (ln x)^(p-t)
         """
-        out: dict[TermKey, float] = {}
+        out: dict[TermKey, Coef] = {}
         for (m, p), c in self.terms.items():
             if m == -1:
                 k = (0, p + 1)
-                out[k] = out.get(k, 0.0) + c / (p + 1)
+                out[k] = out.get(k, 0) + c / (p + 1)
                 continue
-            fall = 1.0  # p!/(p-t)!
-            sign = 1.0
+            fall = 1  # p!/(p-t)!
+            sign = 1
             denom = m + 1
             for t in range(p + 1):
                 k = (m + 1, p - t)
-                out[k] = out.get(k, 0.0) + c * sign * fall / denom ** (t + 1)
+                out[k] = out.get(k, 0) + c * sign * fall / denom ** (t + 1)
                 fall *= p - t
                 sign = -sign
         return LogLinComb(out)

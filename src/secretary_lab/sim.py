@@ -134,10 +134,15 @@ class _OrderTree:
         return total
 
 
-def _pick_quota(tau: ThresholdMatrix, unused: list[bool], k: int, x: float) -> int:
-    """Largest unused quota index whose stage-k maturity has passed; 0 if none."""
-    for j in range(tau.J, 0, -1):
-        if unused[j - 1] and x >= tau.tau[j - 1][k - 1]:
+def _pick_quota(
+    tau_rows: Sequence[Sequence[float]], unused: list[bool], k: int, x: float
+) -> int:
+    """Largest unused quota index whose stage-k maturity has passed; 0 if none.
+
+    The one policy rule shared by the explicit replay and the sampler.
+    """
+    for j in range(len(tau_rows), 0, -1):
+        if unused[j - 1] and x >= tau_rows[j - 1][k - 1]:
             return j
     return 0
 
@@ -159,7 +164,7 @@ def run_threshold_algorithm(
         if k > K:
             continue
         x = float(inst.times[pos])
-        j = _pick_quota(tau, unused, k, x)
+        j = _pick_quota(tau.tau, unused, k, x)
         if j == 0:
             continue
         unused[j - 1] = False
@@ -235,11 +240,7 @@ def _run_sparse_trial(
             alive = [r + 1 if k <= r else r for r in alive]
             alive = [r for r in alive if r <= K]
         if quotas_left:
-            j = 0
-            for jj in range(J, 0, -1):
-                if unused[jj - 1] and x >= tau_rows[jj - 1][k - 1]:
-                    j = jj
-                    break
+            j = _pick_quota(tau_rows, unused, k, x)
             if j:
                 unused[j - 1] = False
                 quotas_left -= 1
@@ -266,7 +267,7 @@ class ThreadSettingError(ValueError):
 
 
 def worker_cap() -> int:
-    """Worker limit from SECRETARY_LAB_THREADS (default: unlimited)."""
+    """Worker limit from SECRETARY_LAB_THREADS (default: os.cpu_count())."""
     raw = os.environ.get("SECRETARY_LAB_THREADS")
     if not raw:
         return os.cpu_count() or 1

@@ -17,40 +17,83 @@ appear only in the reporting helpers.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import ceil, log10
 
-from .exact import (
-    DEFAULT_PRECISION_BITS,
-    IntervalPiece,
-    LogPolynomial,
-    Rational,
-    antiderivative_over_x,
-    antiderivative_plain,
-    definite_integral_over_x,
-    eval_at_theta,
-    exp_neg,
-    rational_to_decimal,
-    working_context,
-)
+from .piecewise import LogLinComb
 
 # Bit growth of the rationals is super-linear in J; past this point a run
 # needs an explicit opt-in.
 DEFAULT_MAX_J = 16
+
+# Reporting rounds once, at the end. The working precision is given in
+# significant bits (default 64, comfortably above a double) and mapped to
+# decimal digits with guard digits for the exp() evaluation.
+DEFAULT_PRECISION_BITS = 64
+
+
+class DegreeOverflowError(ValueError):
+    """An antiderivative exceeded the recursion's degree budget in ln x."""
+
+
+def format_rational(q: Fraction) -> str:
+    """Serialize as 'p/q' (or plain 'p' for integers), the JSON wire form.
+
+    Digits go through Decimal, which is not bound by the interpreter's
+    limit on int-to-str conversion (4300 digits by default; theta_16 has more).
+    """
+    p = str(Decimal(q.numerator))
+    return p if q.denominator == 1 else f"{p}/{Decimal(q.denominator)}"
+
+
+def working_context(bits: int) -> decimal.Context:
+    """Decimal context holding bits of significand plus guard digits."""
+    digits = ceil(bits * log10(2)) + 5
+    return decimal.Context(prec=digits)
+
+
+def rational_to_decimal(q: Fraction, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:
+    """Round q to the nearest representable value at the given precision."""
+    ctx = working_context(bits)
+    return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+
+
+def exp_neg(theta: Fraction | int, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:
+    """exp(-theta) for rational theta, correct to the working precision."""
+    ctx = working_context(bits)
+    x = ctx.divide(Decimal(-theta.numerator), Decimal(theta.denominator))
+    return ctx.exp(x)
+
+
+@dataclass(frozen=True)
+class IntervalPiece:
+    """One polynomial piece of a piecewise function, in theta-space.
+
+    The piece covers theta in [theta_lo, theta_hi], i.e. x in
+    [exp(-theta_hi), exp(-theta_lo)], and poly is a polynomial in ln x
+    with Fraction coefficients.  Successive pieces of one function have
+    strictly increasing theta breakpoints (strictly decreasing x).
+    """
+
+    theta_lo: Fraction
+    theta_hi: Fraction
+    poly: LogLinComb
 
 
 @dataclass(frozen=True)
 class ThetaSequence:
     """theta_1 < theta_2 < ... < theta_J, all rational, theta_1 = 1."""
 
-    thetas: tuple[Rational, ...]
+    thetas: tuple[Fraction, ...]
 
     @property
     def J(self) -> int:
         return len(self.thetas)
 
-    def theta(self, j: int) -> Rational:
+    def theta(self, j: int) -> Fraction:
         """theta_j with the convention theta_0 = 0."""
         return Fraction(0) if j == 0 else self.thetas[j - 1]
 
@@ -70,7 +113,7 @@ class DualCertificateK1:
     def J(self) -> int:
         return self.thetas.J
 
-    def q_at_theta(self, j: int, theta: Rational) -> Rational:
+    def q_at_theta(self, j: int, theta: Fraction) -> Fraction:
         """Exact q_j evaluated at x = exp(-theta); zero for theta > theta_j."""
         if j == 0:
             return Fraction(0)
@@ -78,36 +121,34 @@ class DualCertificateK1:
             return Fraction(0)
         for piece in self.pieces[j - 1]:
             if piece.theta_lo <= theta <= piece.theta_hi:
-                return eval_at_theta(piece.poly, theta)
+                return piece.poly.at_ln(-theta)
         raise ValueError(f"theta {theta} outside [0, theta_{j}]")
 
 
-def _generate(J: int) -> tuple[list[Rational], list[list[LogPolynomial]]]:
+def _generate(J: int) -> tuple[list[Fraction], list[list[LogLinComb]]]:
     """Run the rational recursion; rows[j-1][k-1] is q_j on [t_k, t_(k-1)]."""
-    thetas: list[Rational] = [Fraction(1)]
-    rows: list[list[LogPolynomial]] = [[LogPolynomial.from_coeffs([1, 1])]]
-    one_plus_ln = LogPolynomial.from_coeffs([1, 1])
+    thetas: list[Fraction] = [Fraction(1)]
+    one_plus_ln = LogLinComb.from_ln_poly([Fraction(1), Fraction(1)])
+    rows: list[list[LogLinComb]] = [[one_plus_ln]]
     for j in range(1, J):
-        prev = rows[-1]
-        new_row: list[LogPolynomial] = []
+        bounds = [Fraction(0)] + thetas  # theta_0 .. theta_j
+        new_row: list[LogLinComb] = []
         # Running sum of int q_j(y)/y dy over the whole segments above the
-        # current one; by segment j it equals int_{t_j}^1 q_j(y)/y dy.
+        # current one; after segment j it equals int_{t_j}^1 q_j(y)/y dy.
         acc = Fraction(0)
-        for k in range(1, j + 1):
-            theta_km1 = Fraction(0) if k == 1 else thetas[k - 2]
-            if k > 1:
-                theta_km2 = Fraction(0) if k == 2 else thetas[k - 3]
-                acc += definite_integral_over_x(prev[k - 2], theta_km2, theta_km1)
-            anti = antiderivative_over_x(prev[k - 1], max_len=J + 1)
+        for k, q in enumerate(rows[-1], start=1):
+            anti = q.shift_xpow(-1).antiderivative()  # A(ln x), A' = q
+            degree = max((p for _, p in anti.terms), default=0)
+            if degree > J:
+                raise DegreeOverflowError(
+                    f"antiderivative of q_{j} has degree {degree} in ln x, budget {J}"
+                )
+            top = anti.at_ln(-bounds[k - 1])
             # q_{j+1} = 1 + ln x + [A(-theta_{k-1}) - A(ln x)] + acc on this segment
-            const = eval_at_theta(anti, theta_km1) + acc
-            poly = one_plus_ln - anti + LogPolynomial.from_coeffs([const])
-            new_row.append(poly)
-        acc += definite_integral_over_x(
-            prev[j - 1], Fraction(0) if j == 1 else thetas[j - 2], thetas[j - 1]
-        )
+            new_row.append(one_plus_ln - anti + LogLinComb.const(top + acc))
+            acc += top - anti.at_ln(-bounds[k])
         theta_next = 1 + acc
-        new_row.append(LogPolynomial.from_coeffs([theta_next, 1]))
+        new_row.append(LogLinComb.from_ln_poly([theta_next, Fraction(1)]))
         thetas.append(theta_next)
         rows.append(new_row)
     return thetas, rows
@@ -163,7 +204,7 @@ def build_dual_certificate(ts: ThetaSequence) -> DualCertificateK1:
 def integral_q_from(
     cert: DualCertificateK1,
     j: int,
-    theta_from: Rational,
+    theta_from: Fraction,
     bits: int = DEFAULT_PRECISION_BITS,
     weight_over_x: bool = False,
 ) -> Decimal:
@@ -182,15 +223,17 @@ def integral_q_from(
                 break
             hi_theta = min(piece.theta_hi, theta_from)
             if weight_over_x:
-                val = definite_integral_over_x(piece.poly, piece.theta_lo, hi_theta)
+                anti = piece.poly.shift_xpow(-1).antiderivative()
+                val = anti.at_ln(-piece.theta_lo) - anti.at_ln(-hi_theta)
                 total += rational_to_decimal(val, bits)
             else:
-                b = antiderivative_plain(piece.poly)
+                # int p(ln x) dx = x * B(ln x)
+                b = piece.poly.antiderivative().shift_xpow(-1)
                 upper = rational_to_decimal(
-                    eval_at_theta(b, piece.theta_lo), bits
+                    b.at_ln(-piece.theta_lo), bits
                 ) * exp_neg(piece.theta_lo, bits)
                 lower = rational_to_decimal(
-                    eval_at_theta(b, hi_theta), bits
+                    b.at_ln(-hi_theta), bits
                 ) * exp_neg(hi_theta, bits)
                 total += upper - lower
         return total
@@ -206,7 +249,7 @@ def dual_objective_k1(
 def constraint_lhs_k1(
     cert: DualCertificateK1,
     j: int,
-    theta: Rational,
+    theta: Fraction,
     bits: int = DEFAULT_PRECISION_BITS,
 ) -> Decimal:
     """q_j(x) + (1/x) int_x^1 [q_j - q_(j-1)] dy at x = exp(-theta).

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from secretary_lab import dp
+from secretary_lab import dp, dual
 from secretary_lab.cli import (
     EXIT_CERTIFICATE,
     EXIT_IO,
@@ -136,6 +136,17 @@ def test_finite_lp_size_caps(capsys):
                      "--mode", mode])
         assert code == EXIT_NUMERIC
         assert "cap" in capsys.readouterr().err
+
+
+def test_finite_lp_cap_refuses_before_construction(monkeypatch, capsys):
+    """The DP's size cap trips before the continuous construction is built."""
+    calls = []
+    monkeypatch.setattr(dual, "construct_dual", lambda *a, **kw: calls.append(a))
+    code = main(["finite-lp", "--J", "12", "--K", "12",
+                 "--n", f"10,{dp.FLOAT_SIZE_CAP // 144 + 1}"])
+    assert code == EXIT_NUMERIC
+    assert "cap" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_finite_lp_large_n(capsys):

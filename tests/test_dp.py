@@ -9,7 +9,6 @@ from secretary_lab.dp import (
     EXACT_SIZE_CAP,
     FLOAT_SIZE_CAP,
     DPSizeError,
-    convergence_experiment,
     p_star,
     weights,
 )
@@ -62,8 +61,6 @@ def test_size_caps():
         p_star(FLOAT_SIZE_CAP + 1, 1, 1)
     with pytest.raises(DPSizeError):
         p_star(EXACT_SIZE_CAP // 2 + 1, 2, 1, "exact")
-    with pytest.raises(DPSizeError):
-        convergence_experiment(1, 1, [10, FLOAT_SIZE_CAP + 1], 0.0)
 
 
 def test_float_underflow_refused():

@@ -1,165 +1,156 @@
-"""Exact rational calculus for polynomials in ln x."""
+"""Exact calculus on x^m (ln x)^p terms: LogLinComb with Fraction coefficients."""
 
 import math
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secretary_lab.exact import (
+from secretary_lab import theta
+from secretary_lab.piecewise import LogLinComb, quadrature
+from secretary_lab.theta import (
     DegreeOverflowError,
-    LogPolynomial,
-    antiderivative_over_x,
-    antiderivative_plain,
-    as_rational,
-    definite_integral_over_x,
-    eval_at_theta,
     exp_neg,
     format_rational,
+    generate_thetas,
     rational_to_decimal,
 )
-from secretary_lab.piecewise import quadrature
 
 from reference_values import EXP_NEG_1_DIGITS
 
-ONE_PLUS_LN = LogPolynomial.from_coeffs([1, 1])
+
+def ln_poly(*coeffs) -> LogLinComb:
+    return LogLinComb.from_ln_poly([Fraction(c) for c in coeffs])
+
+
+def over_x(p: LogLinComb) -> LogLinComb:
+    """Antiderivative of p(x)/x."""
+    return p.shift_xpow(-1).antiderivative()
+
+
+ONE_PLUS_LN = ln_poly(1, 1)
 
 
 def test_eval_at_threshold_is_zero():
-    assert eval_at_theta(ONE_PLUS_LN, 1) == 0
+    assert ONE_PLUS_LN.at_ln(Fraction(-1)) == 0
 
 
 def test_eval_at_one():
-    assert eval_at_theta(ONE_PLUS_LN, 0) == 1
+    assert ONE_PLUS_LN.at_ln(Fraction(0)) == 1
 
 
 def test_eval_quadratic_piece():
     # 1 - (ln x)^2 / 2 at x = 1/e
-    p = LogPolynomial.from_coeffs([1, 0, Fraction(-1, 2)])
-    assert eval_at_theta(p, 1) == Fraction(1, 2)
+    p = ln_poly(1, 0, Fraction(-1, 2))
+    assert p.at_ln(Fraction(-1)) == Fraction(1, 2)
+
+
+def test_at_ln_rejects_x_powers():
+    with pytest.raises(ValueError):
+        LogLinComb({(1, 0): Fraction(1)}).at_ln(Fraction(0))
 
 
 def test_antiderivative_of_constant():
-    assert antiderivative_over_x(LogPolynomial.from_coeffs([1])) == (
-        LogPolynomial.from_coeffs([0, 1])
-    )
+    assert over_x(ln_poly(1)).terms == {(0, 1): 1}
 
 
 def test_antiderivative_termwise():
-    got = antiderivative_over_x(ONE_PLUS_LN)
-    assert got == LogPolynomial.from_coeffs([0, 1, Fraction(1, 2)])
+    assert over_x(ONE_PLUS_LN).terms == {(0, 1): 1, (0, 2): Fraction(1, 2)}
 
 
 def test_antiderivative_power_rule():
-    got = antiderivative_over_x(LogPolynomial.from_coeffs([0, 0, 1]))
-    assert got == LogPolynomial.from_coeffs([0, 0, 0, Fraction(1, 3)])
+    assert over_x(ln_poly(0, 0, 1)).terms == {(0, 3): Fraction(1, 3)}
 
 
-def test_antiderivative_capacity_guard():
-    p = LogPolynomial.from_coeffs([0, 0, 0, 1])
+def test_antiderivative_capacity_guard(monkeypatch):
+    """The theta recursion refuses an antiderivative past its degree budget."""
+    generate_thetas(3)  # within budget: no error
+    exact = LogLinComb.antiderivative
+    monkeypatch.setattr(
+        LogLinComb,
+        "antiderivative",
+        lambda self: exact(self) + LogLinComb({(0, 4): Fraction(1)}),
+    )
     with pytest.raises(DegreeOverflowError):
-        antiderivative_over_x(p, max_len=4)
-    # within capacity: no error
-    antiderivative_over_x(p, max_len=5)
+        theta._generate(3)
 
 
 def test_definite_integral_known_value():
-    assert definite_integral_over_x(ONE_PLUS_LN, 0, 1) == Fraction(1, 2)
-
-
-def test_definite_integral_empty_interval():
-    p = LogPolynomial.from_coeffs([3, Fraction(2, 7), 5])
-    assert definite_integral_over_x(p, Fraction(1, 3), Fraction(1, 3)) == 0
+    # int (1 + ln y)/y dy over [1/e, 1]
+    anti = over_x(ONE_PLUS_LN)
+    assert anti.at_ln(Fraction(0)) - anti.at_ln(Fraction(-1)) == Fraction(1, 2)
 
 
 def test_definite_integral_constant_is_theta_length():
-    got = definite_integral_over_x(
-        LogPolynomial.from_coeffs([1]), 0, Fraction(3, 2)
-    )
-    assert got == Fraction(3, 2)
+    anti = over_x(ln_poly(1))
+    assert anti.at_ln(Fraction(0)) - anti.at_ln(Fraction(-3, 2)) == Fraction(3, 2)
 
 
-def test_definite_integral_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        definite_integral_over_x(ONE_PLUS_LN, 1, 0)
-
-
-rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=50
-)
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=50)
+term_keys = st.tuples(st.integers(min_value=-4, max_value=3), st.integers(0, 5))
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    coeffs=st.lists(rationals, min_size=0, max_size=9),
-    a=st.fractions(min_value=0, max_value=3, max_denominator=40),
-    b=st.fractions(min_value=0, max_value=3, max_denominator=40),
-)
-def test_round_trip_integral_identity(coeffs, a, b):
-    """definite integral == difference of the antiderivative, exactly."""
-    lo, hi = min(a, b), max(a, b)
-    p = LogPolynomial.from_coeffs(coeffs)
-    anti = antiderivative_over_x(p)
-    assert definite_integral_over_x(p, lo, hi) == (
-        eval_at_theta(anti, lo) - eval_at_theta(anti, hi)
-    )
+@given(terms=st.dictionaries(term_keys, rationals, max_size=9))
+@example(terms={(-1, 0): Fraction(1), (-1, 3): Fraction(-2, 7), (-3, 2): Fraction(5)})
+def test_round_trip_integral_identity(terms):
+    """Differentiating the antiderivative gives back f exactly, m = -1 included."""
+    f = LogLinComb(terms)
+    assert f.antiderivative().derivative().terms == f.terms
 
 
 def test_definite_integral_cross_checked_by_quadrature():
-    p = LogPolynomial.from_coeffs([2, -1, Fraction(1, 3), Fraction(1, 4)])
+    p = ln_poly(2, -1, Fraction(1, 3), Fraction(1, 4))
 
     def integrand(x):
         ln = math.log(x)
         return (2 - ln + ln**2 / 3 + ln**3 / 4) / x
 
-    exact = definite_integral_over_x(p, Fraction(1, 4), Fraction(7, 4))
+    anti = over_x(p)
+    exact = anti.at_ln(Fraction(-1, 4)) - anti.at_ln(Fraction(-7, 4))
     numeric = quadrature(integrand, math.exp(-1.75), math.exp(-0.25), tol=1e-13)
     assert abs(float(exact) - numeric) < 1e-11
 
 
 def test_plain_antiderivative_small_cases():
     # int 1 dx = x;  int ln x dx = x(ln x - 1);  int ln^2 x dx = x(ln^2 - 2ln + 2)
-    assert antiderivative_plain(LogPolynomial.from_coeffs([1])) == (
-        LogPolynomial.from_coeffs([1])
-    )
-    assert antiderivative_plain(LogPolynomial.from_coeffs([0, 1])) == (
-        LogPolynomial.from_coeffs([-1, 1])
-    )
-    assert antiderivative_plain(LogPolynomial.from_coeffs([0, 0, 1])) == (
-        LogPolynomial.from_coeffs([2, -2, 1])
-    )
+    assert ln_poly(1).antiderivative().terms == {(1, 0): 1}
+    assert ln_poly(0, 1).antiderivative().terms == {(1, 0): -1, (1, 1): 1}
+    assert ln_poly(0, 0, 1).antiderivative().terms == {
+        (1, 0): 2, (1, 1): -2, (1, 2): 1
+    }
 
 
 def test_plain_antiderivative_against_quadrature():
-    p = LogPolynomial.from_coeffs([1, 1, Fraction(-1, 2)])
-    b_poly = antiderivative_plain(p)
+    p = ln_poly(1, 1, Fraction(-1, 2))
+    big_f = p.antiderivative()
 
     def f(x):
         ln = math.log(x)
         return 1 + ln - ln**2 / 2
-
-    def big_f(x):
-        ln = math.log(x)
-        return x * sum(float(c) * ln**i for i, c in enumerate(b_poly.coeffs))
 
     numeric = quadrature(f, 0.2, 0.9, tol=1e-13)
     assert abs((big_f(0.9) - big_f(0.2)) - numeric) < 1e-11
 
 
 def test_polynomial_arithmetic_trims_and_adds():
-    p = LogPolynomial.from_coeffs([1, 2, 3])
-    q = LogPolynomial.from_coeffs([0, -2, -3])
-    assert (p + q) == LogPolynomial.from_coeffs([1])
-    assert (p - p).degree == -1
-    assert p.scale(Fraction(1, 3)).coeff(2) == 1
+    p = ln_poly(1, 2, 3)
+    q = ln_poly(0, -2, -3)
+    assert (p + q).terms == {(0, 0): 1}
+    assert (p - p).terms == {}
+    scaled = p.scale(Fraction(1, 3))
+    assert scaled.terms[(0, 2)] == 1
+    # coefficients keep their type: no rounding to float anywhere
+    assert all(type(c) is Fraction for c in over_x(scaled).terms.values())
 
 
 def test_format_and_parse_rational():
     assert format_rational(Fraction(47, 24)) == "47/24"
     assert format_rational(Fraction(5)) == "5"
-    assert as_rational("47/24") == Fraction(47, 24)
+    for q in (Fraction(47, 24), Fraction(-3, 7), Fraction(5)):
+        assert Fraction(format_rational(q)) == q
 
 
 def test_exp_neg_high_precision_digits():
@@ -168,10 +159,8 @@ def test_exp_neg_high_precision_digits():
 
 
 def test_exp_neg_matches_double_exp():
-    for theta in (Fraction(1), Fraction(3, 2), Fraction(47, 24)):
-        assert math.isclose(
-            float(exp_neg(theta)), math.exp(-float(theta)), rel_tol=1e-15
-        )
+    for t in (Fraction(1), Fraction(3, 2), Fraction(47, 24)):
+        assert math.isclose(float(exp_neg(t)), math.exp(-float(t)), rel_tol=1e-15)
 
 
 def test_rational_to_decimal_rounding():

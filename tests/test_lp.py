@@ -9,7 +9,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secretary_lab.dp import convergence_experiment, p_star
+from secretary_lab.dp import p_star
 from secretary_lab.lp import (
     EXACT_SIZE_CAP,
     FiniteLPInstance,
@@ -219,21 +219,17 @@ def test_unknown_mode_rejected():
 
 def test_convergence_1_1_toward_inverse_e():
     cp = 1.0 / np.e
-    rows = convergence_experiment(1, 1, [10, 50, 120], cp)
-    gaps = [r.gap for r in rows]
+    gaps = [p_star(n, 1, 1) - cp for n in (10, 50, 120)]
     assert all(g > 0 for g in gaps)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] < 0.01
 
 
 def test_convergence_1_2_approaches_quoted_value():
-    rows = convergence_experiment(1, 2, [10, 60], ref.PAYOFF_12)
-    assert all(r.gap > 0 for r in rows)
-    assert rows[-1].gap < rows[0].gap
-    assert rows[-1].p_star == pytest.approx(ref.PAYOFF_12, abs=0.02)
+    p10, p60 = p_star(10, 1, 2), p_star(60, 1, 2)
+    assert p10 > p60 > ref.PAYOFF_12
+    assert p60 == pytest.approx(ref.PAYOFF_12, abs=0.02)
 
 
 def test_convergence_2_1_approaches_quoted_value():
-    rows = convergence_experiment(2, 1, [10, 60], 0.591010)
-    assert all(r.gap > 0 for r in rows)
-    assert rows[-1].gap < rows[0].gap
+    assert p_star(10, 2, 1) > p_star(60, 2, 1) > 0.591010

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from secretary_lab.exact import LogPolynomial, eval_at_theta, exp_neg
 from secretary_lab.theta import (
     ThetaSequence,
     build_dual_certificate,
     constraint_lhs_k1,
     dual_objective_k1,
+    exp_neg,
     generate_thetas,
     integral_q_from,
     payoff_k1,
@@ -82,7 +82,7 @@ def test_thresholds_strictly_decreasing(ts8):
 def test_q1_piece():
     cert = build_dual_certificate(generate_thetas(1))
     (piece,) = cert.pieces[0]
-    assert piece.poly == LogPolynomial.from_coeffs([1, 1])
+    assert piece.poly.terms == {(0, 0): 1, (0, 1): 1}
     assert piece.theta_lo == 0 and piece.theta_hi == 1
 
 
@@ -90,9 +90,9 @@ def test_q2_pieces_match_hand_integration():
     cert = build_dual_certificate(generate_thetas(2))
     top, lower = cert.pieces[1]
     # on [t_1, 1]: 1 - (ln x)^2 / 2
-    assert top.poly == LogPolynomial.from_coeffs([1, 0, Fraction(-1, 2)])
+    assert top.poly.terms == {(0, 0): 1, (0, 2): Fraction(-1, 2)}
     # on [t_2, t_1]: 3/2 + ln x, whose zero recovers theta_2 = 3/2
-    assert lower.poly == LogPolynomial.from_coeffs([Fraction(3, 2), 1])
+    assert lower.poly.terms == {(0, 0): Fraction(3, 2), (0, 1): 1}
 
 
 def test_q_vanishes_at_own_threshold_exactly(cert6):
@@ -111,9 +111,7 @@ def test_pieces_are_continuous_across_breakpoints(cert6):
         for left, right in zip(pieces, pieces[1:]):
             joint = left.theta_hi
             assert joint == right.theta_lo
-            assert eval_at_theta(left.poly, joint) == eval_at_theta(
-                right.poly, joint
-            )
+            assert left.poly.at_ln(-joint) == right.poly.at_ln(-joint)
 
 
 def test_dominance_on_grid(cert6):
