@@ -16,7 +16,7 @@ import sys
 from decimal import Decimal
 
 from . import dp, dual, sim, theta
-from .piecewise import QuadratureError, RootBracketError
+from .piecewise import RootBracketError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,6 +80,12 @@ def cmd_thresholds(args) -> int:
         return EXIT_OK
     cert = dual.construct_dual(J, K)
     payoff = dual.payoff_jk(cert.tau)
+    report = dual.verify_certificate(cert)
+    if not report.ok:
+        print(
+            f"warning: thresholds unverified: {report.first_violation}",
+            file=sys.stderr,
+        )
     if args.format == "json":
         _write_output(
             json.dumps(
@@ -88,6 +94,7 @@ def cmd_thresholds(args) -> int:
                     "K": K,
                     "tau": [list(r) for r in cert.tau.tau],
                     "payoff": payoff,
+                    "verified": report.ok,
                 }
             ),
             args.output,
@@ -240,6 +247,15 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _grid_points(raw: str) -> int:
+    value = _positive_int(raw)
+    if value > dual.MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{raw} exceeds the grid cap {dual.MAX_GRID_POINTS}"
+        )
+    return value
+
+
 def _n_list(raw: str) -> list[int]:
     try:
         return [_positive_int(s) for s in raw.split(",") if s]
@@ -271,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual-check", help="verify the optimality certificate")
     common(p)
-    p.add_argument("--grid", type=int, default=2000)
+    p.add_argument("--grid", type=_grid_points, default=2000,
+                   help=f"grid points on (0, 1], 1..{dual.MAX_GRID_POINTS}")
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--perturb", type=float, default=0.0,
                    help="shift tau_{1,1} to demonstrate a failing certificate")
@@ -313,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except sim.ThreadSettingError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RootBracketError, QuadratureError, dual.ConvergenceError) as exc:
+    except (ValueError, RootBracketError, dual.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

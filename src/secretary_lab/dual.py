@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
+import numpy as np
+
 from . import theta as theta_mod
 from .piecewise import (
     LogLinComb,
@@ -43,6 +45,8 @@ X_FLOOR = 1e-9
 # Downward scan step and bisection tolerance of the threshold root search.
 SCAN_STEP = 1e-3
 ROOT_TOL = 1e-13
+# Largest verification grid: a few arrays of this many floats per (j, k).
+MAX_GRID_POINTS = 1_000_000
 
 
 class ConvergenceError(RuntimeError):
@@ -56,8 +60,11 @@ class MonotonicityError(ValueError):
 # -- alpha / gamma ---------------------------------------------------------
 
 
-def alpha(k: int, K: int, x: float) -> float:
-    """sum_{l=k}^{K} C(l-1, k-1) (1-x)^(l-k) x^(k-1), with 0**0 = 1."""
+def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
+    """sum_{l=k}^{K} C(l-1, k-1) (1-x)^(l-k) x^(k-1), with 0**0 = 1.
+
+    Element-wise when x is an array.
+    """
     if not 1 <= k <= K:
         raise ValueError(f"need 1 <= k <= K, got k={k}, K={K}")
     total = 0.0
@@ -424,7 +431,16 @@ def verify_certificate(
     on [tau_{j,k}, 1] (residual <= tol) and weakly exceed it below
     (slack >= -tol); q_{j|k} must vanish at its threshold and stay
     non-negative; the dual objective must match the payoff formula.
+
+    The grid is i/grid_points (i = 1..grid_points) plus the breakpoints of
+    each row's r_{j|K} - r_{j-1|K}, evaluated as arrays.  first_violation
+    names the first bound broken in the order j, k, threshold, then x
+    ascending (equality before q >= 0 at the same x).
     """
+    if not 1 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_points={grid_points} outside [1, {MAX_GRID_POINTS}]"
+        )
     J, K = cert.J, cert.K
     max_eq = 0.0
     min_slack = math.inf
@@ -437,10 +453,14 @@ def verify_certificate(
         if violation is None:
             violation = msg
 
-    base_grid = [i / grid_points for i in range(1, grid_points + 1)]
+    base_grid = np.arange(1, grid_points + 1) / grid_points
     for j in range(1, J + 1):
         diff = cert.r_top(j).combine(cert.r_top(j - 1), 1.0, -1.0)
-        xs = sorted(set(base_grid) | set(diff.breakpoints))
+        # sorted union without np.union1d, whose np.unique imports numpy.ma
+        # (1.5 MB of resident memory)
+        xs = np.sort(np.concatenate((base_grid, diff.breakpoints)))
+        xs = xs[np.diff(xs, prepend=-1.0) != 0]
+        tail = diff.tail_integral(xs) / xs
         for k in range(1, K + 1):
             qf = cert.q[j - 1][k - 1]
             t_jk = cert.tau.threshold(j, k)
@@ -448,32 +468,33 @@ def verify_certificate(
             max_root = max(max_root, root_res)
             if root_res > tol:
                 note(f"q[{j}][{k}] at its threshold: |q|={root_res:.3e}")
-            for x in xs:
-                lhs = qf.value(x) + diff.tail_integral(x) / x
-                rhs = alpha(k, K, x)
-                if x >= t_jk:
-                    res = abs(lhs - rhs)
-                    if res > max_eq:
-                        max_eq = res
-                        if res > tol:
-                            note(
-                                f"slackness equality (j={j}, k={k}, x={x:.6f}): "
-                                f"residual {res:.3e}"
-                            )
-                    qv = qf.value(x)
-                    if qv < min_q:
-                        min_q = qv
-                        if qv < -tol:
-                            note(f"q[{j}][{k}]({x:.6f}) = {qv:.3e} < 0")
-                else:
-                    slack = lhs - rhs
-                    if slack < min_slack:
-                        min_slack = slack
-                        if slack < -tol:
-                            note(
-                                f"dual feasibility (j={j}, k={k}, x={x:.6f}): "
-                                f"slack {slack:.3e}"
-                            )
+            qv = qf.values(xs)
+            slack = qv + tail - alpha(k, K, xs)
+            res = np.abs(slack)
+            above = xs >= t_jk
+            # fmax/fmin skip NaN, as the comparisons of a scalar scan would
+            max_eq = float(np.fmax.reduce(res[above], initial=max_eq))
+            min_q = float(np.fmin.reduce(qv[above], initial=min_q))
+            min_slack = float(np.fmin.reduce(slack[~above], initial=min_slack))
+            bad = np.flatnonzero(
+                np.where(above, (res > tol) | (qv < -tol), slack < -tol)
+            )
+            if not bad.size:
+                continue
+            i = bad[0]
+            x = xs[i]
+            if not above[i]:
+                note(
+                    f"dual feasibility (j={j}, k={k}, x={x:.6f}): "
+                    f"slack {slack[i]:.3e}"
+                )
+            elif res[i] > tol:
+                note(
+                    f"slackness equality (j={j}, k={k}, x={x:.6f}): "
+                    f"residual {res[i]:.3e}"
+                )
+            else:
+                note(f"q[{j}][{k}]({x:.6f}) = {qv[i]:.3e} < 0")
     objective = cert.r_top(J).integral(0.0, 1.0)
     payoff = payoff_jk(cert.tau)
     gap = abs(objective - payoff)

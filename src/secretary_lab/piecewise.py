@@ -6,8 +6,9 @@ earlier.  Linear combinations of x^m (ln x)^p with integer m and p >= 0 are
 closed under that operator, so each segment of a piecewise function stores
 its terms symbolically and integrals come from closed-form antiderivatives
 (cached per segment and weight) instead of nested numeric quadrature.
-Adaptive quadrature is still provided as the independent cross-check and
-for callables with no symbolic form.
+Point values come one at a time (`value`, used by the construction and its
+root scans) or over a whole grid as numpy arrays (`values`, `tail_integral`,
+used by certificate verification); both pick the same segment for a point.
 """
 
 from __future__ import annotations
@@ -15,18 +16,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 TermKey = tuple[int, int]  # (power of x, power of ln x)
 Coef = Union[float, Fraction]
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the bad subinterval."""
-
-    def __init__(self, message: str, interval: tuple[float, float]):
-        super().__init__(f"{message} on [{interval[0]!r}, {interval[1]!r}]")
-        self.interval = interval
 
 
 class RootBracketError(RuntimeError):
@@ -76,6 +71,17 @@ class LogLinComb:
         total = 0.0
         for (m, p), c in self.terms.items():
             total += c * x**m * ln**p
+        return total
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """Value at every point of xs (all > 0), float coefficients only.
+
+        Sums the terms in the order __call__ does, one array at a time.
+        """
+        ln = np.log(xs)
+        total = np.zeros_like(xs)
+        for (m, p), c in self.terms.items():
+            total += c * xs**m * ln**p
         return total
 
     def at_ln(self, ln_x: Coef) -> Coef:
@@ -185,12 +191,38 @@ class PiecewiseFunction:
         i = bisect_right(self.breakpoints, x) - 1
         return min(i, len(self.segments) - 1)
 
+    def _by_segment(
+        self, xs: np.ndarray, inside: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """(segment, positions in xs) for the points of xs[inside].
+
+        Each point gets the segment _segment_index picks for it.
+        """
+        idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
+        np.minimum(idx, len(self.segments) - 1, out=idx)
+        idx[~inside] = -1
+        order = np.argsort(idx, kind="stable")
+        cuts = np.searchsorted(idx[order], np.arange(len(self.segments) + 1))
+        for i in range(len(self.segments)):
+            if cuts[i] < cuts[i + 1]:
+                yield i, order[cuts[i] : cuts[i + 1]]
+
     def value(self, x: float) -> float:
         if self.is_zero() or x < self.lo or x > self.hi:
             return 0.0
         return self.segments[self._segment_index(x)](x)
 
     __call__ = value
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """value at every point of the float array xs."""
+        out = np.zeros_like(xs)
+        if self.is_zero():
+            return out
+        inside = (xs >= self.lo) & (xs <= self.hi)
+        for i, at in self._by_segment(xs, inside):
+            out[at] = self.segments[i].values(xs[at])
+        return out
 
     def segment_at(self, x: float) -> LogLinComb | None:
         """Symbolic form covering x, or None outside the support."""
@@ -230,10 +262,14 @@ class PiecewiseFunction:
         total += self._segment_integral(ib, self.breakpoints[ib], b, m)
         return total
 
-    def tail_integral(self, x: float, m: int = 0) -> float:
-        """int_x^hi f(y)/y^m dy with suffix sums cached per weight m."""
-        if self.is_zero() or x >= self.hi:
-            return 0.0
+    def tail_integral(self, xs: np.ndarray, m: int = 0) -> np.ndarray:
+        """int_x^hi f(y)/y^m dy at every point x of the float array xs.
+
+        Whole segments above x come from suffix sums cached per weight m.
+        """
+        out = np.zeros_like(xs)
+        if self.is_zero():
+            return out
         suffix = self._suffix_cache.get(m)
         if suffix is None:
             n = len(self.segments)
@@ -243,12 +279,14 @@ class PiecewiseFunction:
                     i, self.breakpoints[i], self.breakpoints[i + 1], m
                 )
             self._suffix_cache[m] = suffix
-        if x <= self.lo:
-            return suffix[0]
-        i = self._segment_index(x)
-        return suffix[i + 1] + self._segment_integral(
-            i, x, self.breakpoints[i + 1], m
-        )
+        out[xs <= self.lo] = suffix[0]
+        inside = (xs > self.lo) & (xs < self.hi)
+        for i, at in self._by_segment(xs, inside):
+            anti = self._anti(i, m)
+            out[at] = suffix[i + 1] + (
+                anti(self.breakpoints[i + 1]) - anti.values(xs[at])
+            )
+        return out
 
     def map_segments(
         self, fn: Callable[[LogLinComb], LogLinComb]
@@ -304,44 +342,6 @@ class PiecewiseFunction:
             out.extend(a + i * step for i in range(points_per_segment + 1))
         out.append(self.hi)
         return out
-
-
-def quadrature(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_depth: int = 48,
-) -> float:
-    """Adaptive Simpson integration of fn over [a, b] to absolute tol."""
-    if a == b:
-        return 0.0
-    if a > b:
-        return -quadrature(fn, b, a, tol, max_depth)
-
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = fn(lm)
-        frm = fn(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        # Richardson: |left+right-whole|/15 estimates the refined error
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        if depth <= 0:
-            raise QuadratureError("quadrature did not converge", (lo, hi))
-        return recurse(lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1
-        )
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = fn(a), fn(mid), fn(b)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
 
 
 def bisect_root(

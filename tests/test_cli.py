@@ -77,6 +77,31 @@ def test_thresholds_12_values(capsys):
     assert payload["payoff"] == pytest.approx(0.573567, abs=1e-6)
 
 
+def test_thresholds_verified_flag(capsys):
+    code, out = run(capsys, "thresholds", "--J", "2", "--K", "2", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    check_schema(payload, "thresholds (K >= 2)")
+    assert payload["verified"] is True
+    assert capsys.readouterr().err == ""
+
+
+def test_thresholds_flag_unverified_output(capsys):
+    """(8,8) fails its certificate at the default tolerance: stdout and exit
+    code stay, and every format warns once on stderr."""
+    for fmt in ("json", "text", "csv"):
+        code = main(["thresholds", "--J", "8", "--K", "8", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, fmt
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1, fmt
+        assert warnings[0].startswith("warning: thresholds unverified: "), fmt
+        if fmt == "json":
+            assert json.loads(captured.out)["verified"] is False
+        else:
+            assert "payoff" in captured.out and "verified" not in captured.out
+
+
 def test_thresholds_11_value(capsys):
     code, out = run(capsys, "thresholds", "--J", "1", "--K", "1")
     assert code == EXIT_OK
@@ -103,6 +128,13 @@ def test_dual_check_json_schema(capsys):
     payload = json.loads(out)
     check_schema(payload, "dual-check")
     assert payload["verification"]["ok"] is True
+
+
+@pytest.mark.parametrize("grid", ["0", "-5", str(dual.MAX_GRID_POINTS + 1), "x"])
+def test_dual_check_rejects_bad_grid(capsys, grid):
+    code = main(["dual-check", "--J", "1", "--K", "2", "--grid", grid])
+    assert code == EXIT_USAGE
+    assert "--grid" in capsys.readouterr().err
 
 
 def test_dual_check_perturbed_fails(capsys):

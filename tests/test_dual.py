@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secretary_lab.dual import (
+    MAX_GRID_POINTS,
     ConvergenceError,
     MonotonicityError,
     ThresholdMatrix,
@@ -26,10 +27,11 @@ from secretary_lab.dual import (
     solve_integral_equation,
     verify_certificate,
 )
-from secretary_lab.piecewise import LogLinComb, PiecewiseFunction, quadrature
+from secretary_lab.piecewise import LogLinComb, PiecewiseFunction
 from secretary_lab.theta import generate_thetas, thresholds
 
 import reference_values as ref
+from oracles import quadrature, verify_certificate_scalar
 
 
 # -- alpha / gamma ----------------------------------------------------------
@@ -370,6 +372,42 @@ def test_verify_flags_perturbed_certificate():
     assert not report.ok
     assert report.first_violation is not None
     assert report.max_threshold_residual > 1e-4
+
+
+@pytest.mark.parametrize(
+    "J, K, perturb",
+    [(1, 2, 0.0), (3, 3, 0.0), (2, 4, 0.0), (2, 2, 0.01), (16, 2, 0.0)],
+)
+def test_array_verifier_matches_scalar_oracle(J, K, perturb):
+    """Same verdict and first violation as the point-by-point check;
+    residuals agree to 1e-10 absolute (array and scalar libm calls may
+    round differently in the last place)."""
+    cert = construct_dual(J, K)
+    if perturb:
+        cert = perturbed(cert, 1, 1, perturb)
+    got = verify_certificate(cert, grid_points=2000, tol=1e-8)
+    want = verify_certificate_scalar(cert, grid_points=2000, tol=1e-8)
+    assert got.ok == want.ok
+    assert got.first_violation == want.first_violation
+    for field in (
+        "max_equality_residual",
+        "min_inequality_slack",
+        "max_threshold_residual",
+        "min_q_value",
+        "dual_objective",
+        "objective_gap",
+    ):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-10, field
+    assert (got.J, got.K, got.tolerance, got.grid_points, got.payoff) == (
+        want.J, want.K, want.tolerance, want.grid_points, want.payoff
+    )
+
+
+def test_verify_rejects_empty_or_oversized_grid():
+    cert = construct_dual(1, 2)
+    for bad in (0, -5, MAX_GRID_POINTS + 1):
+        with pytest.raises(ValueError):
+            verify_certificate(cert, grid_points=bad)
 
 
 def test_construct_rejects_bad_sizes():

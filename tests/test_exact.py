@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secretary_lab import theta
-from secretary_lab.piecewise import LogLinComb, quadrature
+from secretary_lab.piecewise import LogLinComb
 from secretary_lab.theta import (
     DegreeOverflowError,
     exp_neg,
@@ -18,6 +18,7 @@ from secretary_lab.theta import (
     rational_to_decimal,
 )
 
+from oracles import quadrature
 from reference_values import EXP_NEG_1_DIGITS
 
 

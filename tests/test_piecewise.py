@@ -1,19 +1,21 @@
-"""Numeric piecewise machinery: symbolic segments, quadrature, root finding."""
+"""Numeric piecewise machinery: symbolic segments, array evaluation, root
+finding, and the quadrature oracle the closed forms are checked against."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from secretary_lab.piecewise import (
     LogLinComb,
     PiecewiseFunction,
-    QuadratureError,
     RootBracketError,
     bisect_root,
     find_largest_root,
-    quadrature,
 )
+
+from oracles import QuadratureError, quadrature
 
 
 def test_loglincomb_eval():
@@ -98,11 +100,39 @@ def test_piecewise_weighted_integral():
 
 def test_tail_integral_consistency():
     f = _two_piece()
-    for x in (0.1, 1 / 3, 0.41, 2 / 3, 0.8, 0.999, 1.0):
-        assert f.tail_integral(x) == pytest.approx(f.integral(x, 1.0), abs=1e-14)
-        assert f.tail_integral(x, m=1) == pytest.approx(
-            f.integral(x, 1.0, m=1), abs=1e-14
-        )
+    # unsorted on purpose: each point is placed on its own
+    xs = np.array([0.8, 0.1, 1.0, 2 / 3, 0.41, 1.2, 1 / 3, 0.999])
+    for m in (0, 1, 2):
+        got = f.tail_integral(xs, m=m)
+        assert got.shape == xs.shape
+        for x, g in zip(xs, got):
+            assert g == pytest.approx(f.integral(x, 1.0, m=m), abs=1e-14)
+    assert f.tail_integral(np.array([1.0, 1.5])).tolist() == [0.0, 0.0]
+    assert PiecewiseFunction.zero().tail_integral(xs).tolist() == [0.0] * len(xs)
+
+
+def test_values_match_scalar_value():
+    """Same segment on breakpoints and outside the support, ULP-close values."""
+    f = PiecewiseFunction(
+        [0.1, 0.3, 0.55, 1.0],
+        [
+            LogLinComb({(-2, 1): 0.3, (1, 0): 2.0}),
+            LogLinComb({(0, 2): -1.5, (3, 1): 0.7, (0, 0): 1.0}),
+            LogLinComb.from_x_poly([-2.0, 4.0]),
+        ],
+    )
+    rng = random.Random(17)
+    xs = np.array(
+        [0.05, 0.1, 0.3, 0.55, 1.0, 1.01, 0.999999]
+        + [rng.uniform(0.01, 1.05) for _ in range(300)]
+    )
+    got = f.values(xs)
+    for x, g in zip(xs, got):
+        want = f.value(float(x))
+        assert g == pytest.approx(want, rel=1e-14, abs=1e-15)
+    # an interior breakpoint takes the segment that starts there
+    assert f.values(np.array([0.55]))[0] == f.segments[2](0.55)
+    assert PiecewiseFunction.zero().values(xs).tolist() == [0.0] * len(xs)
 
 
 def test_integral_cache_agrees_with_requadrature():
