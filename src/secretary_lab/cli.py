@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from decimal import Decimal
 
@@ -256,6 +257,25 @@ def _grid_points(raw: str) -> int:
     return value
 
 
+def _int_range(lo: int, hi: int):
+    """argparse type: an integer in [lo, hi]."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{raw} is outside [{lo}, {hi}]")
+        return value
+
+    return parse
+
+
+def _tolerance(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{raw} is not a finite number >= 0")
+    return value
+
+
 def _n_list(raw: str) -> list[int]:
     try:
         return [_positive_int(s) for s in raw.split(",") if s]
@@ -289,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid", type=_grid_points, default=2000,
                    help=f"grid points on (0, 1], 1..{dual.MAX_GRID_POINTS}")
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-8,
+                   help="finite, >= 0")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="shift tau_{1,1} to demonstrate a failing certificate")
     p.set_defaults(func=cmd_dual_check)
@@ -303,9 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate of the payoff")
     common(p)
-    p.add_argument("--n", type=_positive_int, default=10_000)
+    p.add_argument("--n", type=_int_range(1, sim.MAX_N), default=10_000,
+                   help="item count, 1..2**53")
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_range(0, sim.MAX_SEED), default=0,
+                   help="0..2**64-1")
     p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=cmd_simulate)
 

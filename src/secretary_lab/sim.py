@@ -1,6 +1,6 @@
 """Monte-Carlo simulation of the threshold selection policy.
 
-Two execution paths share the same policy semantics:
+Two execution paths share one policy rule, _pick_quota:
 
 * run_threshold_algorithm replays one explicit n-item instance (sorted
   uniform arrival times plus a rank permutation) arrival by arrival, with
@@ -15,11 +15,16 @@ Two execution paths share the same policy semantics:
   between them by inverting P(no such arrival in (i, i']) =
   prod_{t<K} (i-t)/(i'-t), their potential ranks uniformly on [K], and
   their times as conditional order statistics, which reproduces the
-  explicit model's distribution exactly at a fraction of the cost.
+  explicit model's distribution exactly at a fraction of the cost.  A
+  block of BLOCK_TRIALS trials advances in lockstep as numpy arrays, one
+  potential arrival per trial and step, and finished trials leave the
+  arrays.
 
-Per-trial randomness comes from a counter-based Philox stream keyed by
-(seed, trial index), so any partition of trials over workers yields
-bit-identical aggregates (the reduction sums integers).
+Randomness comes from a counter-based Philox stream keyed by
+(seed, block), so any partition of blocks over workers yields
+bit-identical aggregates (the reduction sums integers).  The stream was
+once keyed by (seed, trial); a seed gives other estimates than it gave
+then.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +40,9 @@ from .dual import ThresholdMatrix
 
 Z_99 = 2.576  # half-width multiplier for the 99% confidence interval
 
-_MASK64 = (1 << 64) - 1
+BLOCK_TRIALS = 1024  # trials per Philox stream, advanced in lockstep
+MAX_SEED = (1 << 64) - 1  # a seed fills the high half of the 128-bit Philox key
+MAX_N = 1 << 53  # int64 positions and each float64 factor (m - t) stay exact
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,11 @@ class SimReport:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream for one trial; independent of worker layout."""
-    key = ((seed & _MASK64) << 64) | (trial & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based stream; independent of worker layout.
+
+    monte_carlo passes a block index as the counter `trial`.
+    """
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
 
 
 def sample_arrivals(n: int, rng: np.random.Generator) -> ArrivalInstance:
@@ -135,16 +143,16 @@ class _OrderTree:
 
 
 def _pick_quota(
-    tau_rows: Sequence[Sequence[float]], unused: list[bool], k: int, x: float
-) -> int:
-    """Largest unused quota index whose stage-k maturity has passed; 0 if none.
+    tau: np.ndarray, unused: np.ndarray, k: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Per row, the largest unused quota j with x >= tau[j][k]; 0 if none.
 
-    The one policy rule shared by the explicit replay and the sampler.
+    tau holds one row of thresholds per quota, unused is a rows x J mask,
+    and k (1-based) and x hold one entry per row.  The one policy rule
+    shared by the explicit replay and the sampler.
     """
-    for j in range(len(tau_rows), 0, -1):
-        if unused[j - 1] and x >= tau_rows[j - 1][k - 1]:
-            return j
-    return 0
+    ok = unused & (x[:, None] >= tau.T[k - 1])
+    return np.where(ok.any(axis=1), ok.shape[1] - ok[:, ::-1].argmax(axis=1), 0)
 
 
 def run_threshold_algorithm(
@@ -153,8 +161,9 @@ def run_threshold_algorithm(
     """Replay the policy on one instance; payoff counts selected items whose
     overall rank is at most K."""
     K = tau.K
+    tau_rows = np.asarray(tau.tau, dtype=float)
     tree = _OrderTree(inst.n)
-    unused = [True] * tau.J
+    unused = np.ones((1, tau.J), dtype=bool)
     selections: list[Selection] = []
     payoff = 0
     for pos in range(inst.n):
@@ -164,101 +173,106 @@ def run_threshold_algorithm(
         if k > K:
             continue
         x = float(inst.times[pos])
-        j = _pick_quota(tau.tau, unused, k, x)
+        j = int(_pick_quota(tau_rows, unused, np.array([k]), np.array([x]))[0])
         if j == 0:
             continue
-        unused[j - 1] = False
+        unused[0, j - 1] = False
         if rank <= K:
             payoff += 1
         if detailed:
             selections.append(
                 Selection(position=pos + 1, time=x, potential=k, quota=j)
             )
-        if not any(unused):
+        if not unused.any():
             break
     if detailed:
         return RunResult(payoff=payoff, selections=tuple(selections))
     return payoff
 
 
-def _next_potential(pos: int, n: int, K: int, v: float) -> int | None:
-    """Smallest i' > pos whose potential rank is <= K, by inverse transform.
+def _falling(m, K: int):
+    """prod_{t<K} (m - t) in float64, factors multiplied in order."""
+    out = np.asarray(m, dtype=float)
+    for t in range(1, K):
+        out = out * (m - t)
+    return out
 
-    P(no such arrival in (pos, i']) = prod_{t<K} (pos-t)/(i'-t); returns
-    None when the no-arrival probability through n already exceeds v.
+
+def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray) -> np.ndarray:
+    """Per row, the smallest i' > pos >= K whose potential rank is <= K.
+
+    Inverse transform of P(no such arrival in (pos, i']) =
+    prod_{t<K} (pos-t)/(i'-t) at the uniform draw v; 0 where the
+    no-arrival probability through n already exceeds v.
     """
-    p_pos = 1.0
-    p_n = 1.0
-    for t in range(K):
-        p_pos *= pos - t
-        p_n *= n - t
-    if v <= 0.0:
-        v = 5e-324
-    if p_pos >= v * p_n:
-        return None
-    target = p_pos / v
-
-    def prod_at(m: int) -> float:
-        out = 1.0
-        for t in range(K):
-            out *= m - t
-        return out
-
-    m = max(pos + 1, int(target ** (1.0 / K)))
-    while prod_at(m) <= target:
-        m += 1
-    while m > pos + 1 and prod_at(m - 1) > target:
-        m -= 1
-    return m
+    v = np.maximum(v, 5e-324)
+    p_pos = _falling(pos, K)
+    out = np.zeros_like(pos)
+    go = p_pos < v * _falling(n, K)
+    target = p_pos[go] / v[go]
+    lo = pos[go] + 1
+    # m(m-1)...(m-K+1) ~ (m - (K-1)/2)^K puts the answer near this start;
+    # the loops make it exact
+    m = np.maximum(lo, (target ** (1.0 / K) + (K + 1) / 2).astype(np.int64))
+    while (low := _falling(m, K) <= target).any():
+        m[low] += 1
+    while (high := (m > lo) & (_falling(m - 1, K) > target)).any():
+        m[high] -= 1
+    out[go] = m
+    return out
 
 
-def _run_sparse_trial(
-    tau_rows: Sequence[Sequence[float]],
-    J: int,
-    K: int,
-    n: int,
-    rng: np.random.Generator,
-) -> int:
-    """One instance via the potential-event process; returns the payoff."""
-    pos = 0
-    x = 0.0
-    unused = [True] * J
-    quotas_left = J
-    alive: list[int] = []  # current ranks of selected items, all <= K
-    while pos < n:
-        if pos < K:
-            nxt = pos + 1
-            k = int(rng.integers(1, nxt + 1))
-        else:
-            nxt = _next_potential(pos, n, K, float(rng.random()))
-            if nxt is None:
-                break
-            k = int(rng.integers(1, K + 1))
-        x += (1.0 - x) * float(rng.beta(nxt - pos, n - nxt + 1))
+def _block_stats(
+    tau_rows: np.ndarray, K: int, n: int, gen: np.random.Generator, size: int
+) -> tuple[int, int]:
+    """Sum and sum of squares of payoffs over one block of `size` trials.
+
+    alive[:, j] is the current rank of quota j's item, K + 1 when it holds
+    none or its item left the top K.  A trial leaves the arrays at position
+    n, or once it has neither an unused quota nor an item in the top K.
+    """
+    J = len(tau_rows)
+    pos = np.zeros(size, dtype=np.int64)
+    x = np.zeros(size)
+    unused = np.ones((size, J), dtype=bool)
+    alive = np.full((size, J), K + 1, dtype=np.int64)
+    s = s2 = 0
+    while len(pos):
+        u, w = gen.random((2, len(pos)))
+        nxt = np.where(pos < K, pos + 1, _next_potential(np.maximum(pos, K), n, K, u))
+        k = 1 + (w * np.minimum(pos + 1, K)).astype(np.int64)
+        # no potential arrival is left: step to n as an arrival of rank K + 1
+        last = nxt == 0
+        nxt[last] = n
+        k[last] = K + 1
+        x += (1.0 - x) * gen.beta(nxt - pos, n - nxt + 1)
         pos = nxt
-        if alive:
-            alive = [r + 1 if k <= r else r for r in alive]
-            alive = [r for r in alive if r <= K]
-        if quotas_left:
-            j = _pick_quota(tau_rows, unused, k, x)
-            if j:
-                unused[j - 1] = False
-                quotas_left -= 1
-                alive.append(k)
-        if not quotas_left and not alive:
-            break
-    return len(alive)
+        alive += alive >= k[:, None]
+        np.minimum(alive, K + 1, out=alive)
+        j = _pick_quota(tau_rows, unused, k, x)
+        hit = np.flatnonzero(j)
+        unused[hit, j[hit] - 1] = False
+        alive[hit, j[hit] - 1] = k[hit]
+        top = alive <= K
+        done = (pos == n) | ~(unused.any(axis=1) | top.any(axis=1))
+        if done.any():
+            p = top[done].sum(axis=1)
+            s += int(p.sum())
+            s2 += int((p * p).sum())
+            keep = ~done
+            pos, x, unused, alive = pos[keep], x[keep], unused[keep], alive[keep]
+    return s, s2
 
 
 def _chunk_stats(args: tuple) -> tuple[int, int]:
-    """Sum and sum-of-squares of payoffs over a contiguous trial range."""
-    tau_rows, J, K, n, seed, start, stop = args
-    s = 0
-    s2 = 0
-    for trial in range(start, stop):
-        p = _run_sparse_trial(tau_rows, J, K, n, trial_rng(seed, trial))
-        s += p
-        s2 += p * p
+    """Sum and sum of squares of payoffs over the blocks [first, stop)."""
+    tau_rows, K, n, seed, trials, first, stop = args
+    s = s2 = 0
+    for block in range(first, stop):
+        size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+        bs, bs2 = _block_stats(tau_rows, K, n, trial_rng(seed, block), size)
+        s += bs
+        s2 += bs2
     return s, s2
 
 
@@ -288,24 +302,29 @@ def monte_carlo(
 ) -> SimReport:
     """Mean payoff over independent instances, with a 99% interval.
 
-    Reproducible for a given seed regardless of worker count: trials use
-    per-trial Philox streams and the reduction adds exact integers.
+    Reproducible for a given seed regardless of worker count: each block of
+    BLOCK_TRIALS trials has its own Philox stream, workers take whole
+    blocks, and the reduction adds exact integers.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    workers = min(workers or 1, worker_cap())
-    tau_rows = tuple(tuple(r) for r in tau.tau)
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must lie in [1, 2**53], got {n}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    # column K + 1 is +inf: an arrival ranked below the top K takes no quota
+    tau_rows = np.hstack([np.asarray(tau.tau, dtype=float), np.full((tau.J, 1), np.inf)])
+    blocks = -(-trials // BLOCK_TRIALS)
+    workers = min(workers or 1, worker_cap(), blocks)
+    bounds = np.linspace(0, blocks, workers + 1, dtype=int)
+    jobs = [
+        (tau_rows, tau.K, n, seed, trials, int(a), int(b))
+        for a, b in zip(bounds, bounds[1:])
+    ]
     if workers <= 1:
-        s, s2 = _chunk_stats((tau_rows, tau.J, tau.K, n, seed, 0, trials))
+        s, s2 = _chunk_stats(jobs[0])
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        jobs = [
-            (tau_rows, tau.J, tau.K, n, seed, int(a), int(b))
-            for a, b in zip(bounds, bounds[1:])
-            if a < b
-        ]
-        s = 0
-        s2 = 0
+        s = s2 = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for cs, cs2 in pool.map(_chunk_stats, jobs):
                 s += cs

@@ -137,6 +137,13 @@ def test_dual_check_rejects_bad_grid(capsys, grid):
     assert "--grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "x"])
+def test_dual_check_rejects_bad_tolerance(capsys, tolerance):
+    code = main(["dual-check", "--J", "2", "--K", "2", "--tolerance", tolerance])
+    assert code == EXIT_USAGE
+    assert "--tolerance" in capsys.readouterr().err
+
+
 def test_dual_check_perturbed_fails(capsys):
     code, out = run(capsys, "dual-check", "--J", "2", "--K", "2", "--perturb", "0.01")
     assert code == EXIT_CERTIFICATE
@@ -207,6 +214,17 @@ def test_simulate_worker_flag_does_not_change_output(capsys):
     _, out1 = run(capsys, *base, "--workers", "1")
     _, out2 = run(capsys, *base, "--workers", "2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--seed", str(2**64)), ("--n", str(2**53 + 1)),
+     ("--n", "1" + "0" * 400), ("--n", "0")],
+)
+def test_simulate_rejects_out_of_range_seed_and_n(capsys, flag, value):
+    code = main(["simulate", "--J", "1", "--trials", "10", flag, value])
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_report_reference_rows(capsys):

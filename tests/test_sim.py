@@ -6,17 +6,22 @@ import math
 import numpy as np
 import pytest
 
+from secretary_lab import sim
 from secretary_lab.dual import ThresholdMatrix, construct_dual
 from secretary_lab.sim import (
     ArrivalInstance,
+    BLOCK_TRIALS,
+    MAX_N,
+    MAX_SEED,
     SimReport,
     Z_99,
     monte_carlo,
     run_threshold_algorithm,
     sample_arrivals,
     trial_rng,
+    _block_stats,
     _next_potential,
-    _run_sparse_trial,
+    _pick_quota,
 )
 
 import reference_values as ref
@@ -151,64 +156,85 @@ def test_next_potential_inverse_transform_matches_direct_simulation():
     """Gap law check: P(next potential position > m) for K=2 equals
     pos(pos-1)/(m(m-1)); compare the sampler to the closed form."""
     K, pos, n = 2, 6, 40
-    counts = {}
     draws = 30_000
     rng = trial_rng(31, 0)
-    for _ in range(draws):
-        nxt = _next_potential(pos, n, K, float(rng.random()))
-        counts[nxt] = counts.get(nxt, 0) + 1
+    nxt = _next_potential(np.full(draws, pos), n, K, rng.random(draws))
+    counts = np.bincount(nxt, minlength=n + 1)  # 0: no potential arrival by n
+    assert counts[1 : pos + 1].sum() == 0
 
     def survival(m):
         return (pos * (pos - 1)) / (m * (m - 1))
 
     for m in (7, 9, 12, 20):
         want = survival(m - 1) - survival(m)
-        got = counts.get(m, 0) / draws
+        got = counts[m] / draws
         sigma = math.sqrt(want * (1 - want) / draws)
         assert abs(got - want) < 4 * sigma
-    none_rate = counts.get(None, 0) / draws
+    none_rate = counts[0] / draws
     want_none = survival(n)
     sigma = math.sqrt(want_none * (1 - want_none) / draws)
     assert abs(none_rate - want_none) < 4 * sigma
 
 
+def _pick_quota_reference(tau_rows, unused, k, x):
+    for j in range(len(tau_rows), 0, -1):
+        if unused[j - 1] and x >= tau_rows[j - 1][k - 1]:
+            return j
+    return 0
+
+
+def test_pick_quota_rows_match_reference():
+    rng = np.random.default_rng(8)
+    for J, K in ((1, 1), (3, 2), (4, 5)):
+        tau = rng.random((J, K))
+        rows = 500
+        unused = rng.random((rows, J)) < 0.6
+        k = rng.integers(1, K + 1, rows)
+        x = rng.random(rows)
+        x[:20] = tau[rng.integers(0, J, 20), k[:20] - 1]  # ties: x == tau
+        got = _pick_quota(tau, unused, k, x)
+        want = [_pick_quota_reference(tau, u, kk, xx) for u, kk, xx in zip(unused, k, x)]
+        assert got.tolist() == want
+        assert 0 < np.count_nonzero(got) < rows
+
+
 def test_sparse_trial_bounds_and_determinism():
     tau = construct_dual(2, 2).tau
-    p1 = _run_sparse_trial(tau.tau, 2, 2, 500, trial_rng(5, 11))
-    p2 = _run_sparse_trial(tau.tau, 2, 2, 500, trial_rng(5, 11))
-    assert p1 == p2
-    assert 0 <= p1 <= 2
+    rows = np.hstack([np.asarray(tau.tau), np.full((2, 1), np.inf)])
+    size = 300
+    s, s2 = _block_stats(rows, 2, 500, trial_rng(5, 11), size)
+    assert (s, s2) == _block_stats(rows, 2, 500, trial_rng(5, 11), size)
+    assert (s, s2) != _block_stats(rows, 2, 500, trial_rng(5, 12), size)
+    assert 0 <= s <= s2 <= 2 * s <= 4 * size
+
+
+def _assert_block_kernel_matches_replay(J, K, n, trials, replay_seed, sim_seed):
+    """Same payoff distribution from the explicit replay and the block
+    kernel behind monte_carlo (4-sigma gate)."""
+    tau = construct_dual(J, K).tau
+    explicit = [
+        run_threshold_algorithm(tau, sample_arrivals(n, trial_rng(replay_seed, t)))
+        for t in range(trials)
+    ]
+    rep = monte_carlo(tau, n=n, trials=trials, seed=sim_seed)
+    sigma = math.sqrt(np.var(explicit) / trials + rep.stderr**2)
+    assert abs(np.mean(explicit) - rep.mean) < 4 * sigma
 
 
 def test_sparse_agrees_with_explicit_replay():
-    """Same distribution through both implementations (4-sigma gate)."""
-    tau = construct_dual(2, 2).tau
-    trials, n = 6000, 120
-    explicit = [
-        run_threshold_algorithm(tau, sample_arrivals(n, trial_rng(77, t)))
-        for t in range(trials)
-    ]
-    sparse = [
-        _run_sparse_trial(tau.tau, 2, 2, n, trial_rng(78, t)) for t in range(trials)
-    ]
-    me, ms = np.mean(explicit), np.mean(sparse)
-    sigma = math.sqrt(np.var(explicit) / trials + np.var(sparse) / trials)
-    assert abs(me - ms) < 4 * sigma
+    _assert_block_kernel_matches_replay(2, 2, 120, 6000, 77, 78)
 
 
 def test_sparse_agrees_with_explicit_replay_k1():
-    tau = construct_dual(1, 1).tau
-    trials, n = 6000, 100
-    explicit = [
-        run_threshold_algorithm(tau, sample_arrivals(n, trial_rng(123, t)))
-        for t in range(trials)
-    ]
-    sparse = [
-        _run_sparse_trial(tau.tau, 1, 1, n, trial_rng(124, t)) for t in range(trials)
-    ]
-    me, ms = np.mean(explicit), np.mean(sparse)
-    sigma = math.sqrt(np.var(explicit) / trials + np.var(sparse) / trials)
-    assert abs(me - ms) < 4 * sigma
+    _assert_block_kernel_matches_replay(1, 1, 100, 6000, 123, 124)
+
+
+@pytest.mark.parametrize(
+    "J, K, n, trials",
+    [(3, 2, 500, 2000), (2, 2, 1, 3000), (2, 3, 2, 3000)],  # n = 1 and n < K edges
+)
+def test_block_kernel_agrees_with_explicit_replay(J, K, n, trials):
+    _assert_block_kernel_matches_replay(J, K, n, trials, 55, 56)
 
 
 # -- monte carlo -------------------------------------------------------------------
@@ -230,13 +256,26 @@ def test_monte_carlo_interval_contains_known_value():
     assert abs(rep.mean - math.exp(-1.0)) < 5 * rep.stderr + 0.01
 
 
-def test_monte_carlo_deterministic_across_worker_counts():
+def test_monte_carlo_deterministic_across_worker_counts(monkeypatch):
+    monkeypatch.setenv("SECRETARY_LAB_THREADS", "8")
     tau = construct_dual(2, 2).tau
+    assert 3000 % BLOCK_TRIALS  # the last block is partial
     reports = [
-        monte_carlo(tau, n=500, trials=3000, seed=11, workers=w) for w in (1, 2, 3)
+        monte_carlo(tau, n=500, trials=3000, seed=11, workers=w) for w in (1, 2, 3, 8)
     ]
     blobs = {r.to_json() for r in reports}
     assert len(blobs) == 1
+
+
+def test_single_block_runs_without_pool(monkeypatch):
+    tau = construct_dual(2, 2).tau
+    one = monte_carlo(tau, n=500, trials=400, seed=11, workers=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single block must not start a process pool")
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+    assert monte_carlo(tau, n=500, trials=400, seed=11, workers=2).to_json() == one.to_json()
 
 
 def test_monte_carlo_json_round_trip():
@@ -252,6 +291,22 @@ def test_monte_carlo_rejects_bad_trials():
     tau = construct_dual(1, 1).tau
     with pytest.raises(ValueError):
         monte_carlo(tau, n=10, trials=0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(0, 1), (MAX_N + 1, 1), (10, -1), (10, MAX_SEED + 1)]
+)
+def test_monte_carlo_rejects_out_of_range_n_and_seed(n, seed):
+    tau = construct_dual(1, 1).tau
+    with pytest.raises(ValueError):
+        monte_carlo(tau, n=n, trials=10, seed=seed)
+
+
+def test_monte_carlo_range_edges_run():
+    tau = construct_dual(2, 2).tau
+    top = monte_carlo(tau, n=MAX_N, trials=200, seed=MAX_SEED)
+    assert 0.0 < top.mean <= 2.0
+    assert top.to_json() != monte_carlo(tau, n=MAX_N, trials=200, seed=0).to_json()
 
 
 def test_mean_bounded_by_min_j_k():
