@@ -14,10 +14,7 @@ from .dual import (
     verify_certificate,
 )
 from .theta import (
-    DualCertificateK1,
     ThetaSequence,
-    build_dual_certificate,
-    dual_objective_k1,
     generate_thetas,
     payoff_k1,
     thresholds,
@@ -27,14 +24,11 @@ __all__ = [
     "ClosedForm12",
     "ClosedForm22",
     "DualCertificateJK",
-    "DualCertificateK1",
     "ThetaSequence",
     "ThresholdMatrix",
-    "build_dual_certificate",
     "closed_form_12",
     "closed_form_22",
     "construct_dual",
-    "dual_objective_k1",
     "generate_thetas",
     "lambert_w_principal",
     "payoff_jk",

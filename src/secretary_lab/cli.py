@@ -26,6 +26,10 @@ EXIT_CERTIFICATE = 4
 EXIT_IO = 5
 
 TABLE_MAX_J = 8  # rows reproduced by the report subcommand
+DEFAULT_N_LIST = (10, 25, 50, 100, 200)  # finite-lp item counts without --n
+
+# Failures of a numerical method rather than of the request's form.
+NUMERIC_ERRORS = (ValueError, RootBracketError, dual.ConvergenceError)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -49,8 +53,8 @@ def cmd_thresholds(args) -> int:
     J, K = args.J, args.K
     if K == 1:
         ts = theta.generate_thetas(J)
-        tvals = theta.thresholds(ts, args.precision)
-        payoff = theta.payoff_k1(ts, args.precision)
+        tvals = theta.thresholds(ts)
+        payoff = theta.payoff_k1(ts)
         thetas = [theta.format_rational(t) for t in ts.thetas]
         if args.format == "json":
             _write_output(
@@ -149,15 +153,18 @@ def cmd_dual_check(args) -> int:
 
 
 def cmd_finite_lp(args) -> int:
-    n_list = args.n if args.n else list(dp.DEFAULT_N_LIST)
+    n_list = args.n if args.n else list(DEFAULT_N_LIST)
     # The DP runs first, so its size caps refuse a request before the much
     # slower continuous construction starts.
     p_stars = [float(dp.p_star(n, args.J, args.K, args.mode)) for n in n_list]
-    cp_star = dual.payoff_jk(dual.construct_dual(args.J, args.K).tau)
-    rows = [
-        dp.ConvergenceRow(n=n, p_star=p, gap=p - cp_star)
-        for n, p in zip(n_list, p_stars)
-    ]
+    try:
+        cp_star = dual.payoff_jk(dual.construct_dual(args.J, args.K).tau)
+    except NUMERIC_ERRORS as exc:
+        # P*_n stands on its own; only the gaps need the construction
+        print(f"warning: cp_star unavailable: {exc}", file=sys.stderr)
+        cp_star = None
+    gaps = [None if cp_star is None else p - cp_star for p in p_stars]
+    rows = list(zip(n_list, p_stars, gaps))
     if args.format == "json":
         _write_output(
             json.dumps(
@@ -166,7 +173,7 @@ def cmd_finite_lp(args) -> int:
                     "K": args.K,
                     "cp_star": cp_star,
                     "rows": [
-                        {"n": r.n, "p_star": r.p_star, "gap": r.gap} for r in rows
+                        {"n": n, "p_star": p, "gap": gap} for n, p, gap in rows
                     ],
                 }
             ),
@@ -174,12 +181,18 @@ def cmd_finite_lp(args) -> int:
         )
     elif args.format == "csv":
         table = [["n", "p_star", "gap"]]
-        table += [[r.n, f"{r.p_star:.9f}", f"{r.gap:.9f}"] for r in rows]
+        table += [
+            [n, f"{p:.9f}", "" if gap is None else f"{gap:.9f}"]
+            for n, p, gap in rows
+        ]
         _write_output(_csv_string(table), args.output)
     else:
-        lines = [f"CP* = {cp_star:.6f}"]
+        lines = [
+            "CP* = unavailable" if cp_star is None else f"CP* = {cp_star:.6f}"
+        ]
         lines += [
-            f"n={r.n:6d}  P*_n={r.p_star:.6f}  gap={r.gap:+.6f}" for r in rows
+            f"n={n:6d}  P*_n={p:.6f}" + ("" if gap is None else f"  gap={gap:+.6f}")
+            for n, p, gap in rows
         ]
         _write_output("\n".join(lines), args.output)
     return EXIT_OK
@@ -302,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="optimal thresholds and payoff")
     common(p)
     p.add_argument("--exact", action="store_true", help="print rational thetas (K=1)")
-    p.add_argument("--precision", type=int, default=64, help="working precision bits")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("dual-check", help="verify the optimality certificate")
@@ -353,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except sim.ThreadSettingError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RootBracketError, dual.ConvergenceError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

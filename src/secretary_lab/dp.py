@@ -16,7 +16,6 @@ arithmetic, depending only on the number type it starts from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Union
@@ -84,16 +83,3 @@ def p_star(n: int, J: int, K: int, mode: str = "float") -> Number:
             keep = v[r] - v[r - 1]
             v[r] += sum((x - keep for x in w if x > keep), zero) / i
     return v[J]
-
-
-# -- convergence table -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    p_star: float
-    gap: float  # P*_n - CP*
-
-
-DEFAULT_N_LIST = (10, 25, 50, 100, 200)

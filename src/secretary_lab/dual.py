@@ -251,8 +251,7 @@ class DualCertificateJK:
 
 def _certificate_k1(J: int) -> DualCertificateJK:
     """Exact-route certificate for K = 1, converted to float piecewise form."""
-    ts = theta_mod.generate_thetas(J)
-    cert = theta_mod.build_dual_certificate(ts)
+    ts, rows = theta_mod.recursion(J)
     tvals = theta_mod.thresholds(ts)  # t_1 > t_2 > ... > t_J
     tau = ThresholdMatrix(J, 1, tuple((tvals[j],) for j in range(J)))
     q_rows = []
@@ -261,52 +260,58 @@ def _certificate_k1(J: int) -> DualCertificateJK:
         bps = [tvals[k - 1] for k in range(j, 0, -1)] + [1.0]
         # ascending powers of ln x: the float evaluation sums terms in this order
         segs = [
-            LogLinComb({t: float(c) for t, c in sorted(piece.poly.terms.items())})
-            for piece in reversed(cert.pieces[j - 1])
+            LogLinComb({t: float(c) for t, c in sorted(poly.terms.items())})
+            for poly in reversed(rows[j - 1])
         ]
-        fn = PiecewiseFunction(bps, segs)
-        q_rows.append((fn,))
+        q_rows.append((PiecewiseFunction(bps, segs),))
     return DualCertificateJK(tau, tuple(q_rows), tuple(q_rows))
 
 
-def construct_dual(
-    J: int,
-    K: int,
-    *,
-    use_exact_k1: bool = True,
-) -> DualCertificateJK:
+def construct_dual(J: int, K: int) -> DualCertificateJK:
     """Build thresholds and dual functions for the (J,K) problem.
 
+    K = 1 takes the exact rational route of theta.py; every other K runs
+    the double-precision construction below.
+    """
+    if J < 1 or K < 1:
+        raise ValueError("J and K must be positive")
+    if K == 1:
+        return _certificate_k1(J)
+    return _construct_general(J, K)
+
+
+def _construct_general(J: int, K: int) -> DualCertificateJK:
+    """The double-precision construction, valid for any K >= 1.
+
     Induction over quota rows j = 1..J, inner loop k = K..1.  On each step
-    the candidate below tau_{j,k+1} is
+    the candidate below b = tau_{j,k+1} (b = 1 for k = K) is
 
         q(x) = (r(x) - gamma_k(x))/k + alpha_k(x)
 
     with r from solve_integral_equation against the previous row's top
     running sum; tau_{j,k} is the largest zero of q below
-    min(tau_{j,k+1}, tau_{j-1,k}).  A missing bracket is a numerical
-    failure (the construction guarantees existence) and raises
-    RootBracketError.
-    """
-    if J < 1 or K < 1:
-        raise ValueError("J and K must be positive")
-    if K == 1 and use_exact_k1:
-        return _certificate_k1(J)
+    min(b, tau_{j-1,k}).  A missing bracket is a numerical failure (the
+    construction guarantees existence) and raises RootBracketError.
 
+    The cell [tau_{j,k}, b] keeps r; on it q_{j|l} = (r - gamma_k)/k +
+    alpha_l for l <= k (zero for l > k), so r_{j|k} = q_{j|1} + ... +
+    q_{j|k} and r_{j|K} = r.  Each row function joins its cells.
+    """
+    alphas = [alpha_poly(k, K) for k in range(1, K + 1)]
+    gammas = [gamma_poly(k, K) for k in range(1, K + 1)]
     tau_rows: list[list[float]] = []
     q_rows: list[tuple[PiecewiseFunction, ...]] = []
     r_rows: list[tuple[PiecewiseFunction, ...]] = []
     r_prev = PiecewiseFunction.zero()  # r_{j-1|K}
     for j in range(1, J + 1):
         taus = [0.0] * K
-        pieces: list[list[PiecewiseFunction]] = [[] for _ in range(K)]
-        r_pieces: list[PiecewiseFunction] = []
+        cells: list[tuple[int, PiecewiseFunction]] = []  # (k, r on the cell)
         b = 1.0
         for k in range(K, 0, -1):
-            gpoly = gamma_poly(k, K)
+            gpoly = gammas[k - 1]
             cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
             r_cand = solve_integral_equation(b, cval, k, r_prev, gpoly)
-            shift_k = alpha_poly(k, K) - gpoly.scale(1.0 / k)
+            shift_k = alphas[k - 1] - gpoly.scale(1.0 / k)
             q_cand = r_cand.map_segments(
                 lambda s, sh=shift_k: s.scale(1.0 / k) + sh
             )
@@ -315,34 +320,32 @@ def construct_dual(
                 q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
             )
             taus[k - 1] = root
-            for el in range(1, k + 1):
-                shift_el = alpha_poly(el, K) - gpoly.scale(1.0 / k)
-                q_el = r_cand.map_segments(
-                    lambda s, sh=shift_el: s.scale(1.0 / k) + sh
-                )
-                pieces[el - 1].append(q_el.restrict(root, b))
-            r_pieces.append(r_cand.restrict(root, b))
+            cells.append((k, r_cand.restrict(root, b)))
             b = root
-        q_row = []
-        for el in range(K):
-            fn = PiecewiseFunction.zero()
-            for part in pieces[el]:
-                fn = fn.combine(part)
-            q_row.append(fn)
-        r_row = []
-        running = PiecewiseFunction.zero()
-        for el in range(K):
-            running = running.combine(q_row[el])
-            r_row.append(running)
-        # r_{j|K} assembled straight from the solver output (identical to
-        # running by construction, but without accumulated combine noise)
-        r_top = PiecewiseFunction.zero()
-        for part in r_pieces:
-            r_top = r_top.combine(part)
-        r_row[K - 1] = r_top
+        cells.reverse()  # ascending x
+        q_parts: list[list[PiecewiseFunction]] = [[] for _ in range(K)]
+        r_parts: list[list[PiecewiseFunction]] = [[] for _ in range(K - 1)]
+        for k, cell in cells:
+            bps = cell.breakpoints
+            scaled = [s.scale(1.0 / k) for s in cell.segments]
+            shift = gammas[k - 1].scale(1.0 / k)
+            for el in range(1, k + 1):
+                sh = alphas[el - 1] - shift
+                segs = [s + sh for s in scaled]
+                q_parts[el - 1].append(PiecewiseFunction(bps, segs))
+                if el < K:
+                    running = segs if el == 1 else [
+                        a + s for a, s in zip(running, segs)
+                    ]
+                    r_parts[el - 1].append(PiecewiseFunction(bps, running))
+            # q_{j|l} vanishes on this cell for l > k: r_{j|l} = r_{j|k} here
+            for el in range(k + 1, K):
+                r_parts[el - 1].append(PiecewiseFunction(bps, running))
+        r_top = PiecewiseFunction.join([cell for _, cell in cells])
+        r_row = tuple(PiecewiseFunction.join(parts) for parts in r_parts) + (r_top,)
         tau_rows.append(taus)
-        q_rows.append(tuple(q_row))
-        r_rows.append(tuple(r_row))
+        q_rows.append(tuple(PiecewiseFunction.join(parts) for parts in q_parts))
+        r_rows.append(r_row)
         r_prev = r_top
     tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
     return DualCertificateJK(tau, tuple(q_rows), tuple(r_rows))

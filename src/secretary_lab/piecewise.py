@@ -176,6 +176,24 @@ class PiecewiseFunction:
     def zero() -> "PiecewiseFunction":
         return PiecewiseFunction([], [])
 
+    @staticmethod
+    def join(parts: Sequence["PiecewiseFunction"]) -> "PiecewiseFunction":
+        """One function from parts on adjacent supports, ascending in x.
+
+        Each nonzero part must start where the previous one ends; zero
+        parts are skipped.  Segments are kept as they are.
+        """
+        bps: list[float] = []
+        segs: list[LogLinComb] = []
+        for part in parts:
+            if part.is_zero():
+                continue
+            if bps and part.lo != bps[-1]:
+                raise ValueError(f"part starts at {part.lo}, not at {bps[-1]}")
+            bps.extend(part.breakpoints[1:] if bps else part.breakpoints)
+            segs.extend(part.segments)
+        return PiecewiseFunction(bps, segs)
+
     @property
     def lo(self) -> float:
         return self.breakpoints[0] if self.breakpoints else 1.0

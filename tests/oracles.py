@@ -7,18 +7,41 @@
   `secretary_lab.dual.verify_certificate`.  Tail integrals come from the
   scalar `PiecewiseFunction.integral`, a code path separate from the
   cached suffix sums of `tail_integral`.
+* `construct_dual_combine`: the general (J,K) construction with each row
+  assembled by chains of `PiecewiseFunction.combine`, the reference for
+  the one-pass cell join in `secretary_lab.dual.construct_dual`.
+* `q_at_theta`, `integral_q_from`, `dual_objective_k1`,
+  `constraint_lhs_k1`: exact K = 1 certificate checks over the rows of
+  `secretary_lab.theta.recursion`, in rationals and high-precision
+  Decimal.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Callable
 
 from secretary_lab.dual import (
+    ROOT_TOL,
+    SCAN_STEP,
+    X_FLOOR,
     CertificateReport,
     DualCertificateJK,
+    ThresholdMatrix,
     alpha,
+    alpha_poly,
+    gamma_poly,
     payoff_jk,
+    solve_integral_equation,
+)
+from secretary_lab.piecewise import PiecewiseFunction, find_largest_root
+from secretary_lab.theta import (
+    DEFAULT_PRECISION_BITS,
+    ThetaSequence,
+    exp_neg,
+    working_context,
 )
 
 
@@ -151,3 +174,146 @@ def verify_certificate_scalar(
         objective_gap=gap,
         first_violation=violation,
     )
+
+
+def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
+    """The general construction, rows joined by combine chains.
+
+    Every q_{j|l} candidate is mapped over the whole unrestricted solver
+    output and restricted afterwards; q rows are chains of `combine` over
+    the cells, r_{j|k} for k < K running `combine` sums of the q row, and
+    r_{j|K} a chain over the restricted solver outputs.
+    """
+    tau_rows: list[list[float]] = []
+    q_rows: list[tuple[PiecewiseFunction, ...]] = []
+    r_rows: list[tuple[PiecewiseFunction, ...]] = []
+    r_prev = PiecewiseFunction.zero()
+    for j in range(1, J + 1):
+        taus = [0.0] * K
+        pieces: list[list[PiecewiseFunction]] = [[] for _ in range(K)]
+        r_pieces: list[PiecewiseFunction] = []
+        b = 1.0
+        for k in range(K, 0, -1):
+            gpoly = gamma_poly(k, K)
+            cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
+            r_cand = solve_integral_equation(b, cval, k, r_prev, gpoly)
+            shift_k = alpha_poly(k, K) - gpoly.scale(1.0 / k)
+            q_cand = r_cand.map_segments(
+                lambda s, sh=shift_k: s.scale(1.0 / k) + sh
+            )
+            hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
+            root = find_largest_root(
+                q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
+            )
+            taus[k - 1] = root
+            for el in range(1, k + 1):
+                shift_el = alpha_poly(el, K) - gpoly.scale(1.0 / k)
+                q_el = r_cand.map_segments(
+                    lambda s, sh=shift_el: s.scale(1.0 / k) + sh
+                )
+                pieces[el - 1].append(q_el.restrict(root, b))
+            r_pieces.append(r_cand.restrict(root, b))
+            b = root
+        q_row = []
+        for el in range(K):
+            fn = PiecewiseFunction.zero()
+            for part in pieces[el]:
+                fn = fn.combine(part)
+            q_row.append(fn)
+        r_row = []
+        running = PiecewiseFunction.zero()
+        for el in range(K):
+            running = running.combine(q_row[el])
+            r_row.append(running)
+        r_top = PiecewiseFunction.zero()
+        for part in r_pieces:
+            r_top = r_top.combine(part)
+        r_row[K - 1] = r_top
+        tau_rows.append(taus)
+        q_rows.append(tuple(q_row))
+        r_rows.append(tuple(r_row))
+        r_prev = r_top
+    tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
+    return DualCertificateJK(tau, tuple(q_rows), tuple(r_rows))
+
+
+# -- exact K = 1 checks over theta.recursion rows ----------------------------
+# rows[j-1][k-1] is q_j on x in [t_k, t_(k-1)], i.e. theta in
+# [theta_(k-1), theta_k], as a polynomial in ln x with Fraction coefficients.
+
+
+def rational_to_decimal(q: Fraction, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:
+    """Round q to the nearest representable value at the given precision."""
+    ctx = working_context(bits)
+    return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+
+
+def q_at_theta(ts: ThetaSequence, rows, j: int, theta: Fraction) -> Fraction:
+    """Exact q_j at x = exp(-theta); zero for j = 0 and for theta > theta_j."""
+    if j == 0 or theta > ts.theta(j):
+        return Fraction(0)
+    for k, poly in enumerate(rows[j - 1], start=1):
+        if ts.theta(k - 1) <= theta <= ts.theta(k):
+            return poly.at_ln(-theta)
+    raise ValueError(f"theta {theta} outside [0, theta_{j}]")
+
+
+def integral_q_from(
+    ts: ThetaSequence,
+    rows,
+    j: int,
+    theta_from: Fraction,
+    bits: int = DEFAULT_PRECISION_BITS,
+    weight_over_x: bool = False,
+) -> Decimal:
+    """int q_j(y) dy (or q_j(y)/y dy) for y from exp(-theta_from) to 1.
+
+    The per-piece antiderivatives are exact; only the exp(-theta) endpoint
+    values carry rounding, at the working precision.
+    """
+    if j == 0:
+        return Decimal(0)
+    theta_from = min(theta_from, ts.theta(j))
+    with localcontext(working_context(bits)):
+        total = Decimal(0)
+        for k, poly in enumerate(rows[j - 1], start=1):
+            lo = ts.theta(k - 1)
+            if lo >= theta_from:
+                break
+            hi = min(ts.theta(k), theta_from)
+            if weight_over_x:
+                anti = poly.shift_xpow(-1).antiderivative()
+                total += rational_to_decimal(anti.at_ln(-lo) - anti.at_ln(-hi), bits)
+            else:
+                # int p(ln x) dx = x * B(ln x)
+                b = poly.antiderivative().shift_xpow(-1)
+                upper = rational_to_decimal(b.at_ln(-lo), bits) * exp_neg(lo, bits)
+                lower = rational_to_decimal(b.at_ln(-hi), bits) * exp_neg(hi, bits)
+                total += upper - lower
+        return total
+
+
+def dual_objective_k1(
+    ts: ThetaSequence, rows, bits: int = DEFAULT_PRECISION_BITS
+) -> float:
+    """int_0^1 q_J(y) dy; must equal payoff_k1 up to final rounding."""
+    return float(integral_q_from(ts, rows, ts.J, ts.theta(ts.J), bits))
+
+
+def constraint_lhs_k1(
+    ts: ThetaSequence,
+    rows,
+    j: int,
+    theta: Fraction,
+    bits: int = DEFAULT_PRECISION_BITS,
+) -> Decimal:
+    """q_j(x) + (1/x) int_x^1 [q_j - q_(j-1)] dy at x = exp(-theta).
+
+    Equals 1 on [t_j, 1] and strictly exceeds 1 below t_j.
+    """
+    with localcontext(working_context(bits)):
+        q_here = rational_to_decimal(q_at_theta(ts, rows, j, theta), bits)
+        tail = integral_q_from(ts, rows, j, theta, bits) - integral_q_from(
+            ts, rows, j - 1, theta, bits
+        )
+        return q_here + tail / exp_neg(theta, bits)

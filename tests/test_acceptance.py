@@ -19,6 +19,7 @@ from secretary_lab.dual import (
     gamma,
     payoff_jk,
     verify_certificate,
+    _construct_general,
 )
 from secretary_lab.dp import p_star
 from secretary_lab.lp import build_lp, coefficient_row_sum, solve_lp
@@ -117,7 +118,7 @@ def test_criterion_4_k1_crosscheck(capfd):
         tvals = thresholds(generate_thetas(J))
         for route in (
             construct_dual(J, 1),
-            construct_dual(J, 1, use_exact_k1=False),
+            _construct_general(J, 1),
         ):
             for j in range(1, J + 1):
                 worst = max(worst, abs(route.tau.threshold(j, 1) - tvals[j - 1]))

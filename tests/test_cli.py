@@ -17,6 +17,7 @@ from secretary_lab.cli import (
     EXIT_USAGE,
     main,
 )
+from secretary_lab.piecewise import RootBracketError
 from secretary_lab.theta import generate_thetas
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "cli_schema.json")
@@ -24,6 +25,7 @@ SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "cli_schema.
 _TYPE_CHECKS = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number|null": lambda v: v is None or _TYPE_CHECKS["number"](v),
     "boolean": lambda v: isinstance(v, bool),
     "string[]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
     "number[]": lambda v: isinstance(v, list)
@@ -188,6 +190,40 @@ def test_finite_lp_cap_refuses_before_construction(monkeypatch, capsys):
     assert calls == []
 
 
+def test_finite_lp_keeps_rows_when_construction_fails(monkeypatch, capsys):
+    """P*_n is printed without CP* and the gaps when the construction fails."""
+
+    def fail(J, K):
+        raise RootBracketError("no sign change found")
+
+    monkeypatch.setattr(dual, "construct_dual", fail)
+    argv = ["finite-lp", "--J", "1", "--K", "1", "--n", "2,5"]
+    want = ["warning: cp_star unavailable: no sign change found"]
+
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == want
+    payload = json.loads(captured.out)
+    check_schema(payload, "finite-lp")
+    assert payload["cp_star"] is None
+    assert [r["p_star"] for r in payload["rows"]] == [0.5, float(dp.p_star(5, 1, 1))]
+    assert all(r["gap"] is None for r in payload["rows"])
+
+    assert main(argv + ["--format", "csv"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == want
+    assert captured.out.splitlines()[1:] == [
+        "2,0.500000000,", f"5,{dp.p_star(5, 1, 1):.9f},"
+    ]
+
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == want
+    lines = captured.out.splitlines()
+    assert lines[0] == "CP* = unavailable"
+    assert len(lines) == 3 and "gap" not in captured.out
+
+
 def test_finite_lp_large_n(capsys):
     code, out = run(capsys, "finite-lp", "--J", "4", "--K", "4", "--n", "100000",
                     "--format", "json")
@@ -281,6 +317,11 @@ def test_thresholds_beyond_int_str_limit(capsys):
         if fmt == "json":
             p, q = json.loads(out)["thetas"][-1].split("/")
     assert Fraction(Decimal(p)) / Fraction(Decimal(q)) == generate_thetas(16).thetas[-1]
+
+
+def test_thresholds_has_no_precision_option(capsys):
+    assert main(["thresholds", "--J", "4", "--precision", "0"]) == EXIT_USAGE
+    assert "--precision" in capsys.readouterr().err
 
 
 def test_numeric_failure_exit_code(capsys):

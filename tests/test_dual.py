@@ -26,12 +26,14 @@ from secretary_lab.dual import (
     perturbed,
     solve_integral_equation,
     verify_certificate,
+    _construct_general,
 )
+from secretary_lab import theta
 from secretary_lab.piecewise import LogLinComb, PiecewiseFunction
 from secretary_lab.theta import generate_thetas, thresholds
 
 import reference_values as ref
-from oracles import quadrature, verify_certificate_scalar
+from oracles import construct_dual_combine, quadrature, verify_certificate_scalar
 
 
 # -- alpha / gamma ----------------------------------------------------------
@@ -243,9 +245,66 @@ def test_construct_k1_matches_exact_thresholds():
 def test_general_engine_agrees_with_exact_k1_route():
     """Running K=1 through the generic solver reproduces exp(-theta_j)."""
     tvals = thresholds(generate_thetas(6))
-    cert = construct_dual(6, 1, use_exact_k1=False)
+    cert = _construct_general(6, 1)
     for j in range(1, 7):
         assert abs(cert.tau.threshold(j, 1) - tvals[j - 1]) < 1e-10
+
+
+def test_k1_runs_the_recursion_once(monkeypatch):
+    calls = []
+    recursion = theta.recursion
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return recursion(*args, **kwargs)
+
+    monkeypatch.setattr(theta, "recursion", counted)
+    cert = construct_dual(5, 1)
+    assert calls == [(5,)]
+    assert cert.J == 5 and len(cert.q) == 5
+
+
+def _pieces(fn: PiecewiseFunction):
+    return fn.breakpoints, [list(s.terms.items()) for s in fn.segments]
+
+
+@pytest.mark.parametrize("J,K", [(2, 2), (3, 3), (4, 8), (8, 6)])
+def test_rows_match_combine_reference(J, K):
+    """The one-pass cell join gives the combine chains' rows bit for bit."""
+    got = construct_dual(J, K)
+    want = construct_dual_combine(J, K)
+    assert got.tau == want.tau
+    for j in range(1, J + 1):
+        for k in range(K):
+            assert _pieces(got.q[j - 1][k]) == _pieces(want.q[j - 1][k]), (j, k + 1)
+        assert _pieces(got.r_top(j)) == _pieces(want.r_top(j)), j
+
+
+@pytest.mark.parametrize("J,K", [(2, 2), (3, 3), (4, 8), (8, 6)])
+def test_running_sums_match_q_rows(J, K):
+    """r_{j|k} = q_{j|1} + ... + q_{j|k}, segment by segment, for every k.
+
+    Compared term by term: each coefficient within 1e-12 of the symbolic
+    sum, relative to the segment's largest coefficient.  (Point values
+    are no measure here: at (8,6) the coefficients reach 7e7, so evaluating
+    the two sides rounds them apart by 1e-8.)
+    """
+    cert = construct_dual(J, K)
+    for j in range(1, J + 1):
+        row = cert.q[j - 1]
+        for k in range(1, K + 1):
+            r = cert.r[j - 1][k - 1]
+            assert r.breakpoints == row[0].breakpoints, (j, k)
+            for a, b, seg in zip(r.breakpoints, r.breakpoints[1:], r.segments):
+                total = LogLinComb.zero()
+                for q in row[:k]:
+                    part = q.segment_at(0.5 * (a + b))
+                    if part is not None:
+                        total = total + part
+                scale = max([1.0] + [abs(c) for c in seg.terms.values()])
+                for key in set(seg.terms) | set(total.terms):
+                    diff = seg.terms.get(key, 0.0) - total.terms.get(key, 0.0)
+                    assert abs(diff) <= 1e-12 * scale, (j, k, key)
 
 
 def test_dual_functions_12_match_hand_solution():

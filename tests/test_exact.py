@@ -15,10 +15,9 @@ from secretary_lab.theta import (
     exp_neg,
     format_rational,
     generate_thetas,
-    rational_to_decimal,
 )
 
-from oracles import quadrature
+from oracles import quadrature, rational_to_decimal
 from reference_values import EXP_NEG_1_DIGITS
 
 
@@ -75,7 +74,7 @@ def test_antiderivative_capacity_guard(monkeypatch):
         lambda self: exact(self) + LogLinComb({(0, 4): Fraction(1)}),
     )
     with pytest.raises(DegreeOverflowError):
-        theta._generate(3)
+        theta.recursion(3)
 
 
 def test_definite_integral_known_value():

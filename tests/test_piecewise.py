@@ -159,6 +159,21 @@ def test_restrict_and_combine():
     )
 
 
+def test_join_of_adjacent_parts():
+    f = _two_piece()
+    low, high = f.restrict(f.lo, 0.6), f.restrict(0.6, f.hi)
+    joined = PiecewiseFunction.join([low, PiecewiseFunction.zero(), high])
+    assert joined.breakpoints == low.breakpoints + high.breakpoints[1:]
+    assert joined.segments == low.segments + high.segments
+    for x in (f.lo, 0.45, 0.6, 0.75, f.hi):
+        assert joined.value(x) == f.value(x)
+    assert PiecewiseFunction.join([]).is_zero()
+    with pytest.raises(ValueError):
+        PiecewiseFunction.join([high, low])  # not ascending
+    with pytest.raises(ValueError):
+        PiecewiseFunction.join([f.restrict(f.lo, 0.5), high])  # gap (0.5, 0.6)
+
+
 def test_zero_function_behaviour():
     z = PiecewiseFunction.zero()
     assert z.is_zero()

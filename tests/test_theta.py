@@ -8,15 +8,19 @@ import pytest
 
 from secretary_lab.theta import (
     ThetaSequence,
-    build_dual_certificate,
-    constraint_lhs_k1,
-    dual_objective_k1,
     exp_neg,
     generate_thetas,
-    integral_q_from,
     payoff_k1,
     payoff_k1_decimal,
+    recursion,
     thresholds,
+)
+
+from oracles import (
+    constraint_lhs_k1,
+    dual_objective_k1,
+    integral_q_from,
+    q_at_theta,
 )
 
 from reference_values import (
@@ -33,7 +37,8 @@ def ts8():
 
 @pytest.fixture(scope="module")
 def cert6():
-    return build_dual_certificate(generate_thetas(6))
+    """(thetas, rows) of the J = 6 recursion."""
+    return recursion(6)
 
 
 def test_theta_values_exact(ts8):
@@ -58,6 +63,8 @@ def test_generation_is_deterministic():
 def test_j_cap():
     with pytest.raises(ValueError):
         generate_thetas(17)
+    with pytest.raises(ValueError):
+        recursion(17)
     generate_thetas(17, max_j=17)  # explicit override
 
 
@@ -80,38 +87,43 @@ def test_thresholds_strictly_decreasing(ts8):
 
 
 def test_q1_piece():
-    cert = build_dual_certificate(generate_thetas(1))
-    (piece,) = cert.pieces[0]
-    assert piece.poly.terms == {(0, 0): 1, (0, 1): 1}
-    assert piece.theta_lo == 0 and piece.theta_hi == 1
+    ts, rows = recursion(1)
+    (piece,) = rows[0]
+    assert piece.terms == {(0, 0): 1, (0, 1): 1}
+    # the one piece covers theta in [theta_0, theta_1] = [0, 1]
+    assert ts.theta(0) == 0 and ts.theta(1) == 1
 
 
 def test_q2_pieces_match_hand_integration():
-    cert = build_dual_certificate(generate_thetas(2))
-    top, lower = cert.pieces[1]
+    _, rows = recursion(2)
+    top, lower = rows[1]
     # on [t_1, 1]: 1 - (ln x)^2 / 2
-    assert top.poly.terms == {(0, 0): 1, (0, 2): Fraction(-1, 2)}
+    assert top.terms == {(0, 0): 1, (0, 2): Fraction(-1, 2)}
     # on [t_2, t_1]: 3/2 + ln x, whose zero recovers theta_2 = 3/2
-    assert lower.poly.terms == {(0, 0): Fraction(3, 2), (0, 1): 1}
+    assert lower.terms == {(0, 0): Fraction(3, 2), (0, 1): 1}
 
 
 def test_q_vanishes_at_own_threshold_exactly(cert6):
+    ts, rows = cert6
     for j in range(1, 7):
-        assert cert6.q_at_theta(j, cert6.thetas.theta(j)) == 0
+        assert q_at_theta(ts, rows, j, ts.theta(j)) == 0
 
 
 def test_q_at_one_is_one_exactly(cert6):
+    ts, rows = cert6
     for j in range(1, 7):
-        assert cert6.q_at_theta(j, Fraction(0)) == 1
+        assert q_at_theta(ts, rows, j, Fraction(0)) == 1
 
 
 def test_pieces_are_continuous_across_breakpoints(cert6):
+    ts, rows = cert6
     for j in range(1, 7):
-        pieces = cert6.pieces[j - 1]
-        for left, right in zip(pieces, pieces[1:]):
-            joint = left.theta_hi
-            assert joint == right.theta_lo
-            assert left.poly.at_ln(-joint) == right.poly.at_ln(-joint)
+        pieces = rows[j - 1]
+        assert len(pieces) == j
+        # pieces k and k + 1 meet at theta_k
+        for k, (left, right) in enumerate(zip(pieces, pieces[1:]), start=1):
+            joint = ts.theta(k)
+            assert left.at_ln(-joint) == right.at_ln(-joint)
 
 
 def test_dominance_on_grid(cert6):
@@ -121,72 +133,71 @@ def test_dominance_on_grid(cert6):
     (1-x)^(j-1)/(j-1)! and drops below double resolution, so floats cannot
     witness strictness there.
     """
+    ts, rows = cert6
     for j in range(2, 7):
-        theta_j = cert6.thetas.theta(j)
+        theta_j = ts.theta(j)
         for i in range(1, 1000):
             theta = theta_j * i / 1000  # x = exp(-theta) sweeps (t_j, 1)
-            assert cert6.q_at_theta(j, theta) > cert6.q_at_theta(j - 1, theta)
+            assert q_at_theta(ts, rows, j, theta) > q_at_theta(ts, rows, j - 1, theta)
 
 
 def test_recursion_identity(cert6):
     """int_{t_j}^1 q_j - int_{t_(j-1)}^1 q_(j-1) = t_j, at working precision."""
+    ts, rows = cert6
     for j in range(1, 7):
-        lhs = integral_q_from(cert6, j, cert6.thetas.theta(j), bits=128)
-        prev = integral_q_from(cert6, j - 1, cert6.thetas.theta(j - 1), bits=128)
-        t_j = exp_neg(cert6.thetas.theta(j), bits=128)
+        lhs = integral_q_from(ts, rows, j, ts.theta(j), bits=128)
+        prev = integral_q_from(ts, rows, j - 1, ts.theta(j - 1), bits=128)
+        t_j = exp_neg(ts.theta(j), bits=128)
         # the comparison itself runs in the default 28-digit context
         assert abs(lhs - prev - t_j) < Decimal("1e-25")
 
 
 def test_constraint_equality_on_support(cert6):
     """q_j(x) + (1/x) int_x^1 [q_j - q_(j-1)] = 1 on [t_j, 1]."""
+    ts, rows = cert6
     for j in range(1, 7):
-        theta_j = cert6.thetas.theta(j)
+        theta_j = ts.theta(j)
         for num in range(0, 11):
             theta = theta_j * num / 10
-            lhs = constraint_lhs_k1(cert6, j, theta, bits=128)
+            lhs = constraint_lhs_k1(ts, rows, j, theta, bits=128)
             assert abs(lhs - 1) < Decimal("1e-25")
 
 
 def test_constraint_strict_below_threshold(cert6):
     """Below t_j the constraint holds with strictly positive slack."""
+    ts, rows = cert6
     for j in range(1, 7):
-        theta_j = cert6.thetas.theta(j)
+        theta_j = ts.theta(j)
         for bump in (Fraction(1, 100), Fraction(1, 2), Fraction(2)):
-            lhs = constraint_lhs_k1(cert6, j, theta_j + bump, bits=96)
+            lhs = constraint_lhs_k1(ts, rows, j, theta_j + bump, bits=96)
             assert lhs - 1 > Decimal("1e-12")
 
 
 def test_theta_recursion_against_weighted_integral(cert6):
     """theta_(j+1) = 1 + int_{t_j}^1 q_j(y)/y dy, re-derived from the stored
     dual pieces instead of the generator's own accumulator."""
+    ts, rows = cert6
     for j in range(1, 6):
         integral = integral_q_from(
-            cert6, j, cert6.thetas.theta(j), bits=128, weight_over_x=True
+            ts, rows, j, ts.theta(j), bits=128, weight_over_x=True
         )
-        want = Decimal(cert6.thetas.theta(j + 1).numerator) / Decimal(
-            cert6.thetas.theta(j + 1).denominator
+        want = Decimal(ts.theta(j + 1).numerator) / Decimal(
+            ts.theta(j + 1).denominator
         )
         assert abs((1 + integral) - want) < Decimal("1e-25")
 
 
 def test_dual_objective_equals_payoff(cert6):
     for J in range(1, 7):
-        sub = build_dual_certificate(generate_thetas(J))
-        assert dual_objective_k1(sub) == pytest.approx(
-            payoff_k1(sub.thetas), abs=1e-12
+        ts, rows = recursion(J)
+        assert dual_objective_k1(ts, rows) == pytest.approx(
+            payoff_k1(ts), abs=1e-12
         )
 
 
 def test_dual_objective_published_values():
     for J, want in ((1, "0.367879"), (2, "0.591010"), (3, "0.732103")):
-        cert = build_dual_certificate(generate_thetas(J))
-        assert f"{dual_objective_k1(cert):.6f}" == want
-
-
-def test_certificate_rejects_foreign_thetas():
-    with pytest.raises(ValueError):
-        build_dual_certificate(ThetaSequence((Fraction(1), Fraction(2))))
+        assert f"{dual_objective_k1(*recursion(J)):.6f}" == want
 
 
 def test_runtime_j8_under_a_second():
