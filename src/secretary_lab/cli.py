@@ -33,10 +33,11 @@ NUMERIC_ERRORS = (ValueError, RootBracketError, dual.ConvergenceError)
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write text, ending in one newline, to path or to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w") as fh:
         fh.write(text)
@@ -124,7 +125,7 @@ def cmd_thresholds(args) -> int:
 def cmd_dual_check(args) -> int:
     cert = dual.construct_dual(args.J, args.K)
     if args.perturb:
-        cert = dual.perturbed(cert, 1, 1, args.perturb)
+        cert = dual.perturbed(cert, args.perturb)
     report = dual.verify_certificate(
         cert, grid_points=args.grid, tol=args.tolerance
     )
@@ -235,7 +236,7 @@ def cmd_report(args) -> int:
     ts = theta.generate_thetas(TABLE_MAX_J)
     for J in range(1, TABLE_MAX_J + 1):
         prefix = theta.ThetaSequence(ts.thetas[:J])
-        payoff = theta.payoff_k1_decimal(prefix, bits=96)
+        payoff = theta.payoff_k1_decimal(prefix)
         rows.append(
             [J, str(payoff.quantize(Decimal("0.000001"))),
              theta.format_rational(ts.thetas[J - 1])]
@@ -254,32 +255,22 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{raw} is not a positive integer")
-    return value
+def _int_range(lo: int, hi: float):
+    """argparse type: an integer in [lo, hi].
 
+    argparse names the type function when int() fails: "invalid integer value".
+    """
 
-def _grid_points(raw: str) -> int:
-    value = _positive_int(raw)
-    if value > dual.MAX_GRID_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"{raw} exceeds the grid cap {dual.MAX_GRID_POINTS}"
-        )
-    return value
-
-
-def _int_range(lo: int, hi: int):
-    """argparse type: an integer in [lo, hi]."""
-
-    def parse(raw: str) -> int:
+    def integer(raw: str) -> int:
         value = int(raw)
         if not lo <= value <= hi:
             raise argparse.ArgumentTypeError(f"{raw} is outside [{lo}, {hi}]")
         return value
 
-    return parse
+    return integer
+
+
+_positive_int = _int_range(1, math.inf)
 
 
 def _tolerance(raw: str) -> float:
@@ -303,39 +294,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_k=True):
+    def common(p, formats):
         p.add_argument("--J", type=_positive_int, required=True,
                        help="number of quotas")
-        if with_k:
-            p.add_argument("--K", type=_positive_int, default=1,
-                           help="payoff rank count")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--K", type=_positive_int, default=1,
+                       help="payoff rank count")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
+    all_formats = ("text", "json", "csv")
     p = sub.add_parser("thresholds", help="optimal thresholds and payoff")
-    common(p)
+    common(p, all_formats)
     p.add_argument("--exact", action="store_true", help="print rational thetas (K=1)")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("dual-check", help="verify the optimality certificate")
-    common(p)
-    p.add_argument("--grid", type=_grid_points, default=2000,
+    common(p, ("text", "json"))
+    p.add_argument("--grid", type=_int_range(1, dual.MAX_GRID_POINTS),
+                   default=dual.DEFAULT_GRID_POINTS,
                    help=f"grid points on (0, 1], 1..{dual.MAX_GRID_POINTS}")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-8,
+    p.add_argument("--tolerance", type=_tolerance, default=dual.DEFAULT_TOLERANCE,
                    help="finite, >= 0")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="shift tau_{1,1} to demonstrate a failing certificate")
     p.set_defaults(func=cmd_dual_check)
 
     p = sub.add_parser("finite-lp", help="finite-n LP convergence table")
-    common(p)
+    common(p, all_formats)
     p.add_argument("--n", type=_n_list, default=None,
                    help="comma-separated item counts")
     p.add_argument("--mode", choices=("float", "exact"), default="float")
     p.set_defaults(func=cmd_finite_lp)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate of the payoff")
-    common(p)
+    common(p, all_formats)
     p.add_argument("--n", type=_int_range(1, sim.MAX_N), default=10_000,
                    help="item count, 1..2**53")
     p.add_argument("--trials", type=_positive_int, default=100_000)

@@ -47,6 +47,12 @@ SCAN_STEP = 1e-3
 ROOT_TOL = 1e-13
 # Largest verification grid: a few arrays of this many floats per (j, k).
 MAX_GRID_POINTS = 1_000_000
+# Certificate check: grid and tolerance defaults (the CLI's too), the
+# largest accepted |dual objective - payoff|, and samples per q in JSON.
+DEFAULT_GRID_POINTS = 2000
+DEFAULT_TOLERANCE = 1e-8
+OBJECTIVE_TOL = 1e-6
+CERT_SAMPLES = 50
 
 
 class ConvergenceError(RuntimeError):
@@ -73,11 +79,6 @@ def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
     return total * x ** (k - 1)
 
 
-def gamma(k: int, K: int, x: float) -> float:
-    """Partial sum alpha_1 + ... + alpha_k; identically K when k = K."""
-    return sum(alpha(el, K, x) for el in range(1, k + 1))
-
-
 def alpha_poly(k: int, K: int) -> LogLinComb:
     """alpha_k as a polynomial in x (coefficients are exact small integers)."""
     coeffs = [0.0] * K
@@ -89,6 +90,7 @@ def alpha_poly(k: int, K: int) -> LogLinComb:
 
 
 def gamma_poly(k: int, K: int) -> LogLinComb:
+    """Partial sum alpha_1 + ... + alpha_k; identically K when k = K."""
     out = LogLinComb.zero()
     for el in range(1, k + 1):
         out = out + alpha_poly(el, K)
@@ -423,9 +425,8 @@ class CertificateReport:
 
 def verify_certificate(
     cert: DualCertificateJK,
-    grid_points: int = 2000,
-    tol: float = 1e-8,
-    objective_tol: float = 1e-6,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    tol: float = DEFAULT_TOLERANCE,
 ) -> CertificateReport:
     """Check the slackness system, feasibility and the objective identity.
 
@@ -433,7 +434,8 @@ def verify_certificate(
     q_{j|k}(x) + (1/x) int_x^1 [r_{j|K} - r_{j-1|K}] must equal alpha_k(x)
     on [tau_{j,k}, 1] (residual <= tol) and weakly exceed it below
     (slack >= -tol); q_{j|k} must vanish at its threshold and stay
-    non-negative; the dual objective must match the payoff formula.
+    non-negative; the dual objective must match the payoff formula
+    within OBJECTIVE_TOL.
 
     The grid is i/grid_points (i = 1..grid_points) plus the breakpoints of
     each row's r_{j|K} - r_{j-1|K}, evaluated as arrays.  first_violation
@@ -501,14 +503,14 @@ def verify_certificate(
     objective = cert.r_top(J).integral(0.0, 1.0)
     payoff = payoff_jk(cert.tau)
     gap = abs(objective - payoff)
-    if gap > objective_tol:
+    if gap > OBJECTIVE_TOL:
         note(f"dual objective {objective} vs payoff {payoff}")
     ok = (
         max_eq <= tol
         and min_slack >= -tol
         and max_root <= tol
         and min_q >= -tol
-        and gap <= objective_tol
+        and gap <= OBJECTIVE_TOL
     )
     return CertificateReport(
         J=J,
@@ -527,20 +529,20 @@ def verify_certificate(
     )
 
 
-def perturbed(cert: DualCertificateJK, j: int, k: int, delta: float) -> DualCertificateJK:
-    """Copy of cert with tau_{j,k} shifted by delta (functions untouched).
+def perturbed(cert: DualCertificateJK, delta: float) -> DualCertificateJK:
+    """Copy of cert with tau_{1,1} shifted by delta (functions untouched).
 
     Deliberately breaks the certificate; used to exercise the failure path
     of verify_certificate.
     """
     rows = [list(r) for r in cert.tau.tau]
-    rows[j - 1][k - 1] += delta
+    rows[0][0] += delta
     tau = ThresholdMatrix(cert.J, cert.K, tuple(tuple(r) for r in rows))
     return DualCertificateJK(tau, cert.q, cert.r)
 
 
 def certificate_to_dict(
-    cert: DualCertificateJK, report: CertificateReport | None = None, samples: int = 50
+    cert: DualCertificateJK, report: CertificateReport | None = None
 ) -> dict:
     """JSON-ready dump: thresholds, breakpoints and sampled dual values."""
     out: dict = {
@@ -553,7 +555,7 @@ def certificate_to_dict(
     for j in range(1, cert.J + 1):
         for k in range(1, cert.K + 1):
             qf = cert.q[j - 1][k - 1]
-            xs = qf.grid(max(1, samples // max(1, len(qf.segments))))
+            xs = qf.grid(max(1, CERT_SAMPLES // max(1, len(qf.segments))))
             out["q"].append(
                 {
                     "j": j,

@@ -5,7 +5,8 @@ operator  f -> x^(N-1) [ A - int_x^b h(y)/y^N dy ]  to functions it built
 earlier.  Linear combinations of x^m (ln x)^p with integer m and p >= 0 are
 closed under that operator, so each segment of a piecewise function stores
 its terms symbolically and integrals come from closed-form antiderivatives
-(cached per segment and weight) instead of nested numeric quadrature.
+(cached per segment) instead of nested numeric quadrature; a weight such as
+1/y^N is applied to the terms (shift_xpow) before integrating.
 Point values come one at a time (`value`, used by the construction and its
 root scans) or over a whole grid as numpy arrays (`values`, `tail_integral`,
 used by certificate verification); both pick the same segment for a point.
@@ -156,7 +157,7 @@ class PiecewiseFunction:
     segments[i] is the symbolic form on [breakpoints[i], breakpoints[i+1]];
     segments must agree at interior breakpoints (continuity is a property of
     the constructions that produce these, not enforced here).  Integral
-    queries use per-segment antiderivatives, cached per 1/y^m weight.
+    queries use per-segment antiderivatives, built on first use.
     """
 
     def __init__(
@@ -169,8 +170,8 @@ class PiecewiseFunction:
             raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = bps
         self.segments = list(segments)
-        self._anti_cache: dict[tuple[int, int], LogLinComb] = {}
-        self._suffix_cache: dict[int, list[float]] = {}
+        self._antis: list[LogLinComb] | None = None
+        self._suffix: list[float] | None = None
 
     @staticmethod
     def zero() -> "PiecewiseFunction":
@@ -248,20 +249,18 @@ class PiecewiseFunction:
             return None
         return self.segments[self._segment_index(x)]
 
-    def _anti(self, i: int, m: int) -> LogLinComb:
-        key = (i, m)
-        got = self._anti_cache.get(key)
-        if got is None:
-            got = self.segments[i].shift_xpow(-m).antiderivative()
-            self._anti_cache[key] = got
-        return got
+    def _antiderivatives(self) -> list[LogLinComb]:
+        """One antiderivative per segment, built on first use."""
+        if self._antis is None:
+            self._antis = [s.antiderivative() for s in self.segments]
+        return self._antis
 
-    def _segment_integral(self, i: int, a: float, b: float, m: int) -> float:
-        anti = self._anti(i, m)
+    def _segment_integral(self, i: int, a: float, b: float) -> float:
+        anti = self._antiderivatives()[i]
         return anti(b) - anti(a)
 
-    def integral(self, a: float, b: float, m: int = 0) -> float:
-        """int_a^b f(y)/y^m dy, treating f as zero outside its support."""
+    def integral(self, a: float, b: float) -> float:
+        """int_a^b f(y) dy, treating f as zero outside its support."""
         if self.is_zero():
             return 0.0
         a = max(a, self.lo)
@@ -271,36 +270,37 @@ class PiecewiseFunction:
         ia = self._segment_index(a)
         ib = self._segment_index(b)
         if ia == ib:
-            return self._segment_integral(ia, a, b, m)
-        total = self._segment_integral(ia, a, self.breakpoints[ia + 1], m)
+            return self._segment_integral(ia, a, b)
+        total = self._segment_integral(ia, a, self.breakpoints[ia + 1])
         for i in range(ia + 1, ib):
             total += self._segment_integral(
-                i, self.breakpoints[i], self.breakpoints[i + 1], m
+                i, self.breakpoints[i], self.breakpoints[i + 1]
             )
-        total += self._segment_integral(ib, self.breakpoints[ib], b, m)
+        total += self._segment_integral(ib, self.breakpoints[ib], b)
         return total
 
-    def tail_integral(self, xs: np.ndarray, m: int = 0) -> np.ndarray:
-        """int_x^hi f(y)/y^m dy at every point x of the float array xs.
+    def tail_integral(self, xs: np.ndarray) -> np.ndarray:
+        """int_x^hi f(y) dy at every point x of the float array xs.
 
-        Whole segments above x come from suffix sums cached per weight m.
+        Whole segments above x come from suffix sums built on first use.
         """
         out = np.zeros_like(xs)
         if self.is_zero():
             return out
-        suffix = self._suffix_cache.get(m)
+        suffix = self._suffix
         if suffix is None:
             n = len(self.segments)
             suffix = [0.0] * (n + 1)
             for i in range(n - 1, -1, -1):
                 suffix[i] = suffix[i + 1] + self._segment_integral(
-                    i, self.breakpoints[i], self.breakpoints[i + 1], m
+                    i, self.breakpoints[i], self.breakpoints[i + 1]
                 )
-            self._suffix_cache[m] = suffix
+            self._suffix = suffix
+        antis = self._antiderivatives()
         out[xs <= self.lo] = suffix[0]
         inside = (xs > self.lo) & (xs < self.hi)
         for i, at in self._by_segment(xs, inside):
-            anti = self._anti(i, m)
+            anti = antis[i]
             out[at] = suffix[i + 1] + (
                 anti(self.breakpoints[i + 1]) - anti.values(xs[at])
             )

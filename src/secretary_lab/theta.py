@@ -27,13 +27,12 @@ from math import ceil, log10
 
 from .piecewise import LogLinComb
 
-# Bit growth of the rationals is super-linear in J; past this point a run
-# needs an explicit opt-in.
-DEFAULT_MAX_J = 16
+# Bit growth of the rationals is super-linear in J; larger J is refused.
+MAX_J = 16
 
 # Reporting rounds once, at the end. The working precision is given in
-# significant bits (default 64, comfortably above a double) and mapped to
-# decimal digits with guard digits for the exp() evaluation.
+# significant bits (64, comfortably above a double) and mapped to decimal
+# digits with guard digits for the exp() evaluation.
 DEFAULT_PRECISION_BITS = 64
 
 
@@ -79,18 +78,16 @@ class ThetaSequence:
         return Fraction(0) if j == 0 else self.thetas[j - 1]
 
 
-def recursion(
-    J: int, max_j: int = DEFAULT_MAX_J
-) -> tuple[ThetaSequence, list[list[LogLinComb]]]:
+def recursion(J: int) -> tuple[ThetaSequence, list[list[LogLinComb]]]:
     """theta_1..theta_J and the dual rows; rows[j-1][k-1] is q_j on [t_k, t_(k-1)].
 
     Each row entry is a polynomial in ln x with Fraction coefficients
-    (t_0 = 1).  O(J^3) rational operations.
+    (t_0 = 1).  O(J^3) rational operations; J above MAX_J is refused.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    if J > max_j:
-        raise ValueError(f"J={J} exceeds the cap {max_j}; raise max_j to override")
+    if J > MAX_J:
+        raise ValueError(f"J={J} exceeds the cap {MAX_J}")
     thetas: list[Fraction] = [Fraction(1)]
     one_plus_ln = LogLinComb.from_ln_poly([Fraction(1), Fraction(1)])
     rows: list[list[LogLinComb]] = [[one_plus_ln]]
@@ -118,28 +115,25 @@ def recursion(
     return ThetaSequence(tuple(thetas)), rows
 
 
-def generate_thetas(J: int, max_j: int = DEFAULT_MAX_J) -> ThetaSequence:
+def generate_thetas(J: int) -> ThetaSequence:
     """Exact theta_1..theta_J."""
-    return recursion(J, max_j)[0]
+    return recursion(J)[0]
 
 
-def thresholds(
-    ts: ThetaSequence, bits: int = DEFAULT_PRECISION_BITS
-) -> list[float]:
+def thresholds(ts: ThetaSequence) -> list[float]:
     """t_j = exp(-theta_j), rounded once from the working precision."""
-    return [float(exp_neg(t, bits)) for t in ts.thetas]
+    return [float(exp_neg(t)) for t in ts.thetas]
 
 
-def payoff_k1(ts: ThetaSequence, bits: int = DEFAULT_PRECISION_BITS) -> float:
+def payoff_k1(ts: ThetaSequence) -> float:
     """Optimal expected number of best-item selections: sum of t_j."""
-    return float(payoff_k1_decimal(ts, bits))
+    return float(payoff_k1_decimal(ts))
 
 
-def payoff_k1_decimal(
-    ts: ThetaSequence, bits: int = DEFAULT_PRECISION_BITS
-) -> Decimal:
-    with localcontext(working_context(bits)):
+def payoff_k1_decimal(ts: ThetaSequence) -> Decimal:
+    """sum of t_j at the working precision, before any rounding."""
+    with localcontext(working_context(DEFAULT_PRECISION_BITS)):
         total = Decimal(0)
         for t in ts.thetas:
-            total += exp_neg(t, bits)
+            total += exp_neg(t)
         return total

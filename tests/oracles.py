@@ -2,6 +2,10 @@
 
 * `quadrature`: adaptive Simpson integration, the numeric cross-check for
   the closed-form antiderivatives in `secretary_lab.piecewise`.
+* `over_power`: f(y)/y^m as a piecewise function, whose `integral` is the
+  weighted integral the construction applies symbolically.
+* `gamma`: alpha_1 + ... + alpha_k summed in floats, the reference for
+  `secretary_lab.dual.gamma_poly`.
 * `verify_certificate_scalar`: the certificate check point by point in
   plain Python floats, the reference for the array evaluation in
   `secretary_lab.dual.verify_certificate`.  Tail integrals come from the
@@ -89,6 +93,16 @@ def quadrature(
     mid = 0.5 * (a + b)
     fa, fm, fb = fn(a), fn(mid), fn(b)
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
+
+
+def over_power(f: PiecewiseFunction, m: int) -> PiecewiseFunction:
+    """f(y)/y^m, with the same breakpoints."""
+    return f.map_segments(lambda s: s.shift_xpow(-m))
+
+
+def gamma(k: int, K: int, x: float) -> float:
+    """Partial sum alpha_1 + ... + alpha_k; identically K when k = K."""
+    return sum(alpha(el, K, x) for el in range(1, k + 1))
 
 
 def verify_certificate_scalar(

@@ -16,7 +16,6 @@ from secretary_lab.dual import (
     closed_form_12,
     closed_form_22,
     construct_dual,
-    gamma,
     payoff_jk,
     verify_certificate,
     _construct_general,
@@ -24,10 +23,18 @@ from secretary_lab.dual import (
 from secretary_lab.dp import p_star
 from secretary_lab.lp import build_lp, coefficient_row_sum, solve_lp
 from secretary_lab.piecewise import LogLinComb
-from secretary_lab.sim import monte_carlo, run_threshold_algorithm, sample_arrivals, trial_rng
+from secretary_lab.sim import (
+    BLOCK_TRIALS,
+    MIN_BLOCKS_PER_PROCESS,
+    monte_carlo,
+    run_threshold_algorithm,
+    sample_arrivals,
+    trial_rng,
+)
 from secretary_lab.theta import ThetaSequence, generate_thetas, payoff_k1_decimal, thresholds
 
 import reference_values as ref
+from oracles import gamma
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -48,7 +55,7 @@ def test_criterion_1_table_reproduction(capfd):
     )
     payoff_ok = True
     for J in range(1, 9):
-        payoff = payoff_k1_decimal(ThetaSequence(ts.thetas[:J]), bits=96)
+        payoff = payoff_k1_decimal(ThetaSequence(ts.thetas[:J]))
         payoff_ok &= str(payoff.quantize(Decimal("0.000001"))) == ref.PAYOFFS_6DP[J]
     elapsed = time.monotonic() - t0
     _verdict(
@@ -90,8 +97,7 @@ def test_criterion_3_certificates(capfd):
     for J in (1, 2, 3):
         for K in (1, 2, 3):
             cert = construct_dual(J, K)
-            rep = verify_certificate(cert, grid_points=2000, tol=1e-7,
-                                     objective_tol=1e-6)
+            rep = verify_certificate(cert, grid_points=2000, tol=1e-7)
             residual = max(
                 rep.max_equality_residual,
                 rep.max_threshold_residual,
@@ -240,17 +246,21 @@ def test_criterion_7_property_suites(capfd):
     )
 
 
-def test_criterion_8_determinism(capfd):
+def test_criterion_8_determinism(capfd, monkeypatch, pool_sizes):
     t0 = time.monotonic()
     tau = construct_dual(2, 2).tau
+    many = max(2, WORKERS)
+    monkeypatch.setenv("SECRETARY_LAB_THREADS", str(many))
+    # enough blocks for `many` processes; the last block is partial
+    trials = many * MIN_BLOCKS_PER_PROCESS * BLOCK_TRIALS - 500
     blobs = {
-        monte_carlo(tau, n=2000, trials=4000, seed=99, workers=w).to_json()
-        for w in (1, WORKERS if WORKERS > 1 else 2)
+        monte_carlo(tau, n=2000, trials=trials, seed=99, workers=w).to_json()
+        for w in (1, many)
     }
     _verdict(
         capfd,
         8,
-        len(blobs) == 1,
-        f"byte-identical JSON for 1 and {max(2, WORKERS)} workers",
+        len(blobs) == 1 and pool_sizes == [many],
+        f"byte-identical JSON for 1 and {many} workers, pools started: {pool_sizes}",
         t0,
     )

@@ -146,6 +146,12 @@ def test_dual_check_rejects_bad_tolerance(capsys, tolerance):
     assert "--tolerance" in capsys.readouterr().err
 
 
+def test_dual_check_has_no_csv_format(capsys):
+    code = main(["dual-check", "--J", "2", "--K", "2", "--format", "csv"])
+    assert code == EXIT_USAGE
+    assert "--format" in capsys.readouterr().err
+
+
 def test_dual_check_perturbed_fails(capsys):
     code, out = run(capsys, "dual-check", "--J", "2", "--K", "2", "--perturb", "0.01")
     assert code == EXIT_CERTIFICATE
@@ -284,6 +290,32 @@ def test_output_to_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["report"]]
+    + [
+        ["thresholds", "--J", "2", "--K", str(K), "--format", fmt]
+        for K in (1, 2)
+        for fmt in ("text", "json", "csv")
+    ]
+    + [["dual-check", "--J", "2", "--K", "2", "--format", fmt] for fmt in ("text", "json")]
+    + [
+        ["finite-lp", "--J", "1", "--K", "1", "--n", "4", "--format", fmt]
+        for fmt in ("text", "json", "csv")
+    ]
+    + [
+        ["simulate", "--J", "1", "--n", "50", "--trials", "100", "--format", fmt]
+        for fmt in ("text", "json", "csv")
+    ],
+    ids=" ".join,
+)
+def test_output_file_matches_stdout(tmp_path, capsys, argv):
+    code, out = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--output", str(target)) == (code, "")
+    assert target.read_text() == out
+
+
 def test_io_failure_exit_code(tmp_path, capsys):
     missing_dir = tmp_path / "nope" / "out.csv"
     code, _ = run(capsys, "report", "--output", str(missing_dir))
@@ -296,7 +328,7 @@ def test_usage_errors(capsys):
     assert main(["thresholds", "--J", "0"]) == EXIT_USAGE
     capsys.readouterr()
     assert main(["thresholds", "--J", "x"]) == EXIT_USAGE
-    capsys.readouterr()
+    assert "invalid integer value: 'x'" in capsys.readouterr().err
     assert main(["finite-lp", "--J", "1", "--n", "2,x"]) == EXIT_USAGE
     capsys.readouterr()
 
@@ -322,6 +354,12 @@ def test_thresholds_beyond_int_str_limit(capsys):
 def test_thresholds_has_no_precision_option(capsys):
     assert main(["thresholds", "--J", "4", "--precision", "0"]) == EXIT_USAGE
     assert "--precision" in capsys.readouterr().err
+
+
+def test_thresholds_j_cap_names_no_keyword(capsys):
+    """J above the cap exits 3; the message names no library keyword (max_j)."""
+    assert main(["thresholds", "--J", "17"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "error: J=17 exceeds the cap 16\n"
 
 
 def test_numeric_failure_exit_code(capsys):

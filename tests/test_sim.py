@@ -13,6 +13,7 @@ from secretary_lab.sim import (
     BLOCK_TRIALS,
     MAX_N,
     MAX_SEED,
+    MIN_BLOCKS_PER_PROCESS,
     SimReport,
     Z_99,
     monte_carlo,
@@ -256,26 +257,32 @@ def test_monte_carlo_interval_contains_known_value():
     assert abs(rep.mean - math.exp(-1.0)) < 5 * rep.stderr + 0.01
 
 
-def test_monte_carlo_deterministic_across_worker_counts(monkeypatch):
+def test_monte_carlo_deterministic_across_worker_counts(monkeypatch, pool_sizes):
     monkeypatch.setenv("SECRETARY_LAB_THREADS", "8")
     tau = construct_dual(2, 2).tau
-    assert 3000 % BLOCK_TRIALS  # the last block is partial
+    # enough blocks for 8 processes; the last block is partial
+    trials = 8 * MIN_BLOCKS_PER_PROCESS * BLOCK_TRIALS - 500
     reports = [
-        monte_carlo(tau, n=500, trials=3000, seed=11, workers=w) for w in (1, 2, 3, 8)
+        monte_carlo(tau, n=500, trials=trials, seed=11, workers=w) for w in (1, 2, 3, 8)
     ]
     blobs = {r.to_json() for r in reports}
     assert len(blobs) == 1
+    assert pool_sizes == [2, 3, 8]
 
 
-def test_single_block_runs_without_pool(monkeypatch):
+@pytest.mark.parametrize("blocks", [1, 2, 7])
+def test_few_blocks_run_without_pool(monkeypatch, blocks):
+    """Fewer than MIN_BLOCKS_PER_PROCESS blocks per worker run inline."""
+    monkeypatch.setenv("SECRETARY_LAB_THREADS", "2")
     tau = construct_dual(2, 2).tau
-    one = monte_carlo(tau, n=500, trials=400, seed=11, workers=1)
+    trials = blocks * BLOCK_TRIALS - 624  # the last block is partial
+    one = monte_carlo(tau, n=500, trials=trials, seed=11, workers=1)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a single block must not start a process pool")
+        raise AssertionError(f"{blocks} blocks must not start a process pool")
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
-    assert monte_carlo(tau, n=500, trials=400, seed=11, workers=2).to_json() == one.to_json()
+    assert monte_carlo(tau, n=500, trials=trials, seed=11, workers=2).to_json() == one.to_json()
 
 
 def test_monte_carlo_json_round_trip():

@@ -65,12 +65,11 @@ def test_j_cap():
         generate_thetas(17)
     with pytest.raises(ValueError):
         recursion(17)
-    generate_thetas(17, max_j=17)  # explicit override
 
 
 def test_payoffs_round_to_published_values(ts8):
     for J in range(1, 9):
-        payoff = payoff_k1_decimal(ThetaSequence(ts8.thetas[:J]), bits=96)
+        payoff = payoff_k1_decimal(ThetaSequence(ts8.thetas[:J]))
         assert str(payoff.quantize(Decimal("0.000001"))) == PAYOFFS_6DP[J]
 
 
