@@ -41,10 +41,6 @@ from .dual import ThresholdMatrix
 Z_99 = 2.576  # half-width multiplier for the 99% confidence interval
 
 BLOCK_TRIALS = 1024  # trials per Philox stream, advanced in lockstep
-# Fewer blocks per process run faster inline: at (2,2) n=1e4 on a 2-vCPU
-# Xeon, 8 blocks took 118 ms inline and 121 ms on 2 workers, 16 blocks
-# 245 and 168 ms.
-MIN_BLOCKS_PER_PROCESS = 8
 MAX_SEED = (1 << 64) - 1  # a seed fills the high half of the 128-bit Philox key
 MAX_N = 1 << 53  # int64 positions and each float64 factor (m - t) stay exact
 
@@ -308,8 +304,7 @@ def monte_carlo(
 
     Reproducible for a given seed regardless of worker count: each block of
     BLOCK_TRIALS trials has its own Philox stream, workers take whole
-    blocks (at least MIN_BLOCKS_PER_PROCESS each), and the reduction adds
-    exact integers.
+    blocks, and the reduction adds exact integers.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -320,7 +315,7 @@ def monte_carlo(
     # column K + 1 is +inf: an arrival ranked below the top K takes no quota
     tau_rows = np.hstack([np.asarray(tau.tau, dtype=float), np.full((tau.J, 1), np.inf)])
     blocks = -(-trials // BLOCK_TRIALS)
-    workers = max(1, min(workers or 1, worker_cap(), blocks // MIN_BLOCKS_PER_PROCESS))
+    workers = min(workers or 1, worker_cap(), blocks)
     bounds = np.linspace(0, blocks, workers + 1, dtype=int)
     jobs = [
         (tau_rows, tau.K, n, seed, trials, int(a), int(b))

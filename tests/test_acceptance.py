@@ -23,14 +23,7 @@ from secretary_lab.dual import (
 from secretary_lab.dp import p_star
 from secretary_lab.lp import build_lp, coefficient_row_sum, solve_lp
 from secretary_lab.piecewise import LogLinComb
-from secretary_lab.sim import (
-    BLOCK_TRIALS,
-    MIN_BLOCKS_PER_PROCESS,
-    monte_carlo,
-    run_threshold_algorithm,
-    sample_arrivals,
-    trial_rng,
-)
+from secretary_lab.sim import monte_carlo, run_threshold_algorithm, sample_arrivals, trial_rng
 from secretary_lab.theta import ThetaSequence, generate_thetas, payoff_k1_decimal, thresholds
 
 import reference_values as ref
@@ -251,10 +244,9 @@ def test_criterion_8_determinism(capfd, monkeypatch, pool_sizes):
     tau = construct_dual(2, 2).tau
     many = max(2, WORKERS)
     monkeypatch.setenv("SECRETARY_LAB_THREADS", str(many))
-    # enough blocks for `many` processes; the last block is partial
-    trials = many * MIN_BLOCKS_PER_PROCESS * BLOCK_TRIALS - 500
+    # 4 blocks, at least one per process; the last block is partial
     blobs = {
-        monte_carlo(tau, n=2000, trials=trials, seed=99, workers=w).to_json()
+        monte_carlo(tau, n=2000, trials=4000, seed=99, workers=w).to_json()
         for w in (1, many)
     }
     _verdict(

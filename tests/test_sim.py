@@ -13,7 +13,6 @@ from secretary_lab.sim import (
     BLOCK_TRIALS,
     MAX_N,
     MAX_SEED,
-    MIN_BLOCKS_PER_PROCESS,
     SimReport,
     Z_99,
     monte_carlo,
@@ -261,7 +260,7 @@ def test_monte_carlo_deterministic_across_worker_counts(monkeypatch, pool_sizes)
     monkeypatch.setenv("SECRETARY_LAB_THREADS", "8")
     tau = construct_dual(2, 2).tau
     # enough blocks for 8 processes; the last block is partial
-    trials = 8 * MIN_BLOCKS_PER_PROCESS * BLOCK_TRIALS - 500
+    trials = 8 * BLOCK_TRIALS - 500
     reports = [
         monte_carlo(tau, n=500, trials=trials, seed=11, workers=w) for w in (1, 2, 3, 8)
     ]
@@ -270,19 +269,15 @@ def test_monte_carlo_deterministic_across_worker_counts(monkeypatch, pool_sizes)
     assert pool_sizes == [2, 3, 8]
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 7])
-def test_few_blocks_run_without_pool(monkeypatch, blocks):
-    """Fewer than MIN_BLOCKS_PER_PROCESS blocks per worker run inline."""
-    monkeypatch.setenv("SECRETARY_LAB_THREADS", "2")
+def test_single_block_runs_without_pool(monkeypatch):
     tau = construct_dual(2, 2).tau
-    trials = blocks * BLOCK_TRIALS - 624  # the last block is partial
-    one = monte_carlo(tau, n=500, trials=trials, seed=11, workers=1)
+    one = monte_carlo(tau, n=500, trials=400, seed=11, workers=1)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError(f"{blocks} blocks must not start a process pool")
+        raise AssertionError("a single block must not start a process pool")
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
-    assert monte_carlo(tau, n=500, trials=trials, seed=11, workers=2).to_json() == one.to_json()
+    assert monte_carlo(tau, n=500, trials=400, seed=11, workers=2).to_json() == one.to_json()
 
 
 def test_monte_carlo_json_round_trip():
