@@ -3,9 +3,9 @@
 Two execution paths share one policy rule, _pick_quota:
 
 * run_threshold_algorithm replays one explicit n-item instance (sorted
-  uniform arrival times plus a rank permutation) arrival by arrival, with
-  an order-statistics tree giving each item's potential rank in
-  O(log n); it can also return the full selection log for audits.
+  uniform arrival times plus a rank permutation), walking in Python only
+  the O(K log n) arrivals a numpy filter keeps (see _potential_arrivals);
+  it can also return the full selection log for audits.
 
 * monte_carlo uses an event-driven sampler.  Selections and payoff only
   depend on arrivals whose potential rank is at most K (an item already
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -53,11 +54,16 @@ class ArrivalInstance:
     ranks: np.ndarray
 
     def __post_init__(self):
-        if len(self.times) != len(self.ranks):
-            raise ValueError("times and ranks must have equal length")
-        n = len(self.ranks)
-        if sorted(int(r) for r in self.ranks) != list(range(1, n + 1)):
-            raise ValueError("ranks must be a permutation of 1..n")
+        times, ranks = np.asarray(self.times), np.asarray(self.ranks)
+        if times.ndim != 1 or times.shape != ranks.shape:
+            raise ValueError("times and ranks must be 1-D arrays of equal length")
+        perm = np.arange(1, len(ranks) + 1)
+        if ranks.dtype.kind not in "iu" or not np.array_equal(np.sort(ranks), perm):
+            raise ValueError("ranks must be an integer permutation of 1..n")
+        if not (np.diff(np.concatenate(([0.0], times, [1.0]))) >= 0).all():
+            raise ValueError("times must be non-decreasing in [0, 1]")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def n(self) -> int:
@@ -121,27 +127,6 @@ def sample_arrivals(n: int, rng: np.random.Generator) -> ArrivalInstance:
     return ArrivalInstance(times=times, ranks=ranks)
 
 
-class _OrderTree:
-    """Fenwick tree over ranks: how many seen ranks are below a given one."""
-
-    def __init__(self, n: int):
-        self.tree = [0] * (n + 1)
-
-    def add(self, rank: int) -> None:
-        i = rank
-        while i < len(self.tree):
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def count_leq(self, rank: int) -> int:
-        total = 0
-        i = rank
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
-
-
 def _pick_quota(
     tau: np.ndarray, unused: np.ndarray, k: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
@@ -155,29 +140,43 @@ def _pick_quota(
     return np.where(ok.any(axis=1), ok.shape[1] - ok[:, ::-1].argmax(axis=1), 0)
 
 
+def _potential_arrivals(ranks: np.ndarray, K: int):
+    """Yield (0-based position, potential rank), in order, for each arrival
+    with fewer than K smaller predecessors.  Layer m of left-to-right minima
+    has m - 1 or more, so K layers hold all of them, and no other arrival
+    ever joins the K smallest ranks seen, which bisect reads k from.
+    """
+    keep, rest = np.zeros(len(ranks), dtype=bool), ranks.astype(np.int64)
+    for _ in range(K):
+        low = rest == np.minimum.accumulate(rest)
+        keep |= low
+        rest[low] = len(ranks) + 1  # above every rank: in no later layer
+    kept = np.flatnonzero(keep)
+    top: list[int] = []  # the K smallest ranks so far, ascending
+    for pos, rank in zip(kept.tolist(), ranks[kept].tolist()):
+        k = bisect_left(top, rank) + 1
+        if k <= K:
+            insort(top, rank)
+            del top[K:]
+            yield pos, k
+
+
 def run_threshold_algorithm(
     tau: ThresholdMatrix, inst: ArrivalInstance, detailed: bool = False
 ) -> int | RunResult:
     """Replay the policy on one instance; payoff counts selected items whose
     overall rank is at most K."""
-    K = tau.K
     tau_rows = np.asarray(tau.tau, dtype=float)
-    tree = _OrderTree(inst.n)
     unused = np.ones((1, tau.J), dtype=bool)
     selections: list[Selection] = []
     payoff = 0
-    for pos in range(inst.n):
-        rank = int(inst.ranks[pos])
-        k = tree.count_leq(rank - 1) + 1
-        tree.add(rank)
-        if k > K:
-            continue
+    for pos, k in _potential_arrivals(inst.ranks, tau.K):
         x = float(inst.times[pos])
         j = int(_pick_quota(tau_rows, unused, np.array([k]), np.array([x]))[0])
         if j == 0:
             continue
         unused[0, j - 1] = False
-        if rank <= K:
+        if inst.ranks[pos] <= tau.K:
             payoff += 1
         if detailed:
             selections.append(

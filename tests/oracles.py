@@ -18,6 +18,10 @@
   `constraint_lhs_k1`: exact K = 1 certificate checks over the rows of
   `secretary_lab.theta.recursion`, in rationals and high-precision
   Decimal.
+* `run_threshold_algorithm_reference`: the policy replayed arrival by
+  arrival, with a Fenwick tree counting each item's smaller predecessors,
+  the reference for the filtered replay in
+  `secretary_lab.sim.run_threshold_algorithm`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from secretary_lab.dual import (
     ROOT_TOL,
@@ -41,6 +47,7 @@ from secretary_lab.dual import (
     solve_integral_equation,
 )
 from secretary_lab.piecewise import PiecewiseFunction, find_largest_root
+from secretary_lab.sim import ArrivalInstance, RunResult, Selection, _pick_quota
 from secretary_lab.theta import (
     DEFAULT_PRECISION_BITS,
     ThetaSequence,
@@ -331,3 +338,59 @@ def constraint_lhs_k1(
             ts, rows, j - 1, theta, bits
         )
         return q_here + tail / exp_neg(theta, bits)
+
+
+class _OrderTree:
+    """Fenwick tree over ranks: how many seen ranks are below a given one."""
+
+    def __init__(self, n: int):
+        self.tree = [0] * (n + 1)
+
+    def add(self, rank: int) -> None:
+        i = rank
+        while i < len(self.tree):
+            self.tree[i] += 1
+            i += i & (-i)
+
+    def count_leq(self, rank: int) -> int:
+        total = 0
+        i = rank
+        while i > 0:
+            total += self.tree[i]
+            i -= i & (-i)
+        return total
+
+
+def run_threshold_algorithm_reference(
+    tau: ThresholdMatrix, inst: ArrivalInstance, detailed: bool = False
+) -> int | RunResult:
+    """Replay the policy on every arrival of one instance; payoff counts
+    selected items whose overall rank is at most K."""
+    K = tau.K
+    tau_rows = np.asarray(tau.tau, dtype=float)
+    tree = _OrderTree(inst.n)
+    unused = np.ones((1, tau.J), dtype=bool)
+    selections: list[Selection] = []
+    payoff = 0
+    for pos in range(inst.n):
+        rank = int(inst.ranks[pos])
+        k = tree.count_leq(rank - 1) + 1
+        tree.add(rank)
+        if k > K:
+            continue
+        x = float(inst.times[pos])
+        j = int(_pick_quota(tau_rows, unused, np.array([k]), np.array([x]))[0])
+        if j == 0:
+            continue
+        unused[0, j - 1] = False
+        if rank <= K:
+            payoff += 1
+        if detailed:
+            selections.append(
+                Selection(position=pos + 1, time=x, potential=k, quota=j)
+            )
+        if not unused.any():
+            break
+    if detailed:
+        return RunResult(payoff=payoff, selections=tuple(selections))
+    return payoff

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secretary_lab import sim
 from secretary_lab.dual import ThresholdMatrix, construct_dual
@@ -13,6 +15,7 @@ from secretary_lab.sim import (
     BLOCK_TRIALS,
     MAX_N,
     MAX_SEED,
+    Selection,
     SimReport,
     Z_99,
     monte_carlo,
@@ -22,9 +25,11 @@ from secretary_lab.sim import (
     _block_stats,
     _next_potential,
     _pick_quota,
+    _potential_arrivals,
 )
 
 import reference_values as ref
+from oracles import run_threshold_algorithm_reference
 
 
 # -- instance sampling ---------------------------------------------------------
@@ -44,6 +49,21 @@ def test_sampling_determinism():
     assert np.array_equal(a.ranks, b.ranks)
     c = sample_arrivals(50, trial_rng(42, 8))
     assert not np.array_equal(a.ranks, c.ranks)
+
+
+def test_sample_arrivals_stream_is_pinned():
+    """The replay bench's instances come from this stream; a new sampling
+    method (say sorted exponential spacings) must fail here, not change
+    them silently."""
+    inst = sample_arrivals(50, trial_rng(42, 7))
+    assert inst.ranks[:8].tolist() == [45, 13, 37, 17, 7, 16, 28, 36]
+    assert inst.times[:4].tolist() == [
+        0.01624537113593727,
+        0.024033434407145005,
+        0.02879783695885707,
+        0.06286740324837614,
+    ]
+    assert inst.times[-1] == 0.993636229139168
 
 
 def test_sampled_instances_are_well_formed():
@@ -143,10 +163,102 @@ def test_payoff_counts_only_top_k_ranks():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        _instance([0.3, 0.6], [5, 2])
-    with pytest.raises(ValueError):
-        _instance([0.3], [1, 2])
+    bad = [
+        ([0.3, 0.6], [5, 2]),  # not a permutation
+        ([0.3], [1, 2]),  # unequal lengths
+        ([0.3, 0.6], [1.5, 2.0]),  # float ranks
+        ([0.3, 0.6], [1.0, 2.0]),  # float ranks, even when integral
+        ([[0.3], [0.6]], [[1], [2]]),  # 2-D
+        ([0.9, 0.1, 0.5], [1, 2, 3]),  # unsorted times
+        ([0.9, 0.1, 7.0], [1, 2, 3]),  # unsorted, above 1
+        ([0.1, 0.5, 7.0], [1, 2, 3]),  # above 1
+        ([-0.1, 0.5], [1, 2]),  # below 0
+        ([0.1, np.nan], [1, 2]),
+    ]
+    for times, ranks in bad:
+        with pytest.raises(ValueError):
+            ArrivalInstance(np.asarray(times, float), np.asarray(ranks))
+    edge = ArrivalInstance(np.array([0.0, 0.0, 1.0]), np.array([3, 1, 2], np.uint8))
+    assert edge.n == 3
+
+
+def _random_tau(rng, J: int, K: int) -> ThresholdMatrix:
+    """Thresholds in (0, 1], increasing in k and decreasing in j."""
+    t = np.maximum.accumulate(1.0 - rng.random((J, K)), axis=1)
+    t = np.maximum.accumulate(t[::-1], axis=0)[::-1]
+    return ThresholdMatrix(J, K, tuple(map(tuple, t.tolist())))
+
+
+def test_replay_matches_fenwick_reference():
+    """The filtered replay returns the arrival-by-arrival oracle's full
+    RunResult on 3000 instances, n from 1 to 300."""
+    rng = np.random.default_rng(17)
+    taus = [construct_dual(2, 2).tau, construct_dual(4, 4).tau]
+    pairs = [(1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (2, 4), (1, 3), (5, 2)]
+    taus += [_random_tau(rng, J, K) for J, K in pairs]
+    deep = 0
+    for t in range(3000):
+        tau = taus[t % len(taus)]
+        inst = sample_arrivals(int(rng.integers(1, 301)), trial_rng(606, t))
+        got = run_threshold_algorithm(tau, inst, detailed=True)
+        assert got == run_threshold_algorithm_reference(tau, inst, detailed=True)
+        assert run_threshold_algorithm(tau, inst) == got.payoff
+        deep += sum(s.potential > 1 for s in got.selections)
+    assert deep > 100
+
+
+@pytest.mark.parametrize(
+    "rows, times, ranks, picks, payoff",
+    [
+        # n = 1
+        (((0.1, 0.2), (0.05, 0.1)), [0.5], [1], [(1, 1, 2)], 1),
+        # n < K: both arrivals are 1-potentials
+        (((0.1,) * 4, (0.1,) * 4), [0.2, 0.7], [2, 1], [(1, 1, 2), (2, 1, 1)], 2),
+        # J > n
+        (((0.1,),) * 3, [0.2, 0.7], [2, 1], [(1, 1, 3), (2, 1, 2)], 1),
+        # thresholds at 1.0 take only an arrival at time 1.0
+        (((1.0,),), [0.2, 0.5, 1.0], [2, 3, 1], [(3, 1, 1)], 1),
+        # a time equal to tau is taken, one ulp below it is not
+        (((0.5,),), [0.1, 0.5], [2, 1], [(2, 1, 1)], 1),
+        (((0.5,),), [0.1, np.nextafter(0.5, 0.0)], [2, 1], [], 0),
+    ],
+)
+def test_replay_edge_cases(rows, times, ranks, picks, payoff):
+    """(position, potential, quota) per selection, and the oracle agrees."""
+    tau = ThresholdMatrix(len(rows), len(rows[0]), rows)
+    inst = _instance(times, ranks)
+    got = run_threshold_algorithm(tau, inst, detailed=True)
+    assert [(s.position, s.potential, s.quota) for s in got.selections] == picks
+    assert got.payoff == payoff
+    assert got == run_threshold_algorithm_reference(tau, inst, detailed=True)
+
+
+def test_replay_stops_once_every_quota_is_used(monkeypatch):
+    calls = []
+    pick = sim._pick_quota
+    monkeypatch.setattr(sim, "_pick_quota", lambda *a: calls.append(a) or pick(*a))
+    tau = ThresholdMatrix(1, 1, ((1e-12,),))
+    # every arrival is a 1-potential, but the one quota goes to the first
+    inst = _instance([0.2, 0.4, 0.6, 0.8], [4, 3, 2, 1])
+    got = run_threshold_algorithm(tau, inst, detailed=True)
+    assert got.selections == (Selection(position=1, time=0.2, potential=1, quota=1),)
+    assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 300).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.integers(1, 8),
+)
+@example(list(range(1, 301)), 8)  # position m has m - 1 smaller predecessors
+@example(list(range(300, 0, -1)), 8)  # every arrival is a 1-potential
+def test_potential_filter_is_exact(perm, K):
+    """Every position with fewer than K smaller predecessors is yielded,
+    with 1 + that count as its potential rank, and no other position."""
+    ranks = np.array(perm, dtype=np.int64)
+    smaller = [int(np.count_nonzero(ranks[:pos] < r)) for pos, r in enumerate(ranks)]
+    want = [(pos, c + 1) for pos, c in enumerate(smaller) if c < K]
+    assert list(_potential_arrivals(ranks, K)) == want
 
 
 # -- sparse event path -----------------------------------------------------------
