@@ -125,7 +125,12 @@ def cmd_thresholds(args) -> int:
 def cmd_dual_check(args) -> int:
     cert = dual.construct_dual(args.J, args.K)
     if args.perturb:
-        cert = dual.perturbed(cert, args.perturb)
+        try:
+            cert = dual.perturbed(cert, args.perturb)
+        except dual.MonotonicityError as exc:
+            # the shift asked for breaks the thresholds' form, not the method
+            print(f"usage error: --perturb {args.perturb}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     report = dual.verify_certificate(
         cert, grid_points=args.grid, tol=args.tolerance
     )
@@ -280,6 +285,13 @@ def _tolerance(raw: str) -> float:
     return value
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{raw} is not a finite number")
+    return value
+
+
 def _n_list(raw: str) -> list[int]:
     try:
         return [_positive_int(s) for s in raw.split(",") if s]
@@ -315,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"grid points on (0, 1], 1..{dual.MAX_GRID_POINTS}")
     p.add_argument("--tolerance", type=_tolerance, default=dual.DEFAULT_TOLERANCE,
                    help="finite, >= 0")
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="shift tau_{1,1} to demonstrate a failing certificate")
+    p.add_argument("--perturb", type=_finite, default=0.0,
+                   help="shift tau_{1,1} to demonstrate a failing certificate; "
+                   "finite, and tau_{1,1} must stay in (0, 1] and in order")
     p.set_defaults(func=cmd_dual_check)
 
     p = sub.add_parser("finite-lp", help="finite-n LP convergence table")

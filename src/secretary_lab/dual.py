@@ -32,8 +32,10 @@ import numpy as np
 
 from . import theta as theta_mod
 from .piecewise import (
+    CHUNK_POINTS,
     LogLinComb,
     PiecewiseFunction,
+    PowerRows,
     find_largest_root,
 )
 
@@ -423,6 +425,16 @@ class CertificateReport:
     first_violation: str | None
 
 
+def _sorted_union(*arrays: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of the arrays.
+
+    Not np.union1d, whose np.unique imports numpy.ma (1.5 MB of resident
+    memory).
+    """
+    xs = np.sort(np.concatenate(arrays))
+    return xs[np.diff(xs, prepend=-np.inf) != 0]
+
+
 def verify_certificate(
     cert: DualCertificateJK,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -438,7 +450,9 @@ def verify_certificate(
     within OBJECTIVE_TOL.
 
     The grid is i/grid_points (i = 1..grid_points) plus the breakpoints of
-    each row's r_{j|K} - r_{j-1|K}, evaluated as arrays.  first_violation
+    each row's r_{j|K} - r_{j-1|K}, evaluated as arrays a chunk of
+    CHUNK_POINTS grid points at a time, every function of every row on one
+    chunk sharing its powers of x and ln x.  first_violation
     names the first bound broken in the order j, k, threshold, then x
     ascending (equality before q >= 0 at the same x).
     """
@@ -459,47 +473,67 @@ def verify_certificate(
             violation = msg
 
     base_grid = np.arange(1, grid_points + 1) / grid_points
+    diffs: list[PiecewiseFunction | None] = [
+        cert.r_top(j).combine(cert.r_top(j - 1), 1.0, -1.0) for j in range(1, J + 1)
+    ]
+    breaks = [np.array(diff.breakpoints) for diff in diffs]
+    grid_notes: list[list[str | None]] = [[None] * K for _ in range(J)]
+    # Row j's grid is base_grid plus its breakpoints.  Chunks of base_grid
+    # ascend in x, and a breakpoint joins the chunk whose base points
+    # bracket it, so each row's points ascend too.  All rows of a chunk
+    # share the powers of x and ln x over the union of their points.
+    for a in range(0, grid_points, CHUNK_POINTS):
+        b = a + CHUNK_POINTS
+        lo = base_grid[a] if a else -math.inf
+        hi = base_grid[b] if b < grid_points else math.inf
+        extra = [bps[(bps >= lo) & (bps < hi)] for bps in breaks]
+        union = _sorted_union(base_grid[a:b], *extra)
+        shared = PowerRows(union)
+        for j in range(1, J + 1):
+            row_xs = _sorted_union(base_grid[a:b], extra[j - 1])
+            rows = shared.subset(np.searchsorted(union, row_xs))
+            x = rows.xs
+            tail = diffs[j - 1].tail_integral(rows) / x
+            if b >= grid_points:
+                diffs[j - 1] = None  # free its antiderivatives before row j + 1
+            notes = grid_notes[j - 1]
+            for k in range(1, K + 1):
+                qv = cert.q[j - 1][k - 1].values(rows)
+                slack = qv + tail - alpha(k, K, x)
+                res = np.abs(slack)
+                above = x >= cert.tau.threshold(j, k)
+                # fmax/fmin skip NaN, as the comparisons of a scalar scan would
+                max_eq = float(np.fmax.reduce(res[above], initial=max_eq))
+                min_q = float(np.fmin.reduce(qv[above], initial=min_q))
+                min_slack = float(np.fmin.reduce(slack[~above], initial=min_slack))
+                if notes[k - 1] is not None:
+                    continue
+                bad = np.flatnonzero(
+                    np.where(above, (res > tol) | (qv < -tol), slack < -tol)
+                )
+                if not bad.size:
+                    continue
+                i = bad[0]
+                if not above[i]:
+                    notes[k - 1] = (
+                        f"dual feasibility (j={j}, k={k}, x={x[i]:.6f}): "
+                        f"slack {slack[i]:.3e}"
+                    )
+                elif res[i] > tol:
+                    notes[k - 1] = (
+                        f"slackness equality (j={j}, k={k}, x={x[i]:.6f}): "
+                        f"residual {res[i]:.3e}"
+                    )
+                else:
+                    notes[k - 1] = f"q[{j}][{k}]({x[i]:.6f}) = {qv[i]:.3e} < 0"
     for j in range(1, J + 1):
-        diff = cert.r_top(j).combine(cert.r_top(j - 1), 1.0, -1.0)
-        # sorted union without np.union1d, whose np.unique imports numpy.ma
-        # (1.5 MB of resident memory)
-        xs = np.sort(np.concatenate((base_grid, diff.breakpoints)))
-        xs = xs[np.diff(xs, prepend=-1.0) != 0]
-        tail = diff.tail_integral(xs) / xs
         for k in range(1, K + 1):
-            qf = cert.q[j - 1][k - 1]
-            t_jk = cert.tau.threshold(j, k)
-            root_res = abs(qf.value(t_jk))
+            root_res = abs(cert.q[j - 1][k - 1].value(cert.tau.threshold(j, k)))
             max_root = max(max_root, root_res)
             if root_res > tol:
                 note(f"q[{j}][{k}] at its threshold: |q|={root_res:.3e}")
-            qv = qf.values(xs)
-            slack = qv + tail - alpha(k, K, xs)
-            res = np.abs(slack)
-            above = xs >= t_jk
-            # fmax/fmin skip NaN, as the comparisons of a scalar scan would
-            max_eq = float(np.fmax.reduce(res[above], initial=max_eq))
-            min_q = float(np.fmin.reduce(qv[above], initial=min_q))
-            min_slack = float(np.fmin.reduce(slack[~above], initial=min_slack))
-            bad = np.flatnonzero(
-                np.where(above, (res > tol) | (qv < -tol), slack < -tol)
-            )
-            if not bad.size:
-                continue
-            i = bad[0]
-            x = xs[i]
-            if not above[i]:
-                note(
-                    f"dual feasibility (j={j}, k={k}, x={x:.6f}): "
-                    f"slack {slack[i]:.3e}"
-                )
-            elif res[i] > tol:
-                note(
-                    f"slackness equality (j={j}, k={k}, x={x:.6f}): "
-                    f"residual {res[i]:.3e}"
-                )
-            else:
-                note(f"q[{j}][{k}]({x:.6f}) = {qv[i]:.3e} < 0")
+            if grid_notes[j - 1][k - 1] is not None:
+                note(grid_notes[j - 1][k - 1])
     objective = cert.r_top(J).integral(0.0, 1.0)
     payoff = payoff_jk(cert.tau)
     gap = abs(objective - payoff)

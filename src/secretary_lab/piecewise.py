@@ -10,6 +10,20 @@ its terms symbolically and integrals come from closed-form antiderivatives
 Point values come one at a time (`value`, used by the construction and its
 root scans) or over a whole grid as numpy arrays (`values`, `tail_integral`,
 used by certificate verification); both pick the same segment for a point.
+
+Array evaluation runs a fixed number of numpy calls per block of points,
+however many segments a function has.  On first array use a function
+packs its segments into a table (`_Packed`): term column t holds each
+segment's t-th exponent pair (m, p) and coefficient c, in the segment's
+own dict order, with short segments padded by 0 * x^0 * (ln x)^0.  The
+points come as a `PowerRows`, which computes each x^m and (ln x)^p row
+once and lets every function evaluated on those points share it.  One
+searchsorted finds each point's segment; then, column by column, the
+kernel gathers c, x^m and (ln x)^p for every point and adds c * x^m *
+(ln x)^p to the point's total.  Each point thus sums the same products
+in the same order as `LogLinComb.__call__` does over that segment, so
+values are bit-identical to evaluating one segment at a time.  Tail
+integrals run the same kernel on a second table of antiderivatives.
 """
 
 from __future__ import annotations
@@ -17,7 +31,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from itertools import chain
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -72,17 +87,6 @@ class LogLinComb:
         total = 0.0
         for (m, p), c in self.terms.items():
             total += c * x**m * ln**p
-        return total
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """Value at every point of xs (all > 0), float coefficients only.
-
-        Sums the terms in the order __call__ does, one array at a time.
-        """
-        ln = np.log(xs)
-        total = np.zeros_like(xs)
-        for (m, p), c in self.terms.items():
-            total += c * xs**m * ln**p
         return total
 
     def at_ln(self, ln_x: Coef) -> Coef:
@@ -151,6 +155,161 @@ class LogLinComb:
         return LogLinComb(out)
 
 
+# Points per PowerRows when values/tail_integral get a plain array, and per
+# certificate-check chunk: the default certificate grid (2000 points plus
+# breakpoints) fits in one, and a chunk's rows and gathered terms stay a
+# few MB at any grid size.
+CHUNK_POINTS = 8192
+# Point-term products per evaluation block: bounds the gathered temporaries
+# (64 kB each) whatever the number of points and the segment widths.
+BLOCK_TERMS = 8192
+
+
+class PowerRows:
+    """Points x with the rows x^m and (ln x)^p that packed tables ask for.
+
+    Each row is computed once, by the call a segment-by-segment evaluation
+    makes (xs ** m and ln ** p with int exponents), so functions evaluated
+    on one PowerRows share its rows and still get the values they would
+    get alone.  `subset` gives some of the points with the same rows, so
+    point sets that overlap share one row computation.  Rows are stacked
+    for gathering: x^m is row m - mlo of the x rows, (ln x)^p row p of the
+    log rows.
+    """
+
+    __slots__ = ("xs", "_owner", "_at", "_ln", "_mlo", "_xpow", "_lnpow")
+
+    def __init__(self, xs: np.ndarray):
+        self.xs = xs
+        # the PowerRows whose points the rows cover, when not this one
+        self._owner: PowerRows | None = None
+        self._at: np.ndarray | None = None  # positions of xs in the owner's
+        self._ln: np.ndarray | None = None
+        self._mlo = 0
+        self._xpow = np.empty((0, len(xs)))
+        self._lnpow = np.empty((0, len(xs)))
+
+    def subset(self, at: np.ndarray) -> "PowerRows":
+        """The points xs[at], sharing these rows."""
+        view = PowerRows(self.xs[at])
+        view._owner = self._owner or self
+        view._at = self.positions(at)
+        return view
+
+    def positions(self, at: np.ndarray) -> np.ndarray:
+        """Columns of the rows that hold the points xs[at]."""
+        return at if self._at is None else self._at[at]
+
+    def rows(
+        self, mlo: int, mhi: int, pmax: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """x rows covering mlo..mhi, log rows covering 0..pmax, first x row's m."""
+        if self._owner is not None:
+            return self._owner.rows(mlo, mhi, pmax)
+        top = self._mlo + len(self._xpow) - 1
+        # a point outside every support may be <= 0; its rows are never read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if mlo < self._mlo or mhi > top:
+                lo, hi = min(mlo, self._mlo), max(mhi, top)
+                xpow = np.empty((hi - lo + 1, len(self.xs)))
+                for m in range(lo, hi + 1):
+                    have = self._mlo <= m <= top
+                    xpow[m - lo] = self._xpow[m - self._mlo] if have else self.xs**m
+                self._xpow, self._mlo = xpow, lo
+            if pmax >= len(self._lnpow):
+                if self._ln is None:
+                    self._ln = np.log(self.xs)
+                lnpow = np.empty((pmax + 1, len(self.xs)))
+                lnpow[: len(self._lnpow)] = self._lnpow
+                for p in range(len(self._lnpow), pmax + 1):
+                    lnpow[p] = self._ln**p
+                self._lnpow = lnpow
+        return self._xpow, self._lnpow, self._mlo
+
+
+def _by_chunk(
+    method: Callable[[PowerRows], np.ndarray], points: Sequence[float]
+) -> np.ndarray:
+    """method over PowerRows of at most CHUNK_POINTS points of a 1-D array."""
+    xs = np.ascontiguousarray(points, dtype=np.float64)
+    if xs.ndim != 1:
+        raise ValueError(f"points must form a 1-D array, not shape {xs.shape}")
+    out = np.empty(len(xs))
+    for a in range(0, len(xs), CHUNK_POINTS):
+        out[a : a + CHUNK_POINTS] = method(PowerRows(xs[a : a + CHUNK_POINTS]))
+    return out
+
+
+class _Packed:
+    """The terms of every segment in one table, for array evaluation.
+
+    Column t of m, p and c (shape terms x segments) holds each segment's
+    t-th term in the segment's own dict order.  A segment with fewer terms
+    ends in 0 * x^0 * (ln x)^0, which adds +0.0 and so changes no sum.
+    """
+
+    __slots__ = ("bps", "last", "m", "p", "c", "mlo", "mhi", "pmax")
+
+    def __init__(self, breakpoints: Sequence[float], segments: Sequence[LogLinComb]):
+        counts = [len(s.terms) for s in segments]
+        width = max(1, *counts)
+        total = sum(counts)
+        keys = chain.from_iterable(chain.from_iterable(s.terms for s in segments))
+        mp = np.fromiter(keys, np.intp, 2 * total)
+        coefs = chain.from_iterable(s.terms.values() for s in segments)
+        # filled[i, t]: segment i has a t-th term; the .T views below take
+        # the terms segment by segment, each in its dict order
+        filled = np.arange(width) < np.array(counts)[:, None]
+        self.m = np.zeros((width, len(segments)), np.intp)
+        self.p = np.zeros((width, len(segments)), np.intp)
+        self.c = np.zeros((width, len(segments)))
+        self.m.T[filled] = mp[0::2]
+        self.p.T[filled] = mp[1::2]
+        self.c.T[filled] = np.fromiter(coefs, np.float64, total)
+        self.bps = np.array(breakpoints)
+        self.last = len(segments) - 1
+        self.mlo = min(0, int(self.m.min()))
+        self.mhi = max(0, int(self.m.max()))
+        self.pmax = int(self.p.max())
+
+    def segment_of(self, xs: np.ndarray) -> np.ndarray:
+        """Segment of each point, the one PiecewiseFunction._segment_index picks."""
+        seg = np.searchsorted(self.bps, xs, side="right") - 1
+        return np.minimum(seg, self.last, out=seg)
+
+    def evaluate(
+        self, points: PowerRows, at: np.ndarray, seg: np.ndarray
+    ) -> np.ndarray:
+        """Segment seg[i] at points.xs[at[i]] for every i.
+
+        Each point sums c * x^m * (ln x)^p over its segment's terms in dict
+        order, starting from 0.0, as LogLinComb.__call__ does.
+        """
+        xpow, lnpow, mlo = points.rows(self.mlo, self.mhi, self.pmax)
+        n = xpow.shape[1]
+        cols = points.positions(at)
+        total = np.zeros(len(at))
+        step = max(1, BLOCK_TERMS // len(self.m))
+        for a in range(0, len(at), step):
+            pos, sg = cols[a : a + step], seg[a : a + step]
+            # flat position of x^m, then of (ln x)^p, at each point per term
+            idx = self.m.take(sg, axis=1)
+            if mlo:
+                idx -= mlo
+            idx *= n
+            idx += pos
+            terms = xpow.take(idx)
+            terms *= self.c.take(sg, axis=1)  # c * x^m, as LogLinComb forms it
+            self.p.take(sg, axis=1, out=idx)
+            idx *= n
+            idx += pos
+            terms *= lnpow.take(idx)
+            part = total[a : a + step]
+            for term in terms:
+                part += term
+        return total
+
+
 class PiecewiseFunction:
     """Function on [breakpoints[0], breakpoints[-1]], zero outside.
 
@@ -171,7 +330,9 @@ class PiecewiseFunction:
         self.breakpoints = bps
         self.segments = list(segments)
         self._antis: list[LogLinComb] | None = None
-        self._suffix: list[float] | None = None
+        # packed tables for array evaluation, built on first use
+        self._values_table: _Packed | None = None
+        self._tail_table: tuple | None = None
 
     @staticmethod
     def zero() -> "PiecewiseFunction":
@@ -210,22 +371,6 @@ class PiecewiseFunction:
         i = bisect_right(self.breakpoints, x) - 1
         return min(i, len(self.segments) - 1)
 
-    def _by_segment(
-        self, xs: np.ndarray, inside: np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """(segment, positions in xs) for the points of xs[inside].
-
-        Each point gets the segment _segment_index picks for it.
-        """
-        idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
-        np.minimum(idx, len(self.segments) - 1, out=idx)
-        idx[~inside] = -1
-        order = np.argsort(idx, kind="stable")
-        cuts = np.searchsorted(idx[order], np.arange(len(self.segments) + 1))
-        for i in range(len(self.segments)):
-            if cuts[i] < cuts[i + 1]:
-                yield i, order[cuts[i] : cuts[i + 1]]
-
     def value(self, x: float) -> float:
         if self.is_zero() or x < self.lo or x > self.hi:
             return 0.0
@@ -233,14 +378,20 @@ class PiecewiseFunction:
 
     __call__ = value
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """value at every point of the float array xs."""
-        out = np.zeros_like(xs)
+    def values(self, points: Sequence[float] | PowerRows) -> np.ndarray:
+        """value at every point: a 1-D array of floats, or a PowerRows whose
+        power rows other functions evaluated on the same points share."""
+        if not isinstance(points, PowerRows):
+            return _by_chunk(self.values, points)
+        xs = points.xs
+        out = np.zeros(len(xs))
         if self.is_zero():
             return out
-        inside = (xs >= self.lo) & (xs <= self.hi)
-        for i, at in self._by_segment(xs, inside):
-            out[at] = self.segments[i].values(xs[at])
+        if self._values_table is None:
+            self._values_table = _Packed(self.breakpoints, self.segments)
+        table = self._values_table
+        at = np.flatnonzero((xs >= self.lo) & (xs <= self.hi))
+        out[at] = table.evaluate(points, at, table.segment_of(xs[at]))
         return out
 
     def segment_at(self, x: float) -> LogLinComb | None:
@@ -279,31 +430,37 @@ class PiecewiseFunction:
         total += self._segment_integral(ib, self.breakpoints[ib], b)
         return total
 
-    def tail_integral(self, xs: np.ndarray) -> np.ndarray:
-        """int_x^hi f(y) dy at every point x of the float array xs.
+    def tail_integral(self, points: Sequence[float] | PowerRows) -> np.ndarray:
+        """int_x^hi f(y) dy at every point x, given as for `values`.
 
         Whole segments above x come from suffix sums built on first use.
         """
-        out = np.zeros_like(xs)
+        if not isinstance(points, PowerRows):
+            return _by_chunk(self.tail_integral, points)
+        xs = points.xs
+        out = np.zeros(len(xs))
         if self.is_zero():
             return out
-        suffix = self._suffix
-        if suffix is None:
-            n = len(self.segments)
-            suffix = [0.0] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + self._segment_integral(
-                    i, self.breakpoints[i], self.breakpoints[i + 1]
-                )
-            self._suffix = suffix
-        antis = self._antiderivatives()
-        out[xs <= self.lo] = suffix[0]
-        inside = (xs > self.lo) & (xs < self.hi)
-        for i, at in self._by_segment(xs, inside):
-            anti = antis[i]
-            out[at] = suffix[i + 1] + (
-                anti(self.breakpoints[i + 1]) - anti.values(xs[at])
+        if self._tail_table is None:
+            antis = self._antiderivatives()
+            bps = self.breakpoints
+            tops = [anti(b) for anti, b in zip(antis, bps[1:])]
+            suffix = [0.0] * (len(antis) + 1)
+            for i in range(len(antis) - 1, -1, -1):
+                # the segment integral, as _segment_integral forms it
+                suffix[i] = suffix[i + 1] + (tops[i] - antis[i](bps[i]))
+            self._tail_table = (
+                _Packed(self.breakpoints, antis),
+                suffix[0],
+                np.array(suffix[1:]),
+                np.array(tops),
             )
+        table, total, above, tops = self._tail_table
+        out[xs <= self.lo] = total
+        at = np.flatnonzero((xs > self.lo) & (xs < self.hi))
+        seg = table.segment_of(xs[at])
+        # suffix[i+1] + (F_i(hi_i) - F_i(x)), grouped as the scalar form is
+        out[at] = above[seg] + (tops[seg] - table.evaluate(points, at, seg))
         return out
 
     def map_segments(

@@ -6,6 +6,11 @@
   weighted integral the construction applies symbolically.
 * `gamma`: alpha_1 + ... + alpha_k summed in floats, the reference for
   `secretary_lab.dual.gamma_poly`.
+* `values_by_segment`, `tail_integral_by_segment`: array evaluation of a
+  `PiecewiseFunction` one segment at a time, each segment's terms summed
+  over its own points in dict order; the reference for the packed-table
+  kernel behind `PiecewiseFunction.values` and `tail_integral`, which must
+  match it bit for bit.
 * `verify_certificate_scalar`: the certificate check point by point in
   plain Python floats, the reference for the array evaluation in
   `secretary_lab.dual.verify_certificate`.  Tail integrals come from the
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from secretary_lab.dual import (
     payoff_jk,
     solve_integral_equation,
 )
-from secretary_lab.piecewise import PiecewiseFunction, find_largest_root
+from secretary_lab.piecewise import LogLinComb, PiecewiseFunction, find_largest_root
 from secretary_lab.sim import ArrivalInstance, RunResult, Selection, _pick_quota
 from secretary_lab.theta import (
     DEFAULT_PRECISION_BITS,
@@ -110,6 +115,60 @@ def over_power(f: PiecewiseFunction, m: int) -> PiecewiseFunction:
 def gamma(k: int, K: int, x: float) -> float:
     """Partial sum alpha_1 + ... + alpha_k; identically K when k = K."""
     return sum(alpha(el, K, x) for el in range(1, k + 1))
+
+
+def _comb_values(comb: LogLinComb, xs: np.ndarray) -> np.ndarray:
+    """comb at every point of xs (all > 0), terms summed in dict order."""
+    ln = np.log(xs)
+    total = np.zeros_like(xs)
+    for (m, p), c in comb.terms.items():
+        total += c * xs**m * ln**p
+    return total
+
+
+def _by_segment(
+    f: PiecewiseFunction, xs: np.ndarray, inside: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(segment, positions in xs) for the points of xs[inside], each point
+    in the segment `PiecewiseFunction.value` picks for it."""
+    idx = np.searchsorted(f.breakpoints, xs, side="right") - 1
+    np.minimum(idx, len(f.segments) - 1, out=idx)
+    idx[~inside] = -1
+    order = np.argsort(idx, kind="stable")
+    cuts = np.searchsorted(idx[order], np.arange(len(f.segments) + 1))
+    for i in range(len(f.segments)):
+        if cuts[i] < cuts[i + 1]:
+            yield i, order[cuts[i] : cuts[i + 1]]
+
+
+def values_by_segment(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray:
+    """f at every point of the float array xs, one segment at a time."""
+    out = np.zeros_like(xs)
+    if f.is_zero():
+        return out
+    inside = (xs >= f.lo) & (xs <= f.hi)
+    for i, at in _by_segment(f, xs, inside):
+        out[at] = _comb_values(f.segments[i], xs[at])
+    return out
+
+
+def tail_integral_by_segment(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray:
+    """int_x^hi f at every point of the float array xs, one segment at a
+    time, with whole segments above x summed from the top."""
+    out = np.zeros_like(xs)
+    if f.is_zero():
+        return out
+    bps = f.breakpoints
+    antis = [s.antiderivative() for s in f.segments]
+    suffix = [0.0] * (len(antis) + 1)
+    for i in range(len(antis) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + (antis[i](bps[i + 1]) - antis[i](bps[i]))
+    out[xs <= f.lo] = suffix[0]
+    inside = (xs > f.lo) & (xs < f.hi)
+    for i, at in _by_segment(f, xs, inside):
+        anti = antis[i]
+        out[at] = suffix[i + 1] + (anti(bps[i + 1]) - _comb_values(anti, xs[at]))
+    return out
 
 
 def verify_certificate_scalar(

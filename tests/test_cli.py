@@ -158,6 +158,30 @@ def test_dual_check_perturbed_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("perturb", ["nan", "inf", "-inf", "x"])
+def test_dual_check_rejects_non_finite_perturb(monkeypatch, capsys, perturb):
+    """Refused while parsing, before the construction runs."""
+    calls = []
+    monkeypatch.setattr(dual, "construct_dual", lambda *a, **kw: calls.append(a))
+    code = main(["dual-check", "--J", "2", "--K", "2", "--perturb", perturb])
+    assert code == EXIT_USAGE
+    assert "--perturb" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("perturb", ["0.5", "-0.5"])
+def test_dual_check_rejects_perturb_that_breaks_the_order(capsys, perturb):
+    """A shift moving tau_{1,1} out of (0, 1] or out of order is a usage
+    error that names the broken condition."""
+    with pytest.raises(dual.MonotonicityError) as err:
+        dual.perturbed(dual.construct_dual(2, 2), float(perturb))
+    code = main(["dual-check", "--J", "2", "--K", "2", "--perturb", perturb])
+    assert code == EXIT_USAGE
+    stderr = capsys.readouterr().err
+    assert "--perturb" in stderr
+    assert str(err.value) in stderr
+
+
 def test_finite_lp_hand_value(capsys):
     code, out = run(capsys, "finite-lp", "--J", "1", "--K", "1", "--n", "2",
                     "--mode", "exact")

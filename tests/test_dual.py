@@ -3,6 +3,7 @@ Lambert W, closed forms and certificate verification."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 import scipy.special
@@ -37,6 +38,8 @@ from oracles import (
     gamma,
     over_power,
     quadrature,
+    tail_integral_by_segment,
+    values_by_segment,
     verify_certificate_scalar,
 )
 
@@ -465,6 +468,49 @@ def test_array_verifier_matches_scalar_oracle(J, K, perturb):
     assert (got.J, got.K, got.tolerance, got.grid_points, got.payoff) == (
         want.J, want.K, want.tolerance, want.grid_points, want.payoff
     )
+
+
+@pytest.mark.parametrize(
+    "J, K, perturb",
+    [(2, 2, 0.0), (4, 8, 0.0), (8, 8, 0.0), (16, 2, 0.0), (2, 16, 0.0),
+     (16, 1, 0.0), (2, 2, 0.01)],
+)
+def test_verify_equals_per_segment_oracles(monkeypatch, J, K, perturb):
+    """The packed kernel gives the report the per-segment evaluation gives,
+    field for field."""
+    cert = construct_dual(J, K)
+    if perturb:
+        cert = perturbed(cert, perturb)
+    got = verify_certificate(cert)
+    # verify_certificate hands the functions PowerRows; the oracles take
+    # its points
+    monkeypatch.setattr(
+        PiecewiseFunction, "values", lambda f, rows: values_by_segment(f, rows.xs)
+    )
+    monkeypatch.setattr(
+        PiecewiseFunction,
+        "tail_integral",
+        lambda f, rows: tail_integral_by_segment(f, rows.xs),
+    )
+    assert got == verify_certificate(cert)
+
+
+# Peak traced memory of the check at the largest grid.  The per-segment
+# evaluation it replaced peaked at 83 MB for (2, 2); chunks of CHUNK_POINTS
+# points keep this one near 16 MB.
+MAX_GRID_PEAK_BYTES = 32 << 20
+
+
+def test_verify_memory_is_bounded_at_the_largest_grid():
+    cert = construct_dual(2, 2)
+    tracemalloc.start()
+    try:
+        report = verify_certificate(cert, grid_points=MAX_GRID_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak <= MAX_GRID_PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_verify_rejects_empty_or_oversized_grid():

@@ -6,16 +6,26 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secretary_lab.piecewise import (
+    CHUNK_POINTS,
     LogLinComb,
     PiecewiseFunction,
+    PowerRows,
     RootBracketError,
     bisect_root,
     find_largest_root,
 )
 
-from oracles import QuadratureError, over_power, quadrature
+from oracles import (
+    QuadratureError,
+    over_power,
+    quadrature,
+    tail_integral_by_segment,
+    values_by_segment,
+)
 
 
 def test_loglincomb_eval():
@@ -134,6 +144,96 @@ def test_values_match_scalar_value():
     # an interior breakpoint takes the segment that starts there
     assert f.values(np.array([0.55]))[0] == f.segments[2](0.55)
     assert PiecewiseFunction.zero().values(xs).tolist() == [0.0] * len(xs)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_array_input_is_coerced_to_float():
+    """Ints, lists, float32 and empty input all give float64 results."""
+    f = PiecewiseFunction([0.5, 1.0], [LogLinComb.from_x_poly([0.25, 1.0])])
+    assert f.tail_integral(np.array([0])).tolist() == [0.5]
+    assert f.tail_integral([0, 0.75]).tolist() == [0.5, pytest.approx(0.28125)]
+    assert f.values(np.array([1])).tolist() == [1.25]
+    assert f.values([0.5, 2]).tolist() == [0.75, 0.0]
+    xs32 = np.array([0.3, 0.6, 0.9], dtype=np.float32)
+    xs64 = xs32.astype(np.float64)
+    assert_same_bits(f.values(xs32), f.values(xs64))
+    assert_same_bits(f.tail_integral(xs32), f.tail_integral(xs64))
+    for method in (f.values, f.tail_integral, PiecewiseFunction.zero().values):
+        out = method(np.array([], dtype=np.int64))
+        assert out.dtype == np.float64 and out.shape == (0,)
+    with pytest.raises(ValueError):
+        f.values(np.ones((2, 2)))
+
+
+@st.composite
+def piecewise_functions(draw) -> PiecewiseFunction:
+    """1-20 segments of up to 12 terms, m in [-3, 16], p <= 16, or zero."""
+    n = draw(st.integers(0, 20))
+    if n == 0:
+        return PiecewiseFunction.zero()
+    bps = draw(
+        st.lists(
+            st.floats(1e-3, 1.0), min_size=n + 1, max_size=n + 1, unique=True
+        )
+    )
+    term = st.tuples(st.integers(-3, 16), st.integers(0, 16))
+    coef = st.floats(-10.0, 10.0, allow_nan=False)
+    segs = [
+        LogLinComb(draw(st.dictionaries(term, coef, max_size=12))) for _ in range(n)
+    ]
+    return PiecewiseFunction(sorted(bps), segs)
+
+
+@given(data=st.data(), f=piecewise_functions())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_per_segment_oracle(data, f):
+    """Bit-identical to evaluating one segment at a time, on unsorted points
+    with duplicates, breakpoints and points outside the support."""
+    pool = f.breakpoints + [-0.5, 0.0, 5e-4, 1.5]
+    pool += data.draw(st.lists(st.floats(1e-3, 1.0), max_size=20))
+    xs = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=60)))
+    xs = xs.astype(np.float64)  # the empty list too
+    assert_same_bits(f.values(xs), values_by_segment(f, xs))
+    assert_same_bits(f.tail_integral(xs), tail_integral_by_segment(f, xs))
+
+
+def test_kernel_matches_oracle_across_chunks_and_blocks():
+    """Many points and wide segments: several chunks and evaluation blocks."""
+    rng = random.Random(23)
+    bps = sorted(rng.uniform(0.01, 1.0) for _ in range(31))
+    segs = [
+        LogLinComb(
+            {(rng.randint(-3, 16), rng.randint(0, 16)): rng.uniform(-5, 5)
+             for _ in range(rng.randint(0, 40))}
+        )
+        for _ in range(30)
+    ]
+    f = PiecewiseFunction(bps, segs)
+    xs = np.random.default_rng(23).uniform(0.0, 1.1, 3 * CHUNK_POINTS + 17)
+    xs[::97] = rng.choice(bps)
+    assert_same_bits(f.values(xs), values_by_segment(f, xs))
+    assert_same_bits(f.tail_integral(xs), tail_integral_by_segment(f, xs))
+
+
+def test_functions_share_power_rows():
+    """Functions evaluated on one PowerRows, or on a subset of its points,
+    give what each gives on its own points."""
+    f = _two_piece()
+    g = over_power(f, 2)
+    xs = np.array([0.05, 0.2, 1 / 3, 0.5, 2 / 3, 0.8, 1.0, 1.2])
+    rows = PowerRows(xs)
+    part = rows.subset(np.array([1, 3, 4, 6]))
+    assert_same_bits(part.xs, xs[[1, 3, 4, 6]])
+    for fn in (f, g):
+        assert_same_bits(fn.values(rows), fn.values(xs))
+        assert_same_bits(fn.tail_integral(rows), fn.tail_integral(xs))
+        assert_same_bits(fn.values(part), fn.values(part.xs))
+        assert_same_bits(fn.tail_integral(part), fn.tail_integral(part.xs))
 
 
 def test_integral_cache_agrees_with_requadrature():
