@@ -2,14 +2,9 @@
 multi-choice multi-best online selection."""
 
 from .dual import (
-    ClosedForm12,
-    ClosedForm22,
     DualCertificateJK,
     ThresholdMatrix,
-    closed_form_12,
-    closed_form_22,
     construct_dual,
-    lambert_w_principal,
     payoff_jk,
     verify_certificate,
 )
@@ -21,16 +16,11 @@ from .theta import (
 )
 
 __all__ = [
-    "ClosedForm12",
-    "ClosedForm22",
     "DualCertificateJK",
     "ThetaSequence",
     "ThresholdMatrix",
-    "closed_form_12",
-    "closed_form_22",
     "construct_dual",
     "generate_thetas",
-    "lambert_w_principal",
     "payoff_jk",
     "payoff_k1",
     "thresholds",

@@ -29,7 +29,7 @@ TABLE_MAX_J = 8  # rows reproduced by the report subcommand
 DEFAULT_N_LIST = (10, 25, 50, 100, 200)  # finite-lp item counts without --n
 
 # Failures of a numerical method rather than of the request's form.
-NUMERIC_ERRORS = (ValueError, RootBracketError, dual.ConvergenceError)
+NUMERIC_ERRORS = (ValueError, RootBracketError, ArithmeticError)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -48,6 +48,17 @@ def _csv_string(rows: list[list]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _certified(J: int, K: int, what: str) -> tuple[dual.DualCertificateJK, bool]:
+    """construct_dual(J, K) and whether its certificate passes at the
+    dual-check defaults; a failed check writes one
+    `warning: <what> unverified: <first violation>` line to stderr."""
+    cert = dual.construct_dual(J, K)
+    report = dual.verify_certificate(cert)
+    if not report.ok:
+        print(f"warning: {what} unverified: {report.first_violation}", file=sys.stderr)
+    return cert, report.ok
 
 
 def cmd_thresholds(args) -> int:
@@ -84,14 +95,8 @@ def cmd_thresholds(args) -> int:
             lines.append(f"payoff: {payoff:.6f}")
             _write_output("\n".join(lines), args.output)
         return EXIT_OK
-    cert = dual.construct_dual(J, K)
+    cert, verified = _certified(J, K, "thresholds")
     payoff = dual.payoff_jk(cert.tau)
-    report = dual.verify_certificate(cert)
-    if not report.ok:
-        print(
-            f"warning: thresholds unverified: {report.first_violation}",
-            file=sys.stderr,
-        )
     if args.format == "json":
         _write_output(
             json.dumps(
@@ -100,7 +105,7 @@ def cmd_thresholds(args) -> int:
                     "K": K,
                     "tau": [list(r) for r in cert.tau.tau],
                     "payoff": payoff,
-                    "verified": report.ok,
+                    "verified": verified,
                 }
             ),
             args.output,
@@ -246,16 +251,14 @@ def cmd_report(args) -> int:
             [J, str(payoff.quantize(Decimal("0.000001"))),
              theta.format_rational(ts.thetas[J - 1])]
         )
-    cf12 = dual.closed_form_12()
-    cf22 = dual.closed_form_22()
     rows.append([])
     rows.append(["case", "value", ""])
-    rows.append(["tau_1_2 (J=1,K=2)", f"{cf12.tau12:.6f}", ""])
-    rows.append(["tau_1_1 (J=1,K=2)", f"{cf12.tau11:.6f}", ""])
-    rows.append(["payoff (J=1,K=2)", f"{cf12.payoff:.6f}", ""])
-    rows.append(["tau_2_2 (J=2,K=2)", f"{cf22.tau22:.6f}", ""])
-    rows.append(["tau_2_1 (J=2,K=2)", f"{cf22.tau21:.6f}", ""])
-    rows.append(["payoff (J=2,K=2)", f"{cf22.payoff:.6f}", ""])
+    for J in (1, 2):
+        pair = f"(J={J},K=2)"
+        tau = _certified(J, 2, f"thresholds {pair}")[0].tau
+        rows.append([f"tau_{J}_2 {pair}", f"{tau.threshold(J, 2):.6f}", ""])
+        rows.append([f"tau_{J}_1 {pair}", f"{tau.threshold(J, 1):.6f}", ""])
+        rows.append([f"payoff {pair}", f"{dual.payoff_jk(tau):.6f}", ""])
     _write_output(_csv_string([r if r else [""] for r in rows]), args.output)
     return EXIT_OK
 

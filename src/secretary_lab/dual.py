@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +37,6 @@ from .piecewise import (
     PowerRows,
     find_largest_root,
 )
-
-BRANCH_POINT = -math.exp(-1.0)
 
 # Floor for piecewise supports; far below any reachable threshold (the
 # smallest thresholds for J <= 16 sit above 1e-4).
@@ -55,10 +52,6 @@ DEFAULT_GRID_POINTS = 2000
 DEFAULT_TOLERANCE = 1e-8
 OBJECTIVE_TOL = 1e-6
 CERT_SAMPLES = 50
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed its convergence guard."""
 
 
 class MonotonicityError(ValueError):
@@ -97,43 +90,6 @@ def gamma_poly(k: int, K: int) -> LogLinComb:
     for el in range(1, k + 1):
         out = out + alpha_poly(el, K)
     return out
-
-
-# -- Lambert W -------------------------------------------------------------
-
-
-def lambert_w_principal(z: float) -> float:
-    """Principal-branch W(z) for z in [-1/e, 0], so W(z) in [-1, 0].
-
-    Series initialization (branch-point series near -1/e, Maclaurin series
-    near 0) followed by Halley iteration; the result satisfies
-    |W exp(W) - z| <= 1e-14.
-    """
-    if not BRANCH_POINT - 1e-12 <= z <= 0.0:
-        raise ValueError(f"z={z} outside the domain [-1/e, 0]")
-    z = max(z, BRANCH_POINT)
-    if z == 0.0:
-        return 0.0
-    if z == BRANCH_POINT:
-        return -1.0
-    p = math.sqrt(2.0 * (1.0 + math.e * z))
-    if p < 0.5:
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
-    else:
-        w = z * (1.0 - z + 1.5 * z * z)
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            break
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= step
-        if abs(step) <= 1e-16 * (2.0 + abs(w)):
-            break
-    if abs(w * math.exp(w) - z) > 1e-14:
-        raise ConvergenceError(f"Lambert W did not converge for z={z}")
-    return min(max(w, -1.0), 0.0)
 
 
 # -- threshold matrix ------------------------------------------------------
@@ -353,56 +309,6 @@ def _construct_general(J: int, K: int) -> DualCertificateJK:
         r_prev = r_top
     tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
     return DualCertificateJK(tau, tuple(q_rows), tuple(r_rows))
-
-
-# -- closed forms for K = 2 ------------------------------------------------
-
-
-class ClosedForm12(NamedTuple):
-    tau11: float
-    tau12: float
-    payoff: float
-
-
-class ClosedForm22(NamedTuple):
-    tau11: float
-    tau12: float
-    tau21: float
-    tau22: float
-    c: float
-    payoff: float
-
-
-def closed_form_12() -> ClosedForm12:
-    """One quota, two best: tau12 = 2/3, tau11 = -W(-2/(3e))."""
-    tau12 = 2.0 / 3.0
-    tau11 = -lambert_w_principal(-2.0 / (3.0 * math.e))
-    return ClosedForm12(tau11, tau12, 2.0 * tau11 - tau11**2)
-
-
-def closed_form_22() -> ClosedForm22:
-    """Two quotas, two best, via the explicit transcendental equations."""
-    base = closed_form_12()
-    big_l = math.log(2.0 / 3.0)
-
-    def f22(x: float) -> float:
-        return x * math.log(x) + math.log(x) - (2.0 + 3.0 * big_l) * x + 1.0 - big_l
-
-    tau22 = find_largest_root(f22, 1.0, lo=1e-6, scan_step=1e-3, tol=1e-14)
-    lt1 = math.log(base.tau11)
-    lt2 = math.log(tau22)
-    c = (
-        -(lt1**2)
-        + 2.0 * big_l * lt1
-        + lt2**2
-        - 2.0 * big_l * lt2
-        - 2.0 * tau22
-        + 4.0
-        - 2.0 * big_l
-    )
-    tau21 = -lambert_w_principal(-math.exp(-c / 2.0))
-    payoff = (2.0 * base.tau11 - base.tau11**2) + (2.0 * tau21 - tau21**2)
-    return ClosedForm22(base.tau11, base.tau12, tau21, tau22, c, payoff)
 
 
 # -- certificate verification ----------------------------------------------

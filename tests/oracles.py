@@ -6,6 +6,9 @@
   weighted integral the construction applies symbolically.
 * `gamma`: alpha_1 + ... + alpha_k summed in floats, the reference for
   `secretary_lab.dual.gamma_poly`.
+* `k2_closed_forms`: the (1,2) and (2,2) thresholds and payoffs from their
+  Lambert-W closed forms (scipy `lambertw` and `brentq`), a reference that
+  shares no code with `secretary_lab.dual.construct_dual`.
 * `values_by_segment`, `tail_integral_by_segment`: array evaluation of a
   `PiecewiseFunction` one segment at a time, each segment's terms summed
   over its own points in dict order; the reference for the packed-table
@@ -37,6 +40,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from secretary_lab.dual import (
     ROOT_TOL,
@@ -115,6 +120,26 @@ def over_power(f: PiecewiseFunction, m: int) -> PiecewiseFunction:
 def gamma(k: int, K: int, x: float) -> float:
     """Partial sum alpha_1 + ... + alpha_k; identically K when k = K."""
     return sum(alpha(el, K, x) for el in range(1, k + 1))
+
+
+def k2_closed_forms() -> dict[str, float]:
+    """Thresholds and payoffs of the (1,2) and (2,2) problems from their
+    Lambert-W closed forms: tau12 = 2/3 and tau11 = -W(-2/(3e)) for both J;
+    tau22 is the root of f22 (one sign change in (0, 1], near 0.517) and
+    tau21 = -W(-exp(-c/2)); payoff_J = sum_j 2 tau_j1 - tau_j1^2."""
+    big_l = math.log(2.0 / 3.0)
+    tau11 = -lambertw(-2.0 / (3.0 * math.e)).real
+
+    def f22(x: float) -> float:
+        return x * math.log(x) + math.log(x) - (2.0 + 3.0 * big_l) * x + 1.0 - big_l
+
+    tau22 = brentq(f22, 0.3, 0.9, xtol=1e-16)
+    lt1, lt2 = math.log(tau11), math.log(tau22)
+    c = -lt1**2 + 2 * big_l * lt1 + lt2**2 - 2 * big_l * lt2 - 2 * tau22 + 4 - 2 * big_l
+    tau21 = -lambertw(-math.exp(-c / 2.0)).real
+    payoff12 = 2.0 * tau11 - tau11**2
+    return dict(tau11=tau11, tau12=2.0 / 3.0, payoff12=payoff12, tau21=tau21,
+                tau22=tau22, payoff22=payoff12 + 2.0 * tau21 - tau21**2)
 
 
 def _comb_values(comb: LogLinComb, xs: np.ndarray) -> np.ndarray:

@@ -42,9 +42,6 @@ EXP_NEG_3_2 = 0.22313016014842982
 # exp(-47/24) rounded to double
 EXP_NEG_47_24 = 0.14109338070134148
 
-# W(-2/(3e)): principal Lambert W at the (1,2) closed-form argument
-W_AT_M2_3E = -0.3469816097075798
-
 # Closed-form thresholds and payoffs for K = 2 (defining equations:
 # tau12 = 2/3; tau11 = -W(-2/(3e)); tau22 solves
 # x ln x + ln x - (2 + 3 ln(2/3)) x + 1 - ln(2/3) = 0; tau21 = -W(-e^(-c/2)))

@@ -4,6 +4,8 @@ The verdict lines bypass pytest's capture, so any invocation shows them as
 the criteria complete.  Criterion 6 is the heavy one (four 100k-trial simulations).
 """
 
+import csv
+import io
 import os
 import random
 import time
@@ -13,13 +15,12 @@ from fractions import Fraction
 from secretary_lab.dual import (
     alpha,
     alpha_poly,
-    closed_form_12,
-    closed_form_22,
     construct_dual,
     payoff_jk,
     verify_certificate,
     _construct_general,
 )
+from secretary_lab.cli import main
 from secretary_lab.dp import p_star
 from secretary_lab.lp import build_lp, coefficient_row_sum, solve_lp
 from secretary_lab.piecewise import LogLinComb
@@ -27,7 +28,7 @@ from secretary_lab.sim import monte_carlo, run_threshold_algorithm, sample_arriv
 from secretary_lab.theta import ThetaSequence, generate_thetas, payoff_k1_decimal, thresholds
 
 import reference_values as ref
-from oracles import gamma
+from oracles import gamma, k2_closed_forms
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -62,22 +63,31 @@ def test_criterion_1_table_reproduction(capfd):
 
 def test_criterion_2_closed_forms(capfd):
     t0 = time.monotonic()
-    cf12 = closed_form_12()
-    cf22 = closed_form_22()
+    cf = k2_closed_forms()
     ok = (
-        abs(cf12.payoff - 0.573567) <= 1e-6
-        and abs(cf12.tau11 - 0.346982) <= 1e-6
-        and abs(cf22.payoff - 0.977256) <= 1e-5
-        and abs(cf22.tau22 - 0.517291) <= 1e-5
-        and abs(cf22.tau21 - 0.227788) <= 1e-5
+        abs(cf["payoff12"] - 0.573567) <= 1e-6
+        and abs(cf["tau11"] - 0.346982) <= 1e-6
+        and abs(cf["payoff22"] - 0.977256) <= 1e-5
+        and abs(cf["tau22"] - 0.517291) <= 1e-5
+        and abs(cf["tau21"] - 0.227788) <= 1e-5
     )
+    # report prints the same six values from the general construction
+    assert main(["report"]) == 0
+    out, err = capfd.readouterr()
+    cases = {r[0]: r[1] for r in csv.reader(io.StringIO(out)) if len(r) >= 2}
+    printed = [cases[f"{name} (J={J},K=2)"] for J in (1, 2)
+               for name in (f"tau_{J}_2", f"tau_{J}_1", "payoff")]
+    want = [f"{cf[key]:.6f}" for key in
+            ("tau12", "tau11", "payoff12", "tau22", "tau21", "payoff22")]
+    ok &= printed == want and err == ""
     elapsed = time.monotonic() - t0
     _verdict(
         capfd,
         2,
         ok and elapsed < 1.0,
-        f"payoffs {cf12.payoff:.6f}/{cf22.payoff:.6f}, "
-        f"tau22={cf22.tau22:.6f}, tau21={cf22.tau21:.6f}",
+        f"payoffs {cf['payoff12']:.6f}/{cf['payoff22']:.6f}, "
+        f"tau22={cf['tau22']:.6f}, tau21={cf['tau21']:.6f}, "
+        f"report's K = 2 values {printed}",
         t0,
     )
 

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, output formats and determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -302,6 +303,54 @@ def test_report_reference_rows(capsys):
     assert "0.227788" in out  # tau_2_1
     assert "0.977256" in out  # (2,2) payoff
     assert "0.573567" in out  # (1,2) payoff
+
+
+def test_failed_check_warns_and_keeps_stdout(monkeypatch, capsys):
+    """report and thresholds share one construct-verify-warn step: a failed
+    check keeps stdout (but for thresholds' JSON flag) and exit code 0, and
+    writes one warning per failing certificate."""
+    cases = {
+        ("report",): [
+            "warning: thresholds (J=1,K=2) unverified: planted",
+            "warning: thresholds (J=2,K=2) unverified: planted",
+        ],
+        ("thresholds", "--J", "2", "--K", "2", "--format", "json"): [
+            "warning: thresholds unverified: planted",
+        ],
+    }
+    passing = {argv: run(capsys, *argv) for argv in cases}
+    real = dual.verify_certificate
+    monkeypatch.setattr(
+        dual, "verify_certificate",
+        lambda cert, *a, **kw: dataclasses.replace(
+            real(cert, *a, **kw), ok=False, first_violation="planted"),
+    )
+    for argv, warnings in cases.items():
+        assert passing[argv][0] == main(list(argv)) == EXIT_OK
+        captured = capsys.readouterr()
+        want = passing[argv][1]
+        if argv[0] == "thresholds":
+            want = json.dumps(dict(json.loads(want), verified=False)) + "\n"
+        assert captured.out == want
+        assert captured.err.splitlines() == warnings
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual-check", "--J", "2", "--K", "40"],
+        ["thresholds", "--J", "1", "--K", "40"],
+        ["simulate", "--J", "1", "--K", "40", "--trials", "10"],
+    ],
+    ids=" ".join,
+)
+def test_overflow_exits_numeric(capsys, argv):
+    """Float overflow in the construction (x**m at X_FLOOR for K >= 36) is a
+    numerical failure: exit 3 with one error line."""
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_output_to_file(tmp_path, capsys):

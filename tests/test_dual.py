@@ -1,27 +1,20 @@
 """General (J,K) construction: alpha/gamma, the integral-equation solver,
-Lambert W, closed forms and certificate verification."""
+the K = 2 closed-form oracle and certificate verification."""
 
 import math
 import random
 import tracemalloc
 
 import pytest
-import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from secretary_lab.dual import (
     MAX_GRID_POINTS,
-    ConvergenceError,
     MonotonicityError,
     ThresholdMatrix,
     alpha,
     alpha_poly,
-    closed_form_12,
-    closed_form_22,
     construct_dual,
     gamma_poly,
-    lambert_w_principal,
     payoff_jk,
     perturbed,
     solve_integral_equation,
@@ -36,6 +29,7 @@ import reference_values as ref
 from oracles import (
     construct_dual_combine,
     gamma,
+    k2_closed_forms,
     over_power,
     quadrature,
     tail_integral_by_segment,
@@ -126,38 +120,6 @@ def test_monotone_properties_of_alpha():
             assert alpha(k, K, x) > alpha(k + 1, K, x)
         checked += 1
     assert checked >= 100
-
-
-# -- Lambert W --------------------------------------------------------------
-
-
-def test_lambert_known_points():
-    assert lambert_w_principal(0.0) == 0.0
-    assert lambert_w_principal(-math.exp(-1.0)) == -1.0
-    assert lambert_w_principal(-2.0 / (3.0 * math.e)) == pytest.approx(
-        ref.W_AT_M2_3E, abs=1e-14
-    )
-
-
-def test_lambert_domain_errors():
-    for bad in (0.1, -0.5, 1.0):
-        with pytest.raises(ValueError):
-            lambert_w_principal(bad)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.floats(min_value=-0.367879, max_value=0.0))
-def test_lambert_defining_identity(z):
-    w = lambert_w_principal(z)
-    assert -1.0 <= w <= 0.0
-    assert abs(w * math.exp(w) - z) <= 1e-14
-
-
-def test_lambert_against_scipy():
-    for i in range(1, 40):
-        z = -i / 40.0 * math.exp(-1.0)
-        want = float(scipy.special.lambertw(z).real)
-        assert lambert_w_principal(z) == pytest.approx(want, abs=1e-13)
 
 
 # -- integral-equation solver ------------------------------------------------
@@ -390,31 +352,32 @@ def test_quoted_payoffs():
 
 
 def test_closed_form_12_values():
-    cf = closed_form_12()
-    assert cf.payoff == pytest.approx(ref.PAYOFF_12_QUOTED, abs=1e-6)
-    assert cf.tau11 == pytest.approx(ref.TAU_1_1_QUOTED, abs=1e-6)
-    assert cf.tau12 == pytest.approx(2.0 / 3.0, abs=1e-15)
+    cf = k2_closed_forms()
+    assert cf["payoff12"] == pytest.approx(ref.PAYOFF_12_QUOTED, abs=1e-6)
+    assert cf["tau11"] == pytest.approx(ref.TAU_1_1_QUOTED, abs=1e-6)
+    assert cf["tau12"] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_closed_form_12_payoff_identity():
-    cf = closed_form_12()
-    assert cf.payoff == pytest.approx(1.0 - (1.0 - cf.tau11) ** 2, rel=1e-14)
+    cf = k2_closed_forms()
+    assert cf["payoff12"] == pytest.approx(1.0 - (1.0 - cf["tau11"]) ** 2, rel=1e-14)
 
 
 def test_closed_form_12_lambert_relation():
-    cf = closed_form_12()
-    assert abs((-cf.tau11) * math.exp(-cf.tau11) - (-2.0 / (3.0 * math.e))) <= 1e-12
+    cf = k2_closed_forms()
+    w = -cf["tau11"]
+    assert abs(w * math.exp(w) - (-2.0 / (3.0 * math.e))) <= 1e-12
 
 
 def test_closed_form_22_values():
-    cf = closed_form_22()
-    assert cf.tau22 == pytest.approx(ref.TAU_2_2_QUOTED, abs=1e-5)
-    assert cf.tau21 == pytest.approx(ref.TAU_2_1_QUOTED, abs=1e-5)
-    assert cf.payoff == pytest.approx(ref.PAYOFF_22_QUOTED, abs=1e-5)
+    cf = k2_closed_forms()
+    assert cf["tau22"] == pytest.approx(ref.TAU_2_2_QUOTED, abs=1e-5)
+    assert cf["tau21"] == pytest.approx(ref.TAU_2_1_QUOTED, abs=1e-5)
+    assert cf["payoff22"] == pytest.approx(ref.PAYOFF_22_QUOTED, abs=1e-5)
     # high-precision frozen oracle values
-    assert cf.tau22 == pytest.approx(ref.TAU_2_2, abs=1e-12)
-    assert cf.tau21 == pytest.approx(ref.TAU_2_1, abs=1e-12)
-    assert cf.payoff == pytest.approx(ref.PAYOFF_22, abs=1e-12)
+    assert cf["tau22"] == pytest.approx(ref.TAU_2_2, abs=1e-12)
+    assert cf["tau21"] == pytest.approx(ref.TAU_2_1, abs=1e-12)
+    assert cf["payoff22"] == pytest.approx(ref.PAYOFF_22, abs=1e-12)
 
 
 # -- verification -----------------------------------------------------------
