@@ -44,6 +44,9 @@ X_FLOOR = 1e-9
 # Downward scan step and bisection tolerance of the threshold root search.
 SCAN_STEP = 1e-3
 ROOT_TOL = 1e-13
+# Largest K the float construction reaches: from K = 36 on, x**(-K) at
+# X_FLOOR overflows (checked at J = 1..4).
+MAX_K = 35
 # Largest verification grid: a few arrays of this many floats per (j, k).
 MAX_GRID_POINTS = 1_000_000
 # Certificate check: grid and tolerance defaults (the CLI's too), the
@@ -61,6 +64,11 @@ class MonotonicityError(ValueError):
 # -- alpha / gamma ---------------------------------------------------------
 
 
+# alpha has two forms.  This nested float form is the accurate one, and the
+# certificate check compares against it.  alpha_poly's expanded coefficients
+# alternate in sign: on the points i/2000 it is off by up to 2.5e-10 at
+# K = 16 and 8.0e-4 at K = 30, while alpha stays within 3e-14 of the exact
+# value.  alpha_poly serves only the symbolic construction.
 def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
     """sum_{l=k}^{K} C(l-1, k-1) (1-x)^(l-k) x^(k-1), with 0**0 = 1.
 
@@ -231,10 +239,12 @@ def construct_dual(J: int, K: int) -> DualCertificateJK:
     """Build thresholds and dual functions for the (J,K) problem.
 
     K = 1 takes the exact rational route of theta.py; every other K runs
-    the double-precision construction below.
+    the double-precision construction below.  K above MAX_K is refused.
     """
     if J < 1 or K < 1:
         raise ValueError("J and K must be positive")
+    if K > MAX_K:
+        raise ValueError(f"K={K} exceeds the cap {MAX_K}")
     if K == 1:
         return _certificate_k1(J)
     return _construct_general(J, K)
@@ -355,12 +365,11 @@ def verify_certificate(
     non-negative; the dual objective must match the payoff formula
     within OBJECTIVE_TOL.
 
-    The grid is i/grid_points (i = 1..grid_points) plus the breakpoints of
-    each row's r_{j|K} - r_{j-1|K}, evaluated as arrays a chunk of
-    CHUNK_POINTS grid points at a time, every function of every row on one
-    chunk sharing its powers of x and ln x.  first_violation
-    names the first bound broken in the order j, k, threshold, then x
-    ascending (equality before q >= 0 at the same x).
+    The certificate's points are i/grid_points (i = 1..grid_points) plus
+    the breakpoints of every row's r_{j|K} - r_{j-1|K}; every row is
+    checked on all of them, as arrays a chunk of CHUNK_POINTS points at a
+    time.  first_violation names the first bound broken in the order j,
+    k, threshold, then x ascending (equality before q >= 0 at the same x).
     """
     if not 1 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(
@@ -378,34 +387,29 @@ def verify_certificate(
         if violation is None:
             violation = msg
 
-    base_grid = np.arange(1, grid_points + 1) / grid_points
     diffs: list[PiecewiseFunction | None] = [
         cert.r_top(j).combine(cert.r_top(j - 1), 1.0, -1.0) for j in range(1, J + 1)
     ]
-    breaks = [np.array(diff.breakpoints) for diff in diffs]
+    points = _sorted_union(
+        np.arange(1, grid_points + 1) / grid_points,
+        *(np.array(diff.breakpoints) for diff in diffs),
+    )
     grid_notes: list[list[str | None]] = [[None] * K for _ in range(J)]
-    # Row j's grid is base_grid plus its breakpoints.  Chunks of base_grid
-    # ascend in x, and a breakpoint joins the chunk whose base points
-    # bracket it, so each row's points ascend too.  All rows of a chunk
-    # share the powers of x and ln x over the union of their points.
-    for a in range(0, grid_points, CHUNK_POINTS):
-        b = a + CHUNK_POINTS
-        lo = base_grid[a] if a else -math.inf
-        hi = base_grid[b] if b < grid_points else math.inf
-        extra = [bps[(bps >= lo) & (bps < hi)] for bps in breaks]
-        union = _sorted_union(base_grid[a:b], *extra)
-        shared = PowerRows(union)
+    # Chunks ascend in x, so each row meets its points in ascending order.
+    # Every function of every row on a chunk shares its powers of x and
+    # ln x, and its alpha_k values.
+    for a in range(0, len(points), CHUNK_POINTS):
+        rows = PowerRows(points[a : a + CHUNK_POINTS])
+        x = rows.xs
+        alphas = [alpha(k, K, x) for k in range(1, K + 1)]
         for j in range(1, J + 1):
-            row_xs = _sorted_union(base_grid[a:b], extra[j - 1])
-            rows = shared.subset(np.searchsorted(union, row_xs))
-            x = rows.xs
             tail = diffs[j - 1].tail_integral(rows) / x
-            if b >= grid_points:
+            if a + CHUNK_POINTS >= len(points):
                 diffs[j - 1] = None  # free its antiderivatives before row j + 1
             notes = grid_notes[j - 1]
             for k in range(1, K + 1):
                 qv = cert.q[j - 1][k - 1].values(rows)
-                slack = qv + tail - alpha(k, K, x)
+                slack = qv + tail - alphas[k - 1]
                 res = np.abs(slack)
                 above = x >= cert.tau.threshold(j, k)
                 # fmax/fmin skip NaN, as the comparisons of a scalar scan would

@@ -171,41 +171,23 @@ class PowerRows:
     Each row is computed once, by the call a segment-by-segment evaluation
     makes (xs ** m and ln ** p with int exponents), so functions evaluated
     on one PowerRows share its rows and still get the values they would
-    get alone.  `subset` gives some of the points with the same rows, so
-    point sets that overlap share one row computation.  Rows are stacked
-    for gathering: x^m is row m - mlo of the x rows, (ln x)^p row p of the
-    log rows.
+    get alone.  Rows are stacked for gathering: x^m is row m - mlo of the
+    x rows, (ln x)^p row p of the log rows.
     """
 
-    __slots__ = ("xs", "_owner", "_at", "_ln", "_mlo", "_xpow", "_lnpow")
+    __slots__ = ("xs", "_ln", "_mlo", "_xpow", "_lnpow")
 
     def __init__(self, xs: np.ndarray):
         self.xs = xs
-        # the PowerRows whose points the rows cover, when not this one
-        self._owner: PowerRows | None = None
-        self._at: np.ndarray | None = None  # positions of xs in the owner's
         self._ln: np.ndarray | None = None
         self._mlo = 0
         self._xpow = np.empty((0, len(xs)))
         self._lnpow = np.empty((0, len(xs)))
 
-    def subset(self, at: np.ndarray) -> "PowerRows":
-        """The points xs[at], sharing these rows."""
-        view = PowerRows(self.xs[at])
-        view._owner = self._owner or self
-        view._at = self.positions(at)
-        return view
-
-    def positions(self, at: np.ndarray) -> np.ndarray:
-        """Columns of the rows that hold the points xs[at]."""
-        return at if self._at is None else self._at[at]
-
     def rows(
         self, mlo: int, mhi: int, pmax: int
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """x rows covering mlo..mhi, log rows covering 0..pmax, first x row's m."""
-        if self._owner is not None:
-            return self._owner.rows(mlo, mhi, pmax)
         top = self._mlo + len(self._xpow) - 1
         # a point outside every support may be <= 0; its rows are never read
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -287,11 +269,10 @@ class _Packed:
         """
         xpow, lnpow, mlo = points.rows(self.mlo, self.mhi, self.pmax)
         n = xpow.shape[1]
-        cols = points.positions(at)
         total = np.zeros(len(at))
         step = max(1, BLOCK_TERMS // len(self.m))
         for a in range(0, len(at), step):
-            pos, sg = cols[a : a + step], seg[a : a + step]
+            pos, sg = at[a : a + step], seg[a : a + step]
             # flat position of x^m, then of (ln x)^p, at each point per term
             idx = self.m.take(sg, axis=1)
             if mlo:

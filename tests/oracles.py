@@ -215,10 +215,16 @@ def verify_certificate_scalar(
         if violation is None:
             violation = msg
 
-    base_grid = [i / grid_points for i in range(1, grid_points + 1)]
-    for j in range(1, J + 1):
-        diff = cert.r_top(j).combine(cert.r_top(j - 1), 1.0, -1.0)
-        xs = sorted(set(base_grid) | set(diff.breakpoints))
+    diffs = [
+        cert.r_top(j).combine(cert.r_top(j - 1), 1.0, -1.0) for j in range(1, J + 1)
+    ]
+    # every row on the same points: the grid plus every row's breakpoints
+    xs = sorted(
+        {i / grid_points for i in range(1, grid_points + 1)}.union(
+            *(diff.breakpoints for diff in diffs)
+        )
+    )
+    for j, diff in enumerate(diffs, 1):
         for k in range(1, K + 1):
             qf = cert.q[j - 1][k - 1]
             t_jk = cert.tau.threshold(j, k)

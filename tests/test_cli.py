@@ -345,12 +345,29 @@ def test_failed_check_warns_and_keeps_stdout(monkeypatch, capsys):
     ids=" ".join,
 )
 def test_overflow_exits_numeric(capsys, argv):
-    """Float overflow in the construction (x**m at X_FLOOR for K >= 36) is a
-    numerical failure: exit 3 with one error line."""
+    """K past the float construction's range (x**m at X_FLOOR overflows from
+    K = 36 on) is a numerical failure: exit 3 with one error line."""
     assert main(argv) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_k_cap_refuses_before_any_work(monkeypatch, capsys):
+    """K above dual.MAX_K exits 3 naming the cap, before alpha_poly's O(K^3)
+    expansion runs."""
+
+    def fail(k, K):
+        raise AssertionError("alpha_poly ran")
+
+    monkeypatch.setattr(dual, "alpha_poly", fail)
+    assert main(["thresholds", "--J", "1", "--K", "2000"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"error: K=2000 exceeds the cap {dual.MAX_K}\n"
+
+
+def test_largest_k_constructs():
+    cert = dual.construct_dual(1, dual.MAX_K)
+    assert (cert.J, cert.K) == (1, dual.MAX_K)
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -406,7 +406,8 @@ def test_verify_flags_perturbed_certificate():
 
 @pytest.mark.parametrize(
     "J, K, perturb",
-    [(1, 2, 0.0), (3, 3, 0.0), (2, 4, 0.0), (2, 2, 0.01), (16, 2, 0.0)],
+    [(1, 2, 0.0), (3, 3, 0.0), (2, 4, 0.0), (2, 2, 0.01), (16, 2, 0.0),
+     (6, 6, 0.0)],
 )
 def test_array_verifier_matches_scalar_oracle(J, K, perturb):
     """Same verdict and first violation as the point-by-point check;
