@@ -15,16 +15,19 @@ Two execution paths share one policy rule, _pick_quota:
   between them by inverting P(no such arrival in (i, i']) =
   prod_{t<K} (i-t)/(i'-t), their potential ranks uniformly on [K], and
   their times as conditional order statistics, which reproduces the
-  explicit model's distribution exactly at a fraction of the cost.  A
-  block of BLOCK_TRIALS trials advances in lockstep as numpy arrays, one
-  potential arrival per trial and step, and finished trials leave the
-  arrays.
+  explicit model's distribution exactly at a fraction of the cost.  No
+  quota can be used before the smallest threshold t0, so each trial
+  starts at t0 after one Binomial(n, t0) draw of the items that came
+  earlier, and its cost does not depend on n.  A block of BLOCK_TRIALS
+  trials advances in lockstep as numpy arrays, one potential arrival per
+  trial and step, and finished trials leave the arrays.
 
 Randomness comes from a counter-based Philox stream keyed by
 (seed, block), so any partition of blocks over workers yields
 bit-identical aggregates (the reduction sums integers).  The stream was
-once keyed by (seed, trial); a seed gives other estimates than it gave
-then.
+once keyed by (seed, trial), and trials once walked from time 0; a seed
+gives other estimates than it gave then, drawn from the same
+distribution.
 """
 
 from __future__ import annotations
@@ -226,15 +229,21 @@ def _block_stats(
 ) -> tuple[int, int]:
     """Sum and sum of squares of payoffs over one block of `size` trials.
 
-    alive[:, j] is the current rank of quota j's item, K + 1 when it holds
-    none or its item left the top K.  A trial leaves the arrays at position
-    n, or once it has neither an unused quota nor an item in the top K.
+    No quota can be used before the smallest threshold t0, so each trial
+    starts there: Binomial(n, t0) items came earlier, and the later ones
+    arrive iid uniform on [t0, 1] with ranks independent of times.  A trial
+    thus takes about K ln(1/t0) steps whatever n is.  alive[:, j] is the
+    current rank of quota j's item, K + 1 when it holds none or its item
+    left the top K.  A trial leaves the arrays at position n, or once it
+    has neither an unused quota nor an item in the top K.
     """
     J = len(tau_rows)
-    pos = np.zeros(size, dtype=np.int64)
-    x = np.zeros(size)
-    unused = np.ones((size, J), dtype=bool)
-    alive = np.full((size, J), K + 1, dtype=np.int64)
+    t0 = tau_rows[:, :K].min()
+    pos = gen.binomial(n, t0, size)
+    pos = pos[pos < n]  # every item came before t0: payoff 0
+    x = np.full(len(pos), t0)
+    unused = np.ones((len(pos), J), dtype=bool)
+    alive = np.full((len(pos), J), K + 1, dtype=np.int64)
     s = s2 = 0
     while len(pos):
         u, w = gen.random((2, len(pos)))

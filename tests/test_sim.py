@@ -322,7 +322,7 @@ def test_sparse_trial_bounds_and_determinism():
 
 def _assert_block_kernel_matches_replay(J, K, n, trials, replay_seed, sim_seed):
     """Same payoff distribution from the explicit replay and the block
-    kernel behind monte_carlo (4-sigma gate)."""
+    kernel behind monte_carlo (4-sigma gates on E[p] and E[p^2])."""
     tau = construct_dual(J, K).tau
     explicit = [
         run_threshold_algorithm(tau, sample_arrivals(n, trial_rng(replay_seed, t)))
@@ -331,6 +331,13 @@ def _assert_block_kernel_matches_replay(J, K, n, trials, replay_seed, sim_seed):
     rep = monte_carlo(tau, n=n, trials=trials, seed=sim_seed)
     sigma = math.sqrt(np.var(explicit) / trials + rep.stderr**2)
     assert abs(np.mean(explicit) - rep.mean) < 4 * sigma
+    # second moment, which feeds stderr and ci99: the kernel's sum of
+    # squares over trials, recovered from its mean and stderr; the
+    # replay's variance of p^2 stands in for both sides'
+    second = rep.stderr**2 * (trials - 1) + rep.mean**2
+    squares = np.square(explicit)
+    sigma2 = math.sqrt(2 * np.var(squares) / trials)
+    assert abs(np.mean(squares) - second) < 4 * sigma2
 
 
 def test_sparse_agrees_with_explicit_replay():
@@ -343,10 +350,41 @@ def test_sparse_agrees_with_explicit_replay_k1():
 
 @pytest.mark.parametrize(
     "J, K, n, trials",
-    [(3, 2, 500, 2000), (2, 2, 1, 3000), (2, 3, 2, 3000)],  # n = 1 and n < K edges
+    [
+        (3, 2, 500, 2000),
+        (2, 2, 1, 3000),  # n = 1
+        (2, 3, 2, 3000),  # n < K
+        (4, 4, 2000, 3000),  # trials start deep in the instance
+    ],
 )
 def test_block_kernel_agrees_with_explicit_replay(J, K, n, trials):
     _assert_block_kernel_matches_replay(J, K, n, trials, 55, 56)
+
+
+def test_trials_start_at_the_smallest_threshold(monkeypatch):
+    """No quota is consulted before tau_{J,1}, the smallest threshold."""
+    tau = construct_dual(4, 4).tau
+    t0 = tau.threshold(4, 1)
+    assert t0 == min(map(min, tau.tau))
+    low = [np.inf]  # smallest x passed; stays inf if never called
+    pick = sim._pick_quota
+
+    def spy(tau_rows, unused, k, x):
+        low[0] = min(low[0], x.min())
+        return pick(tau_rows, unused, k, x)
+
+    monkeypatch.setattr(sim, "_pick_quota", spy)
+    monte_carlo(tau, n=10**9, trials=2000, seed=5)
+    assert t0 <= low[0] < 1.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 500])
+def test_thresholds_at_one_pay_nothing(n):
+    """Every item arrives before t0 = 1.0, so every trial ends before its
+    first step."""
+    tau = ThresholdMatrix(2, 2, ((1.0, 1.0), (1.0, 1.0)))
+    rep = monte_carlo(tau, n=n, trials=3000, seed=8)
+    assert (rep.mean, rep.stderr) == (0.0, 0.0)
 
 
 # -- monte carlo -------------------------------------------------------------------
