@@ -24,7 +24,7 @@ is double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
@@ -195,12 +195,18 @@ class DualCertificateJK:
 
     q[j-1][k-1] is the dual function for (quota j, potential rank k),
     supported on [tau_{j,k}, 1]; r[j-1][k-1] is the running sum
-    q_{j|1} + ... + q_{j|k}.
+    q_{j|1} + ... + q_{j|k}, and tops[j-1] is r_{j|K}.  The general
+    construction keeps row j as its cells, (k, r_{j|K} on
+    [tau_{j,k}, tau_{j,k+1}]) ascending in x, and builds q and r from them
+    the first time each is read, so a caller that reads only tau builds
+    neither.  K = 1 gives its q rows, which are also its r rows, in `rows`.
     """
 
     tau: ThresholdMatrix
-    q: tuple[tuple[PiecewiseFunction, ...], ...]
-    r: tuple[tuple[PiecewiseFunction, ...], ...]
+    tops: tuple[PiecewiseFunction, ...]
+    cells: tuple[tuple[tuple[int, PiecewiseFunction], ...], ...] = ()
+    # "q" and "r" rows once built; a perturbed copy shares them
+    rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def J(self) -> int:
@@ -210,11 +216,53 @@ class DualCertificateJK:
     def K(self) -> int:
         return self.tau.K
 
+    def _built(self, name: str) -> tuple[tuple[PiecewiseFunction, ...], ...]:
+        if name not in self.rows:
+            self.rows[name] = _dual_rows(self, running=name == "r")
+        return self.rows[name]
+
+    q = property(lambda self: self._built("q"))
+    r = property(lambda self: self._built("r"))
+
     def r_top(self, j: int) -> PiecewiseFunction:
         """r_{j|K}, with r_{0|K} identically zero."""
         if j == 0:
             return PiecewiseFunction.zero()
-        return self.r[j - 1][self.K - 1]
+        return self.tops[j - 1]
+
+
+def _dual_rows(
+    cert: DualCertificateJK, running: bool
+) -> tuple[tuple[PiecewiseFunction, ...], ...]:
+    """q rows, or with running=True r rows, from the construction's cells.
+
+    On the cell of rank k, q_{j|l} = (r_{j|K} - gamma_k)/k + alpha_l for
+    l <= k and zero for l > k, so r_{j|l} = q_{j|1} + ... + q_{j|min(l,k)}
+    there; r_{j|K} is the row's top, the join of its cells.
+    """
+    K = cert.K
+    last = K - 1 if running else K  # r rows end in the top
+    alphas = [alpha_poly(k, K) for k in range(1, K + 1)]
+    gammas = [gamma_poly(k, K) for k in range(1, K + 1)]
+    out = []
+    for top, cells in zip(cert.tops, cert.cells):
+        parts: list[list[PiecewiseFunction]] = [[] for _ in range(last)]
+        for k, cell in cells:
+            bps = cell.breakpoints
+            scaled = [s.scale(1.0 / k) for s in cell.segments]
+            shift = gammas[k - 1].scale(1.0 / k)
+            for el in range(1, min(k, last) + 1):
+                sh = alphas[el - 1] - shift
+                segs = [s + sh for s in scaled]
+                if running:
+                    acc = segs if el == 1 else [a + s for a, s in zip(acc, segs)]
+                parts[el - 1].append(PiecewiseFunction(bps, acc if running else segs))
+            if running:  # q_{j|l} vanishes on this cell for l > k
+                for el in range(k + 1, last + 1):
+                    parts[el - 1].append(PiecewiseFunction(bps, acc))
+        row = tuple(PiecewiseFunction.join(p) for p in parts)
+        out.append(row + (top,) if running else row)
+    return tuple(out)
 
 
 def _certificate_k1(J: int) -> DualCertificateJK:
@@ -232,7 +280,8 @@ def _certificate_k1(J: int) -> DualCertificateJK:
             for poly in reversed(rows[j - 1])
         ]
         q_rows.append((PiecewiseFunction(bps, segs),))
-    return DualCertificateJK(tau, tuple(q_rows), tuple(q_rows))
+    q = tuple(q_rows)
+    return DualCertificateJK(tau, tuple(row[0] for row in q), rows={"q": q, "r": q})
 
 
 def construct_dual(J: int, K: int) -> DualCertificateJK:
@@ -263,15 +312,15 @@ def _construct_general(J: int, K: int) -> DualCertificateJK:
     min(b, tau_{j-1,k}).  A missing bracket is a numerical failure (the
     construction guarantees existence) and raises RootBracketError.
 
-    The cell [tau_{j,k}, b] keeps r; on it q_{j|l} = (r - gamma_k)/k +
-    alpha_l for l <= k (zero for l > k), so r_{j|k} = q_{j|1} + ... +
-    q_{j|k} and r_{j|K} = r.  Each row function joins its cells.
+    The cell [tau_{j,k}, b] keeps r, and r_{j|K} joins the row's cells;
+    q and the running sums r_{j|k<K} are built from the cells only when
+    read (_dual_rows).
     """
     alphas = [alpha_poly(k, K) for k in range(1, K + 1)]
     gammas = [gamma_poly(k, K) for k in range(1, K + 1)]
     tau_rows: list[list[float]] = []
-    q_rows: list[tuple[PiecewiseFunction, ...]] = []
-    r_rows: list[tuple[PiecewiseFunction, ...]] = []
+    tops: list[PiecewiseFunction] = []
+    row_cells: list[tuple[tuple[int, PiecewiseFunction], ...]] = []
     r_prev = PiecewiseFunction.zero()  # r_{j-1|K}
     for j in range(1, J + 1):
         taus = [0.0] * K
@@ -293,32 +342,12 @@ def _construct_general(J: int, K: int) -> DualCertificateJK:
             cells.append((k, r_cand.restrict(root, b)))
             b = root
         cells.reverse()  # ascending x
-        q_parts: list[list[PiecewiseFunction]] = [[] for _ in range(K)]
-        r_parts: list[list[PiecewiseFunction]] = [[] for _ in range(K - 1)]
-        for k, cell in cells:
-            bps = cell.breakpoints
-            scaled = [s.scale(1.0 / k) for s in cell.segments]
-            shift = gammas[k - 1].scale(1.0 / k)
-            for el in range(1, k + 1):
-                sh = alphas[el - 1] - shift
-                segs = [s + sh for s in scaled]
-                q_parts[el - 1].append(PiecewiseFunction(bps, segs))
-                if el < K:
-                    running = segs if el == 1 else [
-                        a + s for a, s in zip(running, segs)
-                    ]
-                    r_parts[el - 1].append(PiecewiseFunction(bps, running))
-            # q_{j|l} vanishes on this cell for l > k: r_{j|l} = r_{j|k} here
-            for el in range(k + 1, K):
-                r_parts[el - 1].append(PiecewiseFunction(bps, running))
-        r_top = PiecewiseFunction.join([cell for _, cell in cells])
-        r_row = tuple(PiecewiseFunction.join(parts) for parts in r_parts) + (r_top,)
+        r_prev = PiecewiseFunction.join([cell for _, cell in cells])
         tau_rows.append(taus)
-        q_rows.append(tuple(PiecewiseFunction.join(parts) for parts in q_parts))
-        r_rows.append(r_row)
-        r_prev = r_top
+        tops.append(r_prev)
+        row_cells.append(tuple(cells))
     tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
-    return DualCertificateJK(tau, tuple(q_rows), tuple(r_rows))
+    return DualCertificateJK(tau, tuple(tops), tuple(row_cells))
 
 
 # -- certificate verification ----------------------------------------------
@@ -482,7 +511,7 @@ def perturbed(cert: DualCertificateJK, delta: float) -> DualCertificateJK:
     rows = [list(r) for r in cert.tau.tau]
     rows[0][0] += delta
     tau = ThresholdMatrix(cert.J, cert.K, tuple(tuple(r) for r in rows))
-    return DualCertificateJK(tau, cert.q, cert.r)
+    return replace(cert, tau=tau)
 
 
 def certificate_to_dict(

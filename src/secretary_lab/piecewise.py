@@ -353,9 +353,12 @@ class PiecewiseFunction:
         return min(i, len(self.segments) - 1)
 
     def value(self, x: float) -> float:
-        if self.is_zero() or x < self.lo or x > self.hi:
+        # the root scans' hot loop: _segment_index and the support test
+        # inlined on the breakpoint list
+        bps, segs = self.breakpoints, self.segments
+        if not segs or x < bps[0] or x > bps[-1]:
             return 0.0
-        return self.segments[self._segment_index(x)](x)
+        return segs[min(bisect_right(bps, x) - 1, len(segs) - 1)](x)
 
     __call__ = value
 

@@ -24,7 +24,9 @@ Two execution paths share one policy rule, _pick_quota:
 
 Randomness comes from a counter-based Philox stream keyed by
 (seed, block), so any partition of blocks over workers yields
-bit-identical aggregates (the reduction sums integers).  The stream was
+bit-identical aggregates (the reduction sums integers).  A worker
+process takes at least MIN_POOL_BLOCKS blocks, since a pool costs more
+to start than a few blocks cost to run.  The stream was
 once keyed by (seed, trial), and trials once walked from time 0; a seed
 gives other estimates than it gave then, drawn from the same
 distribution.
@@ -36,6 +38,7 @@ import json
 import os
 from bisect import bisect_left, insort
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +48,9 @@ from .dual import ThresholdMatrix
 Z_99 = 2.576  # half-width multiplier for the 99% confidence interval
 
 BLOCK_TRIALS = 1024  # trials per Philox stream, advanced in lockstep
+# Blocks per worker process below which a pool costs more than it saves:
+# starting one takes about 13 ms, a block 2-7 ms.
+MIN_POOL_BLOCKS = 8
 MAX_SEED = (1 << 64) - 1  # a seed fills the high half of the 128-bit Philox key
 MAX_N = 1 << 53  # int64 positions and each float64 factor (m - t) stay exact
 
@@ -192,11 +198,12 @@ def run_threshold_algorithm(
     return payoff
 
 
-def _falling(m, K: int):
-    """prod_{t<K} (m - t) in float64, factors multiplied in order."""
-    out = np.asarray(m, dtype=float)
+def _falling(m, K: int, sc: np.ndarray | None = None) -> np.ndarray:
+    """prod_{t<K} (m - t) in float64, factors multiplied in order, each
+    one times sc when sc is given."""
+    out = np.asarray(m, dtype=float) if sc is None else m * sc
     for t in range(1, K):
-        out = out * (m - t)
+        out = out * (m - t if sc is None else (m - t) * sc)
     return out
 
 
@@ -205,21 +212,34 @@ def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray) -> np.ndarra
 
     Inverse transform of P(no such arrival in (pos, i']) =
     prod_{t<K} (pos-t)/(i'-t) at the uniform draw v; 0 where the
-    no-arrival probability through n already exceeds v.
+    no-arrival probability through n already exceeds v.  Where n^K may
+    pass the float range, a row's factors are scaled by the power of two
+    sc that puts (pos - t) sc in [2^-7, 1); that rounds as the unscaled
+    products would, but keeps them in range, and the largest float
+    stands in for a p_pos / v that still overflows (a draw of 0).
     """
     v = np.maximum(v, 5e-324)
-    p_pos = _falling(pos, K)
+    sc = None
+    if K * int(n).bit_length() > 1000:
+        sc = np.ldexp(1.0, -np.frexp(pos.astype(float))[1])
+    p_pos = _falling(pos, K, sc)
     out = np.zeros_like(pos)
-    go = p_pos < v * _falling(n, K)
-    target = p_pos[go] / v[go]
-    lo = pos[go] + 1
-    # m(m-1)...(m-K+1) ~ (m - (K-1)/2)^K puts the answer near this start;
-    # the loops make it exact
-    m = np.maximum(lo, (target ** (1.0 / K) + (K + 1) / 2).astype(np.int64))
-    while (low := _falling(m, K) <= target).any():
-        m[low] += 1
-    while (high := (m > lo) & (_falling(m - 1, K) > target)).any():
-        m[high] -= 1
+    # a scaled product past the float range is inf, which compares right
+    with nullcontext() if sc is None else np.errstate(over="ignore"):
+        go = p_pos < v * _falling(n, K, sc)
+        target = p_pos[go] / v[go]
+        if sc is not None:
+            sc = sc[go]
+            np.minimum(target, np.finfo(float).max, out=target)
+        lo = pos[go] + 1
+        # m(m-1)...(m-K+1) ~ (m - (K-1)/2)^K puts the answer near this
+        # start; the loops make it exact
+        root = target ** (1.0 / K) if sc is None else target ** (1.0 / K) / sc
+        m = np.maximum(lo, (root + (K + 1) / 2).astype(np.int64))
+        while (low := _falling(m, K, sc) <= target).any():
+            m[low] += 1
+        while (high := (m > lo) & (_falling(m - 1, K, sc) > target)).any():
+            m[high] -= 1
     out[go] = m
     return out
 
@@ -312,7 +332,9 @@ def monte_carlo(
 
     Reproducible for a given seed regardless of worker count: each block of
     BLOCK_TRIALS trials has its own Philox stream, workers take whole
-    blocks, and the reduction adds exact integers.
+    blocks, and the reduction adds exact integers.  `workers` is an upper
+    bound: one process runs per MIN_POOL_BLOCKS blocks, and below
+    2 * MIN_POOL_BLOCKS blocks no pool starts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -323,7 +345,7 @@ def monte_carlo(
     # column K + 1 is +inf: an arrival ranked below the top K takes no quota
     tau_rows = np.hstack([np.asarray(tau.tau, dtype=float), np.full((tau.J, 1), np.inf)])
     blocks = -(-trials // BLOCK_TRIALS)
-    workers = min(workers or 1, worker_cap(), blocks)
+    workers = max(1, min(workers or 1, worker_cap(), blocks // MIN_POOL_BLOCKS))
     bounds = np.linspace(0, blocks, workers + 1, dtype=int)
     jobs = [
         (tau_rows, tau.K, n, seed, trials, int(a), int(b))

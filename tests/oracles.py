@@ -345,7 +345,8 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
         r_rows.append(tuple(r_row))
         r_prev = r_top
     tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
-    return DualCertificateJK(tau, tuple(q_rows), tuple(r_rows))
+    tops = tuple(row[-1] for row in r_rows)
+    return DualCertificateJK(tau, tops, rows={"q": tuple(q_rows), "r": tuple(r_rows)})
 
 
 # -- exact K = 1 checks over theta.recursion rows ----------------------------

@@ -24,7 +24,14 @@ from secretary_lab.cli import main
 from secretary_lab.dp import p_star
 from secretary_lab.lp import build_lp, coefficient_row_sum, solve_lp
 from secretary_lab.piecewise import LogLinComb
-from secretary_lab.sim import monte_carlo, run_threshold_algorithm, sample_arrivals, trial_rng
+from secretary_lab.sim import (
+    BLOCK_TRIALS,
+    MIN_POOL_BLOCKS,
+    monte_carlo,
+    run_threshold_algorithm,
+    sample_arrivals,
+    trial_rng,
+)
 from secretary_lab.theta import ThetaSequence, generate_thetas, payoff_k1_decimal, thresholds
 
 import reference_values as ref
@@ -254,9 +261,10 @@ def test_criterion_8_determinism(capfd, monkeypatch, pool_sizes):
     tau = construct_dual(2, 2).tau
     many = max(2, WORKERS)
     monkeypatch.setenv("SECRETARY_LAB_THREADS", str(many))
-    # 4 blocks, at least one per process; the last block is partial
+    # MIN_POOL_BLOCKS blocks per process; the last block is partial
+    trials = many * MIN_POOL_BLOCKS * BLOCK_TRIALS - 96
     blobs = {
-        monte_carlo(tau, n=2000, trials=4000, seed=99, workers=w).to_json()
+        monte_carlo(tau, n=2000, trials=trials, seed=99, workers=w).to_json()
         for w in (1, many)
     }
     _verdict(

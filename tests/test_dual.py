@@ -21,7 +21,8 @@ from secretary_lab.dual import (
     verify_certificate,
     _construct_general,
 )
-from secretary_lab import theta
+from secretary_lab import dual, theta
+from secretary_lab.cli import main
 from secretary_lab.piecewise import LogLinComb, PiecewiseFunction
 from secretary_lab.theta import generate_thetas, thresholds
 
@@ -275,6 +276,53 @@ def test_running_sums_match_q_rows(J, K):
                 for key in set(seg.terms) | set(total.terms):
                     diff = seg.terms.get(key, 0.0) - total.terms.get(key, 0.0)
                     assert abs(diff) <= 1e-12 * scale, (j, k, key)
+
+
+def _no_rows(cert, running):
+    raise AssertionError("dual rows built")
+
+
+def test_threshold_readers_build_no_rows(monkeypatch, capsys):
+    """tau, simulate and finite-lp read no q or r row; reading q builds."""
+    monkeypatch.setattr(dual, "_dual_rows", _no_rows)
+    cert = construct_dual(4, 4)
+    assert len(cert.tau.tau) == 4
+    assert main(["simulate", "--J", "4", "--K", "4", "--n", "1000", "--trials", "300"]) == 0
+    assert main(["finite-lp", "--J", "2", "--K", "2", "--n", "20"]) == 0
+    with pytest.raises(AssertionError, match="dual rows built"):
+        cert.q
+
+
+def test_verifier_builds_q_rows_only(monkeypatch):
+    built = []
+    real = dual._dual_rows
+
+    def counted(cert, running):
+        built.append(running)
+        return real(cert, running)
+
+    monkeypatch.setattr(dual, "_dual_rows", counted)
+    cert = construct_dual(3, 3)
+    assert verify_certificate(cert).ok
+    cert.q  # built once, then kept
+    assert built == [False]
+
+
+@pytest.mark.parametrize("J,K", [(3, 3), (2, 4), (4, 2)])
+def test_rows_built_on_read_match_combine_reference(J, K):
+    """q and r, each built on its first read (r first here), equal the
+    combine chains term for term, and a perturbed copy of an unread
+    certificate builds the same rows."""
+    want = construct_dual_combine(J, K)
+    got = construct_dual(J, K)
+    shifted = perturbed(construct_dual(J, K), 0.01)
+    for name in ("r", "q"):
+        for cert in (got, shifted):
+            for row_got, row_want in zip(getattr(cert, name), getattr(want, name)):
+                assert [_pieces(f) for f in row_got] == [_pieces(f) for f in row_want]
+    assert shifted.tau.threshold(1, 1) == got.tau.threshold(1, 1) + 0.01
+    assert perturbed(got, 0.01).q is got.q
+    assert not verify_certificate(shifted, grid_points=500).ok
 
 
 def test_dual_functions_12_match_hand_solution():

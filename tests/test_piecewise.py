@@ -202,6 +202,20 @@ def test_kernel_matches_per_segment_oracle(data, f):
     assert_same_bits(f.tail_integral(xs), tail_integral_by_segment(f, xs))
 
 
+@given(data=st.data(), f=piecewise_functions())
+@settings(max_examples=200, deadline=None)
+def test_value_matches_segment_at(data, f):
+    """value(x) is segment_at(x)(x) bit for bit, and 0.0 outside the
+    support: at breakpoints, both ends, points outside and for zero."""
+    pool = f.breakpoints + [-0.5, 0.0, 5e-4, 1.5, math.nextafter(1.0, 2.0)]
+    pool += [math.nextafter(f.lo, 0.0), math.nextafter(f.hi, 2.0)]
+    pool += data.draw(st.lists(st.floats(1e-3, 1.0), max_size=20))
+    for x in data.draw(st.lists(st.sampled_from(pool), max_size=40)):
+        seg = f.segment_at(x)
+        want = 0.0 if seg is None else seg(x)
+        assert f.value(x).hex() == want.hex(), x
+
+
 def test_kernel_matches_oracle_across_chunks_and_blocks():
     """Many points and wide segments: several chunks and evaluation blocks."""
     rng = random.Random(23)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secretary_lab import sim
-from secretary_lab.dual import ThresholdMatrix, construct_dual
+from secretary_lab.dual import ThresholdMatrix, construct_dual, payoff_jk
 from secretary_lab.sim import (
     ArrivalInstance,
     BLOCK_TRIALS,
     MAX_N,
+    MIN_POOL_BLOCKS,
     MAX_SEED,
     Selection,
     SimReport,
@@ -288,6 +291,52 @@ def test_next_potential_inverse_transform_matches_direct_simulation():
     assert abs(none_rate - want_none) < 4 * sigma
 
 
+def _falling_int(m, K):
+    out = 1
+    for t in range(K):
+        out *= m - t
+    return out
+
+
+@pytest.mark.parametrize("K", [2, 20, 35])
+def test_next_potential_matches_exact_arithmetic_at_largest_n(K):
+    """At n = 2^53 the unscaled float products overflow from K = 20 on.
+    Each answer m must bracket the exact inverse transform,
+    F(m) v > F(pos) >= F(m - 1) v with F(m) = m(m-1)...(m-K+1), up to
+    one rounding of the ratio (a tie at K = 2, pos = 2, v = 0.1 lands
+    one past the exact answer); 0 means F(n) v <= F(pos)."""
+    n = MAX_N
+    eps = Fraction(1, 1 << 50)
+    for pos in (K, 1 << 40, n - 1):
+        for v in (0.9, 0.1, 1e-300, 5e-324):
+            got = int(_next_potential(np.array([pos]), n, K, np.array([v]))[0])
+            fv, fpos = Fraction(v), _falling_int(pos, K)
+            if got == 0:
+                assert _falling_int(n, K) * fv <= fpos * (1 + eps), (pos, v)
+                continue
+            assert pos < got <= n, (pos, v)
+            assert _falling_int(got, K) * fv > fpos * (1 - eps), (pos, v, got)
+            if got > pos + 1:
+                assert _falling_int(got - 1, K) * fv <= fpos * (1 + eps), (pos, v, got)
+
+
+def test_next_potential_ends_when_target_overflows():
+    """A draw of 0 at K = 35 from pos = 2^10 overflows p_pos / v even
+    after scaling; the answer still lies in (pos, n]."""
+    got = _next_potential(np.array([1 << 10]), MAX_N, 35, np.array([0.0]))
+    assert 1 << 10 < got[0] <= MAX_N
+
+
+@pytest.mark.parametrize("K", [20, 35])
+def test_largest_n_runs_at_large_k(K):
+    """(2, K) at n = 2^53 finishes and its mean sits near the payoff."""
+    tau = construct_dual(2, K).tau
+    t0 = time.monotonic()
+    rep = monte_carlo(tau, n=MAX_N, trials=3000, seed=5)
+    assert time.monotonic() - t0 < 20
+    assert abs(rep.mean - payoff_jk(tau)) <= 5 * rep.stderr + 1e-3
+
+
 def _pick_quota_reference(tau_rows, unused, k, x):
     for j in range(len(tau_rows), 0, -1):
         if unused[j - 1] and x >= tau_rows[j - 1][k - 1]:
@@ -410,7 +459,7 @@ def test_monte_carlo_deterministic_across_worker_counts(monkeypatch, pool_sizes)
     monkeypatch.setenv("SECRETARY_LAB_THREADS", "8")
     tau = construct_dual(2, 2).tau
     # enough blocks for 8 processes; the last block is partial
-    trials = 8 * BLOCK_TRIALS - 500
+    trials = 8 * MIN_POOL_BLOCKS * BLOCK_TRIALS - 500
     reports = [
         monte_carlo(tau, n=500, trials=trials, seed=11, workers=w) for w in (1, 2, 3, 8)
     ]
@@ -420,14 +469,21 @@ def test_monte_carlo_deterministic_across_worker_counts(monkeypatch, pool_sizes)
 
 
 def test_single_block_runs_without_pool(monkeypatch):
+    """Below 2 * MIN_POOL_BLOCKS blocks, workers=2 runs in-process and
+    prints what workers=1 prints."""
     tau = construct_dual(2, 2).tau
-    one = monte_carlo(tau, n=500, trials=400, seed=11, workers=1)
+    runs = {}
+    for blocks in (1, 2, 2 * MIN_POOL_BLOCKS - 1):
+        trials = (blocks - 1) * BLOCK_TRIALS + 400
+        runs[trials] = monte_carlo(tau, n=500, trials=trials, seed=11, workers=1)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a single block must not start a process pool")
+        raise AssertionError("fewer than 2 * MIN_POOL_BLOCKS blocks started a pool")
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
-    assert monte_carlo(tau, n=500, trials=400, seed=11, workers=2).to_json() == one.to_json()
+    for trials, one in runs.items():
+        two = monte_carlo(tau, n=500, trials=trials, seed=11, workers=2)
+        assert two.to_json() == one.to_json(), trials
 
 
 def test_monte_carlo_json_round_trip():
@@ -472,7 +528,6 @@ def test_local_optimality_smoke():
     payoff, and shifting any single threshold by +-0.1 never helps."""
     cert = construct_dual(2, 2)
     tau = cert.tau
-    from secretary_lab.dual import payoff_jk
 
     base = monte_carlo(tau, n=10_000, trials=12_000, seed=314, workers=2)
     assert base.mean > payoff_jk(tau) - 3 * base.stderr - 0.01
