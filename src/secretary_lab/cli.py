@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -32,22 +34,11 @@ DEFAULT_N_LIST = (10, 25, 50, 100, 200)  # finite-lp item counts without --n
 NUMERIC_ERRORS = (ValueError, RootBracketError, ArithmeticError)
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write text, ending in one newline, to path or to stdout."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _csv_string(rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
-    return buf.getvalue()
+    return buf.getvalue().removesuffix("\n")  # main ends every output
 
 
 def _certified(J: int, K: int, what: str) -> tuple[dual.DualCertificateJK, bool]:
@@ -61,7 +52,10 @@ def _certified(J: int, K: int, what: str) -> tuple[dual.DualCertificateJK, bool]
     return cert, report.ok
 
 
-def cmd_thresholds(args) -> int:
+# Each cmd_* returns (exit code, text or None); main writes the text.
+
+
+def cmd_thresholds(args) -> tuple[int, str]:
     J, K = args.J, args.K
     if K == 1:
         ts = theta.generate_thetas(J)
@@ -69,65 +63,55 @@ def cmd_thresholds(args) -> int:
         payoff = theta.payoff_k1(ts)
         thetas = [theta.format_rational(t) for t in ts.thetas]
         if args.format == "json":
-            _write_output(
-                json.dumps(
-                    {
-                        "J": J,
-                        "thetas": thetas,
-                        "thresholds": tvals,
-                        "payoff": payoff,
-                    }
-                ),
-                args.output,
+            return EXIT_OK, json.dumps(
+                {
+                    "J": J,
+                    "thetas": thetas,
+                    "thresholds": tvals,
+                    "payoff": payoff,
+                }
             )
-        elif args.format == "csv":
+        if args.format == "csv":
             rows = [["j", "theta", "threshold"]]
             rows += [[j + 1, thetas[j], f"{tvals[j]:.12f}"] for j in range(J)]
             rows.append(["payoff", "", f"{payoff:.6f}"])
-            _write_output(_csv_string(rows), args.output)
-        else:
-            lines = []
-            if args.exact:
-                lines.append("theta: " + ", ".join(thetas))
-            lines.append(
-                "thresholds: " + ", ".join(f"{t:.6f}" for t in tvals)
-            )
-            lines.append(f"payoff: {payoff:.6f}")
-            _write_output("\n".join(lines), args.output)
-        return EXIT_OK
+            return EXIT_OK, _csv_string(rows)
+        lines = []
+        if args.exact:
+            lines.append("theta: " + ", ".join(thetas))
+        lines.append(
+            "thresholds: " + ", ".join(f"{t:.6f}" for t in tvals)
+        )
+        lines.append(f"payoff: {payoff:.6f}")
+        return EXIT_OK, "\n".join(lines)
     cert, verified = _certified(J, K, "thresholds")
     payoff = dual.payoff_jk(cert.tau)
     if args.format == "json":
-        _write_output(
-            json.dumps(
-                {
-                    "J": J,
-                    "K": K,
-                    "tau": [list(r) for r in cert.tau.tau],
-                    "payoff": payoff,
-                    "verified": verified,
-                }
-            ),
-            args.output,
+        return EXIT_OK, json.dumps(
+            {
+                "J": J,
+                "K": K,
+                "tau": [list(r) for r in cert.tau.tau],
+                "payoff": payoff,
+                "verified": verified,
+            }
         )
-    elif args.format == "csv":
+    if args.format == "csv":
         rows = [["j", "k", "tau"]]
         for j in range(1, J + 1):
             for k in range(1, K + 1):
                 rows.append([j, k, f"{cert.tau.threshold(j, k):.12f}"])
         rows.append(["payoff", "", f"{payoff:.6f}"])
-        _write_output(_csv_string(rows), args.output)
-    else:
-        lines = [
-            f"tau[{j}]: " + ", ".join(f"{t:.6f}" for t in cert.tau.tau[j - 1])
-            for j in range(1, J + 1)
-        ]
-        lines.append(f"payoff: {payoff:.6f}")
-        _write_output("\n".join(lines), args.output)
-    return EXIT_OK
+        return EXIT_OK, _csv_string(rows)
+    lines = [
+        f"tau[{j}]: " + ", ".join(f"{t:.6f}" for t in cert.tau.tau[j - 1])
+        for j in range(1, J + 1)
+    ]
+    lines.append(f"payoff: {payoff:.6f}")
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_dual_check(args) -> int:
+def cmd_dual_check(args) -> tuple[int, str | None]:
     cert = dual.construct_dual(args.J, args.K)
     if args.perturb:
         try:
@@ -135,35 +119,32 @@ def cmd_dual_check(args) -> int:
         except dual.MonotonicityError as exc:
             # the shift asked for breaks the thresholds' form, not the method
             print(f"usage error: --perturb {args.perturb}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return EXIT_USAGE, None
     report = dual.verify_certificate(
         cert, grid_points=args.grid, tol=args.tolerance
     )
+    code = EXIT_OK if report.ok else EXIT_CERTIFICATE
     if args.format == "json":
-        _write_output(
-            json.dumps(dual.certificate_to_dict(cert, report)), args.output
-        )
-    else:
-        worst = max(
-            report.max_equality_residual,
-            report.max_threshold_residual,
-            max(0.0, -report.min_inequality_slack),
-            report.objective_gap,
-        )
-        lines = [
-            f"certificate (J={args.J}, K={args.K}): "
-            + ("PASS" if report.ok else "FAIL"),
-            f"worst residual: {worst:.3e}",
-            f"dual objective: {report.dual_objective:.9f}"
-            f" vs payoff {report.payoff:.9f}",
-        ]
-        if report.first_violation:
-            lines.append(f"violation: {report.first_violation}")
-        _write_output("\n".join(lines), args.output)
-    return EXIT_OK if report.ok else EXIT_CERTIFICATE
+        return code, json.dumps(dual.certificate_to_dict(cert, report))
+    worst = max(
+        report.max_equality_residual,
+        report.max_threshold_residual,
+        max(0.0, -report.min_inequality_slack),
+        report.objective_gap,
+    )
+    lines = [
+        f"certificate (J={args.J}, K={args.K}): "
+        + ("PASS" if report.ok else "FAIL"),
+        f"worst residual: {worst:.3e}",
+        f"dual objective: {report.dual_objective:.9f}"
+        f" vs payoff {report.payoff:.9f}",
+    ]
+    if report.first_violation:
+        lines.append(f"violation: {report.first_violation}")
+    return code, "\n".join(lines)
 
 
-def cmd_finite_lp(args) -> int:
+def cmd_finite_lp(args) -> tuple[int, str]:
     n_list = args.n if args.n else list(DEFAULT_N_LIST)
     # The DP runs first, so its size caps refuse a request before the much
     # slower continuous construction starts.
@@ -177,43 +158,40 @@ def cmd_finite_lp(args) -> int:
     gaps = [None if cp_star is None else p - cp_star for p in p_stars]
     rows = list(zip(n_list, p_stars, gaps))
     if args.format == "json":
-        _write_output(
-            json.dumps(
-                {
-                    "J": args.J,
-                    "K": args.K,
-                    "cp_star": cp_star,
-                    "rows": [
-                        {"n": n, "p_star": p, "gap": gap} for n, p, gap in rows
-                    ],
-                }
-            ),
-            args.output,
+        return EXIT_OK, json.dumps(
+            {
+                "J": args.J,
+                "K": args.K,
+                "cp_star": cp_star,
+                "rows": [
+                    {"n": n, "p_star": p, "gap": gap} for n, p, gap in rows
+                ],
+            }
         )
-    elif args.format == "csv":
+    if args.format == "csv":
         table = [["n", "p_star", "gap"]]
         table += [
             [n, f"{p:.9f}", "" if gap is None else f"{gap:.9f}"]
             for n, p, gap in rows
         ]
-        _write_output(_csv_string(table), args.output)
-    else:
-        lines = [
-            "CP* = unavailable" if cp_star is None else f"CP* = {cp_star:.6f}"
-        ]
-        lines += [
-            f"n={n:6d}  P*_n={p:.6f}" + ("" if gap is None else f"  gap={gap:+.6f}")
-            for n, p, gap in rows
-        ]
-        _write_output("\n".join(lines), args.output)
-    return EXIT_OK
+        return EXIT_OK, _csv_string(table)
+    lines = [
+        "CP* = unavailable" if cp_star is None else f"CP* = {cp_star:.6f}"
+    ]
+    lines += [
+        f"n={n:6d}  P*_n={p:.6f}" + ("" if gap is None else f"  gap={gap:+.6f}")
+        for n, p, gap in rows
+    ]
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
     cert = dual.construct_dual(args.J, args.K)
     report = sim.monte_carlo(
         cert.tau, n=args.n, trials=args.trials, seed=args.seed, workers=args.workers
     )
+    if args.format == "json":
+        return EXIT_OK, json.dumps(dataclasses.asdict(report))
     if args.format == "csv":
         rows = [
             ["J", "K", "n", "trials", "seed", "mean", "stderr", "ci99_lo", "ci99_hi"],
@@ -229,19 +207,14 @@ def cmd_simulate(args) -> int:
                 repr(report.ci99[1]),
             ],
         ]
-        _write_output(_csv_string(rows), args.output)
-    elif args.format == "text":
-        _write_output(
-            f"mean payoff: {report.mean:.6f} +- {report.stderr:.6f} "
-            f"(99% CI [{report.ci99[0]:.6f}, {report.ci99[1]:.6f}])",
-            args.output,
-        )
-    else:
-        _write_output(report.to_json(), args.output)
-    return EXIT_OK
+        return EXIT_OK, _csv_string(rows)
+    return EXIT_OK, (
+        f"mean payoff: {report.mean:.6f} +- {report.stderr:.6f} "
+        f"(99% CI [{report.ci99[0]:.6f}, {report.ci99[1]:.6f}])"
+    )
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[int, str]:
     rows: list[list] = [["J", "payoff", "theta_J"]]
     ts = theta.generate_thetas(TABLE_MAX_J)
     for J in range(1, TABLE_MAX_J + 1):
@@ -259,8 +232,7 @@ def cmd_report(args) -> int:
         rows.append([f"tau_{J}_2 {pair}", f"{tau.threshold(J, 2):.6f}", ""])
         rows.append([f"tau_{J}_1 {pair}", f"{tau.threshold(J, 1):.6f}", ""])
         rows.append([f"payoff {pair}", f"{dual.payoff_jk(tau):.6f}", ""])
-    _write_output(_csv_string([r if r else [""] for r in rows]), args.output)
-    return EXIT_OK
+    return EXIT_OK, _csv_string([r if r else [""] for r in rows])
 
 
 def _int_range(lo: int, hi: float):
@@ -302,6 +274,7 @@ def _n_list(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad item-count list {raw!r}") from exc
 
 
+@functools.cache  # one parser per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secretary-lab",
@@ -360,13 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        if text is not None:
+            if args.output is None:
+                sys.stdout.write(text + "\n")
+            else:
+                with open(args.output, "w") as fh:
+                    fh.write(text + "\n")
+        return code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

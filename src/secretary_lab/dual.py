@@ -195,18 +195,17 @@ class DualCertificateJK:
 
     q[j-1][k-1] is the dual function for (quota j, potential rank k),
     supported on [tau_{j,k}, 1]; r[j-1][k-1] is the running sum
-    q_{j|1} + ... + q_{j|k}, and tops[j-1] is r_{j|K}.  The general
-    construction keeps row j as its cells, (k, r_{j|K} on
-    [tau_{j,k}, tau_{j,k+1}]) ascending in x, and builds q and r from them
-    the first time each is read, so a caller that reads only tau builds
-    neither.  K = 1 gives its q rows, which are also its r rows, in `rows`.
+    q_{j|1} + ... + q_{j|k}, and tops[j-1] is r_{j|K}.  Row j is kept as
+    its cells, (k, r_{j|K} on [tau_{j,k}, tau_{j,k+1}]) ascending in x, and
+    q and r are built from them the first time each is read, so a caller
+    that reads only tau builds neither.
     """
 
     tau: ThresholdMatrix
     tops: tuple[PiecewiseFunction, ...]
-    cells: tuple[tuple[tuple[int, PiecewiseFunction], ...], ...] = ()
-    # "q" and "r" rows once built; a perturbed copy shares them
-    rows: dict = field(default_factory=dict, compare=False, repr=False)
+    cells: tuple[tuple[tuple[int, PiecewiseFunction], ...], ...]
+    # "q" and "r" rows once built
+    rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def J(self) -> int:
@@ -270,7 +269,7 @@ def _certificate_k1(J: int) -> DualCertificateJK:
     ts, rows = theta_mod.recursion(J)
     tvals = theta_mod.thresholds(ts)  # t_1 > t_2 > ... > t_J
     tau = ThresholdMatrix(J, 1, tuple((tvals[j],) for j in range(J)))
-    q_rows = []
+    tops = []  # for K = 1, r_{j|1} = q_{j|1}
     for j in range(1, J + 1):
         # ascending x: pieces k = j (lowest interval) down to k = 1
         bps = [tvals[k - 1] for k in range(j, 0, -1)] + [1.0]
@@ -279,9 +278,8 @@ def _certificate_k1(J: int) -> DualCertificateJK:
             LogLinComb({t: float(c) for t, c in sorted(poly.terms.items())})
             for poly in reversed(rows[j - 1])
         ]
-        q_rows.append((PiecewiseFunction(bps, segs),))
-    q = tuple(q_rows)
-    return DualCertificateJK(tau, tuple(row[0] for row in q), rows={"q": q, "r": q})
+        tops.append(PiecewiseFunction(bps, segs))
+    return DualCertificateJK(tau, tuple(tops), tuple(((1, top),) for top in tops))
 
 
 def construct_dual(J: int, K: int) -> DualCertificateJK:

@@ -26,15 +26,11 @@ Randomness comes from a counter-based Philox stream keyed by
 (seed, block), so any partition of blocks over workers yields
 bit-identical aggregates (the reduction sums integers).  A worker
 process takes at least MIN_POOL_BLOCKS blocks, since a pool costs more
-to start than a few blocks cost to run.  The stream was
-once keyed by (seed, trial), and trials once walked from time 0; a seed
-gives other estimates than it gave then, drawn from the same
-distribution.
+to start than a few blocks cost to run.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from bisect import bisect_left, insort
 from concurrent.futures import ProcessPoolExecutor
@@ -103,20 +99,6 @@ class SimReport:
     mean: float
     stderr: float
     ci99: tuple[float, float]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "J": self.J,
-                "K": self.K,
-                "n": self.n,
-                "trials": self.trials,
-                "seed": self.seed,
-                "mean": self.mean,
-                "stderr": self.stderr,
-                "ci99": list(self.ci99),
-            }
-        )
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -346,7 +346,9 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
         r_prev = r_top
     tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
     tops = tuple(row[-1] for row in r_rows)
-    return DualCertificateJK(tau, tops, rows={"q": tuple(q_rows), "r": tuple(r_rows)})
+    cert = DualCertificateJK(tau, tops, ())
+    cert.rows.update(q=tuple(q_rows), r=tuple(r_rows))  # built here, not from cells
+    return cert
 
 
 # -- exact K = 1 checks over theta.recursion rows ----------------------------

@@ -263,14 +263,14 @@ def test_criterion_8_determinism(capfd, monkeypatch, pool_sizes):
     monkeypatch.setenv("SECRETARY_LAB_THREADS", str(many))
     # MIN_POOL_BLOCKS blocks per process; the last block is partial
     trials = many * MIN_POOL_BLOCKS * BLOCK_TRIALS - 96
-    blobs = {
-        monte_carlo(tau, n=2000, trials=trials, seed=99, workers=w).to_json()
+    reports = {
+        monte_carlo(tau, n=2000, trials=trials, seed=99, workers=w)
         for w in (1, many)
     }
     _verdict(
         capfd,
         8,
-        len(blobs) == 1 and pool_sizes == [many],
-        f"byte-identical JSON for 1 and {many} workers, pools started: {pool_sizes}",
+        len(reports) == 1 and pool_sizes == [many],
+        f"identical reports for 1 and {many} workers, pools started: {pool_sizes}",
         t0,
     )

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from secretary_lab import dp, dual
+from secretary_lab import cli, dp, dual
 from secretary_lab.cli import (
+    DEFAULT_N_LIST,
     EXIT_CERTIFICATE,
     EXIT_IO,
     EXIT_NUMERIC,
@@ -173,14 +174,15 @@ def test_dual_check_rejects_non_finite_perturb(monkeypatch, capsys, perturb):
 @pytest.mark.parametrize("perturb", ["0.5", "-0.5"])
 def test_dual_check_rejects_perturb_that_breaks_the_order(capsys, perturb):
     """A shift moving tau_{1,1} out of (0, 1] or out of order is a usage
-    error that names the broken condition."""
+    error that names the broken condition and writes nothing to stdout."""
     with pytest.raises(dual.MonotonicityError) as err:
         dual.perturbed(dual.construct_dual(2, 2), float(perturb))
     code = main(["dual-check", "--J", "2", "--K", "2", "--perturb", perturb])
     assert code == EXIT_USAGE
-    stderr = capsys.readouterr().err
-    assert "--perturb" in stderr
-    assert str(err.value) in stderr
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--perturb" in captured.err
+    assert str(err.value) in captured.err
 
 
 def test_finite_lp_hand_value(capsys):
@@ -421,6 +423,23 @@ def test_usage_errors(capsys):
     assert "invalid integer value: 'x'" in capsys.readouterr().err
     assert main(["finite-lp", "--J", "1", "--n", "2,x"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_one_parser_carries_no_state(capsys):
+    """In-process calls share one parser, and no option carries from one
+    call to the next."""
+    cli.build_parser.cache_clear()
+    argv = ["thresholds", "--J", "3", "--K", "1"]
+    assert "theta:" in run(capsys, *argv, "--exact")[1]
+    assert "theta:" not in run(capsys, *argv)[1]
+    argv = ["finite-lp", "--J", "1", "--K", "1"]
+    assert len(run(capsys, *argv, "--n", "5")[1].splitlines()) == 2
+    lines = run(capsys, *argv)[1].splitlines()
+    assert [int(s[2:8]) for s in lines[1:]] == list(DEFAULT_N_LIST)  # "n=%6d"
+    argv = ["dual-check", "--J", "2", "--K", "2"]
+    assert run(capsys, *argv, "--perturb", "0.01")[0] == EXIT_CERTIFICATE
+    assert run(capsys, *argv)[0] == EXIT_OK
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_thread_setting_must_be_integer(monkeypatch, capsys):

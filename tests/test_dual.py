@@ -283,14 +283,17 @@ def _no_rows(cert, running):
 
 
 def test_threshold_readers_build_no_rows(monkeypatch, capsys):
-    """tau, simulate and finite-lp read no q or r row; reading q builds."""
+    """tau, simulate and finite-lp read no q or r row; reading q builds.
+    K = 1 keeps its rows as cells too."""
     monkeypatch.setattr(dual, "_dual_rows", _no_rows)
-    cert = construct_dual(4, 4)
-    assert len(cert.tau.tau) == 4
-    assert main(["simulate", "--J", "4", "--K", "4", "--n", "1000", "--trials", "300"]) == 0
-    assert main(["finite-lp", "--J", "2", "--K", "2", "--n", "20"]) == 0
-    with pytest.raises(AssertionError, match="dual rows built"):
-        cert.q
+    for J, K in ((4, 4), (3, 1)):
+        cert = construct_dual(J, K)
+        assert len(cert.tau.tau) == J
+        argv = ["--J", str(J), "--K", str(K)]
+        assert main(["simulate", *argv, "--n", "1000", "--trials", "300"]) == 0
+        assert main(["finite-lp", *argv, "--n", "20"]) == 0
+        with pytest.raises(AssertionError, match="dual rows built"):
+            cert.q
 
 
 def test_verifier_builds_q_rows_only(monkeypatch):
@@ -302,10 +305,12 @@ def test_verifier_builds_q_rows_only(monkeypatch):
         return real(cert, running)
 
     monkeypatch.setattr(dual, "_dual_rows", counted)
-    cert = construct_dual(3, 3)
-    assert verify_certificate(cert).ok
-    cert.q  # built once, then kept
-    assert built == [False]
+    for J, K in ((3, 3), (3, 1)):
+        built.clear()
+        cert = construct_dual(J, K)
+        assert verify_certificate(cert).ok
+        cert.q  # built once, then kept
+        assert built == [False], (J, K)
 
 
 @pytest.mark.parametrize("J,K", [(3, 3), (2, 4), (4, 2)])
@@ -321,7 +326,7 @@ def test_rows_built_on_read_match_combine_reference(J, K):
             for row_got, row_want in zip(getattr(cert, name), getattr(want, name)):
                 assert [_pieces(f) for f in row_got] == [_pieces(f) for f in row_want]
     assert shifted.tau.threshold(1, 1) == got.tau.threshold(1, 1) + 0.01
-    assert perturbed(got, 0.01).q is got.q
+    assert perturbed(got, 0.01).rows == {}  # a copy builds its own rows on read
     assert not verify_certificate(shifted, grid_points=500).ok
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secretary_lab import sim
+from secretary_lab.cli import main
 from secretary_lab.dual import ThresholdMatrix, construct_dual, payoff_jk
 from secretary_lab.sim import (
     ArrivalInstance,
@@ -463,8 +464,7 @@ def test_monte_carlo_deterministic_across_worker_counts(monkeypatch, pool_sizes)
     reports = [
         monte_carlo(tau, n=500, trials=trials, seed=11, workers=w) for w in (1, 2, 3, 8)
     ]
-    blobs = {r.to_json() for r in reports}
-    assert len(blobs) == 1
+    assert all(r == reports[0] for r in reports[1:])
     assert pool_sizes == [2, 3, 8]
 
 
@@ -483,13 +483,15 @@ def test_single_block_runs_without_pool(monkeypatch):
     monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
     for trials, one in runs.items():
         two = monte_carlo(tau, n=500, trials=trials, seed=11, workers=2)
-        assert two.to_json() == one.to_json(), trials
+        assert two == one, trials
 
 
-def test_monte_carlo_json_round_trip():
+def test_monte_carlo_json_round_trip(capsys):
     tau = construct_dual(1, 2).tau
     rep = monte_carlo(tau, n=200, trials=500, seed=4)
-    parsed = json.loads(rep.to_json())
+    argv = ["--J", "1", "--K", "2", "--n", "200", "--trials", "500", "--seed", "4"]
+    assert main(["simulate", *argv, "--format", "json"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
     assert list(parsed) == ["J", "K", "n", "trials", "seed", "mean", "stderr", "ci99"]
     assert parsed["J"] == 1 and parsed["K"] == 2
     assert parsed["mean"] == rep.mean
@@ -514,7 +516,7 @@ def test_monte_carlo_range_edges_run():
     tau = construct_dual(2, 2).tau
     top = monte_carlo(tau, n=MAX_N, trials=200, seed=MAX_SEED)
     assert 0.0 < top.mean <= 2.0
-    assert top.to_json() != monte_carlo(tau, n=MAX_N, trials=200, seed=0).to_json()
+    assert top != monte_carlo(tau, n=MAX_N, trials=200, seed=0)
 
 
 def test_mean_bounded_by_min_j_k():
@@ -554,4 +556,4 @@ def test_worker_env_cap(monkeypatch):
     one = monte_carlo(tau, n=100, trials=400, seed=2, workers=8)
     monkeypatch.delenv("SECRETARY_LAB_THREADS")
     many = monte_carlo(tau, n=100, trials=400, seed=2, workers=2)
-    assert one.to_json() == many.to_json()
+    assert one == many
