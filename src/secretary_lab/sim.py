@@ -3,9 +3,10 @@
 Two execution paths share one policy rule, _pick_quota:
 
 * run_threshold_algorithm replays one explicit n-item instance (sorted
-  uniform arrival times plus a rank permutation), walking in Python only
-  the O(K log n) arrivals a numpy filter keeps (see _potential_arrivals);
-  it can also return the full selection log for audits.
+  uniform arrival times plus a rank permutation) in O(n): a numpy filter
+  makes one comparison per item and keeps O(K log(n/K)) candidates, and
+  only those are walked in Python (see _potential_arrivals).  It can also
+  return the full selection log for audits.
 
 * monte_carlo uses an event-driven sampler.  Selections and payoff only
   depend on arrivals whose potential rank is at most K (an item already
@@ -49,6 +50,9 @@ BLOCK_TRIALS = 1024  # trials per Philox stream, advanced in lockstep
 MIN_POOL_BLOCKS = 8
 MAX_SEED = (1 << 64) - 1  # a seed fills the high half of the 128-bit Philox key
 MAX_N = 1 << 53  # int64 positions and each float64 factor (m - t) stay exact
+# sample_arrivals peaks at 18 bytes per item (float64 times, int64 ranks and
+# two bool masks while the instance is checked); this keeps it within 1 GiB
+MAX_ARRIVALS = (1 << 30) // 18
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,14 @@ class ArrivalInstance:
         times, ranks = np.asarray(self.times), np.asarray(self.ranks)
         if times.ndim != 1 or times.shape != ranks.shape:
             raise ValueError("times and ranks must be 1-D arrays of equal length")
-        perm = np.arange(1, len(ranks) + 1)
-        if ranks.dtype.kind not in "iu" or not np.array_equal(np.sort(ranks), perm):
+        n, whole = len(ranks), ranks.dtype.kind in "iu"
+        seen = np.zeros(n + 1, dtype=bool)  # n ranks in 1..n fill it if distinct
+        if whole and (not n or 1 <= ranks.min() <= ranks.max() <= n):
+            seen[ranks] = True
+        if not whole or not seen[1:].all():
             raise ValueError("ranks must be an integer permutation of 1..n")
-        if not (np.diff(np.concatenate(([0.0], times, [1.0]))) >= 0).all():
+        # NaN fails every comparison, so it cannot pass as ordered
+        if n and not (times[0] >= 0 and times[-1] <= 1 and (times[1:] >= times[:-1]).all()):
             raise ValueError("times must be non-decreasing in [0, 1]")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "ranks", ranks)
@@ -111,10 +119,12 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def sample_arrivals(n: int, rng: np.random.Generator) -> ArrivalInstance:
     """Uniform arrival times (sorted) and a uniform rank permutation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    times = np.sort(rng.random(n))
-    ranks = rng.permutation(n) + 1
+    if not 1 <= n <= MAX_ARRIVALS:
+        raise ValueError(f"n must lie in [1, {MAX_ARRIVALS}] (MAX_ARRIVALS), got {n}")
+    times = rng.random(n)
+    times.sort()
+    ranks = rng.permutation(n)
+    ranks += 1
     return ArrivalInstance(times=times, ranks=ranks)
 
 
@@ -133,23 +143,24 @@ def _pick_quota(
 
 def _potential_arrivals(ranks: np.ndarray, K: int):
     """Yield (0-based position, potential rank), in order, for each arrival
-    with fewer than K smaller predecessors.  Layer m of left-to-right minima
-    has m - 1 or more, so K layers hold all of them, and no other arrival
-    ever joins the K smallest ranks seen, which bisect reads k from.
+    with fewer than K smaller predecessors.  Segments [a, 2a) follow a first
+    one of 2K items, all candidates; past it, only items ranked below top[-1]
+    (the K-th smallest rank before their segment) can be such arrivals, about
+    K per segment for a uniform permutation.  One comparison per item, and
+    bisect gives each candidate its k.
     """
-    keep, rest = np.zeros(len(ranks), dtype=bool), ranks.astype(np.int64)
-    for _ in range(K):
-        low = rest == np.minimum.accumulate(rest)
-        keep |= low
-        rest[low] = len(ranks) + 1  # above every rank: in no later layer
-    kept = np.flatnonzero(keep)
     top: list[int] = []  # the K smallest ranks so far, ascending
-    for pos, rank in zip(kept.tolist(), ranks[kept].tolist()):
-        k = bisect_left(top, rank) + 1
-        if k <= K:
-            insort(top, rank)
-            del top[K:]
-            yield pos, k
+    a, b = 0, min(2 * K, len(ranks))
+    while a < b:
+        seg = ranks[a:b]
+        cand = np.flatnonzero(seg < top[-1]) if a else np.arange(b)
+        for pos, rank in zip((cand + a).tolist(), seg[cand].tolist()):
+            k = bisect_left(top, rank) + 1
+            if k <= K:
+                insort(top, rank)
+                del top[K:]
+                yield pos, k
+        a, b = b, min(2 * b, len(ranks))
 
 
 def run_threshold_algorithm(

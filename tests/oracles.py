@@ -30,11 +30,15 @@
   arrival, with a Fenwick tree counting each item's smaller predecessors,
   the reference for the filtered replay in
   `secretary_lab.sim.run_threshold_algorithm`.
+* `potential_arrivals_by_layers`: the potential-rank filter as K layers of
+  left-to-right minima over all n ranks, the reference for the one-pass
+  segment filter `secretary_lab.sim._potential_arrivals`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -487,3 +491,24 @@ def run_threshold_algorithm_reference(
     if detailed:
         return RunResult(payoff=payoff, selections=tuple(selections))
     return payoff
+
+
+def potential_arrivals_by_layers(ranks: np.ndarray, K: int):
+    """Yield (0-based position, potential rank), in order, for each arrival
+    with fewer than K smaller predecessors.  Layer m of left-to-right minima
+    has m - 1 or more, so K layers hold all of them, and no other arrival
+    ever joins the K smallest ranks seen, which bisect reads k from.
+    """
+    keep, rest = np.zeros(len(ranks), dtype=bool), ranks.astype(np.int64)
+    for _ in range(K):
+        low = rest == np.minimum.accumulate(rest)
+        keep |= low
+        rest[low] = len(ranks) + 1  # above every rank: in no later layer
+    kept = np.flatnonzero(keep)
+    top: list[int] = []  # the K smallest ranks so far, ascending
+    for pos, rank in zip(kept.tolist(), ranks[kept].tolist()):
+        k = bisect_left(top, rank) + 1
+        if k <= K:
+            insort(top, rank)
+            del top[K:]
+            yield pos, k

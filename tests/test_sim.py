@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from secretary_lab.dual import ThresholdMatrix, construct_dual, payoff_jk
 from secretary_lab.sim import (
     ArrivalInstance,
     BLOCK_TRIALS,
+    MAX_ARRIVALS,
     MAX_N,
     MIN_POOL_BLOCKS,
     MAX_SEED,
@@ -33,7 +35,7 @@ from secretary_lab.sim import (
 )
 
 import reference_values as ref
-from oracles import run_threshold_algorithm_reference
+from oracles import potential_arrivals_by_layers, run_threshold_algorithm_reference
 
 
 # -- instance sampling ---------------------------------------------------------
@@ -85,6 +87,40 @@ def test_first_position_holds_best_with_probability_one_over_n():
     p = hits / draws
     sigma = math.sqrt((1 / n) * (1 - 1 / n) / draws)
     assert abs(p - 1 / n) < 3 * sigma
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used")
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_ARRIVALS + 1, 10**12])
+def test_sample_arrivals_refuses_before_any_draw_or_allocation(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_ARRIVALS"):
+            sample_arrivals(n, _NoDraws())
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_arrival_cap_keeps_an_instance_within_its_budget():
+    """18 bytes per item at the peak (times, ranks, two check masks), and
+    the bench and test sizes (at most 1e5) stay far below the cap."""
+    assert MAX_ARRIVALS >= 500 * 100_000
+    n = 200_000
+    sample_arrivals(10, trial_rng(1, 2))  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        sample_arrivals(n, trial_rng(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * n < peak <= 18 * n + (1 << 16)
+    assert 18 * MAX_ARRIVALS <= 1 << 30
 
 
 # -- explicit replay -------------------------------------------------------------
@@ -167,6 +203,7 @@ def test_payoff_counts_only_top_k_ranks():
 
 
 def test_instance_validation():
+    u64 = np.uint64
     bad = [
         ([0.3, 0.6], [5, 2]),  # not a permutation
         ([0.3], [1, 2]),  # unequal lengths
@@ -178,12 +215,33 @@ def test_instance_validation():
         ([0.1, 0.5, 7.0], [1, 2, 3]),  # above 1
         ([-0.1, 0.5], [1, 2]),  # below 0
         ([0.1, np.nan], [1, 2]),
+        ([0.1, 0.2], [0, 1]),  # rank 0
+        ([0.1, 0.2], [1, 3]),  # rank n + 1
+        ([0.1, 0.2, 0.3], [1, 3, 3]),  # a duplicate in range
+        ([0.1, 0.2], np.array([1, 2**63], u64)),  # beyond int64
+        ([0.1, 0.2], np.array([2**64 - 1, 1], u64)),
+        ([0.1, 0.2], np.array([True, False])),  # bool ranks
+        ([np.nan, 0.2, 0.3], [1, 2, 3]),  # NaN first, middle, last, alone
+        ([0.1, np.nan, 0.3], [1, 2, 3]),
+        ([0.1, 0.2, np.nan], [1, 2, 3]),
+        ([np.nan], [1]),
+        ([-5e-324, 0.2], [1, 2]),  # one ulp outside [0, 1]
+        ([0.1, np.nextafter(1.0, 2.0)], [1, 2]),
+        ([], np.array([], float)),  # empty, but float ranks
     ]
     for times, ranks in bad:
         with pytest.raises(ValueError):
             ArrivalInstance(np.asarray(times, float), np.asarray(ranks))
-    edge = ArrivalInstance(np.array([0.0, 0.0, 1.0]), np.array([3, 1, 2], np.uint8))
-    assert edge.n == 3
+    good = [
+        ([], np.array([], int)),  # empty
+        ([0.0, 0.0, 1.0], np.array([3, 1, 2], np.uint8)),  # exactly 0.0 and 1.0
+        ([-0.0, 0.5], np.array([2, 1], u64)),  # -0.0 is not below 0
+        ([0.5, 1.0, 1.0], np.array([1, 3, 2], np.int8)),
+        ([1.0], [1]),
+    ]
+    for times, ranks in good:
+        inst = ArrivalInstance(np.asarray(times, float), np.asarray(ranks))
+        assert inst.n == len(ranks)
 
 
 def _random_tau(rng, J: int, K: int) -> ThresholdMatrix:
@@ -263,6 +321,40 @@ def test_potential_filter_is_exact(perm, K):
     smaller = [int(np.count_nonzero(ranks[:pos] < r)) for pos, r in enumerate(ranks)]
     want = [(pos, c + 1) for pos, c in enumerate(smaller) if c < K]
     assert list(_potential_arrivals(ranks, K)) == want
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("K", [1, 2, 4, 16, 35])
+def test_potential_filter_matches_layer_oracle_at_bench_sizes(n, K):
+    ranks = sample_arrivals(n, trial_rng(n, K)).ranks
+    got = list(_potential_arrivals(ranks, K))
+    assert got == list(potential_arrivals_by_layers(ranks, K))
+    assert got[-1][0] >= 2 * K  # past the first segment, where all are candidates
+
+
+_SEGMENT_EDGES = {
+    "2K-1": lambda K: 2 * K - 1,
+    "2K": lambda K: 2 * K,
+    "2K+1": lambda K: 2 * K + 1,
+    "4K": lambda K: 4 * K,
+    "4K+1": lambda K: 4 * K + 1,
+    "K>n": lambda K: K // 2,
+}
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 16, 35])
+@pytest.mark.parametrize("edge", list(_SEGMENT_EDGES))
+def test_potential_filter_at_segment_edges(K, edge):
+    """Segments end at 2K, 4K, 8K, ...: n one short of, at and one past an
+    edge, and n < K, where every arrival is a potential one."""
+    n = _SEGMENT_EDGES[edge](K)
+    rng = np.random.default_rng(100 * K + n)
+    perms = [np.arange(1, n + 1), np.arange(n, 0, -1)]
+    perms += [rng.permutation(n) + 1 for _ in range(20)]
+    for ranks in perms:
+        assert list(_potential_arrivals(ranks, K)) == list(
+            potential_arrivals_by_layers(ranks, K)
+        )
 
 
 # -- sparse event path -----------------------------------------------------------
