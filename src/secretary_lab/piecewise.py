@@ -20,10 +20,11 @@ points come as a `PowerRows`, which computes each x^m and (ln x)^p row
 once and lets every function evaluated on those points share it.  One
 searchsorted finds each point's segment; then, column by column, the
 kernel gathers c, x^m and (ln x)^p for every point and adds c * x^m *
-(ln x)^p to the point's total.  Each point thus sums the same products
-in the same order as `LogLinComb.__call__` does over that segment, so
-values are bit-identical to evaluating one segment at a time.  Tail
-integrals run the same kernel on a second table of antiderivatives.
+(ln x)^p to the point's total, in `LogLinComb.__call__`'s order; values
+are bit-identical to numpy evaluating one segment at a time.  numpy's
+power and log round unlike ** and math.log, so `values` and `value` may
+differ by up to (P + T + 4) ulp of sum |c x^m (ln x)^p| over a segment of
+T terms with ln x powers up to P.  Tail integrals use antiderivative tables.
 """
 
 from __future__ import annotations
@@ -163,6 +164,8 @@ CHUNK_POINTS = 8192
 # Point-term products per evaluation block: bounds the gathered temporaries
 # (64 kB each) whatever the number of points and the segment widths.
 BLOCK_TERMS = 8192
+# Grid points per coarse step of find_largest_root's scan (chosen by timing).
+SCAN_STRIDE = 10
 
 
 class PowerRows:
@@ -504,11 +507,9 @@ class PiecewiseFunction:
 
 
 def bisect_root(
-    fn: Callable[[float], float], a: float, b: float, tol: float = 1e-13
+    fn: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float
 ) -> float:
-    """Bisection on a sign-changing bracket; returns the midpoint estimate."""
-    fa = fn(a)
-    fb = fn(b)
+    """Midpoint estimate of a root in [a, b], given fa = fn(a) and fb = fn(b)."""
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -536,23 +537,32 @@ def find_largest_root(
 ) -> float:
     """Largest zero of fn below hi, for fn known positive just below hi.
 
-    Scans downward from hi with the given step until the sign flips, then
-    bisects the bracket.  Existence of the root is the caller's guarantee;
-    running out of scan range raises RootBracketError.
+    Bisects from the first point with fn <= 0 of the grid hi - scan_step,
+    hi - 2 scan_step, ... above lo to the point above it.  fn is read at
+    every SCAN_STRIDE-th point, then point by point in the first coarse
+    step ending at fn <= 0, and no point twice; so a dip below zero between
+    two positive coarse points is missed (a scan of every point misses only
+    dips narrower than scan_step).  A missing root raises RootBracketError.
     """
-    x_hi = hi
-    f_hi = fn(x_hi)
+    f_hi = fn(hi)
     if f_hi == 0.0:
-        return x_hi
+        return hi
     if f_hi < 0.0:
         raise RootBracketError(f"function already negative at scan start {hi}")
-    x = x_hi - scan_step
-    while x > lo:
-        fx = fn(x)
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            return bisect_root(fn, x, x_hi, tol)
-        x_hi = x
-        x -= scan_step
-    raise RootBracketError(f"no sign change found in ({lo}, {hi})")
+    x_hi = x = hi
+    while True:
+        block = []  # the next SCAN_STRIDE grid points above lo
+        while len(block) < SCAN_STRIDE and x - scan_step > lo:
+            x -= scan_step
+            block.append(x)
+        if not block:
+            raise RootBracketError(f"no sign change found in ({lo}, {hi})")
+        f_end = fn(block[-1])
+        if f_end <= 0.0:
+            for x_lo in block[:-1]:
+                f_lo = fn(x_lo)
+                if f_lo <= 0.0:
+                    return bisect_root(fn, x_lo, x_hi, f_lo, f_hi, tol)
+                x_hi, f_hi = x_lo, f_lo
+            return bisect_root(fn, block[-1], x_hi, f_end, f_hi, tol)
+        x_hi, f_hi = block[-1], f_end

@@ -172,20 +172,22 @@ def run_threshold_algorithm(
     unused = np.ones((1, tau.J), dtype=bool)
     selections: list[Selection] = []
     payoff = 0
-    for pos, k in _potential_arrivals(inst.ranks, tau.K):
-        x = float(inst.times[pos])
-        j = int(_pick_quota(tau_rows, unused, np.array([k]), np.array([x]))[0])
+    arrivals = list(_potential_arrivals(inst.ranks, tau.K))
+    pos, ks = np.array(arrivals, np.intp).reshape(-1, 2).T
+    xs = inst.times[pos]
+    # unused changes only at a selection: one pick finds the next selection
+    while len(pos) and unused.any():
+        picks = _pick_quota(tau_rows, unused, ks, xs)
+        i = int((picks > 0).argmax())
+        j = int(picks[i])
         if j == 0:
-            continue
+            break
         unused[0, j - 1] = False
-        if inst.ranks[pos] <= tau.K:
+        if inst.ranks[pos[i]] <= tau.K:
             payoff += 1
         if detailed:
-            selections.append(
-                Selection(position=pos + 1, time=x, potential=k, quota=j)
-            )
-        if not unused.any():
-            break
+            selections.append(Selection(int(pos[i]) + 1, float(xs[i]), int(ks[i]), j))
+        pos, ks, xs = pos[i + 1 :], ks[i + 1 :], xs[i + 1 :]
     if detailed:
         return RunResult(payoff=payoff, selections=tuple(selections))
     return payoff

@@ -23,6 +23,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, log10
 
 from .piecewise import LogLinComb
@@ -77,6 +78,11 @@ class ThetaSequence:
         """theta_j with the convention theta_0 = 0."""
         return Fraction(0) if j == 0 else self.thetas[j - 1]
 
+    @cached_property
+    def exps(self) -> tuple[Decimal, ...]:
+        """exp(-theta_j) at the working precision, computed on first use."""
+        return tuple(exp_neg(t) for t in self.thetas)
+
 
 def recursion(J: int) -> tuple[ThetaSequence, list[list[LogLinComb]]]:
     """theta_1..theta_J and the dual rows; rows[j-1][k-1] is q_j on [t_k, t_(k-1)].
@@ -122,7 +128,7 @@ def generate_thetas(J: int) -> ThetaSequence:
 
 def thresholds(ts: ThetaSequence) -> list[float]:
     """t_j = exp(-theta_j), rounded once from the working precision."""
-    return [float(exp_neg(t)) for t in ts.thetas]
+    return [float(e) for e in ts.exps]
 
 
 def payoff_k1(ts: ThetaSequence) -> float:
@@ -133,7 +139,4 @@ def payoff_k1(ts: ThetaSequence) -> float:
 def payoff_k1_decimal(ts: ThetaSequence) -> Decimal:
     """sum of t_j at the working precision, before any rounding."""
     with localcontext(working_context(DEFAULT_PRECISION_BITS)):
-        total = Decimal(0)
-        for t in ts.thetas:
-            total += exp_neg(t)
-        return total
+        return sum(ts.exps, Decimal(0))

@@ -19,9 +19,13 @@
   `secretary_lab.dual.verify_certificate`.  Tail integrals come from the
   scalar `PiecewiseFunction.integral`, a code path separate from the
   cached suffix sums of `tail_integral`.
+* `find_largest_root_pointwise`: the threshold root search reading every
+  point of its downward grid, the reference for the coarse-to-fine scan
+  of `secretary_lab.piecewise.find_largest_root`.
 * `construct_dual_combine`: the general (J,K) construction with each row
-  assembled by chains of `PiecewiseFunction.combine`, the reference for
-  the one-pass cell join in `secretary_lab.dual.construct_dual`.
+  assembled by chains of `PiecewiseFunction.combine` and roots from
+  `find_largest_root_pointwise`, the reference for the one-pass cell join
+  and the root search in `secretary_lab.dual.construct_dual`.
 * `q_at_theta`, `integral_q_from`, `dual_objective_k1`,
   `constraint_lhs_k1`: exact K = 1 certificate checks over the rows of
   `secretary_lab.theta.recursion`, in rationals and high-precision
@@ -60,7 +64,12 @@ from secretary_lab.dual import (
     payoff_jk,
     solve_integral_equation,
 )
-from secretary_lab.piecewise import LogLinComb, PiecewiseFunction, find_largest_root
+from secretary_lab.piecewise import (
+    LogLinComb,
+    PiecewiseFunction,
+    RootBracketError,
+    bisect_root,
+)
 from secretary_lab.sim import ArrivalInstance, RunResult, Selection, _pick_quota
 from secretary_lab.theta import (
     DEFAULT_PRECISION_BITS,
@@ -291,6 +300,37 @@ def verify_certificate_scalar(
     )
 
 
+def find_largest_root_pointwise(
+    fn: Callable[[float], float],
+    hi: float,
+    lo: float = 0.0,
+    scan_step: float = 1e-3,
+    tol: float = 1e-13,
+) -> float:
+    """Largest zero of fn below hi, scanning every grid point.
+
+    Reads fn at hi, hi - scan_step, hi - 2 scan_step, ... (one more
+    subtraction per point) until the first value <= 0 above lo, then
+    bisects that point and the one above it, reading both ends again.
+    """
+    x_hi = hi
+    f_hi = fn(x_hi)
+    if f_hi == 0.0:
+        return x_hi
+    if f_hi < 0.0:
+        raise RootBracketError(f"function already negative at scan start {hi}")
+    x = x_hi - scan_step
+    while x > lo:
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            return bisect_root(fn, x, x_hi, fn(x), fn(x_hi), tol)
+        x_hi = x
+        x -= scan_step
+    raise RootBracketError(f"no sign change found in ({lo}, {hi})")
+
+
 def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
     """The general construction, rows joined by combine chains.
 
@@ -317,7 +357,7 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
                 lambda s, sh=shift_k: s.scale(1.0 / k) + sh
             )
             hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
-            root = find_largest_root(
+            root = find_largest_root_pointwise(
                 q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
             )
             taus[k - 1] = root

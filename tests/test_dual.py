@@ -29,6 +29,7 @@ from secretary_lab.theta import generate_thetas, thresholds
 import reference_values as ref
 from oracles import (
     construct_dual_combine,
+    find_largest_root_pointwise,
     gamma,
     k2_closed_forms,
     over_power,
@@ -237,6 +238,28 @@ def test_k1_runs_the_recursion_once(monkeypatch):
 
 def _pieces(fn: PiecewiseFunction):
     return fn.breakpoints, [list(s.terms.items()) for s in fn.segments]
+
+
+@pytest.mark.parametrize(
+    "J,K", [(J, K) for J in range(1, 7) for K in range(2, 7)] + [(2, 16), (16, 2)]
+)
+def test_root_search_matches_pointwise_scan(monkeypatch, J, K):
+    """Every threshold candidate's root from the coarse-to-fine scan has
+    the bits the every-point scan gives.  (K = 1 takes the exact route,
+    which searches no roots.)"""
+    search = dual.find_largest_root
+    candidates = []
+
+    def both(fn, hi, **kwargs):
+        got = search(fn, hi, **kwargs)
+        want = find_largest_root_pointwise(fn, hi, **kwargs)
+        assert got.hex() == want.hex(), (len(candidates), hi)
+        candidates.append(got)
+        return got
+
+    monkeypatch.setattr(dual, "find_largest_root", both)
+    construct_dual(J, K)
+    assert len(candidates) == J * K
 
 
 @pytest.mark.parametrize("J,K", [(2, 2), (3, 3), (4, 8), (8, 6)])

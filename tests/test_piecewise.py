@@ -14,6 +14,7 @@ from secretary_lab.piecewise import (
     LogLinComb,
     PiecewiseFunction,
     PowerRows,
+    SCAN_STRIDE,
     RootBracketError,
     bisect_root,
     find_largest_root,
@@ -21,6 +22,7 @@ from secretary_lab.piecewise import (
 
 from oracles import (
     QuadratureError,
+    find_largest_root_pointwise,
     over_power,
     quadrature,
     tail_integral_by_segment,
@@ -216,6 +218,33 @@ def test_value_matches_segment_at(data, f):
         assert f.value(x).hex() == want.hex(), x
 
 
+@given(data=st.data(), f=piecewise_functions())
+@settings(max_examples=200, deadline=None)
+def test_values_and_value_agree_to_ulps_of_the_term_sum(data, f):
+    """Array and scalar values need not share bits: numpy's power and log
+    round unlike Python's ** and math.log.  At each point they differ by
+    at most (P + T + 4) ulp of S = sum |c x^m (ln x)^p| over the point's
+    segment of T terms with ln x powers up to P (the ln error grows P-fold
+    in (ln x)^P, each term adds about 3 roundings and the sum T), and
+    values stays bit-identical to the one-segment-at-a-time reference."""
+    pool = f.breakpoints + [1.0, math.nextafter(1.0, 0.0)]
+    pool += data.draw(st.lists(st.floats(1e-3, 1.0), max_size=30))
+    xs = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=60)))
+    xs = xs.astype(np.float64)
+    got = f.values(xs)
+    assert_same_bits(got, values_by_segment(f, xs))
+    for x, g in zip(xs.tolist(), got.tolist()):
+        seg = f.segment_at(x)
+        if seg is None or not seg.terms:
+            assert g == f.value(x) == 0.0
+            continue
+        ln = math.log(x)
+        s = math.fsum(abs(c * x**m * ln**p) for (m, p), c in seg.terms.items())
+        ulps = max(p for _, p in seg.terms) + len(seg.terms) + 4
+        # the smallest subnormal covers products that underflow
+        assert abs(g - f.value(x)) <= ulps * (np.finfo(float).eps * s + 5e-324), x
+
+
 def test_kernel_matches_oracle_across_chunks_and_blocks():
     """Many points and wide segments: several chunks and evaluation blocks."""
     rng = random.Random(23)
@@ -315,10 +344,11 @@ def test_quadrature_reports_bad_subinterval():
 
 
 def test_bisect_root():
-    root = bisect_root(lambda x: x * x - 0.25, 0.0, 1.0, tol=1e-14)
+    f = lambda x: x * x - 0.25  # noqa: E731
+    root = bisect_root(f, 0.0, 1.0, f(0.0), f(1.0), tol=1e-14)
     assert root == pytest.approx(0.5, abs=1e-13)
     with pytest.raises(RootBracketError):
-        bisect_root(lambda x: 1.0, 0.0, 1.0)
+        bisect_root(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0, tol=1e-13)
 
 
 def test_find_largest_root_picks_topmost():
@@ -332,6 +362,98 @@ def test_find_largest_root_requires_sign_change():
         find_largest_root(lambda x: 1.0 + x, 1.0, lo=0.5)
     with pytest.raises(RootBracketError):
         find_largest_root(lambda x: -1.0, 1.0)
+
+
+def _scan_grid(hi: float, step: float, count: int) -> list[float]:
+    """hi and the next count points of the root scan's grid, each one more
+    subtraction of step, as both scans form them."""
+    xs = [hi]
+    for _ in range(count):
+        xs.append(xs[-1] - step)
+    return xs
+
+
+def _outcome(search, fn, hi, **kwargs):
+    """The root's bits and the points fn was read at, or the error text."""
+    seen = []
+
+    def read(x):
+        seen.append(x)
+        return fn(x)
+
+    try:
+        return search(read, hi, **kwargs).hex(), seen
+    except RootBracketError as exc:
+        return f"RootBracketError: {exc}", seen
+
+
+def _assert_scans_agree(fn, hi, **kwargs):
+    """Same root bits or error text as the every-point scan; no point is
+    read twice, and none at or below lo."""
+    got, seen = _outcome(find_largest_root, fn, hi, **kwargs)
+    want, _ = _outcome(find_largest_root_pointwise, fn, hi, **kwargs)
+    assert got == want
+    assert len(set(seen)) == len(seen)
+    assert min(seen) > kwargs.get("lo", 0.0)
+    return got
+
+
+@pytest.mark.parametrize("index", range(1, 3 * SCAN_STRIDE + 2))
+def test_scan_matches_pointwise_around_each_grid_point(index):
+    """Roots on a grid point (f == 0 there: a coarse point when index is a
+    multiple of SCAN_STRIDE, a fine one otherwise), one ulp above it, and
+    halfway to the next point down."""
+    step = 1e-3
+    grid = _scan_grid(0.9, step, index + 1)
+    below = 0.5 * (grid[index] + grid[index + 1])
+    for r in (grid[index], math.nextafter(grid[index], 1.0), below):
+        got = _assert_scans_agree(lambda x: x - r, 0.9, scan_step=step, tol=1e-13)
+        if r == grid[index]:
+            assert got == r.hex()  # returned as read, not bisected
+        else:
+            assert abs(float.fromhex(got) - r) < 1e-12
+
+
+def test_scan_last_partial_coarse_step_above_lo():
+    """lo cuts the grid 3 points into a coarse step: the last point above
+    lo is read as that step's end, and nothing at or below lo is read."""
+    step = 1e-3
+    grid = _scan_grid(1.0, step, 2 * SCAN_STRIDE + 4)
+    lo = grid[2 * SCAN_STRIDE + 4]  # grid points above lo: 1 .. 2 S + 3
+    last = grid[2 * SCAN_STRIDE + 3]
+    for r in (grid[2 * SCAN_STRIDE + 1], 0.5 * (grid[2 * SCAN_STRIDE + 2] + last), last):
+        _assert_scans_agree(lambda x: x - r, 1.0, lo=lo, scan_step=step)
+    # a root below the last point: no sign change above lo
+    got = _assert_scans_agree(lambda x: x - 0.5 * (last + lo), 1.0, lo=lo, scan_step=step)
+    assert got == f"RootBracketError: no sign change found in ({lo}, 1.0)"
+
+
+def test_scan_errors_and_start_values_match_pointwise():
+    """No sign change, f(hi) < 0 and f(hi) == 0 end as the every-point scan
+    ends: the same error text, or hi itself."""
+    got = _assert_scans_agree(lambda x: 1.0 + x, 1.0, lo=0.5)
+    assert got == "RootBracketError: no sign change found in (0.5, 1.0)"
+    got = _assert_scans_agree(lambda x: -1.0, 0.75)
+    assert got == "RootBracketError: function already negative at scan start 0.75"
+    assert _assert_scans_agree(lambda x: x - 0.75, 0.75) == (0.75).hex()
+    # a NaN at the bracket's upper end fails the bisection in both scans
+    nan_at = _scan_grid(1.0, 1e-3, 14)[13]
+    fn = lambda x: math.nan if x == nan_at else x - 0.9865  # noqa: E731
+    assert _assert_scans_agree(fn, 1.0).startswith("RootBracketError: no sign change on")
+
+
+def test_scan_misses_a_dip_between_coarse_points():
+    """The stated resolution limit: f < 0 on a gap narrower than
+    SCAN_STRIDE steps between two positive coarse points is skipped (the
+    every-point scan stops there), and the next root down is found."""
+    step = 1e-3
+    grid = _scan_grid(1.0, step, 4 * SCAN_STRIDE)
+    dip = (grid[SCAN_STRIDE + 2], grid[SCAN_STRIDE + 1])
+    fn = lambda x: -1.0 if dip[0] <= x <= dip[1] else x - 0.95  # noqa: E731
+    assert find_largest_root_pointwise(fn, 1.0, scan_step=step) == pytest.approx(
+        dip[1], abs=1e-12
+    )
+    assert find_largest_root(fn, 1.0, scan_step=step) == pytest.approx(0.95, abs=1e-12)
 
 
 def test_breakpoint_validation():

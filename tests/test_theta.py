@@ -1,12 +1,15 @@
 """Exact K=1 thresholds, dual functions and published-value reproduction."""
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from secretary_lab import cli
+from secretary_lab import theta as theta_mod
 from secretary_lab.theta import (
+    DEFAULT_PRECISION_BITS,
     ThetaSequence,
     exp_neg,
     generate_thetas,
@@ -14,6 +17,7 @@ from secretary_lab.theta import (
     payoff_k1_decimal,
     recursion,
     thresholds,
+    working_context,
 )
 
 from oracles import (
@@ -205,3 +209,21 @@ def test_runtime_j8_under_a_second():
     t0 = time.monotonic()
     generate_thetas(8)
     assert time.monotonic() - t0 < 1.0
+
+
+def test_thresholds_call_computes_each_exp_once(monkeypatch):
+    """A K = 1 `thresholds` run computes exp(-theta_j) once per j; the
+    thresholds round each value once and the payoff sums them in order in
+    the working context, digit for digit as the per-call forms did."""
+    calls = []
+    real = theta_mod.exp_neg
+    monkeypatch.setattr(theta_mod, "exp_neg", lambda t: calls.append(t) or real(t))
+    assert cli.main(["thresholds", "--J", "6", "--K", "1", "--format", "json"]) == 0
+    ts = generate_thetas(6)
+    assert calls == list(ts.thetas)
+    assert thresholds(ts) == [float(real(t)) for t in ts.thetas]
+    with localcontext(working_context(DEFAULT_PRECISION_BITS)):
+        want = Decimal(0)
+        for t in ts.thetas:
+            want += real(t)
+    assert payoff_k1_decimal(ts).as_tuple() == want.as_tuple()
