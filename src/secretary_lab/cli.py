@@ -16,7 +16,8 @@ import io
 import json
 import math
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from itertools import accumulate
 
 from . import dp, dual, sim, theta
 from .piecewise import RootBracketError
@@ -145,10 +146,9 @@ def cmd_dual_check(args) -> tuple[int, str | None]:
 
 
 def cmd_finite_lp(args) -> tuple[int, str]:
-    n_list = args.n if args.n else list(DEFAULT_N_LIST)
     # The DP runs first, so its size caps refuse a request before the much
     # slower continuous construction starts.
-    p_stars = [float(dp.p_star(n, args.J, args.K, args.mode)) for n in n_list]
+    p_stars = [float(dp.p_star(n, args.J, args.K, args.mode)) for n in args.n]
     try:
         cp_star = dual.payoff_jk(dual.construct_dual(args.J, args.K).tau)
     except NUMERIC_ERRORS as exc:
@@ -156,7 +156,7 @@ def cmd_finite_lp(args) -> tuple[int, str]:
         print(f"warning: cp_star unavailable: {exc}", file=sys.stderr)
         cp_star = None
     gaps = [None if cp_star is None else p - cp_star for p in p_stars]
-    rows = list(zip(n_list, p_stars, gaps))
+    rows = list(zip(args.n, p_stars, gaps))
     if args.format == "json":
         return EXIT_OK, json.dumps(
             {
@@ -217,9 +217,10 @@ def cmd_simulate(args) -> tuple[int, str]:
 def cmd_report(args) -> tuple[int, str]:
     rows: list[list] = [["J", "payoff", "theta_J"]]
     ts = theta.generate_thetas(TABLE_MAX_J)
-    for J in range(1, TABLE_MAX_J + 1):
-        prefix = theta.ThetaSequence(ts.thetas[:J])
-        payoff = theta.payoff_k1_decimal(prefix)
+    # payoff_k1_decimal of every prefix: its sum, in its context and order
+    with localcontext(theta.working_context(theta.DEFAULT_PRECISION_BITS)):
+        payoffs = list(accumulate(ts.exps, initial=Decimal(0)))[1:]
+    for J, payoff in enumerate(payoffs, start=1):
         rows.append(
             [J, str(payoff.quantize(Decimal("0.000001"))),
              theta.format_rational(ts.thetas[J - 1])]
@@ -269,9 +270,12 @@ def _finite(raw: str) -> float:
 
 def _n_list(raw: str) -> list[int]:
     try:
-        return [_positive_int(s) for s in raw.split(",") if s]
+        counts = [_positive_int(s) for s in raw.split(",") if s]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad item-count list {raw!r}") from exc
+    if not counts:
+        raise argparse.ArgumentTypeError(f"empty item-count list {raw!r}")
+    return counts
 
 
 @functools.cache  # one parser per process; parse_args keeps no state
@@ -310,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finite-lp", help="finite-n LP convergence table")
     common(p, all_formats)
-    p.add_argument("--n", type=_n_list, default=None,
-                   help="comma-separated item counts")
+    p.add_argument("--n", type=_n_list, default=DEFAULT_N_LIST,
+                   help="comma-separated item counts, at least one")
     p.add_argument("--mode", choices=("float", "exact"), default="float")
     p.set_defaults(func=cmd_finite_lp)
 
@@ -319,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, all_formats)
     p.add_argument("--n", type=_int_range(1, sim.MAX_N), default=10_000,
                    help="item count, 1..2**53")
-    p.add_argument("--trials", type=_positive_int, default=100_000)
+    p.add_argument("--trials", type=_int_range(1, sim.MAX_TRIALS), default=100_000,
+                   help="1..2**53")
     p.add_argument("--seed", type=_int_range(0, sim.MAX_SEED), default=0,
                    help="0..2**64-1")
     p.add_argument("--workers", type=_positive_int, default=None)

@@ -24,7 +24,9 @@ is double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -83,21 +85,17 @@ def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def alpha_poly(k: int, K: int) -> LogLinComb:
-    """alpha_k as a polynomial in x (coefficients are exact small integers)."""
+    """alpha_k as a polynomial in x (coefficients are exact small integers).
+
+    The running sums of alpha_poly(1, K), ..., alpha_poly(K, K) are
+    gamma_k = alpha_1 + ... + alpha_k, identically K at k = K.
+    """
     coeffs = [0.0] * K
     for el in range(k, K + 1):
         base = comb(el - 1, k - 1)
         for u in range(el - k + 1):
             coeffs[k - 1 + u] += base * comb(el - k, u) * (-1.0) ** u
     return LogLinComb.from_x_poly(coeffs)
-
-
-def gamma_poly(k: int, K: int) -> LogLinComb:
-    """Partial sum alpha_1 + ... + alpha_k; identically K when k = K."""
-    out = LogLinComb.zero()
-    for el in range(1, k + 1):
-        out = out + alpha_poly(el, K)
-    return out
 
 
 # -- threshold matrix ------------------------------------------------------
@@ -196,16 +194,14 @@ class DualCertificateJK:
     q[j-1][k-1] is the dual function for (quota j, potential rank k),
     supported on [tau_{j,k}, 1]; r[j-1][k-1] is the running sum
     q_{j|1} + ... + q_{j|k}, and tops[j-1] is r_{j|K}.  Row j is kept as
-    its cells, (k, r_{j|K} on [tau_{j,k}, tau_{j,k+1}]) ascending in x, and
-    q and r are built from them the first time each is read, so a caller
-    that reads only tau builds neither.
+    its cells, r_{j|K} on [tau_{j,k}, tau_{j,k+1}] for k = 1..K (ascending
+    in x).  q is built from the cells the first time it is read and r from
+    q, so a caller that reads only tau builds neither.
     """
 
     tau: ThresholdMatrix
     tops: tuple[PiecewiseFunction, ...]
-    cells: tuple[tuple[tuple[int, PiecewiseFunction], ...], ...]
-    # "q" and "r" rows once built
-    rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    cells: tuple[tuple[PiecewiseFunction, ...], ...]
 
     @property
     def J(self) -> int:
@@ -215,13 +211,16 @@ class DualCertificateJK:
     def K(self) -> int:
         return self.tau.K
 
-    def _built(self, name: str) -> tuple[tuple[PiecewiseFunction, ...], ...]:
-        if name not in self.rows:
-            self.rows[name] = _dual_rows(self, running=name == "r")
-        return self.rows[name]
+    @cached_property
+    def q(self) -> tuple[tuple[PiecewiseFunction, ...], ...]:
+        return _dual_rows(self)
 
-    q = property(lambda self: self._built("q"))
-    r = property(lambda self: self._built("r"))
+    @cached_property
+    def r(self) -> tuple[tuple[PiecewiseFunction, ...], ...]:
+        return tuple(
+            (*accumulate(row[:-1], PiecewiseFunction.combine), top)
+            for row, top in zip(self.q, self.tops)
+        )
 
     def r_top(self, j: int) -> PiecewiseFunction:
         """r_{j|K}, with r_{0|K} identically zero."""
@@ -230,37 +229,27 @@ class DualCertificateJK:
         return self.tops[j - 1]
 
 
-def _dual_rows(
-    cert: DualCertificateJK, running: bool
-) -> tuple[tuple[PiecewiseFunction, ...], ...]:
-    """q rows, or with running=True r rows, from the construction's cells.
+def _dual_rows(cert: DualCertificateJK) -> tuple[tuple[PiecewiseFunction, ...], ...]:
+    """q rows from the construction's cells.
 
     On the cell of rank k, q_{j|l} = (r_{j|K} - gamma_k)/k + alpha_l for
-    l <= k and zero for l > k, so r_{j|l} = q_{j|1} + ... + q_{j|min(l,k)}
-    there; r_{j|K} is the row's top, the join of its cells.
+    l <= k and zero for l > k.
     """
     K = cert.K
-    last = K - 1 if running else K  # r rows end in the top
     alphas = [alpha_poly(k, K) for k in range(1, K + 1)]
-    gammas = [gamma_poly(k, K) for k in range(1, K + 1)]
+    gammas = list(accumulate(alphas))
     out = []
-    for top, cells in zip(cert.tops, cert.cells):
-        parts: list[list[PiecewiseFunction]] = [[] for _ in range(last)]
-        for k, cell in cells:
-            bps = cell.breakpoints
+    for cells in cert.cells:
+        parts: list[list[PiecewiseFunction]] = [[] for _ in range(K)]
+        for k, cell in enumerate(cells, start=1):
             scaled = [s.scale(1.0 / k) for s in cell.segments]
             shift = gammas[k - 1].scale(1.0 / k)
-            for el in range(1, min(k, last) + 1):
+            for el in range(1, k + 1):
                 sh = alphas[el - 1] - shift
-                segs = [s + sh for s in scaled]
-                if running:
-                    acc = segs if el == 1 else [a + s for a, s in zip(acc, segs)]
-                parts[el - 1].append(PiecewiseFunction(bps, acc if running else segs))
-            if running:  # q_{j|l} vanishes on this cell for l > k
-                for el in range(k + 1, last + 1):
-                    parts[el - 1].append(PiecewiseFunction(bps, acc))
-        row = tuple(PiecewiseFunction.join(p) for p in parts)
-        out.append(row + (top,) if running else row)
+                parts[el - 1].append(
+                    PiecewiseFunction(cell.breakpoints, [s + sh for s in scaled])
+                )
+        out.append(tuple(PiecewiseFunction.join(p) for p in parts))
     return tuple(out)
 
 
@@ -279,7 +268,7 @@ def _certificate_k1(J: int) -> DualCertificateJK:
             for poly in reversed(rows[j - 1])
         ]
         tops.append(PiecewiseFunction(bps, segs))
-    return DualCertificateJK(tau, tuple(tops), tuple(((1, top),) for top in tops))
+    return DualCertificateJK(tau, tuple(tops), tuple((top,) for top in tops))
 
 
 def construct_dual(J: int, K: int) -> DualCertificateJK:
@@ -311,18 +300,17 @@ def _construct_general(J: int, K: int) -> DualCertificateJK:
     construction guarantees existence) and raises RootBracketError.
 
     The cell [tau_{j,k}, b] keeps r, and r_{j|K} joins the row's cells;
-    q and the running sums r_{j|k<K} are built from the cells only when
-    read (_dual_rows).
+    q and the running sums r_{j|k<K} are built only when read.
     """
     alphas = [alpha_poly(k, K) for k in range(1, K + 1)]
-    gammas = [gamma_poly(k, K) for k in range(1, K + 1)]
+    gammas = list(accumulate(alphas))
     tau_rows: list[list[float]] = []
     tops: list[PiecewiseFunction] = []
-    row_cells: list[tuple[tuple[int, PiecewiseFunction], ...]] = []
+    row_cells: list[tuple[PiecewiseFunction, ...]] = []
     r_prev = PiecewiseFunction.zero()  # r_{j-1|K}
     for j in range(1, J + 1):
         taus = [0.0] * K
-        cells: list[tuple[int, PiecewiseFunction]] = []  # (k, r on the cell)
+        cells: list[PiecewiseFunction] = []  # r on the cell of each k
         b = 1.0
         for k in range(K, 0, -1):
             gpoly = gammas[k - 1]
@@ -337,10 +325,10 @@ def _construct_general(J: int, K: int) -> DualCertificateJK:
                 q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
             )
             taus[k - 1] = root
-            cells.append((k, r_cand.restrict(root, b)))
+            cells.append(r_cand.restrict(root, b))
             b = root
         cells.reverse()  # ascending x
-        r_prev = PiecewiseFunction.join([cell for _, cell in cells])
+        r_prev = PiecewiseFunction.join(cells)
         tau_rows.append(taus)
         tops.append(r_prev)
         row_cells.append(tuple(cells))
@@ -474,19 +462,12 @@ def verify_certificate(
     objective = cert.r_top(J).integral(0.0, 1.0)
     payoff = payoff_jk(cert.tau)
     gap = abs(objective - payoff)
-    if gap > OBJECTIVE_TOL:
+    if not gap <= OBJECTIVE_TOL:  # a NaN gap fails too
         note(f"dual objective {objective} vs payoff {payoff}")
-    ok = (
-        max_eq <= tol
-        and min_slack >= -tol
-        and max_root <= tol
-        and min_q >= -tol
-        and gap <= OBJECTIVE_TOL
-    )
     return CertificateReport(
         J=J,
         K=K,
-        ok=ok,
+        ok=violation is None,
         tolerance=tol,
         grid_points=grid_points,
         max_equality_residual=max_eq,

@@ -476,10 +476,6 @@ class PiecewiseFunction:
         self, other: "PiecewiseFunction", c_self: float = 1.0, c_other: float = 1.0
     ) -> "PiecewiseFunction":
         """c_self * self + c_other * other over the union of supports."""
-        if self.is_zero():
-            return other.map_segments(lambda s: s.scale(c_other))
-        if other.is_zero():
-            return self.map_segments(lambda s: s.scale(c_self))
         cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
         segs = []
         for a, b in zip(cuts, cuts[1:]):

@@ -50,6 +50,7 @@ BLOCK_TRIALS = 1024  # trials per Philox stream, advanced in lockstep
 MIN_POOL_BLOCKS = 8
 MAX_SEED = (1 << 64) - 1  # a seed fills the high half of the 128-bit Philox key
 MAX_N = 1 << 53  # int64 positions and each float64 factor (m - t) stay exact
+MAX_TRIALS = 1 << 53  # block numbers and bounds stay int64, counts exact floats
 # sample_arrivals peaks at 18 bytes per item (float64 times, int64 ranks and
 # two bool masks while the instance is checked); this keeps it within 1 GiB
 MAX_ARRIVALS = (1 << 30) // 18
@@ -331,8 +332,8 @@ def monte_carlo(
     bound: one process runs per MIN_POOL_BLOCKS blocks, and below
     2 * MIN_POOL_BLOCKS blocks no pool starts.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, 2**53], got {trials}")
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must lie in [1, 2**53], got {n}")
     if not 0 <= seed <= MAX_SEED:

@@ -5,7 +5,10 @@
 * `over_power`: f(y)/y^m as a piecewise function, whose `integral` is the
   weighted integral the construction applies symbolically.
 * `gamma`: alpha_1 + ... + alpha_k summed in floats, the reference for
-  `secretary_lab.dual.gamma_poly`.
+  the running sums of `secretary_lab.dual.alpha_poly`.
+* `gamma_poly`: gamma_k as the k-th running sum of `alpha_poly`, the form
+  `secretary_lab.dual` builds its gammas in, for the solver tests and
+  `construct_dual_combine`.
 * `k2_closed_forms`: the (1,2) and (2,2) thresholds and payoffs from their
   Lambert-W closed forms (scipy `lambertw` and `brentq`), a reference that
   shares no code with `secretary_lab.dual.construct_dual`.
@@ -45,6 +48,7 @@ import math
 from bisect import bisect_left, insort
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterator
 
 import numpy as np
@@ -60,7 +64,6 @@ from secretary_lab.dual import (
     ThresholdMatrix,
     alpha,
     alpha_poly,
-    gamma_poly,
     payoff_jk,
     solve_integral_equation,
 )
@@ -133,6 +136,11 @@ def over_power(f: PiecewiseFunction, m: int) -> PiecewiseFunction:
 def gamma(k: int, K: int, x: float) -> float:
     """Partial sum alpha_1 + ... + alpha_k; identically K when k = K."""
     return sum(alpha(el, K, x) for el in range(1, k + 1))
+
+
+def gamma_poly(k: int, K: int) -> LogLinComb:
+    """gamma_k as a polynomial: the k-th running sum of alpha_poly."""
+    return list(accumulate(alpha_poly(el, K) for el in range(1, k + 1)))[-1]
 
 
 def k2_closed_forms() -> dict[str, float]:
@@ -391,7 +399,7 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
     tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
     tops = tuple(row[-1] for row in r_rows)
     cert = DualCertificateJK(tau, tops, ())
-    cert.rows.update(q=tuple(q_rows), r=tuple(r_rows))  # built here, not from cells
+    vars(cert).update(q=tuple(q_rows), r=tuple(r_rows))  # built here, not from cells
     return cert
 
 

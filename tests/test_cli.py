@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from secretary_lab import cli, dp, dual
+from secretary_lab import cli, dp, dual, sim, theta
 from secretary_lab.cli import (
     DEFAULT_N_LIST,
     EXIT_CERTIFICATE,
@@ -296,6 +296,27 @@ def test_simulate_rejects_out_of_range_seed_and_n(capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
+def test_simulate_trials_range(monkeypatch, capsys):
+    """--trials takes 1..2**53; above that it is a usage error, not a
+    traceback from the block bounds."""
+    asked = []
+
+    def no_run(tau, n, trials, seed, workers):
+        asked.append(trials)
+        return sim.SimReport(tau.J, tau.K, n, trials, seed, 1.0, 0.0, (1.0, 1.0))
+
+    monkeypatch.setattr(sim, "monte_carlo", no_run)
+    argv = ["simulate", "--J", "1", "--trials"]
+    assert main([*argv, str(2**53)]) == EXIT_OK
+    assert asked == [2**53]
+    capsys.readouterr()
+    for value in (str(2**53 + 1), "1" + "0" * 23):
+        assert main([*argv, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trials" in captured.err
+    assert asked == [2**53]
+
+
 def test_report_reference_rows(capsys):
     code, out = run(capsys, "report")
     assert code == EXIT_OK
@@ -412,6 +433,27 @@ def test_io_failure_exit_code(tmp_path, capsys):
     missing_dir = tmp_path / "nope" / "out.csv"
     code, _ = run(capsys, "report", "--output", str(missing_dir))
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("value", [",", "", ",,"])
+def test_finite_lp_refuses_an_empty_n_list(capsys, value):
+    assert main(["finite-lp", "--J", "1", "--n", value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty item-count list" in captured.err
+
+
+def test_report_computes_each_threshold_once(monkeypatch, capsys):
+    calls = []
+    real = theta.exp_neg
+
+    def counted(t, *args):
+        calls.append(t)
+        return real(t, *args)
+
+    monkeypatch.setattr(theta, "exp_neg", counted)
+    assert run(capsys, "report")[0] == EXIT_OK
+    assert len(calls) == cli.TABLE_MAX_J
 
 
 def test_usage_errors(capsys):

@@ -14,7 +14,6 @@ from secretary_lab.dual import (
     alpha,
     alpha_poly,
     construct_dual,
-    gamma_poly,
     payoff_jk,
     perturbed,
     solve_integral_equation,
@@ -31,6 +30,7 @@ from oracles import (
     construct_dual_combine,
     find_largest_root_pointwise,
     gamma,
+    gamma_poly,
     k2_closed_forms,
     over_power,
     quadrature,
@@ -96,9 +96,9 @@ def test_polynomials_match_scalar_functions():
 
 
 def test_gamma_poly_top_collapses_to_constant():
+    """The last running sum of the alpha polynomials is the constant K."""
     for K in range(1, 7):
-        terms = gamma_poly(K, K).terms
-        assert terms == {(0, 0): float(K)}
+        assert gamma_poly(K, K).terms == {(0, 0): float(K)}
 
 
 def test_alpha_bounds_validation():
@@ -301,13 +301,13 @@ def test_running_sums_match_q_rows(J, K):
                     assert abs(diff) <= 1e-12 * scale, (j, k, key)
 
 
-def _no_rows(cert, running):
+def _no_rows(cert):
     raise AssertionError("dual rows built")
 
 
 def test_threshold_readers_build_no_rows(monkeypatch, capsys):
-    """tau, simulate and finite-lp read no q or r row; reading q builds.
-    K = 1 keeps its rows as cells too."""
+    """tau, simulate and finite-lp read no q or r row; reading q or r
+    builds. K = 1 keeps its rows as cells too."""
     monkeypatch.setattr(dual, "_dual_rows", _no_rows)
     for J, K in ((4, 4), (3, 1)):
         cert = construct_dual(J, K)
@@ -315,17 +315,18 @@ def test_threshold_readers_build_no_rows(monkeypatch, capsys):
         argv = ["--J", str(J), "--K", str(K)]
         assert main(["simulate", *argv, "--n", "1000", "--trials", "300"]) == 0
         assert main(["finite-lp", *argv, "--n", "20"]) == 0
-        with pytest.raises(AssertionError, match="dual rows built"):
-            cert.q
+        for name in ("q", "r"):
+            with pytest.raises(AssertionError, match="dual rows built"):
+                getattr(cert, name)
 
 
 def test_verifier_builds_q_rows_only(monkeypatch):
     built = []
     real = dual._dual_rows
 
-    def counted(cert, running):
-        built.append(running)
-        return real(cert, running)
+    def counted(cert):
+        built.append(cert)
+        return real(cert)
 
     monkeypatch.setattr(dual, "_dual_rows", counted)
     for J, K in ((3, 3), (3, 1)):
@@ -333,7 +334,8 @@ def test_verifier_builds_q_rows_only(monkeypatch):
         cert = construct_dual(J, K)
         assert verify_certificate(cert).ok
         cert.q  # built once, then kept
-        assert built == [False], (J, K)
+        assert len(built) == 1 and built[0] is cert, (J, K)
+        assert "r" not in vars(cert), (J, K)
 
 
 @pytest.mark.parametrize("J,K", [(3, 3), (2, 4), (4, 2)])
@@ -349,7 +351,8 @@ def test_rows_built_on_read_match_combine_reference(J, K):
             for row_got, row_want in zip(getattr(cert, name), getattr(want, name)):
                 assert [_pieces(f) for f in row_got] == [_pieces(f) for f in row_want]
     assert shifted.tau.threshold(1, 1) == got.tau.threshold(1, 1) + 0.01
-    assert perturbed(got, 0.01).rows == {}  # a copy builds its own rows on read
+    copy = perturbed(got, 0.01)  # builds its own rows on read
+    assert "q" not in vars(copy) and "r" not in vars(copy)
     assert not verify_certificate(shifted, grid_points=500).ok
 
 
@@ -533,6 +536,38 @@ def test_verify_equals_per_segment_oracles(monkeypatch, J, K, perturb):
         lambda f, rows: tail_integral_by_segment(f, rows.xs),
     )
     assert got == verify_certificate(cert)
+
+
+# The pairs of the benchmark's certify workload, three of them failing.
+CERTIFY_PAIRS = [(J, K) for J in range(1, 5) for K in range(1, 5)] + [
+    (6, 6), (4, 8), (8, 4), (2, 16), (16, 1), (8, 8), (16, 2), (8, 6)
+]
+
+
+@pytest.mark.parametrize("J, K", CERTIFY_PAIRS)
+def test_report_passes_iff_it_names_no_violation(J, K):
+    """ok is exactly "no violation named", for passing and failing
+    certificates alike."""
+    cert = construct_dual(J, K)
+    for delta in (0.0, 0.01, -0.01, -0.001):
+        try:
+            shifted = perturbed(cert, delta) if delta else cert
+        except MonotonicityError:
+            continue  # tau_{1,1} + delta leaves (0, 1] or breaks the order
+        for grid in (1, 7, 2000):
+            for tol in (0.0, 1e-8):
+                report = verify_certificate(shifted, grid_points=grid, tol=tol)
+                assert report.ok == (report.first_violation is None), (
+                    delta, grid, tol, report
+                )
+
+
+def test_nan_objective_gap_fails_with_a_named_violation(monkeypatch):
+    monkeypatch.setattr(dual, "payoff_jk", lambda tau: math.nan)
+    report = verify_certificate(construct_dual(2, 2))
+    assert math.isnan(report.objective_gap)
+    assert not report.ok
+    assert report.first_violation.startswith("dual objective")
 
 
 # Peak traced memory of the check at the largest grid.  The per-segment

@@ -21,6 +21,7 @@ from secretary_lab.sim import (
     MAX_N,
     MIN_POOL_BLOCKS,
     MAX_SEED,
+    MAX_TRIALS,
     Selection,
     SimReport,
     Z_99,
@@ -593,6 +594,19 @@ def test_monte_carlo_rejects_bad_trials():
     tau = construct_dual(1, 1).tau
     with pytest.raises(ValueError):
         monte_carlo(tau, n=10, trials=0, seed=1)
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**23])
+def test_monte_carlo_refuses_too_many_trials_before_drawing(monkeypatch, trials):
+    """10**23 trials would overflow the int64 block bounds."""
+
+    def no_draw(*args):
+        raise AssertionError("drew trials")
+
+    monkeypatch.setattr(sim, "trial_rng", no_draw)
+    tau = construct_dual(1, 1).tau
+    with pytest.raises(ValueError, match="trials"):
+        monte_carlo(tau, n=10, trials=trials, seed=1)
 
 
 @pytest.mark.parametrize(
