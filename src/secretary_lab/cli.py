@@ -150,7 +150,10 @@ def cmd_finite_lp(args) -> tuple[int, str]:
     # slower continuous construction starts.
     p_stars = [float(dp.p_star(n, args.J, args.K, args.mode)) for n in args.n]
     try:
-        cp_star = dual.payoff_jk(dual.construct_dual(args.J, args.K).tau)
+        if args.K == 1:  # the payoff `thresholds --K 1` prints, from exact theta
+            cp_star = theta.payoff_k1(theta.generate_thetas(args.J))
+        else:
+            cp_star = dual.payoff_jk(dual.construct_dual(args.J, args.K).tau)
     except NUMERIC_ERRORS as exc:
         # P*_n stands on its own; only the gaps need the construction
         print(f"warning: cp_star unavailable: {exc}", file=sys.stderr)

@@ -17,8 +17,9 @@ dual inequalities below it, and their total integral equals the payoff
 
     J - sum_j (1 - tau[j][1])**K.
 
-K = 1 routes to the exact rational machinery in theta.py; everything here
-is double precision.
+Every K, K = 1 included, runs this one double-precision construction;
+theta.py keeps the exact rational thetas that the printed K = 1 values
+come from.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from math import comb
 
 import numpy as np
 
-from . import theta as theta_mod
 from .piecewise import (
     CHUNK_POINTS,
     LogLinComb,
@@ -39,9 +39,13 @@ from .piecewise import (
     PowerRows,
     find_largest_root,
 )
+from .theta import MAX_J
 
 # Floor for piecewise supports; far below any reachable threshold (the
-# smallest thresholds for J <= 16 sit above 1e-4).
+# smallest thresholds for J <= MAX_J = 16 sit above 1e-4).  J is capped at
+# theta's MAX_J for every K: at K = 1, row 17's search bound
+# tau_{16,1} = 7.3e-4 lies within one SCAN_STEP of the floor, so the root
+# scan would have no point to evaluate.
 X_FLOOR = 1e-9
 # Downward scan step and bisection tolerance of the threshold root search.
 SCAN_STEP = 1e-3
@@ -253,41 +257,8 @@ def _dual_rows(cert: DualCertificateJK) -> tuple[tuple[PiecewiseFunction, ...], 
     return tuple(out)
 
 
-def _certificate_k1(J: int) -> DualCertificateJK:
-    """Exact-route certificate for K = 1, converted to float piecewise form."""
-    ts, rows = theta_mod.recursion(J)
-    tvals = theta_mod.thresholds(ts)  # t_1 > t_2 > ... > t_J
-    tau = ThresholdMatrix(J, 1, tuple((tvals[j],) for j in range(J)))
-    tops = []  # for K = 1, r_{j|1} = q_{j|1}
-    for j in range(1, J + 1):
-        # ascending x: pieces k = j (lowest interval) down to k = 1
-        bps = [tvals[k - 1] for k in range(j, 0, -1)] + [1.0]
-        # ascending powers of ln x: the float evaluation sums terms in this order
-        segs = [
-            LogLinComb({t: float(c) for t, c in sorted(poly.terms.items())})
-            for poly in reversed(rows[j - 1])
-        ]
-        tops.append(PiecewiseFunction(bps, segs))
-    return DualCertificateJK(tau, tuple(tops), tuple((top,) for top in tops))
-
-
 def construct_dual(J: int, K: int) -> DualCertificateJK:
     """Build thresholds and dual functions for the (J,K) problem.
-
-    K = 1 takes the exact rational route of theta.py; every other K runs
-    the double-precision construction below.  K above MAX_K is refused.
-    """
-    if J < 1 or K < 1:
-        raise ValueError("J and K must be positive")
-    if K > MAX_K:
-        raise ValueError(f"K={K} exceeds the cap {MAX_K}")
-    if K == 1:
-        return _certificate_k1(J)
-    return _construct_general(J, K)
-
-
-def _construct_general(J: int, K: int) -> DualCertificateJK:
-    """The double-precision construction, valid for any K >= 1.
 
     Induction over quota rows j = 1..J, inner loop k = K..1.  On each step
     the candidate below b = tau_{j,k+1} (b = 1 for k = K) is
@@ -300,8 +271,15 @@ def _construct_general(J: int, K: int) -> DualCertificateJK:
     construction guarantees existence) and raises RootBracketError.
 
     The cell [tau_{j,k}, b] keeps r, and r_{j|K} joins the row's cells;
-    q and the running sums r_{j|k<K} are built only when read.
+    q and the running sums r_{j|k<K} are built only when read.  K above
+    MAX_K and J above MAX_J are refused before any work.
     """
+    if J < 1 or K < 1:
+        raise ValueError("J and K must be positive")
+    if K > MAX_K:
+        raise ValueError(f"K={K} exceeds the cap {MAX_K}")
+    if J > MAX_J:
+        raise ValueError(f"J={J} exceeds the cap {MAX_J}")
     alphas = [alpha_poly(k, K) for k in range(1, K + 1)]
     gammas = list(accumulate(alphas))
     tau_rows: list[list[float]] = []

@@ -12,9 +12,10 @@ Each q_j is a polynomial in ln x with rational coefficients between
 successive thresholds, so the whole construction runs in exact arithmetic;
 q_j doubles as an optimality certificate (q_j(t_j) = 0, q_j(1) = 1, and the
 piecewise data witnesses the complementary-slackness equalities).
-`recursion` returns the thetas with these rows, which dual.construct_dual
-turns into the float certificate for K = 1.  Floats appear only there and
-in the reporting helpers.
+`recursion` returns the thetas with these rows; the tests check the rows
+as the exact certificate.  The float K = 1 certificate comes from
+dual.construct_dual, which builds every K alike and agrees with
+exp(-theta_j) within 1e-12.  Floats appear only in the reporting helpers.
 """
 
 from __future__ import annotations

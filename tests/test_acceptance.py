@@ -18,7 +18,6 @@ from secretary_lab.dual import (
     construct_dual,
     payoff_jk,
     verify_certificate,
-    _construct_general,
 )
 from secretary_lab.cli import main
 from secretary_lab.dp import p_star
@@ -132,18 +131,14 @@ def test_criterion_4_k1_crosscheck(capfd):
     worst = 0.0
     for J in range(1, 7):
         tvals = thresholds(generate_thetas(J))
-        for route in (
-            construct_dual(J, 1),
-            _construct_general(J, 1),
-        ):
-            for j in range(1, J + 1):
-                worst = max(worst, abs(route.tau.threshold(j, 1) - tvals[j - 1]))
+        tau = construct_dual(J, 1).tau
+        for j in range(1, J + 1):
+            worst = max(worst, abs(tau.threshold(j, 1) - tvals[j - 1]))
     _verdict(
         capfd,
         4,
         worst <= 1e-10,
-        f"J <= 6 thresholds vs exp(-theta_j), worst diff {worst:.2e} "
-        f"(both the exact route and the generic engine)",
+        f"J <= 6 float construction vs exp(-theta_j), worst diff {worst:.2e}",
         t0,
     )
 

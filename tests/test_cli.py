@@ -118,9 +118,27 @@ def test_dual_check_passes(capsys):
     assert "PASS" in out
 
 
-def test_dual_check_k1_exact_route(capsys):
-    code, out = run(capsys, "dual-check", "--J", "3", "--K", "1")
-    assert code == EXIT_OK
+@pytest.mark.parametrize("J", range(1, 17))
+def test_dual_check_k1_certificate(capsys, J):
+    """Every J up to the cap at K = 1: the certificate passes, tau is within
+    1e-12 of exp(-theta_j), and the perturbed copy fails."""
+    argv = ["dual-check", "--J", str(J), "--K", "1"]
+    code, out = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["verification"]["ok"]
+    for row, t in zip(payload["tau"], theta.thresholds(generate_thetas(J)), strict=True):
+        assert abs(row[0] - t) <= 1e-12
+    assert run(capsys, *argv, "--perturb", "0.01")[0] == EXIT_CERTIFICATE
+
+
+@pytest.mark.parametrize("K", ["1", "2"])
+@pytest.mark.parametrize("command", ["dual-check", "simulate", "thresholds"])
+def test_j_cap_for_every_k(capsys, command, K):
+    """J = 17 exits 3 naming the one J cap, whatever K."""
+    assert main([command, "--J", "17", "--K", K]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: J=17 exceeds the cap 16\n"
 
 
 def test_dual_check_json_schema(capsys):
@@ -230,7 +248,7 @@ def test_finite_lp_keeps_rows_when_construction_fails(monkeypatch, capsys):
         raise RootBracketError("no sign change found")
 
     monkeypatch.setattr(dual, "construct_dual", fail)
-    argv = ["finite-lp", "--J", "1", "--K", "1", "--n", "2,5"]
+    argv = ["finite-lp", "--J", "2", "--K", "2", "--n", "2,5"]
     want = ["warning: cp_star unavailable: no sign change found"]
 
     assert main(argv + ["--format", "json"]) == EXIT_OK
@@ -239,14 +257,14 @@ def test_finite_lp_keeps_rows_when_construction_fails(monkeypatch, capsys):
     payload = json.loads(captured.out)
     check_schema(payload, "finite-lp")
     assert payload["cp_star"] is None
-    assert [r["p_star"] for r in payload["rows"]] == [0.5, float(dp.p_star(5, 1, 1))]
+    assert [r["p_star"] for r in payload["rows"]] == [2.0, float(dp.p_star(5, 2, 2))]
     assert all(r["gap"] is None for r in payload["rows"])
 
     assert main(argv + ["--format", "csv"]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err.splitlines() == want
     assert captured.out.splitlines()[1:] == [
-        "2,0.500000000,", f"5,{dp.p_star(5, 1, 1):.9f},"
+        "2,2.000000000,", f"5,{dp.p_star(5, 2, 2):.9f},"
     ]
 
     assert main(argv) == EXIT_OK
@@ -255,6 +273,16 @@ def test_finite_lp_keeps_rows_when_construction_fails(monkeypatch, capsys):
     lines = captured.out.splitlines()
     assert lines[0] == "CP* = unavailable"
     assert len(lines) == 3 and "gap" not in captured.out
+
+
+@pytest.mark.parametrize("J", range(1, 17))
+def test_finite_lp_k1_cp_star_is_thresholds_payoff(capsys, J):
+    """K = 1 CP* is the payoff `thresholds --K 1` prints, bit for bit."""
+    args = ["--J", str(J), "--K", "1", "--format", "json"]
+    code, out = run(capsys, "finite-lp", *args, "--n", "1")
+    assert code == EXIT_OK
+    _, want = run(capsys, "thresholds", *args)
+    assert json.loads(out)["cp_star"] == json.loads(want)["payoff"]
 
 
 def test_finite_lp_large_n(capsys):

@@ -18,7 +18,6 @@ from secretary_lab.dual import (
     perturbed,
     solve_integral_equation,
     verify_certificate,
-    _construct_general,
 )
 from secretary_lab import dual, theta
 from secretary_lab.cli import main
@@ -214,25 +213,16 @@ def test_construct_k1_matches_exact_thresholds():
         assert cert.tau.threshold(j, 1) == pytest.approx(tvals[j - 1], abs=1e-12)
 
 
-def test_general_engine_agrees_with_exact_k1_route():
-    """Running K=1 through the generic solver reproduces exp(-theta_j)."""
-    tvals = thresholds(generate_thetas(6))
-    cert = _construct_general(6, 1)
-    for j in range(1, 7):
-        assert abs(cert.tau.threshold(j, 1) - tvals[j - 1]) < 1e-10
+def test_k1_calls_no_theta_function(monkeypatch):
+    """K = 1 runs the one float construction: nothing of theta is called."""
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct_dual called into theta")
 
-def test_k1_runs_the_recursion_once(monkeypatch):
-    calls = []
-    recursion = theta.recursion
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return recursion(*args, **kwargs)
-
-    monkeypatch.setattr(theta, "recursion", counted)
+    for name, value in vars(theta).items():
+        if callable(value) and getattr(value, "__module__", None) == theta.__name__:
+            monkeypatch.setattr(theta, name, refuse)
     cert = construct_dual(5, 1)
-    assert calls == [(5,)]
     assert cert.J == 5 and len(cert.q) == 5
 
 
@@ -241,12 +231,11 @@ def _pieces(fn: PiecewiseFunction):
 
 
 @pytest.mark.parametrize(
-    "J,K", [(J, K) for J in range(1, 7) for K in range(2, 7)] + [(2, 16), (16, 2)]
+    "J,K", [(J, K) for J in range(1, 7) for K in range(1, 7)] + [(2, 16), (16, 2), (16, 1)]
 )
 def test_root_search_matches_pointwise_scan(monkeypatch, J, K):
     """Every threshold candidate's root from the coarse-to-fine scan has
-    the bits the every-point scan gives.  (K = 1 takes the exact route,
-    which searches no roots.)"""
+    the bits the every-point scan gives."""
     search = dual.find_largest_root
     candidates = []
 
@@ -600,3 +589,6 @@ def test_construct_rejects_bad_sizes():
         construct_dual(0, 1)
     with pytest.raises(ValueError):
         construct_dual(1, 0)
+    for K in (1, 2):  # one J cap for every K
+        with pytest.raises(ValueError, match="^J=17 exceeds the cap 16$"):
+            construct_dual(17, K)

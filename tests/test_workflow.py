@@ -1,8 +1,14 @@
 """The CI workflow: it parses, names only files that exist, and runs the
 Tier-1 command that ROADMAP.md states.  The workflow runs only on a CI
-host, so these checks are what a local test run sees of it."""
+host, so these checks are what a local test run sees of it.  One more
+test runs the benchmark's traced-pass hooks, which the workflow's
+`bench/selftest.py` step relies on."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -42,3 +48,39 @@ def test_tier1_step_runs_the_roadmap_command():
     (step,) = [step for step in _steps() if step.get("name") == "Tier-1 tests"]
     run = step["run"].strip()
     assert run == command or run.startswith(command + " ")
+
+
+# Loads the program as the benchmark does and runs one (2,2) certificate
+# inside a traced pass; prints the pass's counters as JSON.
+BENCH_TRACE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import run, spans
+lab = run.load_program()
+tracer = spans.Tracer()
+with spans.instrumented(lab, tracer):
+    cert = lab.dual.construct_dual(2, 2)
+    ok = lab.dual.verify_certificate(cert).ok
+tracer.end_pass()
+print(json.dumps({"ok": ok, **tracer.counts}))
+"""
+
+
+def test_bench_trace_hooks_find_the_program_names():
+    """The traced passes patch program names (dual.find_largest_root,
+    PiecewiseFunction.value, lp.solve_lp, ...) and read cert.q and cert.r.
+    A rename breaks them; this fails in Tier-1 before the selftest step.
+    A subprocess, because load_program purges secretary_lab from
+    sys.modules."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", BENCH_TRACE, str(ROOT / "bench")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts.pop("ok") is True
+    for name in ("piecewise.root_evals", "piecewise.value_calls",
+                 "piecewise.tail_integral_calls", "dual.segments",
+                 "dual.verify_points"):
+        assert counts.get(name, 0) > 0, name
