@@ -9,11 +9,11 @@ down to 1, the next dual function candidate solves the integral equation
 
     f(x) + (N/x) int_x^b [f(y) - g(y)] dy + c/x = gamma(x)
 
-(whose closed form is implemented in solve_integral_equation), and
-tau[j][k] is the largest zero of the induced candidate below the previous
-thresholds.  The resulting functions q[j][k] certify optimality: they
-satisfy the complementary-slackness equalities above each threshold, the
-dual inequalities below it, and their total integral equals the payoff
+(in closed form by _Solution, built from b down only as far as needed),
+and tau[j][k] is the largest zero of the induced candidate below the
+previous thresholds.  The resulting functions q[j][k] certify optimality:
+they satisfy the complementary-slackness equalities above each threshold,
+the dual inequalities below it, and their total integral equals the payoff
 
     J - sum_j (1 - tau[j][1])**K.
 
@@ -25,10 +25,12 @@ come from.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -144,48 +146,69 @@ def payoff_jk(tau: ThresholdMatrix) -> float:
 # -- integral-equation solver (closed form) --------------------------------
 
 
-def solve_integral_equation(
-    b: float,
-    c: float,
-    N: int,
-    g: PiecewiseFunction,
-    gamma_fn: LogLinComb,
-) -> PiecewiseFunction:
+class _Solution:
     """Continuous f on (X_FLOOR, b] solving
     f(x) + (N/x) int_x^b [f(y) - g(y)] dy + c/x = gamma(x).
 
     The solution is
         f(x) = x^(N-1) [ (b g(b) - c)/b^N - int_x^b ((y gamma)' - N g(y)) / y^N dy ]
     evaluated segment by segment with exact antiderivatives; g's breakpoints
-    inside (X_FLOOR, b) become breakpoints of f.
+    inside (X_FLOOR, b) become breakpoints of f.  f on [x, b] depends on g
+    above x alone, and the tail integral is summed from b down, so segments
+    are built top-down, each the first time a point in it is asked for.
     """
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"b={b} outside (0, 1]")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if X_FLOOR >= b:
-        raise ValueError("b must lie above X_FLOOR")
-    a_const = (b * gamma_fn(b) - c) / b**N
-    dpoly = gamma_fn.shift_xpow(1).derivative()  # (y*gamma(y))'
-    cuts = sorted(
-        {X_FLOOR, b} | {p for p in g.breakpoints if X_FLOOR < p < b}
-    )
-    antis: list[LogLinComb] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        g_seg = g.segment_at(0.5 * (lo + hi))
-        integrand = dpoly if g_seg is None else dpoly - g_seg.scale(N)
-        antis.append(integrand.shift_xpow(-N).antiderivative())
-    # tail constants: C_i = int_{hi_i}^{b} h(y) dy accumulated from the top
-    segs: list[LogLinComb] = []
-    tail_above = 0.0
-    for i in range(len(antis) - 1, -1, -1):
-        lo, hi = cuts[i], cuts[i + 1]
-        # int_x^b h = tail_above + H_i(hi) - H_i(x)
-        const = a_const - tail_above - antis[i](hi)
-        segs.append((antis[i] + LogLinComb.const(const)).shift_xpow(N - 1))
-        tail_above += antis[i](hi) - antis[i](lo)
-    segs.reverse()
-    return PiecewiseFunction(cuts, segs)
+
+    def __init__(
+        self, b: float, c: float, N: int, g: PiecewiseFunction, gamma_fn: LogLinComb
+    ):
+        if not 0.0 < b <= 1.0:
+            raise ValueError(f"b={b} outside (0, 1]")
+        if N < 1:
+            raise ValueError("N must be a positive integer")
+        if X_FLOOR >= b:
+            raise ValueError("b must lie above X_FLOOR")
+        self.b, self.N, self._g = b, N, g
+        self._a_const = (b * gamma_fn(b) - c) / b**N
+        self._dpoly = gamma_fn.shift_xpow(1).derivative()  # (y*gamma(y))'
+        self.cuts = sorted({X_FLOOR, b} | {p for p in g.breakpoints if X_FLOOR < p < b})
+        self.segments: list[LogLinComb | None] = [None] * (len(self.cuts) - 1)
+        self._next = len(self.segments) - 1  # highest segment not yet built
+        self._tail_above = 0.0  # int_{cuts[_next + 1]}^b h(y) dy
+
+    def index(self, x: float) -> int:
+        """The segment covering x in [X_FLOOR, b], built with all above it."""
+        i = min(bisect_right(self.cuts, x) - 1, len(self.segments) - 1)
+        while self._next >= i:
+            n = self._next
+            lo, hi = self.cuts[n], self.cuts[n + 1]
+            g_seg = self._g.segment_at(0.5 * (lo + hi))
+            h = self._dpoly if g_seg is None else self._dpoly - g_seg.scale(self.N)
+            anti = h.shift_xpow(-self.N).antiderivative()
+            # int_x^b h = tail_above + H(hi) - H(x)
+            const = self._a_const - self._tail_above - anti(hi)
+            self.segments[n] = (anti + LogLinComb.const(const)).shift_xpow(self.N - 1)
+            self._tail_above += anti(hi) - anti(lo)
+            self._next = n - 1
+        return i
+
+    def mapped(self, fn: Callable[[LogLinComb], LogLinComb]) -> Callable:
+        """x -> fn(segment covering x)(x), fn run once per segment read."""
+        seg = cache(lambda i: fn(self.segments[i]))
+        return lambda x: seg(self.index(x))(x)
+
+    def restrict(self, lo: float) -> PiecewiseFunction:
+        """f on [lo, b] for lo >= X_FLOOR (zero if lo >= b)."""
+        if lo >= self.b:
+            return PiecewiseFunction.zero()
+        i = self.index(lo)
+        return PiecewiseFunction([lo, *self.cuts[i + 1 :]], self.segments[i:])
+
+
+def solve_integral_equation(
+    b: float, c: float, N: int, g: PiecewiseFunction, gamma_fn: LogLinComb
+) -> PiecewiseFunction:
+    """The whole solution on [X_FLOOR, b] (see _Solution), built at once."""
+    return _Solution(b, c, N, g, gamma_fn).restrict(X_FLOOR)
 
 
 # -- certificate construction ----------------------------------------------
@@ -265,8 +288,9 @@ def construct_dual(J: int, K: int) -> DualCertificateJK:
 
         q(x) = (r(x) - gamma_k(x))/k + alpha_k(x)
 
-    with r from solve_integral_equation against the previous row's top
-    running sum; tau_{j,k} is the largest zero of q below
+    with r the integral equation's solution (_Solution) against the previous
+    row's top running sum, r and q built from b down a segment at a time as
+    the root search reads them; tau_{j,k} is the largest zero of q below
     min(b, tau_{j-1,k}).  A missing bracket is a numerical failure (the
     construction guarantees existence) and raises RootBracketError.
 
@@ -293,17 +317,15 @@ def construct_dual(J: int, K: int) -> DualCertificateJK:
         for k in range(K, 0, -1):
             gpoly = gammas[k - 1]
             cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
-            r_cand = solve_integral_equation(b, cval, k, r_prev, gpoly)
+            r_cand = _Solution(b, cval, k, r_prev, gpoly)
             shift_k = alphas[k - 1] - gpoly.scale(1.0 / k)
-            q_cand = r_cand.map_segments(
-                lambda s, sh=shift_k: s.scale(1.0 / k) + sh
-            )
+            q_cand = r_cand.mapped(lambda s, sh=shift_k: s.scale(1.0 / k) + sh)
             hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
             root = find_largest_root(
-                q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
+                q_cand, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
             )
             taus[k - 1] = root
-            cells.append(r_cand.restrict(root, b))
+            cells.append(r_cand.restrict(root))
             b = root
         cells.reverse()  # ascending x
         r_prev = PiecewiseFunction.join(cells)

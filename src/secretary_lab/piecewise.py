@@ -7,9 +7,10 @@ closed under that operator, so each segment of a piecewise function stores
 its terms symbolically and integrals come from closed-form antiderivatives
 (cached per segment) instead of nested numeric quadrature; a weight such as
 1/y^N is applied to the terms (shift_xpow) before integrating.
-Point values come one at a time (`value`, used by the construction and its
-root scans) or over a whole grid as numpy arrays (`values`, `tail_integral`,
-used by certificate verification); both pick the same segment for a point.
+Point values come one at a time (`value`; the construction's root scans
+call the candidate's segments directly) or over a whole grid as numpy arrays
+(`values`, `tail_integral`, used by certificate verification); all three
+pick the same segment for a point.
 
 Array evaluation runs a fixed number of numpy calls per block of points,
 however many segments a function has.  On first array use a function
@@ -356,8 +357,7 @@ class PiecewiseFunction:
         return min(i, len(self.segments) - 1)
 
     def value(self, x: float) -> float:
-        # the root scans' hot loop: _segment_index and the support test
-        # inlined on the breakpoint list
+        # segment_at inlined on the breakpoint list for point-by-point readers
         bps, segs = self.breakpoints, self.segments
         if not segs or x < bps[0] or x > bps[-1]:
             return 0.0
@@ -449,28 +449,6 @@ class PiecewiseFunction:
         # suffix[i+1] + (F_i(hi_i) - F_i(x)), grouped as the scalar form is
         out[at] = above[seg] + (tops[seg] - table.evaluate(points, at, seg))
         return out
-
-    def map_segments(
-        self, fn: Callable[[LogLinComb], LogLinComb]
-    ) -> "PiecewiseFunction":
-        return PiecewiseFunction(self.breakpoints, [fn(s) for s in self.segments])
-
-    def restrict(self, lo: float, hi: float) -> "PiecewiseFunction":
-        """Clip the support to [lo, hi] (segments keep their symbolic form)."""
-        if self.is_zero():
-            return self
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
-        if lo >= hi:
-            return PiecewiseFunction.zero()
-        ia = self._segment_index(lo)
-        ib = self._segment_index(hi)
-        if hi <= self.breakpoints[ib] and ib > ia:
-            ib -= 1  # hi falls exactly on a breakpoint
-        bps = [lo] + [
-            b for b in self.breakpoints[ia + 1 : ib + 1] if lo < b < hi
-        ] + [hi]
-        return PiecewiseFunction(bps, self.segments[ia : ib + 1])
 
     def combine(
         self, other: "PiecewiseFunction", c_self: float = 1.0, c_other: float = 1.0

@@ -2,6 +2,9 @@
 
 * `quadrature`: adaptive Simpson integration, the numeric cross-check for
   the closed-form antiderivatives in `secretary_lab.piecewise`.
+* `map_segments`, `restrict`: a piecewise function mapped segment by
+  segment, and clipped to an interval; the eager whole-function steps
+  `construct_dual_combine` builds each candidate and cell with.
 * `over_power`: f(y)/y^m as a piecewise function, whose `integral` is the
   weighted integral the construction applies symbolically.
 * `gamma`: alpha_1 + ... + alpha_k summed in floats, the reference for
@@ -25,10 +28,12 @@
 * `find_largest_root_pointwise`: the threshold root search reading every
   point of its downward grid, the reference for the coarse-to-fine scan
   of `secretary_lab.piecewise.find_largest_root`.
-* `construct_dual_combine`: the general (J,K) construction with each row
-  assembled by chains of `PiecewiseFunction.combine` and roots from
-  `find_largest_root_pointwise`, the reference for the one-pass cell join
-  and the root search in `secretary_lab.dual.construct_dual`.
+* `construct_dual_combine`: the general (J,K) construction with every
+  candidate solved down to X_FLOOR by `solve_integral_equation` and mapped
+  whole, each row assembled by chains of `PiecewiseFunction.combine`, and
+  roots from `find_largest_root_pointwise`; the reference for the top-down
+  candidates, the one-pass cell join and the root search in
+  `secretary_lab.dual.construct_dual`.
 * `q_at_theta`, `integral_q_from`, `dual_objective_k1`,
   `constraint_lhs_k1`: exact K = 1 certificate checks over the rows of
   `secretary_lab.theta.recursion`, in rationals and high-precision
@@ -128,9 +133,32 @@ def quadrature(
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
 
 
+def map_segments(
+    f: PiecewiseFunction, fn: Callable[[LogLinComb], LogLinComb]
+) -> PiecewiseFunction:
+    """fn applied to every segment of f, with the same breakpoints."""
+    return PiecewiseFunction(f.breakpoints, [fn(s) for s in f.segments])
+
+
+def restrict(f: PiecewiseFunction, lo: float, hi: float) -> PiecewiseFunction:
+    """f with its support clipped to [lo, hi], segments kept as they are."""
+    if f.is_zero():
+        return f
+    lo = max(lo, f.lo)
+    hi = min(hi, f.hi)
+    if lo >= hi:
+        return PiecewiseFunction.zero()
+    ia = f._segment_index(lo)
+    ib = f._segment_index(hi)
+    if hi <= f.breakpoints[ib] and ib > ia:
+        ib -= 1  # hi falls exactly on a breakpoint
+    bps = [lo] + [b for b in f.breakpoints[ia + 1 : ib + 1] if lo < b < hi] + [hi]
+    return PiecewiseFunction(bps, f.segments[ia : ib + 1])
+
+
 def over_power(f: PiecewiseFunction, m: int) -> PiecewiseFunction:
     """f(y)/y^m, with the same breakpoints."""
-    return f.map_segments(lambda s: s.shift_xpow(-m))
+    return map_segments(f, lambda s: s.shift_xpow(-m))
 
 
 def gamma(k: int, K: int, x: float) -> float:
@@ -361,9 +389,7 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
             cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
             r_cand = solve_integral_equation(b, cval, k, r_prev, gpoly)
             shift_k = alpha_poly(k, K) - gpoly.scale(1.0 / k)
-            q_cand = r_cand.map_segments(
-                lambda s, sh=shift_k: s.scale(1.0 / k) + sh
-            )
+            q_cand = map_segments(r_cand, lambda s, sh=shift_k: s.scale(1.0 / k) + sh)
             hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
             root = find_largest_root_pointwise(
                 q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
@@ -371,11 +397,9 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
             taus[k - 1] = root
             for el in range(1, k + 1):
                 shift_el = alpha_poly(el, K) - gpoly.scale(1.0 / k)
-                q_el = r_cand.map_segments(
-                    lambda s, sh=shift_el: s.scale(1.0 / k) + sh
-                )
-                pieces[el - 1].append(q_el.restrict(root, b))
-            r_pieces.append(r_cand.restrict(root, b))
+                q_el = map_segments(r_cand, lambda s, sh=shift_el: s.scale(1.0 / k) + sh)
+                pieces[el - 1].append(restrict(q_el, root, b))
+            r_pieces.append(restrict(r_cand, root, b))
             b = root
         q_row = []
         for el in range(K):

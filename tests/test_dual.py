@@ -33,6 +33,7 @@ from oracles import (
     k2_closed_forms,
     over_power,
     quadrature,
+    restrict,
     tail_integral_by_segment,
     values_by_segment,
     verify_certificate_scalar,
@@ -251,9 +252,12 @@ def test_root_search_matches_pointwise_scan(monkeypatch, J, K):
     assert len(candidates) == J * K
 
 
-@pytest.mark.parametrize("J,K", [(2, 2), (3, 3), (4, 8), (8, 6)])
+@pytest.mark.parametrize(
+    "J,K", [(2, 2), (3, 3), (4, 8), (8, 6), (8, 8), (16, 2), (2, 16)]
+)
 def test_rows_match_combine_reference(J, K):
-    """The one-pass cell join gives the combine chains' rows bit for bit."""
+    """The top-down candidates and the one-pass cell join give the rows of
+    whole-function candidates and combine chains bit for bit."""
     got = construct_dual(J, K)
     want = construct_dual_combine(J, K)
     assert got.tau == want.tau
@@ -261,6 +265,43 @@ def test_rows_match_combine_reference(J, K):
         for k in range(K):
             assert _pieces(got.q[j - 1][k]) == _pieces(want.q[j - 1][k]), (j, k + 1)
         assert _pieces(got.r_top(j)) == _pieces(want.r_top(j)), j
+
+
+@pytest.mark.parametrize("J,K", [(8, 8), (12, 12)])
+def test_construction_builds_little_below_each_threshold(monkeypatch, J, K):
+    """Candidates are built from b down only as far as the root search
+    reads: at most J*K segments beyond those the cells keep (building
+    every candidate down to X_FLOOR takes 889 against 288 kept at (8,8))."""
+    built = []
+    anti = LogLinComb.antiderivative
+
+    def counted(self):
+        built.append(self)
+        return anti(self)
+
+    monkeypatch.setattr(LogLinComb, "antiderivative", counted)
+    cert = construct_dual(J, K)
+    kept = sum(len(cell.segments) for row in cert.cells for cell in row)
+    assert len(built) <= kept + J * K, (len(built), kept)
+
+
+def test_partial_solution_matches_whole_solve():
+    """A solution built only down to x has the bits of the whole solve
+    clipped to [x, b], wherever x falls among g's breakpoints."""
+    g = PiecewiseFunction(
+        [0.2, 0.4, 0.7, 1.0],
+        [
+            LogLinComb.from_ln_poly([1.0, 0.5]),
+            LogLinComb.from_ln_poly([2.0, 2.0]),
+            LogLinComb.from_x_poly([-2.0, 4.0]),
+        ],
+    )
+    b, c, N = 0.9, 0.15, 2
+    gamma_fn = gamma_poly(2, 3)
+    whole = solve_integral_equation(b, c, N, g, gamma_fn)
+    for lo in (0.85, 0.7, 0.55, 0.4, 0.3, 0.2, 0.1, 1e-6, b):
+        part = dual._Solution(b, c, N, g, gamma_fn).restrict(lo)
+        assert _pieces(part) == _pieces(restrict(whole, lo, b)), lo
 
 
 @pytest.mark.parametrize("J,K", [(2, 2), (3, 3), (4, 8), (8, 6)])

@@ -25,6 +25,7 @@ from oracles import (
     find_largest_root_pointwise,
     over_power,
     quadrature,
+    restrict,
     tail_integral_by_segment,
     values_by_segment,
 )
@@ -286,7 +287,7 @@ def test_integral_cache_agrees_with_requadrature():
 
 def test_restrict_and_combine():
     f = _two_piece()
-    mid = f.restrict(0.5, 0.8)
+    mid = restrict(f, 0.5, 0.8)
     assert mid.lo == pytest.approx(0.5) and mid.hi == pytest.approx(0.8)
     assert mid.value(0.45) == 0.0
     assert mid.value(0.6) == pytest.approx(f.value(0.6))
@@ -301,7 +302,7 @@ def test_restrict_and_combine():
 
 def test_join_of_adjacent_parts():
     f = _two_piece()
-    low, high = f.restrict(f.lo, 0.6), f.restrict(0.6, f.hi)
+    low, high = restrict(f, f.lo, 0.6), restrict(f, 0.6, f.hi)
     joined = PiecewiseFunction.join([low, PiecewiseFunction.zero(), high])
     assert joined.breakpoints == low.breakpoints + high.breakpoints[1:]
     assert joined.segments == low.segments + high.segments
@@ -311,7 +312,7 @@ def test_join_of_adjacent_parts():
     with pytest.raises(ValueError):
         PiecewiseFunction.join([high, low])  # not ascending
     with pytest.raises(ValueError):
-        PiecewiseFunction.join([f.restrict(f.lo, 0.5), high])  # gap (0.5, 0.6)
+        PiecewiseFunction.join([restrict(f, f.lo, 0.5), high])  # gap (0.5, 0.6)
 
 
 def test_zero_function_behaviour():

@@ -51,7 +51,8 @@ def test_tier1_step_runs_the_roadmap_command():
 
 
 # Loads the program as the benchmark does and runs one (2,2) certificate
-# inside a traced pass; prints the pass's counters as JSON.
+# inside a traced pass; prints the pass's counters, and the root-search
+# spans directly under the construction's span, as JSON.
 BENCH_TRACE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -62,7 +63,13 @@ with spans.instrumented(lab, tracer):
     cert = lab.dual.construct_dual(2, 2)
     ok = lab.dual.verify_certificate(cert).ok
 tracer.end_pass()
-print(json.dumps({"ok": ok, **tracer.counts}))
+names = [span[0] for span in tracer.spans]
+roots = sum(
+    name == "piecewise.find_largest_root" and span[3] >= 0
+    and names[span[3]] == "dual.construct_dual"
+    for name, span in zip(names, tracer.spans)
+)
+print(json.dumps({"ok": ok, "construct_root_spans": roots, **tracer.counts}))
 """
 
 
@@ -80,6 +87,9 @@ def test_bench_trace_hooks_find_the_program_names():
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts.pop("ok") is True
+    # one traced root search per threshold: the construction reaches the
+    # patched dual.find_largest_root, not a reference taken at import
+    assert counts.pop("construct_root_spans") == 2 * 2
     for name in ("piecewise.root_evals", "piecewise.value_calls",
                  "piecewise.tail_integral_calls", "dual.segments",
                  "dual.verify_points"):
