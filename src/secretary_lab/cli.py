@@ -19,7 +19,7 @@ import sys
 from decimal import Decimal, localcontext
 from itertools import accumulate
 
-from . import dp, dual, sim, theta
+from . import dp, dual, sim, theta, value
 from .piecewise import RootBracketError
 
 EXIT_OK = 0
@@ -146,16 +146,16 @@ def cmd_dual_check(args) -> tuple[int, str | None]:
 
 
 def cmd_finite_lp(args) -> tuple[int, str]:
-    # The DP runs first, so its size caps refuse a request before the much
-    # slower continuous construction starts.
+    # The DP runs first, so its size caps refuse a request before the
+    # continuous solve starts.
     p_stars = [float(dp.p_star(n, args.J, args.K, args.mode)) for n in args.n]
     try:
         if args.K == 1:  # the payoff `thresholds --K 1` prints, from exact theta
             cp_star = theta.payoff_k1(theta.generate_thetas(args.J))
-        else:
-            cp_star = dual.payoff_jk(dual.construct_dual(args.J, args.K).tau)
+        else:  # the payoff of the value function's thresholds, unverified
+            cp_star = dual.payoff_jk(value.solve(args.J, args.K).tau)
     except NUMERIC_ERRORS as exc:
-        # P*_n stands on its own; only the gaps need the construction
+        # P*_n stands on its own; only the gaps need the thresholds
         print(f"warning: cp_star unavailable: {exc}", file=sys.stderr)
         cp_star = None
     gaps = [None if cp_star is None else p - cp_star for p in p_stars]
@@ -189,9 +189,9 @@ def cmd_finite_lp(args) -> tuple[int, str]:
 
 
 def cmd_simulate(args) -> tuple[int, str]:
-    cert = dual.construct_dual(args.J, args.K)
+    tau = value.solve(args.J, args.K).tau
     report = sim.monte_carlo(
-        cert.tau, n=args.n, trials=args.trials, seed=args.seed, workers=args.workers
+        tau, n=args.n, trials=args.trials, seed=args.seed, workers=args.workers
     )
     if args.format == "json":
         return EXIT_OK, json.dumps(dataclasses.asdict(report))

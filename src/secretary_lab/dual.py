@@ -19,7 +19,10 @@ the dual inequalities below it, and their total integral equals the payoff
 
 Every K, K = 1 included, runs this one double-precision construction;
 theta.py keeps the exact rational thetas that the printed K = 1 values
-come from.
+come from.  The construction's x^m (ln x)^p terms cancel at large J and
+K (tau_{12,12} is off by 1.4e-2, and (16,16) fails its root search), so
+the commands that need thresholds but print no certificate, `simulate`
+and `finite-lp`, take them from value.py's value-function solver instead.
 """
 
 from __future__ import annotations
@@ -88,6 +91,30 @@ def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
     for el in range(k, K + 1):
         total += comb(el - 1, k - 1) * (1.0 - x) ** (el - k)
     return total * x ** (k - 1)
+
+
+# alphas' terms: alpha_k's term l = k + d is C(l-1, d) (1-x)^d x^(k-1);
+# _TERM_COEF[d, k-1] = C(k+d-1, d), for k + d <= MAX_K.
+_TERM_COEF = np.array(
+    [[comb(k + d - 1, d) for k in range(1, MAX_K - d + 1)] + [0] * d
+     for d in range(MAX_K)],
+    float,
+)
+
+
+def alphas(K: int, x: np.ndarray) -> np.ndarray:
+    """Rows alpha(1, K, x), ..., alpha(K, K, x) of a 1-D float array x,
+    for K <= MAX_K.
+
+    Row k sums the terms of alpha in alpha's order, over d = l - k
+    ascending, so the rows equal alpha's arrays bit for bit; the powers of
+    1 - x and of x are formed once for all rows.
+    """
+    u = 1.0 - x
+    total = np.zeros((K, len(x)))
+    for d in range(K):  # the terms l = k + d <= K of rows k = 1..K - d
+        total[: K - d] += _TERM_COEF[d, : K - d, None] * u**d
+    return total * np.array([x ** (k - 1) for k in range(1, K + 1)])
 
 
 def alpha_poly(k: int, K: int) -> LogLinComb:
@@ -263,8 +290,8 @@ def _dual_rows(cert: DualCertificateJK) -> tuple[tuple[PiecewiseFunction, ...], 
     l <= k and zero for l > k.
     """
     K = cert.K
-    alphas = [alpha_poly(k, K) for k in range(1, K + 1)]
-    gammas = list(accumulate(alphas))
+    alpha_polys = [alpha_poly(k, K) for k in range(1, K + 1)]
+    gammas = list(accumulate(alpha_polys))
     out = []
     for cells in cert.cells:
         parts: list[list[PiecewiseFunction]] = [[] for _ in range(K)]
@@ -272,12 +299,22 @@ def _dual_rows(cert: DualCertificateJK) -> tuple[tuple[PiecewiseFunction, ...], 
             scaled = [s.scale(1.0 / k) for s in cell.segments]
             shift = gammas[k - 1].scale(1.0 / k)
             for el in range(1, k + 1):
-                sh = alphas[el - 1] - shift
+                sh = alpha_polys[el - 1] - shift
                 parts[el - 1].append(
                     PiecewiseFunction(cell.breakpoints, [s + sh for s in scaled])
                 )
         out.append(tuple(PiecewiseFunction.join(p) for p in parts))
     return tuple(out)
+
+
+def check_size(J: int, K: int) -> None:
+    """Refuse K above MAX_K and J above MAX_J, before any work."""
+    if J < 1 or K < 1:
+        raise ValueError("J and K must be positive")
+    if K > MAX_K:
+        raise ValueError(f"K={K} exceeds the cap {MAX_K}")
+    if J > MAX_J:
+        raise ValueError(f"J={J} exceeds the cap {MAX_J}")
 
 
 def construct_dual(J: int, K: int) -> DualCertificateJK:
@@ -298,14 +335,9 @@ def construct_dual(J: int, K: int) -> DualCertificateJK:
     q and the running sums r_{j|k<K} are built only when read.  K above
     MAX_K and J above MAX_J are refused before any work.
     """
-    if J < 1 or K < 1:
-        raise ValueError("J and K must be positive")
-    if K > MAX_K:
-        raise ValueError(f"K={K} exceeds the cap {MAX_K}")
-    if J > MAX_J:
-        raise ValueError(f"J={J} exceeds the cap {MAX_J}")
-    alphas = [alpha_poly(k, K) for k in range(1, K + 1)]
-    gammas = list(accumulate(alphas))
+    check_size(J, K)
+    alpha_polys = [alpha_poly(k, K) for k in range(1, K + 1)]
+    gammas = list(accumulate(alpha_polys))
     tau_rows: list[list[float]] = []
     tops: list[PiecewiseFunction] = []
     row_cells: list[tuple[PiecewiseFunction, ...]] = []
@@ -318,7 +350,7 @@ def construct_dual(J: int, K: int) -> DualCertificateJK:
             gpoly = gammas[k - 1]
             cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
             r_cand = _Solution(b, cval, k, r_prev, gpoly)
-            shift_k = alphas[k - 1] - gpoly.scale(1.0 / k)
+            shift_k = alpha_polys[k - 1] - gpoly.scale(1.0 / k)
             q_cand = r_cand.mapped(lambda s, sh=shift_k: s.scale(1.0 / k) + sh)
             hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
             root = find_largest_root(
@@ -416,7 +448,7 @@ def verify_certificate(
     for a in range(0, len(points), CHUNK_POINTS):
         rows = PowerRows(points[a : a + CHUNK_POINTS])
         x = rows.xs
-        alphas = [alpha(k, K, x) for k in range(1, K + 1)]
+        alpha_rows = alphas(K, x)
         for j in range(1, J + 1):
             tail = diffs[j - 1].tail_integral(rows) / x
             if a + CHUNK_POINTS >= len(points):
@@ -424,7 +456,7 @@ def verify_certificate(
             notes = grid_notes[j - 1]
             for k in range(1, K + 1):
                 qv = cert.q[j - 1][k - 1].values(rows)
-                slack = qv + tail - alphas[k - 1]
+                slack = qv + tail - alpha_rows[k - 1]
                 res = np.abs(slack)
                 above = x >= cert.tau.threshold(j, k)
                 # fmax/fmin skip NaN, as the comparisons of a scalar scan would

@@ -45,6 +45,10 @@
 * `potential_arrivals_by_layers`: the potential-rank filter as K layers of
   left-to-right minima over all n ranks, the reference for the one-pass
   segment filter `secretary_lab.sim._potential_arrivals`.
+* `dp_thresholds`: the finite-n thresholds tau_n read off the recursion of
+  `secretary_lab.dp.p_star`, the n -> infinity reference for the
+  thresholds of `secretary_lab.value.solve` and
+  `secretary_lab.dual.construct_dual`.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
+from secretary_lab.dp import weights
 from secretary_lab.dual import (
     ROOT_TOL,
     SCAN_STEP,
@@ -584,3 +589,40 @@ def potential_arrivals_by_layers(ranks: np.ndarray, K: int):
             insort(top, rank)
             del top[K:]
             yield pos, k
+
+
+def dp_thresholds(n: int, J: int, K: int) -> tuple[float, list[list[float]], bool]:
+    """(P*_n, tau_n, intervals) from the recursion of `dp.p_star` in float.
+
+    g_{r,k}(i) = w(k, i) + V(i+1, r-1) - V(i+1, r) is the gain of taking a
+    k-potential at position i with r unused quotas.  tau_n[r-1][k-1] is
+    i*/n, with i* the first change of g_{r,k} from > 0 to <= 0 as i walks
+    down from n, interpolated linearly between i + 1 and i (a pair still
+    taken at i = k, the last position with a k-potential, gets k/n).
+    w(k, i) falls in k, so the taken ranks at (i, r) are k = 1..m; intervals
+    is whether m never grows as i falls, i.e. whether every acceptance set
+    {i : g_{r,k}(i) > 0} is one interval ending at n.  P*_n is computed
+    as `dp.p_star` computes it, bit for bit.
+    """
+    v = [0.0] * (J + 1)  # v[r] = V(i+1, r)
+    tau = [[k / n for k in range(1, K + 1)] for _ in range(J)]
+    taken = [K] * (J + 1)  # m at i + 1, per r
+    intervals = True
+    v_above, w_above = v[:], []  # V(i+2, .) and w(., i+1)
+    for i in range(n, 0, -1):
+        w = weights(n, K, i, 1.0)
+        v_here = v[:]
+        for r in range(J, 0, -1):
+            keep = v[r] - v[r - 1]
+            gains = [x - keep for x in w if x > keep]
+            m = len(gains)
+            if m != taken[r]:
+                intervals &= m < taken[r]
+                for k in range(m + 1, min(taken[r], len(w)) + 1):  # off at i
+                    g_hi = w_above[k - 1] - (v_above[r] - v_above[r - 1])
+                    g_lo = w[k - 1] - keep
+                    tau[r - 1][k - 1] = (i + g_lo / (g_lo - g_hi)) / n
+                taken[r] = min(m, taken[r])
+            v[r] += sum(gains, 0.0) / i
+        v_above, w_above = v_here, w
+    return v[J], tau, intervals

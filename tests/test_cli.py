@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from secretary_lab import cli, dp, dual, sim, theta
+from secretary_lab import cli, dp, dual, sim, theta, value
 from secretary_lab.cli import (
     DEFAULT_N_LIST,
     EXIT_CERTIFICATE,
@@ -19,7 +19,6 @@ from secretary_lab.cli import (
     EXIT_USAGE,
     main,
 )
-from secretary_lab.piecewise import RootBracketError
 from secretary_lab.theta import generate_thetas
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "cli_schema.json")
@@ -231,9 +230,9 @@ def test_finite_lp_size_caps(capsys):
 
 
 def test_finite_lp_cap_refuses_before_construction(monkeypatch, capsys):
-    """The DP's size cap trips before the continuous construction is built."""
+    """The DP's size cap trips before the continuous thresholds are solved."""
     calls = []
-    monkeypatch.setattr(dual, "construct_dual", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(value, "solve", lambda *a, **kw: calls.append(a))
     code = main(["finite-lp", "--J", "12", "--K", "12",
                  "--n", f"10,{dp.FLOAT_SIZE_CAP // 144 + 1}"])
     assert code == EXIT_NUMERIC
@@ -242,12 +241,12 @@ def test_finite_lp_cap_refuses_before_construction(monkeypatch, capsys):
 
 
 def test_finite_lp_keeps_rows_when_construction_fails(monkeypatch, capsys):
-    """P*_n is printed without CP* and the gaps when the construction fails."""
+    """P*_n is printed without CP* and the gaps when the threshold solve fails."""
 
     def fail(J, K):
-        raise RootBracketError("no sign change found")
+        raise value.ValueSolveError("no sign change found")
 
-    monkeypatch.setattr(dual, "construct_dual", fail)
+    monkeypatch.setattr(value, "solve", fail)
     argv = ["finite-lp", "--J", "2", "--K", "2", "--n", "2,5"]
     want = ["warning: cp_star unavailable: no sign change found"]
 
@@ -283,6 +282,27 @@ def test_finite_lp_k1_cp_star_is_thresholds_payoff(capsys, J):
     assert code == EXIT_OK
     _, want = run(capsys, "thresholds", *args)
     assert json.loads(out)["cp_star"] == json.loads(want)["payoff"]
+
+
+def test_finite_lp_16_16_prints_cp_star(capsys):
+    """At the J and K envelope corner cp_star comes from the value function
+    (the symbolic construction fails there with a root-bracket error)."""
+    code, out = run(capsys, "finite-lp", "--J", "16", "--K", "16", "--n", "20",
+                    "--format", "json")
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    payload = json.loads(out)
+    assert payload["cp_star"] == dual.payoff_jk(value.solve(16, 16).tau)
+    assert abs(payload["cp_star"] - 12.5069288392) < 1e-9
+
+
+def test_simulate_16_16_runs(capsys):
+    code, out = run(capsys, "simulate", "--J", "16", "--K", "16", "--n", "1000",
+                    "--trials", "200", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["J"], payload["K"], payload["trials"]) == (16, 16, 200)
+    assert 11.0 < payload["mean"] < 14.0
 
 
 def test_finite_lp_large_n(capsys):

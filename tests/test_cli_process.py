@@ -108,3 +108,22 @@ def test_simulation_output_is_identical_in_process_and_in_a_pool(ran):
 def test_large_k_at_the_largest_n_runs(ran):
     proc = ran["sim_k20"]
     assert proc.returncode == 0, proc.stderr
+
+
+def test_simulate_and_finite_lp_run_without_scipy(tmp_path):
+    """scipy is a test oracle only: the thresholds that `simulate` and
+    `finite-lp` solve for import nothing from it."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises\n"
+        "from secretary_lab import cli\n"
+        "for argv in (['simulate', '--J', '3', '--K', '3', '--n', '100', '--trials', '50'],\n"
+        "             ['finite-lp', '--J', '3', '--K', '3', '--n', '10']):\n"
+        "    if cli.main(argv):\n"
+        "        sys.exit(f'{argv} failed')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert b"CP* = " in proc.stdout and b"unavailable" not in proc.stdout
