@@ -3,7 +3,6 @@ multi-choice multi-best online selection."""
 
 from .dual import (
     DualCertificateJK,
-    ThresholdMatrix,
     construct_dual,
     payoff_jk,
     verify_certificate,
@@ -14,6 +13,7 @@ from .theta import (
     payoff_k1,
     thresholds,
 )
+from .value import ThresholdMatrix
 
 __all__ = [
     "DualCertificateJK",

@@ -20,7 +20,6 @@ from decimal import Decimal, localcontext
 from itertools import accumulate
 
 from . import dp, dual, sim, theta, value
-from .piecewise import RootBracketError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,7 +31,7 @@ TABLE_MAX_J = 8  # rows reproduced by the report subcommand
 DEFAULT_N_LIST = (10, 25, 50, 100, 200)  # finite-lp item counts without --n
 
 # Failures of a numerical method rather than of the request's form.
-NUMERIC_ERRORS = (ValueError, RootBracketError, ArithmeticError)
+NUMERIC_ERRORS = (ValueError, ArithmeticError)
 
 
 def _csv_string(rows: list[list]) -> str:

@@ -1,63 +1,55 @@
-"""General (J,K) threshold construction with dual certificates.
+"""General (J,K) dual certificates for the optimal thresholds.
 
 For J selection quotas and payoff counted over the K overall-best items,
 the optimal policy is a threshold matrix tau[j][k]: quota j may take a
 k-potential (k-th best seen so far) from time tau[j][k] on, and the unused
-quota with the largest index is consumed first.  The thresholds come out
-of an inductive construction: for each quota row j, working from k = K
-down to 1, the next dual function candidate solves the integral equation
+quota with the largest index is consumed first.  tau is the primal
+solution and comes from value.py's solver, the package's one threshold
+solver.  The dual functions that certify it are built here: for each
+quota row j, working from k = K down to 1, the cell [tau_{j,k}, b] of the
+row's running sum r solves the integral equation
 
     f(x) + (N/x) int_x^b [f(y) - g(y)] dy + c/x = gamma(x)
 
-(in closed form by _Solution, built from b down only as far as needed),
-and tau[j][k] is the largest zero of the induced candidate below the
-previous thresholds.  The resulting functions q[j][k] certify optimality:
-they satisfy the complementary-slackness equalities above each threshold,
-the dual inequalities below it, and their total integral equals the payoff
+in closed form (solve_integral_equation), and the candidate
+q_{j|k} = (r - gamma_k)/k + alpha_k.  The resulting functions q[j][k]
+certify optimality if they satisfy the complementary-slackness equalities
+above each threshold, the dual inequalities below it, vanish at the
+threshold, and their total integral equals the payoff
 
     J - sum_j (1 - tau[j][1])**K.
 
-Every K, K = 1 included, runs this one double-precision construction;
-theta.py keeps the exact rational thetas that the printed K = 1 values
-come from.  The construction's x^m (ln x)^p terms cancel at large J and
-K (tau_{12,12} is off by 1.4e-2, and (16,16) fails its root search), so
-the commands that need thresholds but print no certificate, `simulate`
-and `finite-lp`, take them from value.py's value-function solver instead.
+verify_certificate checks all of that, so a wrong tau shows up as
+|q(tau)| > tol.  Every K, K = 1 included, runs this one double-precision
+construction; theta.py keeps the exact rational thetas that the printed
+K = 1 values come from.  The construction's x^m (ln x)^p terms cancel at
+large J and K, so certificates there fail verification while tau stays
+value.py's.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 from math import comb
-from typing import Callable
 
 import numpy as np
 
-from .piecewise import (
-    CHUNK_POINTS,
-    LogLinComb,
-    PiecewiseFunction,
-    PowerRows,
-    find_largest_root,
+from . import value
+from .piecewise import CHUNK_POINTS, LogLinComb, PiecewiseFunction, PowerRows
+# Unused here: the benchmark's traced passes wrap dual.find_largest_root.
+from .piecewise import find_largest_root  # noqa: F401
+from .value import (  # noqa: F401  re-exported as dual.*
+    MAX_K,
+    X_FLOOR,
+    MonotonicityError,
+    ThresholdMatrix,
+    alphas,
+    check_size,
 )
-from .theta import MAX_J
 
-# Floor for piecewise supports; far below any reachable threshold (the
-# smallest thresholds for J <= MAX_J = 16 sit above 1e-4).  J is capped at
-# theta's MAX_J for every K: at K = 1, row 17's search bound
-# tau_{16,1} = 7.3e-4 lies within one SCAN_STEP of the floor, so the root
-# scan would have no point to evaluate.
-X_FLOOR = 1e-9
-# Downward scan step and bisection tolerance of the threshold root search.
-SCAN_STEP = 1e-3
-ROOT_TOL = 1e-13
-# Largest K the float construction reaches: from K = 36 on, x**(-K) at
-# X_FLOOR overflows (checked at J = 1..4).
-MAX_K = 35
 # Largest verification grid: a few arrays of this many floats per (j, k).
 MAX_GRID_POINTS = 1_000_000
 # Certificate check: grid and tolerance defaults (the CLI's too), the
@@ -66,10 +58,6 @@ DEFAULT_GRID_POINTS = 2000
 DEFAULT_TOLERANCE = 1e-8
 OBJECTIVE_TOL = 1e-6
 CERT_SAMPLES = 50
-
-
-class MonotonicityError(ValueError):
-    """A threshold matrix violates the required row/column ordering."""
 
 
 # -- alpha / gamma ---------------------------------------------------------
@@ -93,30 +81,6 @@ def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
     return total * x ** (k - 1)
 
 
-# alphas' terms: alpha_k's term l = k + d is C(l-1, d) (1-x)^d x^(k-1);
-# _TERM_COEF[d, k-1] = C(k+d-1, d), for k + d <= MAX_K.
-_TERM_COEF = np.array(
-    [[comb(k + d - 1, d) for k in range(1, MAX_K - d + 1)] + [0] * d
-     for d in range(MAX_K)],
-    float,
-)
-
-
-def alphas(K: int, x: np.ndarray) -> np.ndarray:
-    """Rows alpha(1, K, x), ..., alpha(K, K, x) of a 1-D float array x,
-    for K <= MAX_K.
-
-    Row k sums the terms of alpha in alpha's order, over d = l - k
-    ascending, so the rows equal alpha's arrays bit for bit; the powers of
-    1 - x and of x are formed once for all rows.
-    """
-    u = 1.0 - x
-    total = np.zeros((K, len(x)))
-    for d in range(K):  # the terms l = k + d <= K of rows k = 1..K - d
-        total[: K - d] += _TERM_COEF[d, : K - d, None] * u**d
-    return total * np.array([x ** (k - 1) for k in range(1, K + 1)])
-
-
 def alpha_poly(k: int, K: int) -> LogLinComb:
     """alpha_k as a polynomial in x (coefficients are exact small integers).
 
@@ -131,40 +95,6 @@ def alpha_poly(k: int, K: int) -> LogLinComb:
     return LogLinComb.from_x_poly(coeffs)
 
 
-# -- threshold matrix ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThresholdMatrix:
-    """tau[j-1][k-1] = tau_{j,k}; rows ordered j = 1..J (later quotas lower)."""
-
-    J: int
-    K: int
-    tau: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if len(self.tau) != self.J or any(len(r) != self.K for r in self.tau):
-            raise ValueError("threshold matrix shape mismatch")
-        eps = 1e-12
-        for j in range(self.J):
-            for k in range(self.K):
-                t = self.tau[j][k]
-                if not 0.0 < t <= 1.0:
-                    raise MonotonicityError(f"tau[{j+1}][{k+1}]={t} not in (0, 1]")
-                if k + 1 < self.K and t > self.tau[j][k + 1] + eps:
-                    raise MonotonicityError(
-                        f"row {j+1} not increasing in k at k={k+1}"
-                    )
-                if j + 1 < self.J and self.tau[j + 1][k] > t + eps:
-                    raise MonotonicityError(
-                        f"column {k+1} not decreasing in j at j={j+1}"
-                    )
-
-    def threshold(self, j: int, k: int) -> float:
-        """1-based accessor for tau_{j,k}."""
-        return self.tau[j - 1][k - 1]
-
-
 def payoff_jk(tau: ThresholdMatrix) -> float:
     """Optimal expected payoff J - sum_j (1 - tau_{j,1})^K."""
     return tau.J - sum((1.0 - row[0]) ** tau.K for row in tau.tau)
@@ -173,69 +103,47 @@ def payoff_jk(tau: ThresholdMatrix) -> float:
 # -- integral-equation solver (closed form) --------------------------------
 
 
-class _Solution:
-    """Continuous f on (X_FLOOR, b] solving
+def solve_integral_equation(
+    b: float,
+    c: float,
+    N: int,
+    g: PiecewiseFunction,
+    gamma_fn: LogLinComb,
+    lo: float = X_FLOOR,
+) -> PiecewiseFunction:
+    """Continuous f on [lo, b] (lo >= X_FLOOR; zero if lo >= b) solving
     f(x) + (N/x) int_x^b [f(y) - g(y)] dy + c/x = gamma(x).
 
     The solution is
         f(x) = x^(N-1) [ (b g(b) - c)/b^N - int_x^b ((y gamma)' - N g(y)) / y^N dy ]
     evaluated segment by segment with exact antiderivatives; g's breakpoints
-    inside (X_FLOOR, b) become breakpoints of f.  f on [x, b] depends on g
-    above x alone, and the tail integral is summed from b down, so segments
-    are built top-down, each the first time a point in it is asked for.
+    inside (lo, b) become breakpoints of f.  f on [x, b] depends on g above
+    x alone, so segments are built from b down, the tail integral summed as
+    they go: f on [lo, b] has the bits of a solve down to X_FLOOR clipped.
     """
-
-    def __init__(
-        self, b: float, c: float, N: int, g: PiecewiseFunction, gamma_fn: LogLinComb
-    ):
-        if not 0.0 < b <= 1.0:
-            raise ValueError(f"b={b} outside (0, 1]")
-        if N < 1:
-            raise ValueError("N must be a positive integer")
-        if X_FLOOR >= b:
-            raise ValueError("b must lie above X_FLOOR")
-        self.b, self.N, self._g = b, N, g
-        self._a_const = (b * gamma_fn(b) - c) / b**N
-        self._dpoly = gamma_fn.shift_xpow(1).derivative()  # (y*gamma(y))'
-        self.cuts = sorted({X_FLOOR, b} | {p for p in g.breakpoints if X_FLOOR < p < b})
-        self.segments: list[LogLinComb | None] = [None] * (len(self.cuts) - 1)
-        self._next = len(self.segments) - 1  # highest segment not yet built
-        self._tail_above = 0.0  # int_{cuts[_next + 1]}^b h(y) dy
-
-    def index(self, x: float) -> int:
-        """The segment covering x in [X_FLOOR, b], built with all above it."""
-        i = min(bisect_right(self.cuts, x) - 1, len(self.segments) - 1)
-        while self._next >= i:
-            n = self._next
-            lo, hi = self.cuts[n], self.cuts[n + 1]
-            g_seg = self._g.segment_at(0.5 * (lo + hi))
-            h = self._dpoly if g_seg is None else self._dpoly - g_seg.scale(self.N)
-            anti = h.shift_xpow(-self.N).antiderivative()
-            # int_x^b h = tail_above + H(hi) - H(x)
-            const = self._a_const - self._tail_above - anti(hi)
-            self.segments[n] = (anti + LogLinComb.const(const)).shift_xpow(self.N - 1)
-            self._tail_above += anti(hi) - anti(lo)
-            self._next = n - 1
-        return i
-
-    def mapped(self, fn: Callable[[LogLinComb], LogLinComb]) -> Callable:
-        """x -> fn(segment covering x)(x), fn run once per segment read."""
-        seg = cache(lambda i: fn(self.segments[i]))
-        return lambda x: seg(self.index(x))(x)
-
-    def restrict(self, lo: float) -> PiecewiseFunction:
-        """f on [lo, b] for lo >= X_FLOOR (zero if lo >= b)."""
-        if lo >= self.b:
-            return PiecewiseFunction.zero()
-        i = self.index(lo)
-        return PiecewiseFunction([lo, *self.cuts[i + 1 :]], self.segments[i:])
-
-
-def solve_integral_equation(
-    b: float, c: float, N: int, g: PiecewiseFunction, gamma_fn: LogLinComb
-) -> PiecewiseFunction:
-    """The whole solution on [X_FLOOR, b] (see _Solution), built at once."""
-    return _Solution(b, c, N, g, gamma_fn).restrict(X_FLOOR)
+    if not 0.0 < b <= 1.0:
+        raise ValueError(f"b={b} outside (0, 1]")
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    if X_FLOOR >= b:
+        raise ValueError("b must lie above X_FLOOR")
+    if lo >= b:
+        return PiecewiseFunction.zero()
+    a_const = (b * gamma_fn(b) - c) / b**N
+    dpoly = gamma_fn.shift_xpow(1).derivative()  # (y*gamma(y))'
+    cuts = sorted({lo, b} | {p for p in g.breakpoints if lo < p < b})
+    segments = []
+    tail = 0.0  # int_{cuts[n + 1]}^b h(y) dy
+    for n in range(len(cuts) - 2, -1, -1):
+        x0, x1 = cuts[n], cuts[n + 1]
+        g_seg = g.segment_at(0.5 * (x0 + x1))
+        h = dpoly if g_seg is None else dpoly - g_seg.scale(N)
+        anti = h.shift_xpow(-N).antiderivative()
+        top = anti(x1)
+        # int_x^b h = tail + H(x1) - H(x)
+        segments.append((anti + LogLinComb.const(a_const - tail - top)).shift_xpow(N - 1))
+        tail += top - anti(x0)
+    return PiecewiseFunction(cuts, segments[::-1])
 
 
 # -- certificate construction ----------------------------------------------
@@ -307,64 +215,35 @@ def _dual_rows(cert: DualCertificateJK) -> tuple[tuple[PiecewiseFunction, ...], 
     return tuple(out)
 
 
-def check_size(J: int, K: int) -> None:
-    """Refuse K above MAX_K and J above MAX_J, before any work."""
-    if J < 1 or K < 1:
-        raise ValueError("J and K must be positive")
-    if K > MAX_K:
-        raise ValueError(f"K={K} exceeds the cap {MAX_K}")
-    if J > MAX_J:
-        raise ValueError(f"J={J} exceeds the cap {MAX_J}")
-
-
 def construct_dual(J: int, K: int) -> DualCertificateJK:
-    """Build thresholds and dual functions for the (J,K) problem.
+    """Dual functions for the (J,K) problem at value.solve's thresholds.
 
-    Induction over quota rows j = 1..J, inner loop k = K..1.  On each step
-    the candidate below b = tau_{j,k+1} (b = 1 for k = K) is
-
-        q(x) = (r(x) - gamma_k(x))/k + alpha_k(x)
-
-    with r the integral equation's solution (_Solution) against the previous
-    row's top running sum, r and q built from b down a segment at a time as
-    the root search reads them; tau_{j,k} is the largest zero of q below
-    min(b, tau_{j-1,k}).  A missing bracket is a numerical failure (the
-    construction guarantees existence) and raises RootBracketError.
-
-    The cell [tau_{j,k}, b] keeps r, and r_{j|K} joins the row's cells;
-    q and the running sums r_{j|k<K} are built only when read.  K above
-    MAX_K and J above MAX_J are refused before any work.
+    Induction over quota rows j = 1..J, inner loop k = K..1.  With
+    b = tau_{j,k+1} (b = 1 for k = K), the cell [tau_{j,k}, b] of the
+    running sum r_{j|K} solves the integral equation against the previous
+    row's r_{j-1|K}, with N = k, gamma_k and c = k b alpha_{k+1}(b); on it
+    q_{j|k} = (r - gamma_k)/k + alpha_k.  The row's cells, ascending in x,
+    join into r_{j|K}; q and the running sums r_{j|k<K} are built only
+    when read.  Sizes are checked by value.solve before any work.
     """
-    check_size(J, K)
-    alpha_polys = [alpha_poly(k, K) for k in range(1, K + 1)]
-    gammas = list(accumulate(alpha_polys))
-    tau_rows: list[list[float]] = []
+    tau = value.solve(J, K).tau
+    gammas = list(accumulate(alpha_poly(k, K) for k in range(1, K + 1)))
     tops: list[PiecewiseFunction] = []
     row_cells: list[tuple[PiecewiseFunction, ...]] = []
     r_prev = PiecewiseFunction.zero()  # r_{j-1|K}
-    for j in range(1, J + 1):
-        taus = [0.0] * K
+    for taus in tau.tau:
         cells: list[PiecewiseFunction] = []  # r on the cell of each k
         b = 1.0
         for k in range(K, 0, -1):
-            gpoly = gammas[k - 1]
             cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
-            r_cand = _Solution(b, cval, k, r_prev, gpoly)
-            shift_k = alpha_polys[k - 1] - gpoly.scale(1.0 / k)
-            q_cand = r_cand.mapped(lambda s, sh=shift_k: s.scale(1.0 / k) + sh)
-            hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
-            root = find_largest_root(
-                q_cand, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
+            cells.append(
+                solve_integral_equation(b, cval, k, r_prev, gammas[k - 1], lo=taus[k - 1])
             )
-            taus[k - 1] = root
-            cells.append(r_cand.restrict(root))
-            b = root
+            b = taus[k - 1]
         cells.reverse()  # ascending x
         r_prev = PiecewiseFunction.join(cells)
-        tau_rows.append(taus)
         tops.append(r_prev)
         row_cells.append(tuple(cells))
-    tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
     return DualCertificateJK(tau, tuple(tops), tuple(row_cells))
 
 

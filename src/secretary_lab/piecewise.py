@@ -7,10 +7,9 @@ closed under that operator, so each segment of a piecewise function stores
 its terms symbolically and integrals come from closed-form antiderivatives
 (cached per segment) instead of nested numeric quadrature; a weight such as
 1/y^N is applied to the terms (shift_xpow) before integrating.
-Point values come one at a time (`value`; the construction's root scans
-call the candidate's segments directly) or over a whole grid as numpy arrays
-(`values`, `tail_integral`, used by certificate verification); all three
-pick the same segment for a point.
+Point values come one at a time (`value`, through `segment_at`) or over a
+whole grid as numpy arrays (`values`, `tail_integral`, used by certificate
+verification); all of them pick the same segment for a point.
 
 Array evaluation runs a fixed number of numpy calls per block of points,
 however many segments a function has.  On first array use a function
@@ -357,11 +356,8 @@ class PiecewiseFunction:
         return min(i, len(self.segments) - 1)
 
     def value(self, x: float) -> float:
-        # segment_at inlined on the breakpoint list for point-by-point readers
-        bps, segs = self.breakpoints, self.segments
-        if not segs or x < bps[0] or x > bps[-1]:
-            return 0.0
-        return segs[min(bisect_right(bps, x) - 1, len(segs) - 1)](x)
+        seg = self.segment_at(x)
+        return 0.0 if seg is None else seg(x)
 
     __call__ = value
 
@@ -383,7 +379,8 @@ class PiecewiseFunction:
 
     def segment_at(self, x: float) -> LogLinComb | None:
         """Symbolic form covering x, or None outside the support."""
-        if self.is_zero() or x < self.lo or x > self.hi:
+        bps = self.breakpoints
+        if not self.segments or x < bps[0] or x > bps[-1]:
             return None
         return self.segments[self._segment_index(x)]
 
@@ -502,6 +499,8 @@ def bisect_root(
     return 0.5 * (a + b)
 
 
+# No runtime code searches for roots: find_largest_root and its helpers
+# serve the benchmark's traced passes, which wrap dual.find_largest_root.
 def find_largest_root(
     fn: Callable[[float], float],
     hi: float,

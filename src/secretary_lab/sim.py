@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import ThresholdMatrix
+from .value import ThresholdMatrix
 
 Z_99 = 2.576  # half-width multiplier for the 99% confidence interval
 

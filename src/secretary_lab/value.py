@@ -22,26 +22,37 @@ row r is the pair (r, n_r), and no other active pair may turn first; a
 cell ends at the earliest candidate root, where W seeds the next cell, and
 the solve stops once no pair is active.  Nothing is cached across calls.
 
-The thresholds are not certified: `dual.construct_dual` builds the
-certificate that `dual-check` verifies.  Failures raise ValueSolveError,
-an ArithmeticError.
+This is the package's one threshold solver.  The thresholds are not
+certified here: `dual.construct_dual` builds the dual functions at them,
+and `dual.verify_certificate` decides whether they are optimal.  The
+threshold matrix type, the size caps and the batched alpha rows live here
+too, so this module imports nothing from `dual`.  Failures raise
+ValueSolveError, an ArithmeticError.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from . import dual
+from .theta import MAX_J
 
+# Floor of the solve and of piecewise supports; far below any reachable
+# threshold (the smallest thresholds for J <= MAX_J = 16 sit above 1e-4).
+X_FLOOR = 1e-9
+# Largest K: from K = 36 on, x**(-K) at X_FLOOR overflows (checked at
+# J = 1..4 on integral equations solved down to it); _TERM_COEF stops here.
+MAX_K = 35
 NODES = 28  # Chebyshev points per cell
 MAX_CELL = 0.5  # trial cell length in t is min(MAX_CELL, CELL_K / K)
 CELL_K = 3.0
 NEWTON_STEPS = 8
 NEWTON_TOL = 1e-8  # in s; the step after one this small is below rounding
-T_FLOOR = math.log(dual.X_FLOOR)  # no threshold lies below this t
+T_FLOOR = math.log(X_FLOOR)  # no threshold lies below this t
 
 
 def _cheb(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,6 +86,76 @@ def _antiderivative(m: int) -> np.ndarray:
     return (1.0 - cos.T) @ integrate @ to_coef
 
 
+class MonotonicityError(ValueError):
+    """A threshold matrix violates the required row/column ordering."""
+
+
+@dataclass(frozen=True)
+class ThresholdMatrix:
+    """tau[j-1][k-1] = tau_{j,k}; rows ordered j = 1..J (later quotas lower)."""
+
+    J: int
+    K: int
+    tau: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        if len(self.tau) != self.J or any(len(r) != self.K for r in self.tau):
+            raise ValueError("threshold matrix shape mismatch")
+        eps = 1e-12
+        for j in range(self.J):
+            for k in range(self.K):
+                t = self.tau[j][k]
+                if not 0.0 < t <= 1.0:
+                    raise MonotonicityError(f"tau[{j+1}][{k+1}]={t} not in (0, 1]")
+                if k + 1 < self.K and t > self.tau[j][k + 1] + eps:
+                    raise MonotonicityError(
+                        f"row {j+1} not increasing in k at k={k+1}"
+                    )
+                if j + 1 < self.J and self.tau[j + 1][k] > t + eps:
+                    raise MonotonicityError(
+                        f"column {k+1} not decreasing in j at j={j+1}"
+                    )
+
+    def threshold(self, j: int, k: int) -> float:
+        """1-based accessor for tau_{j,k}."""
+        return self.tau[j - 1][k - 1]
+
+
+def check_size(J: int, K: int) -> None:
+    """Refuse K above MAX_K and J above MAX_J (one J cap for every K),
+    before any work."""
+    if J < 1 or K < 1:
+        raise ValueError("J and K must be positive")
+    if K > MAX_K:
+        raise ValueError(f"K={K} exceeds the cap {MAX_K}")
+    if J > MAX_J:
+        raise ValueError(f"J={J} exceeds the cap {MAX_J}")
+
+
+# alphas' terms: alpha_k's term l = k + d is C(l-1, d) (1-x)^d x^(k-1);
+# _TERM_COEF[d, k-1] = C(k+d-1, d), for k + d <= MAX_K.
+_TERM_COEF = np.array(
+    [[comb(k + d - 1, d) for k in range(1, MAX_K - d + 1)] + [0] * d
+     for d in range(MAX_K)],
+    float,
+)
+
+
+def alphas(K: int, x: np.ndarray) -> np.ndarray:
+    """Rows alpha(1, K, x), ..., alpha(K, K, x) of a 1-D float array x,
+    for K <= MAX_K.
+
+    Row k sums the terms of `dual.alpha` in its order, over d = l - k
+    ascending, so the rows equal its arrays bit for bit; the powers of
+    1 - x and of x are formed once for all rows.
+    """
+    u = 1.0 - x
+    total = np.zeros((K, len(x)))
+    for d in range(K):  # the terms l = k + d <= K of rows k = 1..K - d
+        total[: K - d] += _TERM_COEF[d, : K - d, None] * u**d
+    return total * np.array([x ** (k - 1) for k in range(1, K + 1)])
+
+
 _S, _D, _BARY = _cheb(NODES - 1)
 _ANTI = _antiderivative(NODES - 1)
 _NODE_LIST = _S.tolist()
@@ -86,7 +167,7 @@ class ValueSolveError(ArithmeticError):
 
 
 class Solution(NamedTuple):
-    tau: dual.ThresholdMatrix
+    tau: ThresholdMatrix
     payoff: float  # W_J(0+), the expected payoff of the optimal policy
 
 
@@ -118,8 +199,8 @@ def _root(g: np.ndarray, i: int) -> float:
 
 
 def solve(J: int, K: int) -> Solution:
-    """tau and W_J(0+) for the (J,K) problem; sizes as `dual.check_size`."""
-    dual.check_size(J, K)
+    """tau and W_J(0+) for the (J,K) problem; sizes as `check_size`."""
+    check_size(J, K)
     half = 0.5 * min(MAX_CELL, CELL_K / K)  # dt/ds on a cell
     # Between thresholds row r has dW_r/dt = n W_r - f_r, with
     # f_r = n W_{r-1} + S_n and S_n = sum_{k <= n} x alpha_k, so on a cell
@@ -145,10 +226,10 @@ def solve(J: int, K: int) -> Solution:
     left = J * K  # thresholds still to find
     while left:
         if t_top < T_FLOOR:
-            raise ValueSolveError(f"no threshold found above x={dual.X_FLOOR}")
+            raise ValueSolveError(f"no threshold found above x={X_FLOOR}")
         x = np.exp(t_top + t_nodes)
         gain = edge[0, 1:]
-        gain[:] = x * dual.alphas(K, x)
+        gain[:] = x * alphas(K, x)
         np.minimum.accumulate(gain[:-1], axis=0, out=edge[1, 2:])
         np.cumsum(gain, axis=0, out=gain_sums[1:])
         fixed = decay[n_active] * w_top[1:, None]
@@ -184,7 +265,7 @@ def solve(J: int, K: int) -> Solution:
         tau[best, n_active[best]] = math.exp(t_top)
         left -= 1
     try:
-        matrix = dual.ThresholdMatrix(J, K, tuple(map(tuple, tau.tolist())))
-    except dual.MonotonicityError as exc:
+        matrix = ThresholdMatrix(J, K, tuple(map(tuple, tau.tolist())))
+    except MonotonicityError as exc:
         raise ValueSolveError(str(exc)) from exc
     return Solution(matrix, float(w_top[J]))

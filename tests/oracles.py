@@ -30,10 +30,13 @@
   of `secretary_lab.piecewise.find_largest_root`.
 * `construct_dual_combine`: the general (J,K) construction with every
   candidate solved down to X_FLOOR by `solve_integral_equation` and mapped
-  whole, each row assembled by chains of `PiecewiseFunction.combine`, and
-  roots from `find_largest_root_pointwise`; the reference for the top-down
-  candidates, the one-pass cell join and the root search in
-  `secretary_lab.dual.construct_dual`.
+  whole, and each row assembled by chains of `PiecewiseFunction.combine`;
+  the reference for the cells and the one-pass cell join in
+  `secretary_lab.dual.construct_dual`.  It builds at `value.solve`'s tau,
+  or with `scan=True` at the largest zero of each whole candidate, found by
+  `find_largest_root_pointwise` on a SCAN_STEP grid: the symbolic
+  construction's own thresholds, an independent reference for
+  `value.solve` where its certificates pass.
 * `q_at_theta`, `integral_q_from`, `dual_objective_k1`,
   `constraint_lhs_k1`: exact K = 1 certificate checks over the rows of
   `secretary_lab.theta.recursion`, in rationals and high-precision
@@ -66,8 +69,6 @@ from scipy.special import lambertw
 
 from secretary_lab.dp import weights
 from secretary_lab.dual import (
-    ROOT_TOL,
-    SCAN_STEP,
     X_FLOOR,
     CertificateReport,
     DualCertificateJK,
@@ -90,6 +91,12 @@ from secretary_lab.theta import (
     exp_neg,
     working_context,
 )
+from secretary_lab.value import solve
+
+# Downward scan step and bisection tolerance of the root scan in
+# `construct_dual_combine(..., scan=True)`.
+SCAN_STEP = 1e-3
+ROOT_TOL = 1e-13
 
 
 class QuadratureError(RuntimeError):
@@ -372,14 +379,17 @@ def find_largest_root_pointwise(
     raise RootBracketError(f"no sign change found in ({lo}, {hi})")
 
 
-def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
+def construct_dual_combine(J: int, K: int, scan: bool = False) -> DualCertificateJK:
     """The general construction, rows joined by combine chains.
 
     Every q_{j|l} candidate is mapped over the whole unrestricted solver
     output and restricted afterwards; q rows are chains of `combine` over
     the cells, r_{j|k} for k < K running `combine` sums of the q row, and
-    r_{j|K} a chain over the restricted solver outputs.
+    r_{j|K} a chain over the restricted solver outputs.  tau_{j,k} is
+    `value.solve`'s, or with scan=True the largest zero of the whole
+    candidate q_{j|k} below min(b, tau_{j-1,k}).
     """
+    given = None if scan else solve(J, K).tau
     tau_rows: list[list[float]] = []
     q_rows: list[tuple[PiecewiseFunction, ...]] = []
     r_rows: list[tuple[PiecewiseFunction, ...]] = []
@@ -393,12 +403,15 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
             gpoly = gamma_poly(k, K)
             cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
             r_cand = solve_integral_equation(b, cval, k, r_prev, gpoly)
-            shift_k = alpha_poly(k, K) - gpoly.scale(1.0 / k)
-            q_cand = map_segments(r_cand, lambda s, sh=shift_k: s.scale(1.0 / k) + sh)
-            hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
-            root = find_largest_root_pointwise(
-                q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
-            )
+            if given is not None:
+                root = given.threshold(j, k)
+            else:
+                shift_k = alpha_poly(k, K) - gpoly.scale(1.0 / k)
+                q_cand = map_segments(r_cand, lambda s, sh=shift_k: s.scale(1.0 / k) + sh)
+                hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
+                root = find_largest_root_pointwise(
+                    q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
+                )
             taus[k - 1] = root
             for el in range(1, k + 1):
                 shift_el = alpha_poly(el, K) - gpoly.scale(1.0 / k)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, output formats and determinism."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -103,6 +104,39 @@ def test_thresholds_flag_unverified_output(capsys):
             assert json.loads(captured.out)["verified"] is False
         else:
             assert "payoff" in captured.out and "verified" not in captured.out
+
+
+def _construct_once(monkeypatch):
+    """Every command in the test reads one certificate per (J, K)."""
+    monkeypatch.setattr(dual, "construct_dual", functools.cache(dual.construct_dual))
+
+
+def test_16_16_builds_and_fails_its_check(monkeypatch, capsys):
+    """At the J and K envelope corner the certificate builds and fails its
+    check: thresholds exits 0 with the flag in JSON and one warning, and
+    dual-check exits 4 naming the violation."""
+    _construct_once(monkeypatch)
+    code = main(["thresholds", "--J", "16", "--K", "16", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert json.loads(captured.out)["verified"] is False
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: thresholds unverified: ")
+    code, out = run(capsys, "dual-check", "--J", "16", "--K", "16")
+    assert code == EXIT_CERTIFICATE
+    assert "FAIL" in out and "violation: " in out
+
+
+@pytest.mark.parametrize("J, K", [(2, 2), (8, 8), (12, 12)])
+def test_printed_tau_is_the_value_function_solvers(monkeypatch, capsys, J, K):
+    """thresholds and dual-check print value.solve's tau bit for bit."""
+    _construct_once(monkeypatch)
+    want = [list(row) for row in value.solve(J, K).tau.tau]
+    args = ["--J", str(J), "--K", str(K), "--format", "json"]
+    for argv in (["thresholds", *args], ["dual-check", *args, "--grid", "1"]):
+        main(argv)
+        assert json.loads(capsys.readouterr().out)["tau"] == want, argv[0]
 
 
 def test_thresholds_11_value(capsys):
@@ -286,7 +320,7 @@ def test_finite_lp_k1_cp_star_is_thresholds_payoff(capsys, J):
 
 def test_finite_lp_16_16_prints_cp_star(capsys):
     """At the J and K envelope corner cp_star comes from the value function
-    (the symbolic construction fails there with a root-bracket error)."""
+    with no warning, although the certificate there fails its check."""
     code, out = run(capsys, "finite-lp", "--J", "16", "--K", "16", "--n", "20",
                     "--format", "json")
     assert code == EXIT_OK

@@ -19,6 +19,10 @@ import pytest
 import secretary_lab
 
 PACKAGE_ROOT = str(Path(secretary_lab.__file__).resolve().parents[1])
+MODULES = sorted(
+    path.stem for path in Path(secretary_lab.__file__).parent.glob("*.py")
+    if path.stem != "__init__"
+)
 
 SIM_ARGS = [
     "simulate", "--J", "4", "--K", "4", "--n", "9007199254740992",
@@ -46,6 +50,29 @@ COMMANDS = {
         60,
     ),
 }
+
+
+@pytest.fixture(scope="module")
+def imported(tmp_path_factory):
+    """`import secretary_lab.<module>` as a fresh interpreter's first
+    import, for every runtime module, two processes at a time."""
+    cwd = tmp_path_factory.mktemp("imports")
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+
+    def run(module):
+        cmd = [sys.executable, "-c", f"import secretary_lab.{module}"]
+        return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=60)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(MODULES, pool.map(run, MODULES)))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first(imported, module):
+    """A module-level import cycle fails here (dual imports value, so value
+    must import nothing from dual)."""
+    proc = imported[module]
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,6 @@ from secretary_lab.theta import generate_thetas, thresholds
 import reference_values as ref
 from oracles import (
     construct_dual_combine,
-    find_largest_root_pointwise,
     gamma,
     gamma_poly,
     k2_closed_forms,
@@ -232,32 +231,12 @@ def _pieces(fn: PiecewiseFunction):
 
 
 @pytest.mark.parametrize(
-    "J,K", [(J, K) for J in range(1, 7) for K in range(1, 7)] + [(2, 16), (16, 2), (16, 1)]
-)
-def test_root_search_matches_pointwise_scan(monkeypatch, J, K):
-    """Every threshold candidate's root from the coarse-to-fine scan has
-    the bits the every-point scan gives."""
-    search = dual.find_largest_root
-    candidates = []
-
-    def both(fn, hi, **kwargs):
-        got = search(fn, hi, **kwargs)
-        want = find_largest_root_pointwise(fn, hi, **kwargs)
-        assert got.hex() == want.hex(), (len(candidates), hi)
-        candidates.append(got)
-        return got
-
-    monkeypatch.setattr(dual, "find_largest_root", both)
-    construct_dual(J, K)
-    assert len(candidates) == J * K
-
-
-@pytest.mark.parametrize(
     "J,K", [(2, 2), (3, 3), (4, 8), (8, 6), (8, 8), (16, 2), (2, 16)]
 )
 def test_rows_match_combine_reference(J, K):
-    """The top-down candidates and the one-pass cell join give the rows of
-    whole-function candidates and combine chains bit for bit."""
+    """Cells solved down to their thresholds and the one-pass cell join
+    give the rows of whole-function candidates and combine chains bit for
+    bit, at value.solve's thresholds."""
     got = construct_dual(J, K)
     want = construct_dual_combine(J, K)
     assert got.tau == want.tau
@@ -269,9 +248,9 @@ def test_rows_match_combine_reference(J, K):
 
 @pytest.mark.parametrize("J,K", [(8, 8), (12, 12)])
 def test_construction_builds_little_below_each_threshold(monkeypatch, J, K):
-    """Candidates are built from b down only as far as the root search
-    reads: at most J*K segments beyond those the cells keep (building
-    every candidate down to X_FLOOR takes 889 against 288 kept at (8,8))."""
+    """Each cell is solved from b down to its threshold only: every segment
+    built is kept (building every candidate down to X_FLOOR takes 889
+    against 288 kept at (8,8))."""
     built = []
     anti = LogLinComb.antiderivative
 
@@ -282,12 +261,12 @@ def test_construction_builds_little_below_each_threshold(monkeypatch, J, K):
     monkeypatch.setattr(LogLinComb, "antiderivative", counted)
     cert = construct_dual(J, K)
     kept = sum(len(cell.segments) for row in cert.cells for cell in row)
-    assert len(built) <= kept + J * K, (len(built), kept)
+    assert len(built) == kept, (len(built), kept)
 
 
 def test_partial_solution_matches_whole_solve():
-    """A solution built only down to x has the bits of the whole solve
-    clipped to [x, b], wherever x falls among g's breakpoints."""
+    """A solution built only down to lo has the bits of the whole solve
+    clipped to [lo, b], wherever lo falls among g's breakpoints."""
     g = PiecewiseFunction(
         [0.2, 0.4, 0.7, 1.0],
         [
@@ -300,7 +279,7 @@ def test_partial_solution_matches_whole_solve():
     gamma_fn = gamma_poly(2, 3)
     whole = solve_integral_equation(b, c, N, g, gamma_fn)
     for lo in (0.85, 0.7, 0.55, 0.4, 0.3, 0.2, 0.1, 1e-6, b):
-        part = dual._Solution(b, c, N, g, gamma_fn).restrict(lo)
+        part = solve_integral_equation(b, c, N, g, gamma_fn, lo)
         assert _pieces(part) == _pieces(restrict(whole, lo, b)), lo
 
 
@@ -568,7 +547,7 @@ def test_verify_equals_per_segment_oracles(monkeypatch, J, K, perturb):
     assert got == verify_certificate(cert)
 
 
-# The pairs of the benchmark's certify workload, three of them failing.
+# The pairs of the benchmark's certify workload; (8,8) and (16,2) fail.
 CERTIFY_PAIRS = [(J, K) for J in range(1, 5) for K in range(1, 5)] + [
     (6, 6), (4, 8), (8, 4), (2, 16), (16, 1), (8, 8), (16, 2), (8, 6)
 ]

@@ -8,11 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dp_thresholds, k2_closed_forms
+from oracles import construct_dual_combine, dp_thresholds, k2_closed_forms
 from secretary_lab import dp, dual, theta, value
 
 # The pairs of the benchmark's certify workload whose certificates pass at
-# grid 2000 and tolerance 1e-8; (8,8), (16,2) and (8,6) fail there.
+# grid 2000 and tolerance 1e-8 at the symbolic construction's own root-scan
+# thresholds; (8,8), (16,2) and (8,6) fail there.
 VERIFIED_PAIRS = [(J, K) for J in range(1, 5) for K in range(1, 5)] + [
     (6, 6), (4, 8), (8, 4), (2, 16), (16, 1)
 ]
@@ -35,8 +36,8 @@ def dp_run(K: int) -> tuple[float, list[list[float]], bool]:
 
 def test_k1_thresholds_are_exp_minus_theta():
     """K = 1, every row up to the J cap, against the exact thetas."""
-    want = theta.thresholds(theta.generate_thetas(dual.MAX_J))
-    got = [row[0] for row in solved(dual.MAX_J, 1).tau.tau]
+    want = theta.thresholds(theta.generate_thetas(theta.MAX_J))
+    got = [row[0] for row in solved(theta.MAX_J, 1).tau.tau]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
@@ -54,8 +55,10 @@ def test_k2_closed_forms():
 
 @pytest.mark.parametrize("J, K", VERIFIED_PAIRS)
 def test_matches_the_certified_construction(J, K):
+    """Within 1e-9 of the thresholds the symbolic construction finds by its
+    own root scan where those certified (tests/oracles.py keeps the scan)."""
     got = np.array(solved(J, K).tau.tau)
-    want = np.array(dual.construct_dual(J, K).tau.tau)
+    want = np.array(construct_dual_combine(J, K, scan=True).tau.tau)
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
@@ -95,8 +98,8 @@ def test_alphas_rows_are_alpha_bit_for_bit():
     xs = np.concatenate(
         [[0.0, 1.0, 0.5, 1e-9], rng.random(200), np.exp(-20 * rng.random(200))]
     )
-    for K in range(1, dual.MAX_K + 1):
-        rows = dual.alphas(K, xs)
+    for K in range(1, value.MAX_K + 1):
+        rows = value.alphas(K, xs)
         for k in range(1, K + 1):
             want = dual.alpha(k, K, xs)
             assert rows[k - 1].tobytes() == want.tobytes(), (K, k)
@@ -133,13 +136,11 @@ def test_solver_within_2_over_n_of_the_dp_thresholds(J, K):
     assert DP_N * gap <= 2.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="construct_dual's x^m (ln x)^p terms cancel at (12,11) and (12,12): "
-    "tau_{12,11} is off by 3.3e-3 and tau_{12,12} by 1.4e-2 (ROADMAP item 3(b))",
-)
 def test_construction_within_2_over_n_of_the_dp_thresholds():
-    for J, K in [(12, 11), (12, 12)]:
+    """construct_dual's thresholds lie within 2/n of the DP's where the
+    symbolic construction's own root scan misses them (by 3.3e-3 at
+    tau_{12,11} and 1.4e-2 at tau_{12,12}) or finds no root ((16,16))."""
+    for J, K in [(12, 11), (12, 12), (16, 16)]:
         tau_n = np.array(dp_run(K)[1][:J])
         gap = np.max(np.abs(np.array(dual.construct_dual(J, K).tau.tau) - tau_n))
         assert DP_N * gap <= 2.0, (J, K)

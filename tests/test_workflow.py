@@ -87,10 +87,10 @@ def test_bench_trace_hooks_find_the_program_names():
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts.pop("ok") is True
-    # one traced root search per threshold: the construction reaches the
-    # patched dual.find_largest_root, not a reference taken at import
-    assert counts.pop("construct_root_spans") == 2 * 2
-    for name in ("piecewise.root_evals", "piecewise.value_calls",
+    # the construction takes its thresholds from value.solve and searches
+    # for no root; dual.find_largest_root stays for this hook to wrap
+    assert counts.pop("construct_root_spans") == 0
+    for name in ("piecewise.value_calls",
                  "piecewise.tail_integral_calls", "dual.segments",
                  "dual.verify_points"):
         assert counts.get(name, 0) > 0, name
