@@ -5,26 +5,22 @@ the optimal policy is a threshold matrix tau[j][k]: quota j may take a
 k-potential (k-th best seen so far) from time tau[j][k] on, and the unused
 quota with the largest index is consumed first.  tau is the primal
 solution and comes from value.py's solver, the package's one threshold
-solver.  The dual functions that certify it are built here: for each
-quota row j, working from k = K down to 1, the cell [tau_{j,k}, b] of the
-row's running sum r solves the integral equation
-
-    f(x) + (N/x) int_x^b [f(y) - g(y)] dy + c/x = gamma(x)
-
-in closed form (solve_integral_equation), and the candidate
-q_{j|k} = (r - gamma_k)/k + alpha_k.  The resulting functions q[j][k]
-certify optimality if they satisfy the complementary-slackness equalities
-above each threshold, the dual inequalities below it, vanish at the
-threshold, and their total integral equals the payoff
+solver.  The dual functions that certify it are that solve's value
+function W (after Buchbinder, Jain and Singh, IPCO 2010): on each of its
+Chebyshev cells, x q_{j|k}(x) is the gain g_{j,k} = x alpha_k + W_{j-1} -
+W_j above tau_{j,k} and zero below, and r_{j|k} = q_{j|1} + ... + q_{j|k},
+so that (1/x) int_x^1 [r_{j|K} - r_{j-1|K}] = (W_j - W_{j-1})/x.  The
+functions q[j][k] certify optimality if they satisfy the
+complementary-slackness equalities above each threshold, the dual
+inequalities below it, vanish at the threshold, and their total integral
+equals the payoff
 
     J - sum_j (1 - tau[j][1])**K.
 
-verify_certificate checks all of that, so a wrong tau shows up as
-|q(tau)| > tol.  Every K, K = 1 included, runs this one double-precision
-construction; theta.py keeps the exact rational thetas that the printed
-K = 1 values come from.  The construction's x^m (ln x)^p terms cancel at
-large J and K, so certificates there fail verification while tau stays
-value.py's.
+verify_certificate checks all of that on a grid, against alpha_k computed
+afresh, so a wrong tau shows up as |q(tau)| > tol.  Every K, K = 1
+included, runs this one double-precision construction; theta.py keeps the
+exact rational thetas that the printed K = 1 values come from.
 """
 
 from __future__ import annotations
@@ -32,67 +28,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate
-from math import comb
 
 import numpy as np
 
 from . import value
-from .piecewise import CHUNK_POINTS, LogLinComb, PiecewiseFunction, PowerRows
+from .piecewise import NODES, TO_COEF, PiecewiseFunction
 # Unused here: the benchmark's traced passes wrap dual.find_largest_root.
 from .piecewise import find_largest_root  # noqa: F401
 from .value import (  # noqa: F401  re-exported as dual.*
     MAX_K,
-    X_FLOOR,
     MonotonicityError,
     ThresholdMatrix,
     alphas,
-    check_size,
 )
 
 # Largest verification grid: a few arrays of this many floats per (j, k).
 MAX_GRID_POINTS = 1_000_000
 # Certificate check: grid and tolerance defaults (the CLI's too), the
-# largest accepted |dual objective - payoff|, and samples per q in JSON.
+# largest accepted |dual objective - payoff|, samples per q in JSON, and
+# points per chunk of the check.
 DEFAULT_GRID_POINTS = 2000
 DEFAULT_TOLERANCE = 1e-8
 OBJECTIVE_TOL = 1e-6
 CERT_SAMPLES = 50
-
-
-# -- alpha / gamma ---------------------------------------------------------
-
-
-# alpha has two forms.  This nested float form is the accurate one, and the
-# certificate check compares against it.  alpha_poly's expanded coefficients
-# alternate in sign: on the points i/2000 it is off by up to 2.5e-10 at
-# K = 16 and 8.0e-4 at K = 30, while alpha stays within 3e-14 of the exact
-# value.  alpha_poly serves only the symbolic construction.
-def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
-    """sum_{l=k}^{K} C(l-1, k-1) (1-x)^(l-k) x^(k-1), with 0**0 = 1.
-
-    Element-wise when x is an array.
-    """
-    if not 1 <= k <= K:
-        raise ValueError(f"need 1 <= k <= K, got k={k}, K={K}")
-    total = 0.0
-    for el in range(k, K + 1):
-        total += comb(el - 1, k - 1) * (1.0 - x) ** (el - k)
-    return total * x ** (k - 1)
-
-
-def alpha_poly(k: int, K: int) -> LogLinComb:
-    """alpha_k as a polynomial in x (coefficients are exact small integers).
-
-    The running sums of alpha_poly(1, K), ..., alpha_poly(K, K) are
-    gamma_k = alpha_1 + ... + alpha_k, identically K at k = K.
-    """
-    coeffs = [0.0] * K
-    for el in range(k, K + 1):
-        base = comb(el - 1, k - 1)
-        for u in range(el - k + 1):
-            coeffs[k - 1 + u] += base * comb(el - k, u) * (-1.0) ** u
-    return LogLinComb.from_x_poly(coeffs)
+CHUNK_POINTS = 8192
+# Relative size below which the dual functions' top Chebyshev coefficients
+# are dropped (at 1e-14, 10-18 of the 28 are kept for J, K <= 35).
+CHOP = 1e-14
 
 
 def payoff_jk(tau: ThresholdMatrix) -> float:
@@ -100,70 +62,23 @@ def payoff_jk(tau: ThresholdMatrix) -> float:
     return tau.J - sum((1.0 - row[0]) ** tau.K for row in tau.tau)
 
 
-# -- integral-equation solver (closed form) --------------------------------
-
-
-def solve_integral_equation(
-    b: float,
-    c: float,
-    N: int,
-    g: PiecewiseFunction,
-    gamma_fn: LogLinComb,
-    lo: float = X_FLOOR,
-) -> PiecewiseFunction:
-    """Continuous f on [lo, b] (lo >= X_FLOOR; zero if lo >= b) solving
-    f(x) + (N/x) int_x^b [f(y) - g(y)] dy + c/x = gamma(x).
-
-    The solution is
-        f(x) = x^(N-1) [ (b g(b) - c)/b^N - int_x^b ((y gamma)' - N g(y)) / y^N dy ]
-    evaluated segment by segment with exact antiderivatives; g's breakpoints
-    inside (lo, b) become breakpoints of f.  f on [x, b] depends on g above
-    x alone, so segments are built from b down, the tail integral summed as
-    they go: f on [lo, b] has the bits of a solve down to X_FLOOR clipped.
-    """
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"b={b} outside (0, 1]")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if X_FLOOR >= b:
-        raise ValueError("b must lie above X_FLOOR")
-    if lo >= b:
-        return PiecewiseFunction.zero()
-    a_const = (b * gamma_fn(b) - c) / b**N
-    dpoly = gamma_fn.shift_xpow(1).derivative()  # (y*gamma(y))'
-    cuts = sorted({lo, b} | {p for p in g.breakpoints if lo < p < b})
-    segments = []
-    tail = 0.0  # int_{cuts[n + 1]}^b h(y) dy
-    for n in range(len(cuts) - 2, -1, -1):
-        x0, x1 = cuts[n], cuts[n + 1]
-        g_seg = g.segment_at(0.5 * (x0 + x1))
-        h = dpoly if g_seg is None else dpoly - g_seg.scale(N)
-        anti = h.shift_xpow(-N).antiderivative()
-        top = anti(x1)
-        # int_x^b h = tail + H(x1) - H(x)
-        segments.append((anti + LogLinComb.const(a_const - tail - top)).shift_xpow(N - 1))
-        tail += top - anti(x0)
-    return PiecewiseFunction(cuts, segments[::-1])
-
-
 # -- certificate construction ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificateJK:
     """Thresholds plus the dual functions that certify their optimality.
 
     q[j-1][k-1] is the dual function for (quota j, potential rank k),
     supported on [tau_{j,k}, 1]; r[j-1][k-1] is the running sum
-    q_{j|1} + ... + q_{j|k}, and tops[j-1] is r_{j|K}.  Row j is kept as
-    its cells, r_{j|K} on [tau_{j,k}, tau_{j,k+1}] for k = 1..K (ascending
-    in x).  q is built from the cells the first time it is read and r from
-    q, so a caller that reads only tau builds neither.
+    q_{j|1} + ... + q_{j|k}.  Both are built from value.solve's cells
+    (`half` is their dt/ds) the first time either is read, so a caller
+    that reads only tau builds neither.
     """
 
     tau: ThresholdMatrix
-    tops: tuple[PiecewiseFunction, ...]
-    cells: tuple[tuple[PiecewiseFunction, ...], ...]
+    half: float
+    cells: tuple[value.Cell, ...]
 
     @property
     def J(self) -> int:
@@ -174,77 +89,71 @@ class DualCertificateJK:
         return self.tau.K
 
     @cached_property
-    def q(self) -> tuple[tuple[PiecewiseFunction, ...], ...]:
-        return _dual_rows(self)
+    def _rows(self) -> tuple:
+        return _cell_rows(self)
 
-    @cached_property
+    @property
+    def q(self) -> tuple[tuple[PiecewiseFunction, ...], ...]:
+        return self._rows[0]
+
+    @property
     def r(self) -> tuple[tuple[PiecewiseFunction, ...], ...]:
-        return tuple(
-            (*accumulate(row[:-1], PiecewiseFunction.combine), top)
-            for row, top in zip(self.q, self.tops)
-        )
+        return self._rows[1]
 
     def r_top(self, j: int) -> PiecewiseFunction:
         """r_{j|K}, with r_{0|K} identically zero."""
         if j == 0:
             return PiecewiseFunction.zero()
-        return self.tops[j - 1]
+        return self.r[j - 1][-1]
 
 
-def _dual_rows(cert: DualCertificateJK) -> tuple[tuple[PiecewiseFunction, ...], ...]:
-    """q rows from the construction's cells.
+def _cell_rows(cert: DualCertificateJK) -> tuple:
+    """(q rows, r rows) on the solve's cells.
 
-    On the cell of rank k, q_{j|l} = (r_{j|K} - gamma_k)/k + alpha_l for
-    l <= k and zero for l > k.
+    On a cell where row j's active pairs are k = 1..n, y q_{j|k}(y) is the
+    gain g_{j,k} = y alpha_k + W_{j-1} - W_j for k <= n and zero for k > n,
+    so y r_{j|k} = sum_{l <= min(k, n)} g_{j,l} and r_{j|K} = -dW_j/dy.
+    Each cell's node values go to Chebyshev coefficients once; cells of
+    zero width in x (a threshold on a cell top) are dropped.
     """
-    K = cert.K
-    alpha_polys = [alpha_poly(k, K) for k in range(1, K + 1)]
-    gammas = list(accumulate(alpha_polys))
-    out = []
-    for cells in cert.cells:
-        parts: list[list[PiecewiseFunction]] = [[] for _ in range(K)]
-        for k, cell in enumerate(cells, start=1):
-            scaled = [s.scale(1.0 / k) for s in cell.segments]
-            shift = gammas[k - 1].scale(1.0 / k)
-            for el in range(1, k + 1):
-                sh = alpha_polys[el - 1] - shift
-                parts[el - 1].append(
-                    PiecewiseFunction(cell.breakpoints, [s + sh for s in scaled])
-                )
-        out.append(tuple(PiecewiseFunction.join(p) for p in parts))
-    return tuple(out)
+    cells = [c for c in reversed(cert.cells) if math.exp(c.lo) < math.exp(c.top)]
+    bps = [math.exp(cells[0].lo)] + [math.exp(c.top) for c in cells]
+    tops = np.array([c.top for c in cells])
+    active = np.array([c.active for c in cells])  # ascending in x
+    gain = np.array([c.gain for c in cells]) @ TO_COEF.T  # y alpha_k
+    drop = np.array([c.w[:-1] - c.w[1:] for c in cells]) @ TO_COEF.T  # W_{j-1} - W_j
+    # degrees whose coefficients stay below CHOP of their cell's largest
+    # are the solve's rounding noise: evaluating them costs time and
+    # changes no verdict
+    scale = CHOP * np.maximum(abs(gain).max(axis=(1, 2)), abs(drop).max(axis=(1, 2)))
+    big = [(abs(a) > scale[:, None, None]).any(axis=(0, 1)) for a in (gain, drop)]
+    degrees = NODES - int(np.argmax((big[0] | big[1])[::-1]))
+    gain, drop = gain[..., :degrees], drop[..., :degrees]
+    sums = np.cumsum(gain, axis=1)  # y (alpha_1 + ... + alpha_k)
+
+    def on_top(first: int, coef: np.ndarray) -> PiecewiseFunction:
+        return PiecewiseFunction(bps[first:], tops[first:], cert.half, coef)
+
+    q_rows, r_rows = [], []
+    for j, n in enumerate(active.T):
+        # q_{j|k} lives on the cells from first[k-1] up, r_{j|k} on those of q_{j|1}
+        first = [len(cells) - np.count_nonzero(n >= k) for k in range(1, cert.K + 1)]
+        lo = first[0]
+        q_rows.append(tuple(on_top(f, gain[f:, k] + drop[f:, j]) for k, f in enumerate(first)))
+        counts = np.minimum.outer(n[lo:], np.arange(1, cert.K + 1))  # nonzero q per cell
+        r_rows.append(tuple(
+            on_top(lo, sums[np.arange(lo, len(cells)), m - 1] + m[:, None] * drop[lo:, j])
+            for m in counts.T
+        ))
+    return tuple(q_rows), tuple(r_rows)
 
 
 def construct_dual(J: int, K: int) -> DualCertificateJK:
-    """Dual functions for the (J,K) problem at value.solve's thresholds.
-
-    Induction over quota rows j = 1..J, inner loop k = K..1.  With
-    b = tau_{j,k+1} (b = 1 for k = K), the cell [tau_{j,k}, b] of the
-    running sum r_{j|K} solves the integral equation against the previous
-    row's r_{j-1|K}, with N = k, gamma_k and c = k b alpha_{k+1}(b); on it
-    q_{j|k} = (r - gamma_k)/k + alpha_k.  The row's cells, ascending in x,
-    join into r_{j|K}; q and the running sums r_{j|k<K} are built only
-    when read.  Sizes are checked by value.solve before any work.
-    """
-    tau = value.solve(J, K).tau
-    gammas = list(accumulate(alpha_poly(k, K) for k in range(1, K + 1)))
-    tops: list[PiecewiseFunction] = []
-    row_cells: list[tuple[PiecewiseFunction, ...]] = []
-    r_prev = PiecewiseFunction.zero()  # r_{j-1|K}
-    for taus in tau.tau:
-        cells: list[PiecewiseFunction] = []  # r on the cell of each k
-        b = 1.0
-        for k in range(K, 0, -1):
-            cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
-            cells.append(
-                solve_integral_equation(b, cval, k, r_prev, gammas[k - 1], lo=taus[k - 1])
-            )
-            b = taus[k - 1]
-        cells.reverse()  # ascending x
-        r_prev = PiecewiseFunction.join(cells)
-        tops.append(r_prev)
-        row_cells.append(tuple(cells))
-    return DualCertificateJK(tau, tuple(tops), tuple(row_cells))
+    """Dual functions for the (J,K) problem at value.solve's thresholds,
+    built from the cells of that solve when first read.  Sizes are checked
+    by value.solve before any work."""
+    sol = value.solve(J, K)
+    return DualCertificateJK(sol.tau, sol.half, sol.cells)
 
 
 # -- certificate verification ----------------------------------------------
@@ -322,19 +231,17 @@ def verify_certificate(
     )
     grid_notes: list[list[str | None]] = [[None] * K for _ in range(J)]
     # Chunks ascend in x, so each row meets its points in ascending order.
-    # Every function of every row on a chunk shares its powers of x and
-    # ln x, and its alpha_k values.
+    # Every function of every row on a chunk shares its alpha_k values.
     for a in range(0, len(points), CHUNK_POINTS):
-        rows = PowerRows(points[a : a + CHUNK_POINTS])
-        x = rows.xs
+        x = points[a : a + CHUNK_POINTS]
         alpha_rows = alphas(K, x)
         for j in range(1, J + 1):
-            tail = diffs[j - 1].tail_integral(rows) / x
+            tail = diffs[j - 1].tail_integral(x) / x
             if a + CHUNK_POINTS >= len(points):
                 diffs[j - 1] = None  # free its antiderivatives before row j + 1
             notes = grid_notes[j - 1]
             for k in range(1, K + 1):
-                qv = cert.q[j - 1][k - 1].values(rows)
+                qv = cert.q[j - 1][k - 1].values(x)
                 slack = qv + tail - alpha_rows[k - 1]
                 res = np.abs(slack)
                 above = x >= cert.tau.threshold(j, k)
@@ -418,13 +325,13 @@ def certificate_to_dict(
     for j in range(1, cert.J + 1):
         for k in range(1, cert.K + 1):
             qf = cert.q[j - 1][k - 1]
-            xs = qf.grid(max(1, CERT_SAMPLES // max(1, len(qf.segments))))
+            xs = qf.grid(max(1, CERT_SAMPLES // max(1, len(qf.breakpoints) - 1)))
             out["q"].append(
                 {
                     "j": j,
                     "k": k,
                     "breakpoints": list(qf.breakpoints),
-                    "samples": [[x, qf.value(x)] for x in xs],
+                    "samples": [list(p) for p in zip(xs, qf.values(xs).tolist())],
                 }
             )
     if report is not None:

@@ -1,30 +1,22 @@
-"""Piecewise-smooth functions on (0, 1] built from x^m (ln x)^p terms.
+"""Piecewise functions on Chebyshev cells in t = ln x, and the exact
+x^m (ln x)^p terms of the K = 1 recursion.
 
-The dual construction for general quota/rank counts repeatedly applies the
-operator  f -> x^(N-1) [ A - int_x^b h(y)/y^N dy ]  to functions it built
-earlier.  Linear combinations of x^m (ln x)^p with integer m and p >= 0 are
-closed under that operator, so each segment of a piecewise function stores
-its terms symbolically and integrals come from closed-form antiderivatives
-(cached per segment) instead of nested numeric quadrature; a weight such as
-1/y^N is applied to the terms (shift_xpow) before integrating.
-Point values come one at a time (`value`, through `segment_at`) or over a
-whole grid as numpy arrays (`values`, `tail_integral`, used by certificate
-verification); all of them pick the same segment for a point.
+A `PiecewiseFunction` is zero outside [breakpoints[0], breakpoints[-1]].
+Each segment (a `Segment`) holds the density y f(y) as a Chebyshev series
+sum_k c_k T_k(s) in s = 1 + (ln y - top)/half, a polynomial in t = ln y on
+[top - 2 half, top] of which the segment may cover only the upper part.
+With dy = y dt, int f dy = half int (sum_k c_k T_k) ds, an exact Chebyshev
+antiderivative.  The dual certificate's functions are of this form on the
+cells that `value.solve` integrates on; functions that are added must sit
+on the same cells.  Values come one point at a time (`value`, Clenshaw's
+recurrence in Python floats) or over arrays (`values`, `tail_integral`,
+the same recurrence in numpy); both pick the same segment for a point.
 
-Array evaluation runs a fixed number of numpy calls per block of points,
-however many segments a function has.  On first array use a function
-packs its segments into a table (`_Packed`): term column t holds each
-segment's t-th exponent pair (m, p) and coefficient c, in the segment's
-own dict order, with short segments padded by 0 * x^0 * (ln x)^0.  The
-points come as a `PowerRows`, which computes each x^m and (ln x)^p row
-once and lets every function evaluated on those points share it.  One
-searchsorted finds each point's segment; then, column by column, the
-kernel gathers c, x^m and (ln x)^p for every point and adds c * x^m *
-(ln x)^p to the point's total, in `LogLinComb.__call__`'s order; values
-are bit-identical to numpy evaluating one segment at a time.  numpy's
-power and log round unlike ** and math.log, so `values` and `value` may
-differ by up to (P + T + 4) ulp of sum |c x^m (ln x)^p| over a segment of
-T terms with ln x powers up to P.  Tail integrals use antiderivative tables.
+The Chebyshev toolkit that `value` solves with lives here too: the NODES
+points s_i = cos(i pi / (NODES - 1)), their differentiation matrix and
+barycentric weights, the map from node values to coefficients, and the
+antiderivative matrices (Trefethen, Spectral Methods in MATLAB, ch. 6 and
+12).  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -32,8 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -48,10 +39,8 @@ class RootBracketError(RuntimeError):
 class LogLinComb:
     """Finite sum of c * x^m * (ln x)^p.
 
-    m may be negative (the construction divides by powers of y); p >= 0.
-    Coefficients keep the type they are given: floats for the general
-    construction, Fractions for the exact K = 1 recursion, where every
-    operation except evaluation at a float x stays exact.
+    m may be negative; p >= 0.  theta.py's K = 1 recursion runs in this
+    ring with Fraction coefficients, and every operation stays exact.
     Immutable by convention: all operations return new objects.
     """
 
@@ -64,31 +53,13 @@ class LogLinComb:
         }
 
     @staticmethod
-    def zero() -> "LogLinComb":
-        return LogLinComb()
-
-    @staticmethod
     def const(c: Coef) -> "LogLinComb":
         return LogLinComb({(0, 0): c})
-
-    @staticmethod
-    def from_x_poly(coeffs: Sequence[Coef]) -> "LogLinComb":
-        """Polynomial in x: coeffs[m] multiplies x^m."""
-        return LogLinComb({(m, 0): c for m, c in enumerate(coeffs)})
 
     @staticmethod
     def from_ln_poly(coeffs: Sequence[Coef]) -> "LogLinComb":
         """Polynomial in ln x: coeffs[p] multiplies (ln x)^p."""
         return LogLinComb({(0, p): c for p, c in enumerate(coeffs)})
-
-    def __call__(self, x: float) -> float:
-        if x <= 0.0:
-            raise ValueError("log-linear combinations live on x > 0")
-        ln = math.log(x)
-        total = 0.0
-        for (m, p), c in self.terms.items():
-            total += c * x**m * ln**p
-        return total
 
     def at_ln(self, ln_x: Coef) -> Coef:
         """Value of a pure polynomial in ln x (every m == 0) at ln x = ln_x.
@@ -122,17 +93,6 @@ class LogLinComb:
         """Multiply by x^s."""
         return LogLinComb({(m + s, p): c for (m, p), c in self.terms.items()})
 
-    def derivative(self) -> "LogLinComb":
-        out: dict[TermKey, Coef] = {}
-        for (m, p), c in self.terms.items():
-            if m:
-                k = (m - 1, p)
-                out[k] = out.get(k, 0) + c * m
-            if p:
-                k = (m - 1, p - 1)
-                out[k] = out.get(k, 0) + c * p
-        return LogLinComb(out)
-
     def antiderivative(self) -> "LogLinComb":
         """F with F' = self, up to a constant.  Closed form per term:
 
@@ -156,189 +116,143 @@ class LogLinComb:
         return LogLinComb(out)
 
 
-# Points per PowerRows when values/tail_integral get a plain array, and per
-# certificate-check chunk: the default certificate grid (2000 points plus
-# breakpoints) fits in one, and a chunk's rows and gathered terms stay a
-# few MB at any grid size.
-CHUNK_POINTS = 8192
-# Point-term products per evaluation block: bounds the gathered temporaries
-# (64 kB each) whatever the number of points and the segment widths.
-BLOCK_TERMS = 8192
-# Grid points per coarse step of find_largest_root's scan (chosen by timing).
-SCAN_STRIDE = 10
+# -- Chebyshev toolkit -------------------------------------------------------
+
+NODES = 28  # Chebyshev points per cell
 
 
-class PowerRows:
-    """Points x with the rows x^m and (ln x)^p that packed tables ask for.
-
-    Each row is computed once, by the call a segment-by-segment evaluation
-    makes (xs ** m and ln ** p with int exponents), so functions evaluated
-    on one PowerRows share its rows and still get the values they would
-    get alone.  Rows are stacked for gathering: x^m is row m - mlo of the
-    x rows, (ln x)^p row p of the log rows.
-    """
-
-    __slots__ = ("xs", "_ln", "_mlo", "_xpow", "_lnpow")
-
-    def __init__(self, xs: np.ndarray):
-        self.xs = xs
-        self._ln: np.ndarray | None = None
-        self._mlo = 0
-        self._xpow = np.empty((0, len(xs)))
-        self._lnpow = np.empty((0, len(xs)))
-
-    def rows(
-        self, mlo: int, mhi: int, pmax: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """x rows covering mlo..mhi, log rows covering 0..pmax, first x row's m."""
-        top = self._mlo + len(self._xpow) - 1
-        # a point outside every support may be <= 0; its rows are never read
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if mlo < self._mlo or mhi > top:
-                lo, hi = min(mlo, self._mlo), max(mhi, top)
-                xpow = np.empty((hi - lo + 1, len(self.xs)))
-                for m in range(lo, hi + 1):
-                    have = self._mlo <= m <= top
-                    xpow[m - lo] = self._xpow[m - self._mlo] if have else self.xs**m
-                self._xpow, self._mlo = xpow, lo
-            if pmax >= len(self._lnpow):
-                if self._ln is None:
-                    self._ln = np.log(self.xs)
-                lnpow = np.empty((pmax + 1, len(self.xs)))
-                lnpow[: len(self._lnpow)] = self._lnpow
-                for p in range(len(self._lnpow), pmax + 1):
-                    lnpow[p] = self._ln**p
-                self._lnpow = lnpow
-        return self._xpow, self._lnpow, self._mlo
+def _cheb(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points s_i = cos(i pi / m), i = 0..m (descending from 1), the
+    differentiation matrix at them and their barycentric weights."""
+    s = np.sin(np.pi * np.arange(m, -m - 1, -2) / (2 * m))
+    c = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
+    c[[0, -1]] *= 2.0
+    ds = s[:, None] - s[None, :]
+    d = np.outer(c, 1.0 / c) / (ds + np.eye(m + 1))
+    d -= np.diag(d.sum(axis=1))
+    return s, d, 1.0 / c
 
 
-def _by_chunk(
-    method: Callable[[PowerRows], np.ndarray], points: Sequence[float]
-) -> np.ndarray:
-    """method over PowerRows of at most CHUNK_POINTS points of a 1-D array."""
+def _coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix taking node values v to the Chebyshev coefficients a of
+    their interpolant p = sum_k a_k T_k (a cosine sum over the nodes), and
+    the one taking v to the node values of int_s^1 p = sum_k b_k (1 - T_k(s)),
+    b as `_antiderivative` forms it."""
+    cos = np.cos(np.outer(np.arange(m + 2), np.pi * np.arange(m + 1) / m))
+    to_coef = cos[: m + 1] * (2.0 / m)  # a = to_coef @ v
+    to_coef[:, [0, -1]] /= 2.0
+    to_coef[[0, -1]] /= 2.0
+    integrate = np.zeros((m + 2, m + 1))  # b = integrate @ a
+    k = np.arange(1, m + 2)
+    integrate[k, k - 1] = np.where(k == 1, 1.0, 0.5 / k)
+    integrate[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
+    return to_coef, (1.0 - cos.T) @ integrate @ to_coef
+
+
+def _antiderivative(coef: np.ndarray) -> np.ndarray:
+    """Coefficients b of an antiderivative in s of each row's series a:
+    b_0 = 0 and b_k = (c a_{k-1} - a_{k+1}) / (2k), c = 2 for k = 1, else 1.
+    Element-wise, so a row gets the same bits alone or among others."""
+    k = np.arange(1, coef.shape[1] + 1)
+    anti = np.zeros((len(coef), coef.shape[1] + 1))
+    anti[:, 1:] = np.where(k == 1, 2.0, 1.0) * coef
+    anti[:, 1:-2] -= coef[:, 2:]
+    anti[:, 1:] /= 2 * k
+    return anti
+
+
+CHEB_S, CHEB_D, CHEB_WEIGHTS = _cheb(NODES - 1)
+TO_COEF, ANTI = _coefficients(NODES - 1)
+
+
+def _clenshaw(coef: Sequence[float], s: float) -> float:
+    """sum_k coef[k] T_k(s) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    two_s = s + s
+    for c in coef[:0:-1]:
+        b1, b2 = two_s * b1 - b2 + c, b1
+    return s * b1 - b2 + coef[0]
+
+
+def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k coef[seg[i], k] T_k(s[i]) at every i: `_clenshaw`'s steps on
+    arrays, one degree at a time."""
+    rows = coef.T.take(seg, axis=1)  # rows[k, i] = coef[seg[i], k]
+    b1 = b2 = np.zeros(len(s))
+    two_s = s + s
+    for row in rows[:0:-1]:
+        b1, b2 = two_s * b1 - b2 + row, b1
+    return s * b1 - b2 + rows[0]
+
+
+def _as_points(points: Sequence[float]) -> np.ndarray:
     xs = np.ascontiguousarray(points, dtype=np.float64)
     if xs.ndim != 1:
         raise ValueError(f"points must form a 1-D array, not shape {xs.shape}")
-    out = np.empty(len(xs))
-    for a in range(0, len(xs), CHUNK_POINTS):
-        out[a : a + CHUNK_POINTS] = method(PowerRows(xs[a : a + CHUNK_POINTS]))
-    return out
+    return xs
 
 
-class _Packed:
-    """The terms of every segment in one table, for array evaluation.
+# -- piecewise functions -----------------------------------------------------
 
-    Column t of m, p and c (shape terms x segments) holds each segment's
-    t-th term in the segment's own dict order.  A segment with fewer terms
-    ends in 0 * x^0 * (ln x)^0, which adds +0.0 and so changes no sum.
-    """
 
-    __slots__ = ("bps", "last", "m", "p", "c", "mlo", "mhi", "pmax")
+class Segment(NamedTuple):
+    """One segment: f(y) = sum_k coef[k] T_k(s) / y, s = 1 + (ln y - top)/half."""
 
-    def __init__(self, breakpoints: Sequence[float], segments: Sequence[LogLinComb]):
-        counts = [len(s.terms) for s in segments]
-        width = max(1, *counts)
-        total = sum(counts)
-        keys = chain.from_iterable(chain.from_iterable(s.terms for s in segments))
-        mp = np.fromiter(keys, np.intp, 2 * total)
-        coefs = chain.from_iterable(s.terms.values() for s in segments)
-        # filled[i, t]: segment i has a t-th term; the .T views below take
-        # the terms segment by segment, each in its dict order
-        filled = np.arange(width) < np.array(counts)[:, None]
-        self.m = np.zeros((width, len(segments)), np.intp)
-        self.p = np.zeros((width, len(segments)), np.intp)
-        self.c = np.zeros((width, len(segments)))
-        self.m.T[filled] = mp[0::2]
-        self.p.T[filled] = mp[1::2]
-        self.c.T[filled] = np.fromiter(coefs, np.float64, total)
-        self.bps = np.array(breakpoints)
-        self.last = len(segments) - 1
-        self.mlo = min(0, int(self.m.min()))
-        self.mhi = max(0, int(self.m.max()))
-        self.pmax = int(self.p.max())
+    top: float
+    half: float
+    coef: np.ndarray
 
-    def segment_of(self, xs: np.ndarray) -> np.ndarray:
-        """Segment of each point, the one PiecewiseFunction._segment_index picks."""
-        seg = np.searchsorted(self.bps, xs, side="right") - 1
-        return np.minimum(seg, self.last, out=seg)
+    @property
+    def terms(self) -> dict[int, float]:
+        """Chebyshev degree -> coefficient."""
+        return dict(enumerate(self.coef.tolist()))
 
-    def evaluate(
-        self, points: PowerRows, at: np.ndarray, seg: np.ndarray
-    ) -> np.ndarray:
-        """Segment seg[i] at points.xs[at[i]] for every i.
-
-        Each point sums c * x^m * (ln x)^p over its segment's terms in dict
-        order, starting from 0.0, as LogLinComb.__call__ does.
-        """
-        xpow, lnpow, mlo = points.rows(self.mlo, self.mhi, self.pmax)
-        n = xpow.shape[1]
-        total = np.zeros(len(at))
-        step = max(1, BLOCK_TERMS // len(self.m))
-        for a in range(0, len(at), step):
-            pos, sg = at[a : a + step], seg[a : a + step]
-            # flat position of x^m, then of (ln x)^p, at each point per term
-            idx = self.m.take(sg, axis=1)
-            if mlo:
-                idx -= mlo
-            idx *= n
-            idx += pos
-            terms = xpow.take(idx)
-            terms *= self.c.take(sg, axis=1)  # c * x^m, as LogLinComb forms it
-            self.p.take(sg, axis=1, out=idx)
-            idx *= n
-            idx += pos
-            terms *= lnpow.take(idx)
-            part = total[a : a + step]
-            for term in terms:
-                part += term
-        return total
+    def __call__(self, x: float) -> float:
+        return _clenshaw(self.coef.tolist(), 1.0 + (math.log(x) - self.top) / self.half) / x
 
 
 class PiecewiseFunction:
     """Function on [breakpoints[0], breakpoints[-1]], zero outside.
 
-    segments[i] is the symbolic form on [breakpoints[i], breakpoints[i+1]];
-    segments must agree at interior breakpoints (continuity is a property of
-    the constructions that produce these, not enforced here).  Integral
-    queries use per-segment antiderivatives, built on first use.
+    Segment i, on [breakpoints[i], breakpoints[i+1]], is
+    Segment(tops[i], halves[i], coef[i]): coef has one row of Chebyshev
+    coefficients per segment, and halves may be one number for all.  Continuity across breakpoints is a
+    property of the constructions, not enforced here.  Whole-segment
+    integrals and antiderivative coefficients are built on first use.
     """
 
     def __init__(
-        self, breakpoints: Sequence[float], segments: Sequence[LogLinComb]
+        self,
+        breakpoints: Sequence[float],
+        tops: Sequence[float],
+        halves: float | Sequence[float],
+        coef: np.ndarray,
     ):
         bps = [float(b) for b in breakpoints]
-        if bps and len(segments) != len(bps) - 1:
+        coef = np.asarray(coef, dtype=np.float64)
+        if coef.ndim != 2 or len(tops) != len(coef):
+            raise ValueError("need one top and one row of coefficients per segment")
+        if len(bps) != len(coef) + 1 and (bps or len(coef)):
             raise ValueError("need exactly one segment per breakpoint gap")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = bps
-        self.segments = list(segments)
-        self._antis: list[LogLinComb] | None = None
-        # packed tables for array evaluation, built on first use
-        self._values_table: _Packed | None = None
-        self._tail_table: tuple | None = None
+        self._bps = np.array(bps)
+        self._top = np.array(tops, dtype=np.float64)
+        self._half = np.zeros(len(self._top)) + halves
+        self._coef = coef
+        self._sums: tuple | None = None
 
     @staticmethod
     def zero() -> "PiecewiseFunction":
-        return PiecewiseFunction([], [])
+        return PiecewiseFunction([], [], 1.0, np.empty((0, NODES)))
 
-    @staticmethod
-    def join(parts: Sequence["PiecewiseFunction"]) -> "PiecewiseFunction":
-        """One function from parts on adjacent supports, ascending in x.
-
-        Each nonzero part must start where the previous one ends; zero
-        parts are skipped.  Segments are kept as they are.
-        """
-        bps: list[float] = []
-        segs: list[LogLinComb] = []
-        for part in parts:
-            if part.is_zero():
-                continue
-            if bps and part.lo != bps[-1]:
-                raise ValueError(f"part starts at {part.lo}, not at {bps[-1]}")
-            bps.extend(part.breakpoints[1:] if bps else part.breakpoints)
-            segs.extend(part.segments)
-        return PiecewiseFunction(bps, segs)
+    @property
+    def segments(self) -> list[Segment]:
+        return [
+            Segment(t, h, c)
+            for t, h, c in zip(self._top.tolist(), self._half.tolist(), self._coef)
+        ]
 
     @property
     def lo(self) -> float:
@@ -349,11 +263,27 @@ class PiecewiseFunction:
         return self.breakpoints[-1] if self.breakpoints else 1.0
 
     def is_zero(self) -> bool:
-        return not self.segments
+        return not len(self._coef)
 
     def _segment_index(self, x: float) -> int:
         i = bisect_right(self.breakpoints, x) - 1
-        return min(i, len(self.segments) - 1)
+        return min(i, len(self._coef) - 1)
+
+    def _segment_of(self, xs: np.ndarray) -> np.ndarray:
+        """Segment of each point, the one `_segment_index` picks."""
+        seg = np.searchsorted(self._bps, xs, side="right") - 1
+        return np.minimum(seg, len(self._coef) - 1, out=seg)
+
+    def _s(self, xs: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        return 1.0 + (np.log(xs) - self._top[seg]) / self._half[seg]
+
+    def segment_at(self, x: float) -> Segment | None:
+        """The segment covering x, or None outside the support."""
+        bps = self.breakpoints
+        if self.is_zero() or x < bps[0] or x > bps[-1]:
+            return None
+        i = self._segment_index(x)
+        return Segment(float(self._top[i]), float(self._half[i]), self._coef[i])
 
     def value(self, x: float) -> float:
         seg = self.segment_at(x)
@@ -361,109 +291,73 @@ class PiecewiseFunction:
 
     __call__ = value
 
-    def values(self, points: Sequence[float] | PowerRows) -> np.ndarray:
-        """value at every point: a 1-D array of floats, or a PowerRows whose
-        power rows other functions evaluated on the same points share."""
-        if not isinstance(points, PowerRows):
-            return _by_chunk(self.values, points)
-        xs = points.xs
+    def values(self, points: Sequence[float]) -> np.ndarray:
+        """value at every point of a 1-D array."""
+        xs = _as_points(points)
         out = np.zeros(len(xs))
         if self.is_zero():
             return out
-        if self._values_table is None:
-            self._values_table = _Packed(self.breakpoints, self.segments)
-        table = self._values_table
         at = np.flatnonzero((xs >= self.lo) & (xs <= self.hi))
-        out[at] = table.evaluate(points, at, table.segment_of(xs[at]))
+        x = xs[at]
+        seg = self._segment_of(x)
+        out[at] = _series(self._coef, seg, self._s(x, seg)) / x
         return out
 
-    def segment_at(self, x: float) -> LogLinComb | None:
-        """Symbolic form covering x, or None outside the support."""
-        bps = self.breakpoints
-        if not self.segments or x < bps[0] or x > bps[-1]:
-            return None
-        return self.segments[self._segment_index(x)]
-
-    def _antiderivatives(self) -> list[LogLinComb]:
-        """One antiderivative per segment, built on first use."""
-        if self._antis is None:
-            self._antis = [s.antiderivative() for s in self.segments]
-        return self._antis
-
-    def _segment_integral(self, i: int, a: float, b: float) -> float:
-        anti = self._antiderivatives()[i]
-        return anti(b) - anti(a)
+    def _integrals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Antiderivative coefficients per segment, each antiderivative at
+        its segment's top, and the integrals over segments i.. summed from
+        the top (suffix[i], with suffix[n] = 0); built on first use."""
+        if self._sums is None:
+            anti = _antiderivative(self._coef)
+            every = np.arange(len(anti))
+            top = _series(anti, every, self._s(self._bps[1:], every))
+            whole = self._half * (top - _series(anti, every, self._s(self._bps[:-1], every)))
+            suffix = np.append(np.cumsum(whole[::-1])[::-1], 0.0)
+            self._sums = (anti, top, suffix)
+        return self._sums
 
     def integral(self, a: float, b: float) -> float:
-        """int_a^b f(y) dy, treating f as zero outside its support."""
-        if self.is_zero():
-            return 0.0
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if a >= b:
-            return 0.0
-        ia = self._segment_index(a)
-        ib = self._segment_index(b)
-        if ia == ib:
-            return self._segment_integral(ia, a, b)
-        total = self._segment_integral(ia, a, self.breakpoints[ia + 1])
-        for i in range(ia + 1, ib):
-            total += self._segment_integral(
-                i, self.breakpoints[i], self.breakpoints[i + 1]
-            )
-        total += self._segment_integral(ib, self.breakpoints[ib], b)
-        return total
+        """int_a^b f(y) dy for a <= b, treating f as zero outside its support."""
+        from_a, from_b = self.tail_integral([a, b]).tolist()
+        return from_a - from_b if a < b else 0.0
 
-    def tail_integral(self, points: Sequence[float] | PowerRows) -> np.ndarray:
-        """int_x^hi f(y) dy at every point x, given as for `values`.
+    def tail_integral(self, points: Sequence[float]) -> np.ndarray:
+        """int_x^hi f(y) dy at every point x of a 1-D array.
 
-        Whole segments above x come from suffix sums built on first use.
+        Whole segments above x come from the suffix sums.
         """
-        if not isinstance(points, PowerRows):
-            return _by_chunk(self.tail_integral, points)
-        xs = points.xs
+        xs = _as_points(points)
         out = np.zeros(len(xs))
         if self.is_zero():
             return out
-        if self._tail_table is None:
-            antis = self._antiderivatives()
-            bps = self.breakpoints
-            tops = [anti(b) for anti, b in zip(antis, bps[1:])]
-            suffix = [0.0] * (len(antis) + 1)
-            for i in range(len(antis) - 1, -1, -1):
-                # the segment integral, as _segment_integral forms it
-                suffix[i] = suffix[i + 1] + (tops[i] - antis[i](bps[i]))
-            self._tail_table = (
-                _Packed(self.breakpoints, antis),
-                suffix[0],
-                np.array(suffix[1:]),
-                np.array(tops),
-            )
-        table, total, above, tops = self._tail_table
-        out[xs <= self.lo] = total
+        anti, top, suffix = self._integrals()
+        out[xs <= self.lo] = suffix[0]
         at = np.flatnonzero((xs > self.lo) & (xs < self.hi))
-        seg = table.segment_of(xs[at])
-        # suffix[i+1] + (F_i(hi_i) - F_i(x)), grouped as the scalar form is
-        out[at] = above[seg] + (tops[seg] - table.evaluate(points, at, seg))
+        x = xs[at]
+        seg = self._segment_of(x)
+        part = self._half[seg] * (top[seg] - _series(anti, seg, self._s(x, seg)))
+        out[at] = suffix[seg + 1] + part
         return out
 
     def combine(
         self, other: "PiecewiseFunction", c_self: float = 1.0, c_other: float = 1.0
     ) -> "PiecewiseFunction":
-        """c_self * self + c_other * other over the union of supports."""
+        """c_self * self + c_other * other over the union of supports, which
+        must leave no gap; where both are nonzero their segments must be the
+        same cells."""
         cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
-        segs = []
+        tops, halves, coefs = [], [], []
         for a, b in zip(cuts, cuts[1:]):
-            mid = 0.5 * (a + b)
-            s = LogLinComb.zero()
-            mine = self.segment_at(mid)
-            theirs = other.segment_at(mid)
-            if mine is not None:
-                s = s + mine.scale(c_self)
-            if theirs is not None:
-                s = s + theirs.scale(c_other)
-            segs.append(s)
-        return PiecewiseFunction(cuts, segs)
+            mine, theirs = self.segment_at(0.5 * (a + b)), other.segment_at(0.5 * (a + b))
+            cell = mine or theirs
+            if cell is None or (mine and theirs and mine[:2] != theirs[:2]):
+                raise ValueError("combine needs both functions on the same cells")
+            tops.append(cell.top)
+            halves.append(cell.half)
+            coefs.append((c_self * mine.coef if mine else 0.0) + (c_other * theirs.coef if theirs else 0.0))
+        if not coefs:
+            return PiecewiseFunction.zero()
+        return PiecewiseFunction(cuts, tops, halves, np.array(coefs))
 
     def grid(self, points_per_segment: int) -> list[float]:
         """Uniform sample points per segment, including all breakpoints."""
@@ -475,6 +369,12 @@ class PiecewiseFunction:
             out.extend(a + i * step for i in range(points_per_segment + 1))
         out.append(self.hi)
         return out
+
+
+# -- root search ---------------------------------------------------------------
+
+# Grid points per coarse step of find_largest_root's scan (chosen by timing).
+SCAN_STRIDE = 10
 
 
 def bisect_root(

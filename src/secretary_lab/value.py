@@ -21,13 +21,15 @@ antiderivative of the node values' interpolant.  The candidate crossing of
 row r is the pair (r, n_r), and no other active pair may turn first; a
 cell ends at the earliest candidate root, where W seeds the next cell, and
 the solve stops once no pair is active.  Nothing is cached across calls.
+The Chebyshev toolkit comes from `piecewise`.
 
 This is the package's one threshold solver.  The thresholds are not
-certified here: `dual.construct_dual` builds the dual functions at them,
-and `dual.verify_certificate` decides whether they are optimal.  The
-threshold matrix type, the size caps and the batched alpha rows live here
-too, so this module imports nothing from `dual`.  Failures raise
-ValueSolveError, an ArithmeticError.
+certified here: the solve returns its cells (W and x alpha_k at the
+nodes, and the active pairs), `dual.construct_dual` builds the dual
+functions from them, and `dual.verify_certificate` decides whether the
+thresholds are optimal.  The threshold matrix type, the size caps and the
+batched alpha rows live here too, so this module imports nothing from
+`dual`.  Failures raise ValueSolveError, an ArithmeticError.
 """
 
 from __future__ import annotations
@@ -39,51 +41,21 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .piecewise import ANTI, CHEB_D, CHEB_S, CHEB_WEIGHTS, NODES
 from .theta import MAX_J
 
-# Floor of the solve and of piecewise supports; far below any reachable
-# threshold (the smallest thresholds for J <= MAX_J = 16 sit above 1e-4).
+# Floor of the solve; far below any reachable threshold (the smallest
+# thresholds for J <= MAX_J = 16 sit above 1e-4).
 X_FLOOR = 1e-9
-# Largest K: from K = 36 on, x**(-K) at X_FLOOR overflows (checked at
-# J = 1..4 on integral equations solved down to it); _TERM_COEF stops here.
+# Largest K, a bound on the work: cells are 3/K long in t and a
+# certificate holds J*K dual functions (dual-check --J 16 --K 35 takes
+# 1.5 s and 126 MB on a 2-vCPU Xeon); _TERM_COEF stops here.
 MAX_K = 35
-NODES = 28  # Chebyshev points per cell
 MAX_CELL = 0.5  # trial cell length in t is min(MAX_CELL, CELL_K / K)
 CELL_K = 3.0
 NEWTON_STEPS = 8
 NEWTON_TOL = 1e-8  # in s; the step after one this small is below rounding
 T_FLOOR = math.log(X_FLOOR)  # no threshold lies below this t
-
-
-def _cheb(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points s_i = cos(i pi / m), i = 0..m (descending from 1), the
-    differentiation matrix at them and their barycentric weights."""
-    s = np.sin(np.pi * np.arange(m, -m - 1, -2) / (2 * m))
-    c = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
-    c[[0, -1]] *= 2.0
-    ds = s[:, None] - s[None, :]
-    d = np.outer(c, 1.0 / c) / (ds + np.eye(m + 1))
-    d -= np.diag(d.sum(axis=1))
-    return s, d, 1.0 / c
-
-
-def _antiderivative(m: int) -> np.ndarray:
-    """The matrix taking node values v to the node values of int_s^1 p,
-    p the interpolant of v (Trefethen, Spectral Methods in MATLAB, ch. 12).
-
-    With p = sum_k a_k T_k, a from a cosine sum over the nodes, an
-    antiderivative is sum_k b_k T_k with b_k = (c a_{k-1} - a_{k+1}) / (2k)
-    (c = 2 for k = 1, else 1), and int_s^1 p = sum_k b_k (1 - T_k(s)).
-    """
-    cos = np.cos(np.outer(np.arange(m + 2), np.pi * np.arange(m + 1) / m))
-    to_coef = cos[: m + 1] * (2.0 / m)  # a = to_coef @ v
-    to_coef[:, [0, -1]] /= 2.0
-    to_coef[[0, -1]] /= 2.0
-    integrate = np.zeros((m + 2, m + 1))  # b = integrate @ a
-    k = np.arange(1, m + 2)
-    integrate[k, k - 1] = np.where(k == 1, 1.0, 0.5 / k)
-    integrate[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
-    return (1.0 - cos.T) @ integrate @ to_coef
 
 
 class MonotonicityError(ValueError):
@@ -145,9 +117,10 @@ def alphas(K: int, x: np.ndarray) -> np.ndarray:
     """Rows alpha(1, K, x), ..., alpha(K, K, x) of a 1-D float array x,
     for K <= MAX_K.
 
-    Row k sums the terms of `dual.alpha` in its order, over d = l - k
-    ascending, so the rows equal its arrays bit for bit; the powers of
-    1 - x and of x are formed once for all rows.
+    Row k sums the terms C(l-1, k-1) (1-x)^(l-k) over l = k..K
+    ascending, then multiplies by x^(k-1), as the nested float sum of one
+    alpha_k does, and so equals it bit for bit; the powers of 1 - x and of
+    x are formed once for all rows.
     """
     u = 1.0 - x
     total = np.zeros((K, len(x)))
@@ -156,9 +129,7 @@ def alphas(K: int, x: np.ndarray) -> np.ndarray:
     return total * np.array([x ** (k - 1) for k in range(1, K + 1)])
 
 
-_S, _D, _BARY = _cheb(NODES - 1)
-_ANTI = _antiderivative(NODES - 1)
-_NODE_LIST = _S.tolist()
+_NODE_LIST = CHEB_S.tolist()
 _NODE_AT = {s: i for i, s in enumerate(_NODE_LIST)}
 
 
@@ -166,9 +137,22 @@ class ValueSolveError(ArithmeticError):
     """The collocation solve left the form its thresholds must have."""
 
 
+class Cell(NamedTuple):
+    """A cell of the solve, t in [lo, top]: the node values of its trial
+    cell [top - 2 half, top], of which it keeps s in [s(lo), 1]."""
+
+    top: float
+    lo: float
+    w: np.ndarray  # W_0..W_J at the nodes
+    gain: np.ndarray  # x alpha_k at the nodes, rows k = 1..K
+    active: np.ndarray  # row r's active pairs are k = 1..active[r-1]
+
+
 class Solution(NamedTuple):
     tau: ThresholdMatrix
     payoff: float  # W_J(0+), the expected payoff of the optimal policy
+    half: float  # dt/ds on every cell
+    cells: tuple[Cell, ...]  # from x = 1 down to tau_{J,1}
 
 
 def _weights(s: float) -> np.ndarray:
@@ -177,7 +161,7 @@ def _weights(s: float) -> np.ndarray:
     i = _NODE_AT.get(s)
     if i is not None:
         return np.eye(NODES)[i]
-    return _BARY / (s - _S)
+    return CHEB_WEIGHTS / (s - CHEB_S)
 
 
 def _root(g: np.ndarray, i: int) -> float:
@@ -186,7 +170,7 @@ def _root(g: np.ndarray, i: int) -> float:
     hi, lo = _NODE_LIST[i - 1], _NODE_LIST[i]
     g_hi, g_lo = g[i - 1].item(), g[i].item()
     s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-    both = np.array([g, _D @ g])  # g and dg/ds at the nodes
+    both = np.array([g, CHEB_D @ g])  # g and dg/ds at the nodes
     for _ in range(NEWTON_STEPS):
         p, dp = (both @ _weights(s)).tolist()  # the normalisation cancels
         if dp == 0.0:
@@ -209,9 +193,9 @@ def solve(J: int, K: int) -> Solution:
     # Row n of `decay` is E_n at the nodes, and `carry[n]` maps f to
     # h E_n int_s^1 f / E_n ds; n = 0 keeps W_r constant.  n h <= 3/2 keeps
     # E_n within [e^-3, 1] on a cell.
-    t_nodes = (_S - 1.0) * half  # node times relative to the cell top
+    t_nodes = (CHEB_S - 1.0) * half  # node times relative to the cell top
     decay = np.exp(np.arange(K + 1)[:, None] * t_nodes)
-    carry = half * decay[:, :, None] * _ANTI / decay[:, None, :]
+    carry = half * decay[:, :, None] * ANTI / decay[:, None, :]
     prev = np.arange(K + 1)[:, None, None] * carry  # the response to W_{r-1}
     n_active = np.full(J, K)  # row r's active pairs are k = 1..n_active[r-1]
     tau = np.zeros((J, K))
@@ -224,6 +208,7 @@ def solve(J: int, K: int) -> Solution:
     edge = np.full((2, K + 1, NODES), math.inf)
     gain_sums = np.zeros((K + 1, NODES))  # S_n = sum_{k <= n} x alpha_k
     left = J * K  # thresholds still to find
+    cells = []
     while left:
         if t_top < T_FLOOR:
             raise ValueSolveError(f"no threshold found above x={X_FLOOR}")
@@ -250,8 +235,10 @@ def solve(J: int, K: int) -> Solution:
                 f"first, at x={math.exp(t_top + t_nodes[i]):.6f}"
             )
         if cut == NODES:  # no root in the cell
+            t_lo = t_top - 2.0 * half
+            cells.append(Cell(t_top, t_lo, w.copy(), gain.copy(), n_active.copy()))
             w_top = w[:, -1].copy()
-            t_top -= 2.0 * half
+            t_top = t_lo
             continue
         best, best_s = -1, -math.inf
         for r in np.flatnonzero(down[0, :, cut]):
@@ -260,7 +247,9 @@ def solve(J: int, K: int) -> Solution:
                 best, best_s = r, s
         c = _weights(best_s)
         w_top = w @ c / c.sum()
-        t_top += (best_s - 1.0) * half
+        t_lo = t_top + (best_s - 1.0) * half
+        cells.append(Cell(t_top, t_lo, w.copy(), gain.copy(), n_active.copy()))
+        t_top = t_lo
         n_active[best] -= 1
         tau[best, n_active[best]] = math.exp(t_top)
         left -= 1
@@ -268,4 +257,4 @@ def solve(J: int, K: int) -> Solution:
         matrix = ThresholdMatrix(J, K, tuple(map(tuple, tau.tolist())))
     except MonotonicityError as exc:
         raise ValueSolveError(str(exc)) from exc
-    return Solution(matrix, float(w_top[J]))
+    return Solution(matrix, float(w_top[J]), half, tuple(cells))

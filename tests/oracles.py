@@ -1,42 +1,40 @@
 """Independent reference implementations used only by the tests.
 
 * `quadrature`: adaptive Simpson integration, the numeric cross-check for
-  the closed-form antiderivatives in `secretary_lab.piecewise`.
-* `map_segments`, `restrict`: a piecewise function mapped segment by
-  segment, and clipped to an interval; the eager whole-function steps
-  `construct_dual_combine` builds each candidate and cell with.
-* `over_power`: f(y)/y^m as a piecewise function, whose `integral` is the
-  weighted integral the construction applies symbolically.
-* `gamma`: alpha_1 + ... + alpha_k summed in floats, the reference for
-  the running sums of `secretary_lab.dual.alpha_poly`.
-* `gamma_poly`: gamma_k as the k-th running sum of `alpha_poly`, the form
-  `secretary_lab.dual` builds its gammas in, for the solver tests and
-  `construct_dual_combine`.
+  closed-form and Chebyshev antiderivatives.
+* `log_lin_value`, `derivative`: a `LogLinComb` evaluated at a float x
+  and differentiated exactly, the references for the exact ring that
+  `secretary_lab.theta` runs in.
+* `alpha`: alpha_k(x) as the nested float sum over l = k..K, the reference
+  for the batched rows of `secretary_lab.value.alphas`; `gamma`:
+  alpha_1 + ... + alpha_k summed in floats.
+* `chebyshev_function`: a function given point by point, interpolated as
+  a `PiecewiseFunction` on given breakpoints (y f(y) at NODES Chebyshev
+  points of each segment in t = ln y); `restrict` clips one to an
+  interval, keeping its cells.
 * `k2_closed_forms`: the (1,2) and (2,2) thresholds and payoffs from their
   Lambert-W closed forms (scipy `lambertw` and `brentq`), a reference that
-  shares no code with `secretary_lab.dual.construct_dual`.
+  shares no code with `secretary_lab.value.solve`.
 * `values_by_segment`, `tail_integral_by_segment`: array evaluation of a
-  `PiecewiseFunction` one segment at a time, each segment's terms summed
-  over its own points in dict order; the reference for the packed-table
-  kernel behind `PiecewiseFunction.values` and `tail_integral`, which must
-  match it bit for bit.
+  `PiecewiseFunction` one segment at a time, the reference for the
+  gathered evaluation behind `PiecewiseFunction.values` and
+  `tail_integral`, which must match it bit for bit.
+* `scalar_value`, `scalar_tail`: a `PiecewiseFunction` one point at a time,
+  by the three-term recurrence of T_k and numpy's `chebint`, not by the
+  Clenshaw recurrence and antiderivative matrix of
+  `secretary_lab.piecewise`.
 * `verify_certificate_scalar`: the certificate check point by point in
-  plain Python floats, the reference for the array evaluation in
-  `secretary_lab.dual.verify_certificate`.  Tail integrals come from the
-  scalar `PiecewiseFunction.integral`, a code path separate from the
-  cached suffix sums of `tail_integral`.
+  plain Python floats with `alpha`, `scalar_value` and `scalar_tail`, the
+  reference for the array evaluation in
+  `secretary_lab.dual.verify_certificate`.
 * `find_largest_root_pointwise`: the threshold root search reading every
   point of its downward grid, the reference for the coarse-to-fine scan
   of `secretary_lab.piecewise.find_largest_root`.
-* `construct_dual_combine`: the general (J,K) construction with every
-  candidate solved down to X_FLOOR by `solve_integral_equation` and mapped
-  whole, and each row assembled by chains of `PiecewiseFunction.combine`;
-  the reference for the cells and the one-pass cell join in
-  `secretary_lab.dual.construct_dual`.  It builds at `value.solve`'s tau,
-  or with `scan=True` at the largest zero of each whole candidate, found by
-  `find_largest_root_pointwise` on a SCAN_STEP grid: the symbolic
-  construction's own thresholds, an independent reference for
-  `value.solve` where its certificates pass.
+* `construct_dual_combine`: the dual rows of `value.solve`'s cells built
+  one cell at a time, each q row a chain of `PiecewiseFunction.combine`
+  over its one-cell functions and each r_{j|k} a `combine` sum of the q
+  row; the reference for the batched rows of
+  `secretary_lab.dual.construct_dual`.
 * `q_at_theta`, `integral_q_from`, `dual_objective_k1`,
   `constraint_lhs_k1`: exact K = 1 certificate checks over the rows of
   `secretary_lab.theta.recursion`, in rationals and high-precision
@@ -57,31 +55,32 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate
+from math import comb
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from secretary_lab.dp import weights
 from secretary_lab.dual import (
-    X_FLOOR,
     CertificateReport,
     DualCertificateJK,
     ThresholdMatrix,
-    alpha,
-    alpha_poly,
     payoff_jk,
-    solve_integral_equation,
 )
 from secretary_lab.piecewise import (
+    CHEB_S,
+    NODES,
+    TO_COEF,
     LogLinComb,
     PiecewiseFunction,
     RootBracketError,
+    _antiderivative,
     bisect_root,
 )
 from secretary_lab.sim import ArrivalInstance, RunResult, Selection, _pick_quota
@@ -92,11 +91,6 @@ from secretary_lab.theta import (
     working_context,
 )
 from secretary_lab.value import solve
-
-# Downward scan step and bisection tolerance of the root scan in
-# `construct_dual_combine(..., scan=True)`.
-SCAN_STEP = 1e-3
-ROOT_TOL = 1e-13
 
 
 class QuadratureError(RuntimeError):
@@ -145,32 +139,33 @@ def quadrature(
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
 
 
-def map_segments(
-    f: PiecewiseFunction, fn: Callable[[LogLinComb], LogLinComb]
-) -> PiecewiseFunction:
-    """fn applied to every segment of f, with the same breakpoints."""
-    return PiecewiseFunction(f.breakpoints, [fn(s) for s in f.segments])
+def log_lin_value(f: LogLinComb, x: float) -> float:
+    """sum c x^m (ln x)^p over f's terms at a float x > 0."""
+    if x <= 0.0:
+        raise ValueError("log-linear combinations live on x > 0")
+    ln = math.log(x)
+    return sum(float(c) * x**m * ln**p for (m, p), c in f.terms.items())
 
 
-def restrict(f: PiecewiseFunction, lo: float, hi: float) -> PiecewiseFunction:
-    """f with its support clipped to [lo, hi], segments kept as they are."""
-    if f.is_zero():
-        return f
-    lo = max(lo, f.lo)
-    hi = min(hi, f.hi)
-    if lo >= hi:
-        return PiecewiseFunction.zero()
-    ia = f._segment_index(lo)
-    ib = f._segment_index(hi)
-    if hi <= f.breakpoints[ib] and ib > ia:
-        ib -= 1  # hi falls exactly on a breakpoint
-    bps = [lo] + [b for b in f.breakpoints[ia + 1 : ib + 1] if lo < b < hi] + [hi]
-    return PiecewiseFunction(bps, f.segments[ia : ib + 1])
+def derivative(f: LogLinComb) -> LogLinComb:
+    """d/dx of f, term by term and exactly."""
+    out = LogLinComb()
+    for (m, p), c in f.terms.items():
+        out = out + LogLinComb({(m - 1, p): c * m}) + LogLinComb({(m - 1, p - 1): c * p})
+    return out
 
 
-def over_power(f: PiecewiseFunction, m: int) -> PiecewiseFunction:
-    """f(y)/y^m, with the same breakpoints."""
-    return map_segments(f, lambda s: s.shift_xpow(-m))
+def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
+    """sum_{l=k}^{K} C(l-1, k-1) (1-x)^(l-k) x^(k-1), with 0**0 = 1.
+
+    Element-wise when x is an array.
+    """
+    if not 1 <= k <= K:
+        raise ValueError(f"need 1 <= k <= K, got k={k}, K={K}")
+    total = 0.0
+    for el in range(k, K + 1):
+        total += comb(el - 1, k - 1) * (1.0 - x) ** (el - k)
+    return total * x ** (k - 1)
 
 
 def gamma(k: int, K: int, x: float) -> float:
@@ -178,9 +173,34 @@ def gamma(k: int, K: int, x: float) -> float:
     return sum(alpha(el, K, x) for el in range(1, k + 1))
 
 
-def gamma_poly(k: int, K: int) -> LogLinComb:
-    """gamma_k as a polynomial: the k-th running sum of alpha_poly."""
-    return list(accumulate(alpha_poly(el, K) for el in range(1, k + 1)))[-1]
+def chebyshev_function(
+    fn: Callable[[float], float], breakpoints: list[float]
+) -> PiecewiseFunction:
+    """fn on [breakpoints[0], breakpoints[-1]] as a PiecewiseFunction whose
+    segment i is its own cell: y fn(y) interpolated at the NODES Chebyshev
+    points of t = ln y on [ln breakpoints[i], ln breakpoints[i+1]]."""
+    tops, halves, coefs = [], [], []
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        top, half = math.log(b), 0.5 * (math.log(b) - math.log(a))
+        ys = np.exp(top + (CHEB_S - 1.0) * half)
+        coefs.append(TO_COEF @ np.array([y * fn(y) for y in ys.tolist()]))
+        tops.append(top)
+        halves.append(half)
+    return PiecewiseFunction(breakpoints, tops, halves, np.array(coefs).reshape(-1, NODES))
+
+
+def restrict(f: PiecewiseFunction, lo: float, hi: float) -> PiecewiseFunction:
+    """f with its support clipped to [lo, hi], cells kept as they are."""
+    lo, hi = max(lo, f.lo), min(hi, f.hi)
+    if f.is_zero() or lo >= hi:
+        return PiecewiseFunction.zero()
+    bps = f.breakpoints
+    keep = [i for i in range(len(bps) - 1) if bps[i] < hi and bps[i + 1] > lo]
+    cells = [f.segments[i] for i in keep]
+    cuts = [lo] + [bps[i + 1] for i in keep[:-1]] + [hi]
+    return PiecewiseFunction(
+        cuts, [c.top for c in cells], [c.half for c in cells], [c.coef for c in cells]
+    )
 
 
 def k2_closed_forms() -> dict[str, float]:
@@ -203,15 +223,6 @@ def k2_closed_forms() -> dict[str, float]:
                 tau22=tau22, payoff22=payoff12 + 2.0 * tau21 - tau21**2)
 
 
-def _comb_values(comb: LogLinComb, xs: np.ndarray) -> np.ndarray:
-    """comb at every point of xs (all > 0), terms summed in dict order."""
-    ln = np.log(xs)
-    total = np.zeros_like(xs)
-    for (m, p), c in comb.terms.items():
-        total += c * xs**m * ln**p
-    return total
-
-
 def _by_segment(
     f: PiecewiseFunction, xs: np.ndarray, inside: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -227,34 +238,107 @@ def _by_segment(
             yield i, order[cuts[i] : cuts[i + 1]]
 
 
+def _clenshaw_rows(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(s) for one segment's coefficients, in the steps
+    the gathered evaluation takes at every point."""
+    b1 = b2 = np.zeros(len(s))
+    two_s = s + s
+    for c in coef[:0:-1].tolist():
+        b1, b2 = two_s * b1 - b2 + c, b1
+    return s * b1 - b2 + coef[0]
+
+
+def _s(cell, xs: np.ndarray) -> np.ndarray:
+    return 1.0 + (np.log(xs) - cell.top) / cell.half
+
+
 def values_by_segment(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray:
     """f at every point of the float array xs, one segment at a time."""
+    xs = np.asarray(xs, dtype=np.float64)
     out = np.zeros_like(xs)
     if f.is_zero():
         return out
     inside = (xs >= f.lo) & (xs <= f.hi)
     for i, at in _by_segment(f, xs, inside):
-        out[at] = _comb_values(f.segments[i], xs[at])
+        cell = f.segments[i]
+        out[at] = _clenshaw_rows(cell.coef, _s(cell, xs[at])) / xs[at]
     return out
 
 
 def tail_integral_by_segment(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray:
     """int_x^hi f at every point of the float array xs, one segment at a
     time, with whole segments above x summed from the top."""
+    xs = np.asarray(xs, dtype=np.float64)
     out = np.zeros_like(xs)
     if f.is_zero():
         return out
-    bps = f.breakpoints
-    antis = [s.antiderivative() for s in f.segments]
-    suffix = [0.0] * (len(antis) + 1)
-    for i in range(len(antis) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + (antis[i](bps[i + 1]) - antis[i](bps[i]))
+    bps, cells = f.breakpoints, f.segments
+    antis = [_antiderivative(cell.coef[None, :])[0] for cell in cells]
+    tops = [
+        _clenshaw_rows(anti, _s(cell, np.array([b])))
+        for anti, cell, b in zip(antis, cells, bps[1:])
+    ]
+    suffix = [0.0] * (len(cells) + 1)
+    for i in range(len(cells) - 1, -1, -1):
+        low = _clenshaw_rows(antis[i], _s(cells[i], np.array([bps[i]])))
+        suffix[i] = suffix[i + 1] + float(cells[i].half * (tops[i] - low)[0])
     out[xs <= f.lo] = suffix[0]
     inside = (xs > f.lo) & (xs < f.hi)
     for i, at in _by_segment(f, xs, inside):
-        anti = antis[i]
-        out[at] = suffix[i + 1] + (anti(bps[i + 1]) - _comb_values(anti, xs[at]))
+        cell = cells[i]
+        part = cell.half * (tops[i] - _clenshaw_rows(antis[i], _s(cell, xs[at])))
+        out[at] = suffix[i + 1] + part
     return out
+
+
+def _chebyshev_sum(coef: list[float], s: float) -> float:
+    """sum_k coef[k] T_k(s), with T_{k+1} = 2 s T_k - T_{k-1}."""
+    total, t_prev, t = coef[0], 1.0, s
+    for c in coef[1:]:
+        total += c * t
+        t_prev, t = t, 2.0 * s * t - t_prev
+    return total
+
+
+def scalar_value(f: PiecewiseFunction) -> Callable[[float], float]:
+    """x -> f(x), one point at a time, in the segment `value` picks."""
+    bps, cells = f.breakpoints, f.segments
+    coefs = [cell.coef.tolist() for cell in cells]
+
+    def at(x: float) -> float:
+        if not cells or not bps[0] <= x <= bps[-1]:
+            return 0.0
+        i = min(bisect_right(bps, x) - 1, len(cells) - 1)
+        s = 1.0 + (math.log(x) - cells[i].top) / cells[i].half
+        return _chebyshev_sum(coefs[i], s) / x
+
+    return at
+
+
+def scalar_tail(f: PiecewiseFunction) -> Callable[[float], float]:
+    """x -> int_x^hi f(y) dy, one point at a time: numpy's `chebint` per
+    segment, whole segments summed from the top."""
+    bps, cells = f.breakpoints, f.segments
+    antis = [chebint(cell.coef).tolist() for cell in cells]
+
+    def part(i: int, a: float, b: float) -> float:
+        top, half = cells[i].top, cells[i].half
+        s_a, s_b = (1.0 + (math.log(y) - top) / half for y in (a, b))
+        return half * (_chebyshev_sum(antis[i], s_b) - _chebyshev_sum(antis[i], s_a))
+
+    above = [0.0] * (len(cells) + 1)
+    for i in range(len(cells) - 1, -1, -1):
+        above[i] = above[i + 1] + part(i, bps[i], bps[i + 1])
+
+    def tail(x: float) -> float:
+        if not cells or x >= bps[-1]:
+            return 0.0
+        if x <= bps[0]:
+            return above[0]
+        i = bisect_right(bps, x) - 1
+        return above[i + 1] + part(i, x, bps[i + 1])
+
+    return tail
 
 
 def verify_certificate_scalar(
@@ -286,15 +370,18 @@ def verify_certificate_scalar(
         )
     )
     for j, diff in enumerate(diffs, 1):
+        tail = scalar_tail(diff)
+        tails = [tail(x) / x for x in xs]
         for k in range(1, K + 1):
-            qf = cert.q[j - 1][k - 1]
+            q = scalar_value(cert.q[j - 1][k - 1])
             t_jk = cert.tau.threshold(j, k)
-            root_res = abs(qf.value(t_jk))
+            root_res = abs(q(t_jk))
             max_root = max(max_root, root_res)
             if root_res > tol:
                 note(f"q[{j}][{k}] at its threshold: |q|={root_res:.3e}")
-            for x in xs:
-                lhs = qf.value(x) + diff.integral(x, diff.hi) / x
+            for x, tail_x in zip(xs, tails):
+                qv = q(x)
+                lhs = qv + tail_x
                 rhs = alpha(k, K, x)
                 if x >= t_jk:
                     res = abs(lhs - rhs)
@@ -305,7 +392,6 @@ def verify_certificate_scalar(
                                 f"slackness equality (j={j}, k={k}, x={x:.6f}): "
                                 f"residual {res:.3e}"
                             )
-                    qv = qf.value(x)
                     if qv < min_q:
                         min_q = qv
                         if qv < -tol:
@@ -319,7 +405,7 @@ def verify_certificate_scalar(
                                 f"dual feasibility (j={j}, k={k}, x={x:.6f}): "
                                 f"slack {slack:.3e}"
                             )
-    objective = cert.r_top(J).integral(0.0, 1.0)
+    objective = scalar_tail(cert.r_top(J))(0.0)
     payoff = payoff_jk(cert.tau)
     gap = abs(objective - payoff)
     if gap > objective_tol:
@@ -379,69 +465,36 @@ def find_largest_root_pointwise(
     raise RootBracketError(f"no sign change found in ({lo}, {hi})")
 
 
-def construct_dual_combine(J: int, K: int, scan: bool = False) -> DualCertificateJK:
-    """The general construction, rows joined by combine chains.
+def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
+    """The dual rows of `value.solve`'s cells, one cell at a time.
 
-    Every q_{j|l} candidate is mapped over the whole unrestricted solver
-    output and restricted afterwards; q rows are chains of `combine` over
-    the cells, r_{j|k} for k < K running `combine` sums of the q row, and
-    r_{j|K} a chain over the restricted solver outputs.  tau_{j,k} is
-    `value.solve`'s, or with scan=True the largest zero of the whole
-    candidate q_{j|k} below min(b, tau_{j-1,k}).
+    On a kept cell (nonzero width in x) where row j's active pairs are
+    k = 1..n, q_{j|k} for k <= n is the one-cell function of the gain
+    x alpha_k + W_{j-1} - W_j at the nodes; each q row is a chain of
+    `combine` over those, ascending in x, and r_{j|k} the running
+    `combine` sum of q_{j|1}, ..., q_{j|k}.
     """
-    given = None if scan else solve(J, K).tau
-    tau_rows: list[list[float]] = []
+    sol = solve(J, K)
     q_rows: list[tuple[PiecewiseFunction, ...]] = []
     r_rows: list[tuple[PiecewiseFunction, ...]] = []
-    r_prev = PiecewiseFunction.zero()
     for j in range(1, J + 1):
-        taus = [0.0] * K
-        pieces: list[list[PiecewiseFunction]] = [[] for _ in range(K)]
-        r_pieces: list[PiecewiseFunction] = []
-        b = 1.0
-        for k in range(K, 0, -1):
-            gpoly = gamma_poly(k, K)
-            cval = 0.0 if k == K else k * b * alpha(k + 1, K, b)
-            r_cand = solve_integral_equation(b, cval, k, r_prev, gpoly)
-            if given is not None:
-                root = given.threshold(j, k)
-            else:
-                shift_k = alpha_poly(k, K) - gpoly.scale(1.0 / k)
-                q_cand = map_segments(r_cand, lambda s, sh=shift_k: s.scale(1.0 / k) + sh)
-                hat = b if j == 1 else min(b, tau_rows[j - 2][k - 1])
-                root = find_largest_root_pointwise(
-                    q_cand.value, hat, lo=X_FLOOR, scan_step=SCAN_STEP, tol=ROOT_TOL
-                )
-            taus[k - 1] = root
-            for el in range(1, k + 1):
-                shift_el = alpha_poly(el, K) - gpoly.scale(1.0 / k)
-                q_el = map_segments(r_cand, lambda s, sh=shift_el: s.scale(1.0 / k) + sh)
-                pieces[el - 1].append(restrict(q_el, root, b))
-            r_pieces.append(restrict(r_cand, root, b))
-            b = root
-        q_row = []
-        for el in range(K):
-            fn = PiecewiseFunction.zero()
-            for part in pieces[el]:
-                fn = fn.combine(part)
-            q_row.append(fn)
-        r_row = []
-        running = PiecewiseFunction.zero()
-        for el in range(K):
-            running = running.combine(q_row[el])
+        q_row = [PiecewiseFunction.zero() for _ in range(K)]
+        for cell in reversed(sol.cells):
+            lo, top = math.exp(cell.lo), math.exp(cell.top)
+            if lo == top:
+                continue
+            for k in range(1, int(cell.active[j - 1]) + 1):
+                g = cell.gain[k - 1] + cell.w[j - 1] - cell.w[j]
+                one = PiecewiseFunction([lo, top], [cell.top], sol.half, [TO_COEF @ g])
+                q_row[k - 1] = q_row[k - 1].combine(one)
+        r_row, running = [], PiecewiseFunction.zero()
+        for q in q_row:
+            running = running.combine(q)
             r_row.append(running)
-        r_top = PiecewiseFunction.zero()
-        for part in r_pieces:
-            r_top = r_top.combine(part)
-        r_row[K - 1] = r_top
-        tau_rows.append(taus)
         q_rows.append(tuple(q_row))
         r_rows.append(tuple(r_row))
-        r_prev = r_top
-    tau = ThresholdMatrix(J, K, tuple(tuple(r) for r in tau_rows))
-    tops = tuple(row[-1] for row in r_rows)
-    cert = DualCertificateJK(tau, tops, ())
-    vars(cert).update(q=tuple(q_rows), r=tuple(r_rows))  # built here, not from cells
+    cert = DualCertificateJK(sol.tau, sol.half, sol.cells)
+    vars(cert)["_rows"] = (tuple(q_rows), tuple(r_rows))  # built here, not from cells
     return cert
 
 

@@ -12,9 +12,9 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+
 from secretary_lab.dual import (
-    alpha,
-    alpha_poly,
     construct_dual,
     payoff_jk,
     verify_certificate,
@@ -32,9 +32,10 @@ from secretary_lab.sim import (
     trial_rng,
 )
 from secretary_lab.theta import ThetaSequence, generate_thetas, payoff_k1_decimal, thresholds
+from secretary_lab.value import alphas
 
 import reference_values as ref
-from oracles import gamma, k2_closed_forms
+from oracles import alpha, derivative, gamma, k2_closed_forms
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -205,16 +206,20 @@ def test_criterion_7_property_suites(capfd):
                 Fraction(rng.randint(-40, 40), rng.randint(1, 30))
             for _ in range(rng.randint(0, 9))
         })
-        assert f.antiderivative().derivative().terms == f.terms
+        assert derivative(f.antiderivative()).terms == f.terms
         exact_cases += 1
 
-    # alpha/gamma monotonicity grid
+    # alpha/gamma grid: the solver's batched rows against the nested sum,
+    # x alpha_k rising, alpha_k falling in k, gamma_K = K
     grid_cases = 0
     for _ in range(120):
         K = rng.randint(2, 6)
         k = rng.randint(1, K)
-        x = rng.uniform(1e-3, 1 - 1e-3)
-        assert alpha_poly(k, K).shift_xpow(1).derivative()(x) > 0
+        x = rng.uniform(1e-3, 1 - 2e-3)
+        xs = np.array([x, x + 1e-3])
+        rows = alphas(K, xs)
+        assert rows[k - 1].tobytes() == alpha(k, K, xs).tobytes()
+        assert xs[1] * rows[k - 1, 1] > xs[0] * rows[k - 1, 0]
         if k < K:
             assert alpha(k, K, x) > alpha(k + 1, K, x)
         assert abs(gamma(K, K, x) - K) < 1e-12

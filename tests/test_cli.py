@@ -90,16 +90,27 @@ def test_thresholds_verified_flag(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_thresholds_flag_unverified_output(capsys):
-    """(8,8) fails its certificate at the default tolerance: stdout and exit
-    code stay, and every format warns once on stderr."""
+def _planted_failure(monkeypatch):
+    """Every certificate check fails, naming the violation "planted"."""
+    real = dual.verify_certificate
+    monkeypatch.setattr(
+        dual, "verify_certificate",
+        lambda cert, *a, **kw: dataclasses.replace(
+            real(cert, *a, **kw), ok=False, first_violation="planted"),
+    )
+
+
+def test_thresholds_flag_unverified_output(monkeypatch, capsys):
+    """A certificate that fails at the default tolerance keeps stdout and
+    the exit code, and every format warns once on stderr."""
+    _planted_failure(monkeypatch)
     for fmt in ("json", "text", "csv"):
         code = main(["thresholds", "--J", "8", "--K", "8", "--format", fmt])
         captured = capsys.readouterr()
         assert code == EXIT_OK, fmt
         warnings = captured.err.splitlines()
         assert len(warnings) == 1, fmt
-        assert warnings[0].startswith("warning: thresholds unverified: "), fmt
+        assert warnings[0] == "warning: thresholds unverified: planted", fmt
         if fmt == "json":
             assert json.loads(captured.out)["verified"] is False
         else:
@@ -112,20 +123,18 @@ def _construct_once(monkeypatch):
 
 
 def test_16_16_builds_and_fails_its_check(monkeypatch, capsys):
-    """At the J and K envelope corner the certificate builds and fails its
-    check: thresholds exits 0 with the flag in JSON and one warning, and
-    dual-check exits 4 naming the violation."""
+    """At the J and K envelope corner the certificate builds and passes
+    its check: thresholds exits 0 verified and without a warning, and
+    dual-check exits 0."""
     _construct_once(monkeypatch)
     code = main(["thresholds", "--J", "16", "--K", "16", "--format", "json"])
     captured = capsys.readouterr()
     assert code == EXIT_OK
-    assert json.loads(captured.out)["verified"] is False
-    warnings = captured.err.splitlines()
-    assert len(warnings) == 1
-    assert warnings[0].startswith("warning: thresholds unverified: ")
+    assert json.loads(captured.out)["verified"] is True
+    assert captured.err == ""
     code, out = run(capsys, "dual-check", "--J", "16", "--K", "16")
-    assert code == EXIT_CERTIFICATE
-    assert "FAIL" in out and "violation: " in out
+    assert code == EXIT_OK
+    assert "FAIL" not in out and "violation" not in out
 
 
 @pytest.mark.parametrize("J, K", [(2, 2), (8, 8), (12, 12)])
@@ -424,12 +433,7 @@ def test_failed_check_warns_and_keeps_stdout(monkeypatch, capsys):
         ],
     }
     passing = {argv: run(capsys, *argv) for argv in cases}
-    real = dual.verify_certificate
-    monkeypatch.setattr(
-        dual, "verify_certificate",
-        lambda cert, *a, **kw: dataclasses.replace(
-            real(cert, *a, **kw), ok=False, first_violation="planted"),
-    )
+    _planted_failure(monkeypatch)
     for argv, warnings in cases.items():
         assert passing[argv][0] == main(list(argv)) == EXIT_OK
         captured = capsys.readouterr()
@@ -450,8 +454,8 @@ def test_failed_check_warns_and_keeps_stdout(monkeypatch, capsys):
     ids=" ".join,
 )
 def test_overflow_exits_numeric(capsys, argv):
-    """K past the float construction's range (x**m at X_FLOOR overflows from
-    K = 36 on) is a numerical failure: exit 3 with one error line."""
+    """K past the cap MAX_K = 35 is a numerical failure: exit 3 with one
+    error line."""
     assert main(argv) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -459,13 +463,13 @@ def test_overflow_exits_numeric(capsys, argv):
 
 
 def test_k_cap_refuses_before_any_work(monkeypatch, capsys):
-    """K above dual.MAX_K exits 3 naming the cap, before alpha_poly's O(K^3)
-    expansion runs."""
+    """K above dual.MAX_K exits 3 naming the cap, before the solve forms a
+    single alpha row."""
 
-    def fail(k, K):
-        raise AssertionError("alpha_poly ran")
+    def fail(K, x):
+        raise AssertionError("alphas ran")
 
-    monkeypatch.setattr(dual, "alpha_poly", fail)
+    monkeypatch.setattr(value, "alphas", fail)
     assert main(["thresholds", "--J", "1", "--K", "2000"]) == EXIT_NUMERIC
     assert capsys.readouterr().err == f"error: K=2000 exceeds the cap {dual.MAX_K}\n"
 
@@ -473,6 +477,13 @@ def test_k_cap_refuses_before_any_work(monkeypatch, capsys):
 def test_largest_k_constructs():
     cert = dual.construct_dual(1, dual.MAX_K)
     assert (cert.J, cert.K) == (1, dual.MAX_K)
+
+
+def test_dual_check_at_the_k_cap(capsys):
+    """K = MAX_K certifies; one more is refused with exit 3."""
+    assert run(capsys, "dual-check", "--J", "2", "--K", "35")[0] == EXIT_OK
+    assert main(["dual-check", "--J", "2", "--K", "36"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "error: K=36 exceeds the cap 35\n"
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -36,6 +36,8 @@ COMMANDS = {
     "thresholds_k2000": (["thresholds", "--J", "1", "--K", "2000"], 20),
     "dual_check": (["dual-check", "--J", "2", "--K", "2"], 120),
     "dual_check_grid": (["dual-check", "--J", "2", "--K", "2", "--grid", "1000000"], 120),
+    # the corner of the (J, K) envelope
+    "dual_check_16_16": (["dual-check", "--J", "16", "--K", "16", "--format", "json"], 120),
     "perturb": (["dual-check", "--J", "2", "--K", "2", "--perturb", "0.01"], 120),
     "tau_stdout": (["thresholds", "--J", "2", "--K", "2", "--format", "csv"], 120),
     "tau_file": (
@@ -69,8 +71,9 @@ def imported(tmp_path_factory):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_first(imported, module):
-    """A module-level import cycle fails here (dual imports value, so value
-    must import nothing from dual)."""
+    """A module-level import cycle fails here (dual imports value and
+    value imports piecewise, so value must import nothing from dual and
+    piecewise nothing from the package)."""
     proc = imported[module]
     assert proc.returncode == 0, proc.stderr
 
@@ -106,7 +109,7 @@ def test_k_above_the_cap_exits_3_before_any_work(ran, name):
     assert proc.returncode == 3, proc.stderr
 
 
-@pytest.mark.parametrize("name", ["dual_check", "dual_check_grid"])
+@pytest.mark.parametrize("name", ["dual_check", "dual_check_grid", "dual_check_16_16"])
 def test_dual_check_passes(ran, name):
     proc = ran[name]
     assert proc.returncode == 0, proc.stderr

@@ -1,38 +1,39 @@
-"""General (J,K) construction: alpha/gamma, the integral-equation solver,
-the K = 2 closed-form oracle and certificate verification."""
+"""General (J,K) construction: alpha/gamma, the dual rows on the value
+function's cells, the K = 2 closed-form oracle and certificate
+verification."""
 
 import math
 import random
 import tracemalloc
+from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 
 from secretary_lab.dual import (
     MAX_GRID_POINTS,
     MonotonicityError,
     ThresholdMatrix,
-    alpha,
-    alpha_poly,
     construct_dual,
     payoff_jk,
     perturbed,
-    solve_integral_equation,
     verify_certificate,
 )
-from secretary_lab import dual, theta
+from secretary_lab import dual, theta, value
 from secretary_lab.cli import main
-from secretary_lab.piecewise import LogLinComb, PiecewiseFunction
+from secretary_lab.piecewise import PiecewiseFunction
 from secretary_lab.theta import generate_thetas, thresholds
 
 import reference_values as ref
 from oracles import (
+    alpha,
     construct_dual_combine,
     gamma,
-    gamma_poly,
     k2_closed_forms,
-    over_power,
     quadrature,
-    restrict,
+    scalar_tail,
+    scalar_value,
     tail_integral_by_segment,
     values_by_segment,
     verify_certificate_scalar,
@@ -84,27 +85,20 @@ def test_gamma_at_zero_is_K():
             assert gamma(k, K, 0.0) == pytest.approx(K)
 
 
-def test_polynomials_match_scalar_functions():
-    rng = random.Random(9)
-    for _ in range(120):
-        K = rng.randint(1, 6)
-        k = rng.randint(1, K)
-        x = rng.uniform(1e-6, 1.0)
-        assert alpha_poly(k, K)(x) == pytest.approx(alpha(k, K, x), abs=1e-12)
-        assert gamma_poly(k, K)(x) == pytest.approx(gamma(k, K, x), abs=1e-12)
-
-
-def test_gamma_poly_top_collapses_to_constant():
-    """The last running sum of the alpha polynomials is the constant K."""
-    for K in range(1, 7):
-        assert gamma_poly(K, K).terms == {(0, 0): float(K)}
-
-
 def test_alpha_bounds_validation():
     with pytest.raises(ValueError):
         alpha(0, 2, 0.5)
     with pytest.raises(ValueError):
         alpha(3, 2, 0.5)
+
+
+def _x_alpha_slope(k: int, K: int, x: Fraction) -> Fraction:
+    """(x alpha_k(x))' exactly: x alpha_k = sum_l C(l-1, k-1) (1-x)^(l-k) x^k."""
+    return sum(
+        comb(el - 1, k - 1)
+        * (k * x ** (k - 1) * (1 - x) ** (el - k) - (el - k) * x**k * (1 - x) ** (el - k - 1))
+        for el in range(k, K + 1)
+    )
 
 
 def test_monotone_properties_of_alpha():
@@ -115,78 +109,74 @@ def test_monotone_properties_of_alpha():
         K = rng.randint(2, 6)
         k = rng.randint(1, K)
         x = rng.uniform(1e-3, 1.0 - 1e-3)
-        d = alpha_poly(k, K).shift_xpow(1).derivative()
-        assert d(x) > 0.0
+        assert _x_alpha_slope(k, K, Fraction(x)) > 0
         if k < K:
             assert alpha(k, K, x) > alpha(k + 1, K, x)
         checked += 1
     assert checked >= 100
 
 
-# -- integral-equation solver ------------------------------------------------
+# -- the dual functions in closed form -----------------------------------------
 
 
 def test_solver_base_case_closed_form():
-    """g = 0, gamma = K, b = 1, c = 0 gives K^2/(K-1) x^(K-1) - K/(K-1)."""
+    """J = 1: on [tau_{1,K}, 1] every pair is active and W_1 solves
+    W' = K W / x - K with W(1) = 0, so r_{1|K} = -W' is
+    K^2/(K-1) x^(K-1) - K/(K-1)."""
     for K in (2, 3, 4):
-        f = solve_integral_equation(
-            1.0, 0.0, K, PiecewiseFunction.zero(), LogLinComb.const(float(K))
-        )
-        for x in (0.05, 0.3, 0.61, 1.0):
+        cert = construct_dual(1, K)
+        t = cert.tau.threshold(1, K)
+        for x in (t, 0.5 * (t + 1.0), 0.95, 1.0):
             want = K * K / (K - 1) * x ** (K - 1) - K / (K - 1)
-            assert f.value(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert cert.r_top(1).value(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_solver_reproduces_log_solution():
-    """g = 0, gamma = 1, N = 1, b = 1, c = 0 gives 1 + ln x."""
-    f = solve_integral_equation(
-        1.0, 0.0, 1, PiecewiseFunction.zero(), LogLinComb.const(1.0)
-    )
-    for x in (0.01, 0.2, 0.85, 1.0):
-        assert f.value(x) == pytest.approx(1.0 + math.log(x), abs=1e-12)
+    """J = K = 1: W_1 = -x ln x above 1/e, so q_{1|1} = 1 + ln x there."""
+    q = construct_dual(1, 1).q[0][0]
+    assert q.lo == pytest.approx(math.exp(-1.0), abs=1e-15)
+    for x in (math.exp(-1.0), 0.4, 0.85, 1.0):
+        assert q.value(x) == pytest.approx(1.0 + math.log(x), abs=1e-12)
+    assert q.value(0.3) == 0.0
 
 
 def test_solver_boundary_value_zero():
-    """c = b*gamma(b) forces f(b) = 0."""
-    gamma_fn = gamma_poly(1, 2)  # 2 - x
-    b = 0.7
-    f = solve_integral_equation(b, b * gamma_fn(b), 1, PiecewiseFunction.zero(), gamma_fn)
-    assert f.value(b) == pytest.approx(0.0, abs=1e-14)
-
-
-def _residual(f, g, gamma_fn, b, c, N, x):
-    tail_f = f.integral(x, b)
-    tail_g = g.integral(x, b)
-    return f.value(x) + N / x * (tail_f - tail_g) + c / x - gamma_fn(x)
+    """Each q_{j|k} starts at its threshold with value zero, and stays
+    positive above it."""
+    cert = construct_dual(3, 3)
+    for j in range(1, 4):
+        for k in range(1, 4):
+            q, t = cert.q[j - 1][k - 1], cert.tau.threshold(j, k)
+            assert q.lo == t
+            assert abs(q.value(t)) <= 1e-14
+            assert (q.values(np.linspace(t, 1.0, 200)[1:]) > 0.0).all(), (j, k)
 
 
 def test_solver_residual_with_piecewise_g():
-    """Substituting the solution back leaves ~machine-level residuals."""
-    g = PiecewiseFunction(
-        [0.4, 0.7, 1.0],
-        [LogLinComb.from_ln_poly([2.0, 2.0]), LogLinComb.from_x_poly([-2.0, 4.0])],
-    )
-    b, c, N = 0.9, 0.15, 2
-    gamma_fn = gamma_poly(2, 3)
-    f = solve_integral_equation(b, c, N, g, gamma_fn)
-    for x in (0.05, 0.25, 0.4, 0.55, 0.7, 0.83, 0.9):
-        assert abs(_residual(f, g, gamma_fn, b, c, N, x)) < 1e-11
+    """Substituting the functions back into q_{j|k}(x) + (1/x) int_x^1
+    [r_{j|K} - r_{j-1|K}] = alpha_k(x) leaves machine-level residuals,
+    with q and the integrals evaluated one point at a time by the oracles,
+    on the breakpoints too."""
+    cert = construct_dual(4, 3)
+    for j in range(1, 5):
+        diff = cert.r_top(j).combine(cert.r_top(j - 1), 1.0, -1.0)
+        tail = scalar_tail(diff)
+        for k in range(1, 4):
+            q = scalar_value(cert.q[j - 1][k - 1])
+            t = cert.tau.threshold(j, k)
+            for x in [t, 0.3, 0.55, 0.8, 1.0] + diff.breakpoints:
+                if x >= t:
+                    assert abs(q(x) + tail(x) / x - alpha(k, 3, x)) < 1e-12, (j, k, x)
 
 
 def test_solver_integrals_cross_checked_by_quadrature():
-    g = PiecewiseFunction([0.5, 1.0], [LogLinComb.from_x_poly([0.0, 1.0])])
-    f = solve_integral_equation(1.0, 0.0, 2, g, LogLinComb.const(2.0))
-    got = over_power(f, 2).integral(0.3, 1.0)
-    want = quadrature(lambda y: f.value(y) / y**2, 0.3, 1.0, tol=1e-13)
-    assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_solver_rejects_bad_inputs():
-    z = PiecewiseFunction.zero()
-    with pytest.raises(ValueError):
-        solve_integral_equation(0.0, 0.0, 1, z, LogLinComb.const(1.0))
-    with pytest.raises(ValueError):
-        solve_integral_equation(0.5, 0.0, 0, z, LogLinComb.const(1.0))
+    """Integrals of the dual functions against adaptive quadrature of
+    their values, across cells."""
+    cert = construct_dual(2, 3)
+    for f in (cert.q[1][0], cert.r_top(2), cert.r[0][1]):
+        for a, b in ((0.3, 1.0), (f.lo, 0.7), (0.05, 0.5)):
+            want = quadrature(f.value, max(a, f.lo), b, tol=1e-13)
+            assert f.integral(a, b) == pytest.approx(want, abs=1e-10)
 
 
 # -- construction -----------------------------------------------------------
@@ -226,72 +216,53 @@ def test_k1_calls_no_theta_function(monkeypatch):
     assert cert.J == 5 and len(cert.q) == 5
 
 
-def _pieces(fn: PiecewiseFunction):
-    return fn.breakpoints, [list(s.terms.items()) for s in fn.segments]
+def _assert_same_function(got: PiecewiseFunction, want: PiecewiseFunction, where):
+    """The same breakpoints and cells, and each Chebyshev coefficient within
+    1e-12 of the reference, relative to the segment's largest (or 1): the
+    certificate drops the coefficients under dual.CHOP of the largest."""
+    assert got.breakpoints == want.breakpoints, where
+    for mine, theirs in zip(got.segments, want.segments, strict=True):
+        assert (mine.top, mine.half) == (theirs.top, theirs.half), where
+        kept = len(mine.coef)
+        scale = max(1.0, np.abs(theirs.coef).max())
+        assert np.abs(mine.coef - theirs.coef[:kept]).max() <= 1e-12 * scale, where
+        assert np.abs(theirs.coef[kept:]).max(initial=0.0) <= dual.CHOP * 100 * scale, where
 
 
 @pytest.mark.parametrize(
     "J,K", [(2, 2), (3, 3), (4, 8), (8, 6), (8, 8), (16, 2), (2, 16)]
 )
 def test_rows_match_combine_reference(J, K):
-    """Cells solved down to their thresholds and the one-pass cell join
-    give the rows of whole-function candidates and combine chains bit for
-    bit, at value.solve's thresholds."""
+    """The rows built for all cells at once equal the rows built one cell
+    at a time and joined by combine chains, at value.solve's thresholds."""
     got = construct_dual(J, K)
     want = construct_dual_combine(J, K)
     assert got.tau == want.tau
     for j in range(1, J + 1):
         for k in range(K):
-            assert _pieces(got.q[j - 1][k]) == _pieces(want.q[j - 1][k]), (j, k + 1)
-        assert _pieces(got.r_top(j)) == _pieces(want.r_top(j)), j
+            _assert_same_function(got.q[j - 1][k], want.q[j - 1][k], (j, k + 1))
+        _assert_same_function(got.r_top(j), want.r_top(j), j)
 
 
 @pytest.mark.parametrize("J,K", [(8, 8), (12, 12)])
-def test_construction_builds_little_below_each_threshold(monkeypatch, J, K):
-    """Each cell is solved from b down to its threshold only: every segment
-    built is kept (building every candidate down to X_FLOOR takes 889
-    against 288 kept at (8,8))."""
-    built = []
-    anti = LogLinComb.antiderivative
-
-    def counted(self):
-        built.append(self)
-        return anti(self)
-
-    monkeypatch.setattr(LogLinComb, "antiderivative", counted)
+def test_construction_builds_little_below_each_threshold(J, K):
+    """Nothing is built below a threshold: q_{j|k} starts at tau_{j,k} and
+    the running sums at tau_{j,1}, each on the solve's cells above."""
     cert = construct_dual(J, K)
-    kept = sum(len(cell.segments) for row in cert.cells for cell in row)
-    assert len(built) == kept, (len(built), kept)
-
-
-def test_partial_solution_matches_whole_solve():
-    """A solution built only down to lo has the bits of the whole solve
-    clipped to [lo, b], wherever lo falls among g's breakpoints."""
-    g = PiecewiseFunction(
-        [0.2, 0.4, 0.7, 1.0],
-        [
-            LogLinComb.from_ln_poly([1.0, 0.5]),
-            LogLinComb.from_ln_poly([2.0, 2.0]),
-            LogLinComb.from_x_poly([-2.0, 4.0]),
-        ],
-    )
-    b, c, N = 0.9, 0.15, 2
-    gamma_fn = gamma_poly(2, 3)
-    whole = solve_integral_equation(b, c, N, g, gamma_fn)
-    for lo in (0.85, 0.7, 0.55, 0.4, 0.3, 0.2, 0.1, 1e-6, b):
-        part = solve_integral_equation(b, c, N, g, gamma_fn, lo)
-        assert _pieces(part) == _pieces(restrict(whole, lo, b)), lo
+    tops = {math.exp(cell.top) for cell in cert.cells}
+    for j in range(1, J + 1):
+        for k in range(1, K + 1):
+            q = cert.q[j - 1][k - 1]
+            assert q.lo == cert.tau.threshold(j, k), (j, k)
+            assert set(q.breakpoints) <= tops | {q.lo}, (j, k)
+            assert cert.r[j - 1][k - 1].breakpoints == cert.q[j - 1][0].breakpoints
 
 
 @pytest.mark.parametrize("J,K", [(2, 2), (3, 3), (4, 8), (8, 6)])
 def test_running_sums_match_q_rows(J, K):
-    """r_{j|k} = q_{j|1} + ... + q_{j|k}, segment by segment, for every k.
-
-    Compared term by term: each coefficient within 1e-12 of the symbolic
-    sum, relative to the segment's largest coefficient.  (Point values
-    are no measure here: at (8,6) the coefficients reach 7e7, so evaluating
-    the two sides rounds them apart by 1e-8.)
-    """
+    """r_{j|k} = q_{j|1} + ... + q_{j|k}, segment by segment, for every k:
+    each Chebyshev coefficient within 1e-12 of the sum, relative to the
+    segment's largest coefficient."""
     cert = construct_dual(J, K)
     for j in range(1, J + 1):
         row = cert.q[j - 1]
@@ -299,15 +270,10 @@ def test_running_sums_match_q_rows(J, K):
             r = cert.r[j - 1][k - 1]
             assert r.breakpoints == row[0].breakpoints, (j, k)
             for a, b, seg in zip(r.breakpoints, r.breakpoints[1:], r.segments):
-                total = LogLinComb.zero()
-                for q in row[:k]:
-                    part = q.segment_at(0.5 * (a + b))
-                    if part is not None:
-                        total = total + part
-                scale = max([1.0] + [abs(c) for c in seg.terms.values()])
-                for key in set(seg.terms) | set(total.terms):
-                    diff = seg.terms.get(key, 0.0) - total.terms.get(key, 0.0)
-                    assert abs(diff) <= 1e-12 * scale, (j, k, key)
+                parts = [q.segment_at(0.5 * (a + b)) for q in row[:k]]
+                total = sum(part.coef for part in parts if part is not None)
+                scale = max(1.0, np.abs(seg.coef).max())
+                assert np.abs(seg.coef - total).max() <= 1e-12 * scale, (j, k)
 
 
 def _no_rows(cert):
@@ -317,7 +283,7 @@ def _no_rows(cert):
 def test_threshold_readers_build_no_rows(monkeypatch, capsys):
     """tau, simulate and finite-lp read no q or r row; reading q or r
     builds. K = 1 keeps its rows as cells too."""
-    monkeypatch.setattr(dual, "_dual_rows", _no_rows)
+    monkeypatch.setattr(dual, "_cell_rows", _no_rows)
     for J, K in ((4, 4), (3, 1)):
         cert = construct_dual(J, K)
         assert len(cert.tau.tau) == J
@@ -329,28 +295,10 @@ def test_threshold_readers_build_no_rows(monkeypatch, capsys):
                 getattr(cert, name)
 
 
-def test_verifier_builds_q_rows_only(monkeypatch):
-    built = []
-    real = dual._dual_rows
-
-    def counted(cert):
-        built.append(cert)
-        return real(cert)
-
-    monkeypatch.setattr(dual, "_dual_rows", counted)
-    for J, K in ((3, 3), (3, 1)):
-        built.clear()
-        cert = construct_dual(J, K)
-        assert verify_certificate(cert).ok
-        cert.q  # built once, then kept
-        assert len(built) == 1 and built[0] is cert, (J, K)
-        assert "r" not in vars(cert), (J, K)
-
-
 @pytest.mark.parametrize("J,K", [(3, 3), (2, 4), (4, 2)])
 def test_rows_built_on_read_match_combine_reference(J, K):
-    """q and r, each built on its first read (r first here), equal the
-    combine chains term for term, and a perturbed copy of an unread
+    """q and r, built on the first read of either (r first here), equal the
+    one-cell-at-a-time reference, and a perturbed copy of an unread
     certificate builds the same rows."""
     want = construct_dual_combine(J, K)
     got = construct_dual(J, K)
@@ -358,10 +306,11 @@ def test_rows_built_on_read_match_combine_reference(J, K):
     for name in ("r", "q"):
         for cert in (got, shifted):
             for row_got, row_want in zip(getattr(cert, name), getattr(want, name)):
-                assert [_pieces(f) for f in row_got] == [_pieces(f) for f in row_want]
+                for f_got, f_want in zip(row_got, row_want, strict=True):
+                    _assert_same_function(f_got, f_want, name)
     assert shifted.tau.threshold(1, 1) == got.tau.threshold(1, 1) + 0.01
     copy = perturbed(got, 0.01)  # builds its own rows on read
-    assert "q" not in vars(copy) and "r" not in vars(copy)
+    assert "_rows" not in vars(copy)
     assert not verify_certificate(shifted, grid_points=500).ok
 
 
@@ -495,12 +444,12 @@ def test_verify_flags_perturbed_certificate():
 @pytest.mark.parametrize(
     "J, K, perturb",
     [(1, 2, 0.0), (3, 3, 0.0), (2, 4, 0.0), (2, 2, 0.01), (16, 2, 0.0),
-     (6, 6, 0.0)],
+     (6, 6, 0.0), (2, 2, 0.0)],
 )
 def test_array_verifier_matches_scalar_oracle(J, K, perturb):
-    """Same verdict and first violation as the point-by-point check;
-    residuals agree to 1e-10 absolute (array and scalar libm calls may
-    round differently in the last place)."""
+    """Same verdict and first violation as the point-by-point check, which
+    evaluates the cells by another recurrence and numpy's chebint;
+    residuals agree to 1e-12 absolute."""
     cert = construct_dual(J, K)
     if perturb:
         cert = perturbed(cert, perturb)
@@ -516,7 +465,7 @@ def test_array_verifier_matches_scalar_oracle(J, K, perturb):
         "dual_objective",
         "objective_gap",
     ):
-        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-10, field
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
     assert (got.J, got.K, got.tolerance, got.grid_points, got.payoff) == (
         want.J, want.K, want.tolerance, want.grid_points, want.payoff
     )
@@ -528,26 +477,18 @@ def test_array_verifier_matches_scalar_oracle(J, K, perturb):
      (16, 1, 0.0), (2, 2, 0.01)],
 )
 def test_verify_equals_per_segment_oracles(monkeypatch, J, K, perturb):
-    """The packed kernel gives the report the per-segment evaluation gives,
-    field for field."""
+    """The gathered evaluation gives the report the per-segment evaluation
+    gives, field for field."""
     cert = construct_dual(J, K)
     if perturb:
         cert = perturbed(cert, perturb)
     got = verify_certificate(cert)
-    # verify_certificate hands the functions PowerRows; the oracles take
-    # its points
-    monkeypatch.setattr(
-        PiecewiseFunction, "values", lambda f, rows: values_by_segment(f, rows.xs)
-    )
-    monkeypatch.setattr(
-        PiecewiseFunction,
-        "tail_integral",
-        lambda f, rows: tail_integral_by_segment(f, rows.xs),
-    )
+    monkeypatch.setattr(PiecewiseFunction, "values", values_by_segment)
+    monkeypatch.setattr(PiecewiseFunction, "tail_integral", tail_integral_by_segment)
     assert got == verify_certificate(cert)
 
 
-# The pairs of the benchmark's certify workload; (8,8) and (16,2) fail.
+# The pairs of the benchmark's certify workload.
 CERTIFY_PAIRS = [(J, K) for J in range(1, 5) for K in range(1, 5)] + [
     (6, 6), (4, 8), (8, 4), (2, 16), (16, 1), (8, 8), (16, 2), (8, 6)
 ]
@@ -571,6 +512,22 @@ def test_report_passes_iff_it_names_no_violation(J, K):
                 )
 
 
+# Edges of the (J, K) envelope: J = 1..12 at K = 1 and 12, K = 1..12 at
+# J = 1 and 12, the corner J = K = 16, and K = MAX_K.
+ENVELOPE_PAIRS = sorted(
+    {(J, K) for J in range(1, 13) for K in (1, 12)}
+    | {(J, K) for K in range(1, 13) for J in (1, 12)}
+    | {(8, 8), (16, 2), (2, 16), (16, 16), (2, 35)}
+)
+
+
+@pytest.mark.parametrize("J, K", ENVELOPE_PAIRS)
+def test_certificate_passes_at_the_envelope_edges(J, K):
+    """At the defaults of dual-check (grid 2000, tolerance 1e-8)."""
+    report = verify_certificate(construct_dual(J, K))
+    assert report.ok, report.first_violation
+
+
 def test_nan_objective_gap_fails_with_a_named_violation(monkeypatch):
     monkeypatch.setattr(dual, "payoff_jk", lambda tau: math.nan)
     report = verify_certificate(construct_dual(2, 2))
@@ -579,9 +536,8 @@ def test_nan_objective_gap_fails_with_a_named_violation(monkeypatch):
     assert report.first_violation.startswith("dual objective")
 
 
-# Peak traced memory of the check at the largest grid.  The per-segment
-# evaluation it replaced peaked at 83 MB for (2, 2); chunks of CHUNK_POINTS
-# points keep this one near 16 MB.
+# Peak traced memory of the check at the largest grid: chunks of
+# CHUNK_POINTS points keep it near 16 MB.
 MAX_GRID_PEAK_BYTES = 32 << 20
 
 

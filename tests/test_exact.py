@@ -17,7 +17,7 @@ from secretary_lab.theta import (
     generate_thetas,
 )
 
-from oracles import quadrature, rational_to_decimal
+from oracles import derivative, log_lin_value, quadrature, rational_to_decimal
 from reference_values import EXP_NEG_1_DIGITS
 
 
@@ -98,7 +98,7 @@ term_keys = st.tuples(st.integers(min_value=-4, max_value=3), st.integers(0, 5))
 def test_round_trip_integral_identity(terms):
     """Differentiating the antiderivative gives back f exactly, m = -1 included."""
     f = LogLinComb(terms)
-    assert f.antiderivative().derivative().terms == f.terms
+    assert derivative(f.antiderivative()).terms == f.terms
 
 
 def test_definite_integral_cross_checked_by_quadrature():
@@ -132,7 +132,7 @@ def test_plain_antiderivative_against_quadrature():
         return 1 + ln - ln**2 / 2
 
     numeric = quadrature(f, 0.2, 0.9, tol=1e-13)
-    assert abs((big_f(0.9) - big_f(0.2)) - numeric) < 1e-11
+    assert abs((log_lin_value(big_f, 0.9) - log_lin_value(big_f, 0.2)) - numeric) < 1e-11
 
 
 def test_polynomial_arithmetic_trims_and_adds():

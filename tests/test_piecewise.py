@@ -1,20 +1,21 @@
-"""Numeric piecewise machinery: symbolic segments, array evaluation, root
-finding, and the quadrature oracle the closed forms are checked against."""
+"""Numeric piecewise machinery: Chebyshev cells, array evaluation, root
+finding, and the oracles the exact terms and the cells are checked
+against."""
 
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from secretary_lab.dual import CHUNK_POINTS
 from secretary_lab.piecewise import (
-    CHUNK_POINTS,
+    NODES,
+    SCAN_STRIDE,
     LogLinComb,
     PiecewiseFunction,
-    PowerRows,
-    SCAN_STRIDE,
     RootBracketError,
     bisect_root,
     find_largest_root,
@@ -22,10 +23,14 @@ from secretary_lab.piecewise import (
 
 from oracles import (
     QuadratureError,
+    chebyshev_function,
+    derivative,
     find_largest_root_pointwise,
-    over_power,
+    log_lin_value,
     quadrature,
     restrict,
+    scalar_tail,
+    scalar_value,
     tail_integral_by_segment,
     values_by_segment,
 )
@@ -34,31 +39,31 @@ from oracles import (
 def test_loglincomb_eval():
     f = LogLinComb({(-2, 1): 2.0, (0, 0): 3.0})
     x = 0.5
-    assert f(x) == pytest.approx(2.0 * x**-2 * math.log(x) + 3.0, rel=1e-15)
+    assert log_lin_value(f, x) == pytest.approx(2.0 * x**-2 * math.log(x) + 3.0, rel=1e-15)
 
 
 def test_loglincomb_eval_rejects_nonpositive():
     with pytest.raises(ValueError):
-        LogLinComb.const(1.0)(0.0)
+        log_lin_value(LogLinComb.const(1.0), 0.0)
 
 
 def test_arithmetic_and_shift():
-    f = LogLinComb.from_x_poly([1.0, 2.0])
+    f = LogLinComb({(0, 0): 1.0, (1, 0): 2.0})
     g = f.shift_xpow(-1)
-    assert g(0.25) == pytest.approx((1.0 + 2.0 * 0.25) / 0.25)
-    assert (f - f)(0.7) == 0.0
-    assert (f + f).scale(0.5)(0.3) == pytest.approx(f(0.3))
+    assert log_lin_value(g, 0.25) == pytest.approx((1.0 + 2.0 * 0.25) / 0.25)
+    assert (f - f).terms == {}
+    assert log_lin_value((f + f).scale(0.5), 0.3) == pytest.approx(log_lin_value(f, 0.3))
 
 
 def test_derivative_by_finite_differences():
     rng = random.Random(5)
     f = LogLinComb({(-1, 2): 0.7, (2, 1): -1.3, (0, 3): 0.4})
-    df = f.derivative()
+    df = derivative(f)
     for _ in range(50):
         x = rng.uniform(0.1, 0.95)
         h = 1e-6
-        numeric = (f(x + h) - f(x - h)) / (2 * h)
-        assert df(x) == pytest.approx(numeric, rel=1e-7, abs=1e-7)
+        numeric = (log_lin_value(f, x + h) - log_lin_value(f, x - h)) / (2 * h)
+        assert log_lin_value(df, x) == pytest.approx(numeric, rel=1e-7, abs=1e-7)
 
 
 def test_antiderivative_matches_quadrature():
@@ -72,17 +77,28 @@ def test_antiderivative_matches_quadrature():
         big_f = f.antiderivative()
         a = rng.uniform(0.05, 0.5)
         b = rng.uniform(a + 0.05, 1.0)
-        assert big_f(b) - big_f(a) == pytest.approx(
-            quadrature(f, a, b, tol=1e-13), abs=1e-10
+        assert log_lin_value(big_f, b) - log_lin_value(big_f, a) == pytest.approx(
+            quadrature(lambda x: log_lin_value(f, x), a, b, tol=1e-13), abs=1e-10
         )
 
 
 def _two_piece() -> PiecewiseFunction:
-    # 4x - 2 on [2/3, 1], x on [1/3, 2/3]
-    return PiecewiseFunction(
-        [1 / 3, 2 / 3, 1.0],
-        [LogLinComb.from_x_poly([0.0, 1.0]), LogLinComb.from_x_poly([-2.0, 4.0])],
-    )
+    # x on [1/3, 2/3], 4x - 2 on [2/3, 1]: each segment its own cell
+    return chebyshev_function(lambda y: y if y < 2 / 3 else 4 * y - 2, [1 / 3, 2 / 3, 1.0])
+
+
+def over_power(f: PiecewiseFunction, m: int) -> PiecewiseFunction:
+    """f(y)/y^m on f's breakpoints."""
+    return chebyshev_function(lambda y: f.value(y) / y**m, f.breakpoints)
+
+
+def _cells(bps, coefs, widths=None) -> PiecewiseFunction:
+    """Segment i on [bps[i], bps[i+1]] is the upper 1/widths[i] of its cell
+    in t, with the given Chebyshev coefficients."""
+    logs = [math.log(b) for b in bps]
+    widths = widths or [1.0] * (len(bps) - 1)
+    halves = [0.5 * w * (b - a) for w, a, b in zip(widths, logs, logs[1:])]
+    return PiecewiseFunction(bps, logs[1:], halves, np.array(coefs).reshape(-1, NODES))
 
 
 def test_piecewise_value_and_outside_zero():
@@ -102,6 +118,7 @@ def test_piecewise_integral_splits_segments():
     assert f.integral(0.5, 0.8) == pytest.approx(
         quadrature(f.value, 0.5, 0.8, tol=1e-13), abs=1e-11
     )
+    assert f.integral(0.8, 0.5) == 0.0
 
 
 def test_piecewise_weighted_integral():
@@ -112,6 +129,8 @@ def test_piecewise_weighted_integral():
 
 
 def test_tail_integral_consistency():
+    """tail_integral against the point-by-point oracle, which integrates
+    each segment with numpy's chebint."""
     f = _two_piece()
     # unsorted on purpose: each point is placed on its own
     xs = np.array([0.8, 0.1, 1.0, 2 / 3, 0.41, 1.2, 1 / 3, 0.999])
@@ -119,33 +138,32 @@ def test_tail_integral_consistency():
         fm = over_power(f, m)
         got = fm.tail_integral(xs)
         assert got.shape == xs.shape
+        tail = scalar_tail(fm)
         for x, g in zip(xs, got):
-            assert g == pytest.approx(fm.integral(x, 1.0), abs=1e-14)
+            assert g == pytest.approx(tail(x), abs=1e-14)
     assert f.tail_integral(np.array([1.0, 1.5])).tolist() == [0.0, 0.0]
     assert PiecewiseFunction.zero().tail_integral(xs).tolist() == [0.0] * len(xs)
 
 
 def test_values_match_scalar_value():
-    """Same segment on breakpoints and outside the support, ULP-close values."""
-    f = PiecewiseFunction(
-        [0.1, 0.3, 0.55, 1.0],
-        [
-            LogLinComb({(-2, 1): 0.3, (1, 0): 2.0}),
-            LogLinComb({(0, 2): -1.5, (3, 1): 0.7, (0, 0): 1.0}),
-            LogLinComb.from_x_poly([-2.0, 4.0]),
-        ],
-    )
+    """Same segment on breakpoints and outside the support, ULP-close
+    values, and both close to the point-by-point oracle."""
     rng = random.Random(17)
+    coefs = [[rng.uniform(-1, 1) / (k + 1) ** 2 for k in range(NODES)] for _ in range(3)]
+    f = _cells([0.1, 0.3, 0.55, 1.0], coefs, [1.0, 1.5, 3.0])
     xs = np.array(
         [0.05, 0.1, 0.3, 0.55, 1.0, 1.01, 0.999999]
         + [rng.uniform(0.01, 1.05) for _ in range(300)]
     )
     got = f.values(xs)
+    oracle = scalar_value(f)
     for x, g in zip(xs, got):
         want = f.value(float(x))
         assert g == pytest.approx(want, rel=1e-14, abs=1e-15)
+        assert g == pytest.approx(oracle(float(x)), rel=1e-13, abs=1e-14)
     # an interior breakpoint takes the segment that starts there
-    assert f.values(np.array([0.55]))[0] == f.segments[2](0.55)
+    assert f.values(np.array([0.55]))[0] == pytest.approx(f.segments[2](0.55), rel=1e-14)
+    assert f.segments[2](0.55) != pytest.approx(f.segments[1](0.55), rel=1e-6)
     assert PiecewiseFunction.zero().values(xs).tolist() == [0.0] * len(xs)
 
 
@@ -157,11 +175,11 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray):
 
 def test_array_input_is_coerced_to_float():
     """Ints, lists, float32 and empty input all give float64 results."""
-    f = PiecewiseFunction([0.5, 1.0], [LogLinComb.from_x_poly([0.25, 1.0])])
-    assert f.tail_integral(np.array([0])).tolist() == [0.5]
-    assert f.tail_integral([0, 0.75]).tolist() == [0.5, pytest.approx(0.28125)]
-    assert f.values(np.array([1])).tolist() == [1.25]
-    assert f.values([0.5, 2]).tolist() == [0.75, 0.0]
+    f = chebyshev_function(lambda y: 0.25 + y, [0.5, 1.0])
+    assert f.tail_integral(np.array([0])).tolist() == [pytest.approx(0.5, rel=1e-14)]
+    assert f.tail_integral([0, 0.75]).tolist() == pytest.approx([0.5, 0.28125], rel=1e-14)
+    assert f.values(np.array([1])).tolist() == [pytest.approx(1.25, rel=1e-14)]
+    assert f.values([0.5, 2]).tolist() == [pytest.approx(0.75, rel=1e-14), 0.0]
     xs32 = np.array([0.3, 0.6, 0.9], dtype=np.float32)
     xs64 = xs32.astype(np.float64)
     assert_same_bits(f.values(xs32), f.values(xs64))
@@ -175,21 +193,18 @@ def test_array_input_is_coerced_to_float():
 
 @st.composite
 def piecewise_functions(draw) -> PiecewiseFunction:
-    """1-20 segments of up to 12 terms, m in [-3, 16], p <= 16, or zero."""
+    """1-20 segments, each the upper part (1/1 to 1/2 in t) of its own
+    cell, with NODES seeded coefficients in [-10, 10]; or zero."""
     n = draw(st.integers(0, 20))
     if n == 0:
         return PiecewiseFunction.zero()
-    bps = draw(
-        st.lists(
-            st.floats(1e-3, 1.0), min_size=n + 1, max_size=n + 1, unique=True
-        )
+    bps = sorted(
+        draw(st.lists(st.floats(1e-3, 1.0), min_size=n + 1, max_size=n + 1, unique=True))
     )
-    term = st.tuples(st.integers(-3, 16), st.integers(0, 16))
-    coef = st.floats(-10.0, 10.0, allow_nan=False)
-    segs = [
-        LogLinComb(draw(st.dictionaries(term, coef, max_size=12))) for _ in range(n)
-    ]
-    return PiecewiseFunction(sorted(bps), segs)
+    assume(all(math.log(a) < math.log(b) for a, b in zip(bps, bps[1:])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    coefs = [rng.uniform(-10.0, 10.0) for _ in range(n * NODES)]
+    return _cells(bps, coefs, [rng.uniform(1.0, 2.0) for _ in range(n)])
 
 
 @given(data=st.data(), f=piecewise_functions())
@@ -222,58 +237,41 @@ def test_value_matches_segment_at(data, f):
 @given(data=st.data(), f=piecewise_functions())
 @settings(max_examples=200, deadline=None)
 def test_values_and_value_agree_to_ulps_of_the_term_sum(data, f):
-    """Array and scalar values need not share bits: numpy's power and log
-    round unlike Python's ** and math.log.  At each point they differ by
-    at most (P + T + 4) ulp of S = sum |c x^m (ln x)^p| over the point's
-    segment of T terms with ln x powers up to P (the ln error grows P-fold
-    in (ln x)^P, each term adds about 3 roundings and the sum T), and
-    values stays bit-identical to the one-segment-at-a-time reference."""
+    """Array and scalar values run the same recurrence, but need not share
+    bits: numpy's log rounds unlike math.log.  s = 1 + (ln x - top)/half
+    then moves by up to 2 ulp of |ln x| / half, which moves the sum by at
+    most sum_k k^2 |c_k| times that (|T_k'| <= k^2), and the recurrence
+    adds roundings of up to NODES^2 ulp of sum_k |c_k|; values stays
+    bit-identical to the one-segment-at-a-time reference."""
     pool = f.breakpoints + [1.0, math.nextafter(1.0, 0.0)]
     pool += data.draw(st.lists(st.floats(1e-3, 1.0), max_size=30))
     xs = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=60)))
     xs = xs.astype(np.float64)
     got = f.values(xs)
     assert_same_bits(got, values_by_segment(f, xs))
+    eps = np.finfo(float).eps
     for x, g in zip(xs.tolist(), got.tolist()):
         seg = f.segment_at(x)
-        if seg is None or not seg.terms:
+        if seg is None:
             assert g == f.value(x) == 0.0
             continue
-        ln = math.log(x)
-        s = math.fsum(abs(c * x**m * ln**p) for (m, p), c in seg.terms.items())
-        ulps = max(p for _, p in seg.terms) + len(seg.terms) + 4
-        # the smallest subnormal covers products that underflow
-        assert abs(g - f.value(x)) <= ulps * (np.finfo(float).eps * s + 5e-324), x
+        size = sum(abs(c) for c in seg.coef.tolist())
+        slope = sum(k * k * abs(c) for k, c in enumerate(seg.coef.tolist()))
+        ds = 2.0 * eps * abs(math.log(x)) / seg.half
+        bound = (slope * ds + NODES**2 * eps * size) / x
+        assert abs(g - f.value(x)) <= bound + 5e-324, x
 
 
 def test_kernel_matches_oracle_across_chunks_and_blocks():
-    """Many points and wide segments: several chunks and evaluation blocks."""
+    """More points than a certificate-check chunk, over 30 segments."""
     rng = random.Random(23)
     bps = sorted(rng.uniform(0.01, 1.0) for _ in range(31))
-    segs = [
-        LogLinComb(
-            {(rng.randint(-3, 16), rng.randint(0, 16)): rng.uniform(-5, 5)
-             for _ in range(rng.randint(0, 40))}
-        )
-        for _ in range(30)
-    ]
-    f = PiecewiseFunction(bps, segs)
+    coefs = [[rng.uniform(-5, 5) for _ in range(NODES)] for _ in range(30)]
+    f = _cells(bps, coefs, [rng.uniform(1.0, 2.0) for _ in range(30)])
     xs = np.random.default_rng(23).uniform(0.0, 1.1, 3 * CHUNK_POINTS + 17)
     xs[::97] = rng.choice(bps)
     assert_same_bits(f.values(xs), values_by_segment(f, xs))
     assert_same_bits(f.tail_integral(xs), tail_integral_by_segment(f, xs))
-
-
-def test_functions_share_power_rows():
-    """Functions evaluated on one PowerRows give what each gives on its
-    own points."""
-    f = _two_piece()
-    g = over_power(f, 2)
-    xs = np.array([0.05, 0.2, 1 / 3, 0.5, 2 / 3, 0.8, 1.0, 1.2])
-    rows = PowerRows(xs)
-    for fn in (f, g):
-        assert_same_bits(fn.values(rows), fn.values(xs))
-        assert_same_bits(fn.tail_integral(rows), fn.tail_integral(xs))
 
 
 def test_integral_cache_agrees_with_requadrature():
@@ -290,29 +288,17 @@ def test_restrict_and_combine():
     mid = restrict(f, 0.5, 0.8)
     assert mid.lo == pytest.approx(0.5) and mid.hi == pytest.approx(0.8)
     assert mid.value(0.45) == 0.0
-    assert mid.value(0.6) == pytest.approx(f.value(0.6))
-    g = PiecewiseFunction([0.5, 1.0], [LogLinComb.const(1.0)])
+    assert mid.value(0.6) == f.value(0.6)
+    # one on [0.5, 1], on f's cells
+    g = restrict(chebyshev_function(lambda y: 1.0, f.breakpoints), 0.5, 1.0)
     s = f.combine(g, 1.0, -2.0)
     assert s.value(0.6) == pytest.approx(f.value(0.6) - 2.0)
     assert s.value(0.4) == pytest.approx(f.value(0.4))
     assert s.integral(0.0, 1.0) == pytest.approx(
         f.integral(0.0, 1.0) - 2.0 * g.integral(0.0, 1.0), rel=1e-14
     )
-
-
-def test_join_of_adjacent_parts():
-    f = _two_piece()
-    low, high = restrict(f, f.lo, 0.6), restrict(f, 0.6, f.hi)
-    joined = PiecewiseFunction.join([low, PiecewiseFunction.zero(), high])
-    assert joined.breakpoints == low.breakpoints + high.breakpoints[1:]
-    assert joined.segments == low.segments + high.segments
-    for x in (f.lo, 0.45, 0.6, 0.75, f.hi):
-        assert joined.value(x) == f.value(x)
-    assert PiecewiseFunction.join([]).is_zero()
-    with pytest.raises(ValueError):
-        PiecewiseFunction.join([high, low])  # not ascending
-    with pytest.raises(ValueError):
-        PiecewiseFunction.join([restrict(f, f.lo, 0.5), high])  # gap (0.5, 0.6)
+    with pytest.raises(ValueError, match="same cells"):
+        f.combine(chebyshev_function(lambda y: 1.0, [0.5, 1.0]))
 
 
 def test_zero_function_behaviour():
@@ -459,6 +445,6 @@ def test_scan_misses_a_dip_between_coarse_points():
 
 def test_breakpoint_validation():
     with pytest.raises(ValueError):
-        PiecewiseFunction([0.5, 0.5], [LogLinComb.const(1.0)])
+        PiecewiseFunction([0.5, 0.5], [0.0], 1.0, np.zeros((1, NODES)))
     with pytest.raises(ValueError):
-        PiecewiseFunction([0.1, 0.5], [])
+        PiecewiseFunction([0.1, 0.5], [], 1.0, np.zeros((0, NODES)))

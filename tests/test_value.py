@@ -8,18 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import construct_dual_combine, dp_thresholds, k2_closed_forms
+from oracles import alpha, dp_thresholds, k2_closed_forms
 from secretary_lab import dp, dual, theta, value
 
-# The pairs of the benchmark's certify workload whose certificates pass at
-# grid 2000 and tolerance 1e-8 at the symbolic construction's own root-scan
-# thresholds; (8,8), (16,2) and (8,6) fail there.
-VERIFIED_PAIRS = [(J, K) for J in range(1, 5) for K in range(1, 5)] + [
-    (6, 6), (4, 8), (8, 4), (2, 16), (16, 1)
+# The pairs of the benchmark's certify workload.
+CERTIFY_PAIRS = [(J, K) for J in range(1, 5) for K in range(1, 5)] + [
+    (6, 6), (4, 8), (8, 4), (2, 16), (16, 1), (8, 8), (16, 2), (8, 6)
 ]
-FAILING_PAIRS = [(8, 8), (16, 2), (8, 6)]
 DP_N = 4000
-DP_PAIRS = VERIFIED_PAIRS + FAILING_PAIRS + [(12, 11), (12, 12), (16, 16)]
+DP_PAIRS = CERTIFY_PAIRS + [(12, 11), (12, 12), (16, 16)]
 # The DP's rows r <= J do not depend on J: one run per K serves every pair.
 DP_J = {K: max(J for J, k in DP_PAIRS if k == K) for _, K in DP_PAIRS}
 
@@ -53,17 +50,20 @@ def test_k2_closed_forms():
     assert abs(two.payoff - ref["payoff22"]) <= 1e-12
 
 
-@pytest.mark.parametrize("J, K", VERIFIED_PAIRS)
+@pytest.mark.parametrize("J, K", CERTIFY_PAIRS)
 def test_matches_the_certified_construction(J, K):
-    """Within 1e-9 of the thresholds the symbolic construction finds by its
-    own root scan where those certified (tests/oracles.py keeps the scan)."""
-    got = np.array(solved(J, K).tau.tau)
-    want = np.array(construct_dual_combine(J, K, scan=True).tau.tau)
-    assert np.max(np.abs(got - want)) <= 1e-9
+    """The certificate is built at the solver's own thresholds, from its
+    cells, and passes at grid 2000 and tolerance 1e-8: each q_{j|k}
+    vanishes at tau_{j,k} within 1e-12."""
+    cert = dual.construct_dual(J, K)
+    assert cert.tau == solved(J, K).tau
+    report = dual.verify_certificate(cert)
+    assert report.ok, report.first_violation
+    assert report.max_threshold_residual <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "J, K", VERIFIED_PAIRS + FAILING_PAIRS + [(12, 12), (16, 16), (1, 35), (16, 35)]
+    "J, K", CERTIFY_PAIRS + [(12, 12), (16, 16), (1, 35), (16, 35)]
 )
 def test_payoff_is_the_value_at_zero(J, K):
     """W_J(0+) equals J - sum_j (1 - tau_{j,1})^K of the solver's own tau."""
@@ -101,7 +101,7 @@ def test_alphas_rows_are_alpha_bit_for_bit():
     for K in range(1, value.MAX_K + 1):
         rows = value.alphas(K, xs)
         for k in range(1, K + 1):
-            want = dual.alpha(k, K, xs)
+            want = alpha(k, K, xs)
             assert rows[k - 1].tobytes() == want.tobytes(), (K, k)
 
 
@@ -110,10 +110,10 @@ def test_interpolation_on_a_node_is_exact_and_silent():
     values = np.random.default_rng(3).random((3, value.NODES))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for i, s in enumerate(value._S.tolist()):
+        for i, s in enumerate(value.CHEB_S.tolist()):
             c = value._weights(s)
             assert (values @ c / c.sum()).tolist() == values[:, i].tolist()
-        assert value._root(value._S - value._S[14], 14) == value._S[14]
+        assert value._root(value.CHEB_S - value.CHEB_S[14], 14) == value.CHEB_S[14]
 
 
 # -- the finite-n DP's thresholds -------------------------------------------
@@ -137,9 +137,10 @@ def test_solver_within_2_over_n_of_the_dp_thresholds(J, K):
 
 
 def test_construction_within_2_over_n_of_the_dp_thresholds():
-    """construct_dual's thresholds lie within 2/n of the DP's where the
-    symbolic construction's own root scan misses them (by 3.3e-3 at
-    tau_{12,11} and 1.4e-2 at tau_{12,12}) or finds no root ((16,16))."""
+    """construct_dual's thresholds lie within 2/n of the DP's at the pairs
+    where a root scan of a global x^m (ln x)^p construction missed them
+    (by 3.3e-3 at tau_{12,11} and 1.4e-2 at tau_{12,12}) or found no root
+    ((16,16))."""
     for J, K in [(12, 11), (12, 12), (16, 16)]:
         tau_n = np.array(dp_run(K)[1][:J])
         gap = np.max(np.abs(np.array(dual.construct_dual(J, K).tau.tau) - tau_n))
