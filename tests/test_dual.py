@@ -20,7 +20,7 @@ from secretary_lab.dual import (
     perturbed,
     verify_certificate,
 )
-from secretary_lab import dual, theta, value
+from secretary_lab import dual, theta
 from secretary_lab.cli import main
 from secretary_lab.piecewise import PiecewiseFunction
 from secretary_lab.theta import generate_thetas, thresholds
