@@ -116,7 +116,7 @@ def cmd_dual_check(args) -> tuple[int, str | None]:
     if args.perturb:
         try:
             cert = dual.perturbed(cert, args.perturb)
-        except dual.MonotonicityError as exc:
+        except value.MonotonicityError as exc:
             # the shift asked for breaks the thresholds' form, not the method
             print(f"usage error: --perturb {args.perturb}: {exc}", file=sys.stderr)
             return EXIT_USAGE, None

@@ -35,12 +35,7 @@ from . import value
 from .piecewise import NODES, TO_COEF, PiecewiseFunction
 # Unused here: the benchmark's traced passes wrap dual.find_largest_root.
 from .piecewise import find_largest_root  # noqa: F401
-from .value import (  # noqa: F401  re-exported as dual.*
-    MAX_K,
-    MonotonicityError,
-    ThresholdMatrix,
-    alphas,
-)
+from .value import ThresholdMatrix, alphas
 
 # Largest verification grid: a few arrays of this many floats per (j, k).
 MAX_GRID_POINTS = 1_000_000

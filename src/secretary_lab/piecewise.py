@@ -1,5 +1,4 @@
-"""Piecewise functions on Chebyshev cells in t = ln x, and the exact
-x^m (ln x)^p terms of the K = 1 recursion.
+"""Piecewise functions on Chebyshev cells in t = ln x.
 
 A `PiecewiseFunction` is zero outside [breakpoints[0], breakpoints[-1]].
 Each segment (a `Segment`) holds the density y f(y) as a Chebyshev series
@@ -16,104 +15,22 @@ The Chebyshev toolkit that `value` solves with lives here too: the NODES
 points s_i = cos(i pi / (NODES - 1)), their differentiation matrix and
 barycentric weights, the map from node values to coefficients, and the
 antiderivative matrices (Trefethen, Spectral Methods in MATLAB, ch. 6 and
-12).  This module imports nothing from the package.
+12).  The downward root search at the end has no runtime caller: it
+serves the benchmark's traced passes.  This module imports nothing from
+the package.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-
-TermKey = tuple[int, int]  # (power of x, power of ln x)
-Coef = Union[float, Fraction]
 
 
 class RootBracketError(RuntimeError):
     """Downward scan found no sign change where a root was required."""
-
-
-class LogLinComb:
-    """Finite sum of c * x^m * (ln x)^p.
-
-    m may be negative; p >= 0.  theta.py's K = 1 recursion runs in this
-    ring with Fraction coefficients, and every operation stays exact.
-    Immutable by convention: all operations return new objects.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[TermKey, Coef] | None = None):
-        # prune exact zeros only; coefficients are never rounded
-        self.terms: dict[TermKey, Coef] = {
-            k: v for k, v in (terms or {}).items() if v != 0
-        }
-
-    @staticmethod
-    def const(c: Coef) -> "LogLinComb":
-        return LogLinComb({(0, 0): c})
-
-    @staticmethod
-    def from_ln_poly(coeffs: Sequence[Coef]) -> "LogLinComb":
-        """Polynomial in ln x: coeffs[p] multiplies (ln x)^p."""
-        return LogLinComb({(0, p): c for p, c in enumerate(coeffs)})
-
-    def at_ln(self, ln_x: Coef) -> Coef:
-        """Value of a pure polynomial in ln x (every m == 0) at ln x = ln_x.
-
-        Horner's rule, so Fraction coefficients and a Fraction ln_x give
-        an exact result; used at x = exp(-theta) with rational theta.
-        """
-        if any(m for m, _ in self.terms):
-            raise ValueError("at_ln needs a polynomial in ln x alone")
-        acc = 0
-        for p in range(max((p for _, p in self.terms), default=-1), -1, -1):
-            acc = acc * ln_x + self.terms.get((0, p), 0)
-        return acc
-
-    def __add__(self, other: "LogLinComb") -> "LogLinComb":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return LogLinComb(out)
-
-    def __sub__(self, other: "LogLinComb") -> "LogLinComb":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return LogLinComb(out)
-
-    def scale(self, f: Coef) -> "LogLinComb":
-        return LogLinComb({k: v * f for k, v in self.terms.items()})
-
-    def shift_xpow(self, s: int) -> "LogLinComb":
-        """Multiply by x^s."""
-        return LogLinComb({(m + s, p): c for (m, p), c in self.terms.items()})
-
-    def antiderivative(self) -> "LogLinComb":
-        """F with F' = self, up to a constant.  Closed form per term:
-
-        m == -1:  (ln x)^(p+1) / (p+1)
-        m != -1:  x^(m+1) * sum_t (-1)^t p!/(p-t)! / (m+1)^(t+1) (ln x)^(p-t)
-        """
-        out: dict[TermKey, Coef] = {}
-        for (m, p), c in self.terms.items():
-            if m == -1:
-                k = (0, p + 1)
-                out[k] = out.get(k, 0) + c / (p + 1)
-                continue
-            fall = 1  # p!/(p-t)!
-            sign = 1
-            denom = m + 1
-            for t in range(p + 1):
-                k = (m + 1, p - t)
-                out[k] = out.get(k, 0) + c * sign * fall / denom ** (t + 1)
-                fall *= p - t
-                sign = -sign
-        return LogLinComb(out)
 
 
 # -- Chebyshev toolkit -------------------------------------------------------

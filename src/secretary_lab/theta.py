@@ -12,10 +12,12 @@ Each q_j is a polynomial in ln x with rational coefficients between
 successive thresholds, so the whole construction runs in exact arithmetic;
 q_j doubles as an optimality certificate (q_j(t_j) = 0, q_j(1) = 1, and the
 piecewise data witnesses the complementary-slackness equalities).
-`recursion` returns the thetas with these rows; the tests check the rows
-as the exact certificate.  The float K = 1 certificate comes from
-dual.construct_dual, which builds every K alike and agrees with
-exp(-theta_j) within 1e-12.  Floats appear only in the reporting helpers.
+`recursion` returns the thetas with these rows, each piece a tuple of
+Fraction coefficients in ln x; the tests check the rows as the exact
+certificate.  The float K = 1 certificate comes from dual.construct_dual,
+which builds every K alike and agrees with exp(-theta_j) within 1e-12.
+Floats appear only in the reporting helpers.  This module imports nothing
+from the package.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil, log10
 
-from .piecewise import LogLinComb
-
 # Bit growth of the rationals is super-linear in J; larger J is refused.
 MAX_J = 16
 
@@ -36,10 +36,6 @@ MAX_J = 16
 # significant bits (64, comfortably above a double) and mapped to decimal
 # digits with guard digits for the exp() evaluation.
 DEFAULT_PRECISION_BITS = 64
-
-
-class DegreeOverflowError(ValueError):
-    """An antiderivative exceeded the recursion's degree budget in ln x."""
 
 
 def format_rational(q: Fraction) -> str:
@@ -85,38 +81,48 @@ class ThetaSequence:
         return tuple(exp_neg(t) for t in self.thetas)
 
 
-def recursion(J: int) -> tuple[ThetaSequence, list[list[LogLinComb]]]:
+def _at(poly: tuple[Fraction, ...], ln_x: Fraction) -> Fraction:
+    """poly[0] + poly[1] ln x + ... at the given ln x, by Horner's rule."""
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * ln_x + c
+    return acc
+
+
+def _integral(poly: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """A with dA/d(ln x) = poly and A = 0 at ln x = 0, so that
+    int_a^b poly(ln y)/y dy = A(ln b) - A(ln a)."""
+    return (Fraction(0), *(c / (p + 1) for p, c in enumerate(poly)))
+
+
+def recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
     """theta_1..theta_J and the dual rows; rows[j-1][k-1] is q_j on [t_k, t_(k-1)].
 
-    Each row entry is a polynomial in ln x with Fraction coefficients
-    (t_0 = 1).  O(J^3) rational operations; J above MAX_J is refused.
+    Each row entry is a polynomial in ln x given by its Fraction
+    coefficients, entry p multiplying (ln x)^p (t_0 = 1); piece k of q_j
+    has degree j - k + 1.  O(J^3) rational operations; J above MAX_J is
+    refused.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     if J > MAX_J:
         raise ValueError(f"J={J} exceeds the cap {MAX_J}")
     thetas: list[Fraction] = [Fraction(1)]
-    one_plus_ln = LogLinComb.from_ln_poly([Fraction(1), Fraction(1)])
-    rows: list[list[LogLinComb]] = [[one_plus_ln]]
+    rows: list[list[tuple[Fraction, ...]]] = [[(Fraction(1), Fraction(1))]]
     for j in range(1, J):
         bounds = [Fraction(0)] + thetas  # theta_0 .. theta_j
-        new_row: list[LogLinComb] = []
+        new_row: list[tuple[Fraction, ...]] = []
         # Running sum of int q_j(y)/y dy over the whole segments above the
         # current one; after segment j it equals int_{t_j}^1 q_j(y)/y dy.
         acc = Fraction(0)
         for k, q in enumerate(rows[-1], start=1):
-            anti = q.shift_xpow(-1).antiderivative()  # A(ln x), A' = q
-            degree = max((p for _, p in anti.terms), default=0)
-            if degree > J:
-                raise DegreeOverflowError(
-                    f"antiderivative of q_{j} has degree {degree} in ln x, budget {J}"
-                )
-            top = anti.at_ln(-bounds[k - 1])
+            anti = _integral(q)  # A(ln x), A' = q
+            top = _at(anti, -bounds[k - 1])
             # q_{j+1} = 1 + ln x + [A(-theta_{k-1}) - A(ln x)] + acc on this segment
-            new_row.append(one_plus_ln - anti + LogLinComb.const(top + acc))
-            acc += top - anti.at_ln(-bounds[k])
+            new_row.append((1 + (top + acc), 1 - anti[1], *(-c for c in anti[2:])))
+            acc += top - _at(anti, -bounds[k])
         theta_next = 1 + acc
-        new_row.append(LogLinComb.from_ln_poly([theta_next, Fraction(1)]))
+        new_row.append((theta_next, Fraction(1)))
         thetas.append(theta_next)
         rows.append(new_row)
     return ThetaSequence(tuple(thetas)), rows

@@ -2,9 +2,6 @@
 
 * `quadrature`: adaptive Simpson integration, the numeric cross-check for
   closed-form and Chebyshev antiderivatives.
-* `log_lin_value`, `derivative`: a `LogLinComb` evaluated at a float x
-  and differentiated exactly, the references for the exact ring that
-  `secretary_lab.theta` runs in.
 * `alpha`: alpha_k(x) as the nested float sum over l = k..K, the reference
   for the batched rows of `secretary_lab.value.alphas`; `gamma`:
   alpha_1 + ... + alpha_k summed in floats.
@@ -35,6 +32,10 @@
   over its one-cell functions and each r_{j|k} a `combine` sum of the q
   row; the reference for the batched rows of
   `secretary_lab.dual.construct_dual`.
+* `ln_poly_at`, `ln_derivative`, `plain_antiderivative`: polynomials in
+  ln x as tuples of coefficients (entry p multiplies (ln x)^p), the form
+  of `secretary_lab.theta.recursion`'s rows: a Horner loop of its own,
+  the exact derivative in ln x, and B with int p(ln y) dy = y B(ln y).
 * `q_at_theta`, `integral_q_from`, `dual_objective_k1`,
   `constraint_lhs_k1`: exact K = 1 certificate checks over the rows of
   `secretary_lab.theta.recursion`, in rationals and high-precision
@@ -67,17 +68,11 @@ from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from secretary_lab.dp import weights
-from secretary_lab.dual import (
-    CertificateReport,
-    DualCertificateJK,
-    ThresholdMatrix,
-    payoff_jk,
-)
+from secretary_lab.dual import CertificateReport, DualCertificateJK, payoff_jk
 from secretary_lab.piecewise import (
     CHEB_S,
     NODES,
     TO_COEF,
-    LogLinComb,
     PiecewiseFunction,
     RootBracketError,
     _antiderivative,
@@ -87,10 +82,11 @@ from secretary_lab.sim import ArrivalInstance, RunResult, Selection, _pick_quota
 from secretary_lab.theta import (
     DEFAULT_PRECISION_BITS,
     ThetaSequence,
+    _integral,
     exp_neg,
     working_context,
 )
-from secretary_lab.value import solve
+from secretary_lab.value import ThresholdMatrix, solve
 
 
 class QuadratureError(RuntimeError):
@@ -137,22 +133,6 @@ def quadrature(
     mid = 0.5 * (a + b)
     fa, fm, fb = fn(a), fn(mid), fn(b)
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
-
-
-def log_lin_value(f: LogLinComb, x: float) -> float:
-    """sum c x^m (ln x)^p over f's terms at a float x > 0."""
-    if x <= 0.0:
-        raise ValueError("log-linear combinations live on x > 0")
-    ln = math.log(x)
-    return sum(float(c) * x**m * ln**p for (m, p), c in f.terms.items())
-
-
-def derivative(f: LogLinComb) -> LogLinComb:
-    """d/dx of f, term by term and exactly."""
-    out = LogLinComb()
-    for (m, p), c in f.terms.items():
-        out = out + LogLinComb({(m - 1, p): c * m}) + LogLinComb({(m - 1, p - 1): c * p})
-    return out
 
 
 def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -500,7 +480,30 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
 
 # -- exact K = 1 checks over theta.recursion rows ----------------------------
 # rows[j-1][k-1] is q_j on x in [t_k, t_(k-1)], i.e. theta in
-# [theta_(k-1), theta_k], as a polynomial in ln x with Fraction coefficients.
+# [theta_(k-1), theta_k], as a polynomial in ln x: a tuple of Fraction
+# coefficients, entry p multiplying (ln x)^p.
+
+
+def ln_poly_at(poly, ln_x):
+    """sum_p poly[p] ln_x^p, by Horner's rule; exact for Fractions."""
+    value = 0
+    for c in reversed(poly):
+        value = value * ln_x + c
+    return value
+
+
+def ln_derivative(poly) -> tuple:
+    """d/d(ln x) of a polynomial in ln x: entry p is (p + 1) poly[p + 1]."""
+    return tuple((p + 1) * c for p, c in enumerate(poly[1:]))
+
+
+def plain_antiderivative(poly) -> tuple:
+    """B with int poly(ln y) dy = y B(ln y), that is B + B' = poly:
+    b_d = p_d, and b_i = p_i - (i + 1) b_(i+1) going down."""
+    b = list(poly)
+    for i in range(len(b) - 2, -1, -1):
+        b[i] = poly[i] - (i + 1) * b[i + 1]
+    return tuple(b)
 
 
 def rational_to_decimal(q: Fraction, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:
@@ -515,7 +518,7 @@ def q_at_theta(ts: ThetaSequence, rows, j: int, theta: Fraction) -> Fraction:
         return Fraction(0)
     for k, poly in enumerate(rows[j - 1], start=1):
         if ts.theta(k - 1) <= theta <= ts.theta(k):
-            return poly.at_ln(-theta)
+            return ln_poly_at(poly, -theta)
     raise ValueError(f"theta {theta} outside [0, theta_{j}]")
 
 
@@ -543,13 +546,13 @@ def integral_q_from(
                 break
             hi = min(ts.theta(k), theta_from)
             if weight_over_x:
-                anti = poly.shift_xpow(-1).antiderivative()
-                total += rational_to_decimal(anti.at_ln(-lo) - anti.at_ln(-hi), bits)
+                anti = _integral(poly)
+                total += rational_to_decimal(ln_poly_at(anti, -lo) - ln_poly_at(anti, -hi), bits)
             else:
                 # int p(ln x) dx = x * B(ln x)
-                b = poly.antiderivative().shift_xpow(-1)
-                upper = rational_to_decimal(b.at_ln(-lo), bits) * exp_neg(lo, bits)
-                lower = rational_to_decimal(b.at_ln(-hi), bits) * exp_neg(hi, bits)
+                b = plain_antiderivative(poly)
+                upper = rational_to_decimal(ln_poly_at(b, -lo), bits) * exp_neg(lo, bits)
+                lower = rational_to_decimal(ln_poly_at(b, -hi), bits) * exp_neg(hi, bits)
                 total += upper - lower
         return total
 

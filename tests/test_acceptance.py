@@ -22,7 +22,6 @@ from secretary_lab.dual import (
 from secretary_lab.cli import main
 from secretary_lab.dp import p_star
 from secretary_lab.lp import build_lp, coefficient_row_sum, solve_lp
-from secretary_lab.piecewise import LogLinComb
 from secretary_lab.sim import (
     BLOCK_TRIALS,
     MIN_POOL_BLOCKS,
@@ -31,11 +30,17 @@ from secretary_lab.sim import (
     sample_arrivals,
     trial_rng,
 )
-from secretary_lab.theta import ThetaSequence, generate_thetas, payoff_k1_decimal, thresholds
+from secretary_lab.theta import (
+    ThetaSequence,
+    _integral,
+    generate_thetas,
+    payoff_k1_decimal,
+    thresholds,
+)
 from secretary_lab.value import alphas
 
 import reference_values as ref
-from oracles import alpha, derivative, gamma, k2_closed_forms
+from oracles import alpha, gamma, k2_closed_forms, ln_derivative, ln_poly_at
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -198,15 +203,18 @@ def test_criterion_7_property_suites(capfd):
     t0 = time.monotonic()
     rng = random.Random(777)
 
-    # exact antiderivative round-trip on x^m (ln x)^p terms, m = -1 included
+    # exact antiderivative round-trip on polynomials in ln x, the K = 1
+    # recursion's pieces: A' = p, A = 0 at ln x = 0, Fractions throughout
     exact_cases = 0
     for _ in range(120):
-        f = LogLinComb({
-            (rng.randint(-3, 3), rng.randint(0, 5)):
-                Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+        p = tuple(
+            Fraction(rng.randint(-40, 40), rng.randint(1, 30))
             for _ in range(rng.randint(0, 9))
-        })
-        assert derivative(f.antiderivative()).terms == f.terms
+        )
+        anti = _integral(p)
+        assert ln_derivative(anti) == p
+        assert ln_poly_at(anti, Fraction(0)) == 0
+        assert all(type(c) is Fraction for c in anti)
         exact_cases += 1
 
     # alpha/gamma grid: the solver's batched rows against the nested sum,

@@ -235,7 +235,7 @@ def test_dual_check_rejects_non_finite_perturb(monkeypatch, capsys, perturb):
 def test_dual_check_rejects_perturb_that_breaks_the_order(capsys, perturb):
     """A shift moving tau_{1,1} out of (0, 1] or out of order is a usage
     error that names the broken condition and writes nothing to stdout."""
-    with pytest.raises(dual.MonotonicityError) as err:
+    with pytest.raises(value.MonotonicityError) as err:
         dual.perturbed(dual.construct_dual(2, 2), float(perturb))
     code = main(["dual-check", "--J", "2", "--K", "2", "--perturb", perturb])
     assert code == EXIT_USAGE
@@ -463,7 +463,7 @@ def test_overflow_exits_numeric(capsys, argv):
 
 
 def test_k_cap_refuses_before_any_work(monkeypatch, capsys):
-    """K above dual.MAX_K exits 3 naming the cap, before the solve forms a
+    """K above value.MAX_K exits 3 naming the cap, before the solve forms a
     single alpha row."""
 
     def fail(K, x):
@@ -471,12 +471,12 @@ def test_k_cap_refuses_before_any_work(monkeypatch, capsys):
 
     monkeypatch.setattr(value, "alphas", fail)
     assert main(["thresholds", "--J", "1", "--K", "2000"]) == EXIT_NUMERIC
-    assert capsys.readouterr().err == f"error: K=2000 exceeds the cap {dual.MAX_K}\n"
+    assert capsys.readouterr().err == f"error: K=2000 exceeds the cap {value.MAX_K}\n"
 
 
 def test_largest_k_constructs():
-    cert = dual.construct_dual(1, dual.MAX_K)
-    assert (cert.J, cert.K) == (1, dual.MAX_K)
+    cert = dual.construct_dual(1, value.MAX_K)
+    assert (cert.J, cert.K) == (1, value.MAX_K)
 
 
 def test_dual_check_at_the_k_cap(capsys):

@@ -8,20 +8,25 @@ CLI edge checks that need a separate process belong here, not in
 workflow shell.  The module imports nothing from `tests/`.
 """
 
+import ast
+import json
 import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import secretary_lab
+import secretary_lab.theta
 
-PACKAGE_ROOT = str(Path(secretary_lab.__file__).resolve().parents[1])
+PACKAGE_DIR = Path(secretary_lab.__file__).resolve().parent
+PACKAGE_ROOT = str(PACKAGE_DIR.parent)
 MODULES = sorted(
-    path.stem for path in Path(secretary_lab.__file__).parent.glob("*.py")
-    if path.stem != "__init__"
+    path.stem for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"
 )
 
 SIM_ARGS = [
@@ -32,6 +37,10 @@ SIM_ARGS = [
 # name -> (argv, timeout in seconds)
 COMMANDS = {
     "report": (["report"], 120),
+    # theta_16's numerator has more digits than the default int-to-str limit
+    "thresholds_exact_16": (
+        ["thresholds", "--J", "16", "--K", "1", "--exact", "--format", "json"], 120,
+    ),
     "dual_check_k40": (["dual-check", "--J", "2", "--K", "40"], 120),
     "thresholds_k2000": (["thresholds", "--J", "1", "--K", "2000"], 20),
     "dual_check": (["dual-check", "--J", "2", "--K", "2"], 120),
@@ -71,11 +80,43 @@ def imported(tmp_path_factory):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_first(imported, module):
-    """A module-level import cycle fails here (dual imports value and
-    value imports piecewise, so value must import nothing from dual and
-    piecewise nothing from the package)."""
+    """A module-level import cycle fails here."""
     proc = imported[module]
     assert proc.returncode == 0, proc.stderr
+
+
+# module -> the package modules it may import
+IMPORTS_ALLOWED = {
+    "theta": set(), "piecewise": set(), "dp": set(), "lp": set(),
+    "value": {"piecewise", "theta"},
+}
+
+
+def package_imports(module: str) -> set[str]:
+    """The package modules that `module`'s source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE_DIR / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if not node.level:
+                if name.split(".")[0] != "secretary_lab":
+                    continue
+                name = name.removeprefix("secretary_lab").lstrip(".")
+            found.update([name] if name else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("secretary_lab.")
+            )
+    return {name.split(".")[0] for name in found}
+
+
+@pytest.mark.parametrize("module", sorted(IMPORTS_ALLOWED))
+def test_import_graph(module):
+    """The exact recursion, the Chebyshev layer and the finite-n solvers
+    stand alone, and the threshold solver builds on the first two only,
+    read from the source, so no import cycle can run through them."""
+    assert package_imports(module) <= IMPORTS_ALLOWED[module]
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +136,16 @@ def ran(cli_dir):
     with ThreadPoolExecutor(max_workers=2) as pool:
         futures = {name: pool.submit(run, *spec) for name, spec in COMMANDS.items()}
         return {name: f.result() for name, f in futures.items()}
+
+
+def test_exact_theta_16_prints_in_full(ran):
+    """theta_16 as printed, read through Decimal (which no int-to-str limit
+    binds), is the exact rational."""
+    proc = ran["thresholds_exact_16"]
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    numerator, denominator = json.loads(proc.stdout)["thetas"][-1].split("/")
+    printed = Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
+    assert printed == secretary_lab.theta.generate_thetas(16).thetas[-1]
 
 
 def test_report_warns_nothing(ran):

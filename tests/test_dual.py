@@ -13,8 +13,6 @@ import pytest
 
 from secretary_lab.dual import (
     MAX_GRID_POINTS,
-    MonotonicityError,
-    ThresholdMatrix,
     construct_dual,
     payoff_jk,
     perturbed,
@@ -24,6 +22,7 @@ from secretary_lab import dual, theta
 from secretary_lab.cli import main
 from secretary_lab.piecewise import PiecewiseFunction
 from secretary_lab.theta import generate_thetas, thresholds
+from secretary_lab.value import MonotonicityError, ThresholdMatrix
 
 import reference_values as ref
 from oracles import (

@@ -1,6 +1,5 @@
 """Numeric piecewise machinery: Chebyshev cells, array evaluation, root
-finding, and the oracles the exact terms and the cells are checked
-against."""
+finding, and the oracles the cells are checked against."""
 
 import math
 import random
@@ -14,7 +13,6 @@ from secretary_lab.dual import CHUNK_POINTS
 from secretary_lab.piecewise import (
     NODES,
     SCAN_STRIDE,
-    LogLinComb,
     PiecewiseFunction,
     RootBracketError,
     bisect_root,
@@ -24,9 +22,7 @@ from secretary_lab.piecewise import (
 from oracles import (
     QuadratureError,
     chebyshev_function,
-    derivative,
     find_largest_root_pointwise,
-    log_lin_value,
     quadrature,
     restrict,
     scalar_tail,
@@ -34,52 +30,6 @@ from oracles import (
     tail_integral_by_segment,
     values_by_segment,
 )
-
-
-def test_loglincomb_eval():
-    f = LogLinComb({(-2, 1): 2.0, (0, 0): 3.0})
-    x = 0.5
-    assert log_lin_value(f, x) == pytest.approx(2.0 * x**-2 * math.log(x) + 3.0, rel=1e-15)
-
-
-def test_loglincomb_eval_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_lin_value(LogLinComb.const(1.0), 0.0)
-
-
-def test_arithmetic_and_shift():
-    f = LogLinComb({(0, 0): 1.0, (1, 0): 2.0})
-    g = f.shift_xpow(-1)
-    assert log_lin_value(g, 0.25) == pytest.approx((1.0 + 2.0 * 0.25) / 0.25)
-    assert (f - f).terms == {}
-    assert log_lin_value((f + f).scale(0.5), 0.3) == pytest.approx(log_lin_value(f, 0.3))
-
-
-def test_derivative_by_finite_differences():
-    rng = random.Random(5)
-    f = LogLinComb({(-1, 2): 0.7, (2, 1): -1.3, (0, 3): 0.4})
-    df = derivative(f)
-    for _ in range(50):
-        x = rng.uniform(0.1, 0.95)
-        h = 1e-6
-        numeric = (log_lin_value(f, x + h) - log_lin_value(f, x - h)) / (2 * h)
-        assert log_lin_value(df, x) == pytest.approx(numeric, rel=1e-7, abs=1e-7)
-
-
-def test_antiderivative_matches_quadrature():
-    rng = random.Random(11)
-    for _ in range(25):
-        terms = {
-            (rng.randint(-3, 3), rng.randint(0, 3)): rng.uniform(-2, 2)
-            for _ in range(4)
-        }
-        f = LogLinComb(terms)
-        big_f = f.antiderivative()
-        a = rng.uniform(0.05, 0.5)
-        b = rng.uniform(a + 0.05, 1.0)
-        assert log_lin_value(big_f, b) - log_lin_value(big_f, a) == pytest.approx(
-            quadrature(lambda x: log_lin_value(f, x), a, b, tol=1e-13), abs=1e-10
-        )
 
 
 def _two_piece() -> PiecewiseFunction:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from secretary_lab import sim
 from secretary_lab.cli import main
-from secretary_lab.dual import ThresholdMatrix, construct_dual, payoff_jk
+from secretary_lab.dual import construct_dual, payoff_jk
 from secretary_lab.sim import (
     ArrivalInstance,
     BLOCK_TRIALS,
@@ -34,6 +34,7 @@ from secretary_lab.sim import (
     _pick_quota,
     _potential_arrivals,
 )
+from secretary_lab.value import ThresholdMatrix
 
 import reference_values as ref
 from oracles import potential_arrivals_by_layers, run_threshold_algorithm_reference

@@ -24,6 +24,7 @@ from oracles import (
     constraint_lhs_k1,
     dual_objective_k1,
     integral_q_from,
+    ln_poly_at,
     q_at_theta,
 )
 
@@ -92,7 +93,7 @@ def test_thresholds_strictly_decreasing(ts8):
 def test_q1_piece():
     ts, rows = recursion(1)
     (piece,) = rows[0]
-    assert piece.terms == {(0, 0): 1, (0, 1): 1}
+    assert piece == (1, 1)
     # the one piece covers theta in [theta_0, theta_1] = [0, 1]
     assert ts.theta(0) == 0 and ts.theta(1) == 1
 
@@ -101,9 +102,9 @@ def test_q2_pieces_match_hand_integration():
     _, rows = recursion(2)
     top, lower = rows[1]
     # on [t_1, 1]: 1 - (ln x)^2 / 2
-    assert top.terms == {(0, 0): 1, (0, 2): Fraction(-1, 2)}
+    assert top == (1, 0, Fraction(-1, 2))
     # on [t_2, t_1]: 3/2 + ln x, whose zero recovers theta_2 = 3/2
-    assert lower.terms == {(0, 0): Fraction(3, 2), (0, 1): 1}
+    assert lower == (Fraction(3, 2), 1)
 
 
 def test_q_vanishes_at_own_threshold_exactly(cert6):
@@ -126,7 +127,7 @@ def test_pieces_are_continuous_across_breakpoints(cert6):
         # pieces k and k + 1 meet at theta_k
         for k, (left, right) in enumerate(zip(pieces, pieces[1:]), start=1):
             joint = ts.theta(k)
-            assert left.at_ln(-joint) == right.at_ln(-joint)
+            assert ln_poly_at(left, -joint) == ln_poly_at(right, -joint)
 
 
 def test_dominance_on_grid(cert6):
