@@ -165,6 +165,8 @@ def cmd_finite_lp(args) -> tuple[int, str]:
                 "J": args.J,
                 "K": args.K,
                 "cp_star": cp_star,
+                # K = 1's comes from exact theta; K >= 2's certificate is unchecked
+                "cp_star_verified": None if cp_star is None else args.K == 1,
                 "rows": [
                     {"n": n, "p_star": p, "gap": gap} for n, p, gap in rows
                 ],
@@ -178,7 +180,8 @@ def cmd_finite_lp(args) -> tuple[int, str]:
         ]
         return EXIT_OK, _csv_string(table)
     lines = [
-        "CP* = unavailable" if cp_star is None else f"CP* = {cp_star:.6f}"
+        "CP* = unavailable" if cp_star is None
+        else f"CP* = {cp_star:.6f}" + ("" if args.K == 1 else " (unverified)")
     ]
     lines += [
         f"n={n:6d}  P*_n={p:.6f}" + ("" if gap is None else f"  gap={gap:+.6f}")

@@ -196,87 +196,81 @@ def verify_certificate(
     within OBJECTIVE_TOL.
 
     The certificate's points are i/grid_points (i = 1..grid_points) plus
-    the breakpoints of every row's r_{j|K} - r_{j-1|K}; every row is
-    checked on all of them, as arrays a chunk of CHUNK_POINTS points at a
-    time.  first_violation names the first bound broken in the order j,
-    k, threshold, then x ascending (equality before q >= 0 at the same x).
+    the breakpoints of every r_{j|K}; every row is checked on all of them,
+    as arrays a chunk of CHUNK_POINTS points at a time, and reads
+    int_x^1 [r_{j|K} - r_{j-1|K}] as the difference of the two rows' tail
+    integrals.  A NaN anywhere counts as a violation.  first_violation
+    names the first bound broken in the order j, k, threshold, then x
+    ascending (equality before q >= 0 at the same x).
     """
     if not 1 <= grid_points <= MAX_GRID_POINTS:
         raise ValueError(
             f"grid_points={grid_points} outside [1, {MAX_GRID_POINTS}]"
         )
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol={tol} outside [0, inf)")
     J, K = cert.J, cert.K
     max_eq = 0.0
     min_slack = math.inf
-    max_root = 0.0
     min_q = math.inf
-    violation: str | None = None
-
-    def note(msg: str):
-        nonlocal violation
-        if violation is None:
-            violation = msg
-
-    diffs: list[PiecewiseFunction | None] = [
-        cert.r_top(j).combine(cert.r_top(j - 1), 1.0, -1.0) for j in range(1, J + 1)
-    ]
+    # notes[j-1][k-1]: the first broken bound of (j, k), its threshold first
+    notes: list[list[str | None]] = [[None] * K for _ in range(J)]
+    roots = abs(np.array([
+        [cert.q[j - 1][k - 1].value(cert.tau.threshold(j, k)) for k in range(1, K + 1)]
+        for j in range(1, J + 1)
+    ]))
+    for (j, k), root in np.ndenumerate(roots):
+        if not root <= tol:
+            notes[j][k] = f"q[{j + 1}][{k + 1}] at its threshold: |q|={root:.3e}"
     points = _sorted_union(
         np.arange(1, grid_points + 1) / grid_points,
-        *(np.array(diff.breakpoints) for diff in diffs),
+        *(np.array(cert.r_top(j).breakpoints) for j in range(1, J + 1)),
     )
-    grid_notes: list[list[str | None]] = [[None] * K for _ in range(J)]
     # Chunks ascend in x, so each row meets its points in ascending order.
     # Every function of every row on a chunk shares its alpha_k values.
     for a in range(0, len(points), CHUNK_POINTS):
         x = points[a : a + CHUNK_POINTS]
         alpha_rows = alphas(K, x)
-        for j in range(1, J + 1):
-            tail = diffs[j - 1].tail_integral(x) / x
-            if a + CHUNK_POINTS >= len(points):
-                diffs[j - 1] = None  # free its antiderivatives before row j + 1
-            notes = grid_notes[j - 1]
+        below = np.zeros(len(x))  # int_x^1 r_{j-1|K}
+        for j, row_notes in enumerate(notes, 1):
+            upper = cert.r_top(j).tail_integral(x)
+            tail = (upper - below) / x
+            below = upper
             for k in range(1, K + 1):
                 qv = cert.q[j - 1][k - 1].values(x)
                 slack = qv + tail - alpha_rows[k - 1]
                 res = np.abs(slack)
                 above = x >= cert.tau.threshold(j, k)
-                # fmax/fmin skip NaN, as the comparisons of a scalar scan would
+                # fmax/fmin skip NaN; the violation test below does not
                 max_eq = float(np.fmax.reduce(res[above], initial=max_eq))
                 min_q = float(np.fmin.reduce(qv[above], initial=min_q))
                 min_slack = float(np.fmin.reduce(slack[~above], initial=min_slack))
-                if notes[k - 1] is not None:
+                if row_notes[k - 1] is not None:
                     continue
                 bad = np.flatnonzero(
-                    np.where(above, (res > tol) | (qv < -tol), slack < -tol)
+                    np.where(above, ~(res <= tol) | ~(qv >= -tol), ~(slack >= -tol))
                 )
                 if not bad.size:
                     continue
                 i = bad[0]
                 if not above[i]:
-                    notes[k - 1] = (
+                    row_notes[k - 1] = (
                         f"dual feasibility (j={j}, k={k}, x={x[i]:.6f}): "
                         f"slack {slack[i]:.3e}"
                     )
-                elif res[i] > tol:
-                    notes[k - 1] = (
+                elif not res[i] <= tol:
+                    row_notes[k - 1] = (
                         f"slackness equality (j={j}, k={k}, x={x[i]:.6f}): "
                         f"residual {res[i]:.3e}"
                     )
                 else:
-                    notes[k - 1] = f"q[{j}][{k}]({x[i]:.6f}) = {qv[i]:.3e} < 0"
-    for j in range(1, J + 1):
-        for k in range(1, K + 1):
-            root_res = abs(cert.q[j - 1][k - 1].value(cert.tau.threshold(j, k)))
-            max_root = max(max_root, root_res)
-            if root_res > tol:
-                note(f"q[{j}][{k}] at its threshold: |q|={root_res:.3e}")
-            if grid_notes[j - 1][k - 1] is not None:
-                note(grid_notes[j - 1][k - 1])
+                    row_notes[k - 1] = f"q[{j}][{k}]({x[i]:.6f}) = {qv[i]:.3e} < 0"
+    violation = next((n for row in notes for n in row if n is not None), None)
     objective = cert.r_top(J).integral(0.0, 1.0)
     payoff = payoff_jk(cert.tau)
     gap = abs(objective - payoff)
-    if not gap <= OBJECTIVE_TOL:  # a NaN gap fails too
-        note(f"dual objective {objective} vs payoff {payoff}")
+    if violation is None and not gap <= OBJECTIVE_TOL:  # a NaN gap fails too
+        violation = f"dual objective {objective} vs payoff {payoff}"
     return CertificateReport(
         J=J,
         K=K,
@@ -285,7 +279,7 @@ def verify_certificate(
         grid_points=grid_points,
         max_equality_residual=max_eq,
         min_inequality_slack=min_slack,
-        max_threshold_residual=max_root,
+        max_threshold_residual=float(np.fmax.reduce(roots, axis=None, initial=0.0)),
         min_q_value=min_q,
         dual_objective=objective,
         payoff=payoff,

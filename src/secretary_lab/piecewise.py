@@ -7,9 +7,10 @@ sum_k c_k T_k(s) in s = 1 + (ln y - top)/half, a polynomial in t = ln y on
 With dy = y dt, int f dy = half int (sum_k c_k T_k) ds, an exact Chebyshev
 antiderivative.  The dual certificate's functions are of this form on the
 cells that `value.solve` integrates on; functions that are added must sit
-on the same cells.  Values come one point at a time (`value`, Clenshaw's
-recurrence in Python floats) or over arrays (`values`, `tail_integral`,
-the same recurrence in numpy); both pick the same segment for a point.
+on the same cells.  There is one evaluator: `values` and `tail_integral`
+run Clenshaw's recurrence in numpy over arrays of points, one degree at a
+time, and `value` is `values` at a single point, so a point gets the same
+bits alone or among others.
 
 The Chebyshev toolkit that `value` solves with lives here too: the NODES
 points s_i = cos(i pi / (NODES - 1)), their differentiation matrix and
@@ -22,8 +23,6 @@ the package.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -82,18 +81,9 @@ CHEB_S, CHEB_D, CHEB_WEIGHTS = _cheb(NODES - 1)
 TO_COEF, ANTI = _coefficients(NODES - 1)
 
 
-def _clenshaw(coef: Sequence[float], s: float) -> float:
-    """sum_k coef[k] T_k(s) by Clenshaw's recurrence."""
-    b1 = b2 = 0.0
-    two_s = s + s
-    for c in coef[:0:-1]:
-        b1, b2 = two_s * b1 - b2 + c, b1
-    return s * b1 - b2 + coef[0]
-
-
 def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k coef[seg[i], k] T_k(s[i]) at every i: `_clenshaw`'s steps on
-    arrays, one degree at a time."""
+    """sum_k coef[seg[i], k] T_k(s[i]) at every i by Clenshaw's recurrence,
+    one degree at a time."""
     rows = coef.T.take(seg, axis=1)  # rows[k, i] = coef[seg[i], k]
     b1 = b2 = np.zeros(len(s))
     two_s = s + s
@@ -123,9 +113,6 @@ class Segment(NamedTuple):
     def terms(self) -> dict[int, float]:
         """Chebyshev degree -> coefficient."""
         return dict(enumerate(self.coef.tolist()))
-
-    def __call__(self, x: float) -> float:
-        return _clenshaw(self.coef.tolist(), 1.0 + (math.log(x) - self.top) / self.half) / x
 
 
 class PiecewiseFunction:
@@ -182,29 +169,18 @@ class PiecewiseFunction:
     def is_zero(self) -> bool:
         return not len(self._coef)
 
-    def _segment_index(self, x: float) -> int:
-        i = bisect_right(self.breakpoints, x) - 1
-        return min(i, len(self._coef) - 1)
-
     def _segment_of(self, xs: np.ndarray) -> np.ndarray:
-        """Segment of each point, the one `_segment_index` picks."""
+        """Segment of each point: the last that starts at or below it (the
+        top segment for points at or above hi)."""
         seg = np.searchsorted(self._bps, xs, side="right") - 1
         return np.minimum(seg, len(self._coef) - 1, out=seg)
 
     def _s(self, xs: np.ndarray, seg: np.ndarray) -> np.ndarray:
         return 1.0 + (np.log(xs) - self._top[seg]) / self._half[seg]
 
-    def segment_at(self, x: float) -> Segment | None:
-        """The segment covering x, or None outside the support."""
-        bps = self.breakpoints
-        if self.is_zero() or x < bps[0] or x > bps[-1]:
-            return None
-        i = self._segment_index(x)
-        return Segment(float(self._top[i]), float(self._half[i]), self._coef[i])
-
     def value(self, x: float) -> float:
-        seg = self.segment_at(x)
-        return 0.0 if seg is None else seg(x)
+        """`values` at the one point x."""
+        return float(self.values([x])[0])
 
     __call__ = value
 
@@ -262,19 +238,24 @@ class PiecewiseFunction:
         """c_self * self + c_other * other over the union of supports, which
         must leave no gap; where both are nonzero their segments must be the
         same cells."""
-        cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
-        tops, halves, coefs = [], [], []
-        for a, b in zip(cuts, cuts[1:]):
-            mine, theirs = self.segment_at(0.5 * (a + b)), other.segment_at(0.5 * (a + b))
-            cell = mine or theirs
-            if cell is None or (mine and theirs and mine[:2] != theirs[:2]):
-                raise ValueError("combine needs both functions on the same cells")
-            tops.append(cell.top)
-            halves.append(cell.half)
-            coefs.append((c_self * mine.coef if mine else 0.0) + (c_other * theirs.coef if theirs else 0.0))
-        if not coefs:
+        parts = [(f, c) for f, c in ((self, c_self), (other, c_other)) if not f.is_zero()]
+        if not parts:
             return PiecewiseFunction.zero()
-        return PiecewiseFunction(cuts, tops, halves, np.array(coefs))
+        cuts = np.array(sorted(set(self.breakpoints) | set(other.breakpoints)))
+        mid = 0.5 * (cuts[:-1] + cuts[1:])
+        cell = np.full((len(mid), 2), np.nan)  # (top, half) of each gap's cell
+        coef = np.zeros((len(mid), max(f._coef.shape[1] for f, _ in parts)))
+        for f, c in parts:
+            at = np.flatnonzero((mid >= f.lo) & (mid <= f.hi))
+            seg = f._segment_of(mid[at])
+            here = np.stack([f._top[seg], f._half[seg]], axis=1)
+            if not (np.isnan(cell[at]) | (cell[at] == here)).all():
+                raise ValueError("combine needs both functions on the same cells")
+            cell[at] = here
+            coef[at, : f._coef.shape[1]] += c * f._coef[seg]
+        if np.isnan(cell).any():
+            raise ValueError("combine needs supports that leave no gap")
+        return PiecewiseFunction(cuts, cell[:, 0], cell[:, 1], coef)
 
     def grid(self, points_per_segment: int) -> list[float]:
         """Uniform sample points per segment, including all breakpoints."""

@@ -51,6 +51,10 @@
   `secretary_lab.dp.p_star`, the n -> infinity reference for the
   thresholds of `secretary_lab.value.solve` and
   `secretary_lab.dual.construct_dual`.
+* `tau_dop853`: the thresholds from the value-function equation integrated
+  by scipy's DOP853 with one event per (r, k), a reference for
+  `secretary_lab.value.solve` that shares neither its Chebyshev
+  collocation nor the DP.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
@@ -695,3 +700,34 @@ def dp_thresholds(n: int, J: int, K: int) -> tuple[float, list[list[float]], boo
             v[r] += sum(gains, 0.0) / i
         v_above, w_above = v_here, w
     return v[J], tau, intervals
+
+
+def tau_dop853(J: int, K: int) -> list[list[float]]:
+    """tau[r-1][k-1] from dW_r/dt = -sum_k max(0, g_{r,k}), t = ln x,
+    g_{r,k} = x alpha_k(x) + W_{r-1} - W_r, W = 0 at t = 0 and W_0 = 0,
+    integrated down from t = 0 by DOP853 (rtol 1e-13, atol 1e-15):
+    tau_{r,k} = e^t at the first root of g_{r,k}, found as an event on its
+    fall through zero."""
+
+    def gains(t: float, w: np.ndarray) -> np.ndarray:
+        x = math.exp(t)
+        a = np.array([x * alpha(k, K, x) for k in range(1, K + 1)])
+        return a[None, :] + (np.concatenate(([0.0], w[:-1])) - w)[:, None]
+
+    def rhs(t: float, w: np.ndarray) -> np.ndarray:
+        return -np.maximum(gains(t, w), 0.0).sum(axis=1)
+
+    def event(r: int, k: int) -> Callable:
+        def g(t: float, w: np.ndarray) -> float:
+            return gains(t, w)[r, k]
+
+        g.direction = -1
+        return g
+
+    events = [event(r, k) for r in range(J) for k in range(K)]
+    sol = solve_ivp(rhs, (0.0, math.log(1e-6)), np.zeros(J), method="DOP853",
+                    rtol=1e-13, atol=1e-15, events=events)
+    if not sol.success or any(len(ts) == 0 for ts in sol.t_events):
+        raise RuntimeError(f"no root for some (r, k) at (J, K) = ({J}, {K})")
+    roots = [math.exp(ts[0]) for ts in sol.t_events]
+    return [roots[r * K : (r + 1) * K] for r in range(J)]

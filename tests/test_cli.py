@@ -29,6 +29,7 @@ _TYPE_CHECKS = {
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "number|null": lambda v: v is None or _TYPE_CHECKS["number"](v),
     "boolean": lambda v: isinstance(v, bool),
+    "boolean|null": lambda v: v is None or isinstance(v, bool),
     "string[]": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
     "number[]": lambda v: isinstance(v, list)
     and all(isinstance(s, (int, float)) for s in v),
@@ -298,7 +299,7 @@ def test_finite_lp_keeps_rows_when_construction_fails(monkeypatch, capsys):
     assert captured.err.splitlines() == want
     payload = json.loads(captured.out)
     check_schema(payload, "finite-lp")
-    assert payload["cp_star"] is None
+    assert payload["cp_star"] is None and payload["cp_star_verified"] is None
     assert [r["p_star"] for r in payload["rows"]] == [2.0, float(dp.p_star(5, 2, 2))]
     assert all(r["gap"] is None for r in payload["rows"])
 
@@ -325,6 +326,26 @@ def test_finite_lp_k1_cp_star_is_thresholds_payoff(capsys, J):
     assert code == EXIT_OK
     _, want = run(capsys, "thresholds", *args)
     assert json.loads(out)["cp_star"] == json.loads(want)["payoff"]
+
+
+@pytest.mark.parametrize("K, verified", [(1, True), (2, False), (8, False)])
+def test_finite_lp_flags_an_unverified_cp_star(capsys, K, verified):
+    """K = 1's cp_star comes from exact theta; a K >= 2 cp_star comes from
+    a certificate finite-lp does not check, so JSON says so in
+    cp_star_verified and text in its first line; CSV has no such column."""
+    argv = ["finite-lp", "--J", "8", "--K", str(K), "--n", "10"]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    check_schema(payload, "finite-lp")
+    assert payload["cp_star_verified"] is verified
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    first = f"CP* = {payload['cp_star']:.6f}" + ("" if verified else " (unverified)")
+    assert out.splitlines()[0] == first
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "n,p_star,gap"
 
 
 def test_finite_lp_16_16_prints_cp_star(capsys):

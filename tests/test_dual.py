@@ -5,6 +5,7 @@ verification."""
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -260,19 +261,26 @@ def test_construction_builds_little_below_each_threshold(J, K):
 @pytest.mark.parametrize("J,K", [(2, 2), (3, 3), (4, 8), (8, 6)])
 def test_running_sums_match_q_rows(J, K):
     """r_{j|k} = q_{j|1} + ... + q_{j|k}, segment by segment, for every k:
-    each Chebyshev coefficient within 1e-12 of the sum, relative to the
-    segment's largest coefficient."""
+    each q_{j|l} lies on the top cells of r_{j|k}, and each Chebyshev
+    coefficient is within 1e-12 of the sum, relative to the segment's
+    largest coefficient."""
     cert = construct_dual(J, K)
     for j in range(1, J + 1):
         row = cert.q[j - 1]
         for k in range(1, K + 1):
             r = cert.r[j - 1][k - 1]
             assert r.breakpoints == row[0].breakpoints, (j, k)
-            for a, b, seg in zip(r.breakpoints, r.breakpoints[1:], r.segments):
-                parts = [q.segment_at(0.5 * (a + b)) for q in row[:k]]
-                total = sum(part.coef for part in parts if part is not None)
+            segs = r.segments
+            total = np.zeros((len(segs), len(segs[0].coef)))
+            for q in row[:k]:
+                n = len(q.segments)
+                assert q.breakpoints == r.breakpoints[len(segs) - n :], (j, k)
+                for i, part in enumerate(q.segments, len(segs) - n):
+                    assert (part.top, part.half) == (segs[i].top, segs[i].half), (j, k)
+                    total[i] += part.coef
+            for seg, want in zip(segs, total):
                 scale = max(1.0, np.abs(seg.coef).max())
-                assert np.abs(seg.coef - total).max() <= 1e-12 * scale, (j, k)
+                assert np.abs(seg.coef - want).max() <= 1e-12 * scale, (j, k)
 
 
 def _no_rows(cert):
@@ -533,6 +541,49 @@ def test_nan_objective_gap_fails_with_a_named_violation(monkeypatch):
     assert math.isnan(report.objective_gap)
     assert not report.ok
     assert report.first_violation.startswith("dual objective")
+
+
+@pytest.mark.parametrize(
+    "rows, k, whole, want",
+    [("q", 2, True, "q[1][2] at its threshold"),
+     ("q", 1, False, "slackness equality (j=1, k=1,"),
+     ("r", 2, False, "dual feasibility (j=1, k=1,")],
+)
+def test_nan_in_a_dual_function_never_verifies(rows, k, whole, want):
+    """NaN fails every comparison, so each check must read it as broken:
+    NaN coefficients in all of q_{1|2} (seen at its threshold), in the top
+    segment of q_{1|1} (seen on the grid only) or in the top segment of
+    r_{1|2} (which every tail integral of rows 1 and 2 adds, below the
+    thresholds too).  The report's max/min
+    fields skip NaN."""
+    cert = construct_dual(2, 2)
+    fn = getattr(cert, rows)[0][k - 1]
+    if whole:
+        fn._coef[:] = math.nan
+    else:
+        assert fn.segments[0].top != fn.segments[-1].top
+        fn._coef[-1, :] = math.nan
+    report = verify_certificate(cert)
+    assert not report.ok
+    assert report.first_violation.startswith(want), report.first_violation
+    assert report.first_violation.endswith("nan"), report.first_violation
+    for field in ("max_equality_residual", "max_threshold_residual", "min_q_value"):
+        assert math.isfinite(getattr(report, field)), field
+
+
+def test_verify_rejects_a_tolerance_outside_zero_to_inf():
+    """A NaN tolerance would pass every comparison: with tau_{1,2} shifted
+    by 0.02 (which the objective, reading only tau_{j,1}, cannot see) the
+    check fails at the default tolerance and refuses NaN, inf and -1."""
+    cert = construct_dual(2, 2)
+    rows = [list(r) for r in cert.tau.tau]
+    rows[0][1] += 0.02
+    shifted = replace(cert, tau=ThresholdMatrix(2, 2, tuple(map(tuple, rows))))
+    assert not verify_certificate(shifted).ok
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="outside"):
+            verify_certificate(shifted, tol=bad)
+    assert verify_certificate(cert, tol=0.0).tolerance == 0.0
 
 
 # Peak traced memory of the check at the largest grid: chunks of

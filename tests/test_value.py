@@ -1,6 +1,7 @@
 """The value-function threshold solver against every reference there is:
-exact K = 1 thetas, the K = 2 closed forms, the certified construction, the
-payoff formula and the finite-n DP's own thresholds."""
+exact K = 1 thetas, the K = 2 closed forms, the same equation integrated
+by DOP853, the certified construction, the payoff formula and the
+finite-n DP's own thresholds."""
 
 import functools
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import alpha, dp_thresholds, k2_closed_forms
+from oracles import alpha, dp_thresholds, k2_closed_forms, tau_dop853
 from secretary_lab import dp, dual, theta, value
 
 # The pairs of the benchmark's certify workload.
@@ -48,6 +49,16 @@ def test_k2_closed_forms():
     want = [ref[name] for name in ("tau11", "tau12", "tau21", "tau22")]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
     assert abs(two.payoff - ref["payoff22"]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "J, K", [(1, 1), (1, 2), (2, 2), (3, 3), (4, 4), (2, 8), (16, 1), (16, 2)]
+)
+def test_thresholds_match_the_dop853_integration(J, K):
+    """The value-function equation integrated by scipy's DOP853, with one
+    event per (r, k), gives every tau_{r,k} within 1e-9."""
+    got = np.array(solved(J, K).tau.tau)
+    assert np.max(np.abs(got - np.array(tau_dop853(J, K)))) <= 1e-9
 
 
 @pytest.mark.parametrize("J, K", CERTIFY_PAIRS)
