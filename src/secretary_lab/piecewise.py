@@ -5,12 +5,11 @@ Each segment (a `Segment`) holds the density y f(y) as a Chebyshev series
 sum_k c_k T_k(s) in s = 1 + (ln y - top)/half, a polynomial in t = ln y on
 [top - 2 half, top] of which the segment may cover only the upper part.
 With dy = y dt, int f dy = half int (sum_k c_k T_k) ds, an exact Chebyshev
-antiderivative.  The dual certificate's functions are of this form on the
-cells that `value.solve` integrates on; functions that are added must sit
-on the same cells.  There is one evaluator: `values` and `tail_integral`
-run Clenshaw's recurrence in numpy over arrays of points, one degree at a
-time, and `value` is `values` at a single point, so a point gets the same
-bits alone or among others.
+antiderivative.  `dual` builds its q and r rows in this form only when
+they are read; its certificate check and dump run the same evaluator,
+`_series` (Clenshaw's recurrence over arrays of points, one degree at a
+time) and `_cell_integrals`, on its per-cell arrays.  `value` is `values`
+at one point, so a point gets the same bits alone or among others.
 
 The Chebyshev toolkit that `value` solves with lives here too: the NODES
 points s_i = cos(i pi / (NODES - 1)), their differentiation matrix and
@@ -66,14 +65,15 @@ def _coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _antiderivative(coef: np.ndarray) -> np.ndarray:
-    """Coefficients b of an antiderivative in s of each row's series a:
-    b_0 = 0 and b_k = (c a_{k-1} - a_{k+1}) / (2k), c = 2 for k = 1, else 1.
+    """Coefficients b of an antiderivative in s of the series a = coef,
+    degree-major (any axes after the first are rows): b_0 = 0 and
+    b_k = (c a_{k-1} - a_{k+1}) / (2k), c = 2 for k = 1, else 1.
     Element-wise, so a row gets the same bits alone or among others."""
-    k = np.arange(1, coef.shape[1] + 1)
-    anti = np.zeros((len(coef), coef.shape[1] + 1))
-    anti[:, 1:] = np.where(k == 1, 2.0, 1.0) * coef
-    anti[:, 1:-2] -= coef[:, 2:]
-    anti[:, 1:] /= 2 * k
+    k = np.arange(1, len(coef) + 1).reshape(-1, *[1] * (coef.ndim - 1))
+    anti = np.zeros((len(coef) + 1, *coef.shape[1:]))
+    anti[1:] = np.where(k == 1, 2.0, 1.0) * coef
+    anti[1:-2] -= coef[2:]
+    anti[1:] /= 2 * k
     return anti
 
 
@@ -82,14 +82,26 @@ TO_COEF, ANTI = _coefficients(NODES - 1)
 
 
 def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k coef[seg[i], k] T_k(s[i]) at every i by Clenshaw's recurrence,
-    one degree at a time."""
-    rows = coef.T.take(seg, axis=1)  # rows[k, i] = coef[seg[i], k]
-    b1 = b2 = np.zeros(len(s))
+    """sum_k coef[k, ..., seg[i]] T_k(s[i]) at every point i by Clenshaw's
+    recurrence, one degree at a time.  coef is degree-major with segments
+    on its last axis; the result has its middle axes, then the points."""
+    b1 = b2 = np.zeros(coef.shape[1:-1] + s.shape)
     two_s = s + s
-    for row in rows[:0:-1]:
-        b1, b2 = two_s * b1 - b2 + row, b1
-    return s * b1 - b2 + rows[0]
+    for row in coef[:0:-1]:
+        b1, b2 = two_s * b1 - b2 + row.take(seg, axis=-1), b1
+    return s * b1 - b2 + coef[0].take(seg, axis=-1)
+
+
+def _cell_integrals(anti: np.ndarray, bps: np.ndarray, tops: np.ndarray, half) -> tuple:
+    """For antiderivative series (degree-major, segments last) on segments
+    [bps[i], bps[i+1]]: each at its segment's top, and the integrals over
+    segments i.. summed from the top (suffix[..., i], suffix[..., n] = 0)."""
+    every = np.arange(len(tops))
+    top = _series(anti, every, 1.0 + (np.log(bps[1:]) - tops) / half)
+    whole = half * (top - _series(anti, every, 1.0 + (np.log(bps[:-1]) - tops) / half))
+    suffix = np.zeros(whole.shape[:-1] + (len(tops) + 1,))
+    suffix[..., :-1] = np.cumsum(whole[..., ::-1], axis=-1)[..., ::-1]
+    return top, suffix
 
 
 def _as_points(points: Sequence[float]) -> np.ndarray:
@@ -120,9 +132,9 @@ class PiecewiseFunction:
 
     Segment i, on [breakpoints[i], breakpoints[i+1]], is
     Segment(tops[i], halves[i], coef[i]): coef has one row of Chebyshev
-    coefficients per segment, and halves may be one number for all.  Continuity across breakpoints is a
-    property of the constructions, not enforced here.  Whole-segment
-    integrals and antiderivative coefficients are built on first use.
+    coefficients per segment, and halves may be one number for all.
+    Continuity across breakpoints is a property of the constructions, not
+    enforced here.  Whole-segment integrals are built on first use.
     """
 
     def __init__(
@@ -182,8 +194,6 @@ class PiecewiseFunction:
         """`values` at the one point x."""
         return float(self.values([x])[0])
 
-    __call__ = value
-
     def values(self, points: Sequence[float]) -> np.ndarray:
         """value at every point of a 1-D array."""
         xs = _as_points(points)
@@ -193,20 +203,14 @@ class PiecewiseFunction:
         at = np.flatnonzero((xs >= self.lo) & (xs <= self.hi))
         x = xs[at]
         seg = self._segment_of(x)
-        out[at] = _series(self._coef, seg, self._s(x, seg)) / x
+        out[at] = _series(self._coef.T, seg, self._s(x, seg)) / x
         return out
 
     def _integrals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Antiderivative coefficients per segment, each antiderivative at
-        its segment's top, and the integrals over segments i.. summed from
-        the top (suffix[i], with suffix[n] = 0); built on first use."""
+        """Antiderivative coefficients and `_cell_integrals`, built once."""
         if self._sums is None:
-            anti = _antiderivative(self._coef)
-            every = np.arange(len(anti))
-            top = _series(anti, every, self._s(self._bps[1:], every))
-            whole = self._half * (top - _series(anti, every, self._s(self._bps[:-1], every)))
-            suffix = np.append(np.cumsum(whole[::-1])[::-1], 0.0)
-            self._sums = (anti, top, suffix)
+            anti = _antiderivative(self._coef.T)
+            self._sums = (anti, *_cell_integrals(anti, self._bps, self._top, self._half))
         return self._sums
 
     def integral(self, a: float, b: float) -> float:
@@ -215,10 +219,7 @@ class PiecewiseFunction:
         return from_a - from_b if a < b else 0.0
 
     def tail_integral(self, points: Sequence[float]) -> np.ndarray:
-        """int_x^hi f(y) dy at every point x of a 1-D array.
-
-        Whole segments above x come from the suffix sums.
-        """
+        """int_x^hi f(y) dy at every point x of a 1-D array."""
         xs = _as_points(points)
         out = np.zeros(len(xs))
         if self.is_zero():
@@ -257,17 +258,6 @@ class PiecewiseFunction:
             raise ValueError("combine needs supports that leave no gap")
         return PiecewiseFunction(cuts, cell[:, 0], cell[:, 1], coef)
 
-    def grid(self, points_per_segment: int) -> list[float]:
-        """Uniform sample points per segment, including all breakpoints."""
-        if self.is_zero():
-            return []
-        out = []
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            step = (b - a) / (points_per_segment + 1)
-            out.extend(a + i * step for i in range(points_per_segment + 1))
-        out.append(self.hi)
-        return out
-
 
 # -- root search ---------------------------------------------------------------
 
@@ -297,8 +287,6 @@ def bisect_root(
     return 0.5 * (a + b)
 
 
-# No runtime code searches for roots: find_largest_root and its helpers
-# serve the benchmark's traced passes, which wrap dual.find_largest_root.
 def find_largest_root(
     fn: Callable[[float], float],
     hi: float,

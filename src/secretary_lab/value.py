@@ -48,8 +48,8 @@ from .theta import MAX_J
 # thresholds for J <= MAX_J = 16 sit above 1e-4).
 X_FLOOR = 1e-9
 # Largest K, a bound on the work: cells are 3/K long in t and a
-# certificate holds J*K dual functions (dual-check --J 16 --K 35 takes
-# 1.5 s and 126 MB on a 2-vCPU Xeon); _TERM_COEF stops here.
+# certificate checks J*K dual functions (dual-check --J 16 --K 35 takes
+# about 2 s and 134 MB on a 2-vCPU Xeon); _TERM_COEF stops here.
 MAX_K = 35
 MAX_CELL = 0.5  # trial cell length in t is min(MAX_CELL, CELL_K / K)
 CELL_K = 3.0

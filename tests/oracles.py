@@ -24,6 +24,11 @@
   plain Python floats with `alpha`, `scalar_value` and `scalar_tail`, the
   reference for the array evaluation in
   `secretary_lab.dual.verify_certificate`.
+* `verify_certificate_rows`: the certificate check one q function and
+  one r_{j|K} tail integral at a time, through `PiecewiseFunction.values`,
+  `value` and `tail_integral` of the rows that `cert.q` and `cert.r`
+  build; the reference for the per-cell array check of
+  `secretary_lab.dual.verify_certificate`.
 * `find_largest_root_pointwise`: the threshold root search reading every
   point of its downward grid, the reference for the coarse-to-fine scan
   of `secretary_lab.piecewise.find_largest_root`.
@@ -73,7 +78,12 @@ from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from secretary_lab.dp import weights
-from secretary_lab.dual import CertificateReport, DualCertificateJK, payoff_jk
+from secretary_lab.dual import (
+    OBJECTIVE_TOL,
+    CertificateReport,
+    DualCertificateJK,
+    payoff_jk,
+)
 from secretary_lab.piecewise import (
     CHEB_S,
     NODES,
@@ -91,7 +101,7 @@ from secretary_lab.theta import (
     exp_neg,
     working_context,
 )
-from secretary_lab.value import ThresholdMatrix, solve
+from secretary_lab.value import ThresholdMatrix, alphas, solve
 
 
 class QuadratureError(RuntimeError):
@@ -258,7 +268,7 @@ def tail_integral_by_segment(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray
     if f.is_zero():
         return out
     bps, cells = f.breakpoints, f.segments
-    antis = [_antiderivative(cell.coef[None, :])[0] for cell in cells]
+    antis = [_antiderivative(cell.coef) for cell in cells]
     tops = [
         _clenshaw_rows(anti, _s(cell, np.array([b])))
         for anti, cell, b in zip(antis, cells, bps[1:])
@@ -330,7 +340,7 @@ def verify_certificate_scalar(
     cert: DualCertificateJK,
     grid_points: int = 2000,
     tol: float = 1e-8,
-    objective_tol: float = 1e-6,
+    objective_tol: float = OBJECTIVE_TOL,
 ) -> CertificateReport:
     """Same checks and report as dual.verify_certificate, one x at a time."""
     J, K = cert.J, cert.K
@@ -411,6 +421,92 @@ def verify_certificate_scalar(
         max_equality_residual=max_eq,
         min_inequality_slack=min_slack,
         max_threshold_residual=max_root,
+        min_q_value=min_q,
+        dual_objective=objective,
+        payoff=payoff,
+        objective_gap=gap,
+        first_violation=violation,
+    )
+
+
+def verify_certificate_rows(
+    cert: DualCertificateJK, grid_points: int = 2000, tol: float = 1e-8
+) -> CertificateReport:
+    """Same checks and report as dual.verify_certificate, a q row at a time.
+
+    Every row is checked on the grid plus every r_{j|K} breakpoint, a
+    chunk of 8192 points at a time; int_x^1 [r_{j|K} - r_{j-1|K}] is the
+    difference of the two rows' tail integrals, and each q_{j|k} is read
+    at its threshold by `value` and on the points by `values`.
+    """
+    J, K = cert.J, cert.K
+    max_eq = 0.0
+    min_slack = math.inf
+    min_q = math.inf
+    notes: list[list[str | None]] = [[None] * K for _ in range(J)]
+    roots = abs(np.array([
+        [cert.q[j - 1][k - 1].value(cert.tau.threshold(j, k)) for k in range(1, K + 1)]
+        for j in range(1, J + 1)
+    ]))
+    for (j, k), root in np.ndenumerate(roots):
+        if not root <= tol:
+            notes[j][k] = f"q[{j + 1}][{k + 1}] at its threshold: |q|={root:.3e}"
+    points = np.array(sorted(
+        {i / grid_points for i in range(1, grid_points + 1)}.union(
+            *(cert.r_top(j).breakpoints for j in range(1, J + 1))
+        )
+    ))
+    for a in range(0, len(points), 8192):
+        x = points[a : a + 8192]
+        alpha_rows = alphas(K, x)
+        below = np.zeros(len(x))  # int_x^1 r_{j-1|K}
+        for j, row_notes in enumerate(notes, 1):
+            upper = cert.r_top(j).tail_integral(x)
+            tail = (upper - below) / x
+            below = upper
+            for k in range(1, K + 1):
+                qv = cert.q[j - 1][k - 1].values(x)
+                slack = qv + tail - alpha_rows[k - 1]
+                res = np.abs(slack)
+                above = x >= cert.tau.threshold(j, k)
+                max_eq = float(np.fmax.reduce(res[above], initial=max_eq))
+                min_q = float(np.fmin.reduce(qv[above], initial=min_q))
+                min_slack = float(np.fmin.reduce(slack[~above], initial=min_slack))
+                if row_notes[k - 1] is not None:
+                    continue
+                bad = np.flatnonzero(
+                    np.where(above, ~(res <= tol) | ~(qv >= -tol), ~(slack >= -tol))
+                )
+                if not bad.size:
+                    continue
+                i = bad[0]
+                if not above[i]:
+                    row_notes[k - 1] = (
+                        f"dual feasibility (j={j}, k={k}, x={x[i]:.6f}): "
+                        f"slack {slack[i]:.3e}"
+                    )
+                elif not res[i] <= tol:
+                    row_notes[k - 1] = (
+                        f"slackness equality (j={j}, k={k}, x={x[i]:.6f}): "
+                        f"residual {res[i]:.3e}"
+                    )
+                else:
+                    row_notes[k - 1] = f"q[{j}][{k}]({x[i]:.6f}) = {qv[i]:.3e} < 0"
+    violation = next((n for row in notes for n in row if n is not None), None)
+    objective = cert.r_top(J).integral(0.0, 1.0)
+    payoff = payoff_jk(cert.tau)
+    gap = abs(objective - payoff)
+    if violation is None and not gap <= OBJECTIVE_TOL:
+        violation = f"dual objective {objective} vs payoff {payoff}"
+    return CertificateReport(
+        J=J,
+        K=K,
+        ok=violation is None,
+        tolerance=tol,
+        grid_points=grid_points,
+        max_equality_residual=max_eq,
+        min_inequality_slack=min_slack,
+        max_threshold_residual=float(np.fmax.reduce(roots, axis=None, initial=0.0)),
         min_q_value=min_q,
         dual_objective=objective,
         payoff=payoff,

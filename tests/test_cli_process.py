@@ -166,6 +166,26 @@ def test_dual_check_passes(ran, name):
     assert proc.returncode == 0, proc.stderr
 
 
+# Peak resident memory of `dual-check --J 16 --K 35 --format json`: 134 MB
+# when the check and the dump read per-cell arrays, 202 MB when they read
+# J*K dual functions (CPython 3.11, numpy 2.4, Linux x86-64).
+DUAL_CHECK_EDGE_MAX_RSS_MB = 160
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_dual_check_at_the_envelope_edge_stays_within_its_memory(tmp_path):
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    cmd = [sys.executable, "-m", "secretary_lab.cli",
+           "dual-check", "--J", "16", "--K", "35", "--format", "json"]
+    with open(tmp_path / "out.json", "wb") as out:
+        proc = subprocess.Popen(cmd, cwd=tmp_path, env=env, stdout=out)
+        _, status, usage = os.wait4(proc.pid, 0)  # reaped here, with its usage
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss / 1024 <= DUAL_CHECK_EDGE_MAX_RSS_MB
+    assert json.loads((tmp_path / "out.json").read_text())["verification"]["ok"]
+
+
 def test_failing_certificate_exits_4_and_prints_its_verdict(ran):
     proc = ran["perturb"]
     assert proc.returncode == 4

@@ -36,6 +36,7 @@ from oracles import (
     scalar_value,
     tail_integral_by_segment,
     values_by_segment,
+    verify_certificate_rows,
     verify_certificate_scalar,
 )
 
@@ -287,10 +288,15 @@ def _no_rows(cert):
     raise AssertionError("dual rows built")
 
 
+def _no_arrays(cert):
+    raise AssertionError("dual arrays built")
+
+
 def test_threshold_readers_build_no_rows(monkeypatch, capsys):
-    """tau, simulate and finite-lp read no q or r row; reading q or r
-    builds. K = 1 keeps its rows as cells too."""
+    """tau, simulate and finite-lp build no cell arrays and read no q or
+    r row; reading q or r builds. K = 1 keeps its rows as cells too."""
     monkeypatch.setattr(dual, "_cell_rows", _no_rows)
+    monkeypatch.setattr(dual, "_cell_arrays", _no_arrays)
     for J, K in ((4, 4), (3, 1)):
         cert = construct_dual(J, K)
         assert len(cert.tau.tau) == J
@@ -317,7 +323,7 @@ def test_rows_built_on_read_match_combine_reference(J, K):
                     _assert_same_function(f_got, f_want, name)
     assert shifted.tau.threshold(1, 1) == got.tau.threshold(1, 1) + 0.01
     copy = perturbed(got, 0.01)  # builds its own rows on read
-    assert "_rows" not in vars(copy)
+    assert "_rows" not in vars(copy) and "_arrays" not in vars(copy)
     assert not verify_certificate(shifted, grid_points=500).ok
 
 
@@ -448,6 +454,16 @@ def test_verify_flags_perturbed_certificate():
     assert report.max_threshold_residual > 1e-4
 
 
+REPORT_FLOATS = (
+    "max_equality_residual",
+    "min_inequality_slack",
+    "max_threshold_residual",
+    "min_q_value",
+    "dual_objective",
+    "objective_gap",
+)
+
+
 @pytest.mark.parametrize(
     "J, K, perturb",
     [(1, 2, 0.0), (3, 3, 0.0), (2, 4, 0.0), (2, 2, 0.01), (16, 2, 0.0),
@@ -464,14 +480,7 @@ def test_array_verifier_matches_scalar_oracle(J, K, perturb):
     want = verify_certificate_scalar(cert, grid_points=2000, tol=1e-8)
     assert got.ok == want.ok
     assert got.first_violation == want.first_violation
-    for field in (
-        "max_equality_residual",
-        "min_inequality_slack",
-        "max_threshold_residual",
-        "min_q_value",
-        "dual_objective",
-        "objective_gap",
-    ):
+    for field in REPORT_FLOATS:
         assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
     assert (got.J, got.K, got.tolerance, got.grid_points, got.payoff) == (
         want.J, want.K, want.tolerance, want.grid_points, want.payoff
@@ -484,15 +493,33 @@ def test_array_verifier_matches_scalar_oracle(J, K, perturb):
      (16, 1, 0.0), (2, 2, 0.01)],
 )
 def test_verify_equals_per_segment_oracles(monkeypatch, J, K, perturb):
-    """The gathered evaluation gives the report the per-segment evaluation
-    gives, field for field."""
+    """The per-cell array check gives the verdict and first violation of
+    the row-by-row check, run on the rows with per-segment evaluation;
+    residuals agree to 1e-12 absolute."""
     cert = construct_dual(J, K)
     if perturb:
         cert = perturbed(cert, perturb)
     got = verify_certificate(cert)
     monkeypatch.setattr(PiecewiseFunction, "values", values_by_segment)
     monkeypatch.setattr(PiecewiseFunction, "tail_integral", tail_integral_by_segment)
+    want = verify_certificate_rows(cert)
+    assert (got.ok, got.first_violation) == (want.ok, want.first_violation)
+    for field in REPORT_FLOATS:
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
     assert got == verify_certificate(cert)
+
+
+@pytest.mark.parametrize("J, K, perturb", [(2, 2, 0.0), (8, 8, 0.0), (4, 4, 0.01)])
+def test_report_does_not_depend_on_the_chunk_size(monkeypatch, J, K, perturb):
+    """Chunks of a few points (61 values: 10 points at (2,2), 2 at (8,8)),
+    which split cells and the grid, give the report that the default
+    chunks give, field for field."""
+    cert = construct_dual(J, K)
+    if perturb:
+        cert = perturbed(cert, perturb)
+    whole = verify_certificate(cert)
+    monkeypatch.setattr(dual, "CHUNK_VALUES", 61)
+    assert verify_certificate(cert) == whole
 
 
 # The pairs of the benchmark's certify workload.
@@ -530,9 +557,19 @@ ENVELOPE_PAIRS = sorted(
 
 @pytest.mark.parametrize("J, K", ENVELOPE_PAIRS)
 def test_certificate_passes_at_the_envelope_edges(J, K):
-    """At the defaults of dual-check (grid 2000, tolerance 1e-8)."""
+    """At the defaults of dual-check (grid 2000, tolerance 1e-8), with the
+    dual objective within 1e-11 of the payoff (7.6e-13 at (16,35))."""
     report = verify_certificate(construct_dual(J, K))
     assert report.ok, report.first_violation
+    assert report.objective_gap <= 1e-11
+
+
+def test_equality_residual_at_16_2_is_that_of_its_float_certificate():
+    """Row differences integrated on the shared cells' coefficients keep
+    the (16,2) residual at 8.26e-13, the exact residual of its float
+    coefficients; summing each row's own integrals gave 1.09e-12."""
+    report = verify_certificate(construct_dual(16, 2))
+    assert report.max_equality_residual <= 9e-13
 
 
 def test_nan_objective_gap_fails_with_a_named_violation(monkeypatch):
@@ -544,25 +581,29 @@ def test_nan_objective_gap_fails_with_a_named_violation(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rows, k, whole, want",
-    [("q", 2, True, "q[1][2] at its threshold"),
-     ("q", 1, False, "slackness equality (j=1, k=1,"),
-     ("r", 2, False, "dual feasibility (j=1, k=1,")],
+    "plant, want",
+    [("gain", "q[1][2] at its threshold"),
+     ("drop", "slackness equality (j=1, k=1,"),
+     ("tail", "dual feasibility (j=1, k=1,")],
 )
-def test_nan_in_a_dual_function_never_verifies(rows, k, whole, want):
+def test_nan_in_a_dual_function_never_verifies(plant, want):
     """NaN fails every comparison, so each check must read it as broken:
-    NaN coefficients in all of q_{1|2} (seen at its threshold), in the top
-    segment of q_{1|1} (seen on the grid only) or in the top segment of
-    r_{1|2} (which every tail integral of rows 1 and 2 adds, below the
-    thresholds too).  The report's max/min
+    NaN in the whole gain row of k = 2 (seen at q_{1|2}'s threshold), in
+    the top cell of drop row 1 (seen on q_{1|1}'s grid points above its
+    threshold's cell) or in the tail sum that row 1's points in the cell below
+    tau_{1,1} add (seen below the threshold only).  The report's max/min
     fields skip NaN."""
     cert = construct_dual(2, 2)
-    fn = getattr(cert, rows)[0][k - 1]
-    if whole:
-        fn._coef[:] = math.nan
+    arr = cert._arrays
+    if plant == "gain":
+        arr.coef[:, 1, :] = math.nan
+    elif plant == "drop":
+        assert arr.first[0, 0] < len(arr.tops) - 1
+        arr.coef[:, cert.K, -1] = math.nan
     else:
-        assert fn.segments[0].top != fn.segments[-1].top
-        fn._coef[-1, :] = math.nan
+        below = arr.first[0, 0] - 1
+        assert below >= 0
+        arr.suffix[0, below + 1] = math.nan
     report = verify_certificate(cert)
     assert not report.ok
     assert report.first_violation.startswith(want), report.first_violation
@@ -587,7 +628,7 @@ def test_verify_rejects_a_tolerance_outside_zero_to_inf():
 
 
 # Peak traced memory of the check at the largest grid: chunks of
-# CHUNK_POINTS points keep it near 16 MB.
+# CHUNK_VALUES values keep it near 16 MB.
 MAX_GRID_PEAK_BYTES = 32 << 20
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from secretary_lab.dual import CHUNK_POINTS
 from secretary_lab.piecewise import (
     NODES,
     SCAN_STRIDE,
@@ -190,12 +189,12 @@ def test_value_is_values_at_one_point(data, f):
 
 
 def test_kernel_matches_oracle_across_chunks_and_blocks():
-    """More points than a certificate-check chunk, over 30 segments."""
+    """Many points (24 593) over 30 segments."""
     rng = random.Random(23)
     bps = sorted(rng.uniform(0.01, 1.0) for _ in range(31))
     coefs = [[rng.uniform(-5, 5) for _ in range(NODES)] for _ in range(30)]
     f = _cells(bps, coefs, [rng.uniform(1.0, 2.0) for _ in range(30)])
-    xs = np.random.default_rng(23).uniform(0.0, 1.1, 3 * CHUNK_POINTS + 17)
+    xs = np.random.default_rng(23).uniform(0.0, 1.1, 3 * 8192 + 17)
     xs[::97] = rng.choice(bps)
     assert_same_bits(f.values(xs), values_by_segment(f, xs))
     assert_same_bits(f.tail_integral(xs), tail_integral_by_segment(f, xs))

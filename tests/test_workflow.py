@@ -78,7 +78,9 @@ def test_bench_trace_hooks_find_the_program_names():
     PiecewiseFunction.value, lp.solve_lp, ...) and read cert.q and cert.r.
     A rename breaks them; this fails in Tier-1 before the selftest step.
     A subprocess, because load_program purges secretary_lab from
-    sys.modules."""
+    sys.modules.  Construction and verification evaluate the cell arrays,
+    so the counted PiecewiseFunction methods read 0, as the root spans do;
+    the rows the pass reads afterwards still give dual.segments."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", BENCH_TRACE, str(ROOT / "bench")],
@@ -90,7 +92,7 @@ def test_bench_trace_hooks_find_the_program_names():
     # the construction takes its thresholds from value.solve and searches
     # for no root; dual.find_largest_root stays for this hook to wrap
     assert counts.pop("construct_root_spans") == 0
-    for name in ("piecewise.value_calls",
-                 "piecewise.tail_integral_calls", "dual.segments",
-                 "dual.verify_points"):
+    for name in ("piecewise.value_calls", "piecewise.tail_integral_calls"):
+        assert counts.get(name, 0) == 0, name
+    for name in ("dual.segments", "dual.verify_points"):
         assert counts.get(name, 0) > 0, name
