@@ -14,9 +14,10 @@ the dual inequalities below it, vanish at the threshold, and integrate to
 the payoff J - sum_j (1 - tau[j][1])**K.  verify_certificate checks that
 on a grid, against alpha_k computed afresh, so a wrong tau shows up as
 |q(tau)| > tol.  The check and the JSON dump evaluate K gain and J drop
-series per point from per-cell arrays; the q and r rows are built from
-those arrays only when read.  Every K, K = 1 included, runs this one
-double-precision construction.
+series per point from per-cell arrays with piecewise's one evaluator (a
+cell at a time, no BLAS: a point's values do not depend on its batch);
+the q and r rows are built from those arrays only when read.  Every K,
+K = 1 included, runs this one double-precision construction.
 """
 
 from __future__ import annotations
@@ -241,8 +242,9 @@ def verify_certificate(
     non-negative; the dual objective must match the payoff within
     OBJECTIVE_TOL.  The points, i/grid_points and every cell end, go
     CHUNK_VALUES / (K + 2 J) at a time: the gain, drop and tail series are
-    evaluated once per chunk, and q a row j at a time as (K, points)
-    arrays.  A NaN anywhere is a violation.  first_violation names the
+    evaluated once per chunk, in the cells only, and q a row j at a time
+    as (K, points) arrays, searched for a violation only when its extremes
+    break tol.  A NaN anywhere is a violation.  first_violation names the
     first bound broken in the order j, k, threshold, then x ascending
     (equality before q >= 0).
     """
@@ -264,7 +266,9 @@ def verify_certificate(
     for a in range(0, len(points), step):
         x = points[a : a + step]
         cell, s, active = arr.locate(x)
-        values = _series(arr.coef, cell, s)
+        lo = int(np.searchsorted(x, arr.bps[0]))  # below: q is 0, tails are suffix sums
+        values = np.zeros((arr.coef.shape[1], len(x)))
+        values[:, lo:] = _series(arr.coef, cell[lo:], s[lo:])
         # (1/x) int_x^1 [r_{j|K} - r_{j-1|K}], rows j = 1..J
         tails = arr.suffix[:, cell + 1] + arr.half * (arr.tail_top[:, cell] - values[K + J :])
         tails[:, x <= arr.bps[0]] = arr.suffix[:, :1]  # at x = 1, s = 1 and they are 0
@@ -276,10 +280,13 @@ def verify_certificate(
             slack = qv + tails[j] - alpha_rows
             res = np.abs(slack)
             above = x >= tau[j][:, None]
-            # fmax/fmin skip NaN; the violation test below does not
-            max_eq = float(np.fmax.reduce(res, axis=None, where=above, initial=max_eq))
-            min_q = float(np.fmin.reduce(qv, axis=None, where=above, initial=min_q))
-            min_slack = float(np.fmin.reduce(slack, axis=None, where=~above, initial=min_slack))
+            # fmax/fmin skip NaN, so a row holding NaN is searched as well
+            eq = float(np.fmax.reduce(res, axis=None, where=above, initial=0.0))
+            q_lo = float(np.fmin.reduce(qv, axis=None, where=above, initial=math.inf))
+            slack_lo = float(np.fmin.reduce(slack, axis=None, where=~above, initial=math.inf))
+            max_eq, min_q, min_slack = max(max_eq, eq), min(min_q, q_lo), min(min_slack, slack_lo)
+            if eq <= tol and q_lo >= -tol and slack_lo >= -tol and not np.isnan(slack).any():
+                continue
             bad = np.where(above, ~(res <= tol) | ~(qv >= -tol), ~(slack >= -tol))
             for k in np.flatnonzero(bad.any(axis=1)):
                 if row_notes[k] is not None:
@@ -320,24 +327,25 @@ def certificate_to_dict(
     about CERT_SAMPLES points in all, from one evaluation at every sample.
     """
     arr = cert._arrays
-    samples = []
-    for f in arr.first.ravel().tolist():
-        a, b = arr.bps[f:-1], arr.bps[f + 1 :]
-        per_cell = max(1, CERT_SAMPLES // max(1, len(a)))
-        steps = np.arange(per_cell + 1) * ((b - a) / (per_cell + 1))[:, None]
-        samples.append(np.append(a[:, None] + steps, arr.bps[-1]))
+    a, b, firsts = arr.bps[:-1], arr.bps[1:], arr.first.ravel().tolist()
+    per_cell = [max(1, CERT_SAMPLES // max(1, len(a) - f)) for f in firsts]
+    every = {}  # points per cell -> samples in every cell, then x = 1
+    for m in set(per_cell):
+        every[m] = np.append(a[:, None] + np.arange(m + 1) * ((b - a) / (m + 1))[:, None], 1.0)
+    samples = [every[m][f * (m + 1) :] for f, m in zip(firsts, per_cell)]
     sizes = [len(xs) for xs in samples]
-    pairs = np.divmod(np.repeat(np.arange(arr.first.size), sizes), cert.K)
-    values = np.split(_q_at(arr, np.concatenate(samples), *pairs), np.cumsum(sizes)[:-1])
+    xs = np.concatenate(samples)
+    pairs = np.divmod(np.repeat(np.arange(len(firsts)), sizes), cert.K)
+    rows = np.column_stack((xs, _q_at(arr, xs, *pairs))).tolist()
+    ends, bps = np.cumsum(sizes).tolist(), arr.bps.tolist()
     out: dict = {
         "J": cert.J,
         "K": cert.K,
         "tau": [list(row) for row in cert.tau.tau],
         "payoff": payoff_jk(cert.tau),
         "q": [
-            dict(j=j + 1, k=k + 1, breakpoints=arr.bps[arr.first[j, k] :].tolist(),
-                 samples=np.column_stack((xs, qv)).tolist())
-            for (j, k), xs, qv in zip(np.ndindex(arr.first.shape), samples, values)
+            dict(j=j + 1, k=k + 1, breakpoints=bps[f:], samples=rows[end - n : end])
+            for (j, k), f, n, end in zip(np.ndindex(arr.first.shape), firsts, sizes, ends)
         ],
     }
     if report is not None:

@@ -7,9 +7,10 @@ sum_k c_k T_k(s) in s = 1 + (ln y - top)/half, a polynomial in t = ln y on
 With dy = y dt, int f dy = half int (sum_k c_k T_k) ds, an exact Chebyshev
 antiderivative.  `dual` builds its q and r rows in this form only when
 they are read; its certificate check and dump run the same evaluator,
-`_series` (Clenshaw's recurrence over arrays of points, one degree at a
-time) and `_cell_integrals`, on its per-cell arrays.  `value` is `values`
-at one point, so a point gets the same bits alone or among others.
+`_series`, and `_cell_integrals` on its per-cell arrays.  `_series` works
+a cell at a time, one `np.einsum` per cell, which adds the degrees in
+order, so a point gets the same bits alone or in any batch; BLAS (`@`)
+would not, as it blocks its sums by the operands' sizes.
 
 The Chebyshev toolkit that `value` solves with lives here too: the NODES
 points s_i = cos(i pi / (NODES - 1)), their differentiation matrix and
@@ -82,23 +83,36 @@ TO_COEF, ANTI = _coefficients(NODES - 1)
 
 
 def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k coef[k, ..., seg[i]] T_k(s[i]) at every point i by Clenshaw's
-    recurrence, one degree at a time.  coef is degree-major with segments
-    on its last axis; the result has its middle axes, then the points."""
-    b1 = b2 = np.zeros(coef.shape[1:-1] + s.shape)
-    two_s = s + s
-    for row in coef[:0:-1]:
-        b1, b2 = two_s * b1 - b2 + row.take(seg, axis=-1), b1
-    return s * b1 - b2 + coef[0].take(seg, axis=-1)
+    """sum_k coef[k, ..., seg[i]] T_k(s[i]) at every point i, a cell at a
+    time; coef is degree-major with segments last, the result has its
+    middle axes, then the points."""
+    order = None
+    if (seg[1:] < seg[:-1]).any():
+        order = np.argsort(seg, kind="stable")
+        seg, s = seg[order], s[order]
+    n = len(s)
+    # a spare column keeps a lone point's T_k strided; contiguous, einsum sums them unrolled
+    basis = np.empty((len(coef), n + 1))[:, :n]
+    basis[0], basis[1:2], two_s = 1.0, s, s + s
+    for k in range(2, len(coef)):
+        basis[k] = two_s * basis[k - 1] - basis[k - 2]
+    out = np.empty(coef.shape[1:-1] + (n,))
+    starts = np.flatnonzero(seg != np.concatenate(([-1], seg[:-1])))  # each cell's first point
+    for c, a, b in zip(seg[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), n]):
+        np.einsum("k...,kp->...p", coef[..., c], basis[:, a:b], out=out[..., a:b])
+    if order is not None:
+        out[..., order] = out.copy()
+    return out
 
 
 def _cell_integrals(anti: np.ndarray, bps: np.ndarray, tops: np.ndarray, half) -> tuple:
     """For antiderivative series (degree-major, segments last) on segments
     [bps[i], bps[i+1]]: each at its segment's top, and the integrals over
     segments i.. summed from the top (suffix[..., i], suffix[..., n] = 0)."""
-    every = np.arange(len(tops))
-    top = _series(anti, every, 1.0 + (np.log(bps[1:]) - tops) / half)
-    whole = half * (top - _series(anti, every, 1.0 + (np.log(bps[:-1]) - tops) / half))
+    s = 1.0 + (np.log([bps[1:], bps[:-1]]) - tops) / half  # each segment's top and bottom
+    ends = _series(anti, np.arange(len(tops)).repeat(2), s.T.ravel())
+    top = ends[..., 0::2]
+    whole = half * (top - ends[..., 1::2])
     suffix = np.zeros(whole.shape[:-1] + (len(tops) + 1,))
     suffix[..., :-1] = np.cumsum(whole[..., ::-1], axis=-1)[..., ::-1]
     return top, suffix

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, log10
+from math import ceil, floor, log10
 
 # Bit growth of the rationals is super-linear in J; larger J is refused.
 MAX_J = 16
@@ -55,10 +55,14 @@ def working_context(bits: int) -> decimal.Context:
 
 
 def exp_neg(theta: Fraction | int, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:
-    """exp(-theta) for rational theta, correct to the working precision."""
-    ctx = working_context(bits)
-    x = ctx.divide(Decimal(-theta.numerator), Decimal(theta.denominator))
-    return ctx.exp(x)
+    """exp(-theta) for rational theta, correct to the working precision;
+    -theta is rounded once from its integer quotient plus a sticky digit."""
+    ctx, p, q = working_context(bits), theta.numerator, theta.denominator
+    # p / q > 2^(bit lengths' difference - 1): the quotient has prec + 1 digits or more
+    shift = max(0, ctx.prec + 1 - floor((p.bit_length() - q.bit_length() - 1) * log10(2)))
+    quotient, rest = divmod(abs(p) * 10**shift, q)
+    digits = 10 * quotient + (rest != 0)
+    return ctx.exp(ctx.create_decimal(f"{-digits if p > 0 else digits}e{-shift - 1}"))
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,11 @@ def recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
     has degree j - k + 1.  O(J^3) rational operations; J above MAX_J is
     refused.
     """
+    return _recursion(J, last_row=True)
+
+
+def _recursion(J: int, last_row: bool) -> tuple[ThetaSequence, list]:
+    """`recursion`, building row J only if last_row (theta_J needs row J - 1)."""
     if J < 1:
         raise ValueError("J must be >= 1")
     if J > MAX_J:
@@ -118,8 +127,9 @@ def recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
         for k, q in enumerate(rows[-1], start=1):
             anti = _integral(q)  # A(ln x), A' = q
             top = _at(anti, -bounds[k - 1])
-            # q_{j+1} = 1 + ln x + [A(-theta_{k-1}) - A(ln x)] + acc on this segment
-            new_row.append((1 + (top + acc), 1 - anti[1], *(-c for c in anti[2:])))
+            if last_row or j < J - 1:
+                # q_{j+1} = 1 + ln x + [A(-theta_{k-1}) - A(ln x)] + acc on this segment
+                new_row.append((1 + (top + acc), 1 - anti[1], *(-c for c in anti[2:])))
             acc += top - _at(anti, -bounds[k])
         theta_next = 1 + acc
         new_row.append((theta_next, Fraction(1)))
@@ -130,7 +140,7 @@ def recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
 
 def generate_thetas(J: int) -> ThetaSequence:
     """Exact theta_1..theta_J."""
-    return recursion(J)[0]
+    return _recursion(J, last_row=False)[0]
 
 
 def thresholds(ts: ThetaSequence) -> list[float]:

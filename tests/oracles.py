@@ -5,6 +5,9 @@
 * `alpha`: alpha_k(x) as the nested float sum over l = k..K, the reference
   for the batched rows of `secretary_lab.value.alphas`; `gamma`:
   alpha_1 + ... + alpha_k summed in floats.
+* `exp_neg_decimal`: exp(-theta) with theta's terms converted to
+  `Decimal` and divided in the working context, the reference for the
+  integer quotient of `secretary_lab.theta.exp_neg`.
 * `chebyshev_function`: a function given point by point, interpolated as
   a `PiecewiseFunction` on given breakpoints (y f(y) at NODES Chebyshev
   points of each segment in t = ln y); `restrict` clips one to an
@@ -13,13 +16,13 @@
   Lambert-W closed forms (scipy `lambertw` and `brentq`), a reference that
   shares no code with `secretary_lab.value.solve`.
 * `values_by_segment`, `tail_integral_by_segment`: array evaluation of a
-  `PiecewiseFunction` one segment at a time, the reference for the
-  gathered evaluation behind `PiecewiseFunction.values` and
-  `tail_integral`, which must match it bit for bit.
-* `scalar_value`, `scalar_tail`: a `PiecewiseFunction` one point at a time,
-  by the three-term recurrence of T_k and numpy's `chebint`, not by the
-  Clenshaw recurrence and antiderivative matrix of
-  `secretary_lab.piecewise`.
+  `PiecewiseFunction` one segment at a time, in plain numpy arithmetic,
+  the reference for the cell-by-cell `einsum` evaluation behind
+  `PiecewiseFunction.values` and `tail_integral`, which must match it bit
+  for bit.
+* `scalar_value`, `scalar_tail`: a `PiecewiseFunction` one point at a time
+  in Python floats, with numpy's `chebint` in place of the antiderivative
+  matrix of `secretary_lab.piecewise`.
 * `verify_certificate_scalar`: the certificate check point by point in
   plain Python floats with `alpha`, `scalar_value` and `scalar_tail`, the
   reference for the array evaluation in
@@ -150,6 +153,12 @@ def quadrature(
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
 
 
+def exp_neg_decimal(theta: Fraction, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:
+    """exp(-theta), -theta the quotient of theta's terms as Decimals."""
+    ctx = working_context(bits)
+    return ctx.exp(ctx.divide(Decimal(-theta.numerator), Decimal(theta.denominator)))
+
+
 def alpha(k: int, K: int, x: float | np.ndarray) -> float | np.ndarray:
     """sum_{l=k}^{K} C(l-1, k-1) (1-x)^(l-k) x^(k-1), with 0**0 = 1.
 
@@ -233,14 +242,17 @@ def _by_segment(
             yield i, order[cuts[i] : cuts[i + 1]]
 
 
-def _clenshaw_rows(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _series_rows(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_k coef[k] T_k(s) for one segment's coefficients, in the steps
-    the gathered evaluation takes at every point."""
-    b1 = b2 = np.zeros(len(s))
-    two_s = s + s
-    for c in coef[:0:-1].tolist():
-        b1, b2 = two_s * b1 - b2 + c, b1
-    return s * b1 - b2 + coef[0]
+    the cell-by-cell evaluation takes at every point: T_k(s) by its
+    three-term recurrence, then the degrees added in order from 0.0."""
+    basis = [np.ones(len(s)), s]
+    for _ in range(2, len(coef)):
+        basis.append((s + s) * basis[-1] - basis[-2])
+    total = np.zeros(len(s))
+    for c, t in zip(coef.tolist(), basis):
+        total = total + c * t
+    return total
 
 
 def _s(cell, xs: np.ndarray) -> np.ndarray:
@@ -256,7 +268,7 @@ def values_by_segment(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray:
     inside = (xs >= f.lo) & (xs <= f.hi)
     for i, at in _by_segment(f, xs, inside):
         cell = f.segments[i]
-        out[at] = _clenshaw_rows(cell.coef, _s(cell, xs[at])) / xs[at]
+        out[at] = _series_rows(cell.coef, _s(cell, xs[at])) / xs[at]
     return out
 
 
@@ -270,18 +282,18 @@ def tail_integral_by_segment(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray
     bps, cells = f.breakpoints, f.segments
     antis = [_antiderivative(cell.coef) for cell in cells]
     tops = [
-        _clenshaw_rows(anti, _s(cell, np.array([b])))
+        _series_rows(anti, _s(cell, np.array([b])))
         for anti, cell, b in zip(antis, cells, bps[1:])
     ]
     suffix = [0.0] * (len(cells) + 1)
     for i in range(len(cells) - 1, -1, -1):
-        low = _clenshaw_rows(antis[i], _s(cells[i], np.array([bps[i]])))
+        low = _series_rows(antis[i], _s(cells[i], np.array([bps[i]])))
         suffix[i] = suffix[i + 1] + float(cells[i].half * (tops[i] - low)[0])
     out[xs <= f.lo] = suffix[0]
     inside = (xs > f.lo) & (xs < f.hi)
     for i, at in _by_segment(f, xs, inside):
         cell = cells[i]
-        part = cell.half * (tops[i] - _clenshaw_rows(antis[i], _s(cell, xs[at])))
+        part = cell.half * (tops[i] - _series_rows(antis[i], _s(cell, xs[at])))
         out[at] = suffix[i + 1] + part
     return out
 

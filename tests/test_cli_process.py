@@ -166,24 +166,55 @@ def test_dual_check_passes(ran, name):
     assert proc.returncode == 0, proc.stderr
 
 
-# Peak resident memory of `dual-check --J 16 --K 35 --format json`: 134 MB
-# when the check and the dump read per-cell arrays, 202 MB when they read
-# J*K dual functions (CPython 3.11, numpy 2.4, Linux x86-64).
+# Peak resident memory of `dual-check --J 16 --K 35 --format json`: 127 MB
+# with the series evaluated cell by cell, 134 MB when the check and the
+# dump first read per-cell arrays, 202 MB when they read J*K dual
+# functions (CPython 3.11, numpy 2.4, Linux x86-64).
 DUAL_CHECK_EDGE_MAX_RSS_MB = 160
+# Peak resident memory of `dual-check --J 2 --K 2 --grid 1000000`: 63.0 to
+# 63.2 MB, with the series evaluated cell by cell or by a gathered
+# Clenshaw loop alike (the same platform).
+DUAL_CHECK_GRID_MAX_RSS_MB = 64
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-def test_dual_check_at_the_envelope_edge_stays_within_its_memory(tmp_path):
+# The CLI in a child that prints its own peak resident memory (VmHWM, in
+# kB) to stderr last.  The child's ru_maxrss would not do: a process
+# spawned by vfork and exec inherits the spawning process's peak there.
+MEASURED_CHILD = """
+import sys
+from secretary_lab.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def peak_rss_mb(tmp_path, argv: list[str]) -> tuple[int, float]:
+    """Exit code and peak resident memory in MB of one CLI process, its
+    stdout written to the file `stdout`."""
     env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
-    cmd = [sys.executable, "-m", "secretary_lab.cli",
-           "dual-check", "--J", "16", "--K", "35", "--format", "json"]
-    with open(tmp_path / "out.json", "wb") as out:
-        proc = subprocess.Popen(cmd, cwd=tmp_path, env=env, stdout=out)
-        _, status, usage = os.wait4(proc.pid, 0)  # reaped here, with its usage
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss / 1024 <= DUAL_CHECK_EDGE_MAX_RSS_MB
-    assert json.loads((tmp_path / "out.json").read_text())["verification"]["ok"]
+    with open(tmp_path / "stdout", "wb") as out:
+        proc = subprocess.run([sys.executable, "-c", MEASURED_CHILD, *argv], cwd=tmp_path,
+                              env=env, stdout=out, stderr=subprocess.PIPE, timeout=120)
+    return proc.returncode, int(proc.stderr.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_dual_check_at_the_envelope_edge_stays_within_its_memory(tmp_path):
+    argv = ["dual-check", "--J", "16", "--K", "35", "--format", "json"]
+    code, peak = peak_rss_mb(tmp_path, argv)
+    assert code == 0
+    assert peak <= DUAL_CHECK_EDGE_MAX_RSS_MB
+    assert json.loads((tmp_path / "stdout").read_text())["verification"]["ok"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_dual_check_at_the_largest_grid_stays_within_its_memory(tmp_path):
+    argv = ["dual-check", "--J", "2", "--K", "2", "--grid", "1000000"]
+    code, peak = peak_rss_mb(tmp_path, argv)
+    assert code == 0
+    assert peak <= DUAL_CHECK_GRID_MAX_RSS_MB, f"peak {peak:.1f} MB"
 
 
 def test_failing_certificate_exits_4_and_prints_its_verdict(ran):

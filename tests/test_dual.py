@@ -21,7 +21,7 @@ from secretary_lab.dual import (
 )
 from secretary_lab import dual, theta
 from secretary_lab.cli import main
-from secretary_lab.piecewise import PiecewiseFunction
+from secretary_lab.piecewise import PiecewiseFunction, _series
 from secretary_lab.theta import generate_thetas, thresholds
 from secretary_lab.value import MonotonicityError, ThresholdMatrix
 
@@ -520,6 +520,53 @@ def test_report_does_not_depend_on_the_chunk_size(monkeypatch, J, K, perturb):
     whole = verify_certificate(cert)
     monkeypatch.setattr(dual, "CHUNK_VALUES", 61)
     assert verify_certificate(cert) == whole
+
+
+@pytest.mark.parametrize("J, K", [(2, 2), (8, 8), (2, 16), (16, 1)])
+def test_series_values_do_not_depend_on_the_batch(J, K):
+    """Every point's series values have the same bits in the whole set,
+    in random sub-batches, alone and shuffled: for the certificate's cell
+    arrays and for one of their rows laid out degree-contiguous, as a
+    PiecewiseFunction holds its coefficients (a lone point with a
+    contiguous basis column would take einsum's unrolled sum)."""
+    arr = construct_dual(J, K)._arrays
+    rng = np.random.default_rng(100 * J + K)
+    x = np.sort(np.concatenate([rng.uniform(arr.bps[0], 1.0, 600), arr.bps]))
+    cell, s, _ = arr.locate(x)
+    one_row = np.ascontiguousarray(arr.coef[:, 0].T).T
+    for coef in (arr.coef, one_row):
+        whole = _series(coef, cell, s)
+        for size in [1] * 30 + rng.integers(2, len(x), 30).tolist():
+            at = np.sort(rng.choice(len(x), size, replace=False))
+            assert _series(coef, cell[at], s[at]).tobytes() == whole[..., at].tobytes()
+        shuffled = rng.permutation(len(x))
+        assert _series(coef, cell[shuffled], s[shuffled]).tobytes() == (
+            whole[..., shuffled].tobytes()
+        )
+
+
+@pytest.mark.parametrize("grid", [7, 2000])
+@pytest.mark.parametrize("J, K", [(1, 1), (1, 4), (4, 4)])
+def test_points_below_the_lowest_cell_match_the_row_by_row_check(monkeypatch, J, K, grid):
+    """Below the lowest cell the check evaluates no series; its report is
+    still the row-by-row check's (same verdict and first violation,
+    residuals within 1e-12), and NaN in the lowest cell's gain row still
+    fails.  Grid 7 puts no point below (4,4)'s lowest cell, at 0.1305."""
+    cert = construct_dual(J, K)
+    arr = cert._arrays
+    assert (1 / grid < arr.bps[0]) == ((J, K, grid) != (4, 4, 7))
+    got = verify_certificate(cert, grid_points=grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(PiecewiseFunction, "values", values_by_segment)
+        patch.setattr(PiecewiseFunction, "tail_integral", tail_integral_by_segment)
+        want = verify_certificate_rows(cert, grid_points=grid)
+    assert (got.ok, got.first_violation) == (want.ok, want.first_violation)
+    for field in REPORT_FLOATS:
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+    arr.coef[:, 0, 0] = math.nan
+    planted = verify_certificate(cert, grid_points=grid)
+    assert not planted.ok
+    assert planted.first_violation.endswith("nan"), planted.first_violation
 
 
 # The pairs of the benchmark's certify workload.

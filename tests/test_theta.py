@@ -23,6 +23,7 @@ from secretary_lab.theta import (
 from oracles import (
     constraint_lhs_k1,
     dual_objective_k1,
+    exp_neg_decimal,
     integral_q_from,
     ln_poly_at,
     q_at_theta,
@@ -210,6 +211,32 @@ def test_runtime_j8_under_a_second():
     t0 = time.monotonic()
     generate_thetas(8)
     assert time.monotonic() - t0 < 1.0
+
+
+def test_generate_thetas_are_the_recursions():
+    """generate_thetas builds no row J; its thetas are recursion's."""
+    for J in (1, 2, 16):
+        assert generate_thetas(J).thetas == recursion(J)[0].thetas
+    assert [len(row) for row in recursion(3)[1]] == [1, 2, 3]
+
+
+def test_exp_neg_equals_the_decimal_quotient_form():
+    """The integer quotient with a sticky digit rounds -theta as dividing
+    Decimal terms does, digit and exponent alike: for theta_1..theta_16,
+    for quotients that are exact ties at the working precision (rounded
+    half to even, up and down), just above and below a tie, for theta far
+    from 1, and for theta 0 and below."""
+    prec = working_context(DEFAULT_PRECISION_BITS).prec
+    cases = list(generate_thetas(16).thetas)
+    for m in (10 ** (prec - 1) + 2, 10 ** (prec - 1) + 3, 3 * 10 ** (prec - 1) + 7):
+        for scale in (prec - 2, prec - 1, prec, prec + 1):  # theta from about 100 to 0.1
+            tie = Fraction(10 * m + 5, 10**scale)
+            cases += [tie, tie + Fraction(1, 3**60), tie - Fraction(1, 3**60)]
+    cases += [Fraction(17), Fraction(1, 3), Fraction(7, 10**30), Fraction(10**40 + 1, 7)]
+    cases += [Fraction(0), Fraction(-1, 3), Fraction(-7, 2), -cases[15]]  # exp(0), exp(> 0)
+    for t in cases:
+        got, want = exp_neg(t), exp_neg_decimal(t)
+        assert got.as_tuple() == want.as_tuple(), t
 
 
 def test_thresholds_call_computes_each_exp_once(monkeypatch):
