@@ -14,8 +14,8 @@ the dual inequalities below it, vanish at the threshold, and integrate to
 the payoff J - sum_j (1 - tau[j][1])**K.  verify_certificate checks that
 on a grid, against alpha_k computed afresh, so a wrong tau shows up as
 |q(tau)| > tol.  The check and the JSON dump evaluate K gain and J drop
-series per point from per-cell arrays with piecewise's one evaluator (a
-cell at a time, no BLAS: a point's values do not depend on its batch);
+series per point from per-cell arrays with piecewise's one evaluator (no
+BLAS: a point's values do not depend on its batch);
 the q and r rows are built from those arrays only when read.  Every K,
 K = 1 included, runs this one double-precision construction.
 """

@@ -8,9 +8,10 @@ With dy = y dt, int f dy = half int (sum_k c_k T_k) ds, an exact Chebyshev
 antiderivative.  `dual` builds its q and r rows in this form only when
 they are read; its certificate check and dump run the same evaluator,
 `_series`, and `_cell_integrals` on its per-cell arrays.  `_series` works
-a cell at a time, one `np.einsum` per cell, which adds the degrees in
-order, so a point gets the same bits alone or in any batch; BLAS (`@`)
-would not, as it blocks its sums by the operands' sizes.
+a cell at a time, one `np.einsum` per cell (one for all points, their
+coefficients gathered, where cells hold two or fewer on average), which
+adds the degrees in order, so a point gets the same bits alone or in any
+batch; BLAS (`@`) would not, as it blocks its sums by the operands' sizes.
 
 The Chebyshev toolkit that `value` solves with lives here too: the NODES
 points s_i = cos(i pi / (NODES - 1)), their differentiation matrix and
@@ -84,8 +85,8 @@ TO_COEF, ANTI = _coefficients(NODES - 1)
 
 def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_k coef[k, ..., seg[i]] T_k(s[i]) at every point i, a cell at a
-    time; coef is degree-major with segments last, the result has its
-    middle axes, then the points."""
+    time or, if cells hold two points or fewer on average, all at once; coef
+    is degree-major with segments last, the result has its middle axes."""
     order = None
     if (seg[1:] < seg[:-1]).any():
         order = np.argsort(seg, kind="stable")
@@ -98,8 +99,11 @@ def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
         basis[k] = two_s * basis[k - 1] - basis[k - 2]
     out = np.empty(coef.shape[1:-1] + (n,))
     starts = np.flatnonzero(seg != np.concatenate(([-1], seg[:-1])))  # each cell's first point
-    for c, a, b in zip(seg[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), n]):
-        np.einsum("k...,kp->...p", coef[..., c], basis[:, a:b], out=out[..., a:b])
+    if n <= 2 * len(starts):  # coefficients gathered point by point
+        np.einsum("k...p,kp->...p", coef[..., seg], basis, out=out)
+    else:
+        for c, a, b in zip(seg[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), n]):
+            np.einsum("k...,kp->...p", coef[..., c], basis[:, a:b], out=out[..., a:b])
     if order is not None:
         out[..., order] = out.copy()
     return out

@@ -11,13 +11,15 @@ O(J^3) recursion over polynomials in ln x:
 Each q_j is a polynomial in ln x with rational coefficients between
 successive thresholds, so the whole construction runs in exact arithmetic;
 q_j doubles as an optimality certificate (q_j(t_j) = 0, q_j(1) = 1, and the
-piecewise data witnesses the complementary-slackness equalities).
-`recursion` returns the thetas with these rows, each piece a tuple of
-Fraction coefficients in ln x; the tests check the rows as the exact
-certificate.  The float K = 1 certificate comes from dual.construct_dual,
-which builds every K alike and agrees with exp(-theta_j) within 1e-12.
-Floats appear only in the reporting helpers.  This module imports nothing
-from the package.
+piecewise data witnesses the complementary-slackness equalities).  Piece k,
+on [t_k, t_(k-1)], is kept in y = ln x + theta_k, where its antiderivative
+vanishes at the lower end, so its integral is one Horner evaluation at
+theta_k - theta_(k-1).  `recursion` returns the thetas with these rows,
+each piece a tuple of Fraction coefficients in y, which the tests shift
+back to ln x and check as the exact certificate.  The float K = 1
+certificate comes from dual.construct_dual, which builds every K alike and
+agrees with exp(-theta_j) within 1e-12.  Floats appear only in the
+reporting helpers.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -38,14 +40,20 @@ MAX_J = 16
 DEFAULT_PRECISION_BITS = 64
 
 
-def format_rational(q: Fraction) -> str:
-    """Serialize as 'p/q' (or plain 'p' for integers), the JSON wire form.
+def _digits(n: int) -> str:
+    """str(n), split at powers of ten into parts of at most 603 digits:
+    below 640, the lowest int-to-str limit Python accepts."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = int(n.bit_length() * 0.30103) // 2  # about half of n's digits
+    hi, lo = divmod(abs(n), 10**k)
+    return "-" * (n < 0) + _digits(hi) + _digits(lo).zfill(k)
 
-    Digits go through Decimal, which is not bound by the interpreter's
-    limit on int-to-str conversion (4300 digits by default; theta_16 has more).
-    """
-    p = str(Decimal(q.numerator))
-    return p if q.denominator == 1 else f"{p}/{Decimal(q.denominator)}"
+
+def format_rational(q: Fraction) -> str:
+    """Serialize as 'p/q' (or plain 'p' for integers), the JSON wire form."""
+    p = _digits(q.numerator)
+    return p if q.denominator == 1 else f"{p}/{_digits(q.denominator)}"
 
 
 def working_context(bits: int) -> decimal.Context:
@@ -85,27 +93,27 @@ class ThetaSequence:
         return tuple(exp_neg(t) for t in self.thetas)
 
 
-def _at(poly: tuple[Fraction, ...], ln_x: Fraction) -> Fraction:
-    """poly[0] + poly[1] ln x + ... at the given ln x, by Horner's rule."""
+def _at(poly: tuple[Fraction, ...], y: Fraction) -> Fraction:
+    """poly[0] + poly[1] y + ... at y, by Horner's rule."""
     acc = 0
     for c in reversed(poly):
-        acc = acc * ln_x + c
+        acc = acc * y + c
     return acc
 
 
 def _integral(poly: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """A with dA/d(ln x) = poly and A = 0 at ln x = 0, so that
-    int_a^b poly(ln y)/y dy = A(ln b) - A(ln a)."""
+    """A with dA/dy = poly and A(0) = 0: for a piece in y = ln x + theta,
+    int poly(y) dy/x from its lower end up to height y is A(y)."""
     return (Fraction(0), *(c / (p + 1) for p, c in enumerate(poly)))
 
 
 def recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
     """theta_1..theta_J and the dual rows; rows[j-1][k-1] is q_j on [t_k, t_(k-1)].
 
-    Each row entry is a polynomial in ln x given by its Fraction
-    coefficients, entry p multiplying (ln x)^p (t_0 = 1); piece k of q_j
-    has degree j - k + 1.  O(J^3) rational operations; J above MAX_J is
-    refused.
+    Each row entry is a polynomial in y = ln x + theta_k given by its
+    Fraction coefficients, entry p multiplying y^p (t_0 = 1); piece k of
+    q_j has degree j - k + 1, and every row's last piece is y.  O(J^3)
+    rational operations; J above MAX_J is refused.
     """
     return _recursion(J, last_row=True)
 
@@ -117,23 +125,21 @@ def _recursion(J: int, last_row: bool) -> tuple[ThetaSequence, list]:
     if J > MAX_J:
         raise ValueError(f"J={J} exceeds the cap {MAX_J}")
     thetas: list[Fraction] = [Fraction(1)]
-    rows: list[list[tuple[Fraction, ...]]] = [[(Fraction(1), Fraction(1))]]
+    gaps = thetas[:]  # d_k = theta_k - theta_(k-1), each piece's height
+    last = (Fraction(0), Fraction(1))  # q = 1 + ln x = y on the lowest piece
+    rows: list[list[tuple[Fraction, ...]]] = [[last]]
     for j in range(1, J):
-        bounds = [Fraction(0)] + thetas  # theta_0 .. theta_j
         new_row: list[tuple[Fraction, ...]] = []
-        # Running sum of int q_j(y)/y dy over the whole segments above the
-        # current one; after segment j it equals int_{t_j}^1 q_j(y)/y dy.
-        acc = Fraction(0)
-        for k, q in enumerate(rows[-1], start=1):
-            anti = _integral(q)  # A(ln x), A' = q
-            top = _at(anti, -bounds[k - 1])
+        acc = Fraction(0)  # int_{t_k}^1 q_j(y)/y dy, through segment k
+        for q, theta_k, gap in zip(rows[-1], thetas, gaps):
+            anti = _integral(q)  # A(y), A' = q, A(0) = 0
+            acc += _at(anti, gap)
             if last_row or j < J - 1:
-                # q_{j+1} = 1 + ln x + [A(-theta_{k-1}) - A(ln x)] + acc on this segment
-                new_row.append((1 + (top + acc), 1 - anti[1], *(-c for c in anti[2:])))
-            acc += top - _at(anti, -bounds[k])
-        theta_next = 1 + acc
-        new_row.append((theta_next, Fraction(1)))
-        thetas.append(theta_next)
+                # q_{j+1} = 1 + ln x + acc - A(y) on this segment, ln x = y - theta_k
+                new_row.append((1 - theta_k + acc, 1 - anti[1], *(-c for c in anti[2:])))
+        thetas.append(1 + acc)
+        gaps.append(thetas[-1] - thetas[-2])
+        new_row.append(last)
         rows.append(new_row)
     return ThetaSequence(tuple(thetas)), rows
 

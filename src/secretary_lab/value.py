@@ -20,8 +20,9 @@ order within a cell, each through its integrating factor and the exact
 antiderivative of the node values' interpolant.  The candidate crossing of
 row r is the pair (r, n_r), and no other active pair may turn first; a
 cell ends at the earliest candidate root, where W seeds the next cell, and
-the solve stops once no pair is active.  Nothing is cached across calls.
-The Chebyshev toolkit comes from `piecewise`.
+the solve stops once no pair is active.  Nothing is cached across calls
+but `alphas`' read-only binomial blocks, one per K.  The Chebyshev toolkit
+comes from `piecewise`.
 
 This is the package's one threshold solver.  The thresholds are not
 certified here: the solve returns its cells (W and x alpha_k at the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -49,7 +51,7 @@ from .theta import MAX_J
 X_FLOOR = 1e-9
 # Largest K, a bound on the work: cells are 3/K long in t and a
 # certificate checks J*K dual functions (dual-check --J 16 --K 35 takes
-# about 2 s and 134 MB on a 2-vCPU Xeon); _TERM_COEF stops here.
+# about 0.85 s and 65 MB on a 2-vCPU Xeon).
 MAX_K = 35
 MAX_CELL = 0.5  # trial cell length in t is min(MAX_CELL, CELL_K / K)
 CELL_K = 3.0
@@ -104,29 +106,31 @@ def check_size(J: int, K: int) -> None:
         raise ValueError(f"J={J} exceeds the cap {MAX_J}")
 
 
-# alphas' terms: alpha_k's term l = k + d is C(l-1, d) (1-x)^d x^(k-1);
-# _TERM_COEF[d, k-1] = C(k+d-1, d), for k + d <= MAX_K.
-_TERM_COEF = np.array(
-    [[comb(k + d - 1, d) for k in range(1, MAX_K - d + 1)] + [0] * d
-     for d in range(MAX_K)],
-    float,
-)
+@lru_cache(maxsize=MAX_K)
+def _term_coef(K: int) -> np.ndarray:
+    """Read-only: [d, k-1] = C(k+d-1, d), the coefficient of alpha_k's term
+    (1-x)^d x^(k-1), where k + d <= K, else 0."""
+    block = np.array([[comb(k + d - 1, d) * (k + d <= K) for k in range(1, K + 1)]
+                      for d in range(K)], float)
+    block.flags.writeable = False
+    return block
 
 
 def alphas(K: int, x: np.ndarray) -> np.ndarray:
     """Rows alpha(1, K, x), ..., alpha(K, K, x) of a 1-D float array x,
     for K <= MAX_K.
 
-    Row k sums the terms C(l-1, k-1) (1-x)^(l-k) over l = k..K
-    ascending, then multiplies by x^(k-1), as the nested float sum of one
-    alpha_k does, and so equals it bit for bit; the powers of 1 - x and of
-    x are formed once for all rows.
+    One einsum contracts the masked C(k+d-1, d) block with the rows
+    (1-x)^d, d < K, adding the terms for d ascending as the nested float
+    sum of one alpha_k does (the mask's zeros come last and change nothing
+    for x in [0, 1]); times x^(k-1), row k equals that sum bit for bit.
+    The powers are one np.power call, elementwise as `u ** d`, but for
+    d = 2 that is numpy's square, u * u, and so is row 2.
     """
-    u = 1.0 - x
-    total = np.zeros((K, len(x)))
-    for d in range(K):  # the terms l = k + d <= K of rows k = 1..K - d
-        total[: K - d] += _TERM_COEF[d, : K - d, None] * u**d
-    return total * np.array([x ** (k - 1) for k in range(1, K + 1)])
+    base = np.array((1.0 - x, x))[:, None]
+    powers = base ** np.arange(K)[:, None]
+    powers[:, 2:3] = base * base
+    return np.einsum("dk,dn->kn", _term_coef(K), powers[0]) * powers[1]
 
 
 _NODE_LIST = CHEB_S.tolist()
@@ -158,9 +162,8 @@ class Solution(NamedTuple):
 def _weights(s: float) -> np.ndarray:
     """Barycentric weights at s, unnormalised: the interpolant of node
     values v is (v @ c) / c.sum().  On a node, a unit vector."""
-    i = _NODE_AT.get(s)
-    if i is not None:
-        return np.eye(NODES)[i]
+    if s in _NODE_AT:
+        return (CHEB_S == s) * 1.0
     return CHEB_WEIGHTS / (s - CHEB_S)
 
 
@@ -168,11 +171,11 @@ def _root(g: np.ndarray, i: int) -> float:
     """The zero of g's interpolant between nodes i - 1 and i, where g turns
     from > 0 to <= 0: the secant between them, then Newton steps."""
     hi, lo = _NODE_LIST[i - 1], _NODE_LIST[i]
-    g_hi, g_lo = g[i - 1].item(), g[i].item()
+    g_hi, g_lo = g[i - 1 : i + 1].tolist()
     s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-    both = np.array([g, CHEB_D @ g])  # g and dg/ds at the nodes
+    both = np.array([g, np.dot(CHEB_D, g)])  # g and dg/ds at the nodes
     for _ in range(NEWTON_STEPS):
-        p, dp = (both @ _weights(s)).tolist()  # the normalisation cancels
+        p, dp = np.dot(both, _weights(s)).tolist()  # the normalisation cancels
         if dp == 0.0:
             break
         step = p / dp
@@ -199,7 +202,6 @@ def solve(J: int, K: int) -> Solution:
     prev = np.arange(K + 1)[:, None, None] * carry  # the response to W_{r-1}
     n_active = np.full(J, K)  # row r's active pairs are k = 1..n_active[r-1]
     tau = np.zeros((J, K))
-    w = np.zeros((J + 1, NODES))  # row 0 is W_0 = 0
     w_top = np.zeros(J + 1)
     t_top = 0.0
     # g at the nodes is x alpha_k + W_{r-1} - W_r.  edge[0, n] holds
@@ -212,15 +214,16 @@ def solve(J: int, K: int) -> Solution:
     while left:
         if t_top < T_FLOOR:
             raise ValueSolveError(f"no threshold found above x={X_FLOOR}")
+        # each cell's w and gain are its own, kept by its Cell uncopied
         x = np.exp(t_top + t_nodes)
-        gain = edge[0, 1:]
-        gain[:] = x * alphas(K, x)
+        edge[0, 1:] = gain = x * alphas(K, x)
         np.minimum.accumulate(gain[:-1], axis=0, out=edge[1, 2:])
-        np.cumsum(gain, axis=0, out=gain_sums[1:])
+        gain.cumsum(axis=0, out=gain_sums[1:])
         fixed = decay[n_active] * w_top[1:, None]
         fixed += (carry @ gain_sums[:, :, None])[n_active, :, 0]
-        for r, n in enumerate(n_active.tolist(), start=1):
-            w[r] = prev[n] @ w[r - 1] + fixed[r - 1]
+        w = np.zeros((J + 1, NODES))  # row 0 is W_0 = 0
+        for r, n in enumerate(n_active.tolist(), start=1):  # np.dot: @'s gemv, less overhead
+            w[r] = np.dot(prev[n], w[r - 1]) + fixed[r - 1]
         g = edge[:, n_active] + (w[:-1] - w[1:])  # candidates, then the others
         down = g <= 0.0
         hit = down[0].any(axis=0)
@@ -236,19 +239,19 @@ def solve(J: int, K: int) -> Solution:
             )
         if cut == NODES:  # no root in the cell
             t_lo = t_top - 2.0 * half
-            cells.append(Cell(t_top, t_lo, w.copy(), gain.copy(), n_active.copy()))
-            w_top = w[:, -1].copy()
+            cells.append(Cell(t_top, t_lo, w, gain, n_active.copy()))
+            w_top = w[:, -1]
             t_top = t_lo
             continue
         best, best_s = -1, -math.inf
-        for r in np.flatnonzero(down[0, :, cut]):
+        for r in down[0, :, cut].nonzero()[0].tolist():
             s = 1.0 if cut == 0 else _root(g[0, r], cut)
             if s > best_s:
                 best, best_s = r, s
         c = _weights(best_s)
-        w_top = w @ c / c.sum()
+        w_top = np.dot(w, c) / c.sum()
         t_lo = t_top + (best_s - 1.0) * half
-        cells.append(Cell(t_top, t_lo, w.copy(), gain.copy(), n_active.copy()))
+        cells.append(Cell(t_top, t_lo, w, gain, n_active.copy()))
         t_top = t_lo
         n_active[best] -= 1
         tau[best, n_active[best]] = math.exp(t_top)

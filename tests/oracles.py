@@ -41,13 +41,15 @@
   row; the reference for the batched rows of
   `secretary_lab.dual.construct_dual`.
 * `ln_poly_at`, `ln_derivative`, `plain_antiderivative`: polynomials in
-  ln x as tuples of coefficients (entry p multiplies (ln x)^p), the form
-  of `secretary_lab.theta.recursion`'s rows: a Horner loop of its own,
-  the exact derivative in ln x, and B with int p(ln y) dy = y B(ln y).
+  ln x as tuples of coefficients (entry p multiplies (ln x)^p): a Horner
+  loop of its own, the exact derivative in ln x, and B with
+  int p(ln y) dy = y B(ln y).
+* `ln_rows`: the rows of `secretary_lab.theta.recursion`, whose piece k
+  is a polynomial in y = ln x + theta_k, Taylor-shifted back to ln x in
+  exact arithmetic.
 * `q_at_theta`, `integral_q_from`, `dual_objective_k1`,
-  `constraint_lhs_k1`: exact K = 1 certificate checks over the rows of
-  `secretary_lab.theta.recursion`, in rationals and high-precision
-  Decimal.
+  `constraint_lhs_k1`: exact K = 1 certificate checks over `ln_rows`, in
+  rationals and high-precision Decimal.
 * `run_threshold_algorithm_reference`: the policy replayed arrival by
   arrival, with a Fenwick tree counting each item's smaller predecessors,
   the reference for the filtered replay in
@@ -596,8 +598,8 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
 
 # -- exact K = 1 checks over theta.recursion rows ----------------------------
 # rows[j-1][k-1] is q_j on x in [t_k, t_(k-1)], i.e. theta in
-# [theta_(k-1), theta_k], as a polynomial in ln x: a tuple of Fraction
-# coefficients, entry p multiplying (ln x)^p.
+# [theta_(k-1), theta_k]; after `ln_rows`, as a polynomial in ln x: a tuple
+# of Fraction coefficients, entry p multiplying (ln x)^p.
 
 
 def ln_poly_at(poly, ln_x):
@@ -620,6 +622,24 @@ def plain_antiderivative(poly) -> tuple:
     for i in range(len(b) - 2, -1, -1):
         b[i] = poly[i] - (i + 1) * b[i + 1]
     return tuple(b)
+
+
+def ln_rows(ts: ThetaSequence, rows) -> list[list[tuple]]:
+    """`recursion`'s rows in ln x: piece k, a polynomial p in
+    y = ln x + theta_k, becomes p(ln x + theta_k), expanded by Horner's
+    rule on coefficient lists (multiplying by ln x + theta_k shifts a list
+    up one place and adds theta_k times it)."""
+    shifted = []
+    for row in rows:
+        pieces = []
+        for k, poly in enumerate(row, start=1):
+            theta_k, acc = ts.theta(k), []
+            for c in reversed(poly):
+                acc = [theta_k * a + b for a, b in zip([*acc, 0], [0, *acc])]
+                acc[0] += c
+            pieces.append(tuple(acc))
+        shifted.append(pieces)
+    return shifted
 
 
 def rational_to_decimal(q: Fraction, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:

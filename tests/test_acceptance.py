@@ -203,8 +203,8 @@ def test_criterion_7_property_suites(capfd):
     t0 = time.monotonic()
     rng = random.Random(777)
 
-    # exact antiderivative round-trip on polynomials in ln x, the K = 1
-    # recursion's pieces: A' = p, A = 0 at ln x = 0, Fractions throughout
+    # exact antiderivative round-trip on polynomials, the K = 1 recursion's
+    # pieces in y = ln x + theta_k: A' = p, A = 0 at y = 0, Fractions throughout
     exact_cases = 0
     for _ in range(120):
         p = tuple(

@@ -34,13 +34,15 @@ SIM_ARGS = [
     "--seed", "18446744073709551615", "--trials", "16384",
 ]
 
-# name -> (argv, timeout in seconds)
+EXACT_16 = ["thresholds", "--J", "16", "--K", "1", "--exact", "--format", "json"]
+
+# name -> (argv, timeout in seconds[, environment variables to add])
 COMMANDS = {
     "report": (["report"], 120),
-    # theta_16's numerator has more digits than the default int-to-str limit
-    "thresholds_exact_16": (
-        ["thresholds", "--J", "16", "--K", "1", "--exact", "--format", "json"], 120,
-    ),
+    # theta_16's numerator has more digits than the default int-to-str limit,
+    # and far more than the lowest limit Python accepts
+    "thresholds_exact_16": (EXACT_16, 120),
+    "thresholds_exact_16_640": (EXACT_16, 120, {"PYTHONINTMAXSTRDIGITS": "640"}),
     "dual_check_k40": (["dual-check", "--J", "2", "--K", "40"], 120),
     "thresholds_k2000": (["thresholds", "--J", "1", "--K", "2000"], 20),
     "dual_check": (["dual-check", "--J", "2", "--K", "2"], 120),
@@ -129,23 +131,37 @@ def ran(cli_dir):
     """Every command's finished process, two running at a time."""
     env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
 
-    def run(argv, timeout):
+    def run(argv, timeout, extra_env=None):
         cmd = [sys.executable, "-m", "secretary_lab.cli", *argv]
-        return subprocess.run(cmd, cwd=cli_dir, env=env, capture_output=True, timeout=timeout)
+        return subprocess.run(cmd, cwd=cli_dir, env={**env, **(extra_env or {})},
+                              capture_output=True, timeout=timeout)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         futures = {name: pool.submit(run, *spec) for name, spec in COMMANDS.items()}
         return {name: f.result() for name, f in futures.items()}
 
 
-def test_exact_theta_16_prints_in_full(ran):
-    """theta_16 as printed, read through Decimal (which no int-to-str limit
-    binds), is the exact rational."""
-    proc = ran["thresholds_exact_16"]
+def printed_theta_16(proc) -> Fraction:
+    """The last theta a `thresholds_exact_16` run printed, read through
+    Decimal, which no int-to-str limit binds."""
     assert (proc.returncode, proc.stderr) == (0, b"")
     numerator, denominator = json.loads(proc.stdout)["thetas"][-1].split("/")
-    printed = Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
-    assert printed == secretary_lab.theta.generate_thetas(16).thetas[-1]
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
+
+
+def test_exact_theta_16_prints_in_full(ran):
+    """theta_16 as printed is the exact rational."""
+    assert printed_theta_16(ran["thresholds_exact_16"]) == (
+        secretary_lab.theta.generate_thetas(16).thetas[-1]
+    )
+
+
+def test_exact_theta_16_prints_under_the_lowest_str_limit(ran):
+    """With the int-to-str limit at 640 digits, the lowest Python accepts,
+    theta_16 still prints in full and exactly."""
+    assert printed_theta_16(ran["thresholds_exact_16_640"]) == (
+        secretary_lab.theta.generate_thetas(16).thetas[-1]
+    )
 
 
 def test_report_warns_nothing(ran):

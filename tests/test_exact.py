@@ -1,18 +1,25 @@
-"""Exact calculus on polynomials in ln x: the Fraction coefficient tuples
-that the K = 1 recursion (`secretary_lab.theta.recursion`) runs on."""
+"""Exact calculus on polynomials given by Fraction coefficient tuples, the
+form of the K = 1 recursion's pieces (`secretary_lab.theta.recursion`, in
+y = ln x + theta_k; the calculus is the same in ln x), and the exact
+rationals' digits."""
 
 import math
+import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secretary_lab.theta import (
     _at,
+    _digits,
     _integral,
     exp_neg,
     format_rational,
+    generate_thetas,
     recursion,
 )
 
@@ -155,6 +162,34 @@ def test_format_and_parse_rational():
     assert format_rational(Fraction(5)) == "5"
     for q in (Fraction(47, 24), Fraction(-3, 7), Fraction(5)):
         assert Fraction(format_rational(q)) == q
+
+
+def test_digits_match_decimal_under_the_lowest_str_limit():
+    """Halving at powers of ten gives Decimal's digits: for 0, signs,
+    10^k and 10^k - 1 (whose lower halves start with zeros) and 300
+    random integers of up to 60 000 bits, with the int-to-str limit at
+    640 digits, the lowest Python accepts, where str(n) alone fails."""
+    rng = random.Random(32)
+    cases = [0, 1, -1, 9, -10]
+    for k in (602, 603, 604, 639, 640, 641, 1206, 4300, 4301, 9000, 18061):
+        cases += [10**k, 10**k - 1, -(10**k) + 1, 10**k + 1]
+    cases += [rng.getrandbits(rng.randint(1, 60_000)) * rng.choice((1, -1)) for _ in range(300)]
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.10.7
+    old = sys.get_int_max_str_digits() if set_limit else None
+    try:
+        if set_limit:
+            set_limit(640)
+            with pytest.raises(ValueError):
+                str(10**640)
+        for n in cases:
+            assert _digits(n) == str(Decimal(n))
+        thetas = generate_thetas(16).thetas
+        for q in (*thetas, -thetas[-1], Fraction(10**5000 - 1, 10**700)):
+            want = f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+            assert format_rational(q) == want.removesuffix("/1")
+    finally:
+        if set_limit:
+            set_limit(old)
 
 
 def test_exp_neg_high_precision_digits():

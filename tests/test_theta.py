@@ -26,6 +26,7 @@ from oracles import (
     exp_neg_decimal,
     integral_q_from,
     ln_poly_at,
+    ln_rows,
     q_at_theta,
 )
 
@@ -43,8 +44,9 @@ def ts8():
 
 @pytest.fixture(scope="module")
 def cert6():
-    """(thetas, rows) of the J = 6 recursion."""
-    return recursion(6)
+    """(thetas, rows) of the J = 6 recursion, the rows shifted to ln x."""
+    ts, rows = recursion(6)
+    return ts, ln_rows(ts, rows)
 
 
 def test_theta_values_exact(ts8):
@@ -94,14 +96,17 @@ def test_thresholds_strictly_decreasing(ts8):
 def test_q1_piece():
     ts, rows = recursion(1)
     (piece,) = rows[0]
-    assert piece == (1, 1)
+    assert piece == (0, 1)  # y = 1 + ln x
+    assert ln_rows(ts, rows) == [[(1, 1)]]
     # the one piece covers theta in [theta_0, theta_1] = [0, 1]
     assert ts.theta(0) == 0 and ts.theta(1) == 1
 
 
 def test_q2_pieces_match_hand_integration():
-    _, rows = recursion(2)
-    top, lower = rows[1]
+    ts, rows = recursion(2)
+    # in y = ln x + theta_k: 1/2 + y - y^2/2 on top, then y
+    assert rows[1] == [(Fraction(1, 2), 1, Fraction(-1, 2)), (0, 1)]
+    top, lower = ln_rows(ts, rows)[1]
     # on [t_1, 1]: 1 - (ln x)^2 / 2
     assert top == (1, 0, Fraction(-1, 2))
     # on [t_2, t_1]: 3/2 + ln x, whose zero recovers theta_2 = 3/2
@@ -195,14 +200,26 @@ def test_theta_recursion_against_weighted_integral(cert6):
 def test_dual_objective_equals_payoff(cert6):
     for J in range(1, 7):
         ts, rows = recursion(J)
-        assert dual_objective_k1(ts, rows) == pytest.approx(
+        assert dual_objective_k1(ts, ln_rows(ts, rows)) == pytest.approx(
             payoff_k1(ts), abs=1e-12
         )
 
 
 def test_dual_objective_published_values():
     for J, want in ((1, "0.367879"), (2, "0.591010"), (3, "0.732103")):
-        assert f"{dual_objective_k1(*recursion(J)):.6f}" == want
+        ts, rows = recursion(J)
+        assert f"{dual_objective_k1(ts, ln_rows(ts, rows)):.6f}" == want
+
+
+def test_rows_end_in_y_and_meet_the_piece_below():
+    """In y = ln x + theta_k every row's last piece is y, exactly, and a
+    piece's value at its lower end (y = 0, its constant) is the value of
+    the piece below at that piece's top, y = theta_(k+1) - theta_k."""
+    ts, rows = recursion(16)
+    for row in rows:
+        assert row[-1] == (0, 1) and all(type(c) is Fraction for c in row[-1])
+        for k, (piece, below) in enumerate(zip(row, row[1:]), start=1):
+            assert piece[0] == ln_poly_at(below, ts.theta(k + 1) - ts.theta(k))
 
 
 def test_runtime_j8_under_a_second():

@@ -116,6 +116,39 @@ def test_alphas_rows_are_alpha_bit_for_bit():
             assert rows[k - 1].tobytes() == want.tobytes(), (K, k)
 
 
+def test_alphas_rows_do_not_depend_on_the_batch():
+    """One point, two, a cell's 28 nodes or a strided view: each row of
+    alphas has the bits of the whole batch, so einsum's sum over d keeps
+    its order at every length."""
+    xs = np.random.default_rng(8).random(301)
+    for K in (1, 2, 3, 8, value.MAX_K):
+        whole = value.alphas(K, xs)
+        for at in (slice(0, 1), slice(5, 7), slice(3, 31), slice(None, None, 3)):
+            assert value.alphas(K, xs[at]).tobytes() == whole[:, at].tobytes(), (K, at)
+
+
+def test_solve_keeps_no_state():
+    """No two cells of a solve share memory, writing into one solve's
+    cells leaves a second solve bitwise unchanged, and alphas' coefficient
+    blocks are read-only."""
+    first = value.solve(3, 3)
+    arrays = [a for cell in first.cells for a in (cell.w, cell.gain, cell.active)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :]), i
+    want = [(c.top, c.lo, c.w.tobytes(), c.gain.tobytes(), c.active.tobytes()) for c in first.cells]
+    for a in arrays:
+        a[...] = -1
+    second = value.solve(3, 3)
+    assert (second.tau, second.payoff, second.half) == first[:3]
+    assert [(c.top, c.lo, c.w.tobytes(), c.gain.tobytes(), c.active.tobytes())
+            for c in second.cells] == want
+    for K in (1, 3, value.MAX_K):
+        block = value._term_coef(K)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 2.0
+
+
 def test_interpolation_on_a_node_is_exact_and_silent():
     """A Newton iterate or root landing on a node divides by nothing."""
     values = np.random.default_rng(3).random((3, value.NODES))
