@@ -17,20 +17,14 @@ The Chebyshev toolkit that `value` solves with lives here too: the NODES
 points s_i = cos(i pi / (NODES - 1)), their differentiation matrix and
 barycentric weights, the map from node values to coefficients, and the
 antiderivative matrices (Trefethen, Spectral Methods in MATLAB, ch. 6 and
-12).  The downward root search at the end has no runtime caller: it
-serves the benchmark's traced passes.  This module imports nothing from
-the package.
+12).  This module imports nothing from the package.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-class RootBracketError(RuntimeError):
-    """Downward scan found no sign change where a root was required."""
 
 
 # -- Chebyshev toolkit -------------------------------------------------------
@@ -275,71 +269,3 @@ class PiecewiseFunction:
         if np.isnan(cell).any():
             raise ValueError("combine needs supports that leave no gap")
         return PiecewiseFunction(cuts, cell[:, 0], cell[:, 1], coef)
-
-
-# -- root search ---------------------------------------------------------------
-
-# Grid points per coarse step of find_largest_root's scan (chosen by timing).
-SCAN_STRIDE = 10
-
-
-def bisect_root(
-    fn: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float
-) -> float:
-    """Midpoint estimate of a root in [a, b], given fa = fn(a) and fb = fn(b)."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise RootBracketError(f"no sign change on [{a}, {b}]")
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == (fa > 0.0):
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def find_largest_root(
-    fn: Callable[[float], float],
-    hi: float,
-    lo: float = 0.0,
-    scan_step: float = 1e-3,
-    tol: float = 1e-13,
-) -> float:
-    """Largest zero of fn below hi, for fn known positive just below hi.
-
-    Bisects from the first point with fn <= 0 of the grid hi - scan_step,
-    hi - 2 scan_step, ... above lo to the point above it.  fn is read at
-    every SCAN_STRIDE-th point, then point by point in the first coarse
-    step ending at fn <= 0, and no point twice; so a dip below zero between
-    two positive coarse points is missed (a scan of every point misses only
-    dips narrower than scan_step).  A missing root raises RootBracketError.
-    """
-    f_hi = fn(hi)
-    if f_hi == 0.0:
-        return hi
-    if f_hi < 0.0:
-        raise RootBracketError(f"function already negative at scan start {hi}")
-    x_hi = x = hi
-    while True:
-        block = []  # the next SCAN_STRIDE grid points above lo
-        while len(block) < SCAN_STRIDE and x - scan_step > lo:
-            x -= scan_step
-            block.append(x)
-        if not block:
-            raise RootBracketError(f"no sign change found in ({lo}, {hi})")
-        f_end = fn(block[-1])
-        if f_end <= 0.0:
-            for x_lo in block[:-1]:
-                f_lo = fn(x_lo)
-                if f_lo <= 0.0:
-                    return bisect_root(fn, x_lo, x_hi, f_lo, f_hi, tol)
-                x_hi, f_hi = x_lo, f_lo
-            return bisect_root(fn, block[-1], x_hi, f_end, f_hi, tol)
-        x_hi, f_hi = block[-1], f_end

@@ -32,9 +32,6 @@
   `value` and `tail_integral` of the rows that `cert.q` and `cert.r`
   build; the reference for the per-cell array check of
   `secretary_lab.dual.verify_certificate`.
-* `find_largest_root_pointwise`: the threshold root search reading every
-  point of its downward grid, the reference for the coarse-to-fine scan
-  of `secretary_lab.piecewise.find_largest_root`.
 * `construct_dual_combine`: the dual rows of `value.solve`'s cells built
   one cell at a time, each q row a chain of `PiecewiseFunction.combine`
   over its one-cell functions and each r_{j|k} a `combine` sum of the q
@@ -97,9 +94,7 @@ from secretary_lab.piecewise import (
     NODES,
     TO_COEF,
     PiecewiseFunction,
-    RootBracketError,
     _antiderivative,
-    bisect_root,
 )
 from secretary_lab.sim import ArrivalInstance, RunResult, Selection, _pick_quota
 from secretary_lab.theta import (
@@ -530,37 +525,6 @@ def verify_certificate_rows(
         objective_gap=gap,
         first_violation=violation,
     )
-
-
-def find_largest_root_pointwise(
-    fn: Callable[[float], float],
-    hi: float,
-    lo: float = 0.0,
-    scan_step: float = 1e-3,
-    tol: float = 1e-13,
-) -> float:
-    """Largest zero of fn below hi, scanning every grid point.
-
-    Reads fn at hi, hi - scan_step, hi - 2 scan_step, ... (one more
-    subtraction per point) until the first value <= 0 above lo, then
-    bisects that point and the one above it, reading both ends again.
-    """
-    x_hi = hi
-    f_hi = fn(x_hi)
-    if f_hi == 0.0:
-        return x_hi
-    if f_hi < 0.0:
-        raise RootBracketError(f"function already negative at scan start {hi}")
-    x = x_hi - scan_step
-    while x > lo:
-        fx = fn(x)
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            return bisect_root(fn, x, x_hi, fn(x), fn(x_hi), tol)
-        x_hi = x
-        x -= scan_step
-    raise RootBracketError(f"no sign change found in ({lo}, {hi})")
 
 
 def construct_dual_combine(J: int, K: int) -> DualCertificateJK:

@@ -1,5 +1,5 @@
-"""Numeric piecewise machinery: Chebyshev cells, array evaluation, root
-finding, and the oracles the cells are checked against."""
+"""Numeric piecewise machinery: Chebyshev cells, array evaluation, and
+the oracles the cells are checked against."""
 
 import math
 import random
@@ -9,19 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from secretary_lab.piecewise import (
-    NODES,
-    SCAN_STRIDE,
-    PiecewiseFunction,
-    RootBracketError,
-    bisect_root,
-    find_largest_root,
-)
+from secretary_lab.piecewise import NODES, PiecewiseFunction
 
 from oracles import (
     QuadratureError,
     chebyshev_function,
-    find_largest_root_pointwise,
     quadrature,
     restrict,
     scalar_tail,
@@ -260,119 +252,6 @@ def test_quadrature_reports_bad_subinterval():
         quadrature(nasty, 0.0, 1.0, tol=1e-6, max_depth=16)
     lo, hi = err.value.interval
     assert abs(lo - 0.3) < 1e-2 and abs(hi - 0.3) < 1e-2
-
-
-def test_bisect_root():
-    f = lambda x: x * x - 0.25  # noqa: E731
-    root = bisect_root(f, 0.0, 1.0, f(0.0), f(1.0), tol=1e-14)
-    assert root == pytest.approx(0.5, abs=1e-13)
-    with pytest.raises(RootBracketError):
-        bisect_root(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0, tol=1e-13)
-
-
-def test_find_largest_root_picks_topmost():
-    f = lambda x: (x - 0.2) * (x - 0.6)  # noqa: E731  positive above 0.6
-    root = find_largest_root(f, 1.0, tol=1e-13)
-    assert root == pytest.approx(0.6, abs=1e-12)
-
-
-def test_find_largest_root_requires_sign_change():
-    with pytest.raises(RootBracketError):
-        find_largest_root(lambda x: 1.0 + x, 1.0, lo=0.5)
-    with pytest.raises(RootBracketError):
-        find_largest_root(lambda x: -1.0, 1.0)
-
-
-def _scan_grid(hi: float, step: float, count: int) -> list[float]:
-    """hi and the next count points of the root scan's grid, each one more
-    subtraction of step, as both scans form them."""
-    xs = [hi]
-    for _ in range(count):
-        xs.append(xs[-1] - step)
-    return xs
-
-
-def _outcome(search, fn, hi, **kwargs):
-    """The root's bits and the points fn was read at, or the error text."""
-    seen = []
-
-    def read(x):
-        seen.append(x)
-        return fn(x)
-
-    try:
-        return search(read, hi, **kwargs).hex(), seen
-    except RootBracketError as exc:
-        return f"RootBracketError: {exc}", seen
-
-
-def _assert_scans_agree(fn, hi, **kwargs):
-    """Same root bits or error text as the every-point scan; no point is
-    read twice, and none at or below lo."""
-    got, seen = _outcome(find_largest_root, fn, hi, **kwargs)
-    want, _ = _outcome(find_largest_root_pointwise, fn, hi, **kwargs)
-    assert got == want
-    assert len(set(seen)) == len(seen)
-    assert min(seen) > kwargs.get("lo", 0.0)
-    return got
-
-
-@pytest.mark.parametrize("index", range(1, 3 * SCAN_STRIDE + 2))
-def test_scan_matches_pointwise_around_each_grid_point(index):
-    """Roots on a grid point (f == 0 there: a coarse point when index is a
-    multiple of SCAN_STRIDE, a fine one otherwise), one ulp above it, and
-    halfway to the next point down."""
-    step = 1e-3
-    grid = _scan_grid(0.9, step, index + 1)
-    below = 0.5 * (grid[index] + grid[index + 1])
-    for r in (grid[index], math.nextafter(grid[index], 1.0), below):
-        got = _assert_scans_agree(lambda x: x - r, 0.9, scan_step=step, tol=1e-13)
-        if r == grid[index]:
-            assert got == r.hex()  # returned as read, not bisected
-        else:
-            assert abs(float.fromhex(got) - r) < 1e-12
-
-
-def test_scan_last_partial_coarse_step_above_lo():
-    """lo cuts the grid 3 points into a coarse step: the last point above
-    lo is read as that step's end, and nothing at or below lo is read."""
-    step = 1e-3
-    grid = _scan_grid(1.0, step, 2 * SCAN_STRIDE + 4)
-    lo = grid[2 * SCAN_STRIDE + 4]  # grid points above lo: 1 .. 2 S + 3
-    last = grid[2 * SCAN_STRIDE + 3]
-    for r in (grid[2 * SCAN_STRIDE + 1], 0.5 * (grid[2 * SCAN_STRIDE + 2] + last), last):
-        _assert_scans_agree(lambda x: x - r, 1.0, lo=lo, scan_step=step)
-    # a root below the last point: no sign change above lo
-    got = _assert_scans_agree(lambda x: x - 0.5 * (last + lo), 1.0, lo=lo, scan_step=step)
-    assert got == f"RootBracketError: no sign change found in ({lo}, 1.0)"
-
-
-def test_scan_errors_and_start_values_match_pointwise():
-    """No sign change, f(hi) < 0 and f(hi) == 0 end as the every-point scan
-    ends: the same error text, or hi itself."""
-    got = _assert_scans_agree(lambda x: 1.0 + x, 1.0, lo=0.5)
-    assert got == "RootBracketError: no sign change found in (0.5, 1.0)"
-    got = _assert_scans_agree(lambda x: -1.0, 0.75)
-    assert got == "RootBracketError: function already negative at scan start 0.75"
-    assert _assert_scans_agree(lambda x: x - 0.75, 0.75) == (0.75).hex()
-    # a NaN at the bracket's upper end fails the bisection in both scans
-    nan_at = _scan_grid(1.0, 1e-3, 14)[13]
-    fn = lambda x: math.nan if x == nan_at else x - 0.9865  # noqa: E731
-    assert _assert_scans_agree(fn, 1.0).startswith("RootBracketError: no sign change on")
-
-
-def test_scan_misses_a_dip_between_coarse_points():
-    """The stated resolution limit: f < 0 on a gap narrower than
-    SCAN_STRIDE steps between two positive coarse points is skipped (the
-    every-point scan stops there), and the next root down is found."""
-    step = 1e-3
-    grid = _scan_grid(1.0, step, 4 * SCAN_STRIDE)
-    dip = (grid[SCAN_STRIDE + 2], grid[SCAN_STRIDE + 1])
-    fn = lambda x: -1.0 if dip[0] <= x <= dip[1] else x - 0.95  # noqa: E731
-    assert find_largest_root_pointwise(fn, 1.0, scan_step=step) == pytest.approx(
-        dip[1], abs=1e-12
-    )
-    assert find_largest_root(fn, 1.0, scan_step=step) == pytest.approx(0.95, abs=1e-12)
 
 
 def test_breakpoint_validation():

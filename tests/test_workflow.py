@@ -52,17 +52,20 @@ def test_tier1_step_runs_the_roadmap_command():
 
 # Loads the program as the benchmark does and runs one (2,2) certificate
 # inside a traced pass; prints the pass's counters, and the root-search
-# spans directly under the construction's span, as JSON.
+# spans directly under the construction's span, as JSON.  The root-search
+# name is a None placeholder, before the pass and after it.
 BENCH_TRACE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import run, spans
 lab = run.load_program()
+assert lab.dual.find_largest_root is None
 tracer = spans.Tracer()
 with spans.instrumented(lab, tracer):
     cert = lab.dual.construct_dual(2, 2)
     ok = lab.dual.verify_certificate(cert).ok
 tracer.end_pass()
+assert lab.dual.find_largest_root is None
 names = [span[0] for span in tracer.spans]
 roots = sum(
     name == "piecewise.find_largest_root" and span[3] >= 0
@@ -90,7 +93,7 @@ def test_bench_trace_hooks_find_the_program_names():
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts.pop("ok") is True
     # the construction takes its thresholds from value.solve and searches
-    # for no root; dual.find_largest_root stays for this hook to wrap
+    # for no root; dual.find_largest_root is only a name for this hook to wrap
     assert counts.pop("construct_root_spans") == 0
     for name in ("piecewise.value_calls", "piecewise.tail_integral_calls"):
         assert counts.get(name, 0) == 0, name
