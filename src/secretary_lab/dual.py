@@ -13,11 +13,11 @@ they meet the complementary-slackness equalities above each threshold and
 the dual inequalities below it, vanish at the threshold, and integrate to
 the payoff J - sum_j (1 - tau[j][1])**K.  verify_certificate checks that
 on a grid, against alpha_k computed afresh, so a wrong tau shows up as
-|q(tau)| > tol.  The check reads two series per threshold and the JSON
-dump K gain and J drop series per point, from per-cell arrays with
-piecewise's one evaluator (no BLAS: a point's values do not depend on its
-batch); the q and r rows are built from those arrays only when read.
-Every K, K = 1 included, runs this one double-precision construction.
+|q(tau)| > tol.  The check and the JSON dump evaluate K gain and J drop
+series per point from per-cell arrays with piecewise's one evaluator (no
+BLAS: a point's values do not depend on its batch);
+the q and r rows are built from those arrays only when read.  Every K,
+K = 1 included, runs this one double-precision construction.
 """
 
 from __future__ import annotations
@@ -200,9 +200,7 @@ def _sorted_union(*arrays: np.ndarray) -> np.ndarray:
 
 def _q_at(arr: CellArrays, x: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """q_{j|k}(x) for aligned arrays of points and 0-based j and k, from
-    one evaluation of the gain and drop series at the points' sorted union.
-    For the JSON dump, whose pairs share points: gathering each point's two
-    series would hold a (degrees, 2, points) array, 13 MB more at (16,35)."""
+    one evaluation of the gain and drop series at the points' sorted union."""
     points = _sorted_union(x)
     cell, s, active = arr.locate(points)
     J, K = arr.first.shape
@@ -259,12 +257,7 @@ def verify_certificate(
     max_eq, min_slack, min_q = 0.0, math.inf, math.inf
     # notes[j-1][k-1]: the first broken bound of (j, k), its threshold first
     notes: list[list[str | None]] = [[None] * K for _ in range(J)]
-    # q at each threshold from only the two series its pair sums, gain_k and drop_j
-    pair = np.arange(J * K)
-    j, k = np.divmod(pair, K)
-    cell, s, active = arr.locate(tau.ravel())
-    two = _series(arr.coef[:, np.stack([k, K + j]), cell], pair, s)
-    roots = abs(np.where(k < active[pair, j], (two[0] + two[1]) / tau.ravel(), 0.0)).reshape(J, K)
+    roots = abs(_q_at(arr, tau.ravel(), *np.divmod(np.arange(J * K), K))).reshape(J, K)
     for (j, k), root in np.ndenumerate(roots):
         if not root <= tol:
             notes[j][k] = f"q[{j + 1}][{k + 1}] at its threshold: |q|={root:.3e}"

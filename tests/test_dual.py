@@ -545,25 +545,6 @@ def test_series_values_do_not_depend_on_the_batch(J, K):
         )
 
 
-@pytest.mark.parametrize("J, K", [(1, 1), (2, 2), (8, 8), (2, 35), (16, 35)])
-def test_threshold_residuals_have_the_bits_of_q_at(J, K):
-    """The check reads q at each threshold from its pair's two series
-    only; the largest |q(tau)|, and a first violation at a threshold, hold
-    the bits of `_q_at`, which evaluates all K + J series at the points."""
-    for delta in (0.0, 0.01, -0.001):
-        cert = perturbed(construct_dual(J, K), delta)
-        pairs = np.divmod(np.arange(J * K), K)
-        roots = abs(dual._q_at(cert._arrays, np.ravel(cert.tau.tau), *pairs))
-        report = verify_certificate(cert)
-        assert report.max_threshold_residual.hex() == roots.max().hex()
-        j, k = np.divmod(int(np.argmax(~(roots <= report.tolerance))), K)
-        note = f"q[{j + 1}][{k + 1}] at its threshold: |q|={roots[j * K + k]:.3e}"
-        at_threshold = "at its threshold" in (report.first_violation or "")
-        assert at_threshold == (delta == 0.01)
-        if at_threshold:
-            assert report.first_violation == note
-
-
 @pytest.mark.parametrize("grid", [7, 2000])
 @pytest.mark.parametrize("J, K", [(1, 1), (1, 4), (4, 4)])
 def test_points_below_the_lowest_cell_match_the_row_by_row_check(monkeypatch, J, K, grid):
