@@ -13,11 +13,11 @@ they meet the complementary-slackness equalities above each threshold and
 the dual inequalities below it, vanish at the threshold, and integrate to
 the payoff J - sum_j (1 - tau[j][1])**K.  verify_certificate checks that
 on a grid, against alpha_k computed afresh, so a wrong tau shows up as
-|q(tau)| > tol.  The check and the JSON dump evaluate K gain and J drop
-series per point from per-cell arrays with piecewise's one evaluator (no
-BLAS: a point's values do not depend on its batch);
-the q and r rows are built from those arrays only when read.  Every K,
-K = 1 included, runs this one double-precision construction.
+|q(tau)| > tol.  construct_dual turns the solve's cells into per-cell
+arrays, from which the check and the JSON dump evaluate K gain and J drop
+series per point with piecewise's one evaluator (no BLAS: a point's values
+do not depend on its batch), and the q and r rows are built when read.
+Every K, K = 1 included, runs this one double-precision construction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +53,11 @@ CHOP = 1e-14
 
 
 def payoff_jk(tau: ThresholdMatrix) -> float:
-    """Optimal expected payoff J - sum_j (1 - tau_{j,1})^K."""
-    return tau.J - sum((1.0 - row[0]) ** tau.K for row in tau.tau)
+    """Optimal expected payoff J - sum_j (1 - tau_{j,1})^K, summed left to right."""
+    total = 0.0
+    for row in tau.tau:
+        total += (1.0 - row[0]) ** tau.K
+    return tau.J - total
 
 
 # -- certificate construction ----------------------------------------------
@@ -67,14 +69,25 @@ class DualCertificateJK:
 
     q[j-1][k-1] is the dual function for (quota j, potential rank k),
     supported on [tau_{j,k}, 1]; r[j-1][k-1] is the running sum
-    q_{j|1} + ... + q_{j|k}.  value.solve's cells (`half` is their dt/ds)
-    become cell arrays when the certificate is first checked or dumped,
-    and rows when q or r is first read; reading tau builds neither.
+    q_{j|1} + ... + q_{j|k}.  construct_dual stores them as arrays on the
+    solve's n cells, ascending in x (`half` is their dt/ds): on cell c,
+    y q_{j|k}(y) = gain_k + drop_j if k <= active[c, j-1], else 0, and
+    q_{j|k} lives on cells first[j-1, k-1] and up.  coef[d, row, c] is
+    degree-major: K gain rows, J drop rows (top degree 0), then J
+    antiderivatives in s of y [r_{j|K} - r_{j-1|K}], each tail_top[j-1, c]
+    at the top of cell c and integrating to suffix[j-1, c] over cells c..
+    The q and r rows are built from the arrays only when first read.
     """
 
     tau: ThresholdMatrix
+    bps: np.ndarray  # the n + 1 cell ends in x, the last 1
+    tops: np.ndarray  # the top of each cell in t = ln x
     half: float
-    cells: tuple[value.Cell, ...]
+    active: np.ndarray  # (n, J)
+    first: np.ndarray  # (J, K)
+    coef: np.ndarray  # (degrees + 1, K + 2 J, n)
+    tail_top: np.ndarray  # (J, n)
+    suffix: np.ndarray  # (J, n + 1)
 
     @property
     def J(self) -> int:
@@ -83,10 +96,6 @@ class DualCertificateJK:
     @property
     def K(self) -> int:
         return self.tau.K
-
-    @cached_property
-    def _arrays(self) -> CellArrays:
-        return _cell_arrays(self)
 
     @cached_property
     def _rows(self) -> tuple:
@@ -106,26 +115,6 @@ class DualCertificateJK:
             return PiecewiseFunction.zero()
         return self.r[j - 1][-1]
 
-
-class CellArrays(NamedTuple):
-    """The dual functions on the solve's n cells, ascending in x.
-
-    On cell c, y q_{j|k}(y) = gain_k + drop_j if k <= active[c, j-1], else
-    0; q_{j|k} lives on cells first[j-1, k-1] and up.  coef[d, row, c] is
-    degree-major: K gain rows, J drop rows (top degree 0), then J
-    antiderivatives in s of y [r_{j|K} - r_{j-1|K}], each tail_top[j-1, c]
-    at the top of cell c and integrating to suffix[j-1, c] over cells c..
-    """
-
-    bps: np.ndarray  # the n + 1 cell ends in x, the last 1
-    tops: np.ndarray  # the top of each cell in t = ln x
-    half: float
-    active: np.ndarray  # (n, J)
-    first: np.ndarray  # (J, K)
-    coef: np.ndarray  # (degrees + 1, K + 2 J, n)
-    tail_top: np.ndarray  # (J, n)
-    suffix: np.ndarray  # (J, n + 1)
-
     def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each point's cell, its s there and active[i, j-1] (0 below cell 0)."""
         cell = np.searchsorted(self.bps, x, side="right") - 1
@@ -134,11 +123,32 @@ class CellArrays(NamedTuple):
         return cell, s, self.active[cell] * (x >= self.bps[0])[:, None]
 
 
-def _cell_arrays(cert: DualCertificateJK) -> CellArrays:
-    """The solve's node values as Chebyshev coefficients, once per cell;
-    cells of zero width in x (a threshold on a cell top) are dropped."""
-    J, K, half = cert.J, cert.K, cert.half
-    cells = [c for c in reversed(cert.cells) if math.exp(c.lo) < math.exp(c.top)]
+def _cell_rows(cert: DualCertificateJK) -> tuple:
+    """(q rows, r rows) from the cell arrays: where row j's active pairs
+    are k = 1..m, y r_{j|k} = sum_{l <= min(k, m)} (gain_l + drop_j)."""
+    K = cert.K
+    gain, drop = cert.coef[:-1, :K].T, cert.coef[:-1, K : K + cert.J].T  # (cells, rows, degrees)
+    sums = np.cumsum(gain, axis=1)
+    every = np.arange(len(gain))[:, None]
+
+    def on_top(first: int, coef: np.ndarray) -> PiecewiseFunction:
+        return PiecewiseFunction(cert.bps[first:], cert.tops[first:], cert.half, coef)
+
+    q_rows, r_rows = [], []
+    for j, first in enumerate(cert.first):
+        q_rows.append(tuple(on_top(f, gain[f:, k] + drop[f:, j]) for k, f in enumerate(first)))
+        m = np.minimum.outer(cert.active[:, j], np.arange(1, K + 1))  # nonzero q per cell
+        r = sums[every, m - 1] + m[..., None] * drop[:, j, None]
+        r_rows.append(tuple(on_top(first[0], r[first[0] :, k]) for k in range(K)))
+    return tuple(q_rows), tuple(r_rows)
+
+
+def construct_dual(J: int, K: int) -> DualCertificateJK:
+    """Dual functions for the (J,K) problem at value.solve's thresholds: its
+    node values as Chebyshev coefficients, once per cell, dropping cells of
+    zero width in x (a threshold on a cell top).  value.solve checks sizes."""
+    tau, _, half, solved = value.solve(J, K)
+    cells = [c for c in reversed(solved) if math.exp(c.lo) < math.exp(c.top)]
     n = len(cells)
     bps = np.array([math.exp(cells[0].lo)] + [math.exp(c.top) for c in cells])
     tops = np.array([c.top for c in cells])
@@ -161,34 +171,7 @@ def _cell_arrays(cert: DualCertificateJK) -> CellArrays:
     coef[:, K + J :] = _antiderivative(np.diff(r_top, axis=1, prepend=0.0).T)
     first = n - (active[..., None] > np.arange(K)).sum(axis=0)
     tail_top, suffix = _cell_integrals(coef[:, K + J :], bps, tops, half)
-    return CellArrays(bps, tops, half, active, first, coef, tail_top, suffix)
-
-
-def _cell_rows(cert: DualCertificateJK) -> tuple:
-    """(q rows, r rows) from the cell arrays: where row j's active pairs
-    are k = 1..m, y r_{j|k} = sum_{l <= min(k, m)} (gain_l + drop_j)."""
-    a, K = cert._arrays, cert.K
-    gain, drop = a.coef[:-1, :K].T, a.coef[:-1, K : K + cert.J].T  # (cells, rows, degrees)
-    sums = np.cumsum(gain, axis=1)
-    every = np.arange(len(gain))[:, None]
-
-    def on_top(first: int, coef: np.ndarray) -> PiecewiseFunction:
-        return PiecewiseFunction(a.bps[first:], a.tops[first:], a.half, coef)
-
-    q_rows, r_rows = [], []
-    for j, first in enumerate(a.first):
-        q_rows.append(tuple(on_top(f, gain[f:, k] + drop[f:, j]) for k, f in enumerate(first)))
-        m = np.minimum.outer(a.active[:, j], np.arange(1, K + 1))  # nonzero q per cell
-        r = sums[every, m - 1] + m[..., None] * drop[:, j, None]
-        r_rows.append(tuple(on_top(first[0], r[first[0] :, k]) for k in range(K)))
-    return tuple(q_rows), tuple(r_rows)
-
-
-def construct_dual(J: int, K: int) -> DualCertificateJK:
-    """Dual functions for the (J,K) problem at value.solve's thresholds and
-    on its cells; value.solve checks the sizes before any work."""
-    sol = value.solve(J, K)
-    return DualCertificateJK(sol.tau, sol.half, sol.cells)
+    return DualCertificateJK(tau, bps, tops, half, active, first, coef, tail_top, suffix)
 
 
 def _sorted_union(*arrays: np.ndarray) -> np.ndarray:
@@ -198,13 +181,13 @@ def _sorted_union(*arrays: np.ndarray) -> np.ndarray:
     return xs[np.diff(xs, prepend=-np.inf) != 0]
 
 
-def _q_at(arr: CellArrays, x: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _q_at(cert: DualCertificateJK, x: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """q_{j|k}(x) for aligned arrays of points and 0-based j and k, from
     one evaluation of the gain and drop series at the points' sorted union."""
     points = _sorted_union(x)
-    cell, s, active = arr.locate(points)
-    J, K = arr.first.shape
-    values = _series(arr.coef[:, : K + J], cell, s)
+    cell, s, active = cert.locate(points)
+    J, K = cert.J, cert.K
+    values = _series(cert.coef[:, : K + J], cell, s)
     at = np.searchsorted(points, x)
     return np.where(k < active[at, j], (values[k, at] + values[K + j, at]) / x, 0.0)
 
@@ -253,26 +236,26 @@ def verify_certificate(
         raise ValueError(f"grid_points={grid_points} outside [1, {MAX_GRID_POINTS}]")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol={tol} outside [0, inf)")
-    J, K, arr, tau = cert.J, cert.K, cert._arrays, np.array(cert.tau.tau)
+    J, K, tau = cert.J, cert.K, np.array(cert.tau.tau)
     max_eq, min_slack, min_q = 0.0, math.inf, math.inf
     # notes[j-1][k-1]: the first broken bound of (j, k), its threshold first
     notes: list[list[str | None]] = [[None] * K for _ in range(J)]
-    roots = abs(_q_at(arr, tau.ravel(), *np.divmod(np.arange(J * K), K))).reshape(J, K)
+    roots = abs(_q_at(cert, tau.ravel(), *np.divmod(np.arange(J * K), K))).reshape(J, K)
     for (j, k), root in np.ndenumerate(roots):
         if not root <= tol:
             notes[j][k] = f"q[{j + 1}][{k + 1}] at its threshold: |q|={root:.3e}"
-    points = _sorted_union(np.arange(1, grid_points + 1) / grid_points, arr.bps)
+    points = _sorted_union(np.arange(1, grid_points + 1) / grid_points, cert.bps)
     # Chunks ascend in x, so each (j, k) meets its points in ascending order.
     step = max(1, CHUNK_VALUES // (K + 2 * J))
     for a in range(0, len(points), step):
         x = points[a : a + step]
-        cell, s, active = arr.locate(x)
-        lo = int(np.searchsorted(x, arr.bps[0]))  # below: q is 0, tails are suffix sums
-        values = np.zeros((arr.coef.shape[1], len(x)))
-        values[:, lo:] = _series(arr.coef, cell[lo:], s[lo:])
+        cell, s, active = cert.locate(x)
+        lo = int(np.searchsorted(x, cert.bps[0]))  # below: q is 0, tails are suffix sums
+        values = np.zeros((cert.coef.shape[1], len(x)))
+        values[:, lo:] = _series(cert.coef, cell[lo:], s[lo:])
         # (1/x) int_x^1 [r_{j|K} - r_{j-1|K}], rows j = 1..J
-        tails = arr.suffix[:, cell + 1] + arr.half * (arr.tail_top[:, cell] - values[K + J :])
-        tails[:, x <= arr.bps[0]] = arr.suffix[:, :1]  # at x = 1, s = 1 and they are 0
+        tails = cert.suffix[:, cell + 1] + cert.half * (cert.tail_top[:, cell] - values[K + J :])
+        tails[:, x <= cert.bps[0]] = cert.suffix[:, :1]  # at x = 1, s = 1 and they are 0
         tails /= x
         alpha_rows = alphas(K, x)
         for j, row_notes in enumerate(notes):
@@ -301,7 +284,7 @@ def verify_certificate(
                 else:
                     row_notes[k] = f"q[{j + 1}][{k + 1}]({x[i]:.6f}) = {qv[k, i]:.3e} < 0"
     violation = next((n for row in notes for n in row if n is not None), None)
-    objective = math.fsum(arr.suffix[:, 0].tolist())  # int_0^1 r_{J|K}
+    objective = math.fsum(cert.suffix[:, 0].tolist())  # int_0^1 r_{J|K}
     payoff = payoff_jk(cert.tau)
     gap = abs(objective - payoff)
     if violation is None and not gap <= OBJECTIVE_TOL:  # a NaN gap fails too
@@ -328,10 +311,10 @@ def certificate_to_dict(
     evaluation at every sample: each cell is cut into p = ceil(m / c)
     equal parts, m = CERT_SAMPLES + 1, and of those c p part starts the
     ones at index floor(i c p / m), i < m, are taken, then x = 1.  So
-    tau_{j,k} (index 0) and x = 1 are always among them.
+    q's first breakpoint (index 0) and x = 1 are always among them; that
+    breakpoint is tau_{j,k} as solved, which a perturbed tau does not move.
     """
-    arr = cert._arrays
-    a, b, firsts = arr.bps[:-1], arr.bps[1:], arr.first.ravel().tolist()
+    a, b, firsts = cert.bps[:-1], cert.bps[1:], cert.first.ravel().tolist()
     m = CERT_SAMPLES + 1
     grids = {}  # parts per cell -> every cell's part starts, cell by cell
     samples = []
@@ -343,8 +326,8 @@ def certificate_to_dict(
         samples.append(np.append(grids[p][f * p + np.arange(m) * (c * p) // m], 1.0))
     xs = np.concatenate(samples)
     pairs = np.divmod(np.repeat(np.arange(len(firsts)), m + 1), cert.K)
-    rows = np.column_stack((xs, _q_at(arr, xs, *pairs))).tolist()
-    bps = arr.bps.tolist()
+    rows = np.column_stack((xs, _q_at(cert, xs, *pairs))).tolist()
+    bps = cert.bps.tolist()
     out: dict = {
         "J": cert.J,
         "K": cert.K,
@@ -352,7 +335,7 @@ def certificate_to_dict(
         "payoff": payoff_jk(cert.tau),
         "q": [
             dict(j=j + 1, k=k + 1, breakpoints=bps[f:], samples=rows[n : n + m + 1])
-            for n, (j, k), f in zip(range(0, len(rows), m + 1), np.ndindex(arr.first.shape), firsts)
+            for n, (j, k), f in zip(range(0, len(rows), m + 1), np.ndindex(cert.J, cert.K), firsts)
         ],
     }
     if report is not None:

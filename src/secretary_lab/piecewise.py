@@ -93,7 +93,9 @@ def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
         basis[k] = two_s * basis[k - 1] - basis[k - 2]
     out = np.empty(coef.shape[1:-1] + (n,))
     starts = np.flatnonzero(seg != np.concatenate(([-1], seg[:-1])))  # each cell's first point
-    if n <= 2 * len(starts):  # coefficients gathered point by point
+    # coefficients gathered point by point; past two points a cell, per-cell einsums
+    # give the same bits faster (gathering only: certify's 24 checks 35 -> 55 ms)
+    if n <= 2 * len(starts):
         np.einsum("k...p,kp->...p", coef[..., seg], basis, out=out)
     else:
         for c, a, b in zip(seg[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), n]):

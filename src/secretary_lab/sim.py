@@ -212,7 +212,8 @@ def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray) -> np.ndarra
     pass the float range, a row's factors are scaled by the power of two
     sc that puts (pos - t) sc in [2^-7, 1); that rounds as the unscaled
     products would, but keeps them in range, and the largest float
-    stands in for a p_pos / v that still overflows (a draw of 0).
+    stands in for a p_pos / v that still overflows (a draw of 0).  Scaling
+    every row too gives the same bits, 3-8% slower on the simulate cases.
     """
     v = np.maximum(v, 5e-324)
     sc = None

@@ -83,10 +83,6 @@ class ThetaSequence:
     def J(self) -> int:
         return len(self.thetas)
 
-    def theta(self, j: int) -> Fraction:
-        """theta_j with the convention theta_0 = 0."""
-        return Fraction(0) if j == 0 else self.thetas[j - 1]
-
     @cached_property
     def exps(self) -> tuple[Decimal, ...]:
         """exp(-theta_j) at the working precision, computed on first use."""

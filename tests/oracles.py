@@ -41,6 +41,8 @@
   ln x as tuples of coefficients (entry p multiplies (ln x)^p): a Horner
   loop of its own, the exact derivative in ln x, and B with
   int p(ln y) dy = y B(ln y).
+* `theta_at`: theta_j of a `secretary_lab.theta.ThetaSequence`, with
+  theta_0 = 0.
 * `ln_rows`: the rows of `secretary_lab.theta.recursion`, whose piece k
   is a polynomial in y = ln x + theta_k, Taylor-shifted back to ln x in
   exact arithmetic.
@@ -87,6 +89,7 @@ from secretary_lab.dual import (
     OBJECTIVE_TOL,
     CertificateReport,
     DualCertificateJK,
+    construct_dual,
     payoff_jk,
 )
 from secretary_lab.piecewise import (
@@ -555,8 +558,8 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
             r_row.append(running)
         q_rows.append(tuple(q_row))
         r_rows.append(tuple(r_row))
-    cert = DualCertificateJK(sol.tau, sol.half, sol.cells)
-    vars(cert)["_rows"] = (tuple(q_rows), tuple(r_rows))  # built here, not from cells
+    cert = construct_dual(J, K)
+    vars(cert)["_rows"] = (tuple(q_rows), tuple(r_rows))  # built here, not from the arrays
     return cert
 
 
@@ -588,6 +591,11 @@ def plain_antiderivative(poly) -> tuple:
     return tuple(b)
 
 
+def theta_at(ts: ThetaSequence, j: int) -> Fraction:
+    """theta_j with the convention theta_0 = 0."""
+    return Fraction(0) if j == 0 else ts.thetas[j - 1]
+
+
 def ln_rows(ts: ThetaSequence, rows) -> list[list[tuple]]:
     """`recursion`'s rows in ln x: piece k, a polynomial p in
     y = ln x + theta_k, becomes p(ln x + theta_k), expanded by Horner's
@@ -597,7 +605,7 @@ def ln_rows(ts: ThetaSequence, rows) -> list[list[tuple]]:
     for row in rows:
         pieces = []
         for k, poly in enumerate(row, start=1):
-            theta_k, acc = ts.theta(k), []
+            theta_k, acc = theta_at(ts, k), []
             for c in reversed(poly):
                 acc = [theta_k * a + b for a, b in zip([*acc, 0], [0, *acc])]
                 acc[0] += c
@@ -614,10 +622,10 @@ def rational_to_decimal(q: Fraction, bits: int = DEFAULT_PRECISION_BITS) -> Deci
 
 def q_at_theta(ts: ThetaSequence, rows, j: int, theta: Fraction) -> Fraction:
     """Exact q_j at x = exp(-theta); zero for j = 0 and for theta > theta_j."""
-    if j == 0 or theta > ts.theta(j):
+    if j == 0 or theta > theta_at(ts, j):
         return Fraction(0)
     for k, poly in enumerate(rows[j - 1], start=1):
-        if ts.theta(k - 1) <= theta <= ts.theta(k):
+        if theta_at(ts, k - 1) <= theta <= theta_at(ts, k):
             return ln_poly_at(poly, -theta)
     raise ValueError(f"theta {theta} outside [0, theta_{j}]")
 
@@ -637,14 +645,14 @@ def integral_q_from(
     """
     if j == 0:
         return Decimal(0)
-    theta_from = min(theta_from, ts.theta(j))
+    theta_from = min(theta_from, theta_at(ts, j))
     with localcontext(working_context(bits)):
         total = Decimal(0)
         for k, poly in enumerate(rows[j - 1], start=1):
-            lo = ts.theta(k - 1)
+            lo = theta_at(ts, k - 1)
             if lo >= theta_from:
                 break
-            hi = min(ts.theta(k), theta_from)
+            hi = min(theta_at(ts, k), theta_from)
             if weight_over_x:
                 anti = _integral(poly)
                 total += rational_to_decimal(ln_poly_at(anti, -lo) - ln_poly_at(anti, -hi), bits)
@@ -661,7 +669,7 @@ def dual_objective_k1(
     ts: ThetaSequence, rows, bits: int = DEFAULT_PRECISION_BITS
 ) -> float:
     """int_0^1 q_J(y) dy; must equal payoff_k1 up to final rounding."""
-    return float(integral_q_from(ts, rows, ts.J, ts.theta(ts.J), bits))
+    return float(integral_q_from(ts, rows, ts.J, theta_at(ts, ts.J), bits))
 
 
 def constraint_lhs_k1(

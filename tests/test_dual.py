@@ -23,7 +23,7 @@ from secretary_lab import dual, theta
 from secretary_lab.cli import main
 from secretary_lab.piecewise import PiecewiseFunction, _series
 from secretary_lab.theta import generate_thetas, thresholds
-from secretary_lab.value import MonotonicityError, ThresholdMatrix
+from secretary_lab.value import MonotonicityError, ThresholdMatrix, solve
 
 import reference_values as ref
 from oracles import (
@@ -204,6 +204,18 @@ def test_construct_k1_matches_exact_thresholds():
         assert cert.tau.threshold(j, 1) == pytest.approx(tvals[j - 1], abs=1e-12)
 
 
+@pytest.mark.parametrize("J, K", [(3, 1), (4, 1), (6, 6)])
+def test_payoff_is_summed_left_to_right(J, K):
+    """payoff_jk is J minus a plain left-to-right float sum on every
+    interpreter; a compensated sum (builtin sum from Python 3.12 on)
+    changes the last bits of these pairs' payoffs."""
+    tau = solve(J, K).tau
+    total = 0.0
+    for row in tau.tau:
+        total += (1.0 - row[0]) ** K
+    assert payoff_jk(tau) == J - total
+
+
 def test_k1_calls_no_theta_function(monkeypatch):
     """K = 1 runs the one float construction: nothing of theta is called."""
 
@@ -250,7 +262,7 @@ def test_construction_builds_little_below_each_threshold(J, K):
     """Nothing is built below a threshold: q_{j|k} starts at tau_{j,k} and
     the running sums at tau_{j,1}, each on the solve's cells above."""
     cert = construct_dual(J, K)
-    tops = {math.exp(cell.top) for cell in cert.cells}
+    tops = set(cert.bps[1:].tolist())
     for j in range(1, J + 1):
         for k in range(1, K + 1):
             q = cert.q[j - 1][k - 1]
@@ -288,24 +300,30 @@ def _no_rows(cert):
     raise AssertionError("dual rows built")
 
 
-def _no_arrays(cert):
-    raise AssertionError("dual arrays built")
+def _no_certificate(J, K):
+    raise AssertionError("certificate constructed")
 
 
 def test_threshold_readers_build_no_rows(monkeypatch, capsys):
-    """tau, simulate and finite-lp build no cell arrays and read no q or
-    r row; reading q or r builds. K = 1 keeps its rows as cells too."""
-    monkeypatch.setattr(dual, "_cell_rows", _no_rows)
-    monkeypatch.setattr(dual, "_cell_arrays", _no_arrays)
+    """simulate and finite-lp construct no certificate; a certificate
+    builds no q or r row until one is read, and a perturbed copy of a read
+    certificate builds its own. K = 1 builds its rows the same way."""
     for J, K in ((4, 4), (3, 1)):
         cert = construct_dual(J, K)
         assert len(cert.tau.tau) == J
         argv = ["--J", str(J), "--K", str(K)]
-        assert main(["simulate", *argv, "--n", "1000", "--trials", "300"]) == 0
-        assert main(["finite-lp", *argv, "--n", "20"]) == 0
-        for name in ("q", "r"):
-            with pytest.raises(AssertionError, match="dual rows built"):
-                getattr(cert, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(dual, "construct_dual", _no_certificate)
+            assert main(["simulate", *argv, "--n", "1000", "--trials", "300"]) == 0
+            assert main(["finite-lp", *argv, "--n", "20"]) == 0
+            patch.setattr(dual, "_cell_rows", _no_rows)
+            for name in ("q", "r"):
+                with pytest.raises(AssertionError, match="dual rows built"):
+                    getattr(cert, name)
+        copy = perturbed(cert, 0.01)
+        assert cert.q[0][0] is cert.q[0][0]
+        assert "_rows" not in vars(copy) and copy.coef is cert.coef
+        assert copy.q[0][0] is not cert.q[0][0]
 
 
 @pytest.mark.parametrize("J,K", [(3, 3), (2, 4), (4, 2)])
@@ -323,7 +341,7 @@ def test_rows_built_on_read_match_combine_reference(J, K):
                     _assert_same_function(f_got, f_want, name)
     assert shifted.tau.threshold(1, 1) == got.tau.threshold(1, 1) + 0.01
     copy = perturbed(got, 0.01)  # builds its own rows on read
-    assert "_rows" not in vars(copy) and "_arrays" not in vars(copy)
+    assert "_rows" not in vars(copy) and copy.suffix is got.suffix
     assert not verify_certificate(shifted, grid_points=500).ok
 
 
@@ -529,12 +547,12 @@ def test_series_values_do_not_depend_on_the_batch(J, K):
     arrays and for one of their rows laid out degree-contiguous, as a
     PiecewiseFunction holds its coefficients (a lone point with a
     contiguous basis column would take einsum's unrolled sum)."""
-    arr = construct_dual(J, K)._arrays
+    cert = construct_dual(J, K)
     rng = np.random.default_rng(100 * J + K)
-    x = np.sort(np.concatenate([rng.uniform(arr.bps[0], 1.0, 600), arr.bps]))
-    cell, s, _ = arr.locate(x)
-    one_row = np.ascontiguousarray(arr.coef[:, 0].T).T
-    for coef in (arr.coef, one_row):
+    x = np.sort(np.concatenate([rng.uniform(cert.bps[0], 1.0, 600), cert.bps]))
+    cell, s, _ = cert.locate(x)
+    one_row = np.ascontiguousarray(cert.coef[:, 0].T).T
+    for coef in (cert.coef, one_row):
         whole = _series(coef, cell, s)
         for size in [1] * 30 + rng.integers(2, len(x), 30).tolist():
             at = np.sort(rng.choice(len(x), size, replace=False))
@@ -553,8 +571,7 @@ def test_points_below_the_lowest_cell_match_the_row_by_row_check(monkeypatch, J,
     residuals within 1e-12), and NaN in the lowest cell's gain row still
     fails.  Grid 7 puts no point below (4,4)'s lowest cell, at 0.1305."""
     cert = construct_dual(J, K)
-    arr = cert._arrays
-    assert (1 / grid < arr.bps[0]) == ((J, K, grid) != (4, 4, 7))
+    assert (1 / grid < cert.bps[0]) == ((J, K, grid) != (4, 4, 7))
     got = verify_certificate(cert, grid_points=grid)
     with monkeypatch.context() as patch:
         patch.setattr(PiecewiseFunction, "values", values_by_segment)
@@ -563,7 +580,7 @@ def test_points_below_the_lowest_cell_match_the_row_by_row_check(monkeypatch, J,
     assert (got.ok, got.first_violation) == (want.ok, want.first_violation)
     for field in REPORT_FLOATS:
         assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
-    arr.coef[:, 0, 0] = math.nan
+    cert.coef[:, 0, 0] = math.nan
     planted = verify_certificate(cert, grid_points=grid)
     assert not planted.ok
     assert planted.first_violation.endswith("nan"), planted.first_violation
@@ -641,16 +658,15 @@ def test_nan_in_a_dual_function_never_verifies(plant, want):
     tau_{1,1} add (seen below the threshold only).  The report's max/min
     fields skip NaN."""
     cert = construct_dual(2, 2)
-    arr = cert._arrays
     if plant == "gain":
-        arr.coef[:, 1, :] = math.nan
+        cert.coef[:, 1, :] = math.nan
     elif plant == "drop":
-        assert arr.first[0, 0] < len(arr.tops) - 1
-        arr.coef[:, cert.K, -1] = math.nan
+        assert cert.first[0, 0] < len(cert.tops) - 1
+        cert.coef[:, cert.K, -1] = math.nan
     else:
-        below = arr.first[0, 0] - 1
+        below = cert.first[0, 0] - 1
         assert below >= 0
-        arr.suffix[0, below + 1] = math.nan
+        cert.suffix[0, below + 1] = math.nan
     report = verify_certificate(cert)
     assert not report.ok
     assert report.first_violation.startswith(want), report.first_violation
@@ -710,17 +726,23 @@ def test_construct_rejects_bad_sizes():
 
 @pytest.mark.parametrize("J, K", [(2, 2), (8, 8), (16, 16)])
 def test_each_q_dumps_cert_samples_plus_two(J, K):
-    """Every q carries CERT_SAMPLES + 2 samples rising from tau_{j,k} to
-    x = 1, over few cells and over more cells than samples alike."""
-    d = dual.certificate_to_dict(construct_dual(J, K))
-    assert len(d["q"]) == J * K
-    cells = set()
-    for q in d["q"]:
-        xs = [x for x, _ in q["samples"]]
-        assert len(xs) == dual.CERT_SAMPLES + 2, (q["j"], q["k"])
-        assert xs[0] == d["tau"][q["j"] - 1][q["k"] - 1] == q["breakpoints"][0]
-        assert xs[-1] == 1.0
-        assert all(lo < hi for lo, hi in zip(xs, xs[1:]))
-        cells.add(len(q["breakpoints"]) - 1)
-    assert min(cells) < dual.CERT_SAMPLES
-    assert (max(cells) > dual.CERT_SAMPLES + 1) == ((J, K) != (2, 2))
+    """Every q carries CERT_SAMPLES + 2 samples rising from its first
+    breakpoint to x = 1, over few cells and over more cells than samples
+    alike.  That breakpoint is tau_{j,k} as solved: shifting tau_{1,1}
+    moves the dumped tau only, not q_{1|1}'s breakpoints or samples."""
+    cert = construct_dual(J, K)
+    for shift in (0.0, 0.01):
+        d = dual.certificate_to_dict(perturbed(cert, shift))
+        assert len(d["q"]) == J * K
+        cells = set()
+        for q in d["q"]:
+            xs = [x for x, _ in q["samples"]]
+            assert len(xs) == dual.CERT_SAMPLES + 2, (q["j"], q["k"])
+            moved = shift if (q["j"], q["k"]) == (1, 1) else 0.0
+            assert xs[0] == q["breakpoints"][0]
+            assert xs[0] + moved == d["tau"][q["j"] - 1][q["k"] - 1], (q["j"], q["k"])
+            assert xs[-1] == 1.0
+            assert all(lo < hi for lo, hi in zip(xs, xs[1:]))
+            cells.add(len(q["breakpoints"]) - 1)
+        assert min(cells) < dual.CERT_SAMPLES
+        assert (max(cells) > dual.CERT_SAMPLES + 1) == ((J, K) != (2, 2))

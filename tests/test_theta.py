@@ -28,6 +28,7 @@ from oracles import (
     ln_poly_at,
     ln_rows,
     q_at_theta,
+    theta_at,
 )
 
 from reference_values import (
@@ -99,7 +100,7 @@ def test_q1_piece():
     assert piece == (0, 1)  # y = 1 + ln x
     assert ln_rows(ts, rows) == [[(1, 1)]]
     # the one piece covers theta in [theta_0, theta_1] = [0, 1]
-    assert ts.theta(0) == 0 and ts.theta(1) == 1
+    assert ts.thetas == (1,)
 
 
 def test_q2_pieces_match_hand_integration():
@@ -116,7 +117,7 @@ def test_q2_pieces_match_hand_integration():
 def test_q_vanishes_at_own_threshold_exactly(cert6):
     ts, rows = cert6
     for j in range(1, 7):
-        assert q_at_theta(ts, rows, j, ts.theta(j)) == 0
+        assert q_at_theta(ts, rows, j, theta_at(ts, j)) == 0
 
 
 def test_q_at_one_is_one_exactly(cert6):
@@ -132,7 +133,7 @@ def test_pieces_are_continuous_across_breakpoints(cert6):
         assert len(pieces) == j
         # pieces k and k + 1 meet at theta_k
         for k, (left, right) in enumerate(zip(pieces, pieces[1:]), start=1):
-            joint = ts.theta(k)
+            joint = theta_at(ts, k)
             assert ln_poly_at(left, -joint) == ln_poly_at(right, -joint)
 
 
@@ -145,7 +146,7 @@ def test_dominance_on_grid(cert6):
     """
     ts, rows = cert6
     for j in range(2, 7):
-        theta_j = ts.theta(j)
+        theta_j = theta_at(ts, j)
         for i in range(1, 1000):
             theta = theta_j * i / 1000  # x = exp(-theta) sweeps (t_j, 1)
             assert q_at_theta(ts, rows, j, theta) > q_at_theta(ts, rows, j - 1, theta)
@@ -155,9 +156,9 @@ def test_recursion_identity(cert6):
     """int_{t_j}^1 q_j - int_{t_(j-1)}^1 q_(j-1) = t_j, at working precision."""
     ts, rows = cert6
     for j in range(1, 7):
-        lhs = integral_q_from(ts, rows, j, ts.theta(j), bits=128)
-        prev = integral_q_from(ts, rows, j - 1, ts.theta(j - 1), bits=128)
-        t_j = exp_neg(ts.theta(j), bits=128)
+        lhs = integral_q_from(ts, rows, j, theta_at(ts, j), bits=128)
+        prev = integral_q_from(ts, rows, j - 1, theta_at(ts, j - 1), bits=128)
+        t_j = exp_neg(theta_at(ts, j), bits=128)
         # the comparison itself runs in the default 28-digit context
         assert abs(lhs - prev - t_j) < Decimal("1e-25")
 
@@ -166,7 +167,7 @@ def test_constraint_equality_on_support(cert6):
     """q_j(x) + (1/x) int_x^1 [q_j - q_(j-1)] = 1 on [t_j, 1]."""
     ts, rows = cert6
     for j in range(1, 7):
-        theta_j = ts.theta(j)
+        theta_j = theta_at(ts, j)
         for num in range(0, 11):
             theta = theta_j * num / 10
             lhs = constraint_lhs_k1(ts, rows, j, theta, bits=128)
@@ -177,7 +178,7 @@ def test_constraint_strict_below_threshold(cert6):
     """Below t_j the constraint holds with strictly positive slack."""
     ts, rows = cert6
     for j in range(1, 7):
-        theta_j = ts.theta(j)
+        theta_j = theta_at(ts, j)
         for bump in (Fraction(1, 100), Fraction(1, 2), Fraction(2)):
             lhs = constraint_lhs_k1(ts, rows, j, theta_j + bump, bits=96)
             assert lhs - 1 > Decimal("1e-12")
@@ -189,10 +190,10 @@ def test_theta_recursion_against_weighted_integral(cert6):
     ts, rows = cert6
     for j in range(1, 6):
         integral = integral_q_from(
-            ts, rows, j, ts.theta(j), bits=128, weight_over_x=True
+            ts, rows, j, theta_at(ts, j), bits=128, weight_over_x=True
         )
-        want = Decimal(ts.theta(j + 1).numerator) / Decimal(
-            ts.theta(j + 1).denominator
+        want = Decimal(theta_at(ts, j + 1).numerator) / Decimal(
+            theta_at(ts, j + 1).denominator
         )
         assert abs((1 + integral) - want) < Decimal("1e-25")
 
@@ -219,7 +220,7 @@ def test_rows_end_in_y_and_meet_the_piece_below():
     for row in rows:
         assert row[-1] == (0, 1) and all(type(c) is Fraction for c in row[-1])
         for k, (piece, below) in enumerate(zip(row, row[1:]), start=1):
-            assert piece[0] == ln_poly_at(below, ts.theta(k + 1) - ts.theta(k))
+            assert piece[0] == ln_poly_at(below, theta_at(ts, k + 1) - theta_at(ts, k))
 
 
 def test_runtime_j8_under_a_second():
