@@ -9,9 +9,10 @@ i..n holding r unused quotas (Gilbert & Mosteller, JASA 1966),
     V(n+1, r) = V(i, 0) = 0,
     V(i, r) = V(i+1, r) + (1/i) sum_{k <= min(K, i)} max(0, w(k, i) + V(i+1, r-1) - V(i+1, r)),
 
-and P*_n = V(1, J), the optimum of the finite selection LP in `lp`.  One
-recursion serves both modes: it runs in float or in exact Fraction
-arithmetic, depending only on the number type it starts from.
+and P*_n = V(1, J), the optimum of the finite selection LP, whose exact
+simplex is the test oracle in tests/simplex.py.  One recursion serves both
+modes: it runs in float or in exact Fraction arithmetic, depending only on
+the number type it starts from.
 
 `weights` builds the rows [w(1, i), ..., w(min(K, i), i)] of a block of
 positions at once, as numpy columns over i, bit for bit the one-position

@@ -21,7 +21,6 @@ from secretary_lab.dual import (
 )
 from secretary_lab.cli import main
 from secretary_lab.dp import p_star
-from secretary_lab.lp import build_lp, coefficient_row_sum, solve_lp
 from secretary_lab.sim import (
     BLOCK_TRIALS,
     MIN_POOL_BLOCKS,
@@ -41,6 +40,7 @@ from secretary_lab.value import alphas
 
 import reference_values as ref
 from oracles import alpha, gamma, k2_closed_forms, ln_derivative, ln_poly_at
+from simplex import build_lp, coefficient_row_sum, solve_lp
 
 WORKERS = min(4, os.cpu_count() or 1)
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secretary_lab.dp import p_star
-from secretary_lab.lp import (
+
+import reference_values as ref
+from simplex import (
     EXACT_SIZE_CAP,
     FiniteLPInstance,
     LPSizeError,
@@ -19,8 +21,6 @@ from secretary_lab.lp import (
     objective_coefficient,
     solve_lp,
 )
-
-import reference_values as ref
 
 
 def evaluate_objective(inst: FiniteLPInstance, z):

@@ -1,8 +1,9 @@
 """The CI workflow: it parses, names only files that exist, and runs the
 Tier-1 command that ROADMAP.md states.  The workflow runs only on a CI
-host, so these checks are what a local test run sees of it.  One more
-test runs the benchmark's traced-pass hooks, which the workflow's
-`bench/selftest.py` step relies on."""
+host, so these checks are what a local test run sees of it.  Two more
+tests cover the benchmark's traced-pass hooks, which the workflow's
+`bench/selftest.py` step relies on: they run, and the runtime's `lp` is
+only their None placeholders."""
 
 import json
 import os
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import yaml
+
+from secretary_lab import lp
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -53,19 +56,21 @@ def test_tier1_step_runs_the_roadmap_command():
 # Loads the program as the benchmark does and runs one (2,2) certificate
 # inside a traced pass; prints the pass's counters, and the root-search
 # spans directly under the construction's span, as JSON.  The root-search
-# name is a None placeholder, before the pass and after it.
+# and finite-LP names are None placeholders, before the pass and after it.
 BENCH_TRACE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import run, spans
 lab = run.load_program()
-assert lab.dual.find_largest_root is None
+def placeholders():
+    return (lab.dual.find_largest_root, lab.lp.build_lp, lab.lp.solve_lp)
+assert placeholders() == (None, None, None)
 tracer = spans.Tracer()
 with spans.instrumented(lab, tracer):
     cert = lab.dual.construct_dual(2, 2)
     ok = lab.dual.verify_certificate(cert).ok
 tracer.end_pass()
-assert lab.dual.find_largest_root is None
+assert placeholders() == (None, None, None)
 names = [span[0] for span in tracer.spans]
 roots = sum(
     name == "piecewise.find_largest_root" and span[3] >= 0
@@ -99,3 +104,11 @@ def test_bench_trace_hooks_find_the_program_names():
         assert counts.get(name, 0) == 0, name
     for name in ("dual.segments", "dual.verify_points"):
         assert counts.get(name, 0) > 0, name
+
+
+def test_lp_module_is_only_the_bench_placeholders():
+    """secretary_lab.lp keeps the two names the traced passes wrap, as
+    None; the exact simplex is the test oracle tests/simplex.py."""
+    public = {name for name in vars(lp) if not name.startswith("_")}
+    assert public == {"build_lp", "solve_lp"}
+    assert lp.build_lp is None and lp.solve_lp is None
