@@ -62,51 +62,39 @@ def cmd_thresholds(args) -> tuple[int, str]:
         tvals = theta.thresholds(ts)
         payoff = theta.payoff_k1(ts)
         thetas = [theta.format_rational(t) for t in ts.thetas]
-        if args.format == "json":
-            return EXIT_OK, json.dumps(
-                {
-                    "J": J,
-                    "thetas": thetas,
-                    "thresholds": tvals,
-                    "payoff": payoff,
-                }
-            )
-        if args.format == "csv":
-            rows = [["j", "theta", "threshold"]]
-            rows += [[j + 1, thetas[j], f"{tvals[j]:.12f}"] for j in range(J)]
-            rows.append(["payoff", "", f"{payoff:.6f}"])
-            return EXIT_OK, _csv_string(rows)
-        lines = []
-        if args.exact:
-            lines.append("theta: " + ", ".join(thetas))
-        lines.append(
-            "thresholds: " + ", ".join(f"{t:.6f}" for t in tvals)
-        )
-        lines.append(f"payoff: {payoff:.6f}")
-        return EXIT_OK, "\n".join(lines)
-    cert, verified = _certified(J, K, "thresholds")
-    payoff = dual.payoff_jk(cert.tau)
-    if args.format == "json":
-        return EXIT_OK, json.dumps(
-            {
-                "J": J,
-                "K": K,
-                "tau": [list(r) for r in cert.tau.tau],
-                "payoff": payoff,
-                "verified": verified,
-            }
-        )
-    if args.format == "csv":
+        record = {
+            "J": J,
+            "thetas": thetas,
+            "thresholds": tvals,
+            "payoff": payoff,
+        }
+        rows = [["j", "theta", "threshold"]]
+        rows += [[j + 1, thetas[j], f"{tvals[j]:.12f}"] for j in range(J)]
+        lines = ["theta: " + ", ".join(thetas)] if args.exact else []
+        lines.append("thresholds: " + ", ".join(f"{t:.6f}" for t in tvals))
+    else:
+        cert, verified = _certified(J, K, "thresholds")
+        payoff = dual.payoff_jk(cert.tau)
+        record = {
+            "J": J,
+            "K": K,
+            "tau": [list(r) for r in cert.tau.tau],
+            "payoff": payoff,
+            "verified": verified,
+        }
         rows = [["j", "k", "tau"]]
         for j in range(1, J + 1):
             for k in range(1, K + 1):
                 rows.append([j, k, f"{cert.tau.threshold(j, k):.12f}"])
+        lines = [
+            f"tau[{j}]: " + ", ".join(f"{t:.6f}" for t in cert.tau.tau[j - 1])
+            for j in range(1, J + 1)
+        ]
+    if args.format == "json":
+        return EXIT_OK, json.dumps(record)
+    if args.format == "csv":
         rows.append(["payoff", "", f"{payoff:.6f}"])
         return EXIT_OK, _csv_string(rows)
-    lines = [
-        f"tau[{j}]: " + ", ".join(f"{t:.6f}" for t in cert.tau.tau[j - 1])
-        for j in range(1, J + 1)
-    ]
     lines.append(f"payoff: {payoff:.6f}")
     return EXIT_OK, "\n".join(lines)
 
@@ -195,24 +183,12 @@ def cmd_simulate(args) -> tuple[int, str]:
     report = sim.monte_carlo(
         tau, n=args.n, trials=args.trials, seed=args.seed, workers=args.workers
     )
+    fields = dataclasses.asdict(report)
     if args.format == "json":
-        return EXIT_OK, json.dumps(dataclasses.asdict(report))
+        return EXIT_OK, json.dumps(fields)
     if args.format == "csv":
-        rows = [
-            ["J", "K", "n", "trials", "seed", "mean", "stderr", "ci99_lo", "ci99_hi"],
-            [
-                report.J,
-                report.K,
-                report.n,
-                report.trials,
-                report.seed,
-                repr(report.mean),
-                repr(report.stderr),
-                repr(report.ci99[0]),
-                repr(report.ci99[1]),
-            ],
-        ]
-        return EXIT_OK, _csv_string(rows)
+        fields["ci99_lo"], fields["ci99_hi"] = fields.pop("ci99")  # ci99 is the last field
+        return EXIT_OK, _csv_string([list(fields), list(fields.values())])
     return EXIT_OK, (
         f"mean payoff: {report.mean:.6f} +- {report.stderr:.6f} "
         f"(99% CI [{report.ci99[0]:.6f}, {report.ci99[1]:.6f}])"

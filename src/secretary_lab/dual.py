@@ -15,8 +15,9 @@ the payoff J - sum_j (1 - tau[j][1])**K.  verify_certificate checks that
 on a grid, against alpha_k computed afresh, so a wrong tau shows up as
 |q(tau)| > tol.  construct_dual turns the solve's cells into per-cell
 arrays, from which the check and the JSON dump evaluate K gain and J drop
-series per point with piecewise's one evaluator (no BLAS: a point's values
-do not depend on its batch), and the q and r rows are built when read.
+series per point with piecewise's one cell locator and one evaluator (no
+BLAS: a point's values do not depend on its batch), and the q and r rows
+are built when read.
 Every K, K = 1 included, runs this one double-precision construction.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import value
 from .piecewise import (
-    NODES, TO_COEF, PiecewiseFunction, _antiderivative, _cell_integrals, _series,
+    NODES, TO_COEF, PiecewiseFunction, _antiderivative, _cell_integrals, _locate, _series,
 )
 from .value import ThresholdMatrix, alphas
 
@@ -116,10 +117,9 @@ class DualCertificateJK:
         return self.r[j - 1][-1]
 
     def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each point's cell, its s there and active[i, j-1] (0 below cell 0)."""
-        cell = np.searchsorted(self.bps, x, side="right") - 1
-        np.clip(cell, 0, len(self.tops) - 1, out=cell)
-        s = 1.0 + (np.log(x) - self.tops[cell]) / self.half
+        """Each point's cell and its s there (piecewise's `_locate`), and
+        active[i, j-1] (0 below cell 0)."""
+        cell, s = _locate(self.bps, self.tops, self.half, x)
         return cell, s, self.active[cell] * (x >= self.bps[0])[:, None]
 
 

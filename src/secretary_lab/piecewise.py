@@ -5,7 +5,9 @@ Each segment (a `Segment`) holds the density y f(y) as a Chebyshev series
 sum_k c_k T_k(s) in s = 1 + (ln y - top)/half, a polynomial in t = ln y on
 [top - 2 half, top] of which the segment may cover only the upper part.
 With dy = y dt, int f dy = half int (sum_k c_k T_k) ds, an exact Chebyshev
-antiderivative.  `dual` builds its q and r rows in this form only when
+antiderivative.  `_locate` is the one cell locator: it finds each point's
+cell and its s there, for a `PiecewiseFunction` and for `dual`'s
+certificate alike.  `dual` builds its q and r rows in this form only when
 they are read; its certificate check and dump run the same evaluator,
 `_series`, and `_cell_integrals` on its per-cell arrays.  `_series` works
 a cell at a time, one `np.einsum` per cell (one for all points, their
@@ -44,22 +46,6 @@ def _cheb(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, d, 1.0 / c
 
 
-def _coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix taking node values v to the Chebyshev coefficients a of
-    their interpolant p = sum_k a_k T_k (a cosine sum over the nodes), and
-    the one taking v to the node values of int_s^1 p = sum_k b_k (1 - T_k(s)),
-    b as `_antiderivative` forms it."""
-    cos = np.cos(np.outer(np.arange(m + 2), np.pi * np.arange(m + 1) / m))
-    to_coef = cos[: m + 1] * (2.0 / m)  # a = to_coef @ v
-    to_coef[:, [0, -1]] /= 2.0
-    to_coef[[0, -1]] /= 2.0
-    integrate = np.zeros((m + 2, m + 1))  # b = integrate @ a
-    k = np.arange(1, m + 2)
-    integrate[k, k - 1] = np.where(k == 1, 1.0, 0.5 / k)
-    integrate[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
-    return to_coef, (1.0 - cos.T) @ integrate @ to_coef
-
-
 def _antiderivative(coef: np.ndarray) -> np.ndarray:
     """Coefficients b of an antiderivative in s of the series a = coef,
     degree-major (any axes after the first are rows): b_0 = 0 and
@@ -71,6 +57,18 @@ def _antiderivative(coef: np.ndarray) -> np.ndarray:
     anti[1:-2] -= coef[2:]
     anti[1:] /= 2 * k
     return anti
+
+
+def _coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix taking node values v to the Chebyshev coefficients a of
+    their interpolant p = sum_k a_k T_k (a cosine sum over the nodes), and
+    the one taking v to the node values of int_s^1 p = sum_k b_k (1 - T_k(s)),
+    b = `_antiderivative`(a)."""
+    cos = np.cos(np.outer(np.arange(m + 2), np.pi * np.arange(m + 1) / m))
+    to_coef = cos[: m + 1] * (2.0 / m)  # a = to_coef @ v
+    to_coef[:, [0, -1]] /= 2.0
+    to_coef[[0, -1]] /= 2.0
+    return to_coef, (1.0 - cos.T) @ _antiderivative(np.eye(m + 1)) @ to_coef
 
 
 CHEB_S, CHEB_D, CHEB_WEIGHTS = _cheb(NODES - 1)
@@ -103,6 +101,16 @@ def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
     if order is not None:
         out[..., order] = out.copy()
     return out
+
+
+def _locate(bps: np.ndarray, tops: np.ndarray, half, x: np.ndarray) -> tuple:
+    """Each point's cell among [bps[i], bps[i+1]], the last that starts at
+    or below it (cell 0 below bps[0], the top cell at or above bps[-1]),
+    and its s = 1 + (ln x - top)/half there; half is one number for all
+    cells or one per cell."""
+    cell = np.searchsorted(bps, x, side="right") - 1
+    np.clip(cell, 0, len(tops) - 1, out=cell)
+    return cell, 1.0 + (np.log(x) - tops[cell]) / (half[cell] if np.ndim(half) else half)
 
 
 def _cell_integrals(anti: np.ndarray, bps: np.ndarray, tops: np.ndarray, half) -> tuple:
@@ -195,15 +203,6 @@ class PiecewiseFunction:
     def is_zero(self) -> bool:
         return not len(self._coef)
 
-    def _segment_of(self, xs: np.ndarray) -> np.ndarray:
-        """Segment of each point: the last that starts at or below it (the
-        top segment for points at or above hi)."""
-        seg = np.searchsorted(self._bps, xs, side="right") - 1
-        return np.minimum(seg, len(self._coef) - 1, out=seg)
-
-    def _s(self, xs: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        return 1.0 + (np.log(xs) - self._top[seg]) / self._half[seg]
-
     def value(self, x: float) -> float:
         """`values` at the one point x."""
         return float(self.values([x])[0])
@@ -216,8 +215,8 @@ class PiecewiseFunction:
             return out
         at = np.flatnonzero((xs >= self.lo) & (xs <= self.hi))
         x = xs[at]
-        seg = self._segment_of(x)
-        out[at] = _series(self._coef.T, seg, self._s(x, seg)) / x
+        seg, s = _locate(self._bps, self._top, self._half, x)
+        out[at] = _series(self._coef.T, seg, s) / x
         return out
 
     def _integrals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,9 +240,8 @@ class PiecewiseFunction:
         anti, top, suffix = self._integrals()
         out[xs <= self.lo] = suffix[0]
         at = np.flatnonzero((xs > self.lo) & (xs < self.hi))
-        x = xs[at]
-        seg = self._segment_of(x)
-        part = self._half[seg] * (top[seg] - _series(anti, seg, self._s(x, seg)))
+        seg, s = _locate(self._bps, self._top, self._half, xs[at])
+        part = self._half[seg] * (top[seg] - _series(anti, seg, s))
         out[at] = suffix[seg + 1] + part
         return out
 
@@ -262,7 +260,7 @@ class PiecewiseFunction:
         coef = np.zeros((len(mid), max(f._coef.shape[1] for f, _ in parts)))
         for f, c in parts:
             at = np.flatnonzero((mid >= f.lo) & (mid <= f.hi))
-            seg = f._segment_of(mid[at])
+            seg = _locate(f._bps, f._top, f._half, mid[at])[0]
             here = np.stack([f._top[seg], f._half[seg]], axis=1)
             if not (np.isnan(cell[at]) | (cell[at] == here)).all():
                 raise ValueError("combine needs both functions on the same cells")

@@ -50,8 +50,7 @@ from .theta import MAX_J
 # thresholds for J <= MAX_J = 16 sit above 1e-4).
 X_FLOOR = 1e-9
 # Largest K, a bound on the work: cells are 3/K long in t and a
-# certificate checks J*K dual functions (dual-check --J 16 --K 35 takes
-# about 0.85 s and 65 MB on a 2-vCPU Xeon).
+# certificate checks J*K dual functions.
 MAX_K = 35
 MAX_CELL = 0.5  # trial cell length in t is min(MAX_CELL, CELL_K / K)
 CELL_K = 3.0

@@ -78,6 +78,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
+from unittest import mock
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint
@@ -85,6 +86,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
+from secretary_lab import value as value_module
 from secretary_lab.dual import (
     OBJECTIVE_TOL,
     CertificateReport,
@@ -537,7 +539,8 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
     k = 1..n, q_{j|k} for k <= n is the one-cell function of the gain
     x alpha_k + W_{j-1} - W_j at the nodes; each q row is a chain of
     `combine` over those, ascending in x, and r_{j|k} the running
-    `combine` sum of q_{j|1}, ..., q_{j|k}.
+    `combine` sum of q_{j|1}, ..., q_{j|k}.  The certificate holding them
+    is `construct_dual`'s on the same solve, which runs once.
     """
     sol = solve(J, K)
     q_rows: list[tuple[PiecewiseFunction, ...]] = []
@@ -558,7 +561,8 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
             r_row.append(running)
         q_rows.append(tuple(q_row))
         r_rows.append(tuple(r_row))
-    cert = construct_dual(J, K)
+    with mock.patch.object(value_module, "solve", return_value=sol):
+        cert = construct_dual(J, K)
     vars(cert)["_rows"] = (tuple(q_rows), tuple(r_rows))  # built here, not from the arrays
     return cert
 

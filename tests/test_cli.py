@@ -56,10 +56,27 @@ def run(capsys, *argv):
 
 
 def test_thresholds_exact_k1(capsys):
+    """--exact adds the rational thetas to K = 1's text and changes no
+    other output; every format carries the payoff exactly once."""
     code, out = run(capsys, "thresholds", "--J", "3", "--K", "1", "--exact")
     assert code == EXIT_OK
     assert "1, 3/2, 47/24" in out
     assert "0.732103" in out
+    for K in ("1", "3"):
+        for fmt in ("text", "json", "csv"):
+            args = ("thresholds", "--J", "2", "--K", K, "--format", fmt)
+            code, plain = run(capsys, *args)
+            assert code == EXIT_OK
+            exact = run(capsys, *args, "--exact")[1]
+            if (K, fmt) == ("1", "text"):
+                assert exact == "theta: 1, 3/2\n" + plain
+            else:
+                assert exact == plain, (K, fmt)
+            if fmt == "json":
+                assert plain.count('"payoff"') == 1, K
+            else:
+                first = [line.split(",")[0].split(":")[0] for line in plain.splitlines()]
+                assert first.count("payoff") == 1 and first[-1] == "payoff", (K, fmt)
 
 
 def test_thresholds_k1_json_schema(capsys):
@@ -387,6 +404,13 @@ def test_simulate_json_schema_and_determinism(capsys):
     payload = json.loads(out1)
     check_schema(payload, "simulate")
     assert payload["seed"] == 7
+    # CSV: the JSON keys in order, ci99 split in two, and the same values
+    code, out = run(capsys, *args[:-1], "csv")
+    assert code == EXIT_OK
+    header, values = (line.split(",") for line in out.splitlines())
+    payload["ci99_lo"], payload["ci99_hi"] = payload.pop("ci99")
+    assert header == list(payload)
+    assert [json.loads(v) for v in values] == list(payload.values())
 
 
 def test_simulate_worker_flag_does_not_change_output(capsys):

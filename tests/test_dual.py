@@ -21,7 +21,7 @@ from secretary_lab.dual import (
 )
 from secretary_lab import dual, theta
 from secretary_lab.cli import main
-from secretary_lab.piecewise import PiecewiseFunction, _series
+from secretary_lab.piecewise import PiecewiseFunction, _locate, _series
 from secretary_lab.theta import generate_thetas, thresholds
 from secretary_lab.value import MonotonicityError, ThresholdMatrix, solve
 
@@ -546,8 +546,18 @@ def test_series_values_do_not_depend_on_the_batch(J, K):
     in random sub-batches, alone and shuffled: for the certificate's cell
     arrays and for one of their rows laid out degree-contiguous, as a
     PiecewiseFunction holds its coefficients (a lone point with a
-    contiguous basis column would take einsum's unrolled sum)."""
+    contiguous basis column would take einsum's unrolled sum).  The points
+    are located by piecewise's `_locate`: a cell end goes to the cell that
+    starts there, x >= 1 to the top cell, and a cell's top, the last end of
+    the cells up to it, gets s = 1."""
     cert = construct_dual(J, K)
+    n = len(cert.tops)
+    ends, ends_s, _ = cert.locate(np.append(cert.bps, 1.5))
+    assert ends.tolist() == [*range(n), n - 1, n - 1]
+    assert ends_s[n] == 1.0
+    for c in range(n):
+        top = _locate(cert.bps[: c + 2], cert.tops[: c + 1], cert.half, cert.bps[c + 1 : c + 2])
+        assert top[0].tolist() == [c] and top[1][0] == pytest.approx(1.0, abs=1e-14), c
     rng = np.random.default_rng(100 * J + K)
     x = np.sort(np.concatenate([rng.uniform(cert.bps[0], 1.0, 600), cert.bps]))
     cell, s, _ = cert.locate(x)

@@ -6,10 +6,13 @@ import random
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from secretary_lab.piecewise import NODES, PiecewiseFunction
+from secretary_lab.piecewise import (
+    ANTI, CHEB_D, CHEB_S, NODES, TO_COEF, PiecewiseFunction, _antiderivative,
+)
 
 from oracles import (
     QuadratureError,
@@ -40,6 +43,24 @@ def _cells(bps, coefs, widths=None) -> PiecewiseFunction:
     widths = widths or [1.0] * (len(bps) - 1)
     halves = [0.5 * w * (b - a) for w, a, b in zip(widths, logs, logs[1:])]
     return PiecewiseFunction(bps, logs[1:], halves, np.array(coefs).reshape(-1, NODES))
+
+
+def test_chebyshev_toolkit_matches_numpy():
+    """On node values v of a random series a at CHEB_S, TO_COEF @ v is a,
+    ANTI @ v is int_s^1 of it and CHEB_D @ v its derivative, by numpy's
+    chebyshev module; `_antiderivative` is numpy's chebint but for the
+    constant term, which it sets to 0."""
+    a = np.random.default_rng(36).standard_normal((NODES, 3))
+    v = cheb.chebval(CHEB_S, a).T
+    assert np.abs(TO_COEF @ v - a).max() <= 1e-13
+    anti = cheb.chebint(a)
+    from_s = cheb.chebval(1.0, anti) - cheb.chebval(CHEB_S, anti).T
+    assert np.abs(ANTI @ v - from_s).max() <= 1e-13
+    d = cheb.chebval(CHEB_S, cheb.chebder(a)).T
+    assert np.abs(CHEB_D @ v - d).max() <= 1e-12 * np.abs(d).max()
+    mine = _antiderivative(a)
+    assert mine.shape == anti.shape and not mine[0].any()
+    assert np.abs(mine[1:] - anti[1:]).max() <= 1e-15 * np.abs(anti).max()
 
 
 def test_piecewise_value_and_outside_zero():
