@@ -1,6 +1,10 @@
 """Monte-Carlo simulation of the threshold selection policy.
 
-Two execution paths share one policy rule, _pick_quota:
+With m unused quotas, a k-potential (ranked k-th among the items seen
+so far) arriving at time x is taken iff x >= tau_{m,k} and spends quota
+m.  While no column of tau rises in j, this is "the largest unused j with
+x >= tau_{j,k}"; ThresholdMatrix lets a column rise by up to 1e-12, and
+only there can the two rules differ.  Two paths share it, _pick_quota:
 
 * run_threshold_algorithm replays one explicit n-item instance (sorted
   uniform arrival times plus a rank permutation) in O(n): a numpy filter
@@ -19,13 +23,15 @@ Two execution paths share one policy rule, _pick_quota:
   explicit model's distribution exactly at a fraction of the cost.  No
   quota can be used before the smallest threshold t0, so each trial
   starts at t0 after one Binomial(n, t0) draw of the items that came
-  earlier, and its cost does not depend on n.  A block of BLOCK_TRIALS
-  trials advances in lockstep as numpy arrays, one potential arrival per
-  trial and step, and finished trials leave the arrays.
+  earlier, and its cost does not depend on n.  Up to GROUP_BLOCKS
+  consecutive blocks of BLOCK_TRIALS trials advance in one lockstep pass
+  over shared numpy arrays, one potential arrival per trial and step,
+  and finished trials leave the arrays.
 
 Randomness comes from a counter-based Philox stream keyed by
-(seed, block), so any partition of blocks over workers yields
-bit-identical aggregates (the reduction sums integers).  A worker
+(seed, block), and each block draws for its own rows in the order it
+would alone, so any grouping and any partition of blocks over workers
+yields bit-identical aggregates (the reduction sums integers).  A worker
 process takes at least MIN_POOL_BLOCKS blocks, since a pool costs more
 to start than a few blocks cost to run.
 """
@@ -44,9 +50,14 @@ from .value import ThresholdMatrix
 
 Z_99 = 2.576  # half-width multiplier for the 99% confidence interval
 
-BLOCK_TRIALS = 1024  # trials per Philox stream, advanced in lockstep
+BLOCK_TRIALS = 1024  # trials per Philox stream
+# Blocks per lockstep pass, holding about GROUP_BLOCKS * 1024 * (8J + 40)
+# bytes of rows (2.8 MB at J = 16); 8, 16 and 32 ran within 5% of one
+# another (100k trials of (2,2), 20k of (4,4) and (8,8), 2 vCPUs)
+GROUP_BLOCKS = 16
 # Blocks per worker process below which a pool costs more than it saves:
-# starting one takes about 13 ms, a block 2-7 ms.
+# two workers start in 13-15 ms and a grouped block takes 2-5 ms, so two
+# first beat one at about 20 blocks at (2,2) n = 1e4, below 16 at (4,4) n = 1e9
 MIN_POOL_BLOCKS = 8
 MAX_SEED = (1 << 64) - 1  # a seed fills the high half of the 128-bit Philox key
 MAX_N = 1 << 53  # int64 positions and each float64 factor (m - t) stay exact
@@ -129,17 +140,18 @@ def sample_arrivals(n: int, rng: np.random.Generator) -> ArrivalInstance:
     return ArrivalInstance(times=times, ranks=ranks)
 
 
-def _pick_quota(
-    tau: np.ndarray, unused: np.ndarray, k: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Per row, the largest unused quota j with x >= tau[j][k]; 0 if none.
+def _policy_rows(tau: ThresholdMatrix) -> np.ndarray:
+    """[m, k-1] = tau_{m,k}, under a row (m = 0) and beside a column
+    (k = K + 1) of +inf, which take nothing."""
+    return np.pad(np.asarray(tau.tau, dtype=float), ((1, 0), (0, 1)), constant_values=np.inf)
 
-    tau holds one row of thresholds per quota, unused is a rows x J mask,
-    and k (1-based) and x hold one entry per row.  The one policy rule
-    shared by the explicit replay and the sampler.
-    """
-    ok = unused & (x[:, None] >= tau.T[k - 1])
-    return np.where(ok.any(axis=1), ok.shape[1] - ok[:, ::-1].argmax(axis=1), 0)
+
+def _pick_quota(tau_rows: np.ndarray, left, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row, whether the k-potential (k 1-based) at time x takes a
+    quota while `left` are unused: x >= tau_{left,k} in _policy_rows, so
+    never at left = 0.  The one policy rule, shared by the explicit
+    replay and the sampler; see the module docstring."""
+    return x >= tau_rows[left, k - 1]
 
 
 def _potential_arrivals(ranks: np.ndarray, K: int):
@@ -169,25 +181,24 @@ def run_threshold_algorithm(
 ) -> int | RunResult:
     """Replay the policy on one instance; payoff counts selected items whose
     overall rank is at most K."""
-    tau_rows = np.asarray(tau.tau, dtype=float)
-    unused = np.ones((1, tau.J), dtype=bool)
+    tau_rows = _policy_rows(tau)
+    left = tau.J
     selections: list[Selection] = []
     payoff = 0
     arrivals = list(_potential_arrivals(inst.ranks, tau.K))
     pos, ks = np.array(arrivals, np.intp).reshape(-1, 2).T
     xs = inst.times[pos]
-    # unused changes only at a selection: one pick finds the next selection
-    while len(pos) and unused.any():
-        picks = _pick_quota(tau_rows, unused, ks, xs)
-        i = int((picks > 0).argmax())
-        j = int(picks[i])
-        if j == 0:
+    # left changes only at a selection: one pick finds the next selection
+    while len(pos) and left:
+        take = _pick_quota(tau_rows, left, ks, xs)
+        i = int(take.argmax())
+        if not take[i]:
             break
-        unused[0, j - 1] = False
         if inst.ranks[pos[i]] <= tau.K:
             payoff += 1
         if detailed:
-            selections.append(Selection(int(pos[i]) + 1, float(xs[i]), int(ks[i]), j))
+            selections.append(Selection(int(pos[i]) + 1, float(xs[i]), int(ks[i]), left))
+        left -= 1
         pos, ks, xs = pos[i + 1 :], ks[i + 1 :], xs[i + 1 :]
     if detailed:
         return RunResult(payoff=payoff, selections=tuple(selections))
@@ -203,17 +214,19 @@ def _falling(m, K: int, sc: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray) -> np.ndarray:
+def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray, p_n=None) -> np.ndarray:
     """Per row, the smallest i' > pos >= K whose potential rank is <= K.
 
     Inverse transform of P(no such arrival in (pos, i']) =
     prod_{t<K} (pos-t)/(i'-t) at the uniform draw v; 0 where the
-    no-arrival probability through n already exceeds v.  Where n^K may
-    pass the float range, a row's factors are scaled by the power of two
-    sc that puts (pos - t) sc in [2^-7, 1); that rounds as the unscaled
-    products would, but keeps them in range, and the largest float
-    stands in for a p_pos / v that still overflows (a draw of 0).  Scaling
-    every row too gives the same bits, 3-8% slower on the simulate cases.
+    no-arrival probability through n already exceeds v.  p_n, if given,
+    is _falling(n, K), which a run computes once, not each step.  Where
+    n^K may pass the float range, a row's factors are scaled by the power
+    of two sc that puts (pos - t) sc in [2^-7, 1), and p_n is not read;
+    that rounds as the unscaled products would, but keeps them in range,
+    and the largest float stands in for a p_pos / v that still overflows
+    (a draw of 0).  Scaling every row too gives the same bits, 3-8%
+    slower on the simulate cases.
     """
     v = np.maximum(v, 5e-324)
     sc = None
@@ -223,7 +236,7 @@ def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray) -> np.ndarra
     out = np.zeros_like(pos)
     # a scaled product past the float range is inf, which compares right
     with nullcontext() if sc is None else np.errstate(over="ignore"):
-        go = p_pos < v * _falling(n, K, sc)
+        go = p_pos < v * (_falling(n, K, sc) if p_n is None or sc is not None else p_n)
         target = p_pos[go] / v[go]
         if sc is not None:
             sc = sc[go]
@@ -241,63 +254,84 @@ def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray) -> np.ndarra
     return out
 
 
-def _block_stats(
-    tau_rows: np.ndarray, K: int, n: int, gen: np.random.Generator, size: int
+def _group_stats(
+    tau_rows: np.ndarray, K: int, n: int, gens: list, sizes: list[int]
 ) -> tuple[int, int]:
-    """Sum and sum of squares of payoffs over one block of `size` trials.
+    """Sum and sum of squares of payoffs over blocks of trials, sizes[b]
+    of them drawn from gens[b], in one lockstep pass.
 
     No quota can be used before the smallest threshold t0, so each trial
     starts there: Binomial(n, t0) items came earlier, and the later ones
     arrive iid uniform on [t0, 1] with ranks independent of times.  A trial
-    thus takes about K ln(1/t0) steps whatever n is.  alive[:, j] is the
-    current rank of quota j's item, K + 1 when it holds none or its item
-    left the top K.  A trial leaves the arrays at position n, or once it
-    has neither an unused quota nor an item in the top K.
+    thus takes about K ln(1/t0) steps whatever n is.  Rows stay in block
+    order (blk), and each block draws its rows' uniforms and Beta times as
+    it would alone.  left counts a row's unused quotas; alive[j - 1] holds,
+    per row, the current rank of quota j's item, K + 1 when it holds none
+    or its item left the top K.  A trial leaves the arrays at position n,
+    or once it has neither an unused quota nor an item in the top K.
     """
-    J = len(tau_rows)
-    t0 = tau_rows[:, :K].min()
-    pos = gen.binomial(n, t0, size)
-    pos = pos[pos < n]  # every item came before t0: payoff 0
+    J = len(tau_rows) - 1
+    t0 = tau_rows[1:, :K].min()
+    pos = [g.binomial(n, t0, size) for g, size in zip(gens, sizes)]
+    pos = [p[p < n] for p in pos]  # every item came before t0: payoff 0
+    blk = np.repeat(np.arange(len(gens)), [len(p) for p in pos])
+    pos = np.concatenate(pos)
     x = np.full(len(pos), t0)
-    unused = np.ones((len(pos), J), dtype=bool)
-    alive = np.full((len(pos), J), K + 1, dtype=np.int64)
-    s = s2 = 0
+    left = np.full(len(pos), J)
+    alive = np.full((J, len(pos)), K + 1, dtype=np.int64)
+    with np.errstate(over="ignore"):  # inf only where _next_potential scales
+        p_n = _falling(n, K)
+    edges = np.arange(len(gens) + 1)  # block b's rows: blk in [b, b + 1)
+    warm, s, s2 = True, 0, 0
     while len(pos):
-        u, w = gen.random((2, len(pos)))
-        nxt = np.where(pos < K, pos + 1, _next_potential(np.maximum(pos, K), n, K, u))
-        k = 1 + (w * np.minimum(pos + 1, K)).astype(np.int64)
+        b = np.searchsorted(blk, edges).tolist()
+        cuts = [(g, a, e) for g, a, e in zip(gens, b, b[1:]) if a < e]
+        u, w = np.empty((2, len(pos)))
+        for g, a, e in cuts:
+            g.random(out=u[a:e])
+            g.random(out=w[a:e])
+        # rows below position K step to the next item; skipped once none is
+        if warm := warm and bool((pos < K).any()):
+            nxt = np.where(pos < K, pos + 1, _next_potential(np.maximum(pos, K), n, K, u, p_n))
+            k = 1 + (w * np.minimum(pos + 1, K)).astype(np.int64)
+        else:
+            nxt = _next_potential(pos, n, K, u, p_n)
+            k = 1 + (w * K).astype(np.int64)
         # no potential arrival is left: step to n as an arrival of rank K + 1
         last = nxt == 0
         nxt[last] = n
         k[last] = K + 1
-        x += (1.0 - x) * gen.beta(nxt - pos, n - nxt + 1)
+        sa, sb = nxt - pos, n - nxt + 1
+        x += (1.0 - x) * np.concatenate([g.beta(sa[a:e], sb[a:e]) for g, a, e in cuts])
         pos = nxt
-        alive += alive >= k[:, None]
+        alive += alive >= k
         np.minimum(alive, K + 1, out=alive)
-        j = _pick_quota(tau_rows, unused, k, x)
-        hit = np.flatnonzero(j)
-        unused[hit, j[hit] - 1] = False
-        alive[hit, j[hit] - 1] = k[hit]
-        top = alive <= K
-        done = (pos == n) | ~(unused.any(axis=1) | top.any(axis=1))
+        take = _pick_quota(tau_rows, left, k, x)
+        left -= take  # quota left + 1 is spent; its item's rank goes to alive[left]
+        hit = np.flatnonzero(take)
+        alive[left[hit], hit] = k[hit]
+        p = (alive <= K).sum(axis=0)  # items held in the top K
+        done = (pos == n) | (left + p == 0)
         if done.any():
-            p = top[done].sum(axis=1)
+            p = p[done]
             s += int(p.sum())
             s2 += int((p * p).sum())
-            keep = ~done
-            pos, x, unused, alive = pos[keep], x[keep], unused[keep], alive[keep]
+            keep = np.flatnonzero(~done)
+            pos, x, left, alive, blk = pos[keep], x[keep], left[keep], alive[:, keep], blk[keep]
     return s, s2
 
 
 def _chunk_stats(args: tuple) -> tuple[int, int]:
-    """Sum and sum of squares of payoffs over the blocks [first, stop)."""
+    """Sum and sum of squares of payoffs over the blocks [first, stop),
+    GROUP_BLOCKS to a pass."""
     tau_rows, K, n, seed, trials, first, stop = args
     s = s2 = 0
-    for block in range(first, stop):
-        size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-        bs, bs2 = _block_stats(tau_rows, K, n, trial_rng(seed, block), size)
-        s += bs
-        s2 += bs2
+    for a in range(first, stop, GROUP_BLOCKS):
+        blocks = range(a, min(a + GROUP_BLOCKS, stop))
+        sizes = [min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) for b in blocks]
+        gs, gs2 = _group_stats(tau_rows, K, n, [trial_rng(seed, b) for b in blocks], sizes)
+        s += gs
+        s2 += gs2
     return s, s2
 
 
@@ -339,8 +373,7 @@ def monte_carlo(
         raise ValueError(f"n must lie in [1, 2**53], got {n}")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    # column K + 1 is +inf: an arrival ranked below the top K takes no quota
-    tau_rows = np.hstack([np.asarray(tau.tau, dtype=float), np.full((tau.J, 1), np.inf)])
+    tau_rows = _policy_rows(tau)
     blocks = -(-trials // BLOCK_TRIALS)
     workers = max(1, min(workers or 1, worker_cap(), blocks // MIN_POOL_BLOCKS))
     bounds = np.linspace(0, blocks, workers + 1, dtype=int)

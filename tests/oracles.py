@@ -101,7 +101,13 @@ from secretary_lab.piecewise import (
     PiecewiseFunction,
     _antiderivative,
 )
-from secretary_lab.sim import ArrivalInstance, RunResult, Selection, _pick_quota
+from secretary_lab.sim import (
+    ArrivalInstance,
+    RunResult,
+    Selection,
+    _pick_quota,
+    _policy_rows,
+)
 from secretary_lab.theta import (
     DEFAULT_PRECISION_BITS,
     ThetaSequence,
@@ -722,9 +728,9 @@ def run_threshold_algorithm_reference(
     """Replay the policy on every arrival of one instance; payoff counts
     selected items whose overall rank is at most K."""
     K = tau.K
-    tau_rows = np.asarray(tau.tau, dtype=float)
+    tau_rows = _policy_rows(tau)
     tree = _OrderTree(inst.n)
-    unused = np.ones((1, tau.J), dtype=bool)
+    left = tau.J
     selections: list[Selection] = []
     payoff = 0
     for pos in range(inst.n):
@@ -734,17 +740,16 @@ def run_threshold_algorithm_reference(
         if k > K:
             continue
         x = float(inst.times[pos])
-        j = int(_pick_quota(tau_rows, unused, np.array([k]), np.array([x]))[0])
-        if j == 0:
+        if not _pick_quota(tau_rows, left, np.array([k]), np.array([x]))[0]:
             continue
-        unused[0, j - 1] = False
         if rank <= K:
             payoff += 1
         if detailed:
             selections.append(
-                Selection(position=pos + 1, time=x, potential=k, quota=j)
+                Selection(position=pos + 1, time=x, potential=k, quota=left)
             )
-        if not unused.any():
+        left -= 1
+        if not left:
             break
     if detailed:
         return RunResult(payoff=payoff, selections=tuple(selections))

@@ -29,12 +29,14 @@ from secretary_lab.sim import (
     run_threshold_algorithm,
     sample_arrivals,
     trial_rng,
-    _block_stats,
+    _chunk_stats,
+    _group_stats,
     _next_potential,
     _pick_quota,
+    _policy_rows,
     _potential_arrivals,
 )
-from secretary_lab.value import ThresholdMatrix
+from secretary_lab.value import ThresholdMatrix, solve
 
 import reference_values as ref
 from oracles import potential_arrivals_by_layers, run_threshold_algorithm_reference
@@ -432,36 +434,80 @@ def test_largest_n_runs_at_large_k(K):
     assert abs(rep.mean - payoff_jk(tau)) <= 5 * rep.stderr + 1e-3
 
 
-def _pick_quota_reference(tau_rows, unused, k, x):
-    for j in range(len(tau_rows), 0, -1):
-        if unused[j - 1] and x >= tau_rows[j - 1][k - 1]:
+def _pick_quota_reference(tau, unused, k, x):
+    """The largest unused quota j with x >= tau_{j,k}, 0 if none."""
+    for j in range(len(tau), 0, -1):
+        if unused[j - 1] and x >= tau[j - 1][k - 1]:
             return j
     return 0
 
 
 def test_pick_quota_rows_match_reference():
+    """With columns that do not rise in j and unused quotas {1..left},
+    taking iff x >= tau_{left,k} spends the quota the mask scan finds."""
     rng = np.random.default_rng(8)
     for J, K in ((1, 1), (3, 2), (4, 5)):
-        tau = rng.random((J, K))
+        tau = -np.sort(-rng.random((J, K)), axis=0)  # columns non-increasing in j
+        tau[:, 0] = tau[0, 0]  # a column with equal entries
+        tau_rows = np.pad(tau, ((1, 0), (0, 1)), constant_values=np.inf)
         rows = 500
-        unused = rng.random((rows, J)) < 0.6
+        left = rng.integers(0, J + 1, rows)
+        left[20:40] = 0  # no quota left: never takes
         k = rng.integers(1, K + 1, rows)
         x = rng.random(rows)
         x[:20] = tau[rng.integers(0, J, 20), k[:20] - 1]  # ties: x == tau
-        got = _pick_quota(tau, unused, k, x)
+        got = _pick_quota(tau_rows, left, k, x)
+        unused = np.arange(J) < left[:, None]
         want = [_pick_quota_reference(tau, u, kk, xx) for u, kk, xx in zip(unused, k, x)]
-        assert got.tolist() == want
+        assert np.where(got, left, 0).tolist() == want
         assert 0 < np.count_nonzero(got) < rows
+        assert not got[20:40].any()
 
 
 def test_sparse_trial_bounds_and_determinism():
     tau = construct_dual(2, 2).tau
-    rows = np.hstack([np.asarray(tau.tau), np.full((2, 1), np.inf)])
+    rows = _policy_rows(tau)
     size = 300
-    s, s2 = _block_stats(rows, 2, 500, trial_rng(5, 11), size)
-    assert (s, s2) == _block_stats(rows, 2, 500, trial_rng(5, 11), size)
-    assert (s, s2) != _block_stats(rows, 2, 500, trial_rng(5, 12), size)
+    s, s2 = _group_stats(rows, 2, 500, [trial_rng(5, 11)], [size])
+    assert (s, s2) == _group_stats(rows, 2, 500, [trial_rng(5, 11)], [size])
+    assert (s, s2) != _group_stats(rows, 2, 500, [trial_rng(5, 12)], [size])
     assert 0 <= s <= s2 <= 2 * s <= 4 * size
+
+
+@pytest.mark.parametrize(
+    "J, K, n, block_trials, last",
+    [
+        # the scaled _next_potential path; blocks of 32 keep K = 35 quick,
+        # and the grouping reads no block size
+        (16, 35, MAX_N, 32, 20),
+        (3, 5, 7, BLOCK_TRIALS, 300),  # rows below position K: the warm-up
+        (2, 2, 10_000, BLOCK_TRIALS, 1000),
+        (2, 2, 1, BLOCK_TRIALS, 1),  # a block with no live trial, as below
+    ],
+)
+def test_grouping_leaves_the_sums_unchanged(monkeypatch, J, K, n, block_trials, last):
+    """(s, s^2) over 1, 2, G, G + 1 and 2G + 3 blocks, the last one
+    holding `last` trials, are the same with GROUP_BLOCKS at 1, 2 and 3
+    as at its default G.  At n = 1 the thresholds start at 0.98, so at
+    seed 0 each run's one-trial last block starts with no live row, and
+    blocks end at different steps in the other cases."""
+    monkeypatch.setattr(sim, "BLOCK_TRIALS", block_trials)
+    if n == 1:
+        tau = ThresholdMatrix(2, 2, ((0.99, 1.0), (0.98, 1.0)))
+    else:
+        tau = solve(J, K).tau
+    rows, G = _policy_rows(tau), sim.GROUP_BLOCKS
+    # steps at K = 35 cost the most: there, only 1, 2 and G + 1 blocks
+    for blocks in (1, 2, G + 1) if K == 35 else (1, 2, G, G + 1, 2 * G + 3):
+        trials = (blocks - 1) * block_trials + last
+        if n == 1:  # Binomial(1, t0) = 1: the trial came before t0
+            assert trial_rng(0, blocks - 1).binomial(1, 0.98, 1)[0] == 1
+        args = (rows, K, n, 0, trials, 0, blocks)
+        monkeypatch.setattr(sim, "GROUP_BLOCKS", G)
+        want = _chunk_stats(args)
+        for group in (1, 2, 3):
+            monkeypatch.setattr(sim, "GROUP_BLOCKS", group)
+            assert _chunk_stats(args) == want, (blocks, group)
 
 
 def _assert_block_kernel_matches_replay(J, K, n, trials, replay_seed, sim_seed):
@@ -513,9 +559,9 @@ def test_trials_start_at_the_smallest_threshold(monkeypatch):
     low = [np.inf]  # smallest x passed; stays inf if never called
     pick = sim._pick_quota
 
-    def spy(tau_rows, unused, k, x):
+    def spy(tau_rows, left, k, x):
         low[0] = min(low[0], x.min())
-        return pick(tau_rows, unused, k, x)
+        return pick(tau_rows, left, k, x)
 
     monkeypatch.setattr(sim, "_pick_quota", spy)
     monte_carlo(tau, n=10**9, trials=2000, seed=5)

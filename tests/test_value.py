@@ -82,10 +82,12 @@ def test_payoff_is_the_value_at_zero(J, K):
     assert abs(sol.payoff - dual.payoff_jk(sol.tau)) <= 1e-12
 
 
-@pytest.mark.parametrize("J, K", [(16, 16), (1, 35), (16, 35)])
+@pytest.mark.parametrize("J, K", CERTIFY_PAIRS + [(16, 16), (1, 35), (16, 35)])
 def test_threshold_order_at_the_envelope_edges(J, K):
     """Rows rise in k and columns fall in j, exactly (ThresholdMatrix
-    allows 1e-12)."""
+    allows 1e-12).  With no column rising, the policy's "take iff
+    x >= tau_{m,k} with m unused quotas" (sim._pick_quota) is the rule
+    "take the largest unused quota j with x >= tau_{j,k}"."""
     tau = np.array(solved(J, K).tau.tau)
     assert (np.diff(tau, axis=1) >= 0).all()
     assert (np.diff(tau, axis=0) <= 0).all()
