@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: thresholds, dual-check, finite-lp, simulate, report.
+Subcommands: thresholds, dual-check, finite-lp, simulate, report.  Each
+returns its exit code with a JSON record, CSV rows and text lines, and
+main alone writes the one that --format names (nothing where it is None).
 Exit codes: 0 success, 2 usage error, 3 numerical/construction failure,
 4 certificate violation, 5 I/O failure.  Every subcommand is deterministic
 given its full flag set; SECRETARY_LAB_THREADS caps simulation workers.
@@ -16,6 +18,7 @@ import io
 import json
 import math
 import sys
+from contextlib import nullcontext
 from decimal import Decimal, localcontext
 from itertools import accumulate
 
@@ -52,10 +55,12 @@ def _certified(J: int, K: int, what: str) -> tuple[dual.DualCertificateJK, bool]
     return cert, report.ok
 
 
-# Each cmd_* returns (exit code, text or None); main writes the text.
+# Each cmd_* returns (exit code, JSON record, CSV rows, text lines); main
+# writes the one that --format names, and nothing where it is None.
+WRITERS = {"json": (1, json.dumps), "csv": (2, _csv_string), "text": (3, "\n".join)}
 
 
-def cmd_thresholds(args) -> tuple[int, str]:
+def cmd_thresholds(args) -> tuple:
     J, K = args.J, args.K
     if K == 1:
         ts = theta.generate_thetas(J)
@@ -90,16 +95,12 @@ def cmd_thresholds(args) -> tuple[int, str]:
             f"tau[{j}]: " + ", ".join(f"{t:.6f}" for t in cert.tau.tau[j - 1])
             for j in range(1, J + 1)
         ]
-    if args.format == "json":
-        return EXIT_OK, json.dumps(record)
-    if args.format == "csv":
-        rows.append(["payoff", "", f"{payoff:.6f}"])
-        return EXIT_OK, _csv_string(rows)
+    rows.append(["payoff", "", f"{payoff:.6f}"])
     lines.append(f"payoff: {payoff:.6f}")
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, record, rows, lines
 
 
-def cmd_dual_check(args) -> tuple[int, str | None]:
+def cmd_dual_check(args) -> tuple:
     cert = dual.construct_dual(args.J, args.K)
     if args.perturb:
         try:
@@ -107,13 +108,13 @@ def cmd_dual_check(args) -> tuple[int, str | None]:
         except value.MonotonicityError as exc:
             # the shift asked for breaks the thresholds' form, not the method
             print(f"usage error: --perturb {args.perturb}: {exc}", file=sys.stderr)
-            return EXIT_USAGE, None
+            return EXIT_USAGE, None, None, None
     report = dual.verify_certificate(
         cert, grid_points=args.grid, tol=args.tolerance
     )
     code = EXIT_OK if report.ok else EXIT_CERTIFICATE
-    if args.format == "json":
-        return code, json.dumps(dual.certificate_to_dict(cert, report))
+    # the one format test: the JSON record costs more than the check
+    record = dual.certificate_to_dict(cert, report) if args.format == "json" else None
     worst = max(
         report.max_equality_residual,
         report.max_threshold_residual,
@@ -129,10 +130,10 @@ def cmd_dual_check(args) -> tuple[int, str | None]:
     ]
     if report.first_violation:
         lines.append(f"violation: {report.first_violation}")
-    return code, "\n".join(lines)
+    return code, record, None, lines
 
 
-def cmd_finite_lp(args) -> tuple[int, str]:
+def cmd_finite_lp(args) -> tuple:
     # The DP runs first, so its size caps refuse a request before the
     # continuous solve starts.
     p_stars = [float(dp.p_star(n, args.J, args.K, args.mode)) for n in args.n]
@@ -147,26 +148,16 @@ def cmd_finite_lp(args) -> tuple[int, str]:
         cp_star = None
     gaps = [None if cp_star is None else p - cp_star for p in p_stars]
     rows = list(zip(args.n, p_stars, gaps))
-    if args.format == "json":
-        return EXIT_OK, json.dumps(
-            {
-                "J": args.J,
-                "K": args.K,
-                "cp_star": cp_star,
-                # K = 1's comes from exact theta; K >= 2's certificate is unchecked
-                "cp_star_verified": None if cp_star is None else args.K == 1,
-                "rows": [
-                    {"n": n, "p_star": p, "gap": gap} for n, p, gap in rows
-                ],
-            }
-        )
-    if args.format == "csv":
-        table = [["n", "p_star", "gap"]]
-        table += [
-            [n, f"{p:.9f}", "" if gap is None else f"{gap:.9f}"]
-            for n, p, gap in rows
-        ]
-        return EXIT_OK, _csv_string(table)
+    record = {
+        "J": args.J,
+        "K": args.K,
+        "cp_star": cp_star,
+        # K = 1's comes from exact theta; K >= 2's certificate is unchecked
+        "cp_star_verified": None if cp_star is None else args.K == 1,
+        "rows": [{"n": n, "p_star": p, "gap": gap} for n, p, gap in rows],
+    }
+    table = [["n", "p_star", "gap"]]
+    table += [[n, f"{p:.9f}", "" if gap is None else f"{gap:.9f}"] for n, p, gap in rows]
     lines = [
         "CP* = unavailable" if cp_star is None
         else f"CP* = {cp_star:.6f}" + ("" if args.K == 1 else " (unverified)")
@@ -175,27 +166,25 @@ def cmd_finite_lp(args) -> tuple[int, str]:
         f"n={n:6d}  P*_n={p:.6f}" + ("" if gap is None else f"  gap={gap:+.6f}")
         for n, p, gap in rows
     ]
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, record, table, lines
 
 
-def cmd_simulate(args) -> tuple[int, str]:
+def cmd_simulate(args) -> tuple:
     tau = value.solve(args.J, args.K).tau
     report = sim.monte_carlo(
         tau, n=args.n, trials=args.trials, seed=args.seed, workers=args.workers
     )
-    fields = dataclasses.asdict(report)
-    if args.format == "json":
-        return EXIT_OK, json.dumps(fields)
-    if args.format == "csv":
-        fields["ci99_lo"], fields["ci99_hi"] = fields.pop("ci99")  # ci99 is the last field
-        return EXIT_OK, _csv_string([list(fields), list(fields.values())])
-    return EXIT_OK, (
+    record = dataclasses.asdict(report)
+    fields = dict(record)
+    fields["ci99_lo"], fields["ci99_hi"] = fields.pop("ci99")  # ci99 is the last field
+    line = (
         f"mean payoff: {report.mean:.6f} +- {report.stderr:.6f} "
         f"(99% CI [{report.ci99[0]:.6f}, {report.ci99[1]:.6f}])"
     )
+    return EXIT_OK, record, [list(fields), list(fields.values())], [line]
 
 
-def cmd_report(args) -> tuple[int, str]:
+def cmd_report(args) -> tuple:
     rows: list[list] = [["J", "payoff", "theta_J"]]
     ts = theta.generate_thetas(TABLE_MAX_J)
     # payoff_k1_decimal of every prefix: its sum, in its context and order
@@ -206,7 +195,7 @@ def cmd_report(args) -> tuple[int, str]:
             [J, str(payoff.quantize(Decimal("0.000001"))),
              theta.format_rational(ts.thetas[J - 1])]
         )
-    rows.append([])
+    rows.append([""])
     rows.append(["case", "value", ""])
     for J in (1, 2):
         pair = f"(J={J},K=2)"
@@ -214,7 +203,7 @@ def cmd_report(args) -> tuple[int, str]:
         rows.append([f"tau_{J}_2 {pair}", f"{tau.threshold(J, 2):.6f}", ""])
         rows.append([f"tau_{J}_1 {pair}", f"{tau.threshold(J, 1):.6f}", ""])
         rows.append([f"payoff {pair}", f"{dual.payoff_jk(tau):.6f}", ""])
-    return EXIT_OK, _csv_string([r if r else [""] for r in rows])
+    return EXIT_OK, None, rows, None
 
 
 def _int_range(lo: int, hi: float):
@@ -313,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="reference tables (CSV)")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, format="csv")
 
     return parser
 
@@ -324,14 +313,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, text = args.func(args)
-        if text is not None:
-            if args.output is None:
-                sys.stdout.write(text + "\n")
-            else:
-                with open(args.output, "w") as fh:
-                    fh.write(text + "\n")
-        return code
+        result = args.func(args)
+        at, writer = WRITERS[args.format]
+        if result[at] is not None:
+            text = writer(result[at]) + "\n"
+            with nullcontext(sys.stdout) if args.output is None else open(args.output, "w") as fh:
+                fh.write(text)
+        return result[0]
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

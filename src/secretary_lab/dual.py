@@ -1,9 +1,10 @@
 """General (J,K) dual certificates for the optimal thresholds.
 
 For J selection quotas and payoff counted over the K overall-best items,
-the optimal policy is a threshold matrix tau[j][k]: quota j may take a
-k-potential (k-th best seen so far) from time tau[j][k] on, and the unused
-quota with the largest index is consumed first.  tau comes from value.py's
+the optimal policy is a threshold matrix tau[j][k]: with m quotas unused,
+a k-potential (k-th best seen so far) at time x is taken iff x >= tau[m][k]
+and spends quota m; no column of tau rises in j, so that is the largest
+unused quota j with x >= tau[j][k].  tau comes from value.py's
 solver, the package's one threshold solver, and the dual functions that
 certify it are that solve's value function W (after Buchbinder, Jain and
 Singh, IPCO 2010): on each Chebyshev cell, x q_{j|k}(x) is gain_k + drop_j

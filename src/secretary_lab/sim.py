@@ -2,9 +2,8 @@
 
 With m unused quotas, a k-potential (ranked k-th among the items seen
 so far) arriving at time x is taken iff x >= tau_{m,k} and spends quota
-m.  While no column of tau rises in j, this is "the largest unused j with
-x >= tau_{j,k}"; ThresholdMatrix lets a column rise by up to 1e-12, and
-only there can the two rules differ.  Two paths share it, _pick_quota:
+m.  No column of a ThresholdMatrix rises in j, so this is "the largest
+unused j with x >= tau_{j,k}".  Two paths share it, _pick_quota:
 
 * run_threshold_algorithm replays one explicit n-item instance (sorted
   uniform arrival times plus a rank permutation) in O(n): a numpy filter

@@ -19,10 +19,10 @@ MATLAB) on cells of fixed length going down from t = 0, rows r = 1..J in
 order within a cell, each through its integrating factor and the exact
 antiderivative of the node values' interpolant.  The candidate crossing of
 row r is the pair (r, n_r), and no other active pair may turn first; a
-cell ends at the earliest candidate root, where W seeds the next cell, and
-the solve stops once no pair is active.  Nothing is cached across calls
-but `alphas`' read-only binomial blocks, one per K.  The Chebyshev toolkit
-comes from `piecewise`.
+cell ends at the earliest candidate root, or at its bottom node; W there
+seeds the next cell, and the solve stops once no pair is active.  Nothing
+is cached across calls but `alphas`' read-only binomial blocks, one per K.
+The Chebyshev toolkit comes from `piecewise`.
 
 This is the package's one threshold solver.  The thresholds are not
 certified here: the solve returns its cells (W and x alpha_k at the
@@ -65,7 +65,7 @@ class MonotonicityError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdMatrix:
-    """tau[j-1][k-1] = tau_{j,k}; rows ordered j = 1..J (later quotas lower)."""
+    """tau[j-1][k-1] = tau_{j,k}: rows non-decreasing in k, columns non-increasing in j."""
 
     J: int
     K: int
@@ -74,17 +74,16 @@ class ThresholdMatrix:
     def __post_init__(self):
         if len(self.tau) != self.J or any(len(r) != self.K for r in self.tau):
             raise ValueError("threshold matrix shape mismatch")
-        eps = 1e-12
         for j in range(self.J):
             for k in range(self.K):
                 t = self.tau[j][k]
                 if not 0.0 < t <= 1.0:
                     raise MonotonicityError(f"tau[{j+1}][{k+1}]={t} not in (0, 1]")
-                if k + 1 < self.K and t > self.tau[j][k + 1] + eps:
+                if k + 1 < self.K and t > self.tau[j][k + 1]:
                     raise MonotonicityError(
                         f"row {j+1} not increasing in k at k={k+1}"
                     )
-                if j + 1 < self.J and self.tau[j + 1][k] > t + eps:
+                if j + 1 < self.J and self.tau[j + 1][k] > t:
                     raise MonotonicityError(
                         f"column {k+1} not decreasing in j at j={j+1}"
                     )
@@ -209,6 +208,7 @@ def solve(J: int, K: int) -> Solution:
     edge = np.full((2, K + 1, NODES), math.inf)
     gain_sums = np.zeros((K + 1, NODES))  # S_n = sum_{k <= n} x alpha_k
     left = J * K  # thresholds still to find
+    hit = np.ones(NODES + 1, bool)  # hit[NODES] stays True: no root cuts at NODES
     cells = []
     while left:
         if t_top < T_FLOOR:
@@ -225,10 +225,8 @@ def solve(J: int, K: int) -> Solution:
             w[r] = np.dot(prev[n], w[r - 1]) + fixed[r - 1]
         g = edge[:, n_active] + (w[:-1] - w[1:])  # candidates, then the others
         down = g <= 0.0
-        hit = down[0].any(axis=0)
-        cut = int(hit.argmax())  # the first node at or past a root
-        if not hit[cut]:
-            cut = NODES
+        down[0].any(axis=0, out=hit[:NODES])
+        cut = int(hit.argmax())  # the first node at or past a root, else NODES
         early = down[1, :, :cut]
         if early.any():
             r, i = np.argwhere(early)[0]
@@ -236,25 +234,22 @@ def solve(J: int, K: int) -> Solution:
                 f"row {r + 1}: a pair below k={n_active[r]} turns non-positive "
                 f"first, at x={math.exp(t_top + t_nodes[i]):.6f}"
             )
-        if cut == NODES:  # no root in the cell
-            t_lo = t_top - 2.0 * half
-            cells.append(Cell(t_top, t_lo, w, gain, n_active.copy()))
-            w_top = w[:, -1]
-            t_top = t_lo
-            continue
-        best, best_s = -1, -math.inf
-        for r in down[0, :, cut].nonzero()[0].tolist():
+        # The cell ends at its earliest root, or at its bottom node s = -1,
+        # where c is a unit vector and t_lo is t_top - 2 half exactly.
+        best, best_s = -1, -1.0
+        for r in down[0, :, cut : cut + 1].nonzero()[0].tolist():  # none if cut == NODES
             s = 1.0 if cut == 0 else _root(g[0, r], cut)
-            if s > best_s:
+            if best < 0 or s > best_s:  # a root at s = -1 counts
                 best, best_s = r, s
         c = _weights(best_s)
         w_top = np.dot(w, c) / c.sum()
         t_lo = t_top + (best_s - 1.0) * half
         cells.append(Cell(t_top, t_lo, w, gain, n_active.copy()))
         t_top = t_lo
-        n_active[best] -= 1
-        tau[best, n_active[best]] = math.exp(t_top)
-        left -= 1
+        if best >= 0:
+            n_active[best] -= 1
+            tau[best, n_active[best]] = math.exp(t_top)
+            left -= 1
     try:
         matrix = ThresholdMatrix(J, K, tuple(map(tuple, tau.tolist())))
     except MonotonicityError as exc:

@@ -5,6 +5,8 @@ import functools
 import json
 import math
 import os
+import re
+import shlex
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from secretary_lab.cli import (
 from secretary_lab.theta import generate_thetas
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "cli_schema.json")
+README_PATH = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 _TYPE_CHECKS = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -236,6 +239,29 @@ def test_dual_check_perturbed_fails(capsys):
     code, out = run(capsys, "dual-check", "--J", "2", "--K", "2", "--perturb", "0.01")
     assert code == EXIT_CERTIFICATE
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("extra", [[], ["--perturb", "0.01"]])
+def test_dual_check_text_builds_no_json_record(monkeypatch, capsys, extra):
+    """dual-check's one format test: text output never builds the JSON
+    record, which costs more than the check, and is what it was."""
+    argv = ["dual-check", "--J", "2", "--K", "2", "--format", "text", *extra]
+    want = main(argv), capsys.readouterr()
+    assert want[0] == (EXIT_CERTIFICATE if extra else EXIT_OK)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("certificate_to_dict called for text output")
+
+    monkeypatch.setattr(dual, "certificate_to_dict", refuse)
+    assert (main(argv), capsys.readouterr()) == want
+
+
+@pytest.mark.parametrize("perturb", ["0.5", "-0.5"])
+def test_out_of_order_perturb_writes_no_json(capsys, perturb):
+    """As in text (test_dual_check_rejects_perturb_that_breaks_the_order)."""
+    code = main(["dual-check", "--J", "2", "--K", "2", "--perturb", perturb, "--format", "json"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("perturb", ["nan", "inf", "-inf", "x"])
@@ -565,6 +591,28 @@ def test_output_file_matches_stdout(tmp_path, capsys, argv):
     target = tmp_path / "out"
     assert run(capsys, *argv, "--output", str(target)) == (code, "")
     assert target.read_text() == out
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced code block under README's `## <heading>`."""
+    with open(README_PATH) as fh:
+        section = fh.read().split(f"\n## {heading}\n", 1)[1]
+    return re.search(r"```\w*\n(.*?)```", section, re.S)[1]
+
+
+def test_readme_examples_run(capsys):
+    """Each CLI line of README exits 0, or 4 where it says so, and the
+    library block runs."""
+    lines = readme_block("CLI").splitlines()
+    assert len(lines) == 9
+    for line in lines:
+        command, _, comment = line.partition("#")
+        prog, *argv = shlex.split(command)
+        assert prog == "secretary-lab"
+        want = EXIT_CERTIFICATE if "exits 4" in comment else EXIT_OK
+        assert main(argv) == want, line
+        assert capsys.readouterr().out, line
+    exec(readme_block("Library"), {})
 
 
 def test_io_failure_exit_code(tmp_path, capsys):

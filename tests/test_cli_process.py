@@ -45,15 +45,18 @@ COMMANDS = {
     "thresholds_exact_16_640": (EXACT_16, 120, {"PYTHONINTMAXSTRDIGITS": "640"}),
     "dual_check_k40": (["dual-check", "--J", "2", "--K", "40"], 120),
     "thresholds_k2000": (["thresholds", "--J", "1", "--K", "2000"], 20),
-    "dual_check": (["dual-check", "--J", "2", "--K", "2"], 120),
+    "dual_check": (["dual-check", "--J", "2", "--K", "2", "--format", "text"], 120),
     "dual_check_grid": (["dual-check", "--J", "2", "--K", "2", "--grid", "1000000"], 120),
     # the corner of the (J, K) envelope
     "dual_check_16_16": (["dual-check", "--J", "16", "--K", "16", "--format", "json"], 120),
     "perturb": (["dual-check", "--J", "2", "--K", "2", "--perturb", "0.01"], 120),
-    "tau_stdout": (["thresholds", "--J", "2", "--K", "2", "--format", "csv"], 120),
-    "tau_file": (
-        ["thresholds", "--J", "2", "--K", "2", "--format", "csv", "--output", "tau-file.csv"],
-        120,
+    "thresholds_csv": (["thresholds", "--J", "2", "--K", "2", "--format", "csv"], 120),
+    "finite_lp_json": (
+        ["finite-lp", "--J", "2", "--K", "2", "--n", "10,20", "--format", "json"], 60
+    ),
+    "simulate_csv": (
+        ["simulate", "--J", "2", "--K", "2", "--n", "1000", "--trials", "2000", "--format", "csv"],
+        60,
     ),
     "sim_1": ([*SIM_ARGS, "--workers", "1"], 120),
     "sim_2": ([*SIM_ARGS, "--workers", "2"], 120),
@@ -63,6 +66,14 @@ COMMANDS = {
         60,
     ),
 }
+
+# One command per subcommand, each run again as `<name>_file` with its
+# output sent by --output to the file `<name>.out`.
+WRITTEN = ["report", "thresholds_csv", "dual_check", "finite_lp_json", "simulate_csv"]
+COMMANDS.update(
+    {f"{name}_file": ([*COMMANDS[name][0], "--output", f"{name}.out"], COMMANDS[name][1])
+     for name in WRITTEN}
+)
 
 
 @pytest.fixture(scope="module")
@@ -256,9 +267,13 @@ def test_failing_certificate_exits_4_and_prints_its_verdict(ran):
 
 
 def test_output_file_gets_the_bytes_stdout_gets(ran, cli_dir):
-    stdout, file = ran["tau_stdout"], ran["tau_file"]
-    assert (stdout.returncode, file.returncode, file.stdout) == (0, 0, b"")
-    assert (cli_dir / "tau-file.csv").read_bytes() == stdout.stdout
+    """main writes every subcommand's output, to stdout or to --output's
+    file alike."""
+    for name in WRITTEN:
+        stdout, file = ran[name], ran[f"{name}_file"]
+        assert (stdout.returncode, file.returncode, file.stdout) == (0, 0, b""), name
+        assert stdout.stdout and stdout.stderr == file.stderr, name
+        assert (cli_dir / f"{name}.out").read_bytes() == stdout.stdout, name
 
 
 def test_simulation_output_is_identical_in_process_and_in_a_pool(ran):

@@ -84,14 +84,24 @@ def test_payoff_is_the_value_at_zero(J, K):
 
 @pytest.mark.parametrize("J, K", CERTIFY_PAIRS + [(16, 16), (1, 35), (16, 35)])
 def test_threshold_order_at_the_envelope_edges(J, K):
-    """Rows rise in k and columns fall in j, exactly (ThresholdMatrix
-    allows 1e-12).  With no column rising, the policy's "take iff
+    """Rows rise in k and columns fall in j, exactly, as ThresholdMatrix
+    requires.  With no column rising, the policy's "take iff
     x >= tau_{m,k} with m unused quotas" (sim._pick_quota) is the rule
     "take the largest unused quota j with x >= tau_{j,k}"."""
     tau = np.array(solved(J, K).tau.tau)
     assert (np.diff(tau, axis=1) >= 0).all()
     assert (np.diff(tau, axis=0) <= 0).all()
     assert (tau > 0).all() and (tau <= 1).all()
+
+
+def test_threshold_matrix_order_has_no_slack():
+    """A column rising or a row falling by 1e-13 is out of order; equal
+    neighbours are in order."""
+    with pytest.raises(value.MonotonicityError, match="column 1 not decreasing in j at j=1"):
+        value.ThresholdMatrix(2, 1, ((0.4,), (0.4 + 1e-13,)))
+    with pytest.raises(value.MonotonicityError, match="row 1 not increasing in k at k=1"):
+        value.ThresholdMatrix(1, 2, ((0.4, 0.4 - 1e-13),))
+    value.ThresholdMatrix(2, 2, ((0.4, 0.4), (0.4, 0.4)))
 
 
 @pytest.mark.parametrize(
