@@ -303,10 +303,8 @@ def perturbed(cert: DualCertificateJK, delta: float) -> DualCertificateJK:
     return replace(cert, tau=ThresholdMatrix(cert.J, cert.K, tuple(map(tuple, rows))))
 
 
-def certificate_to_dict(
-    cert: DualCertificateJK, report: CertificateReport | None = None
-) -> dict:
-    """JSON-ready dump: thresholds, breakpoints and sampled dual values.
+def certificate_to_dict(cert: DualCertificateJK, report: CertificateReport) -> dict:
+    """JSON-ready dump: thresholds, breakpoints, sampled dual values, verification.
 
     A q_{j|k} over c cells gets CERT_SAMPLES + 2 samples from one
     evaluation at every sample: each cell is cut into p = ceil(m / c)
@@ -315,32 +313,30 @@ def certificate_to_dict(
     q's first breakpoint (index 0) and x = 1 are always among them; that
     breakpoint is tau_{j,k} as solved, which a perturbed tau does not move.
     """
-    a, b, firsts = cert.bps[:-1], cert.bps[1:], cert.first.ravel().tolist()
     m = CERT_SAMPLES + 1
-    grids = {}  # parts per cell -> every cell's part starts, cell by cell
-    samples = []
-    for f in firsts:
-        c = len(a) - f
-        p = -(-m // c)
-        if p not in grids:
-            grids[p] = (a[:, None] + np.arange(p) * ((b - a) / p)[:, None]).ravel()
-        samples.append(np.append(grids[p][f * p + np.arange(m) * (c * p) // m], 1.0))
-    xs = np.concatenate(samples)
-    pairs = np.divmod(np.repeat(np.arange(len(firsts)), m + 1), cert.K)
-    rows = np.column_stack((xs, _q_at(cert, xs, *pairs))).tolist()
+    first = cert.first.reshape(-1, 1)
+    c = len(cert.tops) - first
+    p = -(-m // c)
+    idx = np.arange(m) * (c * p) // m
+    cell = first + idx // p
+    xs = np.ones((len(first), m + 1))
+    xs[:, :m] = cert.bps[cell] + (idx % p) * (np.diff(cert.bps)[cell] / p)
+    q = _q_at(cert, xs.ravel(), *np.divmod(np.arange(xs.size) // (m + 1), cert.K))
+    samples = np.stack((xs, q.reshape(xs.shape)), axis=-1).tolist()
     bps = cert.bps.tolist()
-    out: dict = {
+    verification = {name: getattr(report, name) for name in (
+        "ok", "max_equality_residual", "min_inequality_slack",
+        "max_threshold_residual", "dual_objective", "objective_gap")}
+    if report.min_inequality_slack == math.inf:  # no checked point lies below a threshold
+        verification["min_inequality_slack"] = None  # strict JSON has no Infinity
+    return {
         "J": cert.J,
         "K": cert.K,
         "tau": [list(row) for row in cert.tau.tau],
         "payoff": payoff_jk(cert.tau),
         "q": [
-            dict(j=j + 1, k=k + 1, breakpoints=bps[f:], samples=rows[n : n + m + 1])
-            for n, (j, k), f in zip(range(0, len(rows), m + 1), np.ndindex(cert.J, cert.K), firsts)
+            dict(j=j + 1, k=k + 1, breakpoints=bps[f:], samples=rows)
+            for (j, k), f, rows in zip(np.ndindex(cert.J, cert.K), cert.first.flat, samples)
         ],
+        "verification": verification,
     }
-    if report is not None:
-        out["verification"] = {name: getattr(report, name) for name in (
-            "ok", "max_equality_residual", "min_inequality_slack",
-            "max_threshold_residual", "dual_objective", "objective_gap")}
-    return out

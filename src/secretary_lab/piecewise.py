@@ -9,11 +9,11 @@ antiderivative.  `_locate` is the one cell locator: it finds each point's
 cell and its s there, for a `PiecewiseFunction` and for `dual`'s
 certificate alike.  `dual` builds its q and r rows in this form only when
 they are read; its certificate check and dump run the same evaluator,
-`_series`, and `_cell_integrals` on its per-cell arrays.  `_series` works
-a cell at a time, one `np.einsum` per cell (one for all points, their
-coefficients gathered, where cells hold two or fewer on average), which
-adds the degrees in order, so a point gets the same bits alone or in any
-batch; BLAS (`@`) would not, as it blocks its sums by the operands' sizes.
+`_series`, and `_cell_integrals` on its per-cell arrays.  `_series` takes
+points in any order, one `np.einsum` per run of points in one cell (one for
+all, their coefficients gathered, where runs hold two or fewer on average),
+which adds the degrees in order, so a point gets the same bits alone or in
+any batch; BLAS (`@`) would not, as it blocks its sums by the operands' sizes.
 
 The Chebyshev toolkit that `value` solves with lives here too: the NODES
 points s_i = cos(i pi / (NODES - 1)), their differentiation matrix and
@@ -76,13 +76,9 @@ TO_COEF, ANTI = _coefficients(NODES - 1)
 
 
 def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k coef[k, ..., seg[i]] T_k(s[i]) at every point i, a cell at a
-    time or, if cells hold two points or fewer on average, all at once; coef
-    is degree-major with segments last, the result has its middle axes."""
-    order = None
-    if (seg[1:] < seg[:-1]).any():
-        order = np.argsort(seg, kind="stable")
-        seg, s = seg[order], s[order]
+    """sum_k coef[k, ..., seg[i]] T_k(s[i]) at every point i, in any order: a run of
+    points in one cell at a time or, if runs hold two points or fewer on average, all
+    at once; coef is degree-major with segments last, the result has its middle axes."""
     n = len(s)
     # a spare column keeps a lone point's T_k strided; contiguous, einsum sums them unrolled
     basis = np.empty((len(coef), n + 1))[:, :n]
@@ -90,16 +86,14 @@ def _series(coef: np.ndarray, seg: np.ndarray, s: np.ndarray) -> np.ndarray:
     for k in range(2, len(coef)):
         basis[k] = two_s * basis[k - 1] - basis[k - 2]
     out = np.empty(coef.shape[1:-1] + (n,))
-    starts = np.flatnonzero(seg != np.concatenate(([-1], seg[:-1])))  # each cell's first point
-    # coefficients gathered point by point; past two points a cell, per-cell einsums
+    starts = np.flatnonzero(seg != np.concatenate(([-1], seg[:-1])))  # each run's first point
+    # coefficients gathered point by point; past two points a run, per-run einsums
     # give the same bits faster (gathering only: certify's 24 checks 35 -> 55 ms)
     if n <= 2 * len(starts):
         np.einsum("k...p,kp->...p", coef[..., seg], basis, out=out)
     else:
         for c, a, b in zip(seg[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), n]):
             np.einsum("k...,kp->...p", coef[..., c], basis[:, a:b], out=out[..., a:b])
-    if order is not None:
-        out[..., order] = out.copy()
     return out
 
 

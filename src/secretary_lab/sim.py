@@ -213,13 +213,13 @@ def _falling(m, K: int, sc: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray, p_n=None) -> np.ndarray:
+def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray, p_n) -> np.ndarray:
     """Per row, the smallest i' > pos >= K whose potential rank is <= K.
 
     Inverse transform of P(no such arrival in (pos, i']) =
     prod_{t<K} (pos-t)/(i'-t) at the uniform draw v; 0 where the
-    no-arrival probability through n already exceeds v.  p_n, if given,
-    is _falling(n, K), which a run computes once, not each step.  Where
+    no-arrival probability through n already exceeds v.  p_n is
+    _falling(n, K), taken once per run, not computed each step.  Where
     n^K may pass the float range, a row's factors are scaled by the power
     of two sc that puts (pos - t) sc in [2^-7, 1), and p_n is not read;
     that rounds as the unscaled products would, but keeps them in range,
@@ -235,7 +235,7 @@ def _next_potential(pos: np.ndarray, n: int, K: int, v: np.ndarray, p_n=None) ->
     out = np.zeros_like(pos)
     # a scaled product past the float range is inf, which compares right
     with nullcontext() if sc is None else np.errstate(over="ignore"):
-        go = p_pos < v * (_falling(n, K, sc) if p_n is None or sc is not None else p_n)
+        go = p_pos < v * (p_n if sc is None else _falling(n, K, sc))
         target = p_pos[go] / v[go]
         if sc is not None:
             sc = sc[go]

@@ -50,12 +50,23 @@ COMMANDS = {
     # the corner of the (J, K) envelope
     "dual_check_16_16": (["dual-check", "--J", "16", "--K", "16", "--format", "json"], 120),
     "perturb": (["dual-check", "--J", "2", "--K", "2", "--perturb", "0.01"], 120),
+    # grids 1 and 2 check no point below tau_{1,1} = 0.368
+    "dual_check_grid_1": (["dual-check", "--J", "1", "--K", "1", "--grid", "1",
+                           "--format", "json"], 60),
+    "dual_check_grid_2": (["dual-check", "--J", "1", "--K", "1", "--grid", "2",
+                           "--format", "json"], 60),
+    "dual_check_16_35": (["dual-check", "--J", "16", "--K", "35", "--format", "json"], 120),
+    "thresholds_json": (["thresholds", "--J", "2", "--K", "2", "--format", "json"], 120),
     "thresholds_csv": (["thresholds", "--J", "2", "--K", "2", "--format", "csv"], 120),
     "finite_lp_json": (
         ["finite-lp", "--J", "2", "--K", "2", "--n", "10,20", "--format", "json"], 60
     ),
     "simulate_csv": (
         ["simulate", "--J", "2", "--K", "2", "--n", "1000", "--trials", "2000", "--format", "csv"],
+        60,
+    ),
+    "simulate_json": (
+        ["simulate", "--J", "2", "--K", "2", "--n", "1000", "--trials", "2000", "--format", "json"],
         60,
     ),
     "sim_1": ([*SIM_ARGS, "--workers", "1"], 120),
@@ -264,6 +275,29 @@ def test_failing_certificate_exits_4_and_prints_its_verdict(ran):
     proc = ran["perturb"]
     assert proc.returncode == 4
     assert b"FAIL" in proc.stdout
+
+
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+# Every subcommand with --format json; report writes CSV only.
+JSON_COMMANDS = [
+    "thresholds_exact_16", "thresholds_json", "dual_check_grid_1", "dual_check_grid_2",
+    "dual_check_16_16", "dual_check_16_35", "finite_lp_json", "simulate_json",
+]
+
+
+@pytest.mark.parametrize("name", JSON_COMMANDS)
+def test_json_output_is_strict(ran, name):
+    """Each JSON output parses with Infinity and NaN refused, as jq and
+    JavaScript's JSON.parse refuse them; a minimum over no checked point
+    is null."""
+    proc = ran[name]
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout, parse_constant=refuse_constant)
+    if name.startswith("dual_check_grid_"):
+        assert record["verification"]["min_inequality_slack"] is None
 
 
 def test_output_file_gets_the_bytes_stdout_gets(ran, cli_dir):

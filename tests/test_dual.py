@@ -734,20 +734,39 @@ def test_construct_rejects_bad_sizes():
             construct_dual(17, K)
 
 
-@pytest.mark.parametrize("J, K", [(2, 2), (8, 8), (16, 16)])
+def dump_sample_xs(cert, first: int) -> list[float]:
+    """The docstring's sample rule for a q whose cells start at `first`,
+    in plain Python ints and floats: c cells, p = ceil(m / c) parts each,
+    sample i < m at part index floor(i c p / m), then x = 1."""
+    bps, m = cert.bps.tolist(), dual.CERT_SAMPLES + 1
+    c = len(bps) - 1 - first
+    p = -(-m // c)
+    xs = []
+    for i in range(m):
+        idx = i * c * p // m
+        cell = first + idx // p
+        xs.append(bps[cell] + (idx % p) * ((bps[cell + 1] - bps[cell]) / p))
+    return [*xs, 1.0]
+
+
+@pytest.mark.parametrize("J, K", [(2, 2), (8, 8), (16, 16), (16, 35)])
 def test_each_q_dumps_cert_samples_plus_two(J, K):
     """Every q carries CERT_SAMPLES + 2 samples rising from its first
     breakpoint to x = 1, over few cells and over more cells than samples
-    alike.  That breakpoint is tau_{j,k} as solved: shifting tau_{1,1}
-    moves the dumped tau only, not q_{1|1}'s breakpoints or samples."""
+    alike, at the docstring's points bit for bit.  That breakpoint is
+    tau_{j,k} as solved: shifting tau_{1,1} moves the dumped tau only, not
+    q_{1|1}'s breakpoints or samples."""
     cert = construct_dual(J, K)
     for shift in (0.0, 0.01):
-        d = dual.certificate_to_dict(perturbed(cert, shift))
+        shifted = perturbed(cert, shift)
+        d = dual.certificate_to_dict(shifted, verify_certificate(shifted))
         assert len(d["q"]) == J * K
         cells = set()
-        for q in d["q"]:
+        for q, first in zip(d["q"], cert.first.ravel().tolist()):
             xs = [x for x, _ in q["samples"]]
             assert len(xs) == dual.CERT_SAMPLES + 2, (q["j"], q["k"])
+            want = dump_sample_xs(cert, first)
+            assert list(map(float.hex, xs)) == list(map(float.hex, want)), (q["j"], q["k"])
             moved = shift if (q["j"], q["k"]) == (1, 1) else 0.0
             assert xs[0] == q["breakpoints"][0]
             assert xs[0] + moved == d["tau"][q["j"] - 1][q["k"] - 1], (q["j"], q["k"])

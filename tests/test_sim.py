@@ -30,6 +30,7 @@ from secretary_lab.sim import (
     sample_arrivals,
     trial_rng,
     _chunk_stats,
+    _falling,
     _group_stats,
     _next_potential,
     _pick_quota,
@@ -370,7 +371,7 @@ def test_next_potential_inverse_transform_matches_direct_simulation():
     K, pos, n = 2, 6, 40
     draws = 30_000
     rng = trial_rng(31, 0)
-    nxt = _next_potential(np.full(draws, pos), n, K, rng.random(draws))
+    nxt = _next_potential(np.full(draws, pos), n, K, rng.random(draws), _falling(n, K))
     counts = np.bincount(nxt, minlength=n + 1)  # 0: no potential arrival by n
     assert counts[1 : pos + 1].sum() == 0
 
@@ -404,9 +405,11 @@ def test_next_potential_matches_exact_arithmetic_at_largest_n(K):
     one past the exact answer); 0 means F(n) v <= F(pos)."""
     n = MAX_N
     eps = Fraction(1, 1 << 50)
+    with np.errstate(over="ignore"):
+        p_n = _falling(n, K)
     for pos in (K, 1 << 40, n - 1):
         for v in (0.9, 0.1, 1e-300, 5e-324):
-            got = int(_next_potential(np.array([pos]), n, K, np.array([v]))[0])
+            got = int(_next_potential(np.array([pos]), n, K, np.array([v]), p_n)[0])
             fv, fpos = Fraction(v), _falling_int(pos, K)
             if got == 0:
                 assert _falling_int(n, K) * fv <= fpos * (1 + eps), (pos, v)
@@ -420,7 +423,9 @@ def test_next_potential_matches_exact_arithmetic_at_largest_n(K):
 def test_next_potential_ends_when_target_overflows():
     """A draw of 0 at K = 35 from pos = 2^10 overflows p_pos / v even
     after scaling; the answer still lies in (pos, n]."""
-    got = _next_potential(np.array([1 << 10]), MAX_N, 35, np.array([0.0]))
+    with np.errstate(over="ignore"):
+        p_n = _falling(MAX_N, 35)
+    got = _next_potential(np.array([1 << 10]), MAX_N, 35, np.array([0.0]), p_n)
     assert 1 << 10 < got[0] <= MAX_N
 
 
