@@ -16,10 +16,22 @@ on [t_k, t_(k-1)], is kept in y = ln x + theta_k, where its antiderivative
 vanishes at the lower end, so its integral is one Horner evaluation at
 theta_k - theta_(k-1).  `recursion` returns the thetas with these rows,
 each piece a tuple of Fraction coefficients in y, which the tests shift
-back to ln x and check as the exact certificate.  The float K = 1
-certificate comes from dual.construct_dual, which builds every K alike and
-agrees with exp(-theta_j) within 1e-12.  Floats appear only in the
-reporting helpers.  This module imports nothing from the package.
+back to ln x and check as the exact certificate.
+
+The loop needs no gcd.  Its inputs are integers, it adds, subtracts and
+multiplies, and it divides only by p + 1 <= MAX_J = 16, so every value
+lies in Z[1/30030], 30030 = 2*3*5*7*11*13.  A value is (n, e): n over the
+product of p_i^e_i for p_i = 2, 3, 5, 7, 11, 13, e_i in bits 20i..20i+19
+of e (no e_i exceeds 32767 at J <= 16).  A product adds the e; a sum
+raises both terms to the larger power of each prime by cached factors.
+Each new theta is put in lowest terms by trial division, which keeps
+later denominators tight (theta_16's is 2^32767 3^7168 5^2048 7^512 11^32
+13^8); a row coefficient is reduced when `recursion` makes it a Fraction.
+
+The float K = 1 certificate comes from dual.construct_dual, which builds
+every K alike and agrees with exp(-theta_j) within 1e-12.  Floats appear
+only in the reporting helpers.  This module imports nothing from the
+package.
 """
 
 from __future__ import annotations
@@ -28,10 +40,11 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
-from math import ceil, floor, log10
+from functools import cache, cached_property
+from math import ceil, floor, log10, prod
 
-# Bit growth of the rationals is super-linear in J; larger J is refused.
+# Bit growth of the rationals is super-linear in J, and the recursion's
+# arithmetic carries the primes up to 13 only; larger J is refused.
 MAX_J = 16
 
 # Reporting rounds once, at the end. The working precision is given in
@@ -89,18 +102,71 @@ class ThetaSequence:
         return tuple(exp_neg(t) for t in self.thetas)
 
 
-def _at(poly: tuple[Fraction, ...], y: Fraction) -> Fraction:
-    """poly[0] + poly[1] y + ... at y, by Horner's rule."""
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * y + c
-    return acc
+# The recursion's values as (n, e) pairs: see the module docstring
+_PRIMES = (2, 3, 5, 7, 11, 13)
+_ZERO, _ONE = (0, 0), (1, 0)
 
 
-def _integral(poly: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """A with dA/dy = poly and A(0) = 0: for a piece in y = ln x + theta,
-    int poly(y) dy/x from its lower end up to height y is A(y)."""
-    return (Fraction(0), *(c / (p + 1) for p, c in enumerate(poly)))
+def _exponents(e: int) -> list[int]:
+    return [e >> 20 * i & 0xFFFFF for i in range(6)]
+
+
+def _packed(exponents) -> int:
+    return sum(k << 20 * i for i, k in enumerate(exponents))
+
+
+@cache  # recursion(MAX_J) meets about 1800 exponents and pairs, 0.3 MB in all
+def _power(e: int) -> int:
+    return prod(map(pow, _PRIMES, _exponents(e)))
+
+
+@cache
+def _common(e: int, f: int) -> tuple[int, int, int]:
+    """The factors that raise e and f to the larger power of each prime, and that power."""
+    top = _packed(map(max, _exponents(e), _exponents(f)))
+    return _power(top - e), _power(top - f), top
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    (n, e), (m, f) = x, y
+    if not n or not m:
+        return x if n else y
+    if e != f:
+        u, v, e = _common(e, f)
+        n, m = n * u, m * v
+    return (n + m, e)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0], x[1] + y[1])
+
+
+def _neg(x: tuple) -> tuple:
+    return (-x[0], x[1])
+
+
+def _lowest(x: tuple) -> tuple:
+    """x with the primes common to n and the denominator cancelled."""
+    n, e = x
+    e = _exponents(e)
+    for i, p in enumerate(_PRIMES):
+        while e[i] and n % p == 0:
+            n, e[i] = n // p, e[i] - 1
+    return (n, _packed(e))
+
+
+# 1/(p + 1) at [p] for every degree p < MAX_J a piece reaches, from
+# 1/m = (720720 / m) / 720720, 720720 = lcm(1, ..., MAX_J)
+_RECIPROCALS = [_lowest((720720 // m, _packed((4, 2, 1, 1, 1, 1)))) for m in range(1, MAX_J + 1)]
+
+
+def _fraction(x: tuple) -> Fraction:
+    """x, in lowest terms, as a Fraction.  Its terms are coprime, so the
+    denominator is set directly: the constructor's gcd would about double
+    the time of generate_thetas(16)."""
+    q = Fraction(x[0])
+    q._denominator = _power(x[1])
+    return q
 
 
 def recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
@@ -111,38 +177,46 @@ def recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
     q_j has degree j - k + 1, and every row's last piece is y.  O(J^3)
     rational operations; J above MAX_J is refused.
     """
-    return _recursion(J, last_row=True)
+    thetas, rows = _recursion(J, last_row=True)
+    rows = [[tuple(_fraction(_lowest(c)) for c in q) for q in row] for row in rows]
+    return ThetaSequence(tuple(map(_fraction, thetas))), rows
 
 
-def _recursion(J: int, last_row: bool) -> tuple[ThetaSequence, list]:
-    """`recursion`, building row J only if last_row (theta_J needs row J - 1)."""
+def _recursion(J: int, last_row: bool) -> tuple[list[tuple], list]:
+    """`recursion` on (n, e) pairs, each theta in lowest terms, building
+    row J only if last_row (theta_J needs row J - 1)."""
     if J < 1:
         raise ValueError("J must be >= 1")
     if J > MAX_J:
         raise ValueError(f"J={J} exceeds the cap {MAX_J}")
-    thetas: list[Fraction] = [Fraction(1)]
+    thetas = [_ONE]
     gaps = thetas[:]  # d_k = theta_k - theta_(k-1), each piece's height
-    last = (Fraction(0), Fraction(1))  # q = 1 + ln x = y on the lowest piece
-    rows: list[list[tuple[Fraction, ...]]] = [[last]]
+    last = (_ZERO, _ONE)  # q = 1 + ln x = y on the lowest piece
+    rows: list[list[tuple]] = [[last]]
     for j in range(1, J):
-        new_row: list[tuple[Fraction, ...]] = []
-        acc = Fraction(0)  # int_{t_k}^1 q_j(y)/y dy, through segment k
+        new_row = []
+        acc = _ZERO  # int_{t_k}^1 q_j(y)/y dy, through segment k
         for q, theta_k, gap in zip(rows[-1], thetas, gaps):
-            anti = _integral(q)  # A(y), A' = q, A(0) = 0
-            acc += _at(anti, gap)
+            # A(y), A' = q, A(0) = 0: int q dy/x from the piece's lower end to y
+            anti = (_ZERO, *map(_mul, q, _RECIPROCALS))
+            height = _ZERO  # A(gap), by Horner's rule
+            for c in reversed(anti):
+                height = _add(_mul(height, gap), c)
+            acc = _add(acc, height)
             if last_row or j < J - 1:
                 # q_{j+1} = 1 + ln x + acc - A(y) on this segment, ln x = y - theta_k
-                new_row.append((1 - theta_k + acc, 1 - anti[1], *(-c for c in anti[2:])))
-        thetas.append(1 + acc)
-        gaps.append(thetas[-1] - thetas[-2])
+                new_row.append((_add(_add(_ONE, _neg(theta_k)), acc),
+                                _add(_ONE, _neg(anti[1])), *map(_neg, anti[2:])))
+        thetas.append(_lowest(_add(_ONE, acc)))  # tight denominators from here on
+        gaps.append(_add(thetas[-1], _neg(thetas[-2])))
         new_row.append(last)
         rows.append(new_row)
-    return ThetaSequence(tuple(thetas)), rows
+    return thetas, rows
 
 
 def generate_thetas(J: int) -> ThetaSequence:
     """Exact theta_1..theta_J."""
-    return _recursion(J, last_row=False)[0]
+    return ThetaSequence(tuple(map(_fraction, _recursion(J, last_row=False)[0])))
 
 
 def thresholds(ts: ThetaSequence) -> list[float]:

@@ -37,6 +37,10 @@
   over its one-cell functions and each r_{j|k} a `combine` sum of the q
   row; the reference for the batched rows of
   `secretary_lab.dual.construct_dual`.
+* `_at`, `_integral`, `fraction_recursion`: the K = 1 recursion in
+  `Fraction` arithmetic (Horner evaluation, the antiderivative in
+  y = ln x + theta_k, and the loop), the reference for the gcd-free
+  arithmetic of `secretary_lab.theta.recursion`.
 * `ln_poly_at`, `ln_derivative`, `plain_antiderivative`: polynomials in
   ln x as tuples of coefficients (entry p multiplies (ln x)^p): a Horner
   loop of its own, the exact derivative in ln x, and B with
@@ -110,8 +114,8 @@ from secretary_lab.sim import (
 )
 from secretary_lab.theta import (
     DEFAULT_PRECISION_BITS,
+    MAX_J,
     ThetaSequence,
-    _integral,
     exp_neg,
     working_context,
 )
@@ -599,6 +603,44 @@ def plain_antiderivative(poly) -> tuple:
     for i in range(len(b) - 2, -1, -1):
         b[i] = poly[i] - (i + 1) * b[i + 1]
     return tuple(b)
+
+
+def _at(poly: tuple[Fraction, ...], y: Fraction) -> Fraction:
+    """poly[0] + poly[1] y + ... at y, by Horner's rule."""
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * y + c
+    return acc
+
+
+def _integral(poly: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """A with dA/dy = poly and A(0) = 0: for a piece in y = ln x + theta,
+    int poly(y) dy/x from its lower end up to height y is A(y)."""
+    return (Fraction(0), *(c / (p + 1) for p, c in enumerate(poly)))
+
+
+def fraction_recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
+    """`secretary_lab.theta.recursion` with every value a Fraction, the
+    reference for its gcd-free arithmetic: the same loop in the same order."""
+    if not 1 <= J <= MAX_J:
+        raise ValueError(f"J={J} outside 1..{MAX_J}")
+    thetas: list[Fraction] = [Fraction(1)]
+    gaps = thetas[:]  # d_k = theta_k - theta_(k-1), each piece's height
+    last = (Fraction(0), Fraction(1))  # q = 1 + ln x = y on the lowest piece
+    rows: list[list[tuple[Fraction, ...]]] = [[last]]
+    for _ in range(1, J):
+        new_row: list[tuple[Fraction, ...]] = []
+        acc = Fraction(0)  # int_{t_k}^1 q_j(y)/y dy, through segment k
+        for q, theta_k, gap in zip(rows[-1], thetas, gaps):
+            anti = _integral(q)  # A(y), A' = q, A(0) = 0
+            acc += _at(anti, gap)
+            # q_{j+1} = 1 + ln x + acc - A(y) on this segment, ln x = y - theta_k
+            new_row.append((1 - theta_k + acc, 1 - anti[1], *(-c for c in anti[2:])))
+        thetas.append(1 + acc)
+        gaps.append(thetas[-1] - thetas[-2])
+        new_row.append(last)
+        rows.append(new_row)
+    return ThetaSequence(tuple(thetas)), rows
 
 
 def theta_at(ts: ThetaSequence, j: int) -> Fraction:

@@ -31,7 +31,6 @@ from secretary_lab.sim import (
 )
 from secretary_lab.theta import (
     ThetaSequence,
-    _integral,
     generate_thetas,
     payoff_k1_decimal,
     thresholds,
@@ -39,7 +38,7 @@ from secretary_lab.theta import (
 from secretary_lab.value import alphas
 
 import reference_values as ref
-from oracles import alpha, gamma, k2_closed_forms, ln_derivative, ln_poly_at
+from oracles import _integral, alpha, gamma, k2_closed_forms, ln_derivative, ln_poly_at
 from simplex import build_lp, coefficient_row_sum, solve_lp
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -204,7 +203,9 @@ def test_criterion_7_property_suites(capfd):
     rng = random.Random(777)
 
     # exact antiderivative round-trip on polynomials, the K = 1 recursion's
-    # pieces in y = ln x + theta_k: A' = p, A = 0 at y = 0, Fractions throughout
+    # pieces in y = ln x + theta_k: A' = p, A = 0 at y = 0, Fractions
+    # throughout; the Fraction loop built on it is the reference that
+    # theta.recursion's rows must equal (tests/test_theta.py)
     exact_cases = 0
     for _ in range(120):
         p = tuple(

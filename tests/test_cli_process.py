@@ -9,6 +9,7 @@ workflow shell.  The module imports nothing from `tests/`.
 """
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,9 @@ COMMANDS = {
     # and far more than the lowest limit Python accepts
     "thresholds_exact_16": (EXACT_16, 120),
     "thresholds_exact_16_640": (EXACT_16, 120, {"PYTHONINTMAXSTRDIGITS": "640"}),
+    "thresholds_exact_16_text": (
+        ["thresholds", "--J", "16", "--K", "1", "--exact", "--format", "text"], 120
+    ),
     "dual_check_k40": (["dual-check", "--J", "2", "--K", "40"], 120),
     "thresholds_k2000": (["thresholds", "--J", "1", "--K", "2000"], 20),
     "dual_check": (["dual-check", "--J", "2", "--K", "2", "--format", "text"], 120),
@@ -184,6 +188,23 @@ def test_exact_theta_16_prints_under_the_lowest_str_limit(ran):
     assert printed_theta_16(ran["thresholds_exact_16_640"]) == (
         secretary_lab.theta.generate_thetas(16).thetas[-1]
     )
+
+
+# SHA-256 of stdout as the Fraction recursion printed it (commit e2e8e92):
+# every theta_1..theta_16 in full, and report's table
+STDOUT_SHA256 = {
+    "thresholds_exact_16": "d870d8d98f477f0985ca6b8ecbb8176bc9e31da172697bb908ac5b6ed8ddb7b3",
+    "thresholds_exact_16_640": "d870d8d98f477f0985ca6b8ecbb8176bc9e31da172697bb908ac5b6ed8ddb7b3",
+    "thresholds_exact_16_text": "d1c21c3031df2761bab1273a4e48fa50420ccdf9db6983129e06f46f52da2ab0",
+    "report": "70781b50ac8cc98803923997d951e84bd93653c28c431daa5fe3f3af201c8ec2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
+def test_exact_output_bytes_are_pinned(ran, name):
+    proc = ran[name]
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name]
 
 
 def test_report_warns_nothing(ran):

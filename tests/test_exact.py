@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from secretary_lab import theta
 from secretary_lab.theta import (
-    _at,
+    MAX_J,
     _digits,
-    _integral,
     exp_neg,
     format_rational,
     generate_thetas,
@@ -24,6 +24,8 @@ from secretary_lab.theta import (
 )
 
 from oracles import (
+    _at,
+    _integral,
     ln_derivative,
     ln_poly_at,
     plain_antiderivative,
@@ -155,6 +157,56 @@ def test_polynomial_arithmetic_trims_and_adds():
     assert scaled[2] == 1
     assert all(type(c) is Fraction for c in _integral(scaled))
     assert type(_at(_integral(scaled), t)) is Fraction
+
+
+# -- the recursion's gcd-free arithmetic on (n, e) pairs, n / prod(p^e_p) ---
+
+SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def packed(exponents) -> int:
+    """The exponents in 20-bit fields, the pairs' e."""
+    return sum(k << 20 * i for i, k in enumerate(exponents))
+
+
+def smooth_value(x: tuple) -> Fraction:
+    """An (n, e) pair through Fraction's own reducing constructor."""
+    n, e = x
+    exponents = [e >> 20 * i & (2**20 - 1) for i in range(len(SMOOTH_PRIMES))]
+    return Fraction(n, math.prod(p**k for p, k in zip(SMOOTH_PRIMES, exponents)))
+
+
+# numerators with up to 300 factors of 2 and exponents of 2 up to 400, so
+# both sides of a cancellation of 2s get drawn; small odd exponents
+smooth_pairs = st.tuples(
+    st.builds(lambda m, k: m << k, st.integers(-(10**12), 10**12), st.integers(0, 300)),
+    st.tuples(st.integers(0, 400), *[st.integers(0, 4)] * 5).map(packed),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=smooth_pairs, y=smooth_pairs, same=st.booleans(), m=st.integers(1, MAX_J))
+@example(x=(0, 0), y=(-3 << 40, packed((41, 1, 0, 0, 2, 0))), same=False, m=1)
+@example(x=(6 << 99, packed((100, 2, 0, 0, 1, 1))), y=(-(6 << 99), 0), same=True, m=16)
+@example(x=(-45, packed((0, 2, 1, 0, 0, 0))), y=(7, packed((3, 0, 0, 2, 0, 0))), same=False, m=15)
+def test_smooth_arithmetic_matches_fractions(x, y, same, m):
+    """Sum, product, negation and division by m <= MAX_J of (n, e) pairs
+    equal the Fraction results, and `_fraction` after `_lowest` gives
+    their terms exactly: zero, signs, equal (same) and unequal exponents,
+    large powers of 2 on either side, and sums that cancel to zero."""
+    if same:
+        y = (y[0], x[1])
+    fx, fy = smooth_value(x), smooth_value(y)
+    for got, want in (
+        (theta._add(x, y), fx + fy),
+        (theta._mul(x, y), fx * fy),
+        (theta._neg(x), -fx),
+        (theta._mul(x, theta._RECIPROCALS[m - 1]), fx / m),
+    ):
+        assert smooth_value(got) == want
+        q = theta._fraction(theta._lowest(got))
+        assert type(q) is Fraction
+        assert (q.numerator, q.denominator) == (want.numerator, want.denominator)
 
 
 def test_format_and_parse_rational():

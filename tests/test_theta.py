@@ -1,5 +1,6 @@
 """Exact K=1 thresholds, dual functions and published-value reproduction."""
 
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -10,8 +11,10 @@ from secretary_lab import cli
 from secretary_lab import theta as theta_mod
 from secretary_lab.theta import (
     DEFAULT_PRECISION_BITS,
+    MAX_J,
     ThetaSequence,
     exp_neg,
+    format_rational,
     generate_thetas,
     payoff_k1,
     payoff_k1_decimal,
@@ -24,6 +27,7 @@ from oracles import (
     constraint_lhs_k1,
     dual_objective_k1,
     exp_neg_decimal,
+    fraction_recursion,
     integral_q_from,
     ln_poly_at,
     ln_rows,
@@ -35,6 +39,7 @@ from reference_values import (
     EXP_NEG_3_2,
     PAYOFFS_6DP,
     THETA_FRACTIONS,
+    THETA_SHA256,
 )
 
 
@@ -69,11 +74,64 @@ def test_generation_is_deterministic():
     assert generate_thetas(7).thetas == generate_thetas(7).thetas
 
 
-def test_j_cap():
-    with pytest.raises(ValueError):
+def test_j_cap(monkeypatch):
+    """J = 17 is refused before any arithmetic: row 16's antiderivative
+    would divide by 17, a prime the recursion's values do not carry."""
+
+    def refuse(*args):
+        raise AssertionError("arithmetic ran")
+
+    monkeypatch.setattr(theta_mod, "_add", refuse)
+    monkeypatch.setattr(theta_mod, "_mul", refuse)
+    with pytest.raises(ValueError, match="exceeds the cap"):
         generate_thetas(17)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the cap"):
         recursion(17)
+
+
+def terms(ts: ThetaSequence, rows) -> tuple[list, list]:
+    """(numerator, denominator) of every theta and every row coefficient."""
+    return (
+        [(q.numerator, q.denominator) for q in ts.thetas],
+        [[[(c.numerator, c.denominator) for c in piece] for piece in row] for row in rows],
+    )
+
+
+def test_recursion_equals_the_fraction_oracle():
+    """Every theta and every row coefficient of recursion(J), J = 1..16,
+    is a Fraction with the terms of the Fraction loop's value: equal and
+    in lowest terms."""
+    for J in range(1, MAX_J + 1):
+        ts, rows = recursion(J)
+        assert terms(ts, rows) == terms(*fraction_recursion(J))
+        assert all(type(c) is Fraction for row in rows for piece in row for c in piece)
+
+
+def test_theta_digests_are_pinned():
+    """theta_1..theta_16 as printed, pinned by SHA-256 digests taken from the
+    Fraction recursion, so no run of the current code vouches for itself."""
+    for j, theta in enumerate(generate_thetas(MAX_J).thetas, start=1):
+        assert hashlib.sha256(format_rational(theta).encode()).hexdigest() == THETA_SHA256[j]
+
+
+def is_smooth(d: int, j: int) -> bool:
+    """No prime factor of d > 0 exceeds j <= 16: d is odd unless j >= 2, and
+    its odd part divides the product over the odd primes p <= j of p to a
+    bound on its exponent there."""
+    odd = d >> (d & -d).bit_length() - 1
+    bound = odd.bit_length()
+    m = math.prod(p ** math.ceil(bound / math.log2(p)) for p in (3, 5, 7, 11, 13) if p <= j)
+    return (j >= 2 or odd == d) and m % odd == 0
+
+
+def test_denominators_have_no_prime_above_j():
+    """theta_j and every coefficient of row j have denominators with no
+    prime factor above j, the closure the recursion's arithmetic rests on:
+    its only divisions are by p + 1 <= j."""
+    ts, rows = recursion(MAX_J)
+    for j, (theta, row) in enumerate(zip(ts.thetas, rows), start=1):
+        for q in (theta, *(c for piece in row for c in piece)):
+            assert is_smooth(q.denominator, j), (j, q)
 
 
 def test_payoffs_round_to_published_values(ts8):
