@@ -15,12 +15,14 @@ unused j with x >= tau_{j,k}".  Two paths share it, _pick_quota:
   depend on arrivals whose potential rank is at most K (an item already
   pushed below rank K can never re-enter the top K, and only arrivals
   ranked in the current top K can push it further down), and such
-  arrivals are O(K log n) per instance.  The sampler draws the gaps
-  between them by inverting P(no such arrival in (i, i']) =
-  prod_{t<K} (i-t)/(i'-t), their potential ranks uniformly on [K], and
-  their times as conditional order statistics, which reproduces the
-  explicit model's distribution exactly at a fraction of the cost.  No
-  quota can be used before the smallest threshold t0, so each trial
+  arrivals are O(K log n) per instance.  Nor does it matter which quota
+  took an item: a trial's state is its unused-quota count and the set of
+  top-K ranks its items hold, one int64 bit set (K <= 35) at any J.  The
+  sampler draws the gaps between them by inverting P(no such arrival in
+  (i, i']) = prod_{t<K} (i-t)/(i'-t), their potential ranks uniformly on
+  [K], and their times as conditional order statistics, which reproduces
+  the explicit model's distribution exactly at a fraction of the cost.
+  No quota can be used before the smallest threshold t0, so each trial
   starts at t0 after one Binomial(n, t0) draw of the items that came
   earlier, and its cost does not depend on n.  Up to GROUP_BLOCKS
   consecutive blocks of BLOCK_TRIALS trials advance in one lockstep pass
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, insort
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -50,9 +51,9 @@ from .value import ThresholdMatrix
 Z_99 = 2.576  # half-width multiplier for the 99% confidence interval
 
 BLOCK_TRIALS = 1024  # trials per Philox stream
-# Blocks per lockstep pass, holding about GROUP_BLOCKS * 1024 * (8J + 40)
-# bytes of rows (2.8 MB at J = 16); 8, 16 and 32 ran within 5% of one
-# another (100k trials of (2,2), 20k of (4,4) and (8,8), 2 vCPUs)
+# Blocks per lockstep pass, holding about GROUP_BLOCKS * 1024 rows of 48
+# bytes (0.8 MB) at any J; 8, 16 and 32 ran within 5% of one another
+# (100k trials of (2,2), 20k of (4,4) and (8,8), 2 vCPUs)
 GROUP_BLOCKS = 16
 # Blocks per worker process below which a pool costs more than it saves:
 # two workers start in 13-15 ms and a grouped block takes 2-5 ms, so two
@@ -264,10 +265,10 @@ def _group_stats(
     arrive iid uniform on [t0, 1] with ranks independent of times.  A trial
     thus takes about K ln(1/t0) steps whatever n is.  Rows stay in block
     order (blk), and each block draws its rows' uniforms and Beta times as
-    it would alone.  left counts a row's unused quotas; alive[j - 1] holds,
-    per row, the current rank of quota j's item, K + 1 when it holds none
-    or its item left the top K.  A trial leaves the arrays at position n,
-    or once it has neither an unused quota nor an item in the top K.
+    it would alone.  left counts a row's unused quotas, and bit r - 1 of
+    held is set while one of its items is the r-th best so far, r <= K.  A
+    trial leaves the arrays at position n, or once left and held are both
+    0, and pays the popcount of held.
     """
     J = len(tau_rows) - 1
     t0 = tau_rows[1:, :K].min()
@@ -277,7 +278,7 @@ def _group_stats(
     pos = np.concatenate(pos)
     x = np.full(len(pos), t0)
     left = np.full(len(pos), J)
-    alive = np.full((J, len(pos)), K + 1, dtype=np.int64)
+    held, top = np.zeros(len(pos), dtype=np.int64), (1 << K) - 1
     with np.errstate(over="ignore"):  # inf only where _next_potential scales
         p_n = _falling(n, K)
     edges = np.arange(len(gens) + 1)  # block b's rows: blk in [b, b + 1)
@@ -303,20 +304,18 @@ def _group_stats(
         sa, sb = nxt - pos, n - nxt + 1
         x += (1.0 - x) * np.concatenate([g.beta(sa[a:e], sb[a:e]) for g, a, e in cuts])
         pos = nxt
-        alive += alive >= k
-        np.minimum(alive, K + 1, out=alive)
+        # held ranks k and above move down one; rank K + 1 leaves the top K
+        held = (held + (held >> (k - 1) << (k - 1))) & top
         take = _pick_quota(tau_rows, left, k, x)
-        left -= take  # quota left + 1 is spent; its item's rank goes to alive[left]
-        hit = np.flatnonzero(take)
-        alive[left[hit], hit] = k[hit]
-        p = (alive <= K).sum(axis=0)  # items held in the top K
-        done = (pos == n) | (left + p == 0)
-        if done.any():
-            p = p[done]
+        left -= take
+        held |= take << (k - 1)  # never at k = K + 1, whose threshold is inf
+        done = (pos == n) | ((left | held) == 0)
+        if done.any():  # the popcount of held: its 8 bytes unpacked per row
+            p = np.unpackbits(held[done, None].view(np.uint8), axis=1).sum(axis=1)
             s += int(p.sum())
             s2 += int((p * p).sum())
             keep = np.flatnonzero(~done)
-            pos, x, left, alive, blk = pos[keep], x[keep], left[keep], alive[:, keep], blk[keep]
+            pos, x, left, held, blk = pos[keep], x[keep], left[keep], held[keep], blk[keep]
     return s, s2
 
 
@@ -383,11 +382,9 @@ def monte_carlo(
     if workers <= 1:
         s, s2 = _chunk_stats(jobs[0])
     else:
-        s = s2 = 0
+        from concurrent.futures import ProcessPoolExecutor  # 11 ms to import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cs, cs2 in pool.map(_chunk_stats, jobs):
-                s += cs
-                s2 += cs2
+            s, s2 = map(sum, zip(*pool.map(_chunk_stats, jobs)))
     mean = s / trials
     if trials > 1:
         var = (s2 - s * s / trials) / (trials - 1)

@@ -1,0 +1,39 @@
+"""Certify the whole (J, K) envelope: every pair with J <= MAX_J and
+K <= MAX_K (560 pairs) must pass verify_certificate at dual-check's
+defaults.  Prints the worst equality residual and the least inequality
+slack, with their pairs, and exits 1 naming each failing pair.
+
+Tier-1 covers only the edges (tests/test_dual.py::ENVELOPE_PAIRS); this
+sweep takes about 18 s on 2 vCPUs, so CI runs it as its own step:
+
+    python tests/certify_envelope.py
+"""
+
+import sys
+import time
+
+from secretary_lab.dual import construct_dual, verify_certificate
+from secretary_lab.value import MAX_J, MAX_K
+
+
+def main() -> int:
+    start = time.perf_counter()
+    worst_eq, least_slack, failed = (0.0, None), (float("inf"), None), []
+    for J in range(1, MAX_J + 1):
+        for K in range(1, MAX_K + 1):
+            report = verify_certificate(construct_dual(J, K))
+            if not report.ok:
+                failed.append(f"({J},{K}): {report.first_violation}")
+            worst_eq = max(worst_eq, (report.max_equality_residual, (J, K)))
+            least_slack = min(least_slack, (report.min_inequality_slack, (J, K)))
+    pairs = MAX_J * MAX_K
+    print(f"{pairs - len(failed)}/{pairs} pairs pass in {time.perf_counter() - start:.1f} s")
+    print(f"worst equality residual: {worst_eq[0]:.2e} at {worst_eq[1]}")
+    print(f"least inequality slack: {least_slack[0]:.2e} at {least_slack[1]}")
+    for line in failed:
+        print(f"FAIL {line}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

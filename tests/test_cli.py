@@ -181,6 +181,18 @@ def test_dual_check_passes(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("grid, warns", [(1, True), (2, True), (2000, False)])
+def test_dual_check_warns_when_it_checks_no_inequality(capsys, grid, warns):
+    """At (1,1), grids 1 and 2 hold no point below tau_{1,1} = 0.368, so
+    the check passes without testing dual feasibility, and says so on
+    stderr; exit code and stdout are those of any pass."""
+    code = main(["dual-check", "--J", "1", "--K", "1", "--grid", str(grid)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK and "PASS" in out
+    warning = "warning: no checked point lies below a threshold; dual feasibility unchecked\n"
+    assert err == (warning if warns else "")
+
+
 @pytest.mark.parametrize("J", range(1, 17))
 def test_dual_check_k1_certificate(capsys, J):
     """Every J up to the cap at K = 1: the certificate passes, tau is within

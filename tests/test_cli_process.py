@@ -339,6 +339,31 @@ def test_simulation_output_is_identical_in_process_and_in_a_pool(ran):
     assert one.stdout and one.stdout == two.stdout
 
 
+# The CLI in a child that prints, to stderr last, which of the modules a
+# process pool needs it has imported.
+POOL_MODULES_CHILD = """
+import sys
+from secretary_lab.cli import main
+code = main(sys.argv[1:])
+print([m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [[*SIM_ARGS, "--workers", "1"], ["dual-check", "--J", "2", "--K", "2"]]
+)
+def test_no_pool_module_is_imported_without_a_pool(tmp_path, argv):
+    """The pool's modules cost a CLI process about 11 ms to import, so
+    only a run that starts a pool imports them; SIM_ARGS would start one
+    at --workers 2."""
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    proc = subprocess.run([sys.executable, "-c", POOL_MODULES_CHILD, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == b"[]"
+
+
 def test_large_k_at_the_largest_n_runs(ran):
     proc = ran["sim_k20"]
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Simulation: instance sampling, policy replay, audits, Monte Carlo."""
 
+import concurrent.futures
 import json
 import math
 import time
@@ -515,6 +516,41 @@ def test_grouping_leaves_the_sums_unchanged(monkeypatch, J, K, n, block_trials, 
             assert _chunk_stats(args) == want, (blocks, group)
 
 
+def _literal_tau(J: int, K: int) -> ThresholdMatrix:
+    """tau_{j,k} = (k + J - j) / (J + K + 1): rows rise in k, columns fall
+    in j, and no bit depends on value.solve."""
+    return ThresholdMatrix(J, K, tuple(
+        tuple((k + J - j) / (J + K + 1) for k in range(1, K + 1)) for j in range(1, J + 1)
+    ))
+
+
+# (s, s^2) of _chunk_stats at seed 3, recorded with numpy 2.4.6 and
+# CPython 3.11 while the sampler kept one current rank per quota.  Should
+# another numpy draw other Binomial or Beta streams, pin its sums apart;
+# a tolerance would hide a changed payoff.
+@pytest.mark.parametrize(
+    "J, K, n, trials, rows, want",
+    [
+        # the bench's three simulate cases
+        (2, 2, 10_000, 3000, None, (2831, 3887)),
+        (2, 2, 10**9, 3000, None, (2909, 4057)),
+        (4, 4, 10**9, 2000, None, (4751, 12667)),
+        (1, 1, 10_000, 3000, None, (1082, 1082)),
+        (3, 5, 7, 3000, None, (7191, 18441)),  # rows below position K
+        # the second block's one trial came before t0 = 0.98: no live row
+        (2, 2, 1, BLOCK_TRIALS + 1, ((0.99, 1.0), (0.98, 1.0)), (18, 18)),
+        # the scaled _next_potential path; takes at k = K set the top rank
+        (16, 35, MAX_N, 400, None, (5937, 88809)),
+    ],
+)
+def test_sampler_sums_are_pinned(J, K, n, trials, rows, want):
+    """A change to how the sampler tracks held ranks, drops them from
+    the top K or ends a trial must fail here, not shift the payoff."""
+    tau = _literal_tau(J, K) if rows is None else ThresholdMatrix(J, K, rows)
+    blocks = -(-trials // BLOCK_TRIALS)
+    assert _chunk_stats((_policy_rows(tau), K, n, 3, trials, 0, blocks)) == want
+
+
 def _assert_block_kernel_matches_replay(J, K, n, trials, replay_seed, sim_seed):
     """Same payoff distribution from the explicit replay and the block
     kernel behind monte_carlo (4-sigma gates on E[p] and E[p^2])."""
@@ -625,7 +661,7 @@ def test_single_block_runs_without_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("fewer than 2 * MIN_POOL_BLOCKS blocks started a pool")
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     for trials, one in runs.items():
         two = monte_carlo(tau, n=500, trials=trials, seed=11, workers=2)
         assert two == one, trials
