@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -177,7 +176,7 @@ def cmd_simulate(args) -> tuple:
     report = sim.monte_carlo(
         tau, n=args.n, trials=args.trials, seed=args.seed, workers=args.workers
     )
-    record = dataclasses.asdict(report)
+    record = report._asdict()
     fields = dict(record)
     fields["ci99_lo"], fields["ci99_hi"] = fields.pop("ci99")  # ci99 is the last field
     line = (

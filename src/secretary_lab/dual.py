@@ -25,7 +25,7 @@ Every K, K = 1 included, runs this one double-precision construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -65,8 +65,17 @@ def payoff_jk(tau: ThresholdMatrix) -> float:
 # -- certificate construction ----------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DualCertificateJK:
+class DualCertificateJK(namedtuple("DualCertificateJK", [
+    "tau",  # ThresholdMatrix
+    "bps",  # the n + 1 cell ends in x, the last 1
+    "tops",  # the top of each cell in t = ln x
+    "half",  # float
+    "active",  # (n, J)
+    "first",  # (J, K)
+    "coef",  # (degrees + 1, K + 2 J, n)
+    "tail_top",  # (J, n)
+    "suffix",  # (J, n + 1)
+])):
     """Thresholds plus the dual functions that certify their optimality.
 
     q[j-1][k-1] is the dual function for (quota j, potential rank k),
@@ -78,18 +87,12 @@ class DualCertificateJK:
     degree-major: K gain rows, J drop rows (top degree 0), then J
     antiderivatives in s of y [r_{j|K} - r_{j-1|K}], each tail_top[j-1, c]
     at the top of cell c and integrating to suffix[j-1, c] over cells c..
-    The q and r rows are built from the arrays only when first read.
+    The q and r rows are built from the arrays only when first read, and
+    kept in the instance's __dict__.  Its fields are arrays, so it equals
+    and hashes as itself only.
     """
 
-    tau: ThresholdMatrix
-    bps: np.ndarray  # the n + 1 cell ends in x, the last 1
-    tops: np.ndarray  # the top of each cell in t = ln x
-    half: float
-    active: np.ndarray  # (n, J)
-    first: np.ndarray  # (J, K)
-    coef: np.ndarray  # (degrees + 1, K + 2 J, n)
-    tail_top: np.ndarray  # (J, n)
-    suffix: np.ndarray  # (J, n + 1)
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def J(self) -> int:
@@ -196,21 +199,16 @@ def _q_at(cert: DualCertificateJK, x: np.ndarray, j: np.ndarray, k: np.ndarray) 
 # -- certificate verification ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    J: int
-    K: int
-    ok: bool
-    tolerance: float
-    grid_points: int
-    max_equality_residual: float
-    min_inequality_slack: float
-    max_threshold_residual: float
-    min_q_value: float
-    dual_objective: float
-    payoff: float
-    objective_gap: float
-    first_violation: str | None
+class CertificateReport(namedtuple("CertificateReport", [
+    "J", "K",  # int
+    "ok",  # bool
+    "tolerance",  # float
+    "grid_points",  # int
+    "max_equality_residual", "min_inequality_slack", "max_threshold_residual",
+    "min_q_value", "dual_objective", "payoff", "objective_gap",  # float
+    "first_violation",  # str | None
+])):
+    __slots__ = ()
 
 
 def verify_certificate(
@@ -300,7 +298,7 @@ def perturbed(cert: DualCertificateJK, delta: float) -> DualCertificateJK:
     a deliberately broken certificate for verify_certificate's failure path."""
     rows = [list(r) for r in cert.tau.tau]
     rows[0][0] += delta
-    return replace(cert, tau=ThresholdMatrix(cert.J, cert.K, tuple(map(tuple, rows))))
+    return cert._replace(tau=ThresholdMatrix(cert.J, cert.K, tuple(map(tuple, rows))))
 
 
 def certificate_to_dict(cert: DualCertificateJK, report: CertificateReport) -> dict:

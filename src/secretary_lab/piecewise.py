@@ -24,7 +24,8 @@ antiderivative matrices (Trefethen, Spectral Methods in MATLAB, ch. 6 and
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 import numpy as np
 
@@ -130,12 +131,13 @@ def _as_points(points: Sequence[float]) -> np.ndarray:
 # -- piecewise functions -----------------------------------------------------
 
 
-class Segment(NamedTuple):
+class Segment(namedtuple("Segment", [
+    "top", "half",  # float
+    "coef",  # np.ndarray
+])):
     """One segment: f(y) = sum_k coef[k] T_k(s) / y, s = 1 + (ln y - top)/half."""
 
-    top: float
-    half: float
-    coef: np.ndarray
+    __slots__ = ()
 
     @property
     def terms(self) -> dict[int, float]:

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, insort
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,15 +67,17 @@ MAX_TRIALS = 1 << 53  # block numbers and bounds stay int64, counts exact floats
 MAX_ARRIVALS = (1 << 30) // 18
 
 
-@dataclass(frozen=True)
-class ArrivalInstance:
-    """n items: sorted arrival times and the rank (1 = best) per position."""
+class ArrivalInstance(namedtuple("ArrivalInstance", [
+    "times", "ranks",  # np.ndarray
+])):
+    """n items: sorted arrival times and the rank (1 = best) per position,
+    checked however one is made: called, by `_make` or `_replace`, copied
+    or unpickled."""
 
-    times: np.ndarray
-    ranks: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        times, ranks = np.asarray(self.times), np.asarray(self.ranks)
+    def __new__(cls, times, ranks):
+        times, ranks = np.asarray(times), np.asarray(ranks)
         if times.ndim != 1 or times.shape != ranks.shape:
             raise ValueError("times and ranks must be 1-D arrays of equal length")
         n, whole = len(ranks), ranks.dtype.kind in "iu"
@@ -87,38 +89,39 @@ class ArrivalInstance:
         # NaN fails every comparison, so it cannot pass as ordered
         if n and not (times[0] >= 0 and times[-1] <= 1 and (times[1:] >= times[:-1]).all()):
             raise ValueError("times must be non-decreasing in [0, 1]")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "ranks", ranks)
+        return super().__new__(cls, times, ranks)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def n(self) -> int:
         return len(self.times)
 
 
-@dataclass(frozen=True)
-class Selection:
-    position: int  # arrival order, 1-based
-    time: float
-    potential: int  # k at selection time
-    quota: int  # consumed quota index j
+class Selection(namedtuple("Selection", [
+    "position",  # arrival order, 1-based
+    "time",  # float
+    "potential",  # k at selection time
+    "quota",  # consumed quota index j
+])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RunResult:
-    payoff: int
-    selections: tuple[Selection, ...]
+class RunResult(namedtuple("RunResult", [
+    "payoff",  # int
+    "selections",  # tuple[Selection, ...]
+])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SimReport:
-    J: int
-    K: int
-    n: int
-    trials: int
-    seed: int
-    mean: float
-    stderr: float
-    ci99: tuple[float, float]
+class SimReport(namedtuple("SimReport", [
+    "J", "K", "n", "trials", "seed",  # int
+    "mean", "stderr",  # float
+    "ci99",  # tuple[float, float]
+])):
+    __slots__ = ()
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -37,7 +37,7 @@ package.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache, cached_property
@@ -86,11 +86,11 @@ def exp_neg(theta: Fraction | int, bits: int = DEFAULT_PRECISION_BITS) -> Decima
     return ctx.exp(ctx.create_decimal(f"{-digits if p > 0 else digits}e{-shift - 1}"))
 
 
-@dataclass(frozen=True)
-class ThetaSequence:
-    """theta_1 < theta_2 < ... < theta_J, all rational, theta_1 = 1."""
-
-    thetas: tuple[Fraction, ...]
+class ThetaSequence(namedtuple("ThetaSequence", [
+    "thetas",  # tuple[Fraction, ...]
+])):
+    """theta_1 < theta_2 < ... < theta_J, all rational, theta_1 = 1
+    (no __slots__: the instance's __dict__ keeps exps)."""
 
     @property
     def J(self) -> int:

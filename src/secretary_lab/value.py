@@ -36,10 +36,9 @@ batched alpha rows live here too, so this module imports nothing from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,30 +62,37 @@ class MonotonicityError(ValueError):
     """A threshold matrix violates the required row/column ordering."""
 
 
-@dataclass(frozen=True)
-class ThresholdMatrix:
-    """tau[j-1][k-1] = tau_{j,k}: rows non-decreasing in k, columns non-increasing in j."""
+class ThresholdMatrix(namedtuple("ThresholdMatrix", [
+    "J", "K",  # int
+    "tau",  # tuple[tuple[float, ...], ...]
+])):
+    """tau[j-1][k-1] = tau_{j,k}: rows non-decreasing in k, columns non-increasing
+    in j, checked however one is made: called, by `_make` or `_replace`,
+    copied or unpickled."""
 
-    J: int
-    K: int
-    tau: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.tau) != self.J or any(len(r) != self.K for r in self.tau):
+    def __new__(cls, J: int, K: int, tau: tuple[tuple[float, ...], ...]):
+        if len(tau) != J or any(len(r) != K for r in tau):
             raise ValueError("threshold matrix shape mismatch")
-        for j in range(self.J):
-            for k in range(self.K):
-                t = self.tau[j][k]
+        for j in range(J):
+            for k in range(K):
+                t = tau[j][k]
                 if not 0.0 < t <= 1.0:
                     raise MonotonicityError(f"tau[{j+1}][{k+1}]={t} not in (0, 1]")
-                if k + 1 < self.K and t > self.tau[j][k + 1]:
+                if k + 1 < K and t > tau[j][k + 1]:
                     raise MonotonicityError(
                         f"row {j+1} not increasing in k at k={k+1}"
                     )
-                if j + 1 < self.J and self.tau[j + 1][k] > t:
+                if j + 1 < J and tau[j + 1][k] > t:
                     raise MonotonicityError(
                         f"column {k+1} not decreasing in j at j={j+1}"
                     )
+        return super().__new__(cls, J, K, tau)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def threshold(self, j: int, k: int) -> float:
         """1-based accessor for tau_{j,k}."""
@@ -94,8 +100,13 @@ class ThresholdMatrix:
 
 
 def check_size(J: int, K: int) -> None:
-    """Refuse K above MAX_K and J above MAX_J (one J cap for every K),
-    before any work."""
+    """Refuse K above MAX_K and J above MAX_J, before any work.
+
+    MAX_J is theta's K = 1 cap.  For K >= 2 it keeps to where every pair
+    verifies (all 560 with K <= 35): with the cap raised, (24,4) through
+    (48,4) verified, (48,4) at residual 5e-9 against the 1e-8 tolerance,
+    but (64,2) failed at 3.1e-6 near tau_{64,1} = 8.6e-10, because the
+    check divides by x."""
     if J < 1 or K < 1:
         raise ValueError("J and K must be positive")
     if K > MAX_K:
@@ -139,22 +150,25 @@ class ValueSolveError(ArithmeticError):
     """The collocation solve left the form its thresholds must have."""
 
 
-class Cell(NamedTuple):
+class Cell(namedtuple("Cell", [
+    "top", "lo",  # float
+    "w",  # W_0..W_J at the nodes
+    "gain",  # x alpha_k at the nodes, rows k = 1..K
+    "active",  # row r's active pairs are k = 1..active[r-1]
+])):
     """A cell of the solve, t in [lo, top]: the node values of its trial
     cell [top - 2 half, top], of which it keeps s in [s(lo), 1]."""
 
-    top: float
-    lo: float
-    w: np.ndarray  # W_0..W_J at the nodes
-    gain: np.ndarray  # x alpha_k at the nodes, rows k = 1..K
-    active: np.ndarray  # row r's active pairs are k = 1..active[r-1]
+    __slots__ = ()
 
 
-class Solution(NamedTuple):
-    tau: ThresholdMatrix
-    payoff: float  # W_J(0+), the expected payoff of the optimal policy
-    half: float  # dt/ds on every cell
-    cells: tuple[Cell, ...]  # from x = 1 down to tau_{J,1}
+class Solution(namedtuple("Solution", [
+    "tau",  # ThresholdMatrix
+    "payoff",  # W_J(0+), the expected payoff of the optimal policy
+    "half",  # dt/ds on every cell
+    "cells",  # tuple of Cells from x = 1 down to tau_{J,1}
+])):
+    __slots__ = ()
 
 
 def _weights(s: float) -> np.ndarray:

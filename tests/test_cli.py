@@ -1,6 +1,5 @@
 """CLI subcommands, exit codes, output formats and determinism."""
 
-import dataclasses
 import functools
 import json
 import math
@@ -116,8 +115,8 @@ def _planted_failure(monkeypatch):
     real = dual.verify_certificate
     monkeypatch.setattr(
         dual, "verify_certificate",
-        lambda cert, *a, **kw: dataclasses.replace(
-            real(cert, *a, **kw), ok=False, first_violation="planted"),
+        lambda cert, *a, **kw: real(cert, *a, **kw)._replace(
+            ok=False, first_violation="planted"),
     )
 
 

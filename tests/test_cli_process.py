@@ -62,6 +62,7 @@ COMMANDS = {
     "dual_check_16_35": (["dual-check", "--J", "16", "--K", "35", "--format", "json"], 120),
     "thresholds_json": (["thresholds", "--J", "2", "--K", "2", "--format", "json"], 120),
     "thresholds_csv": (["thresholds", "--J", "2", "--K", "2", "--format", "csv"], 120),
+    "thresholds_3_2_csv": (["thresholds", "--J", "3", "--K", "2", "--format", "csv"], 120),
     "finite_lp_json": (
         ["finite-lp", "--J", "2", "--K", "2", "--n", "10,20", "--format", "json"], 60
     ),
@@ -198,6 +199,14 @@ STDOUT_SHA256 = {
     "thresholds_exact_16_text": "d1c21c3031df2761bab1273a4e48fa50420ccdf9db6983129e06f46f52da2ab0",
     "report": "70781b50ac8cc98803923997d951e84bd93653c28c431daa5fe3f3af201c8ec2",
 }
+# ... and as the frozen dataclass records printed them (commit 3cfea5f):
+# simulate's JSON and CSV, both from one SimReport, and the (3,2) solve's
+# thresholds (numpy 2.4, CPython 3.11, Linux x86-64)
+STDOUT_SHA256.update({
+    "simulate_json": "9e70462ee007e8abea90f85cf91f3989e1da640e11ad82ad547edd663b3e96cd",
+    "simulate_csv": "557e7f1bddcc624dd7511bd82fe85f69d9b21685374e4e55ec2a037c00579243",
+    "thresholds_3_2_csv": "f415d8896497506ffc617ef6519b2c4080b6f212f14b7c43764f2104aef74581",
+})
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
@@ -362,6 +371,39 @@ def test_no_pool_module_is_imported_without_a_pool(tmp_path, argv):
                           env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == b"[]"
+
+
+# A child that prints to stderr last, as JSON, whether `dataclasses` is
+# loaded after `import secretary_lab` and after each command it runs.
+DATACLASSES_CHILD = """
+import io, json, sys
+from contextlib import redirect_stdout
+import secretary_lab
+seen = {"import": "dataclasses" in sys.modules}
+from secretary_lab.cli import main
+for line in sys.argv[1:]:
+    with redirect_stdout(io.StringIO()):
+        code = main(line.split())
+    seen[line] = [code, "dataclasses" in sys.modules]
+print(json.dumps(seen), file=sys.stderr)
+"""
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    """The records are namedtuples, so neither the package's import nor
+    any subcommand loads `dataclasses` (numpy does not either)."""
+    lines = [
+        "thresholds --J 3 --K 1 --exact", "thresholds --J 2 --K 2",
+        "dual-check --J 2 --K 2 --format json", "finite-lp --J 2 --K 2 --n 10",
+        "simulate --J 2 --K 2 --n 100 --trials 1000 --format json", "report",
+    ]
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    proc = subprocess.run([sys.executable, "-c", DATACLASSES_CHILD, *lines], cwd=tmp_path,
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == {
+        "import": False, **{line: [0, False] for line in lines}
+    }
 
 
 def test_large_k_at_the_largest_n_runs(ran):

@@ -5,7 +5,6 @@ verification."""
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -692,7 +691,7 @@ def test_verify_rejects_a_tolerance_outside_zero_to_inf():
     cert = construct_dual(2, 2)
     rows = [list(r) for r in cert.tau.tau]
     rows[0][1] += 0.02
-    shifted = replace(cert, tau=ThresholdMatrix(2, 2, tuple(map(tuple, rows))))
+    shifted = cert._replace(tau=ThresholdMatrix(2, 2, tuple(map(tuple, rows))))
     assert not verify_certificate(shifted).ok
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="outside"):
