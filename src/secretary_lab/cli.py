@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: thresholds, dual-check, finite-lp, simulate, report.  Each
-returns its exit code with a JSON record, CSV rows and text lines, and
-main alone writes the one that --format names (nothing where it is None).
+returns its exit code with a JSON record (dual-check's rendered as text),
+CSV rows and text lines; main writes the one --format names, if not None.
 Exit codes: 0 success, 2 usage error, 3 numerical/construction failure,
 4 certificate violation, 5 I/O failure.  Every subcommand is deterministic
 given its full flag set; SECRETARY_LAB_THREADS caps simulation workers.
@@ -54,9 +54,13 @@ def _certified(J: int, K: int, what: str) -> tuple[dual.DualCertificateJK, bool]
     return cert, report.ok
 
 
+def _json_text(record) -> str:
+    return record if isinstance(record, str) else json.dumps(record)
+
+
 # Each cmd_* returns (exit code, JSON record, CSV rows, text lines); main
 # writes the one that --format names, and nothing where it is None.
-WRITERS = {"json": (1, json.dumps), "csv": (2, _csv_string), "text": (3, "\n".join)}
+WRITERS = {"json": (1, _json_text), "csv": (2, _csv_string), "text": (3, "\n".join)}
 
 
 def cmd_thresholds(args) -> tuple:
@@ -116,7 +120,7 @@ def cmd_dual_check(args) -> tuple:
               file=sys.stderr)
     code = EXIT_OK if report.ok else EXIT_CERTIFICATE
     # the one format test: the JSON record costs more than the check
-    record = dual.certificate_to_dict(cert, report) if args.format == "json" else None
+    record = dual.certificate_json(cert, report) if args.format == "json" else None
     worst = max(
         report.max_equality_residual,
         report.max_threshold_residual,

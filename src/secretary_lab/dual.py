@@ -18,15 +18,17 @@ on a grid, against alpha_k computed afresh, so a wrong tau shows up as
 arrays, from which the check and the JSON dump evaluate K gain and J drop
 series per point with piecewise's one cell locator and one evaluator (no
 BLAS: a point's values do not depend on its batch), and the q and r rows
-are built when read.
+are built when read; certificate_json renders each distinct x once.
 Every K, K = 1 included, runs this one double-precision construction.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -301,8 +303,8 @@ def perturbed(cert: DualCertificateJK, delta: float) -> DualCertificateJK:
     return cert._replace(tau=ThresholdMatrix(cert.J, cert.K, tuple(map(tuple, rows))))
 
 
-def certificate_to_dict(cert: DualCertificateJK, report: CertificateReport) -> dict:
-    """JSON-ready dump: thresholds, breakpoints, sampled dual values, verification.
+def certificate_json(cert: DualCertificateJK, report: CertificateReport) -> str:
+    """JSON text of thresholds, breakpoints, sampled dual values and verification.
 
     A q_{j|k} over c cells gets CERT_SAMPLES + 2 samples from one
     evaluation at every sample: each cell is cut into p = ceil(m / c)
@@ -310,6 +312,10 @@ def certificate_to_dict(cert: DualCertificateJK, report: CertificateReport) -> d
     ones at index floor(i c p / m), i < m, are taken, then x = 1.  So
     q's first breakpoint (index 0) and x = 1 are always among them; that
     breakpoint is tau_{j,k} as solved, which a perturbed tau does not move.
+
+    The text is json.dumps's of the record, byte for byte.  But the x's and
+    cell ends are rendered once per distinct value (all are > 0, and only
+    0.0 and -0.0 are equal floats of two texts), by one json.dumps of a list.
     """
     m = CERT_SAMPLES + 1
     first = cert.first.reshape(-1, 1)
@@ -320,21 +326,25 @@ def certificate_to_dict(cert: DualCertificateJK, report: CertificateReport) -> d
     xs = np.ones((len(first), m + 1))
     xs[:, :m] = cert.bps[cell] + (idx % p) * (np.diff(cert.bps)[cell] / p)
     q = _q_at(cert, xs.ravel(), *np.divmod(np.arange(xs.size) // (m + 1), cert.K))
-    samples = np.stack((xs, q.reshape(xs.shape)), axis=-1).tolist()
-    bps = cert.bps.tolist()
+    every = np.concatenate((cert.bps, xs.ravel()))
+    distinct = _sorted_union(every)
+    rendered = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
+    texts = rendered[np.searchsorted(distinct, every)].tolist()
+    ends, xs_text = texts[: len(cert.bps)], texts[len(cert.bps) :]
+    joined = ", ".join(ends)  # q's breakpoints from cell f on: joined[start[f]:]
+    start = list(accumulate([len(s) + 2 for s in ends], initial=0))
+    pairs = list(map(", ".join, zip(xs_text, json.dumps(q.tolist())[1:-1].split(", "))))
+    q_text = ", ".join(
+        f'{{"j": {j + 1}, "k": {k + 1}, "breakpoints": [{joined[start[f]:]}], "samples": [['
+        + "], [".join(pairs[i * (m + 1) : (i + 1) * (m + 1)]) + "]]}"
+        for i, ((j, k), f) in enumerate(zip(np.ndindex(cert.J, cert.K), cert.first.flat))
+    )
     verification = {name: getattr(report, name) for name in (
         "ok", "max_equality_residual", "min_inequality_slack",
         "max_threshold_residual", "dual_objective", "objective_gap")}
     if report.min_inequality_slack == math.inf:  # no checked point lies below a threshold
         verification["min_inequality_slack"] = None  # strict JSON has no Infinity
-    return {
-        "J": cert.J,
-        "K": cert.K,
-        "tau": [list(row) for row in cert.tau.tau],
-        "payoff": payoff_jk(cert.tau),
-        "q": [
-            dict(j=j + 1, k=k + 1, breakpoints=bps[f:], samples=rows)
-            for (j, k), f, rows in zip(np.ndindex(cert.J, cert.K), cert.first.flat, samples)
-        ],
-        "verification": verification,
-    }
+    record = {"J": cert.J, "K": cert.K, "tau": [list(row) for row in cert.tau.tau],
+              "payoff": payoff_jk(cert.tau), "q": [], "verification": verification}
+    head, tail = json.dumps(record).split('"q": []')
+    return f'{head}"q": [{q_text}]{tail}'

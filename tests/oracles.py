@@ -37,6 +37,9 @@
   over its one-cell functions and each r_{j|k} a `combine` sum of the q
   row; the reference for the batched rows of
   `secretary_lab.dual.construct_dual`.
+* `certificate_to_dict`: the `dual-check` JSON record as a dict, whose
+  `json.dumps` is the byte oracle for `secretary_lab.dual.certificate_json`
+  (same sample points and q values, every float rendered by `json.dumps`).
 * `_at`, `_integral`, `fraction_recursion`: the K = 1 recursion in
   `Fraction` arithmetic (Horner evaluation, the antiderivative in
   y = ln x + theta_k, and the loop), the reference for the gcd-free
@@ -92,9 +95,11 @@ from scipy.special import lambertw
 
 from secretary_lab import value as value_module
 from secretary_lab.dual import (
+    CERT_SAMPLES,
     OBJECTIVE_TOL,
     CertificateReport,
     DualCertificateJK,
+    _q_at,
     construct_dual,
     payoff_jk,
 )
@@ -575,6 +580,42 @@ def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
         cert = construct_dual(J, K)
     vars(cert)["_rows"] = (tuple(q_rows), tuple(r_rows))  # built here, not from the arrays
     return cert
+
+
+def certificate_to_dict(cert: DualCertificateJK, report: CertificateReport) -> dict:
+    """JSON-ready dump: thresholds, breakpoints, sampled dual values, verification.
+
+    The samples of `secretary_lab.dual.certificate_json`, by its rule and
+    its `_q_at` call, in a dict whose `json.dumps` renders every float,
+    each q's breakpoints `bps[first:]` included, on its own.
+    """
+    m = CERT_SAMPLES + 1
+    first = cert.first.reshape(-1, 1)
+    c = len(cert.tops) - first
+    p = -(-m // c)
+    idx = np.arange(m) * (c * p) // m
+    cell = first + idx // p
+    xs = np.ones((len(first), m + 1))
+    xs[:, :m] = cert.bps[cell] + (idx % p) * (np.diff(cert.bps)[cell] / p)
+    q = _q_at(cert, xs.ravel(), *np.divmod(np.arange(xs.size) // (m + 1), cert.K))
+    samples = np.stack((xs, q.reshape(xs.shape)), axis=-1).tolist()
+    bps = cert.bps.tolist()
+    verification = {name: getattr(report, name) for name in (
+        "ok", "max_equality_residual", "min_inequality_slack",
+        "max_threshold_residual", "dual_objective", "objective_gap")}
+    if report.min_inequality_slack == math.inf:  # no checked point lies below a threshold
+        verification["min_inequality_slack"] = None  # strict JSON has no Infinity
+    return {
+        "J": cert.J,
+        "K": cert.K,
+        "tau": [list(row) for row in cert.tau.tau],
+        "payoff": payoff_jk(cert.tau),
+        "q": [
+            dict(j=j + 1, k=k + 1, breakpoints=bps[f:], samples=rows)
+            for (j, k), f, rows in zip(np.ndindex(cert.J, cert.K), cert.first.flat, samples)
+        ],
+        "verification": verification,
+    }
 
 
 # -- exact K = 1 checks over theta.recursion rows ----------------------------

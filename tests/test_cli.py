@@ -261,9 +261,9 @@ def test_dual_check_text_builds_no_json_record(monkeypatch, capsys, extra):
     assert want[0] == (EXIT_CERTIFICATE if extra else EXIT_OK)
 
     def refuse(*args, **kwargs):
-        raise RuntimeError("certificate_to_dict called for text output")
+        raise RuntimeError("certificate_json called for text output")
 
-    monkeypatch.setattr(dual, "certificate_to_dict", refuse)
+    monkeypatch.setattr(dual, "certificate_json", refuse)
     assert (main(argv), capsys.readouterr()) == want
 
 

@@ -83,9 +83,11 @@ COMMANDS = {
     ),
 }
 
-# One command per subcommand, each run again as `<name>_file` with its
-# output sent by --output to the file `<name>.out`.
-WRITTEN = ["report", "thresholds_csv", "dual_check", "finite_lp_json", "simulate_csv"]
+# One command per subcommand, and dual-check's already rendered JSON, each
+# run again as `<name>_file` with its output sent by --output to the file
+# `<name>.out`.
+WRITTEN = ["report", "thresholds_csv", "dual_check", "finite_lp_json", "simulate_csv",
+           "dual_check_16_16"]
 COMMANDS.update(
     {f"{name}_file": ([*COMMANDS[name][0], "--output", f"{name}.out"], COMMANDS[name][1])
      for name in WRITTEN}

@@ -2,7 +2,9 @@
 function's cells, the K = 2 closed-form oracle and certificate
 verification."""
 
+import json
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -27,6 +29,7 @@ from secretary_lab.value import MonotonicityError, ThresholdMatrix, solve
 import reference_values as ref
 from oracles import (
     alpha,
+    certificate_to_dict,
     construct_dual_combine,
     gamma,
     k2_closed_forms,
@@ -758,7 +761,7 @@ def test_each_q_dumps_cert_samples_plus_two(J, K):
     cert = construct_dual(J, K)
     for shift in (0.0, 0.01):
         shifted = perturbed(cert, shift)
-        d = dual.certificate_to_dict(shifted, verify_certificate(shifted))
+        d = json.loads(dual.certificate_json(shifted, verify_certificate(shifted)))
         assert len(d["q"]) == J * K
         cells = set()
         for q, first in zip(d["q"], cert.first.ravel().tolist()):
@@ -774,3 +777,33 @@ def test_each_q_dumps_cert_samples_plus_two(J, K):
             cells.add(len(q["breakpoints"]) - 1)
         assert min(cells) < dual.CERT_SAMPLES
         assert (max(cells) > dual.CERT_SAMPLES + 1) == ((J, K) != (2, 2))
+
+
+@pytest.mark.parametrize("J, K", sorted({*ENVELOPE_PAIRS, *CERTIFY_PAIRS, (16, 35)}))
+def test_certificate_json_is_json_dumps_of_the_record(J, K):
+    """certificate_json renders each distinct x once, yet its text is
+    json.dumps's of the oracle's record byte for byte: on the certificate
+    and on tau_{1,1} shifted by 0.01, at grid 2000 and at grid 1 (where
+    only the unshifted (1,1) checks no point below a threshold and writes
+    null slack), and with NaN planted in one gain coefficient of the top
+    cell."""
+
+    def dumped(c, grid):
+        report = verify_certificate(c, grid_points=grid)
+        got = dual.certificate_json(c, report)
+        want = json.dumps(certificate_to_dict(c, report))
+        if got != want:  # not assert: pytest's diff of megabyte strings takes minutes
+            at = max(0, len(os.path.commonprefix([got, want])) - 30)
+            pytest.fail(f"grid {grid}: {got[at : at + 60]!r} != {want[at : at + 60]!r}")
+        return got
+
+    cert = construct_dual(J, K)
+    assert ('"min_inequality_slack": null' in dumped(cert, 1)) == ((J, K) == (1, 1))
+    dumped(cert, 2000)
+    shifted = perturbed(cert, 0.01)
+    for grid in (2000, 1):
+        dumped(shifted, grid)
+    planted = cert._replace(coef=cert.coef.copy())
+    planted.coef[0, K - 1, -1] = math.nan
+    text = dumped(planted, 2000)
+    assert '"ok": false' in text and "NaN" in text
