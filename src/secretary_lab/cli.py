@@ -18,8 +18,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from decimal import Decimal, localcontext
-from itertools import accumulate
+from decimal import Decimal
 
 from . import dp, dual, sim, theta, value
 
@@ -193,10 +192,10 @@ def cmd_simulate(args) -> tuple:
 def cmd_report(args) -> tuple:
     rows: list[list] = [["J", "payoff", "theta_J"]]
     ts = theta.generate_thetas(TABLE_MAX_J)
-    # payoff_k1_decimal of every prefix: its sum, in its context and order
-    with localcontext(theta.working_context(theta.DEFAULT_PRECISION_BITS)):
-        payoffs = list(accumulate(ts.exps, initial=Decimal(0)))[1:]
-    for J, payoff in enumerate(payoffs, start=1):
+    for J in range(1, TABLE_MAX_J + 1):
+        prefix = ts._replace(thetas=ts.thetas[:J])
+        vars(prefix)["exps"] = ts.exps[:J]  # its cached_property: each exp_neg runs once
+        payoff = theta.payoff_k1_decimal(prefix)
         rows.append(
             [J, str(payoff.quantize(Decimal("0.000001"))),
              theta.format_rational(ts.thetas[J - 1])]

@@ -14,11 +14,12 @@ they meet the complementary-slackness equalities above each threshold and
 the dual inequalities below it, vanish at the threshold, and integrate to
 the payoff J - sum_j (1 - tau[j][1])**K.  verify_certificate checks that
 on a grid, against alpha_k computed afresh, so a wrong tau shows up as
-|q(tau)| > tol.  construct_dual turns the solve's cells into per-cell
-arrays, from which the check and the JSON dump evaluate K gain and J drop
-series per point with piecewise's one cell locator and one evaluator (no
-BLAS: a point's values do not depend on its batch), and the q and r rows
-are built when read; certificate_json renders each distinct x once.
+|q(tau)| > tol.  construct_dual turns the solve's node arrays into
+Chebyshev coefficients, from which the check and the JSON dump evaluate
+K gain and J drop series per point with piecewise's one cell locator and
+one evaluator (no BLAS: a point's values do not depend on its batch), and
+the q and r rows are built when read; certificate_json renders each
+distinct x once.
 Every K, K = 1 included, runs this one double-precision construction.
 """
 
@@ -151,16 +152,13 @@ def _cell_rows(cert: DualCertificateJK) -> tuple:
 
 def construct_dual(J: int, K: int) -> DualCertificateJK:
     """Dual functions for the (J,K) problem at value.solve's thresholds: its
-    node values as Chebyshev coefficients, once per cell, dropping cells of
-    zero width in x (a threshold on a cell top).  value.solve checks sizes."""
-    tau, _, half, solved = value.solve(J, K)
-    cells = [c for c in reversed(solved) if math.exp(c.lo) < math.exp(c.top)]
-    n = len(cells)
-    bps = np.array([math.exp(cells[0].lo)] + [math.exp(c.top) for c in cells])
-    tops = np.array([c.top for c in cells])
-    active = np.array([c.active for c in cells])
-    gain = np.array([c.gain for c in cells]) @ TO_COEF.T
-    drop = np.array([c.w[:-1] - c.w[1:] for c in cells]) @ TO_COEF.T
+    node values as Chebyshev coefficients on its cells.  value.solve checks
+    sizes."""
+    tau, _, half, bps, tops, w, gain, active = value.solve(J, K)
+    n = len(tops)
+    gain = gain @ TO_COEF.T
+    drop = (w[:, :-1] - w[:, 1:]) @ TO_COEF.T
+    del w  # 2 MB at (16,35), not needed past here
     # degrees whose coefficients stay below CHOP of their cell's largest are
     # the solve's rounding noise: evaluating them changes no verdict
     scale = CHOP * np.maximum(abs(gain).max(axis=(1, 2)), abs(drop).max(axis=(1, 2)))

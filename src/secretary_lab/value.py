@@ -25,12 +25,14 @@ is cached across calls but `alphas`' read-only binomial blocks, one per K.
 The Chebyshev toolkit comes from `piecewise`.
 
 This is the package's one threshold solver.  The thresholds are not
-certified here: the solve returns its cells (W and x alpha_k at the
-nodes, and the active pairs), `dual.construct_dual` builds the dual
-functions from them, and `dual.verify_certificate` decides whether the
-thresholds are optimal.  The threshold matrix type, the size caps and the
-batched alpha rows live here too, so this module imports nothing from
-`dual`.  Failures raise ValueSolveError, an ArithmeticError.
+certified here: the solve returns its cells as the certificate's arrays
+(their ends and tops, W and x alpha_k at the nodes, and the active
+pairs), ascending in x, with the cells of zero width in x dropped;
+`dual.construct_dual` builds the dual functions from them, and
+`dual.verify_certificate` decides whether the thresholds are optimal.
+The threshold matrix type, the size caps and the batched alpha rows live
+here too, so this module imports nothing from `dual`.  Failures raise
+ValueSolveError, an ArithmeticError.
 """
 
 from __future__ import annotations
@@ -150,24 +152,19 @@ class ValueSolveError(ArithmeticError):
     """The collocation solve left the form its thresholds must have."""
 
 
-class Cell(namedtuple("Cell", [
-    "top", "lo",  # float
-    "w",  # W_0..W_J at the nodes
-    "gain",  # x alpha_k at the nodes, rows k = 1..K
-    "active",  # row r's active pairs are k = 1..active[r-1]
-])):
-    """A cell of the solve, t in [lo, top]: the node values of its trial
-    cell [top - 2 half, top], of which it keeps s in [s(lo), 1]."""
-
-    __slots__ = ()
-
-
 class Solution(namedtuple("Solution", [
     "tau",  # ThresholdMatrix
     "payoff",  # W_J(0+), the expected payoff of the optimal policy
     "half",  # dt/ds on every cell
-    "cells",  # tuple of Cells from x = 1 down to tau_{J,1}
+    "bps",  # the n + 1 cell ends in x, from tau_{J,1} up to 1
+    "tops",  # the top of each cell in t = ln x
+    "w",  # (n, J + 1, NODES): W_0..W_J at the nodes
+    "gain",  # (n, K, NODES): x alpha_k at the nodes, rows k = 1..K
+    "active",  # (n, J): row r's active pairs are k = 1..active[c, r-1]
 ])):
+    """The solve's n cells ascending in x, each s in [s(lo), 1] of its trial
+    cell [top - 2 half, top]; those of zero width in x are dropped."""
+
     __slots__ = ()
 
 
@@ -215,7 +212,7 @@ def solve(J: int, K: int) -> Solution:
     n_active = np.full(J, K)  # row r's active pairs are k = 1..n_active[r-1]
     tau = np.zeros((J, K))
     w_top = np.zeros(J + 1)
-    t_top = 0.0
+    t_top, x_top = 0.0, 1.0
     # g at the nodes is x alpha_k + W_{r-1} - W_r.  edge[0, n] holds
     # x alpha_n, row r's candidate (r, n) term, and edge[1, n] the least
     # x alpha_k over its other active pairs k < n (+inf where there is none)
@@ -223,11 +220,11 @@ def solve(J: int, K: int) -> Solution:
     gain_sums = np.zeros((K + 1, NODES))  # S_n = sum_{k <= n} x alpha_k
     left = J * K  # thresholds still to find
     hit = np.ones(NODES + 1, bool)  # hit[NODES] stays True: no root cuts at NODES
-    cells = []
+    cells = []  # the kept cells from x = 1 down: top in x and t, w, gain, active
     while left:
         if t_top < T_FLOOR:
             raise ValueSolveError(f"no threshold found above x={X_FLOOR}")
-        # each cell's w and gain are its own, kept by its Cell uncopied
+        # each cell's w and gain are its own, kept uncopied until stacked
         x = np.exp(t_top + t_nodes)
         edge[0, 1:] = gain = x * alphas(K, x)
         np.minimum.accumulate(gain[:-1], axis=0, out=edge[1, 2:])
@@ -258,14 +255,18 @@ def solve(J: int, K: int) -> Solution:
         c = _weights(best_s)
         w_top = np.dot(w, c) / c.sum()
         t_lo = t_top + (best_s - 1.0) * half
-        cells.append(Cell(t_top, t_lo, w, gain, n_active.copy()))
-        t_top = t_lo
+        x_lo = math.exp(t_lo)
+        if x_lo < x_top:  # else the cell has zero width in x
+            cells.append((x_top, t_top, w, gain, n_active.copy()))
+        t_top, x_top = t_lo, x_lo
         if best >= 0:
             n_active[best] -= 1
-            tau[best, n_active[best]] = math.exp(t_top)
+            tau[best, n_active[best]] = x_top
             left -= 1
     try:
         matrix = ThresholdMatrix(J, K, tuple(map(tuple, tau.tolist())))
     except MonotonicityError as exc:
         raise ValueSolveError(str(exc)) from exc
-    return Solution(matrix, float(w_top[J]), half, tuple(cells))
+    ends, tops, w, gain, active = zip(*reversed(cells))
+    return Solution(matrix, float(w_top[J]), half, np.array((x_top, *ends)),
+                    *map(np.array, (tops, w, gain, active)))

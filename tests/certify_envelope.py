@@ -1,10 +1,12 @@
 """Certify the whole (J, K) envelope: every pair with J <= MAX_J and
 K <= MAX_K (560 pairs) must pass verify_certificate at dual-check's
 defaults, and its dual-check JSON text, `certificate_json`, must equal
-`json.dumps` of the oracle's record (tests/oracles.py) byte for byte.
-Prints the worst equality residual and the least inequality slack, with
-their pairs, the total time of each dump and the first pair whose texts
-differ, and exits 1 naming each failing pair.
+`json.dumps` of the oracle's record (tests/oracles.py) byte for byte,
+and its cell ends `bps` must rise strictly from tau_{J,1} to 1 (value.solve
+drops the cells of zero width).  Prints the worst equality residual and
+the least inequality slack, with their pairs, the total time of each dump,
+the first pair whose texts differ and the first pair whose cell ends do
+not hold, and exits 1 naming each failing pair.
 
 Tier-1 covers only the edges (tests/test_dual.py::ENVELOPE_PAIRS); this
 sweep takes about 47 s on 2 vCPUs, so CI runs it as its own step:
@@ -25,10 +27,14 @@ from oracles import certificate_to_dict
 def main() -> int:
     start = time.perf_counter()
     worst_eq, least_slack, failed = (0.0, None), (float("inf"), None), []
-    dump_s, oracle_s, mismatches = 0.0, 0.0, []
+    dump_s, oracle_s, mismatches, bad_ends = 0.0, 0.0, [], []
     for J in range(1, MAX_J + 1):
         for K in range(1, MAX_K + 1):
             cert = construct_dual(J, K)
+            bps = cert.bps
+            if not (bps[0] == cert.tau.threshold(J, 1) and bps[-1] == 1.0
+                    and (bps[1:] > bps[:-1]).all()):
+                bad_ends.append((J, K))
             report = verify_certificate(cert)
             if not report.ok:
                 failed.append(f"({J},{K}): {report.first_violation}")
@@ -50,6 +56,9 @@ def main() -> int:
     if mismatches:
         failed.append(f"{mismatches[0]}: certificate_json differs from json.dumps of the record"
                       f" ({len(mismatches)} pairs in all)")
+    if bad_ends:
+        failed.append(f"{bad_ends[0]}: bps do not rise strictly from tau_(J,1) to 1"
+                      f" ({len(bad_ends)} pairs in all)")
     for line in failed:
         print(f"FAIL {line}")
     return 1 if failed else 0

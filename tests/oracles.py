@@ -550,25 +550,22 @@ def verify_certificate_rows(
 def construct_dual_combine(J: int, K: int) -> DualCertificateJK:
     """The dual rows of `value.solve`'s cells, one cell at a time.
 
-    On a kept cell (nonzero width in x) where row j's active pairs are
-    k = 1..n, q_{j|k} for k <= n is the one-cell function of the gain
-    x alpha_k + W_{j-1} - W_j at the nodes; each q row is a chain of
-    `combine` over those, ascending in x, and r_{j|k} the running
-    `combine` sum of q_{j|1}, ..., q_{j|k}.  The certificate holding them
-    is `construct_dual`'s on the same solve, which runs once.
+    On a cell where row j's active pairs are k = 1..n, q_{j|k} for k <= n
+    is the one-cell function of the gain x alpha_k + W_{j-1} - W_j at the
+    nodes; each q row is a chain of `combine` over those, ascending in x,
+    and r_{j|k} the running `combine` sum of q_{j|1}, ..., q_{j|k}.  The
+    certificate holding them is `construct_dual`'s on the same solve,
+    which runs once.
     """
     sol = solve(J, K)
     q_rows: list[tuple[PiecewiseFunction, ...]] = []
     r_rows: list[tuple[PiecewiseFunction, ...]] = []
     for j in range(1, J + 1):
         q_row = [PiecewiseFunction.zero() for _ in range(K)]
-        for cell in reversed(sol.cells):
-            lo, top = math.exp(cell.lo), math.exp(cell.top)
-            if lo == top:
-                continue
-            for k in range(1, int(cell.active[j - 1]) + 1):
-                g = cell.gain[k - 1] + cell.w[j - 1] - cell.w[j]
-                one = PiecewiseFunction([lo, top], [cell.top], sol.half, [TO_COEF @ g])
+        for c, top in enumerate(sol.tops):
+            for k in range(1, int(sol.active[c, j - 1]) + 1):
+                g = sol.gain[c, k - 1] + sol.w[c, j - 1] - sol.w[c, j]
+                one = PiecewiseFunction(sol.bps[c : c + 2], [top], sol.half, [TO_COEF @ g])
                 q_row[k - 1] = q_row[k - 1].combine(one)
         r_row, running = [], PiecewiseFunction.zero()
         for q in q_row:

@@ -246,6 +246,15 @@ DUAL_CHECK_EDGE_MAX_RSS_MB = 96
 # 63.2 MB, with the series evaluated cell by cell or by a gathered
 # Clenshaw loop alike (the same platform).
 DUAL_CHECK_GRID_MAX_RSS_MB = 64
+# Peak resident memory of `thresholds --J 16 --K 35 --format json`, which
+# builds and checks the certificate as dual-check does: 54 MB with
+# value.solve's cells stacked once, 59 MB while construct_dual restacked
+# them per cell (the same platform).
+THRESHOLDS_EDGE_MAX_RSS_MB = 80
+# Peak resident memory of `simulate --J 16 --K 35 --n 2**53 --trials 4096`:
+# 45 MB, set by value.solve's cell arrays (4 blocks of trials: no pool;
+# the same platform).
+SIMULATE_EDGE_MAX_RSS_MB = 64
 
 
 # The CLI in a child that prints its own peak resident memory (VmHWM, in
@@ -286,6 +295,25 @@ def test_dual_check_at_the_largest_grid_stays_within_its_memory(tmp_path):
     code, peak = peak_rss_mb(tmp_path, argv)
     assert code == 0
     assert peak <= DUAL_CHECK_GRID_MAX_RSS_MB, f"peak {peak:.1f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_thresholds_at_the_envelope_edge_stays_within_its_memory(tmp_path):
+    argv = ["thresholds", "--J", "16", "--K", "35", "--format", "json"]
+    code, peak = peak_rss_mb(tmp_path, argv)
+    assert code == 0
+    assert peak <= THRESHOLDS_EDGE_MAX_RSS_MB, f"peak {peak:.1f} MB"
+    assert json.loads((tmp_path / "stdout").read_text())["verified"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_simulate_at_the_largest_input_stays_within_its_memory(tmp_path):
+    argv = ["simulate", "--J", "16", "--K", "35", "--n", str(2**53), "--trials", "4096",
+            "--format", "json"]
+    code, peak = peak_rss_mb(tmp_path, argv)
+    assert code == 0
+    assert peak <= SIMULATE_EDGE_MAX_RSS_MB, f"peak {peak:.1f} MB"
+    assert json.loads((tmp_path / "stdout").read_text())["trials"] == 4096
 
 
 # The finite-n DP builds its weights a block of positions at a time: the

@@ -4,6 +4,7 @@ by DOP853, the certified construction, the payoff formula and the
 finite-n DP's own thresholds."""
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -140,25 +141,44 @@ def test_alphas_rows_do_not_depend_on_the_batch():
 
 
 def test_solve_keeps_no_state():
-    """No two cells of a solve share memory, writing into one solve's
-    cells leaves a second solve bitwise unchanged, and alphas' coefficient
-    blocks are read-only."""
+    """No two of a solve's cell arrays share memory, writing into one
+    solve's arrays leaves a second solve bitwise unchanged, and alphas'
+    coefficient blocks are read-only."""
+    names = ("bps", "tops", "w", "gain", "active")
     first = value.solve(3, 3)
-    arrays = [a for cell in first.cells for a in (cell.w, cell.gain, cell.active)]
+    arrays = [getattr(first, name) for name in names]
     for i, a in enumerate(arrays):
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :]), i
-    want = [(c.top, c.lo, c.w.tobytes(), c.gain.tobytes(), c.active.tobytes()) for c in first.cells]
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :]), names[i]
+    want = [a.tobytes() for a in arrays]
     for a in arrays:
         a[...] = -1
     second = value.solve(3, 3)
     assert (second.tau, second.payoff, second.half) == first[:3]
-    assert [(c.top, c.lo, c.w.tobytes(), c.gain.tobytes(), c.active.tobytes())
-            for c in second.cells] == want
+    assert [getattr(second, name).tobytes() for name in names] == want
     for K in (1, 3, value.MAX_K):
         block = value._term_coef(K)
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("J,K", [(1, 1), (2, 1), (4, 4), (16, 35)])
+def test_solve_returns_its_cells_ascending_without_zero_widths(J, K):
+    """The cells come as the certificate's arrays, ascending in x: each
+    cell end is math.exp of a cell top, from tau_{J,1} up to 1, and
+    strictly increasing, so no cell of zero width in x is kept ((2,1)
+    has one in the solve)."""
+    sol = solved(J, K)
+    n = len(sol.tops)
+    assert sol.bps.shape == (n + 1,)
+    assert sol.w.shape == (n, J + 1, value.NODES)
+    assert sol.gain.shape == (n, K, value.NODES)
+    assert sol.active.shape == (n, J)
+    assert np.all(np.diff(sol.tops) > 0)
+    assert sol.bps[1:].tolist() == [math.exp(t) for t in sol.tops.tolist()]
+    assert sol.bps[0] == sol.tau.threshold(J, 1)
+    assert sol.bps[-1] == 1.0
+    assert np.all(np.diff(sol.bps) > 0)
 
 
 def test_interpolation_on_a_node_is_exact_and_silent():
