@@ -11,8 +11,12 @@ i..n holding r unused quotas (Gilbert & Mosteller, JASA 1966),
 
 and P*_n = V(1, J), the optimum of the finite selection LP, whose exact
 simplex is the test oracle in tests/simplex.py.  One recursion serves both
-modes: it runs in float or in exact Fraction arithmetic, depending only on
-the number type it starts from.
+modes.  Float mode runs it in floats.  Exact mode runs it on integers over
+n!, with no Fraction until the end: V(i, .) n!/(i-1)! is an integer, by
+induction on i, because C(n, i) divides n!/i!.  So every V(i, r) n! is an
+integer, each gain divides by i exactly, and P*_n is V(1, J) n! / n!.
+The weights are built on the scale n!/(n-K)!, as integers of at most
+K log2(n) bits, and multiplied by (n-K)! once.
 
 `weights` builds the rows [w(1, i), ..., w(min(K, i), i)] of a block of
 positions at once, as numpy columns over i, bit for bit the one-position
@@ -23,22 +27,24 @@ positive gains are added left to right from zero.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Union
 
 import numpy as np
 
 Number = Union[Fraction, float]
 
-# Largest J*K*n each mode accepts, bounds on work.  The slowest accepted
-# inputs take about 0.8 s in float ((1,1) n=1.6e6) and 2.5 s in exact
-# ((2,1) n=5000) on a 2-vCPU Xeon under CPython 3.11 (best of 3); (4,4)
-# n=1e5 takes 0.12 s in float.
+# Largest J*K*n each mode accepts, bounds on work.  Exact mode makes about
+# J*K*n operations on integers of up to log2(n!) bits, so its slowest
+# accepted input is the longest.  The slowest take about 0.4 s in float
+# ((1,1) n=1.6e6) and 0.4 s in exact ((1,1) n=10000; (2,1) n=5000 takes
+# 0.18 s) on a 2-vCPU Xeon under CPython 3.11 (best of 3); (4,4) n=1e5
+# takes 0.09 s in float.
 FLOAT_SIZE_CAP = 1_600_000
 EXACT_SIZE_CAP = 10_000
 
-_UNIT = {"float": 1.0, "exact": Fraction(1)}
 _CAP = {"float": FLOAT_SIZE_CAP, "exact": EXACT_SIZE_CAP}
 _BLOCK = 1 << 12  # weights per block of positions
 
@@ -48,7 +54,7 @@ class DPSizeError(ValueError):
 
 
 def _check(n: int, J: int, K: int, mode: str) -> None:
-    if mode not in _UNIT:
+    if mode not in _CAP:
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1 or J < 1 or K < 1:
         raise ValueError("n, J, K must be positive")
@@ -60,8 +66,9 @@ def _check(n: int, J: int, K: int, mode: str) -> None:
         raise DPSizeError(f"float weights underflow at n={n}, K={K}; use exact mode")
 
 
-def weights(n: int, K: int, i: int | np.ndarray, one: Number) -> list:
-    """[w(1, i), ..., w(top, i)] in the number type of `one`, top = min(K, i).
+def weights(n: int, K: int, i: int | np.ndarray, one: int | float) -> list:
+    """[w(1, i), ..., w(top, i)] times `one`, top = min(K, i), in the number
+    type of `one`; an int `one` must be a multiple of n!/(n-K)!.
 
     The k-th best of the first i items is among the overall K best iff at
     least k of the K best arrived by i, so w(k, i) = P(H >= k) for H
@@ -69,19 +76,23 @@ def weights(n: int, K: int, i: int | np.ndarray, one: Number) -> list:
     h(m) = C(K, m) C(n-K, i-m) / C(n, i) are summed from m = top down
     through h(m-1) / h(m) = m (n-K-i+m) / ((K-m+1)(i-m+1)).
 
-    i may be an array of positions >= min(K, n), float64 for a float `one`
-    and object (ints) for a Fraction: each w(k, .) is then a column over i,
-    by the same operations in the same order (every integer factor is
-    below 2**53, so exact in float).
+    With an int `one` every division is an exact floor division, as the
+    partial products one C(a, s) / C(n, s), a = max(K, i), and one h(m) are
+    integers: with one = n!/(n-K)! they are a!/(a-s)! (n-s)!/(n-K)! and
+    C(K, m) i!/(i-m)! (n-i)!/(n-i-K+m)!.  i may be an array of positions
+    >= min(K, n), float64 for a float `one` and object (ints) otherwise:
+    each w(k, .) is then a column over i, by the same operations in the
+    same order (every integer factor is below 2**53, so exact in float).
     """
     K = min(K, n)
     top, a = (min(K, i), max(K, i)) if isinstance(i, int) else (K, i)
+    div = operator.floordiv if isinstance(one, int) else operator.truediv
     h = one
     for t in range(top):  # h(top) = prod_t (max(K, i) - t) / (n - t)
-        h = h * (a - t) / (n - t)
+        h = div(h * (a - t), n - t)
     tail = [h]
     for m in range(top, 1, -1):
-        h = h * (m * (n - K - i + m)) / ((K - m + 1) * (i - m + 1))
+        h = div(h * (m * (n - K - i + m)), (K - m + 1) * (i - m + 1))
         tail.append(tail[-1] + h)
     tail.reverse()
     return tail
@@ -96,17 +107,38 @@ def _blocks(n: int, K: int, dtype: type):
     yield from range(K - 1, 0, -1)
 
 
+class _Position(int):
+    """A position i in exact mode.  Its gains on the integer scale are
+    multiples of i, so gain / i is their exact quotient, an int."""
+
+    __slots__ = ()
+
+    def __rtruediv__(self, gain: int) -> int:
+        return gain // int(self)
+
+
 def p_star(n: int, J: int, K: int, mode: str = "float") -> Number:
     """P*_n for n items, J quotas and K payoff ranks; a Fraction in exact mode."""
     _check(n, J, K, mode)
-    one = _UNIT[mode]
-    zero = one - one
     K = min(K, n)
+    exact = mode == "exact"
+    if exact:  # V times n!, the weights times n!/(n-K)! and then (n-K)!
+        one, lift = factorial(n), factorial(n - K)
+        unit = one // lift
+    else:
+        one = unit = 1.0
+    zero = one - one
     v = [zero] * (J + 1)  # v[r] = V(i+1, r)
     quotas = range(J, 0, -1)  # descending, so v[r-1] is still V(i+1, r-1)
-    for block in _blocks(n, K, float if mode == "float" else object):
-        rows = np.column_stack(weights(n, K, block, one)).tolist()
-        for i, w in zip(np.atleast_1d(block).tolist(), rows):
+    for block in _blocks(n, K, object if exact else float):
+        cols = weights(n, K, block, unit)
+        if exact:
+            cols = [c * lift for c in cols]
+        if isinstance(block, int):  # one position, a row of scalars
+            positions, rows = [block], [cols]
+        else:
+            positions, rows = block.tolist(), zip(*[c.tolist() for c in cols])
+        for i, w in zip(map(_Position, positions) if exact else positions, rows):
             for r in quotas:
                 keep = v[r] - v[r - 1]
                 gain = zero
@@ -114,5 +146,5 @@ def p_star(n: int, J: int, K: int, mode: str = "float") -> Number:
                     if x <= keep:
                         break
                     gain += x - keep
-                v[r] += gain / i
-    return v[J]
+                v[r] += gain / i  # an int in exact mode: i is a _Position
+    return Fraction(v[J], one) if exact else v[J]

@@ -220,18 +220,28 @@ def solve(J: int, K: int) -> Solution:
     gain_sums = np.zeros((K + 1, NODES))  # S_n = sum_{k <= n} x alpha_k
     left = J * K  # thresholds still to find
     hit = np.ones(NODES + 1, bool)  # hit[NODES] stays True: no root cuts at NODES
-    cells = []  # the kept cells from x = 1 down: top in x and t, w, gain, active
+    # Each cell is solved in place in the next free slot, from the end of
+    # these arrays down, so the kept cells [kept:] come out ascending in x.
+    # A cell ends at a threshold or spans 2 half in t above T_FLOOR, so no
+    # more than `room` cells are solved.
+    room = J * K + int(-T_FLOOR / (2 * half)) + 2
+    cell_w = np.empty((room, J + 1, NODES))
+    cell_gain = np.empty((room, K, NODES))
+    cell_active = np.empty((room, J), n_active.dtype)
+    kept = room
+    ends, tops = [], []  # the kept cells' tops in x and t, from x = 1 down
     while left:
         if t_top < T_FLOOR:
             raise ValueSolveError(f"no threshold found above x={X_FLOOR}")
-        # each cell's w and gain are its own, kept uncopied until stacked
         x = np.exp(t_top + t_nodes)
-        edge[0, 1:] = gain = x * alphas(K, x)
+        gain = np.multiply(x, alphas(K, x), out=cell_gain[kept - 1])
+        edge[0, 1:] = gain
         np.minimum.accumulate(gain[:-1], axis=0, out=edge[1, 2:])
         gain.cumsum(axis=0, out=gain_sums[1:])
         fixed = decay[n_active] * w_top[1:, None]
         fixed += (carry @ gain_sums[:, :, None])[n_active, :, 0]
-        w = np.zeros((J + 1, NODES))  # row 0 is W_0 = 0
+        w = cell_w[kept - 1]
+        w[0] = 0.0  # W_0
         for r, n in enumerate(n_active.tolist(), start=1):  # np.dot: @'s gemv, less overhead
             w[r] = np.dot(prev[n], w[r - 1]) + fixed[r - 1]
         g = edge[:, n_active] + (w[:-1] - w[1:])  # candidates, then the others
@@ -256,8 +266,11 @@ def solve(J: int, K: int) -> Solution:
         w_top = np.dot(w, c) / c.sum()
         t_lo = t_top + (best_s - 1.0) * half
         x_lo = math.exp(t_lo)
-        if x_lo < x_top:  # else the cell has zero width in x
-            cells.append((x_top, t_top, w, gain, n_active.copy()))
+        if x_lo < x_top:  # else the cell has zero width in x, and its slot is reused
+            kept -= 1
+            cell_active[kept] = n_active
+            ends.append(x_top)
+            tops.append(t_top)
         t_top, x_top = t_lo, x_lo
         if best >= 0:
             n_active[best] -= 1
@@ -267,6 +280,5 @@ def solve(J: int, K: int) -> Solution:
         matrix = ThresholdMatrix(J, K, tuple(map(tuple, tau.tolist())))
     except MonotonicityError as exc:
         raise ValueSolveError(str(exc)) from exc
-    ends, tops, w, gain, active = zip(*reversed(cells))
-    return Solution(matrix, float(w_top[J]), half, np.array((x_top, *ends)),
-                    *map(np.array, (tops, w, gain, active)))
+    return Solution(matrix, float(w_top[J]), half, np.array((x_top, *ends[::-1])),
+                    np.array(tops[::-1]), cell_w[kept:], cell_gain[kept:], cell_active[kept:])

@@ -66,6 +66,11 @@ COMMANDS = {
     "finite_lp_json": (
         ["finite-lp", "--J", "2", "--K", "2", "--n", "10,20", "--format", "json"], 60
     ),
+    # J*K*n at the exact cap, the slowest accepted exact input
+    "finite_lp_exact_cap": (
+        ["finite-lp", "--J", "2", "--K", "1", "--n", "5000", "--mode", "exact",
+         "--format", "json"], 60
+    ),
     "simulate_csv": (
         ["simulate", "--J", "2", "--K", "2", "--n", "1000", "--trials", "2000", "--format", "csv"],
         60,
@@ -209,6 +214,11 @@ STDOUT_SHA256.update({
     "simulate_csv": "557e7f1bddcc624dd7511bd82fe85f69d9b21685374e4e55ec2a037c00579243",
     "thresholds_3_2_csv": "f415d8896497506ffc617ef6519b2c4080b6f212f14b7c43764f2104aef74581",
 })
+# ... and as the Fraction recursion printed it (commit bc4d9ab): exact P*_n
+# is one rounding of a rational, so no platform may print other bytes
+STDOUT_SHA256["finite_lp_exact_cap"] = (
+    "d9b4cb83964b544d3b0a84b855cdb8ff08ea246e1a42aa17cab3923eaf6d4e4c"
+)
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
@@ -252,8 +262,9 @@ DUAL_CHECK_GRID_MAX_RSS_MB = 64
 # them per cell (the same platform).
 THRESHOLDS_EDGE_MAX_RSS_MB = 80
 # Peak resident memory of `simulate --J 16 --K 35 --n 2**53 --trials 4096`:
-# 45 MB, set by value.solve's cell arrays (4 blocks of trials: no pool;
-# the same platform).
+# 38 MB with value.solve's cells solved in place, 44 MB while its per-cell
+# arrays were stacked into copies (4 blocks of trials: no pool; the same
+# platform).
 SIMULATE_EDGE_MAX_RSS_MB = 64
 
 

@@ -1,7 +1,8 @@
 """Backward induction for P*_n: weights, exact and float modes, size caps."""
 
+import operator
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, perm
 from unittest import mock
 
 import numpy as np
@@ -45,19 +46,63 @@ def test_weights_match_rank_sum():
                 assert dp_weights(n, K, i, Fraction(1)) == want, (n, K, i)
 
 
-@pytest.mark.parametrize("one", [1.0, Fraction(1)])
+def bits(x):
+    """x's type and value, a float's to the bit."""
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+@pytest.mark.parametrize("one", [1.0, Fraction(1), "n!/(n-K)!"])
 def test_block_weights_match_one_position(one):
     """A block of positions i >= K gets, column by column, the weights of
-    each position on its own, bit for bit."""
-    for n, K in ((1, 1), (7, 3), (40, 9), (1000, 4), (3000, 1)):
+    each position on its own, bit for bit.  On exact mode's integer scale,
+    `one` = n!/(n-K)!, every entry is the int `one` times the Fraction
+    weight."""
+    for n, K in ((1, 1), (7, 3), (40, 9), (1000, 4), (3000, 1), (285, 35)):
         K = min(K, n)
-        block = np.arange(n, K - 1, -1, dtype=object if isinstance(one, Fraction) else float)
-        columns = np.column_stack(weights(n, K, block, one)).tolist()
+        unit = perm(n, K) if one == "n!/(n-K)!" else one
+        block = np.arange(n, K - 1, -1, dtype=float if isinstance(one, float) else object)
+        columns = np.column_stack(weights(n, K, block, unit)).tolist()
+
+        def want(i):
+            if unit is one:
+                return dp_weights(n, K, i, one)
+            scaled = [unit * x for x in dp_weights(n, K, i, Fraction(1))]
+            return [x.numerator if x.denominator == 1 else x for x in scaled]
+
         for i, row in zip(range(n, K - 1, -1), columns):
-            want = dp_weights(n, K, i, one)
-            assert [repr(x) for x in row] == [repr(x) for x in want], (n, K, i)
+            assert list(map(bits, row)) == list(map(bits, want(i))), (n, K, i)
         for i in range(1, K):  # one position at a time below K
-            assert weights(n, K, i, one) == dp_weights(n, K, i, one)
+            assert weights(n, K, i, unit) == want(i)
+
+
+class ExactInt(int):
+    """An int whose sums, differences and products stay ExactInt and whose
+    divisions, floor or true, are exact or fail."""
+
+    divisions = 0  # divisions checked so far
+
+    def _wrap(op):
+        def method(self, other):
+            if not isinstance(other, int):
+                return NotImplemented  # numpy applies it element by element
+            return ExactInt(op(int(self), int(other)))
+
+        return method
+
+    __add__ = __radd__ = _wrap(operator.add)
+    __sub__ = _wrap(operator.sub)
+    __rsub__ = _wrap(lambda a, b: b - a)
+    __mul__ = __rmul__ = _wrap(operator.mul)
+
+    def __floordiv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        quotient, rest = divmod(int(self), int(other))
+        assert rest == 0, f"{int(self)} // {other} leaves {rest}"
+        ExactInt.divisions += 1
+        return ExactInt(quotient)
+
+    __truediv__ = __floordiv__
 
 
 def exact_reference(n: int, J: int, K: int) -> Fraction:
@@ -85,10 +130,17 @@ def exact_reference(n: int, J: int, K: int) -> Fraction:
 @example(n=80, J=6, K=9, block=dp._BLOCK)
 def test_p_star_matches_the_one_position_recursion(n, J, K, block):
     """Float P*_n has the oracle recursion's bits and exact P*_n its
-    Fraction, whatever the block size."""
+    Fraction, whatever the block size.  Exact mode runs on integers over
+    n!, where every division of the weights and of the recursion leaves
+    no remainder."""
+    want = exact_reference(n, J, K)
     with mock.patch.object(dp, "_BLOCK", block):
         assert p_star(n, J, K).hex() == dp_thresholds(n, J, K)[0].hex()
-        assert p_star(n, J, K, "exact") == exact_reference(n, J, K)
+        assert p_star(n, J, K, "exact") == want
+        checked = ExactInt.divisions
+        with mock.patch.object(dp, "factorial", lambda m: ExactInt(factorial(m))):
+            assert p_star(n, J, K, "exact") == want
+        assert ExactInt.divisions > checked  # the scale ran through the recursion
 
 
 def test_exact_matches_classical_formula():
@@ -106,6 +158,16 @@ def test_float_matches_exact_at_large_n():
     for n, J, K in ((300, 3, 3), (2000, 1, 1)):
         exact = p_star(n, J, K, "exact")
         assert abs(p_star(n, J, K) - exact) < 1e-12, (n, J, K)
+
+
+@pytest.mark.parametrize("J, K, n", [(4, 4, 625), (16, 1, 625), (1, 35, 285)])
+def test_exact_mode_at_its_cap(J, K, n):
+    """The largest accepted exact instances (J*K*n at or just below the
+    cap) run, and agree with float mode."""
+    assert EXACT_SIZE_CAP - J * K < J * K * n <= EXACT_SIZE_CAP
+    exact = p_star(n, J, K, "exact")
+    assert isinstance(exact, Fraction)
+    assert abs(p_star(n, J, K) - exact) < 1e-12
 
 
 def test_size_caps():
