@@ -193,9 +193,7 @@ def cmd_report(args) -> tuple:
     rows: list[list] = [["J", "payoff", "theta_J"]]
     ts = theta.generate_thetas(TABLE_MAX_J)
     for J in range(1, TABLE_MAX_J + 1):
-        prefix = ts._replace(thetas=ts.thetas[:J])
-        vars(prefix)["exps"] = ts.exps[:J]  # its cached_property: each exp_neg runs once
-        payoff = theta.payoff_k1_decimal(prefix)
+        payoff = theta.payoff_k1_decimal(ts.exps[:J])
         rows.append(
             [J, str(payoff.quantize(Decimal("0.000001"))),
              theta.format_rational(ts.thetas[J - 1])]

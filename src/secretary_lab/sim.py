@@ -146,7 +146,9 @@ def sample_arrivals(n: int, rng: np.random.Generator) -> ArrivalInstance:
 def _policy_rows(tau: ThresholdMatrix) -> np.ndarray:
     """[m, k-1] = tau_{m,k}, under a row (m = 0) and beside a column
     (k = K + 1) of +inf, which take nothing."""
-    return np.pad(np.asarray(tau.tau, dtype=float), ((1, 0), (0, 1)), constant_values=np.inf)
+    rows = np.full((tau.J + 1, tau.K + 1), np.inf)
+    rows[1:, :-1] = tau.tau
+    return rows
 
 
 def _pick_quota(tau_rows: np.ndarray, left, k: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -226,10 +226,10 @@ def thresholds(ts: ThetaSequence) -> list[float]:
 
 def payoff_k1(ts: ThetaSequence) -> float:
     """Optimal expected number of best-item selections: sum of t_j."""
-    return float(payoff_k1_decimal(ts))
+    return float(payoff_k1_decimal(ts.exps))
 
 
-def payoff_k1_decimal(ts: ThetaSequence) -> Decimal:
-    """sum of t_j at the working precision, before any rounding."""
+def payoff_k1_decimal(exps: tuple[Decimal, ...]) -> Decimal:
+    """sum of the t_j in exps (a ThetaSequence's or a prefix), at the working precision."""
     with localcontext(working_context(DEFAULT_PRECISION_BITS)):
-        return sum(ts.exps, Decimal(0))
+        return sum(exps, Decimal(0))

@@ -8,26 +8,46 @@ the least inequality slack, with their pairs, the total time of each dump,
 the first pair whose texts differ and the first pair whose cell ends do
 not hold, and exits 1 naming each failing pair.
 
+It also folds every pair's `certificate_json` text, in (J, K) order and
+each followed by a newline, into one SHA-256 and prints it.  On CPython
+3.11 with numpy 2.4 the digest must equal ENVELOPE_SHA256, or the sweep
+fails; on any other (Python, numpy) leg it is printed as unpinned, since
+float bits there may differ and have not been recorded.
+
 Tier-1 covers only the edges (tests/test_dual.py::ENVELOPE_PAIRS); this
 sweep takes about 47 s on 2 vCPUs, so CI runs it as its own step:
 
     python tests/certify_envelope.py
 """
 
+import hashlib
 import json
+import platform
 import sys
 import time
 
+import numpy as np
 from secretary_lab.dual import certificate_json, construct_dual, verify_certificate
 from secretary_lab.value import MAX_J, MAX_K
 
 from oracles import certificate_to_dict
+
+# SHA-256 of the 560 certificate_json texts, taken on CPython 3.11.7 with numpy 2.4.6
+ENVELOPE_SHA256 = "0ffe38e6093d18fdab54eab0cbcac7d76c5d6c73148bfd1a380fd8b4a0e3aadd"
+PINNED_LEG = ("CPython", "3.11", "2.4")
+
+
+def leg() -> tuple[str, str, str]:
+    """(implementation, Python major.minor, numpy major.minor) of this run."""
+    numpy_minor = ".".join(np.__version__.split(".")[:2])
+    return platform.python_implementation(), "%d.%d" % sys.version_info[:2], numpy_minor
 
 
 def main() -> int:
     start = time.perf_counter()
     worst_eq, least_slack, failed = (0.0, None), (float("inf"), None), []
     dump_s, oracle_s, mismatches, bad_ends = 0.0, 0.0, [], []
+    digest = hashlib.sha256()
     for J in range(1, MAX_J + 1):
         for K in range(1, MAX_K + 1):
             cert = construct_dual(J, K)
@@ -43,6 +63,7 @@ def main() -> int:
             t = time.perf_counter()
             text = certificate_json(cert, report)
             dump_s += time.perf_counter() - t
+            digest.update(text.encode() + b"\n")
             t = time.perf_counter()
             want = json.dumps(certificate_to_dict(cert, report))
             oracle_s += time.perf_counter() - t
@@ -53,6 +74,12 @@ def main() -> int:
     print(f"worst equality residual: {worst_eq[0]:.2e} at {worst_eq[1]}")
     print(f"least inequality slack: {least_slack[0]:.2e} at {least_slack[1]}")
     print(f"certificate_json: {dump_s:.1f} s; json.dumps of the oracle's record: {oracle_s:.1f} s")
+    print(f"certificate_json digest: {digest.hexdigest()}")
+    if leg() != PINNED_LEG:
+        print("digest unpinned on %s %s with numpy %s: pinned only on %s %s with numpy %s"
+              % (leg() + PINNED_LEG))
+    elif digest.hexdigest() != ENVELOPE_SHA256:
+        failed.append(f"certificate_json digest differs from {ENVELOPE_SHA256}")
     if mismatches:
         failed.append(f"{mismatches[0]}: certificate_json differs from json.dumps of the record"
                       f" ({len(mismatches)} pairs in all)")

@@ -29,12 +29,7 @@ from secretary_lab.sim import (
     sample_arrivals,
     trial_rng,
 )
-from secretary_lab.theta import (
-    ThetaSequence,
-    generate_thetas,
-    payoff_k1_decimal,
-    thresholds,
-)
+from secretary_lab.theta import generate_thetas, payoff_k1_decimal, thresholds
 from secretary_lab.value import alphas
 
 import reference_values as ref
@@ -60,7 +55,7 @@ def test_criterion_1_table_reproduction(capfd):
     )
     payoff_ok = True
     for J in range(1, 9):
-        payoff = payoff_k1_decimal(ThetaSequence(ts.thetas[:J]))
+        payoff = payoff_k1_decimal(ts.exps[:J])
         payoff_ok &= str(payoff.quantize(Decimal("0.000001"))) == ref.PAYOFFS_6DP[J]
     elapsed = time.monotonic() - t0
     _verdict(

@@ -135,9 +135,13 @@ def test_denominators_have_no_prime_above_j():
 
 
 def test_payoffs_round_to_published_values(ts8):
+    """Each prefix of one sequence's exps sums, digit for digit, as the
+    exps of a ThetaSequence built from that prefix do."""
     for J in range(1, 9):
-        payoff = payoff_k1_decimal(ThetaSequence(ts8.thetas[:J]))
+        payoff = payoff_k1_decimal(ts8.exps[:J])
         assert str(payoff.quantize(Decimal("0.000001"))) == PAYOFFS_6DP[J]
+        alone = payoff_k1_decimal(ThetaSequence(ts8.thetas[:J]).exps)
+        assert payoff.as_tuple() == alone.as_tuple(), J
 
 
 def test_thresholds_floats():
@@ -330,4 +334,4 @@ def test_thresholds_call_computes_each_exp_once(monkeypatch):
         want = Decimal(0)
         for t in ts.thetas:
             want += real(t)
-    assert payoff_k1_decimal(ts).as_tuple() == want.as_tuple()
+    assert payoff_k1_decimal(ts.exps).as_tuple() == want.as_tuple()
