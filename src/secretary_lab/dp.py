@@ -10,13 +10,16 @@ i..n holding r unused quotas (Gilbert & Mosteller, JASA 1966),
     V(i, r) = V(i+1, r) + (1/i) sum_{k <= min(K, i)} max(0, w(k, i) + V(i+1, r-1) - V(i+1, r)),
 
 and P*_n = V(1, J), the optimum of the finite selection LP, whose exact
-simplex is the test oracle in tests/simplex.py.  One recursion serves both
-modes.  Float mode runs it in floats.  Exact mode runs it on integers over
-n!, with no Fraction until the end: V(i, .) n!/(i-1)! is an integer, by
-induction on i, because C(n, i) divides n!/i!.  So every V(i, r) n! is an
-integer, each gain divides by i exactly, and P*_n is V(1, J) n! / n!.
-The weights are built on the scale n!/(n-K)!, as integers of at most
-K log2(n) bits, and multiplied by (n-K)! once.
+simplex is the test oracle in tests/simplex.py.  Float mode runs it in
+floats.  Exact mode scales it by n!/(i-1)! and divides nowhere: with
+S(i, r) = V(i, r) n!/(i-1)! and W(k, i) = w(k, i) n!/i!, it reads
+
+    S(i, r) = i S(i+1, r) + sum_k max(0, W(k, i) + S(i+1, r-1) - S(i+1, r)).
+
+Each W(k, i) is an integer, as C(n, i) divides n!/i!, so by induction on i
+so is each S(i, r), and P*_n = S(1, J) / n!.  The weights are built as
+integers on the scale n!/(n-K)!, of at most K log2(n) bits, and lifted by
+n!/i!, which gains a factor i per position: the pass carries S n!/(n-K)!.
 
 `weights` builds the rows [w(1, i), ..., w(min(K, i), i)] of a block of
 positions at once, as numpy columns over i, bit for bit the one-position
@@ -29,18 +32,15 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import comb, factorial
-from typing import Union
+from math import comb, factorial, perm
 
 import numpy as np
 
-Number = Union[Fraction, float]
-
 # Largest J*K*n each mode accepts, bounds on work.  Exact mode makes about
 # J*K*n operations on integers of up to log2(n!) bits, so its slowest
-# accepted input is the longest.  The slowest take about 0.4 s in float
-# ((1,1) n=1.6e6) and 0.4 s in exact ((1,1) n=10000; (2,1) n=5000 takes
-# 0.18 s) on a 2-vCPU Xeon under CPython 3.11 (best of 3); (4,4) n=1e5
+# accepted input is the longest.  The slowest take about 0.36 s in float
+# ((1,1) n=1.6e6) and 0.14 s in exact ((1,1) n=10000; (2,1) n=5000 takes
+# 0.06 s) on a 2-vCPU Xeon under CPython 3.11 (best of 3); (4,4) n=1e5
 # takes 0.09 s in float.
 FLOAT_SIZE_CAP = 1_600_000
 EXACT_SIZE_CAP = 10_000
@@ -98,53 +98,48 @@ def weights(n: int, K: int, i: int | np.ndarray, one: int | float) -> list:
     return tail
 
 
-def _blocks(n: int, K: int, dtype: type):
-    """Positions n, ..., 1 in order: arrays of at most _BLOCK // K positions
-    down to K (the top of their weight rows), then each i < K on its own."""
+def _rows(n: int, K: int, one: int | float):
+    """(positions, rows of `weights` times `one`) for positions n, ..., 1: blocks of
+    at most _BLOCK // K down to K (their rows' top), then each i < K alone."""
     step = max(1, _BLOCK // K)
+    dtype = float if isinstance(one, float) else object
     for hi in range(n, K - 1, -step):
-        yield np.arange(hi, max(hi - step, K - 1), -1, dtype=dtype)
-    yield from range(K - 1, 0, -1)
+        block = np.arange(hi, max(hi - step, K - 1), -1, dtype=dtype)
+        yield block.tolist(), zip(*[c.tolist() for c in weights(n, K, block, one)])
+    for i in range(K - 1, 0, -1):
+        yield [i], [weights(n, K, i, one)]
 
 
-class _Position(int):
-    """A position i in exact mode.  Its gains on the integer scale are
-    multiples of i, so gain / i is their exact quotient, an int."""
-
-    __slots__ = ()
-
-    def __rtruediv__(self, gain: int) -> int:
-        return gain // int(self)
-
-
-def p_star(n: int, J: int, K: int, mode: str = "float") -> Number:
+def p_star(n: int, J: int, K: int, mode: str = "float") -> Fraction | float:
     """P*_n for n items, J quotas and K payoff ranks; a Fraction in exact mode."""
     _check(n, J, K, mode)
     K = min(K, n)
-    exact = mode == "exact"
-    if exact:  # V times n!, the weights times n!/(n-K)! and then (n-K)!
-        one, lift = factorial(n), factorial(n - K)
-        unit = one // lift
-    else:
-        one = unit = 1.0
-    zero = one - one
-    v = [zero] * (J + 1)  # v[r] = V(i+1, r)
     quotas = range(J, 0, -1)  # descending, so v[r-1] is still V(i+1, r-1)
-    for block in _blocks(n, K, object if exact else float):
-        cols = weights(n, K, block, unit)
-        if exact:
-            cols = [c * lift for c in cols]
-        if isinstance(block, int):  # one position, a row of scalars
-            positions, rows = [block], [cols]
-        else:
-            positions, rows = block.tolist(), zip(*[c.tolist() for c in cols])
-        for i, w in zip(map(_Position, positions) if exact else positions, rows):
+    if mode == "float":
+        v = [0.0] * (J + 1)  # v[r] = V(i+1, r)
+        for positions, rows in _rows(n, K, 1.0):
+            for i, w in zip(positions, rows):
+                for r in quotas:
+                    keep = v[r] - v[r - 1]
+                    gain = 0.0
+                    for x in w:  # w falls in k (each adds a mass >= 0 to the next), in float too
+                        if x <= keep:
+                            break
+                        gain += x - keep
+                    v[r] += gain / i
+        return v[J]
+    v = [0] * (J + 1)  # v[r] = V(i+1, r) n!/i! perm(n, K)
+    lift = 1  # n!/i!
+    for positions, rows in _rows(n, K, perm(n, K)):
+        for i, w in zip(positions, rows):
             for r in quotas:
                 keep = v[r] - v[r - 1]
-                gain = zero
-                for x in w:  # w falls in k (each adds a mass >= 0 to the next), in float too
+                gain = 0
+                for x in w:
+                    x *= lift
                     if x <= keep:
                         break
                     gain += x - keep
-                v[r] += gain / i  # an int in exact mode: i is a _Position
-    return Fraction(v[J], one) if exact else v[J]
+                v[r] = i * v[r] + gain
+            lift *= i
+    return Fraction(v[J], factorial(n) * perm(n, K))

@@ -66,9 +66,13 @@ COMMANDS = {
     "finite_lp_json": (
         ["finite-lp", "--J", "2", "--K", "2", "--n", "10,20", "--format", "json"], 60
     ),
-    # J*K*n at the exact cap, the slowest accepted exact input
+    # J*K*n at the exact cap; (1,1) n = 10000 is the slowest accepted exact input
     "finite_lp_exact_cap": (
         ["finite-lp", "--J", "2", "--K", "1", "--n", "5000", "--mode", "exact",
+         "--format", "json"], 60
+    ),
+    "finite_lp_exact_cap_1_1": (
+        ["finite-lp", "--J", "1", "--K", "1", "--n", "10000", "--mode", "exact",
          "--format", "json"], 60
     ),
     "simulate_csv": (
@@ -218,6 +222,10 @@ STDOUT_SHA256.update({
 # is one rounding of a rational, so no platform may print other bytes
 STDOUT_SHA256["finite_lp_exact_cap"] = (
     "d9b4cb83964b544d3b0a84b855cdb8ff08ea246e1a42aa17cab3923eaf6d4e4c"
+)
+# ... and as the integer recursion over n! printed it (commit affd68a)
+STDOUT_SHA256["finite_lp_exact_cap_1_1"] = (
+    "1eeef4dfcadf0046b9eab0fa955dbaeeadbb300c99e76538c6aba8dea2fe40b5"
 )
 
 

@@ -76,15 +76,18 @@ def test_block_weights_match_one_position(one):
 
 
 class ExactInt(int):
-    """An int whose sums, differences and products stay ExactInt and whose
-    divisions, floor or true, are exact or fail."""
+    """An int whose sums, differences and products stay ExactInt, with an
+    array element by element, and whose divisions, floor or true, are exact
+    or fail."""
 
     divisions = 0  # divisions checked so far
 
     def _wrap(op):
         def method(self, other):
+            if isinstance(other, np.ndarray):  # numpy would take self as a plain int
+                return np.frompyfunc(lambda x: method(self, x), 1, 1)(other)
             if not isinstance(other, int):
-                return NotImplemented  # numpy applies it element by element
+                return NotImplemented
             return ExactInt(op(int(self), int(other)))
 
         return method
@@ -130,17 +133,26 @@ def exact_reference(n: int, J: int, K: int) -> Fraction:
 @example(n=80, J=6, K=9, block=dp._BLOCK)
 def test_p_star_matches_the_one_position_recursion(n, J, K, block):
     """Float P*_n has the oracle recursion's bits and exact P*_n its
-    Fraction, whatever the block size.  Exact mode runs on integers over
-    n!, where every division of the weights and of the recursion leaves
-    no remainder."""
+    Fraction, whatever the block size.  Exact mode runs on integers: with
+    `perm` and `factorial` returning ExactInt, the weights and every value
+    of the recursion built from them are ExactInt, the weights' divisions
+    leave no remainder, and the recursion itself divides nowhere."""
     want = exact_reference(n, J, K)
+
+    def fraction(numerator, denominator):
+        assert isinstance(numerator, ExactInt) and isinstance(denominator, ExactInt)
+        return Fraction(int(numerator), int(denominator))
+
     with mock.patch.object(dp, "_BLOCK", block):
         assert p_star(n, J, K).hex() == dp_thresholds(n, J, K)[0].hex()
         assert p_star(n, J, K, "exact") == want
-        checked = ExactInt.divisions
-        with mock.patch.object(dp, "factorial", lambda m: ExactInt(factorial(m))):
+        start = ExactInt.divisions
+        list(dp._rows(n, min(K, n), ExactInt(perm(n, min(K, n)))))  # the weights alone
+        in_weights, start = ExactInt.divisions - start, ExactInt.divisions
+        with mock.patch.multiple(dp, perm=lambda a, b: ExactInt(perm(a, b)),
+                                 factorial=lambda m: ExactInt(factorial(m)), Fraction=fraction):
             assert p_star(n, J, K, "exact") == want
-        assert ExactInt.divisions > checked  # the scale ran through the recursion
+        assert ExactInt.divisions - start == in_weights  # none outside `weights`
 
 
 def test_exact_matches_classical_formula():

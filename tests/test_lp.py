@@ -181,13 +181,15 @@ def test_exact_size_cap():
 
 
 def test_dp_equals_exact_simplex():
-    """Bit-exact on every n <= 6, J, K <= 3, covering n < K and J > n."""
-    for n in range(1, 7):
-        for J in range(1, 4):
-            for K in range(1, 4):
-                sol = solve_lp(build_lp(n, J, K))
-                assert sol.status == "optimal"
-                assert p_star(n, J, K, "exact") == sol.objective, (n, J, K)
+    """Bit-exact on every n <= 6 with J, K <= 3 and on every J*K*n <= 24,
+    covering n < K and J > n."""
+    cases = {(n, J, K) for n in range(1, 7) for J in range(1, 4) for K in range(1, 4)}
+    cases |= {(n, J, K) for J in range(1, 25) for K in range(1, 24 // J + 1)
+              for n in range(1, 24 // (J * K) + 1)}
+    for n, J, K in sorted(cases):
+        sol = solve_lp(build_lp(n, J, K))
+        assert sol.status == "optimal"
+        assert p_star(n, J, K, "exact") == sol.objective, (n, J, K)
 
 
 def test_float_agrees_with_exact():
