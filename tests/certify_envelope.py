@@ -15,7 +15,7 @@ fails; on any other (Python, numpy) leg it is printed as unpinned, since
 float bits there may differ and have not been recorded.
 
 Tier-1 covers only the edges (tests/test_dual.py::ENVELOPE_PAIRS); this
-sweep takes about 47 s on 2 vCPUs, so CI runs it as its own step:
+sweep takes about 35-40 s on 2 vCPUs, so CI runs it as its own step:
 
     python tests/certify_envelope.py
 """

@@ -820,7 +820,7 @@ def run_threshold_algorithm_reference(
         if k > K:
             continue
         x = float(inst.times[pos])
-        if not _pick_quota(tau_rows, left, np.array([k]), np.array([x]))[0]:
+        if not _pick_quota(tau_rows, left, k, x):
             continue
         if rank <= K:
             payoff += 1

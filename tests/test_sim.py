@@ -305,12 +305,18 @@ def test_replay_stops_once_every_quota_is_used(monkeypatch):
     calls = []
     pick = sim._pick_quota
     monkeypatch.setattr(sim, "_pick_quota", lambda *a: calls.append(a) or pick(*a))
+    drawn = []
+    arrivals = sim._potential_arrivals
+    monkeypatch.setattr(
+        sim, "_potential_arrivals", lambda *a: (drawn.append(i) or i for i in arrivals(*a))
+    )
     tau = ThresholdMatrix(1, 1, ((1e-12,),))
     # every arrival is a 1-potential, but the one quota goes to the first
     inst = _instance([0.2, 0.4, 0.6, 0.8], [4, 3, 2, 1])
     got = run_threshold_algorithm(tau, inst, detailed=True)
     assert got.selections == (Selection(position=1, time=0.2, potential=1, quota=1),)
     assert len(calls) == 1
+    assert drawn == [(0, 1)]  # the later arrivals are never drawn
 
 
 @settings(max_examples=200, deadline=None)
@@ -463,6 +469,9 @@ def test_pick_quota_rows_match_reference():
         x = rng.random(rows)
         x[:20] = tau[rng.integers(0, J, 20), k[:20] - 1]  # ties: x == tau
         got = _pick_quota(tau_rows, left, k, x)
+        # the replay asks one arrival's scalars: the same verdict, ties included
+        scalars = zip(left.tolist(), k.tolist(), x.tolist())  # int, int, float
+        assert [_pick_quota(tau_rows, *a) for a in scalars] == got.tolist()
         unused = np.arange(J) < left[:, None]
         want = [_pick_quota_reference(tau, u, kk, xx) for u, kk, xx in zip(unused, k, x)]
         assert np.where(got, left, 0).tolist() == want
