@@ -152,7 +152,12 @@ def _policy_rows(tau: ThresholdMatrix) -> np.ndarray:
     return rows
 
 
-def _pick_quota(tau_rows: np.ndarray, left, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _pick_quota(
+    tau_rows: np.ndarray,
+    left: int | np.ndarray,
+    k: int | np.ndarray,
+    x: float | np.ndarray,
+) -> np.bool_ | np.ndarray:
     """Whether the k-potential (k 1-based) at time x takes a quota while
     `left` are unused: x >= tau_{left,k} in _policy_rows, so never at
     left = 0.  The one policy rule: the explicit replay asks it of one

@@ -14,10 +14,16 @@ each followed by a newline, into one SHA-256 and prints it.  On CPython
 fails; on any other (Python, numpy) leg it is printed as unpinned, since
 float bits there may differ and have not been recorded.
 
-Tier-1 covers only the edges (tests/test_dual.py::ENVELOPE_PAIRS); this
-sweep takes about 35-40 s on 2 vCPUs, so CI runs it as its own step:
+Tier-1 covers only the edges (tests/test_dual.py::ENVELOPE_PAIRS).  The
+sweep takes about 35-40 s on 2 vCPUs (35.3 s on CPython 3.11.7 with numpy
+2.4), so CI runs it as its own step:
 
     python tests/certify_envelope.py
+
+Where that time goes, timed apart over the 560 pairs in one more run:
+construct_dual 9.7 s, verify_certificate 3.9 s, certificate_json 5.1 s,
+and 14.7 s, about 40%, for the oracle's side of the byte comparison (its
+record 2.8 s, json.dumps of the record 11.9 s).
 """
 
 import hashlib

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, output formats and determinism."""
 
+import argparse
+import contextlib
 import functools
+import io
+import itertools
 import json
 import math
 import os
@@ -8,8 +12,11 @@ import re
 import shlex
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from secretary_lab import cli, dp, dual, sim, theta, value
 from secretary_lab.cli import (
@@ -729,3 +736,232 @@ def test_csv_formats(capsys):
                     "--trials", "100", "--format", "csv")
     assert code == EXIT_OK
     assert out.splitlines()[0].startswith("J,K,n,trials,seed,mean")
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
+
+
+def subcommand_options(command: str) -> list[argparse.Action]:
+    """The options `command`'s parser declares, -h aside."""
+    return [
+        action for action in subcommand_parsers()[command]._actions
+        if action.option_strings and action.dest != "help"
+    ]
+
+
+def help_bound(text: str) -> int:
+    """The integer a help range end states: `1000000`, `2**53` or `2**64-1`."""
+    base, power, minus = re.fullmatch(r"(\d+)(?:\*\*(\d+))?(?:-(\d+))?", text).groups()
+    return int(base) ** int(power or 1) - int(minus or 0)
+
+
+# (subcommand, option) -> the caps its help states as `lo..hi`
+HELP_RANGES = {
+    ("dual-check", "--grid"): (1, dual.MAX_GRID_POINTS),
+    ("simulate", "--n"): (1, sim.MAX_N),
+    ("simulate", "--trials"): (1, sim.MAX_TRIALS),
+    ("simulate", "--seed"): (0, sim.MAX_SEED),
+}
+
+
+def test_help_states_the_caps_the_parser_enforces(monkeypatch, capsys):
+    """Each `lo..hi` range that --help prints equals the module's caps, and
+    the option's type takes both ends and refuses one past either."""
+    monkeypatch.setenv("COLUMNS", "200")  # no range wraps
+    stated = {}
+    for command, parser in subcommand_parsers().items():
+        text = parser.format_help()
+        for action in subcommand_options(command):
+            flag = action.option_strings[0]
+            entry = re.search(rf"^  {flag} [A-Z]+\s+(.*?)(?=^  -|\Z)", text, re.M | re.S)
+            found = entry and re.search(r"(?<!\S)(\S+)\.\.(\S+)", " ".join(entry[1].split()))
+            if found:
+                stated[command, flag] = (help_bound(found[1]), help_bound(found[2]))
+    assert stated == HELP_RANGES
+    for (command, flag), (lo, hi) in HELP_RANGES.items():
+        argv = [command, "--J", "1", flag]
+        for bound in (lo, hi):
+            assert getattr(cli.build_parser().parse_args([*argv, str(bound)]),
+                           flag.lstrip("-")) == bound
+        for outside in (lo - 1, hi + 1):
+            assert main([*argv, str(outside)]) == EXIT_USAGE, (flag, outside)
+            assert capsys.readouterr().out == ""
+
+
+# The fuzz's boundary pool: 0, 1, -1, each cap and one past it, 2^53 and
+# 2^64, non-finite, signed-zero and overflowing floats, empty and malformed
+# lists, a 5000-digit integer and two non-ASCII tokens (Unicode digits
+# parse as integers).
+FUZZ_CAPS = [value.MAX_J, value.MAX_K, dual.MAX_GRID_POINTS, dp.FLOAT_SIZE_CAP,
+             dp.EXACT_SIZE_CAP, sim.MAX_N, sim.MAX_TRIALS, sim.MAX_SEED]
+FUZZ_POOL = [
+    *map(str, sorted({0, 1, -1, 2**53, 2**64, *FUZZ_CAPS, *(c + 1 for c in FUZZ_CAPS)})),
+    "nan", "inf", "-0.0", "1e309", "", ",", "1,,2", "7" * 5000, "θ", "１６",
+]
+# Work bounds, fixed before any example runs: simulate always gets a
+# --trials of at most FUZZ_MAX_TRIALS (its default is 100 000), so no pool
+# starts (one needs 2 * MIN_POOL_BLOCKS blocks); --workers is at most 2;
+# finite-lp's J*K*n summed over the item counts the DP runs, and
+# dual-check's (J + K) * grid, stay within a budget.  Sizes past a cap are
+# drawn freely where the cap refuses them before any work.
+FUZZ_MAX_TRIALS = 4096
+FUZZ_MAX_WORKERS = 2
+FUZZ_FINITE_LP_WORK = 250_000
+FUZZ_DUAL_CHECK_WORK = 2_000_000
+FUZZ_THREADS = [None, "", "0", "1", "2", "-1", "two", "7" * 5000, "１６"]
+
+
+def _accepts(action, raw: str) -> bool:
+    try:
+        action.type(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    return True
+
+
+def _within_bounds(flag: str, raw: str) -> bool:
+    try:
+        number = int(raw)
+    except ValueError:
+        return True
+    if flag == "--trials":
+        return not FUZZ_MAX_TRIALS < number <= sim.MAX_TRIALS
+    return flag != "--workers" or number <= FUZZ_MAX_WORKERS
+
+
+@st.composite
+def command_lines(draw, out_dir):
+    """A subcommand, its required options, --trials, and a subset of its
+    other options, each with a value from the boundary pool one time in
+    four, else from a few values its type takes."""
+    command = draw(st.sampled_from(list(subcommand_parsers())))
+    argv = [command]
+    for action in subcommand_options(command):
+        flag = action.option_strings[0]
+        if not (action.required or flag == "--trials" or draw(st.booleans())):
+            continue
+        argv.append(flag)
+        if action.nargs == 0:  # --exact
+            continue
+        if action.choices:
+            plain = list(action.choices)
+        elif flag == "--output":
+            plain = [str(out_dir / "out"), str(out_dir)]  # a file and a directory
+        else:  # those the option's type takes
+            plain = [v for v in ("1", "2", "0.01", str(action.default)) if _accepts(action, v)]
+        values = FUZZ_POOL if draw(st.integers(0, 3)) == 0 else plain
+        argv.append(draw(st.sampled_from([v for v in values if _within_bounds(flag, v)])))
+    return argv
+
+
+def parsed(argv: list[str]) -> argparse.Namespace | None:
+    """argv as the parser reads it, None where it refuses it."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+def within_budget(args: argparse.Namespace | None) -> bool:
+    """Whether a parsed command line's work, where the fuzz bounds it,
+    stays within the budget."""
+    if args is None:  # refused by the parser: no work
+        return True
+    if args.command == "finite-lp":
+        cap = dp.EXACT_SIZE_CAP if args.mode == "exact" else dp.FLOAT_SIZE_CAP
+        sizes = (args.J * args.K * n for n in args.n)
+        return sum(itertools.takewhile(lambda size: size <= cap, sizes)) <= FUZZ_FINITE_LP_WORK
+    if args.command == "dual-check" and args.J <= value.MAX_J and args.K <= value.MAX_K:
+        return (args.J + args.K) * args.grid <= FUZZ_DUAL_CHECK_WORK
+    return True  # past a J or K cap, refused before any work
+
+
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+STDERR_PREFIXES = ("usage error: ", "error: ", "i/o error: ", "warning: ")
+CAP_ERROR = re.compile(r"error: .*(exceeds the (\w+ )?cap \d+|; use exact mode)")
+
+
+def run_checked(monkeypatch, capsys, argv: list[str], threads: str | None):
+    """Run argv through main in process with SECRETARY_LAB_THREADS at
+    `threads` (None: unset), and check how it ends.  It returns a
+    documented exit code, and no exception escapes.  Exits 2, 3 and 5
+    print nothing to stdout, nor does any run with --output, and stderr is
+    argparse's usage (exit 2) or lines with the CLI's prefixes.  Exit 3
+    only refuses a size past a cap, exit 4 is a failed dual-check verdict,
+    and JSON output is strict JSON."""
+    if threads is None:
+        monkeypatch.delenv("SECRETARY_LAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SECRETARY_LAB_THREADS", threads)
+    args = parsed(argv)
+    output = None if args is None else args.output
+    code = main(argv)
+    captured = capsys.readouterr()
+
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_CERTIFICATE, EXIT_IO)
+    if code in (EXIT_USAGE, EXIT_NUMERIC, EXIT_IO) or output is not None:
+        assert captured.out == ""
+    if captured.err.startswith("usage: "):
+        assert code == EXIT_USAGE
+        assert re.match(r"secretary-lab [\w-]+: error: ", captured.err.splitlines()[-1])
+    else:
+        assert all(line.startswith(STDERR_PREFIXES) for line in captured.err.splitlines())
+    if code == EXIT_NUMERIC:
+        assert CAP_ERROR.fullmatch(captured.err.rstrip("\n")), captured.err
+    if code not in (EXIT_OK, EXIT_CERTIFICATE):
+        return
+    text = captured.out if output is None else Path(output).read_text()
+    record = json.loads(text, parse_constant=refuse_constant) if args.format == "json" else None
+    if code == EXIT_CERTIFICATE:
+        assert argv[0] == "dual-check"
+        assert "FAIL" in text if record is None else record["verification"]["ok"] is False
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_command_lines_end_in_a_documented_exit(tmp_path, monkeypatch, capsys, data):
+    """Drawn command lines, many options off their range at once, end as
+    run_checked says."""
+    monkeypatch.chdir(tmp_path)  # relative --output paths land here
+    out_dir = tmp_path / "dir"
+    out_dir.mkdir(exist_ok=True)
+    argv = data.draw(command_lines(out_dir), label="argv")
+    threads = data.draw(st.sampled_from(FUZZ_THREADS), label="SECRETARY_LAB_THREADS")
+    assume(within_budget(parsed(argv)))
+    run_checked(monkeypatch, capsys, argv, threads)
+
+
+def test_each_boundary_value_ends_in_a_documented_exit(tmp_path, monkeypatch, capsys):
+    """Each pool value in each option of each subcommand, with only the
+    required options besides (and --trials 1), ends as run_checked says;
+    so does each SECRETARY_LAB_THREADS value.  The fuzz draws any one of
+    these about once in 1400 examples."""
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "dir"
+    out_dir.mkdir()
+    for command in subcommand_parsers():
+        options = subcommand_options(command)
+        base = {a.option_strings[0]: "1" for a in options
+                if a.required or a.option_strings[0] == "--trials"}
+        for action in options:
+            if action.nargs == 0:
+                continue
+            flag = action.option_strings[0]
+            extra = [str(out_dir / "out"), str(out_dir)] if flag == "--output" else []
+            for raw in [*FUZZ_POOL, *extra]:
+                argv = [command, *itertools.chain(*{**base, flag: raw}.items())]
+                if _within_bounds(flag, raw) and within_budget(parsed(argv)):
+                    run_checked(monkeypatch, capsys, argv, None)
+    for threads in FUZZ_THREADS:
+        run_checked(monkeypatch, capsys, ["simulate", "--J", "2", "--K", "2", "--trials", "1"],
+                    threads)

@@ -3,9 +3,11 @@
 Each command runs as `python -m secretary_lab.cli` from a temporary
 directory, on the package this test process imported.  So the module
 checks a source checkout (`PYTHONPATH=src`) and, copied out of the
-checkout and run there, an installed package alike; CI does both.  New
-CLI edge checks that need a separate process belong here, not in
-workflow shell.  The module imports nothing from `tests/`.
+checkout and run there, an installed package alike.  CI does both: the
+Tier-1 run, and the installed package's process checks, where this
+module runs beside one `secretary-lab report` and nothing else.  New CLI
+edge checks that need a separate process belong here, not in workflow
+shell.  The module imports nothing from `tests/`.
 """
 
 import ast
@@ -30,9 +32,11 @@ MODULES = sorted(
     path.stem for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"
 )
 
+# 40 blocks, the last one partial: GROUP_BLOCKS = 16 groups them 16+16+8 in
+# process and 16+4 in each of two pool workers
 SIM_ARGS = [
     "simulate", "--J", "4", "--K", "4", "--n", "9007199254740992",
-    "--seed", "18446744073709551615", "--trials", "16384",
+    "--seed", "18446744073709551615", "--trials", "40000",
 ]
 
 EXACT_16 = ["thresholds", "--J", "16", "--K", "1", "--exact", "--format", "json"]
@@ -391,7 +395,8 @@ def test_output_file_gets_the_bytes_stdout_gets(ran, cli_dir):
 
 def test_simulation_output_is_identical_in_process_and_in_a_pool(ran):
     """The Binomial start at n = 2^53 and the largest seed, in-process and
-    through a 2-process pool (16 blocks)."""
+    through a 2-process pool (40 blocks: both sides cross a group
+    boundary, at different blocks)."""
     one, two = ran["sim_1"], ran["sim_2"]
     assert (one.returncode, two.returncode) == (0, 0)
     assert one.stdout and one.stdout == two.stdout
