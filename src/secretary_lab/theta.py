@@ -30,8 +30,10 @@ later denominators tight (theta_16's is 2^32767 3^7168 5^2048 7^512 11^32
 
 The float K = 1 certificate comes from dual.construct_dual, which builds
 every K alike and agrees with exp(-theta_j) within 1e-12.  Floats appear
-only in the reporting helpers.  This module imports nothing from the
-package.
+only in the reporting helpers, which round once from exp_neg's values.
+Those and the K = 1 payoff's sum are taken in WORKING_CONTEXT, the one
+decimal context, built from DEFAULT_PRECISION_BITS: no function takes a
+precision.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ from math import ceil, floor, log10, prod
 # arithmetic carries the primes up to 13 only; larger J is refused.
 MAX_J = 16
 
-# Reporting rounds once, at the end. The working precision is given in
-# significant bits (64, comfortably above a double) and mapped to decimal
-# digits with guard digits for the exp() evaluation.
+# Reporting rounds once, at the end, from one working precision: 64
+# significant bits (comfortably above a double), mapped to decimal digits
+# with guard digits for the exp() evaluation.
 DEFAULT_PRECISION_BITS = 64
+WORKING_CONTEXT = decimal.Context(prec=ceil(DEFAULT_PRECISION_BITS * log10(2)) + 5)
 
 
 def _digits(n: int) -> str:
@@ -69,16 +72,10 @@ def format_rational(q: Fraction) -> str:
     return p if q.denominator == 1 else f"{p}/{_digits(q.denominator)}"
 
 
-def working_context(bits: int) -> decimal.Context:
-    """Decimal context holding bits of significand plus guard digits."""
-    digits = ceil(bits * log10(2)) + 5
-    return decimal.Context(prec=digits)
-
-
-def exp_neg(theta: Fraction | int, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:
+def exp_neg(theta: Fraction | int) -> Decimal:
     """exp(-theta) for rational theta, correct to the working precision;
     -theta is rounded once from its integer quotient plus a sticky digit."""
-    ctx, p, q = working_context(bits), theta.numerator, theta.denominator
+    ctx, p, q = WORKING_CONTEXT, theta.numerator, theta.denominator
     # p / q > 2^(bit lengths' difference - 1): the quotient has prec + 1 digits or more
     shift = max(0, ctx.prec + 1 - floor((p.bit_length() - q.bit_length() - 1) * log10(2)))
     quotient, rest = divmod(abs(p) * 10**shift, q)
@@ -231,5 +228,5 @@ def payoff_k1(ts: ThetaSequence) -> float:
 
 def payoff_k1_decimal(exps: tuple[Decimal, ...]) -> Decimal:
     """sum of the t_j in exps (a ThetaSequence's or a prefix), at the working precision."""
-    with localcontext(working_context(DEFAULT_PRECISION_BITS)):
+    with localcontext(WORKING_CONTEXT):
         return sum(exps, Decimal(0))

@@ -9,28 +9,37 @@ the first pair whose texts differ and the first pair whose cell ends do
 not hold, and exits 1 naming each failing pair.
 
 It also folds every pair's `certificate_json` text, in (J, K) order and
-each followed by a newline, into one SHA-256 and prints it.  On CPython
-3.11 with numpy 2.4 the digest must equal ENVELOPE_SHA256, or the sweep
-fails; on any other (Python, numpy) leg it is printed as unpinned, since
-float bits there may differ and have not been recorded.
+each followed by a newline, into one SHA-256 and prints it.  Float bits
+depend on the whole float leg: the Python, numpy, whether numpy
+dispatches its X86_V4 (AVX-512) kernels, and the core OpenBLAS picked for
+its kernels.  On a leg in ENVELOPE_SHA256 the digest must equal the one
+pinned there, or the sweep fails; on any other leg it is printed as
+unpinned, since its float bits have not been recorded.  The four pinned
+legs are CPython 3.11.7 with numpy 2.4.6 on one AVX-512 CPU, as it runs
+and under NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR,
+OPENBLAS_CORETYPE=Haswell or both; the last is the leg of an AVX2-only
+CPU.  All 560 pairs pass on each, with the worst equality residual
+between 1.79e-12 and 2.76e-12.
 
 Tier-1 covers only the edges (tests/test_dual.py::ENVELOPE_PAIRS).  The
-sweep takes about 35-40 s on 2 vCPUs (35.3 s on CPython 3.11.7 with numpy
-2.4), so CI runs it as its own step:
+sweep takes about 45-60 s on 2 vCPUs (46.4-62.2 s over eight runs on five
+legs, CPython 3.11.7 with numpy 2.4), so CI runs it as its own step:
 
     python tests/certify_envelope.py
 
-Where that time goes, timed apart over the 560 pairs in one more run:
-construct_dual 9.7 s, verify_certificate 3.9 s, certificate_json 5.1 s,
-and 14.7 s, about 40%, for the oracle's side of the byte comparison (its
-record 2.8 s, json.dumps of the record 11.9 s).
+About 40% of that time, 19.6-27.2 s, is json.dumps of the oracle's
+record, the oracle's side of the byte comparison; certificate_json takes
+6.5-8.5 s.  Timed apart in an earlier run of 35.3 s: construct_dual
+9.7 s, verify_certificate 3.9 s and the oracle's record 2.8 s.
 """
 
+import ctypes
 import hashlib
 import json
 import platform
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from secretary_lab.dual import certificate_json, construct_dual, verify_certificate
@@ -38,15 +47,40 @@ from secretary_lab.value import MAX_J, MAX_K
 
 from oracles import certificate_to_dict
 
-# SHA-256 of the 560 certificate_json texts, taken on CPython 3.11.7 with numpy 2.4.6
-ENVELOPE_SHA256 = "0ffe38e6093d18fdab54eab0cbcac7d76c5d6c73148bfd1a380fd8b4a0e3aadd"
-PINNED_LEG = ("CPython", "3.11", "2.4")
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+# SHA-256 of the 560 certificate_json texts on each recorded float leg
+_LEG = ("CPython", "3.11", "2.4")
+ENVELOPE_SHA256 = {
+    (*_LEG, True, "SkylakeX"): "0ffe38e6093d18fdab54eab0cbcac7d76c5d6c73148bfd1a380fd8b4a0e3aadd",
+    (*_LEG, False, "SkylakeX"): "fd3880cb87293e3cc9d1ad0594d1f0af1f080deadf3f9c8aa184d8591f6fd3c4",
+    (*_LEG, True, "Haswell"): "0dbb3724fc5c7601924bc393162bf9baff74ad5be23a2aa24865909c7bff60ab",
+    (*_LEG, False, "Haswell"): "8edbaeaabc477c33fef8b85535f0cb5d81cfabcb96b1aedf6c40b5396a152224",
+}
 
 
-def leg() -> tuple[str, str, str]:
-    """(implementation, Python major.minor, numpy major.minor) of this run."""
+def blas_core() -> str:
+    """The core OpenBLAS picked for its kernels, read from the library in
+    numpy's wheel (numpy 2.x's symbol, then 1.x's), or "unknown"."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # numpy loaded it: this is its handle
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            if hasattr(lib, name):
+                corename = getattr(lib, name)
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def leg() -> tuple[str, str, str, bool, str]:
+    """(implementation, Python major.minor, numpy major.minor, X86_V4
+    dispatched, OpenBLAS core) of this run."""
     numpy_minor = ".".join(np.__version__.split(".")[:2])
-    return platform.python_implementation(), "%d.%d" % sys.version_info[:2], numpy_minor
+    return (platform.python_implementation(), "%d.%d" % sys.version_info[:2], numpy_minor,
+            bool(__cpu_features__.get("X86_V4")), blas_core())
 
 
 def main() -> int:
@@ -81,11 +115,11 @@ def main() -> int:
     print(f"least inequality slack: {least_slack[0]:.2e} at {least_slack[1]}")
     print(f"certificate_json: {dump_s:.1f} s; json.dumps of the oracle's record: {oracle_s:.1f} s")
     print(f"certificate_json digest: {digest.hexdigest()}")
-    if leg() != PINNED_LEG:
-        print("digest unpinned on %s %s with numpy %s: pinned only on %s %s with numpy %s"
-              % (leg() + PINNED_LEG))
-    elif digest.hexdigest() != ENVELOPE_SHA256:
-        failed.append(f"certificate_json digest differs from {ENVELOPE_SHA256}")
+    pinned = ENVELOPE_SHA256.get(leg())
+    if pinned is None:
+        print("digest unpinned on %s %s, numpy %s, X86_V4 %s, OpenBLAS core %s" % leg())
+    elif digest.hexdigest() != pinned:
+        failed.append(f"certificate_json digest differs from {pinned}")
     if mismatches:
         failed.append(f"{mismatches[0]}: certificate_json differs from json.dumps of the record"
                       f" ({len(mismatches)} pairs in all)")

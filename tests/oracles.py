@@ -7,7 +7,9 @@
   alpha_1 + ... + alpha_k summed in floats.
 * `exp_neg_decimal`: exp(-theta) with theta's terms converted to
   `Decimal` and divided in the working context, the reference for the
-  integer quotient of `secretary_lab.theta.exp_neg`.
+  integer quotient of `secretary_lab.theta.exp_neg`.  It and the K = 1
+  certificate checks take a precision `bits`, built into a context by
+  `working_context`; the runtime has one precision only.
 * `chebyshev_function`: a function given point by point, interpolated as
   a `PiecewiseFunction` on given breakpoints (y f(y) at NODES Chebyshev
   points of each segment in t = ln y); `restrict` clips one to an
@@ -81,7 +83,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
@@ -117,13 +119,7 @@ from secretary_lab.sim import (
     _pick_quota,
     _policy_rows,
 )
-from secretary_lab.theta import (
-    DEFAULT_PRECISION_BITS,
-    MAX_J,
-    ThetaSequence,
-    exp_neg,
-    working_context,
-)
+from secretary_lab.theta import DEFAULT_PRECISION_BITS, MAX_J, ThetaSequence
 from secretary_lab.value import ThresholdMatrix, alphas, solve
 
 
@@ -171,6 +167,12 @@ def quadrature(
     mid = 0.5 * (a + b)
     fa, fm, fb = fn(a), fn(mid), fn(b)
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, max_depth)
+
+
+def working_context(bits: int) -> Context:
+    """Decimal context holding bits of significand plus guard digits, as
+    `secretary_lab.theta.WORKING_CONTEXT` holds DEFAULT_PRECISION_BITS."""
+    return Context(prec=math.ceil(bits * math.log10(2)) + 5)
 
 
 def exp_neg_decimal(theta: Fraction, bits: int = DEFAULT_PRECISION_BITS) -> Decimal:
@@ -749,8 +751,8 @@ def integral_q_from(
             else:
                 # int p(ln x) dx = x * B(ln x)
                 b = plain_antiderivative(poly)
-                upper = rational_to_decimal(ln_poly_at(b, -lo), bits) * exp_neg(lo, bits)
-                lower = rational_to_decimal(ln_poly_at(b, -hi), bits) * exp_neg(hi, bits)
+                upper = rational_to_decimal(ln_poly_at(b, -lo), bits) * exp_neg_decimal(lo, bits)
+                lower = rational_to_decimal(ln_poly_at(b, -hi), bits) * exp_neg_decimal(hi, bits)
                 total += upper - lower
         return total
 
@@ -778,7 +780,7 @@ def constraint_lhs_k1(
         tail = integral_q_from(ts, rows, j, theta, bits) - integral_q_from(
             ts, rows, j - 1, theta, bits
         )
-        return q_here + tail / exp_neg(theta, bits)
+        return q_here + tail / exp_neg_decimal(theta, bits)
 
 
 class _OrderTree:

@@ -650,12 +650,7 @@ def test_finite_lp_refuses_an_empty_n_list(capsys, value):
 def test_report_computes_each_threshold_once(monkeypatch, capsys):
     calls = []
     real = theta.exp_neg
-
-    def counted(t, *args):
-        calls.append(t)
-        return real(t, *args)
-
-    monkeypatch.setattr(theta, "exp_neg", counted)
+    monkeypatch.setattr(theta, "exp_neg", lambda t: calls.append(t) or real(t))
     assert run(capsys, "report")[0] == EXIT_OK
     assert len(calls) == cli.TABLE_MAX_J
 

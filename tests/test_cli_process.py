@@ -26,6 +26,11 @@ import pytest
 import secretary_lab
 import secretary_lab.theta
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
 PACKAGE_DIR = Path(secretary_lab.__file__).resolve().parent
 PACKAGE_ROOT = str(PACKAGE_DIR.parent)
 MODULES = sorted(
@@ -231,6 +236,32 @@ STDOUT_SHA256["finite_lp_exact_cap"] = (
 STDOUT_SHA256["finite_lp_exact_cap_1_1"] = (
     "1eeef4dfcadf0046b9eab0fa955dbaeeadbb300c99e76538c6aba8dea2fe40b5"
 )
+
+# Three of them again on two other float legs (see tests/certify_envelope.py):
+# numpy without its AVX-512 kernels, and OpenBLAS on its Haswell kernels,
+# which need AVX2.  Each prints the same bytes there.
+FLOAT_LEGS = {
+    "npy_avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+    "blas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+LEG_RUNS = {
+    f"{name}_{leg}": (name, leg)
+    for name in ("thresholds_3_2_csv", "simulate_json", "report") for leg in FLOAT_LEGS
+}
+HASWELL_RUNS = __cpu_features__.get("AVX2", False)
+COMMANDS.update(
+    {run: (*COMMANDS[name][:2], FLOAT_LEGS[leg]) for run, (name, leg) in LEG_RUNS.items()
+     if HASWELL_RUNS or leg != "blas_haswell"}
+)
+
+
+@pytest.mark.parametrize("run", sorted(LEG_RUNS))
+def test_float_legs_print_the_pinned_bytes(ran, run):
+    if run not in ran:
+        pytest.skip("numpy reports no AVX2, which OpenBLAS's Haswell kernels need")
+    proc = ran[run]
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[LEG_RUNS[run][0]]
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))

@@ -6,7 +6,7 @@ rationals' digits."""
 import math
 import random
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from secretary_lab import theta
 from secretary_lab.theta import (
     MAX_J,
+    WORKING_CONTEXT,
     _digits,
     exp_neg,
     format_rational,
@@ -245,8 +246,11 @@ def test_digits_match_decimal_under_the_lowest_str_limit():
 
 
 def test_exp_neg_high_precision_digits():
-    got = exp_neg(1, bits=160)
-    assert str(got).startswith(EXP_NEG_1_DIGITS[:40])
+    """exp(-1) at the working precision, 25 digits (64 bits' 20 and 5
+    guard digits), is the reference's digits rounded once."""
+    got = exp_neg(1)
+    assert WORKING_CONTEXT.prec == 25
+    assert got.as_tuple() == Context(prec=25).create_decimal(EXP_NEG_1_DIGITS).as_tuple()
 
 
 def test_exp_neg_matches_double_exp():

@@ -10,8 +10,8 @@ import pytest
 from secretary_lab import cli
 from secretary_lab import theta as theta_mod
 from secretary_lab.theta import (
-    DEFAULT_PRECISION_BITS,
     MAX_J,
+    WORKING_CONTEXT,
     ThetaSequence,
     exp_neg,
     format_rational,
@@ -20,7 +20,6 @@ from secretary_lab.theta import (
     payoff_k1_decimal,
     recursion,
     thresholds,
-    working_context,
 )
 
 from oracles import (
@@ -220,7 +219,7 @@ def test_recursion_identity(cert6):
     for j in range(1, 7):
         lhs = integral_q_from(ts, rows, j, theta_at(ts, j), bits=128)
         prev = integral_q_from(ts, rows, j - 1, theta_at(ts, j - 1), bits=128)
-        t_j = exp_neg(theta_at(ts, j), bits=128)
+        t_j = exp_neg_decimal(theta_at(ts, j), bits=128)
         # the comparison itself runs in the default 28-digit context
         assert abs(lhs - prev - t_j) < Decimal("1e-25")
 
@@ -306,7 +305,7 @@ def test_exp_neg_equals_the_decimal_quotient_form():
     for quotients that are exact ties at the working precision (rounded
     half to even, up and down), just above and below a tie, for theta far
     from 1, and for theta 0 and below."""
-    prec = working_context(DEFAULT_PRECISION_BITS).prec
+    prec = WORKING_CONTEXT.prec
     cases = list(generate_thetas(16).thetas)
     for m in (10 ** (prec - 1) + 2, 10 ** (prec - 1) + 3, 3 * 10 ** (prec - 1) + 7):
         for scale in (prec - 2, prec - 1, prec, prec + 1):  # theta from about 100 to 0.1
@@ -330,8 +329,31 @@ def test_thresholds_call_computes_each_exp_once(monkeypatch):
     ts = generate_thetas(6)
     assert calls == list(ts.thetas)
     assert thresholds(ts) == [float(real(t)) for t in ts.thetas]
-    with localcontext(working_context(DEFAULT_PRECISION_BITS)):
+    with localcontext(WORKING_CONTEXT):
         want = Decimal(0)
         for t in ts.thetas:
             want += real(t)
     assert payoff_k1_decimal(ts.exps).as_tuple() == want.as_tuple()
+
+
+# `thresholds --J 16` as it printed while it rendered every theta (commit e740a5e)
+THRESHOLDS_16_TEXT = (
+    "thresholds: 0.367879, 0.223130, 0.141093, 0.091018, 0.059429, 0.039125, 0.025913, "
+    "0.017243, 0.011516, 0.007714, 0.005180, 0.003486, 0.002350, 0.001587, 0.001073, "
+    "0.000727\npayoff: 0.998463\n"
+)
+
+
+def test_thresholds_text_renders_no_theta(monkeypatch, capsys):
+    """The text of `thresholds --K 1` prints theta only with --exact, so
+    without it no theta is rendered and the bytes stay the same; JSON,
+    CSV and --exact render each theta once."""
+    calls = []
+    real = theta_mod.format_rational
+    monkeypatch.setattr(theta_mod, "format_rational", lambda q: calls.append(q) or real(q))
+    assert cli.main(["thresholds", "--J", "16"]) == 0
+    assert (len(calls), capsys.readouterr().out) == (0, THRESHOLDS_16_TEXT)
+    for extra in (["--exact"], ["--format", "json"], ["--format", "csv"]):
+        calls.clear()
+        assert cli.main(["thresholds", "--J", "16", *extra]) == 0
+        assert calls == list(generate_thetas(16).thetas), extra
