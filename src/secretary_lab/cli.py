@@ -68,8 +68,7 @@ def cmd_thresholds(args) -> tuple:
         ts = theta.generate_thetas(J)
         tvals = theta.thresholds(ts)
         payoff = theta.payoff_k1(ts)
-        shown = args.exact or args.format != "text"  # text prints theta only with --exact
-        thetas = [theta.format_rational(t) if shown else "" for t in ts.thetas]
+        thetas = [theta.format_rational(t) for t in ts.thetas]
         record = {
             "J": J,
             "thetas": thetas,
@@ -119,7 +118,7 @@ def cmd_dual_check(args) -> tuple:
         print("warning: no checked point lies below a threshold; dual feasibility unchecked",
               file=sys.stderr)
     code = EXIT_OK if report.ok else EXIT_CERTIFICATE
-    # the JSON record costs more than the check, so only JSON builds it
+    # the one format test: the JSON record costs more than the check
     record = dual.certificate_json(cert, report) if args.format == "json" else None
     worst = max(
         report.max_equality_residual,

@@ -31,9 +31,9 @@ later denominators tight (theta_16's is 2^32767 3^7168 5^2048 7^512 11^32
 The float K = 1 certificate comes from dual.construct_dual, which builds
 every K alike and agrees with exp(-theta_j) within 1e-12.  Floats appear
 only in the reporting helpers, which round once from exp_neg's values.
-Those and the K = 1 payoff's sum are taken in WORKING_CONTEXT, the one
-decimal context, built from DEFAULT_PRECISION_BITS: no function takes a
-precision.  This module imports nothing from the package.
+Those and the K = 1 payoff's sum are taken in copies of WORKING_CONTEXT,
+the one decimal context, built from DEFAULT_PRECISION_BITS: no function
+takes a precision.  This module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ def format_rational(q: Fraction) -> str:
 
 def exp_neg(theta: Fraction | int) -> Decimal:
     """exp(-theta) for rational theta, correct to the working precision;
-    -theta is rounded once from its integer quotient plus a sticky digit."""
-    ctx, p, q = WORKING_CONTEXT, theta.numerator, theta.denominator
+    -theta is rounded once from its integer quotient plus a sticky digit.
+    It works in a copy, so WORKING_CONTEXT's flags stay clear."""
+    ctx, p, q = WORKING_CONTEXT.copy(), theta.numerator, theta.denominator
     # p / q > 2^(bit lengths' difference - 1): the quotient has prec + 1 digits or more
     shift = max(0, ctx.prec + 1 - floor((p.bit_length() - q.bit_length() - 1) * log10(2)))
     quotient, rest = divmod(abs(p) * 10**shift, q)

@@ -14,22 +14,31 @@ depend on the whole float leg: the Python, numpy, whether numpy
 dispatches its X86_V4 (AVX-512) kernels, and the core OpenBLAS picked for
 its kernels.  On a leg in ENVELOPE_SHA256 the digest must equal the one
 pinned there, or the sweep fails; on any other leg it is printed as
-unpinned, since its float bits have not been recorded.  The four pinned
-legs are CPython 3.11.7 with numpy 2.4.6 on one AVX-512 CPU, as it runs
-and under NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR,
-OPENBLAS_CORETYPE=Haswell or both; the last is the leg of an AVX2-only
-CPU.  All 560 pairs pass on each, with the worst equality residual
-between 1.79e-12 and 2.76e-12.
+unpinned, since its float bits have not been recorded.
+
+All four pinned legs were measured on one host: CPython 3.11.7 with
+numpy 2.4.6 on an Intel CPU with AVX-512, whose OpenBLAS picks its
+SkylakeX core.  The native leg is the host as it runs; the others are
+made by NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR,
+OPENBLAS_CORETYPE=Haswell or both.  Both together emulate an Intel
+AVX2-only CPU, on which OpenBLAS picks Haswell; no such CPU has run it.
+OpenBLAS may name an AMD CPU's core otherwise (Zen), so AMD legs stay
+unpinned and unverified.  All 560 pairs pass on each pinned leg, with the
+worst equality residual between 1.79e-12 and 2.76e-12.
 
 Tier-1 covers only the edges (tests/test_dual.py::ENVELOPE_PAIRS).  The
-sweep takes about 45-60 s on 2 vCPUs (46.4-62.2 s over eight runs on five
-legs, CPython 3.11.7 with numpy 2.4), so CI runs it as its own step:
+sweep takes about 35-60 s on 2 vCPUs (35.2-62.2 s over thirteen runs on
+five legs, CPython 3.11.7 with numpy 2.4), so CI runs it as its own step:
 
     python tests/certify_envelope.py
 
-About 40% of that time, 19.6-27.2 s, is json.dumps of the oracle's
+and, on its CPython 3.11 leg, again under each of the three variable
+settings above, so that every pin is checked wherever the runner can
+make its leg.  An AVX2-only runner can make the combined leg only.
+
+About 40% of that time, 14.7-27.2 s, is json.dumps of the oracle's
 record, the oracle's side of the byte comparison; certificate_json takes
-6.5-8.5 s.  Timed apart in an earlier run of 35.3 s: construct_dual
+5.0-8.5 s.  Timed apart in an earlier run of 35.3 s: construct_dual
 9.7 s, verify_certificate 3.9 s and the oracle's record 2.8 s.
 """
 

@@ -238,30 +238,32 @@ STDOUT_SHA256["finite_lp_exact_cap_1_1"] = (
 )
 
 # Three of them again on two other float legs (see tests/certify_envelope.py):
-# numpy without its AVX-512 kernels, and OpenBLAS on its Haswell kernels,
-# which need AVX2.  Each prints the same bytes there.
+# numpy without its AVX-512 kernels, and OpenBLAS on its Haswell kernels.
+# Each prints the same bytes there.  A leg runs only where numpy reports
+# the feature it needs: X86_V4 kernels to turn off (numpy 1.x names none),
+# or the AVX2 that the Haswell kernels execute.
 FLOAT_LEGS = {
-    "npy_avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
-    "blas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "npy_avx2": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}, "X86_V4"),
+    "blas_haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
 }
 LEG_RUNS = {
     f"{name}_{leg}": (name, leg)
     for name in ("thresholds_3_2_csv", "simulate_json", "report") for leg in FLOAT_LEGS
 }
-HASWELL_RUNS = __cpu_features__.get("AVX2", False)
 COMMANDS.update(
-    {run: (*COMMANDS[name][:2], FLOAT_LEGS[leg]) for run, (name, leg) in LEG_RUNS.items()
-     if HASWELL_RUNS or leg != "blas_haswell"}
+    {run: (*COMMANDS[name][:2], FLOAT_LEGS[leg][0]) for run, (name, leg) in LEG_RUNS.items()
+     if __cpu_features__.get(FLOAT_LEGS[leg][1])}
 )
 
 
 @pytest.mark.parametrize("run", sorted(LEG_RUNS))
 def test_float_legs_print_the_pinned_bytes(ran, run):
+    name, leg = LEG_RUNS[run]
     if run not in ran:
-        pytest.skip("numpy reports no AVX2, which OpenBLAS's Haswell kernels need")
+        pytest.skip(f"numpy reports no {FLOAT_LEGS[leg][1]}, which the {leg} leg needs")
     proc = ran[run]
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[LEG_RUNS[run][0]]
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))

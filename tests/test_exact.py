@@ -253,6 +253,13 @@ def test_exp_neg_high_precision_digits():
     assert got.as_tuple() == Context(prec=25).create_decimal(EXP_NEG_1_DIGITS).as_tuple()
 
 
+def test_exp_neg_leaves_the_working_context_clear():
+    """exp_neg works in a copy of WORKING_CONTEXT: its inexact exp()
+    raises no flag on the module's one context."""
+    exp_neg(Fraction(47, 24))
+    assert not any(WORKING_CONTEXT.flags.values())
+
+
 def test_exp_neg_matches_double_exp():
     for t in (Fraction(1), Fraction(3, 2), Fraction(47, 24)):
         assert math.isclose(float(exp_neg(t)), math.exp(-float(t)), rel_tol=1e-15)

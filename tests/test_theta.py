@@ -334,26 +334,3 @@ def test_thresholds_call_computes_each_exp_once(monkeypatch):
         for t in ts.thetas:
             want += real(t)
     assert payoff_k1_decimal(ts.exps).as_tuple() == want.as_tuple()
-
-
-# `thresholds --J 16` as it printed while it rendered every theta (commit e740a5e)
-THRESHOLDS_16_TEXT = (
-    "thresholds: 0.367879, 0.223130, 0.141093, 0.091018, 0.059429, 0.039125, 0.025913, "
-    "0.017243, 0.011516, 0.007714, 0.005180, 0.003486, 0.002350, 0.001587, 0.001073, "
-    "0.000727\npayoff: 0.998463\n"
-)
-
-
-def test_thresholds_text_renders_no_theta(monkeypatch, capsys):
-    """The text of `thresholds --K 1` prints theta only with --exact, so
-    without it no theta is rendered and the bytes stay the same; JSON,
-    CSV and --exact render each theta once."""
-    calls = []
-    real = theta_mod.format_rational
-    monkeypatch.setattr(theta_mod, "format_rational", lambda q: calls.append(q) or real(q))
-    assert cli.main(["thresholds", "--J", "16"]) == 0
-    assert (len(calls), capsys.readouterr().out) == (0, THRESHOLDS_16_TEXT)
-    for extra in (["--exact"], ["--format", "json"], ["--format", "csv"]):
-        calls.clear()
-        assert cli.main(["thresholds", "--J", "16", *extra]) == 0
-        assert calls == list(generate_thetas(16).thetas), extra
