@@ -205,7 +205,7 @@ class CertificateReport(namedtuple("CertificateReport", [
     "tolerance",  # float
     "grid_points",  # int
     "max_equality_residual", "min_inequality_slack", "max_threshold_residual",
-    "min_q_value", "dual_objective", "payoff", "objective_gap",  # float
+    "dual_objective", "payoff", "objective_gap",  # float
     "first_violation",  # str | None
 ])):
     __slots__ = ()
@@ -236,7 +236,7 @@ def verify_certificate(
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol={tol} outside [0, inf)")
     J, K, tau = cert.J, cert.K, np.array(cert.tau.tau)
-    max_eq, min_slack, min_q = 0.0, math.inf, math.inf
+    max_eq, min_slack = 0.0, math.inf
     # notes[j-1][k-1]: the first broken bound of (j, k), its threshold first
     notes: list[list[str | None]] = [[None] * K for _ in range(J)]
     roots = abs(_q_at(cert, tau.ravel(), *np.divmod(np.arange(J * K), K))).reshape(J, K)
@@ -267,7 +267,7 @@ def verify_certificate(
             eq = float(np.fmax.reduce(res, axis=None, where=above, initial=0.0))
             q_lo = float(np.fmin.reduce(qv, axis=None, where=above, initial=math.inf))
             slack_lo = float(np.fmin.reduce(slack, axis=None, where=~above, initial=math.inf))
-            max_eq, min_q, min_slack = max(max_eq, eq), min(min_q, q_lo), min(min_slack, slack_lo)
+            max_eq, min_slack = max(max_eq, eq), min(min_slack, slack_lo)
             if eq <= tol and q_lo >= -tol and slack_lo >= -tol and not np.isnan(slack).any():
                 continue
             bad = np.where(above, ~(res <= tol) | ~(qv >= -tol), ~(slack >= -tol))
@@ -290,7 +290,7 @@ def verify_certificate(
         violation = f"dual objective {objective} vs payoff {payoff}"
     max_root = float(np.fmax.reduce(roots, axis=None, initial=0.0))
     return CertificateReport(J, K, violation is None, tol, grid_points, max_eq, min_slack,
-                             max_root, min_q, objective, payoff, gap, violation)
+                             max_root, objective, payoff, gap, violation)
 
 
 def perturbed(cert: DualCertificateJK, delta: float) -> DualCertificateJK:

@@ -14,9 +14,9 @@ q_j doubles as an optimality certificate (q_j(t_j) = 0, q_j(1) = 1, and the
 piecewise data witnesses the complementary-slackness equalities).  Piece k,
 on [t_k, t_(k-1)], is kept in y = ln x + theta_k, where its antiderivative
 vanishes at the lower end, so its integral is one Horner evaluation at
-theta_k - theta_(k-1).  `recursion` returns the thetas with these rows,
-each piece a tuple of Fraction coefficients in y, which the tests shift
-back to ln x and check as the exact certificate.
+theta_k - theta_(k-1).  Only the thetas leave the module; the tests
+build the same rows in Fractions (`fraction_recursion` in tests/oracles.py)
+and check them as the exact certificate.
 
 The loop needs no gcd.  Its inputs are integers, it adds, subtracts and
 multiplies, and it divides only by p + 1 <= MAX_J = 16, so every value
@@ -26,7 +26,7 @@ of e (no e_i exceeds 32767 at J <= 16).  A product adds the e; a sum
 raises both terms to the larger power of each prime by cached factors.
 Each new theta is put in lowest terms by trial division, which keeps
 later denominators tight (theta_16's is 2^32767 3^7168 5^2048 7^512 11^32
-13^8); a row coefficient is reduced when `recursion` makes it a Fraction.
+13^8).
 
 The float K = 1 certificate comes from dual.construct_dual, which builds
 every K alike and agrees with exp(-theta_j) within 1e-12.  Floats appear
@@ -113,7 +113,7 @@ def _packed(exponents) -> int:
     return sum(k << 20 * i for i, k in enumerate(exponents))
 
 
-@cache  # recursion(MAX_J) meets about 1800 exponents and pairs, 0.3 MB in all
+@cache  # generate_thetas(MAX_J) meets about 1300 exponents and pairs, 0.2 MB in all
 def _power(e: int) -> int:
     return prod(map(pow, _PRIMES, _exponents(e)))
 
@@ -167,22 +167,10 @@ def _fraction(x: tuple) -> Fraction:
     return q
 
 
-def recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
-    """theta_1..theta_J and the dual rows; rows[j-1][k-1] is q_j on [t_k, t_(k-1)].
-
-    Each row entry is a polynomial in y = ln x + theta_k given by its
-    Fraction coefficients, entry p multiplying y^p (t_0 = 1); piece k of
-    q_j has degree j - k + 1, and every row's last piece is y.  O(J^3)
-    rational operations; J above MAX_J is refused.
-    """
-    thetas, rows = _recursion(J, last_row=True)
-    rows = [[tuple(_fraction(_lowest(c)) for c in q) for q in row] for row in rows]
-    return ThetaSequence(tuple(map(_fraction, thetas))), rows
-
-
-def _recursion(J: int, last_row: bool) -> tuple[list[tuple], list]:
-    """`recursion` on (n, e) pairs, each theta in lowest terms, building
-    row J only if last_row (theta_J needs row J - 1)."""
+def _recursion(J: int) -> list[tuple]:
+    """theta_1..theta_J as (n, e) pairs in lowest terms, from rows 1..J-1:
+    piece k of row j is q_j on [t_k, t_(k-1)] (t_0 = 1), its coefficients
+    in y = ln x + theta_k, entry p multiplying y^p.  J above MAX_J is refused."""
     if J < 1:
         raise ValueError("J must be >= 1")
     if J > MAX_J:
@@ -190,31 +178,31 @@ def _recursion(J: int, last_row: bool) -> tuple[list[tuple], list]:
     thetas = [_ONE]
     gaps = thetas[:]  # d_k = theta_k - theta_(k-1), each piece's height
     last = (_ZERO, _ONE)  # q = 1 + ln x = y on the lowest piece
-    rows: list[list[tuple]] = [[last]]
+    row: list[tuple] = [last]
     for j in range(1, J):
         new_row = []
         acc = _ZERO  # int_{t_k}^1 q_j(y)/y dy, through segment k
-        for q, theta_k, gap in zip(rows[-1], thetas, gaps):
+        for q, theta_k, gap in zip(row, thetas, gaps):
             # A(y), A' = q, A(0) = 0: int q dy/x from the piece's lower end to y
             anti = (_ZERO, *map(_mul, q, _RECIPROCALS))
             height = _ZERO  # A(gap), by Horner's rule
             for c in reversed(anti):
                 height = _add(_mul(height, gap), c)
             acc = _add(acc, height)
-            if last_row or j < J - 1:
+            if j < J - 1:
                 # q_{j+1} = 1 + ln x + acc - A(y) on this segment, ln x = y - theta_k
                 new_row.append((_add(_add(_ONE, _neg(theta_k)), acc),
                                 _add(_ONE, _neg(anti[1])), *map(_neg, anti[2:])))
         thetas.append(_lowest(_add(_ONE, acc)))  # tight denominators from here on
         gaps.append(_add(thetas[-1], _neg(thetas[-2])))
         new_row.append(last)
-        rows.append(new_row)
-    return thetas, rows
+        row = new_row
+    return thetas
 
 
 def generate_thetas(J: int) -> ThetaSequence:
     """Exact theta_1..theta_J."""
-    return ThetaSequence(tuple(map(_fraction, _recursion(J, last_row=False)[0])))
+    return ThetaSequence(tuple(map(_fraction, _recursion(J))))
 
 
 def thresholds(ts: ThetaSequence) -> list[float]:

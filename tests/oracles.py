@@ -45,15 +45,16 @@
 * `_at`, `_integral`, `fraction_recursion`: the K = 1 recursion in
   `Fraction` arithmetic (Horner evaluation, the antiderivative in
   y = ln x + theta_k, and the loop), the reference for the gcd-free
-  arithmetic of `secretary_lab.theta.recursion`.
+  arithmetic of `secretary_lab.theta.generate_thetas` and the only
+  home of the exact dual rows q_j, which the runtime never builds.
 * `ln_poly_at`, `ln_derivative`, `plain_antiderivative`: polynomials in
   ln x as tuples of coefficients (entry p multiplies (ln x)^p): a Horner
   loop of its own, the exact derivative in ln x, and B with
   int p(ln y) dy = y B(ln y).
 * `theta_at`: theta_j of a `secretary_lab.theta.ThetaSequence`, with
   theta_0 = 0.
-* `ln_rows`: the rows of `secretary_lab.theta.recursion`, whose piece k
-  is a polynomial in y = ln x + theta_k, Taylor-shifted back to ln x in
+* `ln_rows`: the rows of `fraction_recursion`, whose piece k is a
+  polynomial in y = ln x + theta_k, Taylor-shifted back to ln x in
   exact arithmetic.
 * `q_at_theta`, `integral_q_from`, `dual_objective_k1`,
   `constraint_lhs_k1`: exact K = 1 certificate checks over `ln_rows`, in
@@ -455,7 +456,6 @@ def verify_certificate_scalar(
         max_equality_residual=max_eq,
         min_inequality_slack=min_slack,
         max_threshold_residual=max_root,
-        min_q_value=min_q,
         dual_objective=objective,
         payoff=payoff,
         objective_gap=gap,
@@ -476,7 +476,6 @@ def verify_certificate_rows(
     J, K = cert.J, cert.K
     max_eq = 0.0
     min_slack = math.inf
-    min_q = math.inf
     notes: list[list[str | None]] = [[None] * K for _ in range(J)]
     roots = abs(np.array([
         [cert.q[j - 1][k - 1].value(cert.tau.threshold(j, k)) for k in range(1, K + 1)]
@@ -504,7 +503,6 @@ def verify_certificate_rows(
                 res = np.abs(slack)
                 above = x >= cert.tau.threshold(j, k)
                 max_eq = float(np.fmax.reduce(res[above], initial=max_eq))
-                min_q = float(np.fmin.reduce(qv[above], initial=min_q))
                 min_slack = float(np.fmin.reduce(slack[~above], initial=min_slack))
                 if row_notes[k - 1] is not None:
                     continue
@@ -541,7 +539,6 @@ def verify_certificate_rows(
         max_equality_residual=max_eq,
         min_inequality_slack=min_slack,
         max_threshold_residual=float(np.fmax.reduce(roots, axis=None, initial=0.0)),
-        min_q_value=min_q,
         dual_objective=objective,
         payoff=payoff,
         objective_gap=gap,
@@ -617,7 +614,7 @@ def certificate_to_dict(cert: DualCertificateJK, report: CertificateReport) -> d
     }
 
 
-# -- exact K = 1 checks over theta.recursion rows ----------------------------
+# -- exact K = 1 checks over fraction_recursion rows -------------------------
 # rows[j-1][k-1] is q_j on x in [t_k, t_(k-1)], i.e. theta in
 # [theta_(k-1), theta_k]; after `ln_rows`, as a polynomial in ln x: a tuple
 # of Fraction coefficients, entry p multiplying (ln x)^p.
@@ -660,8 +657,12 @@ def _integral(poly: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 
 def fraction_recursion(J: int) -> tuple[ThetaSequence, list[list[tuple[Fraction, ...]]]]:
-    """`secretary_lab.theta.recursion` with every value a Fraction, the
-    reference for its gcd-free arithmetic: the same loop in the same order."""
+    """theta_1..theta_J and the dual rows, every value a Fraction;
+    rows[j-1][k-1] is q_j on [t_k, t_(k-1)] (t_0 = 1), a polynomial in
+    y = ln x + theta_k given by its coefficients, entry p multiplying
+    y^p.  Piece k of q_j has degree j - k + 1, and every row's last piece
+    is y.  The loop of `secretary_lab.theta._recursion` in the same order,
+    the reference for its gcd-free arithmetic."""
     if not 1 <= J <= MAX_J:
         raise ValueError(f"J={J} outside 1..{MAX_J}")
     thetas: list[Fraction] = [Fraction(1)]
@@ -689,7 +690,7 @@ def theta_at(ts: ThetaSequence, j: int) -> Fraction:
 
 
 def ln_rows(ts: ThetaSequence, rows) -> list[list[tuple]]:
-    """`recursion`'s rows in ln x: piece k, a polynomial p in
+    """`fraction_recursion`'s rows in ln x: piece k, a polynomial p in
     y = ln x + theta_k, becomes p(ln x + theta_k), expanded by Horner's
     rule on coefficient lists (multiplying by ln x + theta_k shifts a list
     up one place and adds theta_k times it)."""

@@ -199,8 +199,8 @@ def test_criterion_7_property_suites(capfd):
 
     # exact antiderivative round-trip on polynomials, the K = 1 recursion's
     # pieces in y = ln x + theta_k: A' = p, A = 0 at y = 0, Fractions
-    # throughout; the Fraction loop built on it is the reference that
-    # theta.recursion's rows must equal (tests/test_theta.py)
+    # throughout; the Fraction loop built on it holds the rows that
+    # tests/test_theta.py checks as the exact certificate
     exact_cases = 0
     for _ in range(120):
         p = tuple(

@@ -21,7 +21,7 @@ from secretary_lab.dual import (
     verify_certificate,
 )
 from secretary_lab import dual, theta
-from secretary_lab.cli import main
+from secretary_lab.cli import EXIT_CERTIFICATE, main
 from secretary_lab.piecewise import PiecewiseFunction, _locate, _series
 from secretary_lab.theta import generate_thetas, thresholds
 from secretary_lab.value import MonotonicityError, ThresholdMatrix, solve
@@ -478,7 +478,6 @@ REPORT_FLOATS = (
     "max_equality_residual",
     "min_inequality_slack",
     "max_threshold_residual",
-    "min_q_value",
     "dual_objective",
     "objective_gap",
 )
@@ -667,7 +666,7 @@ def test_nan_in_a_dual_function_never_verifies(plant, want):
     NaN in the whole gain row of k = 2 (seen at q_{1|2}'s threshold), in
     the top cell of drop row 1 (seen on q_{1|1}'s grid points above its
     threshold's cell) or in the tail sum that row 1's points in the cell below
-    tau_{1,1} add (seen below the threshold only).  The report's max/min
+    tau_{1,1} add (seen below the threshold only).  The report's max
     fields skip NaN."""
     cert = construct_dual(2, 2)
     if plant == "gain":
@@ -683,8 +682,32 @@ def test_nan_in_a_dual_function_never_verifies(plant, want):
     assert not report.ok
     assert report.first_violation.startswith(want), report.first_violation
     assert report.first_violation.endswith("nan"), report.first_violation
-    for field in ("max_equality_residual", "max_threshold_residual", "min_q_value"):
+    for field in ("max_equality_residual", "max_threshold_residual"):
         assert math.isfinite(getattr(report, field)), field
+
+
+def test_q_below_zero_above_its_threshold_never_verifies(monkeypatch, capsys):
+    """q_{j|1} lowered by 2/x on the top cell, with alpha_1 lowered alike
+    there, keeps every equality and its threshold but dips below zero:
+    the first note is q[1][1]'s, at the cell's first point, and dual-check
+    exits 4 naming it."""
+    cert = construct_dual(2, 2)
+    cert.coef[0, 0, -1] -= 2.0  # T_0's coefficient in gain row k = 1
+    top, rows = cert.bps[-2], dual.alphas
+
+    def planted(K, x):
+        out = rows(K, x)
+        out[0] -= np.where(x >= top, 2.0 / x, 0.0)
+        return out
+
+    monkeypatch.setattr(dual, "alphas", planted)
+    report = verify_certificate(cert)
+    assert not report.ok
+    assert report.first_violation == f"q[1][1]({top:.6f}) = -2.333e+00 < 0"
+    assert report.max_equality_residual <= 1e-12 and report.max_threshold_residual <= 1e-12
+    monkeypatch.setattr(dual, "construct_dual", lambda J, K: cert)
+    assert main(["dual-check", "--J", "2", "--K", "2"]) == EXIT_CERTIFICATE
+    assert f"violation: {report.first_violation}" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_rejects_a_tolerance_outside_zero_to_inf():

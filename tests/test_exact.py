@@ -1,5 +1,5 @@
 """Exact calculus on polynomials given by Fraction coefficient tuples, the
-form of the K = 1 recursion's pieces (`secretary_lab.theta.recursion`, in
+form of the K = 1 recursion's pieces (`oracles.fraction_recursion`, in
 y = ln x + theta_k; the calculus is the same in ln x), and the exact
 rationals' digits."""
 
@@ -21,12 +21,12 @@ from secretary_lab.theta import (
     exp_neg,
     format_rational,
     generate_thetas,
-    recursion,
 )
 
 from oracles import (
     _at,
     _integral,
+    fraction_recursion,
     ln_derivative,
     ln_poly_at,
     plain_antiderivative,
@@ -73,7 +73,7 @@ def test_recursion_16_row_shapes():
     """Row j has j pieces, piece k has degree j - k + 1 with a nonzero
     leading coefficient, and every coefficient is a Fraction: the degrees
     grow by one per row and no further."""
-    _, rows = recursion(16)
+    _, rows = fraction_recursion(16)
     assert len(rows) == 16
     for j, row in enumerate(rows, start=1):
         assert len(row) == j

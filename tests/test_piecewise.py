@@ -253,6 +253,15 @@ def test_zero_function_behaviour():
     assert z.integral(0.0, 1.0) == 0.0
     f = _two_piece()
     assert z.combine(f).value(0.9) == pytest.approx(f.value(0.9))
+    both = z.combine(PiecewiseFunction.zero(), 2.0, -1.0)
+    assert both.is_zero() and both.breakpoints == [] and both.value(0.5) == 0.0
+
+
+def test_segment_terms_are_its_chebyshev_coefficients():
+    """Segment.terms maps each Chebyshev degree to its coefficient, a float."""
+    f = PiecewiseFunction([0.25, 0.5, 1.0], [-0.5, 0.0], 0.5, [[1, -2], [0.5, 3]])
+    assert [seg.terms for seg in f.segments] == [{0: 1.0, 1: -2.0}, {0: 0.5, 1: 3.0}]
+    assert all(type(c) is float for seg in f.segments for c in seg.terms.values())
 
 
 def test_quadrature_known_values():
@@ -276,7 +285,11 @@ def test_quadrature_reports_bad_subinterval():
 
 
 def test_breakpoint_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         PiecewiseFunction([0.5, 0.5], [0.0], 1.0, np.zeros((1, NODES)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one segment per breakpoint gap"):
         PiecewiseFunction([0.1, 0.5], [], 1.0, np.zeros((0, NODES)))
+    # one row of coefficients given flat, and two tops for one row
+    for tops, coef in (([0.0], np.zeros(NODES)), ([0.0, -0.5], np.zeros((1, NODES)))):
+        with pytest.raises(ValueError, match="one top and one row of coefficients per segment"):
+            PiecewiseFunction([0.5, 1.0], tops, 1.0, coef)

@@ -18,7 +18,6 @@ from secretary_lab.theta import (
     generate_thetas,
     payoff_k1,
     payoff_k1_decimal,
-    recursion,
     thresholds,
 )
 
@@ -50,7 +49,7 @@ def ts8():
 @pytest.fixture(scope="module")
 def cert6():
     """(thetas, rows) of the J = 6 recursion, the rows shifted to ln x."""
-    ts, rows = recursion(6)
+    ts, rows = fraction_recursion(6)
     return ts, ln_rows(ts, rows)
 
 
@@ -75,7 +74,8 @@ def test_generation_is_deterministic():
 
 def test_j_cap(monkeypatch):
     """J = 17 is refused before any arithmetic: row 16's antiderivative
-    would divide by 17, a prime the recursion's values do not carry."""
+    would divide by 17, a prime the recursion's values do not carry.  So
+    are J = 0 and J < 0, which have no theta_1."""
 
     def refuse(*args):
         raise AssertionError("arithmetic ran")
@@ -84,26 +84,20 @@ def test_j_cap(monkeypatch):
     monkeypatch.setattr(theta_mod, "_mul", refuse)
     with pytest.raises(ValueError, match="exceeds the cap"):
         generate_thetas(17)
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        recursion(17)
-
-
-def terms(ts: ThetaSequence, rows) -> tuple[list, list]:
-    """(numerator, denominator) of every theta and every row coefficient."""
-    return (
-        [(q.numerator, q.denominator) for q in ts.thetas],
-        [[[(c.numerator, c.denominator) for c in piece] for piece in row] for row in rows],
-    )
+    for J in (0, -1):
+        with pytest.raises(ValueError, match="^J must be >= 1$"):
+            generate_thetas(J)
 
 
 def test_recursion_equals_the_fraction_oracle():
-    """Every theta and every row coefficient of recursion(J), J = 1..16,
-    is a Fraction with the terms of the Fraction loop's value: equal and
-    in lowest terms."""
+    """Every theta of generate_thetas(J), J = 1..16, is a Fraction with the
+    terms of the Fraction loop's value: equal and in lowest terms."""
     for J in range(1, MAX_J + 1):
-        ts, rows = recursion(J)
-        assert terms(ts, rows) == terms(*fraction_recursion(J))
-        assert all(type(c) is Fraction for row in rows for piece in row for c in piece)
+        got, want = generate_thetas(J).thetas, fraction_recursion(J)[0].thetas
+        assert all(type(t) is Fraction for t in got)
+        assert [(t.numerator, t.denominator) for t in got] == [
+            (t.numerator, t.denominator) for t in want
+        ]
 
 
 def test_theta_digests_are_pinned():
@@ -127,7 +121,7 @@ def test_denominators_have_no_prime_above_j():
     """theta_j and every coefficient of row j have denominators with no
     prime factor above j, the closure the recursion's arithmetic rests on:
     its only divisions are by p + 1 <= j."""
-    ts, rows = recursion(MAX_J)
+    ts, rows = fraction_recursion(MAX_J)
     for j, (theta, row) in enumerate(zip(ts.thetas, rows), start=1):
         for q in (theta, *(c for piece in row for c in piece)):
             assert is_smooth(q.denominator, j), (j, q)
@@ -156,7 +150,7 @@ def test_thresholds_strictly_decreasing(ts8):
 
 
 def test_q1_piece():
-    ts, rows = recursion(1)
+    ts, rows = fraction_recursion(1)
     (piece,) = rows[0]
     assert piece == (0, 1)  # y = 1 + ln x
     assert ln_rows(ts, rows) == [[(1, 1)]]
@@ -165,7 +159,7 @@ def test_q1_piece():
 
 
 def test_q2_pieces_match_hand_integration():
-    ts, rows = recursion(2)
+    ts, rows = fraction_recursion(2)
     # in y = ln x + theta_k: 1/2 + y - y^2/2 on top, then y
     assert rows[1] == [(Fraction(1, 2), 1, Fraction(-1, 2)), (0, 1)]
     top, lower = ln_rows(ts, rows)[1]
@@ -261,7 +255,7 @@ def test_theta_recursion_against_weighted_integral(cert6):
 
 def test_dual_objective_equals_payoff(cert6):
     for J in range(1, 7):
-        ts, rows = recursion(J)
+        ts, rows = fraction_recursion(J)
         assert dual_objective_k1(ts, ln_rows(ts, rows)) == pytest.approx(
             payoff_k1(ts), abs=1e-12
         )
@@ -269,7 +263,7 @@ def test_dual_objective_equals_payoff(cert6):
 
 def test_dual_objective_published_values():
     for J, want in ((1, "0.367879"), (2, "0.591010"), (3, "0.732103")):
-        ts, rows = recursion(J)
+        ts, rows = fraction_recursion(J)
         assert f"{dual_objective_k1(ts, ln_rows(ts, rows)):.6f}" == want
 
 
@@ -277,7 +271,7 @@ def test_rows_end_in_y_and_meet_the_piece_below():
     """In y = ln x + theta_k every row's last piece is y, exactly, and a
     piece's value at its lower end (y = 0, its constant) is the value of
     the piece below at that piece's top, y = theta_(k+1) - theta_k."""
-    ts, rows = recursion(16)
+    ts, rows = fraction_recursion(16)
     for row in rows:
         assert row[-1] == (0, 1) and all(type(c) is Fraction for c in row[-1])
         for k, (piece, below) in enumerate(zip(row, row[1:]), start=1):
@@ -290,13 +284,6 @@ def test_runtime_j8_under_a_second():
     t0 = time.monotonic()
     generate_thetas(8)
     assert time.monotonic() - t0 < 1.0
-
-
-def test_generate_thetas_are_the_recursions():
-    """generate_thetas builds no row J; its thetas are recursion's."""
-    for J in (1, 2, 16):
-        assert generate_thetas(J).thetas == recursion(J)[0].thetas
-    assert [len(row) for row in recursion(3)[1]] == [1, 2, 3]
 
 
 def test_exp_neg_equals_the_decimal_quotient_form():

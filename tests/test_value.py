@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from oracles import alpha, dp_thresholds, k2_closed_forms, tau_dop853
+from reference_values import EXP_NEG_47_24
 from secretary_lab import dp, dual, theta, value
+from secretary_lab.cli import EXIT_NUMERIC, main
 
 # The pairs of the benchmark's certify workload.
 CERTIFY_PAIRS = [(J, K) for J in range(1, 5) for K in range(1, 5)] + [
@@ -38,6 +40,13 @@ def test_k1_thresholds_are_exp_minus_theta():
     want = theta.thresholds(theta.generate_thetas(theta.MAX_J))
     got = [row[0] for row in solved(theta.MAX_J, 1).tau.tau]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_k1_threshold_3_is_the_frozen_reference():
+    """t_3 = exp(-47/24), rounded once from the working precision, is the
+    frozen 60-digit value's double; the solver's tau_{3,1} is within 1e-12."""
+    assert theta.thresholds(theta.generate_thetas(3))[2] == EXP_NEG_47_24
+    assert abs(value.solve(3, 1).tau.threshold(3, 1) - EXP_NEG_47_24) <= 1e-12
 
 
 def test_k2_closed_forms():
@@ -103,6 +112,54 @@ def test_threshold_matrix_order_has_no_slack():
     with pytest.raises(value.MonotonicityError, match="row 1 not increasing in k at k=1"):
         value.ThresholdMatrix(1, 2, ((0.4, 0.4 - 1e-13),))
     value.ThresholdMatrix(2, 2, ((0.4, 0.4), (0.4, 0.4)))
+
+
+def test_threshold_matrix_shape_is_checked():
+    """A matrix with too few rows, or a row with too few entries, is refused
+    before any entry is read."""
+    for tau in (((0.5, 0.6),), ((0.5, 0.6), (0.4,))):
+        with pytest.raises(ValueError, match="^threshold matrix shape mismatch$"):
+            value.ThresholdMatrix(2, 2, tau)
+
+
+def solve_fails(capsys, message: str) -> value.ValueSolveError:
+    """value.solve(2, 2) raises ValueSolveError with the message, and
+    `thresholds --J 2 --K 2`, which solves through construct_dual, exits 3
+    printing it as its one error line; returns the solve's error."""
+    with pytest.raises(value.ValueSolveError) as info:
+        value.solve(2, 2)
+    assert str(info.value) == message
+    assert main(["thresholds", "--J", "2", "--K", "2"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    return info.value
+
+
+def test_solve_refuses_to_run_below_the_floor(monkeypatch, capsys):
+    """With the floor at t = -0.01, the first cell ends below it with
+    thresholds still to find."""
+    monkeypatch.setattr(value, "T_FLOOR", -0.01)
+    solve_fails(capsys, "no threshold found above x=1e-09")
+
+
+def test_solve_refuses_a_lower_pair_turning_first(monkeypatch, capsys):
+    """With alpha's rows swapped, x alpha_1 is the smaller gain near x = 1,
+    so pair (1, 1) turns non-positive before row 1's candidate (1, 2)."""
+    rows = value.alphas
+    monkeypatch.setattr(value, "alphas", lambda K, x: rows(K, x)[::-1])
+    solve_fails(capsys, "row 1: a pair below k=2 turns non-positive first, at x=0.656022")
+
+
+def test_solve_reports_an_unordered_matrix_as_its_own_failure(monkeypatch, capsys):
+    """A threshold matrix out of order is a ValueSolveError, an
+    ArithmeticError, chained to the MonotonicityError that found it."""
+
+    def unordered(J, K, tau):
+        raise value.MonotonicityError("column 1 not decreasing in j at j=1")
+
+    monkeypatch.setattr(value, "ThresholdMatrix", unordered)
+    error = solve_fails(capsys, "column 1 not decreasing in j at j=1")
+    assert isinstance(error.__cause__, value.MonotonicityError)
 
 
 @pytest.mark.parametrize(

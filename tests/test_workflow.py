@@ -53,6 +53,22 @@ def test_tier1_step_runs_the_roadmap_command():
     assert run == command or run.startswith(command + " ")
 
 
+def test_envelope_leg_installs_the_pinned_numpy():
+    """The leg that runs the envelope step under the pinned variable legs
+    installs the Python and numpy that every ENVELOPE_SHA256 key names, so
+    a numpy release leaves the pins pinned."""
+    from certify_envelope import ENVELOPE_SHA256
+
+    (job,) = yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
+    name = "Certificate envelope under the pinned variable legs"
+    (step,) = [step for step in job["steps"] if step.get("name") == name]
+    (python,) = re.findall(r"matrix\.python-version == '([\d.]+)'", step["if"])
+    (entry,) = [e for e in job["strategy"]["matrix"]["include"] if e["python-version"] == python]
+    pin = re.fullmatch(r"numpy==(\d+\.\d+)\.\*", entry.get("numpy", ""))
+    assert pin, entry
+    assert {key[1:3] for key in ENVELOPE_SHA256} == {(python, pin[1])}
+
+
 # Loads the program as the benchmark does and runs one (2,2) certificate
 # inside a traced pass; prints the pass's counters, and the root-search
 # spans directly under the construction's span, as JSON.  The root-search
